@@ -76,6 +76,7 @@ from .wavelet import (
     WaveletFilter,
     analyze,
     get_filter,
+    lp_mean,
     lp_norm,
     synthesize,
 )

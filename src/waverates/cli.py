@@ -151,8 +151,9 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 
     Defaults: q = inf, kappa = 2, natural log throughout.  Cross-checks the
     standing assumption s > d/r, estimator/model compatibility, n_grid
-    monotonicity, filter vanishing moments >= ceil(s), and existence of any
-    referenced tree files.
+    monotonicity, replicates >= 2, filter vanishing moments >= ceil(s),
+    existence of any referenced tree files, and d = 1 wherever the run
+    synthesizes a grid (density experiments and p != 2 losses).
     """
     try:
         raw = json.loads(raw_text)
@@ -215,8 +216,16 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             raise ConfigError("n_grid entries must be >= 2")
 
     replicates = int(raw.get("replicates", 32))
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    if replicates < 2:
+        raise ConfigError("replicates must be >= 2: the risk standard error needs two")
+
+    if d != 1 and density_kind:
+        raise ConfigError(f"density experiments are one-dimensional; got d={d}")
+    if d != 1 and p != 2 and kind in ("rate_fit", "probe_sweep"):
+        raise ConfigError(
+            f"a p={p} loss needs grid synthesis, which is defined for d=1 only; got d={d} "
+            "(use p=2, whose loss is the coefficient energy, or d=1)"
+        )
 
     filter_name = raw.get("filter", "db2")
     try:

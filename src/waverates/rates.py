@@ -31,7 +31,7 @@ from .estimators import (
 )
 from .models import empirical_coefficients, sample_density, simulate_sequence
 from .spaces import SmoothnessParams
-from .wavelet import WaveletFilter, get_filter, lp_norm, synthesize
+from .wavelet import WaveletFilter, get_filter, lp_mean
 
 __all__ = [
     "RateRegime",
@@ -282,8 +282,7 @@ def _loss(diff: CoefficientTree, p: float, filt: WaveletFilter) -> float:
     """||diff||_p^p: exact coefficient-space identity for p = 2, grid quadrature else."""
     if p == 2.0:
         return diff.total_energy()
-    res = diff.j_max + SYNTHESIS_PAD
-    return lp_norm(synthesize(diff, filt, res), p) ** p
+    return lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p)
 
 
 def _one_replicate(truth, est, model, n, p, filt, seed):

@@ -7,6 +7,14 @@ taps the cascade is an exact orthogonal map at every depth, so analyze and
 synthesize are exact inverses up to floating-point roundoff and the discrete
 coefficients obey Parseval against the midpoint quadrature of the signal.
 
+Synthesis to a grid finer than the tree runs the two-channel inverse step
+only for the levels the tree holds.  The K steps above j_max have no detail
+input; together they are one linear map, upsampling by 2^K and circular
+convolution with the K-fold cascade of the lowpass taps.  That map is cached
+per (filter, K) as a phase table and applied as one matrix product in blocks
+of about 2^15 samples, so an L^p loss (``lp_mean``) can be accumulated block
+by block without allocating the fine grid.
+
 Coefficient convention: a signal is
 
     f = scaling * phi + sum_{j=0..j_max} sum_k c_{j,k} psi_{j,k}
@@ -31,6 +39,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "lp_norm",
+    "lp_mean",
     "DAUBECHIES_LOWPASS",
 ]
 
@@ -222,8 +231,59 @@ def analyze(signal: GridSignal, filt: WaveletFilter, j_max: int) -> CoefficientT
     return CoefficientTree(d=1, j_max=j_max, scaling=float(a[0]), levels=levels)
 
 
-def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int) -> GridSignal:
-    """Reconstruct the grid signal of a coefficient tree at the given resolution."""
+_CASCADE_CACHE: dict[tuple[str, int], np.ndarray] = {}
+_BLOCK_SAMPLES = 1 << 15
+
+
+def _cascade_table(filt: WaveletFilter, K: int) -> np.ndarray:
+    """Phase table of K zero-detail inverse steps, cached per (filter, K).
+
+    K such steps map approximations a (length n) to samples
+    out[2^K q + r] = sum_s a[(q - s) mod n] h_K[2^K s + r], where h_K is the
+    K-fold cascade of the lowpass taps, of length (L - 1)(2^K - 1) + 1.  The
+    table holds h_K, scaled by the 2^(K/2) of the grid normalization, as S
+    rows of 2^K phases; the rows run from s = S - 1 down to 0, so that the
+    forward window a[q - S + 1 .. q] times the table is output row q.
+    """
+    key = (filt.name, K)
+    table = _CASCADE_CACHE.get(key)
+    if table is None:
+        h = np.ones(1)
+        for _ in range(K):
+            up = np.zeros(2 * len(h) - 1)
+            up[::2] = h
+            h = np.convolve(up, filt.taps)
+        phases = 1 << K
+        shifts = -(-len(h) // phases)
+        padded = np.zeros(shifts * phases)
+        padded[: len(h)] = h * 2.0 ** (K / 2.0)
+        table = np.ascontiguousarray(padded.reshape(shifts, phases)[::-1])
+        table.flags.writeable = False
+        # concurrent first calls build identical tables; every caller keeps the stored one
+        table = _CASCADE_CACHE.setdefault(key, table)
+    return table
+
+
+def _zero_detail_blocks(approx: np.ndarray, filt: WaveletFilter, K: int):
+    """Yield (offset, block): approx upsampled through K zero-detail steps.
+
+    The blocks tile the 2^K len(approx) output samples in order, about
+    _BLOCK_SAMPLES each; the approximations are gathered cyclically, so a
+    cascade longer than the coarse grid wraps as often as it needs.
+    """
+    table = _cascade_table(filt, K)
+    shifts, phases = table.shape
+    n = len(approx)
+    ext = approx[np.arange(1 - shifts, n) % n]
+    windows = np.lib.stride_tricks.sliding_window_view(ext, shifts)
+    rows = max(1, _BLOCK_SAMPLES // phases)
+    for q in range(0, n, rows):
+        block = np.ascontiguousarray(windows[q : q + rows]) @ table
+        yield q * phases, block.ravel()
+
+
+def _synthesis_blocks(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int):
+    """Grid samples of a tree at the given resolution, as _zero_detail_blocks yields them."""
     if tree.d != 1:
         raise ValueError("grid synthesis is defined for d=1 trees")
     if resolution_log2 <= tree.j_max:
@@ -233,14 +293,60 @@ def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int)
     lo = filt.taps
     hi = filt.highpass
     a = np.array([tree.scaling])
-    for j in range(resolution_log2):
-        detail = tree.level(j) if j <= tree.j_max else np.zeros(1 << j)
-        a = _idwt_step(a, detail, lo, hi)
-    return GridSignal(resolution_log2, a * 2.0 ** (resolution_log2 / 2.0))
+    for j in range(tree.j_max + 1):
+        a = _idwt_step(a, tree.level(j), lo, hi)
+    a = a * 2.0 ** ((tree.j_max + 1) / 2.0)
+    return _zero_detail_blocks(a, filt, resolution_log2 - tree.j_max - 1)
+
+
+def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int) -> GridSignal:
+    """Reconstruct the grid signal of a coefficient tree at the given resolution.
+
+    Levels 0..j_max run the two-channel inverse step; the remaining
+    resolution_log2 - j_max - 1 zero-detail steps are one product with the
+    cached cascade table, written into the grid block by block.
+    """
+    blocks = _synthesis_blocks(tree, filt, resolution_log2)
+    samples = np.empty(1 << resolution_log2)
+    for offset, block in blocks:
+        samples[offset : offset + len(block)] = block
+    return GridSignal(resolution_log2, samples)
+
+
+def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """|x|^p, by repeated multiplication for p in {1, 2, 3, 4} (far cheaper than pow)."""
+    if p == 1:
+        return np.abs(x)
+    if p == 2:
+        return x * x
+    if p == 3:
+        a = np.abs(x)
+        return a * a * a
+    if p == 4:
+        sq = x * x
+        return np.multiply(sq, sq, out=sq)
+    return np.abs(x) ** p
+
+
+def _check_p(p: float) -> None:
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
 
 
 def lp_norm(signal: GridSignal, p: float) -> float:
     """L^p norm over [0, 1] by composite midpoint quadrature of the samples."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float(np.mean(np.abs(signal.samples) ** p) ** (1.0 / p))
+    _check_p(p)
+    return float(np.mean(_abs_pow(signal.samples, p)) ** (1.0 / p))
+
+
+def lp_mean(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int, p: float) -> float:
+    """Mean of |f|^p over the 2^resolution_log2 synthesis grid of a tree.
+
+    Equals lp_norm(synthesize(tree, filt, resolution_log2), p) ** p up to
+    roundoff, accumulated block by block without allocating the grid.
+    """
+    _check_p(p)
+    total = 0.0
+    for _, block in _synthesis_blocks(tree, filt, resolution_log2):
+        total += float(np.sum(_abs_pow(block, p)))
+    return total / (1 << resolution_log2)

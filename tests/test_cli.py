@@ -68,6 +68,27 @@ def test_validate_rejects_bad_grid_and_filter(tmp_path):
         validate_config(json.dumps(bad))
 
 
+def test_validate_rejects_single_replicate(tmp_path):
+    with pytest.raises(ConfigError, match="replicates must be >= 2"):
+        validate_config(rate_config(tmp_path / "o", replicates=1))
+
+
+def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
+    d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
+    for kind in ("rate_fit", "probe_sweep"):
+        bad = json.loads(rate_config(tmp_path / "o", experiment_kind=kind, smoothness=d2))
+        with pytest.raises(ConfigError, match="grid synthesis, which is defined for d=1"):
+            validate_config(json.dumps(bad))
+    # the p = 2 loss is the coefficient energy and needs no grid
+    ok = validate_config(rate_config(tmp_path / "o", smoothness=dict(d2, p=2), j_max=3))
+    assert ok.smoothness.d == 2
+    dens = json.loads(rate_config(tmp_path / "o", experiment_kind="density_rate_fit",
+                                  smoothness=dict(d2, p=2)))
+    dens["estimator_spec"] = {"kind": "density_threshold"}
+    with pytest.raises(ConfigError, match="density experiments are one-dimensional"):
+        validate_config(json.dumps(dens))
+
+
 def test_validate_reports_parse_error_line():
     with pytest.raises(ConfigError, match="line"):
         validate_config("{\n  broken\n}")

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from waverates import wavelet
 from waverates.dyadic import CoefficientTree
 from waverates.wavelet import (
     DAUBECHIES_LOWPASS,
@@ -8,6 +12,7 @@ from waverates.wavelet import (
     WaveletFilter,
     analyze,
     get_filter,
+    lp_mean,
     lp_norm,
     synthesize,
 )
@@ -137,8 +142,12 @@ def test_parseval(name):
 
 def test_lp_norm_values():
     sig = GridSignal(5, np.full(32, -1.25))
-    for p in (1.0, 2.0, 3.5):
+    for p in (1.0, 2.0, 3.0, 3.5, 4.0):
         assert abs(lp_norm(sig, p) - 1.25) < 1e-12
+    x = GridSignal(6, np.random.default_rng(4).standard_normal(64))
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+        want = np.mean(np.abs(x.samples) ** p) ** (1.0 / p)
+        assert abs(lp_norm(x, p) - want) <= 1e-14 * want
     step = GridSignal(4, np.r_[np.ones(8), np.zeros(8)])
     assert abs(lp_norm(step, 4.0) - 0.5**0.25) < 1e-12
     with pytest.raises(ValueError):
@@ -155,3 +164,96 @@ def test_transform_errors():
     tree = CoefficientTree.zeros(1, 5)
     with pytest.raises(ValueError):
         synthesize(tree, filt, 5)  # resolution too coarse
+
+
+def cascade_reference(tree, filt, res):
+    """Level-by-level inverse cascade, zero details above j_max included.
+
+    Step j: out[(2i + t) mod 2^(j+1)] += lo[t] a[i] + hi[t] d[i]; for a fixed
+    tap t the target indices are distinct, so a fancy-index += is exact.
+    """
+    lo, hi = filt.taps, filt.highpass
+    a = np.array([tree.scaling])
+    for j in range(res):
+        detail = tree.level(j) if j <= tree.j_max else np.zeros(1 << j)
+        n = 2 * len(a)
+        out = np.zeros(n)
+        even = 2 * np.arange(len(a))
+        for t in range(len(lo)):
+            out[(even + t) % n] += lo[t] * a + hi[t] * detail
+        a = out
+    return a * 2.0 ** (res / 2.0)
+
+
+def random_tree(rng, j_max):
+    levels = {j: rng.standard_normal(1 << j) for j in range(j_max + 1)}
+    return CoefficientTree(1, j_max, rng.standard_normal(), levels)
+
+
+def assert_close_to_reference(tree, filt, res):
+    want = cascade_reference(tree, filt, res)
+    got = synthesize(tree, filt, res).samples
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (filt.name, res)
+
+
+@pytest.mark.parametrize("vm", range(1, 11))
+def test_synthesize_matches_level_by_level_cascade(vm):
+    # res - j_max = 1 leaves no zero-detail tail; j_max = 0 puts a 2-sample
+    # coarse grid under filters up to 20 taps long
+    filt = get_filter(f"db{vm}")
+    rng = np.random.default_rng(vm)
+    for j_max in (0, 1, 3, 6):
+        tree = random_tree(rng, j_max)
+        for gap in range(1, 9):
+            assert_close_to_reference(tree, filt, j_max + gap)
+
+
+@pytest.mark.parametrize("name, j_max, res", [
+    ("db3", 3, 17),   # many blocks of a few rows each
+    ("db2", 0, 17),   # one row is longer than a block
+    ("db10", 6, 16),  # two blocks
+])
+def test_synthesize_across_blocks_matches_cascade(name, j_max, res):
+    assert_close_to_reference(random_tree(np.random.default_rng(res), j_max), get_filter(name), res)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_lp_mean_equals_lp_norm_of_synthesis(p):
+    filt = get_filter("db4")
+    tree = random_tree(np.random.default_rng(8), 6)
+    for res in (9, 17):  # one block, several blocks
+        want = lp_norm(synthesize(tree, filt, res), p) ** p
+        assert abs(lp_mean(tree, filt, res, p) - want) <= 1e-12 * want
+
+
+def test_lp_mean_rejects_p_below_one():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_mean(CoefficientTree(1, 2, 1.0), get_filter("db2"), 6, 0.5)
+
+
+def test_cold_cascade_cache_is_thread_safe():
+    filt = get_filter("db5")
+    tree = random_tree(np.random.default_rng(21), 4)
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(i):
+        barrier.wait(timeout=10)
+        results[i] = (synthesize(tree, filt, 15).samples.tobytes(), lp_mean(tree, filt, 13, 4.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        wavelet._CASCADE_CACHE.clear()
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] is not None
+    assert all(r == results[0] for r in results)
+    assert results[0] == (synthesize(tree, filt, 15).samples.tobytes(), lp_mean(tree, filt, 13, 4.0))
