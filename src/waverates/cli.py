@@ -151,9 +151,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 
     Defaults: q = inf, kappa = 2, natural log throughout.  Cross-checks the
     standing assumption s > d/r, estimator/model compatibility, n_grid
-    monotonicity, replicates >= 2, filter vanishing moments >= ceil(s),
-    existence of any referenced tree files, and d = 1 wherever the run
-    synthesizes a grid (density experiments and p != 2 losses).
+    monotonicity, replicates >= 2 for Monte Carlo risks, filter vanishing
+    moments >= ceil(s), existence of any referenced tree files, and d = 1
+    wherever the run synthesizes a grid (density experiments and p != 2
+    losses).
     """
     try:
         raw = json.loads(raw_text)
@@ -188,7 +189,8 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     if est_kind not in all_kinds:
         raise ConfigError(f"estimator_spec.kind must be one of {all_kinds}, got {est_kind!r}")
     density_kind = kind == "density_rate_fit"
-    if kind in ("rate_fit", "probe_sweep", "density_rate_fit"):
+    monte_carlo = kind in ("rate_fit", "probe_sweep", "density_rate_fit")
+    if monte_carlo:
         if density_kind != (est_kind in _DENSITY_ESTIMATORS):
             raise ConfigError(
                 f"estimator {est_kind!r} is incompatible with experiment kind {kind!r}"
@@ -207,7 +209,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         raise ConfigError("uniform_density truth requires a density experiment")
 
     n_grid = tuple(int(n) for n in raw.get("n_grid", []))
-    if kind in ("rate_fit", "probe_sweep", "density_rate_fit"):
+    if monte_carlo:
         if not n_grid:
             raise ConfigError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -216,7 +218,9 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             raise ConfigError("n_grid entries must be >= 2")
 
     replicates = int(raw.get("replicates", 32))
-    if replicates < 2:
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
+    if monte_carlo and replicates < 2:
         raise ConfigError("replicates must be >= 2: the risk standard error needs two")
 
     if d != 1 and density_kind:

@@ -10,10 +10,10 @@ coefficients obey Parseval against the midpoint quadrature of the signal.
 Synthesis to a grid finer than the tree runs the two-channel inverse step
 only for the levels the tree holds.  The K steps above j_max have no detail
 input; together they are one linear map, upsampling by 2^K and circular
-convolution with the K-fold cascade of the lowpass taps.  That map is cached
-per (filter, K) as a phase table and applied as one matrix product in blocks
-of about 2^15 samples, so an L^p loss (``lp_mean``) can be accumulated block
-by block without allocating the fine grid.
+convolution with the K-fold cascade of the lowpass taps.  That map is a small
+phase table, built per call in microseconds, applied as one matrix product in
+blocks of about 2^15 samples, so an L^p loss (``lp_mean``) can be accumulated
+block by block without allocating the fine grid.
 
 Coefficient convention: a signal is
 
@@ -231,12 +231,11 @@ def analyze(signal: GridSignal, filt: WaveletFilter, j_max: int) -> CoefficientT
     return CoefficientTree(d=1, j_max=j_max, scaling=float(a[0]), levels=levels)
 
 
-_CASCADE_CACHE: dict[tuple[str, int], np.ndarray] = {}
 _BLOCK_SAMPLES = 1 << 15
 
 
-def _cascade_table(filt: WaveletFilter, K: int) -> np.ndarray:
-    """Phase table of K zero-detail inverse steps, cached per (filter, K).
+def _cascade_table(taps: np.ndarray, K: int) -> np.ndarray:
+    """Phase table of K zero-detail inverse steps of the lowpass taps.
 
     K such steps map approximations a (length n) to samples
     out[2^K q + r] = sum_s a[(q - s) mod n] h_K[2^K s + r], where h_K is the
@@ -245,45 +244,27 @@ def _cascade_table(filt: WaveletFilter, K: int) -> np.ndarray:
     rows of 2^K phases; the rows run from s = S - 1 down to 0, so that the
     forward window a[q - S + 1 .. q] times the table is output row q.
     """
-    key = (filt.name, K)
-    table = _CASCADE_CACHE.get(key)
-    if table is None:
-        h = np.ones(1)
-        for _ in range(K):
-            up = np.zeros(2 * len(h) - 1)
-            up[::2] = h
-            h = np.convolve(up, filt.taps)
-        phases = 1 << K
-        shifts = -(-len(h) // phases)
-        padded = np.zeros(shifts * phases)
-        padded[: len(h)] = h * 2.0 ** (K / 2.0)
-        table = np.ascontiguousarray(padded.reshape(shifts, phases)[::-1])
-        table.flags.writeable = False
-        # concurrent first calls build identical tables; every caller keeps the stored one
-        table = _CASCADE_CACHE.setdefault(key, table)
-    return table
-
-
-def _zero_detail_blocks(approx: np.ndarray, filt: WaveletFilter, K: int):
-    """Yield (offset, block): approx upsampled through K zero-detail steps.
-
-    The blocks tile the 2^K len(approx) output samples in order, about
-    _BLOCK_SAMPLES each; the approximations are gathered cyclically, so a
-    cascade longer than the coarse grid wraps as often as it needs.
-    """
-    table = _cascade_table(filt, K)
-    shifts, phases = table.shape
-    n = len(approx)
-    ext = approx[np.arange(1 - shifts, n) % n]
-    windows = np.lib.stride_tricks.sliding_window_view(ext, shifts)
-    rows = max(1, _BLOCK_SAMPLES // phases)
-    for q in range(0, n, rows):
-        block = np.ascontiguousarray(windows[q : q + rows]) @ table
-        yield q * phases, block.ravel()
+    h = np.ones(1)
+    for _ in range(K):
+        up = np.zeros(2 * len(h) - 1)
+        up[::2] = h
+        h = np.convolve(up, taps)
+    phases = 1 << K
+    shifts = -(-len(h) // phases)
+    padded = np.zeros(shifts * phases)
+    padded[: len(h)] = h * 2.0 ** (K / 2.0)
+    return np.ascontiguousarray(padded.reshape(shifts, phases)[::-1])
 
 
 def _synthesis_blocks(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int):
-    """Grid samples of a tree at the given resolution, as _zero_detail_blocks yields them."""
+    """Yield (offset, block): the grid samples of a tree, in order, in blocks.
+
+    Levels 0..j_max run the two-channel inverse step.  The K zero-detail
+    steps above them are one product of the cyclically gathered coarse
+    approximations with the _cascade_table, about _BLOCK_SAMPLES output
+    samples at a time; the gather wraps as often as a cascade longer than the
+    coarse grid needs.
+    """
     if tree.d != 1:
         raise ValueError("grid synthesis is defined for d=1 trees")
     if resolution_log2 <= tree.j_max:
@@ -296,7 +277,14 @@ def _synthesis_blocks(tree: CoefficientTree, filt: WaveletFilter, resolution_log
     for j in range(tree.j_max + 1):
         a = _idwt_step(a, tree.level(j), lo, hi)
     a = a * 2.0 ** ((tree.j_max + 1) / 2.0)
-    return _zero_detail_blocks(a, filt, resolution_log2 - tree.j_max - 1)
+    table = _cascade_table(lo, resolution_log2 - tree.j_max - 1)
+    shifts, phases = table.shape
+    n = len(a)
+    windows = np.lib.stride_tricks.sliding_window_view(a[np.arange(1 - shifts, n) % n], shifts)
+    rows = max(1, _BLOCK_SAMPLES // phases)
+    for q in range(0, n, rows):
+        block = np.ascontiguousarray(windows[q : q + rows]) @ table
+        yield q * phases, block.ravel()
 
 
 def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int) -> GridSignal:
@@ -304,24 +292,16 @@ def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int)
 
     Levels 0..j_max run the two-channel inverse step; the remaining
     resolution_log2 - j_max - 1 zero-detail steps are one product with the
-    cached cascade table, written into the grid block by block.
+    phase table of _cascade_table, written into the grid block by block.
     """
-    blocks = _synthesis_blocks(tree, filt, resolution_log2)
     samples = np.empty(1 << resolution_log2)
-    for offset, block in blocks:
+    for offset, block in _synthesis_blocks(tree, filt, resolution_log2):
         samples[offset : offset + len(block)] = block
     return GridSignal(resolution_log2, samples)
 
 
 def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p, by repeated multiplication for p in {1, 2, 3, 4} (far cheaper than pow)."""
-    if p == 1:
-        return np.abs(x)
-    if p == 2:
-        return x * x
-    if p == 3:
-        a = np.abs(x)
-        return a * a * a
+    """|x|^p; the p = 4 loss of the sparse regime squares twice, far cheaper than pow."""
     if p == 4:
         sq = x * x
         return np.multiply(sq, sq, out=sq)

@@ -71,6 +71,13 @@ def test_validate_rejects_bad_grid_and_filter(tmp_path):
 def test_validate_rejects_single_replicate(tmp_path):
     with pytest.raises(ConfigError, match="replicates must be >= 2"):
         validate_config(rate_config(tmp_path / "o", replicates=1))
+    # kinds without a Monte Carlo risk keep accepting one replicate
+    scaling = {"experiment_kind": "scaling_function",
+               "smoothness": {"s": 2, "r": 2, "p": 2, "d": 1}, "j_max": 6,
+               "scaling_p": [2.0], "scaling_window": [2, 6], "replicates": 1}
+    assert validate_config(json.dumps(scaling)).replicates == 1
+    with pytest.raises(ConfigError, match="replicates must be >= 1"):
+        validate_config(json.dumps(dict(scaling, replicates=0)))
 
 
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
