@@ -36,6 +36,7 @@ from .generic import (
 )
 from .models import (
     DensitySample,
+    DensitySampler,
     SequenceObservation,
     empirical_coefficients,
     sample_density,

@@ -151,10 +151,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 
     Defaults: q = inf, kappa = 2, natural log throughout.  Cross-checks the
     standing assumption s > d/r, estimator/model compatibility, n_grid
-    monotonicity, replicates >= 2 for Monte Carlo risks, filter vanishing
-    moments >= ceil(s), existence of any referenced tree files, and d = 1
-    wherever the run synthesizes a grid (density experiments and p != 2
-    losses).
+    monotonicity, replicates >= 2 for Monte Carlo risks, threads >= 1 (also
+    when set by --threads or WAVERATES_THREADS), filter vanishing moments
+    >= ceil(s), existence of any referenced tree files, and d = 1 wherever
+    the run synthesizes a grid (density experiments and p != 2 losses).
     """
     try:
         raw = json.loads(raw_text)
@@ -246,6 +246,13 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     if j_max < 1:
         raise ConfigError("j_max must be >= 1")
 
+    try:
+        threads = int(raw.get("threads", 1))
+    except (TypeError, ValueError):
+        raise ConfigError(f"threads: expected an integer, got {raw['threads']!r}") from None
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+
     window = tuple(int(v) for v in raw.get("scaling_window", (4, 14)))
     t_range = tuple(int(v) for v in raw.get("witness_t_range", (10, 30)))
     if len(window) != 2 or len(t_range) != 2:
@@ -268,7 +275,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         witness_eps=float(raw.get("witness_eps", 0.1)),
         witness_t_range=t_range,
         tolerances=dict(raw.get("tolerances", {})),
-        threads=int(raw.get("threads", 1)),
+        threads=threads,
     )
 
 
@@ -581,7 +588,7 @@ def main(argv=None) -> int:
             raw["output_dir"] = str(out)
         threads = args.threads if args.threads is not None else os.environ.get("WAVERATES_THREADS")
         if threads is not None:
-            raw["threads"] = int(threads)
+            raw["threads"] = threads
         config = validate_config(json.dumps(raw))
         report = run(config)
         print(f"manifest hash: {report.manifest_hash}")

@@ -4,8 +4,11 @@ Sequence observations add independent Gaussian noise of standard deviation
 n^{-1/2} to every coefficient up to the requested depth (zero coefficients
 included -- the model observes the full sequence).  Density samples are drawn
 from the normalized, nonnegative part of a wavelet-specified density by
-inverse CDF on a fine dyadic grid, and empirical coefficients average the
-periodized wavelet evaluated at the sample points.
+inverse CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a
+guide table for one truth, so replicates share it; it refuses densities whose
+clipped negative mass exceeds MAX_CLIPPED_MASS.  Empirical coefficients
+average the periodized wavelet at the sample points, read from a cached grid
+of each level's wavelet support.
 
 All generation is deterministic given the seed.  Replicated experiments
 derive per-replicate seeds from a master seed through numpy's SeedSequence
@@ -19,17 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import CoefficientTree
-from .wavelet import GridSignal, WaveletFilter, synthesize
+from .wavelet import WaveletFilter, _synthesis_blocks, synthesize
 
 __all__ = [
     "SequenceObservation",
     "DensitySample",
+    "DensitySampler",
     "simulate_sequence",
     "sample_density",
     "empirical_coefficients",
 ]
 
 DENSITY_GRID_PAD = 8
+# Largest integral of the negative part a density tree may have.  Clipping a
+# negative mass m and renormalizing moves the sampled density 2m in L^1 from
+# the tree, against which the risk is measured.
+MAX_CLIPPED_MASS = 1e-4
+# Forward steps from the guide-table cell before falling back to a binary
+# search.  A draw steps once per cell boundary inside its guide bucket, of
+# which there are fewer than 1 + mean / local density, so the steps suffice
+# wherever the density is at least a quarter of its mean.
+_GUIDE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -104,56 +117,139 @@ def simulate_sequence(
     return SequenceObservation(n=n, y=y, truth_ref=truth_ref, seed=seed_repr)
 
 
+@dataclass(frozen=True)
+class DensitySampler:
+    """Inverse-CDF sampler of the density specified by a coefficient tree.
+
+    Built once per truth: the tree is synthesized on a fine grid (resolution
+    j_max + 8), negative values are clipped to zero and the result
+    renormalized to unit mass; the points are drawn exactly from that
+    piecewise-constant density.  Refuses a tree whose reconstruction is
+    nonpositive everywhere, or whose clipped negative mass (the integral of
+    the negative part, recorded as clipped_mass) exceeds MAX_CLIPPED_MASS:
+    risks are measured against the unclipped tree, so the sampled law must be
+    that tree.  The arrays are read-only, so one sampler serves every thread.
+    """
+
+    res: int
+    masses: np.ndarray
+    cum: np.ndarray
+    guide: np.ndarray
+    clipped_mass: float
+
+    @classmethod
+    def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
+        res = f_tree.j_max + DENSITY_GRID_PAD
+        values = synthesize(f_tree, filt, res).samples
+        clipped_mass = float(np.maximum(-values, 0.0).sum()) / (1 << res)
+        values = np.clip(values, 0.0, None)
+        total = values.sum()
+        if total <= 0.0:
+            raise ValueError("density is identically zero after clipping")
+        if clipped_mass > MAX_CLIPPED_MASS:
+            raise ValueError(
+                f"density has negative mass {clipped_mass:.3g} > {MAX_CLIPPED_MASS:g}; "
+                "clipping it would sample a different law than the tree"
+            )
+        masses = values / total
+        cum = np.cumsum(masses)
+        cum[-1] = 1.0
+        # guide[b]: first cell whose cumulative mass reaches b / 2^res
+        guide = np.searchsorted(cum, np.arange(1 << res) / (1 << res), side="left")
+        for arr in (masses, cum, guide):
+            arr.flags.writeable = False
+        return cls(res, masses, cum, guide, clipped_mass)
+
+    def locate(self, u: np.ndarray) -> np.ndarray:
+        """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
+
+        The guide table gives a cell at or below the answer; draws step
+        forward from there, and any still short after _GUIDE_STEPS steps (a
+        run of near-empty cells) fall back to a binary search.
+        """
+        cells = self.guide[(u * len(self.guide)).astype(np.intp)]
+        for _ in range(_GUIDE_STEPS):
+            short = self.cum[cells] < u
+            if not short.any():
+                return cells
+            cells += short
+        short = np.flatnonzero(self.cum[cells] < u)
+        cells[short] = np.searchsorted(self.cum, u[short], side="left")
+        return cells
+
+    def sample(self, n: int, seed, truth_ref: str = "") -> DensitySample:
+        """Draw n i.i.d. points; bit-identical for identical (n, seed)."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        u = _resolve_rng(seed).random(n)
+        cells = self.locate(u)
+        left = np.where(cells > 0, self.cum[cells - 1], 0.0)
+        frac = (u - left) / self.masses[cells]
+        points = (cells + np.clip(frac, 0.0, 1.0)) / (1 << self.res)
+        seed_repr = seed if isinstance(seed, int) else 0
+        return DensitySample(n=n, points=points, truth_ref=truth_ref, seed=seed_repr)
+
+
 def sample_density(
     f_tree: CoefficientTree, filt: WaveletFilter, n: int, seed, truth_ref: str = ""
 ) -> DensitySample:
     """Draw n i.i.d. points from the density specified by a coefficient tree.
 
-    The tree is synthesized on a fine grid (resolution j_max + 8), negative
-    values are clipped to zero and the result renormalized to unit mass; the
-    points are drawn exactly from that piecewise-constant density by inverse
-    CDF.  Raises if the reconstruction is nonpositive everywhere.
+    One-shot form of DensitySampler.from_tree(f_tree, filt).sample(n, seed);
+    repeated draws from one truth should build the sampler once.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    res = f_tree.j_max + DENSITY_GRID_PAD
-    values = synthesize(f_tree, filt, res).samples
-    values = np.clip(values, 0.0, None)
-    total = values.sum()
-    if total <= 0.0:
-        raise ValueError("density is identically zero after clipping")
-    masses = values / total
-    cum = np.cumsum(masses)
-    cum[-1] = 1.0
-    rng = _resolve_rng(seed)
-    u = rng.random(n)
-    cells = np.searchsorted(cum, u, side="left")
-    left = np.where(cells > 0, cum[cells - 1], 0.0)
-    frac = (u - left) / masses[cells]
-    points = (cells + np.clip(frac, 0.0, 1.0)) / (1 << res)
-    seed_repr = seed if isinstance(seed, int) else 0
-    return DensitySample(n=n, points=points, truth_ref=truth_ref, seed=seed_repr)
+    return DensitySampler.from_tree(f_tree, filt).sample(n, seed, truth_ref)
 
 
-_PSI_GRID_CACHE: dict[tuple[str, int], np.ndarray] = {}
+# Per filter taps (and level): the support slice of the level's wavelet grid
+# with its block count, and the level-0 scaling grid.  Pool threads may race
+# to fill an entry; they compute identical read-only arrays, so either write
+# serves.
+_PSI_CACHE: dict[tuple[bytes, int], tuple[np.ndarray, int]] = {}
+_PHI_CACHE: dict[bytes, np.ndarray] = {}
 
 
-def _wavelet_grid(j: int, filt: WaveletFilter) -> np.ndarray:
-    """Grid values of the periodized wavelet at scale j, position 0.
+def _wavelet_support(j: int, filt: WaveletFilter) -> tuple[np.ndarray, int]:
+    """Support of the periodized wavelet psi_{j,0} on its fine grid.
 
-    Evaluated on the level's own fine grid (resolution j + DENSITY_GRID_PAD)
-    and cached per (filter, level): positions within a level are circular
-    shifts of position 0, so one grid serves every k.
+    Returns (psi, blocks): psi holds the grid values (resolution j + 8) of
+    the first `blocks` blocks of 2^8 cells, beyond which psi_{j,0} is zero;
+    blocks is at most 2^j, where the support wraps the whole circle.  Every
+    position k in the level is a circular shift of position 0 by k blocks.
+    The cascade spreads position 0 forward only, over fewer than
+    (L - 1) 2^8 cells, so only the synthesis blocks covering those are built.
     """
-    key = (filt.name, j)
-    grid = _PSI_GRID_CACHE.get(key)
-    if grid is None:
-        e = np.zeros(1 << j)
-        e[0] = 1.0
-        single = CoefficientTree(d=1, j_max=j, scaling=0.0, levels={j: e})
-        grid = synthesize(single, filt, j + DENSITY_GRID_PAD).samples
-        _PSI_GRID_CACHE[key] = grid
-    return grid
+    key = (filt.taps.tobytes(), j)
+    cached = _PSI_CACHE.get(key)
+    if cached is not None:
+        return cached
+    res = j + DENSITY_GRID_PAD
+    e = np.zeros(1 << j)
+    e[0] = 1.0
+    single = CoefficientTree(d=1, j_max=j, scaling=0.0, levels={j: e})
+    reach = min((len(filt.taps) - 1) << DENSITY_GRID_PAD, 1 << res)
+    parts = []
+    for offset, block in _synthesis_blocks(single, filt, res):
+        parts.append(block)
+        if offset + len(block) >= reach:
+            break
+    psi = np.concatenate(parts)
+    nz = np.flatnonzero(psi)
+    blocks = min(int(nz[-1] >> DENSITY_GRID_PAD) + 1, 1 << j) if nz.size else 0
+    psi = psi[: blocks << DENSITY_GRID_PAD].copy()
+    psi.flags.writeable = False
+    _PSI_CACHE[key] = psi, blocks
+    return psi, blocks
+
+
+def _scaling_grid(filt: WaveletFilter) -> np.ndarray:
+    """Grid values (resolution 8) of the periodized scaling function."""
+    key = filt.taps.tobytes()
+    phi = _PHI_CACHE.get(key)
+    if phi is None:
+        phi = synthesize(CoefficientTree(d=1, j_max=0, scaling=1.0), filt, DENSITY_GRID_PAD).samples
+        _PHI_CACHE[key] = phi
+    return phi
 
 
 def empirical_coefficients(
@@ -161,37 +257,33 @@ def empirical_coefficients(
 ) -> CoefficientTree:
     """Empirical wavelet coefficients (1/n) sum_i psi_{j,k}(X_i).
 
-    The wavelet is evaluated by synthesizing the single-coefficient tree on a
-    fine grid (resolution j + 8 for level j) and looking up each point's
-    cell.  Within a level the positions are circular shifts of position 0, so
-    the level is assembled from weighted bin counts over the compact support
-    instead of evaluating each (j, k) separately.
+    The wavelet is evaluated on a fine grid (resolution j + 8 for level j) by
+    looking up each point's cell.  The cells are computed once at resolution
+    j_max + 8; a coarser level's cells are a right shift of those (exact, as
+    scaling by a power of two is).  Within a level the positions are circular
+    shifts of position 0, so the level is assembled from weighted bin counts
+    over the compact support instead of evaluating each (j, k) separately.
     """
     if sample.n < 1 or sample.points.size == 0:
         raise ValueError("empty sample")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     inv_n = 1.0 / sample.n
+    fine = _cells(sample.points, j_max + DENSITY_GRID_PAD)
     # scaling function: constant 1 on [0, 1] after periodization
-    scaling = float(
-        np.sum(synthesize(CoefficientTree(d=1, j_max=0, scaling=1.0), filt, DENSITY_GRID_PAD)
-               .samples[_cells(sample.points, DENSITY_GRID_PAD)]) * inv_n
-    )
+    scaling = float(np.sum(_scaling_grid(filt)[fine >> j_max]) * inv_n)
     stride = 1 << DENSITY_GRID_PAD
     levels = {}
     for j in range(j_max + 1):
-        psi = _wavelet_grid(j, filt)
-        res = j + DENSITY_GRID_PAD
+        psi, blocks = _wavelet_support(j, filt)
         n_pos = 1 << j
-        cells = _cells(sample.points, res)
+        cells = fine >> (j_max - j)
         block = cells >> DENSITY_GRID_PAD
         phase = cells & (stride - 1)
-        nz = np.flatnonzero(np.abs(psi) > 0.0)
-        support_blocks = min(int(nz[-1] >> DENSITY_GRID_PAD) + 1, n_pos) if nz.size else 0
         beta = np.zeros(n_pos)
-        for m in range(support_blocks):
+        for m in range(blocks):
             vals = psi[phase + m * stride]
-            k = (block - m) % n_pos
+            k = (block - m) & (n_pos - 1)
             beta += np.bincount(k, weights=vals, minlength=n_pos)
         levels[j] = beta * inv_n
     return CoefficientTree(d=1, j_max=j_max, scaling=scaling, levels=levels)

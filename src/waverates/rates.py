@@ -29,7 +29,7 @@ from .estimators import (
     noise_depth,
     threshold_estimate,
 )
-from .models import empirical_coefficients, sample_density, simulate_sequence
+from .models import DensitySampler, empirical_coefficients, simulate_sequence
 from .spaces import SmoothnessParams
 from .wavelet import WaveletFilter, get_filter, lp_mean
 
@@ -285,7 +285,7 @@ def _loss(diff: CoefficientTree, p: float, filt: WaveletFilter) -> float:
     return lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p)
 
 
-def _one_replicate(truth, est, model, n, p, filt, seed):
+def _one_replicate(truth, est, model, n, p, filt, seed, sampler):
     if model.kind == "sequence":
         obs_depth = model.j_max if model.j_max is not None else truth.j_max
         obs = simulate_sequence(truth, n, obs_depth, seed)
@@ -302,7 +302,7 @@ def _one_replicate(truth, est, model, n, p, filt, seed):
     else:
         if not est.needs_density:
             raise ValueError(f"estimator {est.kind!r} cannot run on a density sample")
-        sample = sample_density(truth, filt, n, seed)
+        sample = sampler.sample(n, seed)
         if est.kind == "density_linear":
             cutoff = _linear_cutoff_level(est.cutoff(n))
             depth = model.j_max if model.j_max is not None else max(cutoff, 0)
@@ -330,7 +330,8 @@ def monte_carlo_risk(
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the table is
     bit-identical across reruns and independent of scheduling; replicates may
-    evaluate on a thread pool, the reduction order is fixed.
+    evaluate on a thread pool, the reduction order is fixed.  The density
+    model builds one DensitySampler for the truth, shared by all replicates.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
@@ -342,13 +343,14 @@ def monte_carlo_risk(
             f"estimator {estimator_cfg.kind!r} is incompatible with the {model_cfg.kind} model"
         )
     filt = get_filter(model_cfg.filter_name)
+    sampler = DensitySampler.from_tree(truth, filt) if model_cfg.kind == "density" else None
     losses = np.empty((len(n_grid), R))
 
     def task(i_rep):
         i, rep = i_rep
         n = n_grid[i]
         seed = np.random.SeedSequence((master_seed, n, rep))
-        return i, rep, _one_replicate(truth, estimator_cfg, model_cfg, n, p, filt, seed)
+        return i, rep, _one_replicate(truth, estimator_cfg, model_cfg, n, p, filt, seed, sampler)
 
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
     if threads > 1:

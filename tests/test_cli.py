@@ -80,6 +80,24 @@ def test_validate_rejects_single_replicate(tmp_path):
         validate_config(json.dumps(dict(scaling, replicates=0)))
 
 
+def test_validate_rejects_nonpositive_threads(tmp_path, monkeypatch):
+    for bad in (0, -4):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            validate_config(rate_config(tmp_path / "o", threads=bad))
+    # the --threads flag and WAVERATES_THREADS go through the same check
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(rate_config(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        main(["run", "--config", str(cfg_path), "--threads", "0"])
+    monkeypatch.setenv("WAVERATES_THREADS", "-4")
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        main(["run", "--config", str(cfg_path)])
+    monkeypatch.setenv("WAVERATES_THREADS", "two")
+    with pytest.raises(ConfigError, match="threads: expected an integer"):
+        main(["run", "--config", str(cfg_path)])
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
     d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
     for kind in ("rate_fit", "probe_sweep"):

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from waverates import models, wavelet
 from waverates.dyadic import CoefficientTree
 from waverates.models import (
+    DENSITY_GRID_PAD,
+    MAX_CLIPPED_MASS,
+    _GUIDE_STEPS,
     DensitySample,
+    DensitySampler,
     empirical_coefficients,
     sample_density,
     simulate_sequence,
 )
-from waverates.truths import bump_tree, density_truth_tree, uniform_density_tree
-from waverates.wavelet import get_filter, synthesize
+from waverates.truths import bump_tree, density_truth_tree, shell_tree, uniform_density_tree
+from waverates.wavelet import DAUBECHIES_LOWPASS, WaveletFilter, get_filter, synthesize
 
 HAAR = get_filter("haar")
 
@@ -92,7 +97,7 @@ def test_sample_density_half_interval():
 
 def test_sample_density_rejects_nonpositive():
     tree = CoefficientTree(1, 3, scaling=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identically zero"):
         sample_density(tree, HAAR, 10, seed=1)
 
 
@@ -111,14 +116,12 @@ def test_density_sample_validation():
 
 
 def test_empirical_coefficients_single_point_exact():
-    from waverates.models import DENSITY_GRID_PAD, _cells, _wavelet_grid
-
     x = 0.618
     beta = empirical_coefficients(DensitySample(1, np.array([x])), HAAR, 5)
     for j in (0, 2, 5):
-        psi = _wavelet_grid(j, HAAR)
+        psi = psi_grid(j, HAAR)
         stride = 1 << DENSITY_GRID_PAD
-        cell = _cells(np.array([x]), j + DENSITY_GRID_PAD)[0]
+        cell = grid_cells(np.array([x]), j + DENSITY_GRID_PAD)[0]
         for k in (0, (1 << j) - 1):
             want = psi[(cell - k * stride) % (1 << (j + DENSITY_GRID_PAD))]
             assert beta.get(j, k) == want
@@ -164,3 +167,165 @@ def test_empirical_coefficients_unbiased_vs_quadrature_oracle():
 def test_empirical_coefficients_empty_sample():
     with pytest.raises(ValueError):
         empirical_coefficients(DensitySample(1, np.array([0.5])), HAAR, -1)
+
+
+# -- reference implementations: the searchsorted sampler and the per-level
+# bincount loop over full wavelet grids that DensitySampler and
+# empirical_coefficients must reproduce bit for bit.
+
+
+def reference_cdf(f_tree, filt):
+    res = f_tree.j_max + DENSITY_GRID_PAD
+    values = np.clip(synthesize(f_tree, filt, res).samples, 0.0, None)
+    masses = values / values.sum()
+    cum = np.cumsum(masses)
+    cum[-1] = 1.0
+    return res, masses, cum
+
+
+def reference_sample_points(f_tree, filt, n, seed):
+    res, masses, cum = reference_cdf(f_tree, filt)
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random(n)
+    cells = np.searchsorted(cum, u, side="left")
+    left = np.where(cells > 0, cum[cells - 1], 0.0)
+    frac = (u - left) / masses[cells]
+    return (cells + np.clip(frac, 0.0, 1.0)) / (1 << res)
+
+
+def grid_cells(points, res):
+    return np.minimum((points * (1 << res)).astype(np.int64), (1 << res) - 1)
+
+
+def psi_grid(j, filt):
+    e = np.zeros(1 << j)
+    e[0] = 1.0
+    single = CoefficientTree(d=1, j_max=j, scaling=0.0, levels={j: e})
+    return synthesize(single, filt, j + DENSITY_GRID_PAD).samples
+
+
+def reference_coefficients(points, filt, j_max):
+    n = len(points)
+    phi = synthesize(CoefficientTree(d=1, j_max=0, scaling=1.0), filt, DENSITY_GRID_PAD).samples
+    scaling = float(np.sum(phi[grid_cells(points, DENSITY_GRID_PAD)]) * (1.0 / n))
+    stride = 1 << DENSITY_GRID_PAD
+    levels = {}
+    for j in range(j_max + 1):
+        psi = psi_grid(j, filt)
+        n_pos = 1 << j
+        cells = grid_cells(points, j + DENSITY_GRID_PAD)
+        block = cells >> DENSITY_GRID_PAD
+        phase = cells & (stride - 1)
+        nz = np.flatnonzero(np.abs(psi) > 0.0)
+        support_blocks = min(int(nz[-1] >> DENSITY_GRID_PAD) + 1, n_pos) if nz.size else 0
+        beta = np.zeros(n_pos)
+        for m in range(support_blocks):
+            vals = psi[phase + m * stride]
+            k = (block - m) % n_pos
+            beta += np.bincount(k, weights=vals, minlength=n_pos)
+        levels[j] = beta * (1.0 / n)
+    return scaling, levels
+
+
+def demo_density_truth():
+    return density_truth_tree(shell_tree(2, 2, 1, 10, amplitude=1.0, dither=2.0, j_min=2))
+
+
+def upper_half_density():
+    # density 2 * 1_{[1/2, 1)}: the CDF is flat over the whole lower half
+    return CoefficientTree.from_items(1, 3, 1.0, [((0, 0), -1.0)])
+
+
+SAMPLER_CASES = [
+    (uniform_density_tree(6), HAAR),
+    (demo_density_truth(), get_filter("db2")),
+    (density_truth_tree(bump_tree(1, 5, level=2, position=1, amplitude=0.3)), get_filter("db4")),
+    (upper_half_density(), HAAR),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))
+def test_density_sampler_matches_searchsorted_reference(case):
+    tree, filt = SAMPLER_CASES[case]
+    sampler = DensitySampler.from_tree(tree, filt)
+    for arr in (sampler.masses, sampler.cum, sampler.guide):
+        assert not arr.flags.writeable
+    for n, seed in ((1, 4), (5000, 17), (65536, 90210)):
+        want = reference_sample_points(tree, filt, n, seed)
+        assert np.array_equal(sampler.sample(n, seed).points, want)
+        assert np.array_equal(sample_density(tree, filt, n, seed).points, want)
+
+
+def test_density_sampler_locate_flat_runs_and_bucket_edges():
+    for tree, filt in (SAMPLER_CASES[1], SAMPLER_CASES[3]):
+        sampler = DensitySampler.from_tree(tree, filt)
+        _, _, cum = reference_cdf(tree, filt)
+        buckets = len(sampler.guide)
+        edges = np.arange(buckets) / buckets
+        u = np.concatenate([
+            edges,  # draws exactly on a guide bucket edge
+            np.nextafter(edges[1:], 0.0),
+            np.nextafter(edges, 1.0),
+            cum[:-1],  # draws exactly on a cell's cumulative mass
+            np.random.default_rng(5).random(10_000),
+        ])
+        want = np.searchsorted(cum, u, side="left")
+        assert np.array_equal(sampler.locate(u), want)
+    # the flat lower half of the CDF puts thousands of cells in the first
+    # guide bucket: draws there exceed the forward steps and take the fallback
+    start = sampler.guide[(u * buckets).astype(np.intp)]
+    assert np.max(want - start) > _GUIDE_STEPS
+
+
+def test_density_sampler_refuses_clipped_mass():
+    # 1 + c psi_{0,0} (Haar) dips to 1 - c on [0, 1/2): negative mass (c - 1) / 2
+    lobe = lambda c: CoefficientTree.from_items(1, 2, 1.0, [((0, 0), c)])
+    with pytest.raises(ValueError, match="negative mass"):
+        DensitySampler.from_tree(lobe(1.5), HAAR)
+    with pytest.raises(ValueError, match="negative mass"):
+        sample_density(lobe(1.5), HAAR, 10, seed=1)
+    small = DensitySampler.from_tree(lobe(1.0 + 1e-5), HAAR)
+    assert 0.0 < small.clipped_mass < MAX_CLIPPED_MASS
+    assert abs(small.clipped_mass - 5e-6) < 1e-12
+    assert DensitySampler.from_tree(demo_density_truth(), get_filter("db2")).clipped_mass == 0.0
+
+
+@pytest.mark.parametrize("name", ["db1", "db2", "db4", "db10"])
+def test_empirical_coefficients_match_per_level_reference(name):
+    filt = get_filter(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    points = np.concatenate([
+        rng.random(3000),
+        [0.0, 1.0, np.nextafter(1.0, 0.0), 0.5, 0.25, 3 / 1024, 1 - 2.0**-20],
+    ])
+    sample = DensitySample(len(points), points)
+    scaling, levels = reference_coefficients(points, filt, 12)
+    for j_max in range(13):
+        beta = empirical_coefficients(sample, filt, j_max)
+        assert beta.scaling == scaling
+        for j in range(j_max + 1):
+            assert np.array_equal(beta.level(j), levels[j]), (j_max, j)
+
+
+def test_empirical_coefficients_support_spanning_synthesis_blocks(monkeypatch):
+    # synthesis blocks of 2^9 cells: the db10 support, 19 * 2^8 cells, spans ten
+    monkeypatch.setattr(wavelet, "_BLOCK_SAMPLES", 1 << 9)
+    monkeypatch.setattr(models, "_PSI_CACHE", {})
+    filt = get_filter("db10")
+    points = np.random.default_rng(3).random(1000)
+    scaling, levels = reference_coefficients(points, filt, 8)
+    beta = empirical_coefficients(DensitySample(len(points), points), filt, 8)
+    assert beta.scaling == scaling
+    for j in range(9):
+        assert np.array_equal(beta.level(j), levels[j]), j
+
+
+def test_empirical_coefficients_cache_keyed_by_taps():
+    sample = sample_density(uniform_density_tree(4), HAAR, 300, seed=8)
+    db2 = empirical_coefficients(sample, get_filter("db2"), 4)
+    impostor = WaveletFilter(name="db2", taps=np.array(DAUBECHIES_LOWPASS[3]), vanishing_moments=3)
+    got = empirical_coefficients(sample, impostor, 4)
+    scaling, levels = reference_coefficients(sample.points, get_filter("db3"), 4)
+    assert got.scaling == scaling
+    for j in range(5):
+        assert np.array_equal(got.level(j), levels[j])
+    assert not np.array_equal(got.level(4), db2.level(4))

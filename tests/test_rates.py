@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from waverates import models
 from waverates.dyadic import CoefficientTree
 from waverates.rates import (
     EstimatorSpec,
@@ -16,7 +18,7 @@ from waverates.rates import (
     monte_carlo_risk,
 )
 from waverates.spaces import SmoothnessParams, theoretical_weak_scaling
-from waverates.truths import shell_tree
+from waverates.truths import density_truth_tree, shell_tree
 
 DENSE = SmoothnessParams(s=2, r=2, p=2, d=1)
 SPARSE = SmoothnessParams(s=1.2, r=1, p=4, d=1)
@@ -109,6 +111,27 @@ def test_monte_carlo_deterministic_and_threaded():
     assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
     c = monte_carlo_risk(truth, est, model, [64, 256], 8, 2.0, 4243)
+    assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
+
+
+def test_monte_carlo_density_deterministic_and_threaded():
+    # one DensitySampler and the wavelet-support cache are shared by the pool;
+    # start the cache cold and switch threads often to expose a lost update
+    truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
+    model = ModelSpec(kind="density", filter_name="db3")
+    est = EstimatorSpec("density_threshold")
+    a = monte_carlo_risk(truth, est, model, [256, 1024], 8, 2.0, 4242)
+    models._PSI_CACHE.clear()
+    models._PHI_CACHE.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = monte_carlo_risk(truth, est, model, [256, 1024], 8, 2.0, 4242, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
+    assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
+    c = monte_carlo_risk(truth, est, model, [256, 1024], 8, 2.0, 4243)
     assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
 
 
