@@ -22,6 +22,13 @@ CSV schemas: risk (n, risk, std_error, replicates), slope (normalization,
 slope, implied_alpha, r_squared), scaling (p, estimate, theory, residual),
 witness (t, bound, log2_bound).  Coefficient trees use the record stream of
 ``recordio`` ((j, k..., value) rows under a d/j_max/scaling header).
+
+Each experiment kind is one entry of ``EXPERIMENTS``; ``run`` writes its
+tables, then derives the verdicts from the written files exactly as ``report``
+does.  Exit status: the number of failed verdicts, capped at 100;
+EXIT_CONFIG_ERROR (101) for an invalid or unreadable config, flag or run
+directory (one ``error: ...`` line on stderr); EXIT_INTERNAL_ERROR (102) for
+any other error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -32,8 +39,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +50,7 @@ from . import recordio
 from .dyadic import CoefficientTree
 from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from .rates import (
+    ESTIMATOR_KINDS,
     EstimatorSpec,
     ModelSpec,
     RiskRow,
@@ -60,16 +70,8 @@ from .truths import (
 )
 from .wavelet import get_filter
 
-EXPERIMENT_KINDS = (
-    "rate_fit",
-    "scaling_function",
-    "weak_exclusion",
-    "probe_sweep",
-    "density_rate_fit",
-)
-
-_SEQUENCE_ESTIMATORS = ("projection", "pinsker", "threshold_hard", "threshold_soft")
-_DENSITY_ESTIMATORS = ("density_linear", "density_threshold")
+EXIT_CONFIG_ERROR = 101
+EXIT_INTERNAL_ERROR = 102
 
 
 class ConfigError(ValueError):
@@ -98,27 +100,12 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """JSON form that round-trips through validate_config deterministically."""
-        sm = self.smoothness
-        return {
-            "experiment_kind": self.experiment_kind,
-            "smoothness": {"s": sm.s, "r": _inf_str(sm.r), "p": sm.p, "d": sm.d,
-                           "q": _inf_str(sm.q)},
-            "truth_spec": self.truth_spec,
-            "estimator_spec": self.estimator_spec,
-            "n_grid": list(self.n_grid),
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "filter": self.filter_name,
-            "j_max": self.j_max,
-            "output_dir": self.output_dir,
-            "probe_alphas": list(self.probe_alphas),
-            "scaling_p": list(self.scaling_p),
-            "scaling_window": list(self.scaling_window),
-            "witness_eps": self.witness_eps,
-            "witness_t_range": list(self.witness_t_range),
-            "tolerances": self.tolerances,
-            "threads": self.threads,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({key: list(value) for key, value in out.items() if isinstance(value, tuple)})
+        out["filter"] = out.pop("filter_name")
+        out["smoothness"] = {key: "inf" if math.isinf(value) else value
+                             for key, value in asdict(self.smoothness).items()}
+        return out
 
 
 @dataclass(frozen=True)
@@ -133,39 +120,52 @@ class RunReport:
         return all(v["pass"] for v in self.verdicts)
 
 
-def _inf_str(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 def _parse_real(value, name: str) -> float:
-    if value in ("inf", "Infinity"):
-        return math.inf
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"field {name!r}: expected a number, got {value!r}") from None
 
 
+def _parse_object(text: str) -> dict:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
+
+
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse and cross-check a JSON experiment config, applying defaults.
 
-    Defaults: q = inf, kappa = 2, natural log throughout.  Cross-checks the
-    standing assumption s > d/r, estimator/model compatibility, n_grid
+    Defaults: q = inf, kappa = 2, and each experiment kind's tolerances in
+    EXPERIMENTS.  Rejects unknown top-level and tolerance keys and values of
+    the wrong type.  Cross-checks s > d/r, estimator/model compatibility, n_grid
     monotonicity, replicates >= 2 for Monte Carlo risks, threads >= 1 (also
     when set by --threads or WAVERATES_THREADS), filter vanishing moments
     >= ceil(s), existence of any referenced tree files, and d = 1 wherever
     the run synthesizes a grid (density experiments and p != 2 losses).
     """
+    raw = _parse_object(raw_text)
     try:
-        raw = json.loads(raw_text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        config = _validated(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
+    unknown = sorted(set(raw) - set(config.resolved()))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    return config
 
+
+def _validated(raw: dict) -> ExperimentConfig:
     kind = raw.get("experiment_kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment_kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
+    experiment = EXPERIMENTS[kind]
 
     sm_raw = raw.get("smoothness", {})
     s = _parse_real(sm_raw.get("s"), "smoothness.s")
@@ -173,28 +173,18 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     p = _parse_real(sm_raw.get("p"), "smoothness.p")
     d = int(sm_raw.get("d", 1))
     q = _parse_real(sm_raw.get("q", "inf"), "smoothness.q")
-    if s <= d / r:
-        raise ConfigError(
-            f"smoothness violates the standing assumption s > d/r: s={s}, d/r={d / r}"
-        )
-    try:
-        smoothness = SmoothnessParams(s=s, r=r, p=p, d=d, q=q)
-    except ValueError as exc:
-        raise ConfigError(f"smoothness: {exc}") from None
+    smoothness = SmoothnessParams(s=s, r=r, p=p, d=d, q=q)
 
     estimator_spec = dict(raw.get("estimator_spec", {}))
     est_kind = estimator_spec.setdefault("kind", "threshold_hard")
     estimator_spec.setdefault("kappa", 2.0)
-    all_kinds = _SEQUENCE_ESTIMATORS + _DENSITY_ESTIMATORS
-    if est_kind not in all_kinds:
-        raise ConfigError(f"estimator_spec.kind must be one of {all_kinds}, got {est_kind!r}")
-    density_kind = kind == "density_rate_fit"
-    monte_carlo = kind in ("rate_fit", "probe_sweep", "density_rate_fit")
-    if monte_carlo:
-        if density_kind != (est_kind in _DENSITY_ESTIMATORS):
-            raise ConfigError(
-                f"estimator {est_kind!r} is incompatible with experiment kind {kind!r}"
-            )
+    if est_kind not in ESTIMATOR_KINDS:
+        raise ConfigError(
+            f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, got {est_kind!r}"
+        )
+    monte_carlo = experiment.model is not None
+    if monte_carlo and ESTIMATOR_KINDS[est_kind].model != experiment.model:
+        raise ConfigError(f"estimator {est_kind!r} is incompatible with experiment kind {kind!r}")
 
     truth_spec = dict(raw.get("truth_spec", {"kind": "generic_g"}))
     truth_kind = truth_spec.setdefault("kind", "generic_g")
@@ -205,7 +195,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         path = truth_spec.get("path")
         if not path or not Path(path).is_file():
             raise ConfigError(f"truth_spec.path does not exist: {path!r}")
-    if truth_kind == "uniform_density" and not density_kind:
+    if truth_kind == "uniform_density" and experiment.model != "density":
         raise ConfigError("uniform_density truth requires a density experiment")
 
     n_grid = tuple(int(n) for n in raw.get("n_grid", []))
@@ -223,9 +213,9 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     if monte_carlo and replicates < 2:
         raise ConfigError("replicates must be >= 2: the risk standard error needs two")
 
-    if d != 1 and density_kind:
+    if d != 1 and experiment.model == "density":
         raise ConfigError(f"density experiments are one-dimensional; got d={d}")
-    if d != 1 and p != 2 and kind in ("rate_fit", "probe_sweep"):
+    if d != 1 and p != 2 and experiment.model == "sequence":
         raise ConfigError(
             f"a p={p} loss needs grid synthesis, which is defined for d=1 only; got d={d} "
             "(use p=2, whose loss is the coefficient energy, or d=1)"
@@ -253,6 +243,12 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
+    tolerances = dict(raw.get("tolerances", {}))
+    unknown = sorted(set(tolerances) - set(experiment.tolerances))
+    if unknown:
+        raise ConfigError(f"tolerances: unknown key {unknown[0]!r} for {kind}; "
+                          f"expected any of {sorted(experiment.tolerances)}")
+
     window = tuple(int(v) for v in raw.get("scaling_window", (4, 14)))
     t_range = tuple(int(v) for v in raw.get("witness_t_range", (10, 30)))
     if len(window) != 2 or len(t_range) != 2:
@@ -274,14 +270,9 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         scaling_window=window,
         witness_eps=float(raw.get("witness_eps", 0.1)),
         witness_t_range=t_range,
-        tolerances=dict(raw.get("tolerances", {})),
+        tolerances=tolerances,
         threads=threads,
     )
-
-
-def _manifest_hash(manifest: dict) -> str:
-    canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _build_truth(config: ExperimentConfig, probe_alpha=None) -> CoefficientTree:
@@ -293,38 +284,28 @@ def _build_truth(config: ExperimentConfig, probe_alpha=None) -> CoefficientTree:
     if kind == "uniform_density":
         return uniform_density_tree(config.j_max)
     if kind == "custom_bump":
-        tree = bump_tree(
-            d=sm.d,
-            j_max=config.j_max,
-            level=int(spec.get("level", 1)),
-            position=int(spec.get("position", 0)),
-            amplitude=float(spec.get("amplitude", 1.0)),
-        )
+        tree = bump_tree(d=sm.d, j_max=config.j_max, level=int(spec.get("level", 1)),
+                         position=int(spec.get("position", 0)),
+                         amplitude=float(spec.get("amplitude", 1.0)))
     else:  # generic_g: the probe line through a shell-tree base
         alpha = probe_alpha if probe_alpha is not None else float(spec.get("probe_alpha", 0.7))
         base = float(spec.get("base_amplitude", 0.0))
-        g = build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
-        tree = alpha * g
+        tree = alpha * _g(config)
         if base != 0.0:
-            tree = tree + shell_tree(
-                sm.s, sm.r, sm.d, config.j_max, base,
-                dither=float(spec.get("dither", 0.0)),
-                j_min=int(spec.get("j_min", 0)),
-            )
-    if config.experiment_kind == "density_rate_fit":
+            tree = tree + shell_tree(sm.s, sm.r, sm.d, config.j_max, base,
+                                     dither=float(spec.get("dither", 0.0)),
+                                     j_min=int(spec.get("j_min", 0)))
+    if EXPERIMENTS[config.experiment_kind].model == "density":
         return density_truth_tree(tree)
     return tree
 
 
 def _estimator_from_spec(config: ExperimentConfig) -> EstimatorSpec:
-    spec = config.estimator_spec
-    return EstimatorSpec(
-        kind=spec["kind"],
-        smoothness=config.smoothness,
-        kappa=float(spec.get("kappa", 2.0)),
-        pinsker_order=float(spec.get("pinsker_order", 2.0)),
-        fixed_m_n=(float(spec["fixed_m_n"]) if spec.get("fixed_m_n") is not None else None),
-    )
+    spec, fixed = config.estimator_spec, config.estimator_spec.get("fixed_m_n")
+    return EstimatorSpec(kind=spec["kind"], smoothness=config.smoothness,
+                         kappa=float(spec.get("kappa", 2.0)),
+                         pinsker_order=float(spec.get("pinsker_order", 2.0)),
+                         fixed_m_n=None if fixed is None else float(fixed))
 
 
 def _alpha_label(alpha: float) -> str:
@@ -332,86 +313,157 @@ def _alpha_label(alpha: float) -> str:
 
 
 def _verdict(criterion, measured, expected, tolerance, passed) -> dict:
-    return {
-        "criterion": criterion,
-        "measured": float(measured),
-        "expected": float(expected),
-        "tolerance": float(tolerance),
-        "pass": bool(passed),
-    }
+    return {"criterion": criterion, "measured": float(measured), "expected": float(expected),
+            "tolerance": float(tolerance), "pass": bool(passed)}
 
 
-def _rate_verdicts(config: ExperimentConfig, table: RiskTable) -> tuple[list[dict], object]:
-    est = _estimator_from_spec(config)
-    regime = generic_alpha(est.family, config.smoothness)
-    fit = fit_slope(table, regime.normalization)
-    tol = config.tolerances
-    alpha_tol = float(tol.get("alpha", 0.08))
+def _tolerance(config: ExperimentConfig, key: str):
+    return config.tolerances.get(key, EXPERIMENTS[config.experiment_kind].tolerances[key])
+
+
+def _g(config: ExperimentConfig) -> CoefficientTree:
+    sm = config.smoothness
+    return build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
+
+
+def _regime(config: ExperimentConfig):
+    return generic_alpha(ESTIMATOR_KINDS[config.estimator_spec["kind"]].family, config.smoothness)
+
+
+def _risk_name(config: ExperimentConfig, label: str) -> str:
+    return f"risk_{config.estimator_spec['kind']}{label}.csv"
+
+
+def _risk_tables(config: ExperimentConfig, truth, label: str = ""):
+    """Risk and slope tables of one truth, and the slope fit."""
+    model = EXPERIMENTS[config.experiment_kind].model
+    model_spec = ModelSpec(kind=model, filter_name=config.filter_name,
+                           j_max=None if model == "density" else config.j_max)
+    table = monte_carlo_risk(truth, _estimator_from_spec(config), model_spec, config.n_grid,
+                             config.replicates, config.smoothness.p, config.master_seed,
+                             threads=config.threads)
+    fit = fit_slope(table, _regime(config).normalization)
+    return [
+        (_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
+         [(row.n, row.empirical_risk, row.std_error, row.replicates) for row in table.rows]),
+        (f"slope_{config.estimator_spec['kind']}{label}.csv",
+         ["normalization", "slope", "implied_alpha", "r_squared"],
+         [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)]),
+    ], fit
+
+
+def _stored_fit(config: ExperimentConfig, read, label: str = ""):
+    rows = tuple(RiskRow(int(n), risk, se, int(reps))
+                 for n, risk, se, reps in read(_risk_name(config, label)))
+    return fit_slope(RiskTable(rows, config.smoothness.p), _regime(config).normalization)
+
+
+def _rate_fit_tables(config: ExperimentConfig):
+    return _risk_tables(config, _build_truth(config))[0]
+
+
+def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
+    expected, fit = _regime(config).alpha, _stored_fit(config, read)
+    implied, alpha_tol = fit.implied_alpha, float(_tolerance(config, "alpha"))
     kind = config.experiment_kind
-    verdicts = []
-    if bool(tol.get("one_sided", False)):
-        ok = fit.implied_alpha <= regime.alpha + alpha_tol
-        verdicts.append(_verdict(f"{kind}.alpha_upper", fit.implied_alpha, regime.alpha,
-                                 alpha_tol, ok))
+    if bool(_tolerance(config, "one_sided")):
+        name, passed = "alpha_upper", implied <= expected + alpha_tol
     else:
-        ok = abs(fit.implied_alpha - regime.alpha) <= alpha_tol
-        verdicts.append(_verdict(f"{kind}.implied_alpha", fit.implied_alpha, regime.alpha,
-                                 alpha_tol, ok))
-    if tol.get("r_squared") is not None:
-        floor = float(tol["r_squared"])
-        verdicts.append(_verdict(f"{kind}.r_squared", fit.r_squared, floor, 0.0,
-                                 fit.r_squared >= floor))
-    return verdicts, fit
+        name, passed = "implied_alpha", abs(implied - expected) <= alpha_tol
+    verdicts = [_verdict(f"{kind}.{name}", implied, expected, alpha_tol, passed)]
+    floor = _tolerance(config, "r_squared")
+    if floor is not None:
+        verdicts.append(_verdict(f"{kind}.r_squared", fit.r_squared, float(floor), 0.0,
+                                 fit.r_squared >= float(floor)))
+    return verdicts
 
 
-def _sweep_verdicts(config: ExperimentConfig, fits: dict[float, float]) -> list[dict]:
-    spread = max(fits.values()) - min(fits.values())
-    spread_tol = float(config.tolerances.get("spread", 0.05))
+def _probe_sweep_tables(config: ExperimentConfig):
+    tables, fits = [], {}
+    for alpha in config.probe_alphas:
+        truth = _build_truth(config, probe_alpha=alpha)
+        new, fit = _risk_tables(config, truth, "_" + _alpha_label(alpha))
+        tables += new
+        fits[alpha] = fit.implied_alpha
+    return tables + [("probe_sweep.csv", ["alpha", "implied_alpha"], sorted(fits.items()))]
+
+
+def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
+    fits = [_stored_fit(config, read, "_" + _alpha_label(alpha)).implied_alpha
+            for alpha in config.probe_alphas]
+    spread = max(fits) - min(fits)
+    spread_tol = float(_tolerance(config, "spread"))
     return [_verdict("probe_sweep.spread", spread, 0.0, spread_tol, spread <= spread_tol)]
 
 
-def _scaling_verdicts(config: ExperimentConfig, rows) -> list[dict]:
-    scale_tol = float(config.tolerances.get("scaling", 0.1))
+def _scaling_tables(config: ExperimentConfig):
+    sm, g = config.smoothness, _g(config)
+    estimates = [empirical_scaling(g, p, config.scaling_window) for p in config.scaling_p]
+    rows = [(p, e.estimate, theoretical_scaling(sm.s, sm.r, p, sm.d), e.residual)
+            for p, e in zip(config.scaling_p, estimates)]
+    return [("scaling.csv", ["p", "estimate", "theory", "residual"], rows)]
+
+
+def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
+    scale_tol = float(_tolerance(config, "scaling"))
     return [
         _verdict(f"scaling_function.p={p:g}", est, theory, scale_tol,
                  abs(est - theory) <= scale_tol)
-        for p, est, theory, _resid in rows
+        for p, est, theory, _resid in read("scaling.csv")
     ]
 
 
-def _witness_verdicts(config: ExperimentConfig, witness) -> list[dict]:
+def _witness_tables(config: ExperimentConfig):
+    sm = config.smoothness
+    witness = weak_exclusion_witness(_g(config), sm.s, sm.r, sm.p, sm.d, config.witness_eps,
+                                     config.witness_t_range[1])
+    rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in witness]
+    return [("witness.csv", ["t", "bound", "log2_bound"], rows)]
+
+
+def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
     t_lo, t_hi = config.witness_t_range
-    ts = np.array([t for t, b in witness if t_lo <= t <= t_hi], dtype=np.float64)
-    lb = np.log2([b for t, b in witness if t_lo <= t <= t_hi])
-    slope = float(np.polyfit(ts, lb, 1)[0])
+    kept = [(t, b) for t, b, _log2_b in read("witness.csv") if t_lo <= t <= t_hi]
+    ts = np.array([t for t, _ in kept], dtype=np.float64)
+    slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
-    rel_tol = float(config.tolerances.get("witness_rel", 0.2))
+    rel_tol = float(_tolerance(config, "witness_rel"))
     ok = abs(slope - target) <= rel_tol * target
     return [_verdict("weak_exclusion.log2_slope", slope, target, rel_tol * target, ok)]
 
 
-def _risk_csv(out_dir: Path, est_kind: str, label: str = "") -> Path:
-    suffix = f"_{label}" if label else ""
-    return out_dir / f"risk_{est_kind}{suffix}.csv"
+class Experiment(NamedTuple):
+    """An experiment kind: its Monte Carlo model ("sequence", "density" or None),
+    its tolerance keys with their defaults, tables(config) -> [(file name,
+    columns, rows)], and verdicts(config, read), where read(file name) returns
+    a stored table's rows as floats."""
+
+    model: str | None
+    tolerances: dict
+    tables: Callable
+    verdicts: Callable
 
 
-def _write_risk_and_slope(out_dir, est_kind, table, fit, mh, tables, label=""):
-    suffix = f"_{label}" if label else ""
-    risk_path = _risk_csv(out_dir, est_kind, label)
-    recordio.write_table(
-        risk_path,
-        ["n", "risk", "std_error", "replicates"],
-        [(row.n, row.empirical_risk, row.std_error, row.replicates) for row in table.rows],
-        mh,
-    )
-    slope_path = out_dir / f"slope_{est_kind}{suffix}.csv"
-    recordio.write_table(
-        slope_path,
-        ["normalization", "slope", "implied_alpha", "r_squared"],
-        [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)],
-        mh,
-    )
-    tables += [str(risk_path), str(slope_path)]
+_RATE_TOLERANCES = {"alpha": 0.08, "one_sided": False, "r_squared": None}
+
+EXPERIMENTS = {
+    "rate_fit": Experiment("sequence", _RATE_TOLERANCES, _rate_fit_tables, _rate_fit_verdicts),
+    "scaling_function": Experiment(None, {"scaling": 0.1}, _scaling_tables, _scaling_verdicts),
+    "weak_exclusion": Experiment(None, {"witness_rel": 0.2}, _witness_tables,
+                                 _witness_verdicts),
+    "probe_sweep": Experiment("sequence", {"spread": 0.05}, _probe_sweep_tables,
+                              _probe_sweep_verdicts),
+    "density_rate_fit": Experiment("density", _RATE_TOLERANCES, _rate_fit_tables,
+                                   _rate_fit_verdicts),
+}
+
+
+def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    def read(name: str) -> list[list[float]]:
+        _, rows = recordio.read_table(out_dir / name)
+        return [[float(v) for v in row] for row in rows]
+
+    return EXPERIMENTS[config.experiment_kind].verdicts(config, read)
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -419,125 +471,37 @@ def run(config: ExperimentConfig) -> RunReport:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = config.resolved()
-    mh = _manifest_hash(manifest)
-    tables: list[str] = []
-    verdicts: list[dict] = []
-    kind = config.experiment_kind
-    est = _estimator_from_spec(config)
-
-    if kind in ("rate_fit", "density_rate_fit"):
-        truth = _build_truth(config)
-        model_kind = "density" if est.needs_density else "sequence"
-        model = ModelSpec(kind=model_kind, filter_name=config.filter_name,
-                          j_max=None if model_kind == "density" else config.j_max)
-        table = monte_carlo_risk(truth, est, model, config.n_grid, config.replicates,
-                                 config.smoothness.p, config.master_seed,
-                                 threads=config.threads)
-        new_verdicts, fit = _rate_verdicts(config, table)
-        verdicts += new_verdicts
-        _write_risk_and_slope(out_dir, est.kind, table, fit, mh, tables)
-
-    elif kind == "probe_sweep":
-        model = ModelSpec(kind="sequence", filter_name=config.filter_name, j_max=config.j_max)
-        fits: dict[float, float] = {}
-        for alpha in config.probe_alphas:
-            truth = _build_truth(config, probe_alpha=alpha)
-            table = monte_carlo_risk(truth, est, model, config.n_grid, config.replicates,
-                                     config.smoothness.p, config.master_seed,
-                                     threads=config.threads)
-            _, fit = _rate_verdicts(config, table)
-            fits[alpha] = fit.implied_alpha
-            _write_risk_and_slope(out_dir, est.kind, table, fit, mh, tables,
-                                  label=_alpha_label(alpha))
-        verdicts += _sweep_verdicts(config, fits)
-        sweep_path = out_dir / "probe_sweep.csv"
-        recordio.write_table(sweep_path, ["alpha", "implied_alpha"], sorted(fits.items()), mh)
-        tables.append(str(sweep_path))
-
-    elif kind == "scaling_function":
-        sm = config.smoothness
-        g = build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
-        rows = []
-        for p in config.scaling_p:
-            estimate = empirical_scaling(g, p, config.scaling_window)
-            theory = theoretical_scaling(sm.s, sm.r, p, sm.d)
-            rows.append((p, estimate.estimate, theory, estimate.residual))
-        verdicts += _scaling_verdicts(config, rows)
-        scaling_path = out_dir / "scaling.csv"
-        recordio.write_table(scaling_path, ["p", "estimate", "theory", "residual"], rows, mh)
-        tables.append(str(scaling_path))
-
-    elif kind == "weak_exclusion":
-        sm = config.smoothness
-        g = build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
-        witness = weak_exclusion_witness(g, sm.s, sm.r, sm.p, sm.d, config.witness_eps,
-                                         config.witness_t_range[1])
-        verdicts += _witness_verdicts(config, witness)
-        rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in witness]
-        witness_path = out_dir / "witness.csv"
-        recordio.write_table(witness_path, ["t", "bound", "log2_bound"], rows, mh)
-        tables.append(str(witness_path))
-
-    manifest_path = out_dir / "manifest.json"
-    with manifest_path.open("w") as fh:
-        json.dump({"manifest": manifest, "hash": mh}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    report = RunReport(manifest=manifest, manifest_hash=mh,
-                       tables=tuple(tables), verdicts=tuple(verdicts))
-    with (out_dir / "report.json").open("w") as fh:
-        json.dump({"hash": mh, "verdicts": list(report.verdicts)}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return report
-
-
-def _risk_table_from_csv(path, loss_p: float) -> RiskTable:
-    _, rows = recordio.read_table(path)
-    return RiskTable(
-        rows=tuple(RiskRow(int(r[0]), float(r[1]), float(r[2]), int(r[3])) for r in rows),
-        loss_p=loss_p,
-    )
+    canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    mh = hashlib.sha256(canonical.encode()).hexdigest()
+    tables = []
+    for name, columns, rows in EXPERIMENTS[config.experiment_kind].tables(config):
+        recordio.write_table(out_dir / name, columns, rows, mh)
+        tables.append(str(out_dir / name))
+    verdicts = _verdicts(config, out_dir)
+    for name, payload in (("manifest.json", {"manifest": manifest, "hash": mh}),
+                          ("report.json", {"hash": mh, "verdicts": verdicts})):
+        (out_dir / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return RunReport(manifest=manifest, manifest_hash=mh,
+                     tables=tuple(tables), verdicts=tuple(verdicts))
 
 
 def report_from_dir(out_dir) -> list[dict]:
     """Re-render verdicts from the stored tables of a completed run."""
     out_dir = Path(out_dir)
-    with (out_dir / "manifest.json").open() as fh:
-        manifest = json.load(fh)["manifest"]
-    config = validate_config(json.dumps(manifest))
-    kind = config.experiment_kind
-    est = _estimator_from_spec(config)
-    if kind in ("rate_fit", "density_rate_fit"):
-        table = _risk_table_from_csv(_risk_csv(out_dir, est.kind), config.smoothness.p)
-        verdicts, _ = _rate_verdicts(config, table)
-        return verdicts
-    if kind == "probe_sweep":
-        fits = {}
-        for alpha in config.probe_alphas:
-            table = _risk_table_from_csv(
-                _risk_csv(out_dir, est.kind, _alpha_label(alpha)), config.smoothness.p
-            )
-            _, fit = _rate_verdicts(config, table)
-            fits[alpha] = fit.implied_alpha
-        return _sweep_verdicts(config, fits)
-    if kind == "scaling_function":
-        _, rows = recordio.read_table(out_dir / "scaling.csv")
-        return _scaling_verdicts(
-            config, [(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows]
-        )
-    if kind == "weak_exclusion":
-        _, rows = recordio.read_table(out_dir / "witness.csv")
-        return _witness_verdicts(config, [(int(r[0]), float(r[1])) for r in rows])
-    raise ConfigError(f"cannot re-render experiment kind {kind!r}")
+    try:  # only reading the directory's files raises these
+        manifest = json.loads((out_dir / "manifest.json").read_text()).get("manifest")
+        return _verdicts(validate_config(json.dumps(manifest)), out_dir)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read run directory {out_dir}: {exc}") from None
 
 
 def _print_verdicts(verdicts) -> int:
-    failures = 0
+    """Print one line per verdict; return the failure count, capped at 100."""
     for v in verdicts:
-        status = "PASS" if v["pass"] else "FAIL"
-        failures += 0 if v["pass"] else 1
-        print(f"{status} {v['criterion']}: measured={v['measured']:.6g} "
-              f"expected={v['expected']:.6g} tol={v['tolerance']:.6g}")
-    return failures
+        print(f"{'PASS' if v['pass'] else 'FAIL'} {v['criterion']}: "
+              f"measured={v['measured']:.6g} expected={v['expected']:.6g} "
+              f"tol={v['tolerance']:.6g}")
+    return min(sum(not v["pass"] for v in verdicts), 100)
 
 
 def main(argv=None) -> int:
@@ -571,39 +535,62 @@ def main(argv=None) -> int:
     rep_p = sub.add_parser("report", help="re-render verdicts from a run directory")
     rep_p.add_argument("--dir", required=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_CONFIG_ERROR if exc.code else 0
+    try:
+        return _command(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
+
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
+def _from_flags(cls, **params):
+    try:
+        return cls(**params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _command(args) -> int:
     if args.command == "validate":
-        config = validate_config(Path(args.config).read_text())
+        config = validate_config(_read_config(args.config))
         print(json.dumps(config.resolved(), sort_keys=True, indent=2))
         return 0
 
     if args.command == "run":
-        raw = json.loads(Path(args.config).read_text())
-        seed = args.seed if args.seed is not None else os.environ.get("WAVERATES_SEED")
-        if seed is not None:
-            raw["master_seed"] = int(seed)
-        out = args.out if args.out is not None else os.environ.get("WAVERATES_OUT")
-        if out is not None:
-            raw["output_dir"] = str(out)
-        threads = args.threads if args.threads is not None else os.environ.get("WAVERATES_THREADS")
-        if threads is not None:
-            raw["threads"] = threads
-        config = validate_config(json.dumps(raw))
-        report = run(config)
+        raw = _parse_object(_read_config(args.config))
+        for key, flag, env in (("master_seed", args.seed, "WAVERATES_SEED"),
+                               ("output_dir", args.out, "WAVERATES_OUT"),
+                               ("threads", args.threads, "WAVERATES_THREADS")):
+            value = flag if flag is not None else os.environ.get(env)
+            if value is not None:
+                raw[key] = value
+        report = run(validate_config(json.dumps(raw)))
         print(f"manifest hash: {report.manifest_hash}")
         for path in report.tables:
             print(f"wrote {path}")
-        return min(_print_verdicts(report.verdicts), 100)
+        return _print_verdicts(report.verdicts)
 
     if args.command == "build-g":
-        spec = GenericFunctionSpec(s=args.s, r=args.r, d=args.d, j_max=args.j_max)
+        spec = _from_flags(GenericFunctionSpec, s=args.s, r=args.r, d=args.d, j_max=args.j_max)
         recordio.write_tree(build_g(spec), args.out)
         print(f"wrote {args.out}")
         return 0
 
     if args.command == "rates":
-        params = SmoothnessParams(s=args.s, r=args.r, p=args.p, d=args.d)
+        params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p, d=args.d)
         mm, mm_val = minimax_rate(params, args.n)
         lin, lin_val = linear_minimax_rate(params, args.n)
         print(f"parameters: s={args.s} r={args.r} p={args.p} d={args.d} (n={args.n})")
@@ -617,10 +604,7 @@ def main(argv=None) -> int:
                   f"norm={reg.normalization:12s} (alpha_tilde={reg.alpha_tilde:.6f})")
         return 0
 
-    if args.command == "report":
-        return min(_print_verdicts(report_from_dir(args.dir)), 100)
-
-    return 2
+    return _print_verdicts(report_from_dir(args.dir))  # report
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,9 @@ __all__ = [
     "RiskRow",
     "RiskTable",
     "SlopeFit",
+    "EstimatorKind",
     "EstimatorSpec",
+    "ESTIMATOR_KINDS",
     "ModelSpec",
     "minimax_rate",
     "linear_minimax_rate",
@@ -90,17 +94,13 @@ def _norm_value(normalization: str, n: int) -> float:
 def minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
     """Minimax rate over a smoothness ball: regime and its numeric value at n.
 
-    Dense branch when r > d p / (2 s + d): n^{-p s / (2 s + d)}; otherwise
-    the sparse branch (n / log n)^{-p (s - d/r + d/p) / (2 (s - d/r) + d)}.
+    generic_alpha("threshold")'s exponent and branch, relabelled "minimax":
+    n^{-p alpha} on the dense branch, (n / log n)^{-p alpha} on the sparse one.
     """
-    s, r, p, d = params.s, params.r, params.p, params.d
-    if r > d * p / (2.0 * s + d):
-        regime = RateRegime("minimax", "dense", s / (2.0 * s + d), _s_prime(params), "n")
-    else:
-        alpha = (s - d / r + d / p) / (2.0 * (s - d / r) + d)
-        regime = RateRegime("minimax", "sparse", alpha, _s_prime(params), "n_over_log_n")
-    value = _norm_value(regime.normalization, n) ** (-p * regime.alpha)
-    return regime, value
+    regime = generic_alpha("threshold", params)
+    regime = replace(regime, family="minimax",
+                     normalization="n" if regime.branch == "dense" else "n_over_log_n")
+    return regime, _norm_value(regime.normalization, n) ** (-params.p * regime.alpha)
 
 
 def linear_minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
@@ -206,9 +206,9 @@ class SlopeFit:
 class EstimatorSpec:
     """Estimator selection for the risk engine.
 
-    kinds: projection | pinsker | threshold_hard | threshold_soft |
-    density_linear | density_threshold.  The linear kinds derive their cutoff
-    from choose_mn at the given smoothness; thresholds use kappa.
+    kind is a key of ESTIMATOR_KINDS, which gives its model and family.  The
+    linear kinds derive their cutoff from choose_mn at the given smoothness;
+    thresholds use kappa.
     """
 
     kind: str
@@ -217,20 +217,10 @@ class EstimatorSpec:
     pinsker_order: float = 2.0
     fixed_m_n: float | None = None
 
-    _KINDS = (
-        "projection",
-        "pinsker",
-        "threshold_hard",
-        "threshold_soft",
-        "density_linear",
-        "density_threshold",
-    )
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        needs_cutoff = self.kind in ("projection", "pinsker", "density_linear")
-        if needs_cutoff and self.smoothness is None and self.fixed_m_n is None:
+        if self.family == "linear" and self.smoothness is None and self.fixed_m_n is None:
             raise ValueError(f"estimator {self.kind!r} needs smoothness parameters or fixed_m_n")
 
     def cutoff(self, n: int) -> float:
@@ -240,12 +230,12 @@ class EstimatorSpec:
         return choose_mn(self.smoothness, n)
 
     @property
-    def needs_density(self) -> bool:
-        return self.kind.startswith("density_")
+    def model(self) -> str:
+        return ESTIMATOR_KINDS[self.kind].model
 
     @property
     def family(self) -> str:
-        return "linear" if self.kind in ("projection", "pinsker", "density_linear") else "threshold"
+        return ESTIMATOR_KINDS[self.kind].family
 
 
 @dataclass(frozen=True)
@@ -285,33 +275,56 @@ def _loss(diff: CoefficientTree, p: float, filt: WaveletFilter) -> float:
     return lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p)
 
 
+def _projection(est, obs, n, model, filt):
+    return linear_estimate(obs, WeightProfile.projection(est.cutoff(n)))
+
+
+def _pinsker(est, obs, n, model, filt):
+    m_levels = math.log2(est.cutoff(n))
+    return linear_estimate(obs, WeightProfile.pinsker(m_levels, est.pinsker_order))
+
+
+def _threshold(mode, est, obs, n, model, filt):
+    return threshold_estimate(obs, ThresholdConfig(n=n, kappa=est.kappa, mode=mode))
+
+
+def _density_linear(est, sample, n, model, filt):
+    cutoff = _linear_cutoff_level(est.cutoff(n))
+    depth = model.j_max if model.j_max is not None else max(cutoff, 0)
+    return density_linear_estimate(empirical_coefficients(sample, filt, depth), cutoff)
+
+
+def _density_threshold(est, sample, n, model, filt):
+    depth = model.j_max if model.j_max is not None else noise_depth(n)
+    return density_threshold_estimate(empirical_coefficients(sample, filt, depth), n)
+
+
+class EstimatorKind(NamedTuple):
+    """An estimator kind's model, its rate family, and estimate(spec, observation
+    or density sample, n, ModelSpec, filter) -> estimate tree."""
+
+    model: str
+    family: str
+    estimate: Callable
+
+
+ESTIMATOR_KINDS = {
+    "projection": EstimatorKind("sequence", "linear", _projection),
+    "pinsker": EstimatorKind("sequence", "linear", _pinsker),
+    "threshold_hard": EstimatorKind("sequence", "threshold", partial(_threshold, "hard")),
+    "threshold_soft": EstimatorKind("sequence", "threshold", partial(_threshold, "soft")),
+    "density_linear": EstimatorKind("density", "linear", _density_linear),
+    "density_threshold": EstimatorKind("density", "threshold", _density_threshold),
+}
+
+
 def _one_replicate(truth, est, model, n, p, filt, seed, sampler):
     if model.kind == "sequence":
         obs_depth = model.j_max if model.j_max is not None else truth.j_max
-        obs = simulate_sequence(truth, n, obs_depth, seed)
-        if est.kind == "projection":
-            estimate = linear_estimate(obs, WeightProfile.projection(est.cutoff(n)))
-        elif est.kind == "pinsker":
-            m_levels = math.log2(est.cutoff(n))
-            estimate = linear_estimate(obs, WeightProfile.pinsker(m_levels, est.pinsker_order))
-        elif est.kind in ("threshold_hard", "threshold_soft"):
-            mode = "hard" if est.kind == "threshold_hard" else "soft"
-            estimate = threshold_estimate(obs, ThresholdConfig(n=n, kappa=est.kappa, mode=mode))
-        else:
-            raise ValueError(f"estimator {est.kind!r} cannot run on a sequence observation")
+        observed = simulate_sequence(truth, n, obs_depth, seed)
     else:
-        if not est.needs_density:
-            raise ValueError(f"estimator {est.kind!r} cannot run on a density sample")
-        sample = sampler.sample(n, seed)
-        if est.kind == "density_linear":
-            cutoff = _linear_cutoff_level(est.cutoff(n))
-            depth = model.j_max if model.j_max is not None else max(cutoff, 0)
-            beta = empirical_coefficients(sample, filt, depth)
-            estimate = density_linear_estimate(beta, cutoff)
-        else:
-            depth = model.j_max if model.j_max is not None else noise_depth(n)
-            beta = empirical_coefficients(sample, filt, depth)
-            estimate = density_threshold_estimate(beta, n)
+        observed = sampler.sample(n, seed)
+    estimate = ESTIMATOR_KINDS[est.kind].estimate(est, observed, n, model, filt)
     return _loss(estimate - truth, p, filt)
 
 
@@ -338,7 +351,7 @@ def monte_carlo_risk(
         raise ValueError("n_grid must be nonempty and strictly increasing")
     if R < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    if estimator_cfg.needs_density != (model_cfg.kind == "density"):
+    if estimator_cfg.model != model_cfg.kind:
         raise ValueError(
             f"estimator {estimator_cfg.kind!r} is incompatible with the {model_cfg.kind} model"
         )

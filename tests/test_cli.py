@@ -4,7 +4,15 @@ import math
 import pytest
 
 from waverates import recordio
-from waverates.cli import ConfigError, main, report_from_dir, run, validate_config
+from waverates.cli import (
+    EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
+    ConfigError,
+    main,
+    report_from_dir,
+    run,
+    validate_config,
+)
 from waverates.generic import GenericFunctionSpec, build_g
 
 
@@ -80,22 +88,74 @@ def test_validate_rejects_single_replicate(tmp_path):
         validate_config(json.dumps(dict(scaling, replicates=0)))
 
 
-def test_validate_rejects_nonpositive_threads(tmp_path, monkeypatch):
+def test_validate_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys):
     for bad in (0, -4):
         with pytest.raises(ConfigError, match="threads must be >= 1"):
             validate_config(rate_config(tmp_path / "o", threads=bad))
-    # the --threads flag and WAVERATES_THREADS go through the same check
+    # the --threads flag and WAVERATES_THREADS go through the same check;
+    # main reports it as a config error, not as a count of failed verdicts
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(rate_config(tmp_path / "o"))
-    with pytest.raises(ConfigError, match="threads must be >= 1"):
-        main(["run", "--config", str(cfg_path), "--threads", "0"])
+    assert main(["run", "--config", str(cfg_path), "--threads", "0"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
     monkeypatch.setenv("WAVERATES_THREADS", "-4")
-    with pytest.raises(ConfigError, match="threads must be >= 1"):
-        main(["run", "--config", str(cfg_path)])
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: threads must be >= 1, got -4\n"
     monkeypatch.setenv("WAVERATES_THREADS", "two")
-    with pytest.raises(ConfigError, match="threads: expected an integer"):
-        main(["run", "--config", str(cfg_path)])
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: threads: expected an integer, got 'two'\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_validate_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ConfigError, match="tolerances: unknown key 'aplha' for rate_fit"):
+        validate_config(rate_config(tmp_path / "o", tolerances={"aplha": 0.0}))
+    # each kind accepts only its own tolerance keys
+    with pytest.raises(ConfigError, match="tolerances: unknown key 'spread' for rate_fit"):
+        validate_config(rate_config(tmp_path / "o", tolerances={"spread": 0.1}))
+    with pytest.raises(ConfigError, match="unknown config key 'replicate'"):
+        validate_config(rate_config(tmp_path / "o", replicate=4))
+    with pytest.raises(ConfigError, match="invalid config"):
+        validate_config(rate_config(tmp_path / "o", j_max="deep"))
+    # the defaults stay out of the resolved form, and so out of the manifest hash
+    config = validate_config(rate_config(tmp_path / "o", tolerances={"r_squared": 0.9}))
+    assert config.resolved()["tolerances"] == {"r_squared": 0.9}
+
+
+def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.json")
+    assert main(["run", "--config", missing]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {missing}") and err.count("\n") == 1
+    assert main(["validate", "--config", missing]) == EXIT_CONFIG_ERROR
+    assert main(["report", "--dir", str(tmp_path / "nowhere")]) == EXIT_CONFIG_ERROR
+    assert "error: cannot read run directory" in capsys.readouterr().err
+    typo = tmp_path / "typo.json"
+    typo.write_text(rate_config(tmp_path / "o", tolerances={"aplha": 0.0}))
+    assert main(["run", "--config", str(typo)]) == EXIT_CONFIG_ERROR
+    assert "'aplha'" in capsys.readouterr().err
+    assert main(["run"]) == EXIT_CONFIG_ERROR  # usage error: --config is required
+    assert main(["rates", "--s", "1", "--r", "1", "--p", "2"]) == EXIT_CONFIG_ERROR  # s = d/r
+    assert not (tmp_path / "o").exists()
+
+    # a fault inside the run is an internal error, not a count of failed verdicts
+    def broken_run(config):
+        raise RuntimeError("broken engine")
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(rate_config(tmp_path / "o"))
+    with monkeypatch.context() as patch:
+        patch.setattr("waverates.cli.run", broken_run)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_INTERNAL_ERROR
+    assert "RuntimeError: broken engine" in capsys.readouterr().err
+
+    # failed verdicts are counted, by run and by report alike
+    witness = {"experiment_kind": "weak_exclusion", "smoothness": {"s": 2, "r": 2, "p": 2},
+               "j_max": 4, "tolerances": {"witness_rel": 0.0}}
+    cfg_path.write_text(json.dumps(witness))
+    out = str(tmp_path / "wit")
+    assert main(["run", "--config", str(cfg_path), "--out", out]) == 1
+    assert main(["report", "--dir", out]) == 1
 
 
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
@@ -132,6 +192,21 @@ def test_run_rate_fit_and_report_round_trip(tmp_path):
     # nothing written outside the output directory
     assert {p.name for p in tmp_path.iterdir()} == {"run1"}
     # re-rendered verdicts match the stored run exactly
+    assert report_from_dir(out) == list(report.verdicts)
+
+
+def test_run_density_rate_fit_and_report_round_trip(tmp_path):
+    out = tmp_path / "dens"
+    raw = json.loads(rate_config(out, experiment_kind="density_rate_fit", replicates=4, j_max=6,
+                                 n_grid=[256, 512, 1024, 2048]))
+    raw["truth_spec"] = {"kind": "generic_g", "base_amplitude": 1.0, "probe_alpha": 0.0,
+                         "dither": 2.0, "j_min": 2}
+    raw["estimator_spec"] = {"kind": "density_threshold"}
+    report = run(validate_config(json.dumps(raw)))
+    assert [v["criterion"] for v in report.verdicts] == ["density_rate_fit.implied_alpha"]
+    assert report.verdicts[0]["tolerance"] == 0.08  # the kind's default, not in the manifest
+    assert (out / "risk_density_threshold.csv").is_file()
+    assert (out / "slope_density_threshold.csv").is_file()
     assert report_from_dir(out) == list(report.verdicts)
 
 

@@ -6,7 +6,19 @@ import pytest
 
 from waverates import models
 from waverates.dyadic import CoefficientTree
+from waverates.estimators import (
+    ThresholdConfig,
+    WeightProfile,
+    density_linear_estimate,
+    density_threshold_estimate,
+    linear_estimate,
+    noise_depth,
+    threshold_estimate,
+)
+from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
+    ESTIMATOR_KINDS,
+    SYNTHESIS_PAD,
     EstimatorSpec,
     ModelSpec,
     RiskRow,
@@ -19,6 +31,7 @@ from waverates.rates import (
 )
 from waverates.spaces import SmoothnessParams, theoretical_weak_scaling
 from waverates.truths import density_truth_tree, shell_tree
+from waverates.wavelet import get_filter, lp_mean
 
 DENSE = SmoothnessParams(s=2, r=2, p=2, d=1)
 SPARSE = SmoothnessParams(s=1.2, r=1, p=4, d=1)
@@ -179,6 +192,72 @@ def test_monte_carlo_incompatible_model():
             2.0,
             1,
         )
+
+
+def reference_risk(truth, est, model, n_grid, R, p, master_seed):
+    """monte_carlo_risk written out for one estimator kind, replicate by replicate."""
+    filt = get_filter(model.filter_name)
+    sampler = DensitySampler.from_tree(truth, filt) if model.kind == "density" else None
+    rows = []
+    for n in n_grid:
+        losses = []
+        for rep in range(R):
+            seed = np.random.SeedSequence((master_seed, n, rep))
+            if sampler is None:
+                depth = model.j_max if model.j_max is not None else truth.j_max
+                obs = simulate_sequence(truth, n, depth, seed)
+            else:
+                sample = sampler.sample(n, seed)
+            if est.kind == "projection":
+                estimate = linear_estimate(obs, WeightProfile.projection(est.cutoff(n)))
+            elif est.kind == "pinsker":
+                weights = WeightProfile.pinsker(math.log2(est.cutoff(n)), est.pinsker_order)
+                estimate = linear_estimate(obs, weights)
+            elif est.kind in ("threshold_hard", "threshold_soft"):
+                config = ThresholdConfig(n=n, kappa=est.kappa, mode=est.kind.split("_")[1])
+                estimate = threshold_estimate(obs, config)
+            elif est.kind == "density_linear":
+                cutoff = -1  # the largest level j with 2^j < m_n
+                while 2.0 ** (cutoff + 1) < est.cutoff(n):
+                    cutoff += 1
+                depth = model.j_max if model.j_max is not None else max(cutoff, 0)
+                estimate = density_linear_estimate(empirical_coefficients(sample, filt, depth),
+                                                   cutoff)
+            else:
+                depth = model.j_max if model.j_max is not None else noise_depth(n)
+                estimate = density_threshold_estimate(
+                    empirical_coefficients(sample, filt, depth), n)
+            diff = estimate - truth
+            if p == 2.0:
+                losses.append(diff.total_energy())
+            else:
+                losses.append(lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p))
+        rows.append((float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(R))))
+    return rows
+
+
+ENGINE_CASES = [
+    (kind, p, j_max)
+    for kind, entry in ESTIMATOR_KINDS.items()
+    for p in ((2.0, 4.0) if entry.model == "sequence" else (2.0,))
+    for j_max in (None, 2)
+]
+
+
+@pytest.mark.parametrize("kind,p,j_max", ENGINE_CASES)
+def test_monte_carlo_risk_matches_reference_loop(kind, p, j_max):
+    # at the larger n the linear cutoff level (3) and the kept thresholds reach
+    # past j_max = 2, so the observed depth matters
+    if ESTIMATOR_KINDS[kind].model == "sequence":
+        truth, n_grid, filter_name = shell_tree(2, 2, 1, 6, 64.0, dither=2.0), [4096, 65536], "db2"
+    else:
+        truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
+        n_grid, filter_name = [1024, 65536], "db3"
+    est = EstimatorSpec(kind, smoothness=DENSE)
+    model = ModelSpec(kind=ESTIMATOR_KINDS[kind].model, filter_name=filter_name, j_max=j_max)
+    table = monte_carlo_risk(truth, est, model, n_grid, 3, p, 31, threads=2)
+    want = reference_risk(truth, est, model, n_grid, 3, p, 31)
+    assert [(row.empirical_risk, row.std_error) for row in table.rows] == want
 
 
 def synthetic_table(risks, ns=None, p=2.0):
