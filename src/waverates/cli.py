@@ -1,11 +1,10 @@
 """Configuration-driven experiment runner.
 
-A single JSON config file describes one experiment: the smoothness/loss
-parameters, the truth function, the estimator, the n-grid and replicate
-count, and the acceptance tolerances.  ``run`` executes the pipeline, writes
-plot-ready CSV tables plus a manifest (resolved config and its content hash)
-into the output directory, and reports pass/fail verdicts; identical config
-and seed produce byte-identical outputs.  ``report`` re-renders the verdicts
+A JSON config describes one experiment: smoothness/loss parameters, truth,
+estimator, n-grid, replicates and tolerances.  ``run`` executes it, writes
+plot-ready CSV tables and a manifest (resolved config and its content hash)
+into the output directory and reports pass/fail verdicts; identical config
+and seed give byte-identical outputs.  ``report`` re-renders the verdicts
 from the stored tables without re-simulating.
 
 Subcommands:
@@ -23,24 +22,27 @@ slope, implied_alpha, r_squared), scaling (p, estimate, theory, residual),
 witness (t, bound, log2_bound).  Coefficient trees use the record stream of
 ``recordio`` ((j, k..., value) rows under a d/j_max/scaling header).
 
-Each experiment kind is one entry of ``EXPERIMENTS``; ``run`` writes its
-tables, then derives the verdicts from the written files exactly as ``report``
-does.  Exit status: the number of failed verdicts, capped at 100;
-EXIT_CONFIG_ERROR (101) for an invalid or unreadable config, flag or run
-directory (one ``error: ...`` line on stderr); EXIT_INTERNAL_ERROR (102) for
-any other error (traceback on stderr).
+Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
+``TRUTHS``.  ``run`` writes the tables, then derives the verdicts from the
+written files exactly as ``report`` does.  Unknown keys are rejected at every
+level: top-level keys are ``ExperimentConfig`` fields, and ``validate`` builds
+the run's ``EstimatorSpec`` and binds the truth builder's keywords.  Exit
+status: the count of failed verdicts, capped at 100; EXIT_CONFIG_ERROR (101)
+for an invalid or unreadable config, flag or run directory (one ``error:``
+line on stderr); EXIT_INTERNAL_ERROR (102) otherwise (traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -61,13 +63,13 @@ from .rates import (
     minimax_rate,
     monte_carlo_risk,
 )
-from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
-from .truths import (
-    bump_tree,
-    density_truth_tree,
-    shell_tree,
-    uniform_density_tree,
+from .spaces import (
+    SmoothnessParams,
+    check_scaling_window,
+    empirical_scaling,
+    theoretical_scaling,
 )
+from .truths import bump_tree, density_truth_tree, probe_line_truth, uniform_density_tree
 from .wavelet import get_filter
 
 EXIT_CONFIG_ERROR = 101
@@ -80,16 +82,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment; the field names are the config keys, and every
+    top-level default is the field's default here."""
+
     experiment_kind: str
     smoothness: SmoothnessParams
-    truth_spec: dict
-    estimator_spec: dict
-    n_grid: tuple[int, ...]
-    replicates: int
-    master_seed: int
-    filter_name: str
-    j_max: int
-    output_dir: str
+    truth_spec: dict = field(default_factory=dict)
+    estimator_spec: dict = field(default_factory=dict)
+    n_grid: tuple[int, ...] = ()
+    replicates: int = 32
+    master_seed: int = 0
+    filter: str = "db2"
+    j_max: int = 14
+    output_dir: str = "out"
     probe_alphas: tuple[float, ...] = (-1.0, -0.3, 0.3, 1.0)
     scaling_p: tuple[float, ...] = (1.0, 2.0, 4.0)
     scaling_window: tuple[int, int] = (4, 14)
@@ -102,7 +107,6 @@ class ExperimentConfig:
         """JSON form that round-trips through validate_config deterministically."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update({key: list(value) for key, value in out.items() if isinstance(value, tuple)})
-        out["filter"] = out.pop("filter_name")
         out["smoothness"] = {key: "inf" if math.isinf(value) else value
                              for key, value in asdict(self.smoothness).items()}
         return out
@@ -115,16 +119,41 @@ class RunReport:
     tables: tuple[str, ...]
     verdicts: tuple[dict, ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(v["pass"] for v in self.verdicts)
+
+def _parse(kind: str, value, name: str):
+    """value read as the field annotation kind; otherwise a ConfigError naming the key."""
+    if kind == "SmoothnessParams":
+        return SmoothnessParams(**_parse_fields(SmoothnessParams, _parse("dict", value, name),
+                                                name + "."))
+    if kind == "float":
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+    if kind == "int":  # strictly: 2.7 and true are not integers
+        integral = value.is_integer() if isinstance(value, float) else not isinstance(value, bool)
+        try:
+            if integral:
+                return int(value)
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    container = {"str": str, "dict": dict}.get(kind, list)  # lists become tuple fields
+    if not isinstance(value, container) or kind == "tuple[int, int]" and len(value) != 2:
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+    if container is list:
+        item = "int" if kind.startswith("tuple[int") else "float"
+        return tuple(_parse(item, v, name) for v in value)
+    return container(value)
 
 
-def _parse_real(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {name!r}: expected a number, got {value!r}") from None
+def _parse_fields(cls, raw: dict, prefix: str = "") -> dict:
+    """raw's values parsed by the field annotations of dataclass cls; other keys are errors."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown config key '{prefix}{unknown[0]}'")
+    return {key: _parse(types[key], value, prefix + key) for key, value in raw.items()}
 
 
 def _parse_object(text: str) -> dict:
@@ -140,25 +169,22 @@ def _parse_object(text: str) -> dict:
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse and cross-check a JSON experiment config, applying defaults.
 
-    Defaults: q = inf, kappa = 2, and each experiment kind's tolerances in
-    EXPERIMENTS.  Rejects unknown top-level and tolerance keys and values of
-    the wrong type.  Cross-checks s > d/r, estimator/model compatibility, n_grid
-    monotonicity, replicates >= 2 for Monte Carlo risks, threads >= 1 (also
-    when set by --threads or WAVERATES_THREADS), filter vanishing moments
-    >= ceil(s), existence of any referenced tree files, and d = 1 wherever
-    the run synthesizes a grid (density experiments and p != 2 losses).
+    Defaults are those of ExperimentConfig, SmoothnessParams, EstimatorSpec
+    (kind threshold_hard), the TRUTHS builders (kind generic_g) and the
+    EXPERIMENTS tolerances.  Rejects unknown keys at every level, values of
+    the wrong type, and every value the run cannot use: among others s <= d/r,
+    an estimator, truth or filter unfit for the experiment, replicates < 2
+    for Monte Carlo risks, threads < 1 (also from --threads or
+    WAVERATES_THREADS), d != 1 where the run synthesizes a grid, and the
+    experiment kind's own fields (EXPERIMENTS' check).
     """
     raw = _parse_object(raw_text)
     try:
-        config = _validated(raw)
+        return _validated(raw)
     except ConfigError:
         raise
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from None
-    unknown = sorted(set(raw) - set(config.resolved()))
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    return config
 
 
 def _validated(raw: dict) -> ExperimentConfig:
@@ -166,146 +192,114 @@ def _validated(raw: dict) -> ExperimentConfig:
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
     experiment = EXPERIMENTS[kind]
+    config = ExperimentConfig(**_parse_fields(ExperimentConfig, raw))
+    sm, monte_carlo = config.smoothness, experiment.model is not None
 
-    sm_raw = raw.get("smoothness", {})
-    s = _parse_real(sm_raw.get("s"), "smoothness.s")
-    r = _parse_real(sm_raw.get("r"), "smoothness.r")
-    p = _parse_real(sm_raw.get("p"), "smoothness.p")
-    d = int(sm_raw.get("d", 1))
-    q = _parse_real(sm_raw.get("q", "inf"), "smoothness.q")
-    smoothness = SmoothnessParams(s=s, r=r, p=p, d=d, q=q)
+    estimator = _estimator(config)
+    if monte_carlo and estimator.model != experiment.model:
+        raise ConfigError(f"estimator {estimator.kind!r} is incompatible with experiment kind "
+                          f"{kind!r}")
 
-    estimator_spec = dict(raw.get("estimator_spec", {}))
-    est_kind = estimator_spec.setdefault("kind", "threshold_hard")
-    estimator_spec.setdefault("kappa", 2.0)
-    if est_kind not in ESTIMATOR_KINDS:
-        raise ConfigError(
-            f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, got {est_kind!r}"
-        )
-    monte_carlo = experiment.model is not None
-    if monte_carlo and ESTIMATOR_KINDS[est_kind].model != experiment.model:
-        raise ConfigError(f"estimator {est_kind!r} is incompatible with experiment kind {kind!r}")
+    truth_spec = {"kind": "generic_g", **config.truth_spec}
+    truth_kind = truth_spec.pop("kind")
+    if truth_kind not in TRUTHS:
+        raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
+    truth = TRUTHS[truth_kind]
+    if truth.model not in (None, experiment.model):
+        raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
+    try:
+        inspect.signature(truth.build).bind(config, **truth_spec)
+    except TypeError as exc:
+        raise ConfigError(f"truth_spec: {exc}") from None
+    if truth_kind == "explicit_tree_file" and not Path(str(truth_spec["path"])).is_file():
+        raise ConfigError(f"truth_spec.path does not exist: {truth_spec['path']!r}")
 
-    truth_spec = dict(raw.get("truth_spec", {"kind": "generic_g"}))
-    truth_kind = truth_spec.setdefault("kind", "generic_g")
-    known_truths = ("generic_g", "explicit_tree_file", "uniform_density", "custom_bump")
-    if truth_kind not in known_truths:
-        raise ConfigError(f"truth_spec.kind must be one of {known_truths}, got {truth_kind!r}")
-    if truth_kind == "explicit_tree_file":
-        path = truth_spec.get("path")
-        if not path or not Path(path).is_file():
-            raise ConfigError(f"truth_spec.path does not exist: {path!r}")
-    if truth_kind == "uniform_density" and experiment.model != "density":
-        raise ConfigError("uniform_density truth requires a density experiment")
-
-    n_grid = tuple(int(n) for n in raw.get("n_grid", []))
     if monte_carlo:
-        if not n_grid:
-            raise ConfigError("n_grid must be nonempty")
-        if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
-        if min(n_grid) < 2:
+        if not config.n_grid or any(b <= a for a, b in zip(config.n_grid, config.n_grid[1:])):
+            raise ConfigError("n_grid must be nonempty and strictly increasing")
+        if min(config.n_grid) < 2:
             raise ConfigError("n_grid entries must be >= 2")
-
-    replicates = int(raw.get("replicates", 32))
-    if replicates < 1:
+    if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if monte_carlo and replicates < 2:
+    if monte_carlo and config.replicates < 2:
         raise ConfigError("replicates must be >= 2: the risk standard error needs two")
 
-    if d != 1 and experiment.model == "density":
-        raise ConfigError(f"density experiments are one-dimensional; got d={d}")
-    if d != 1 and p != 2 and experiment.model == "sequence":
-        raise ConfigError(
-            f"a p={p} loss needs grid synthesis, which is defined for d=1 only; got d={d} "
-            "(use p=2, whose loss is the coefficient energy, or d=1)"
-        )
+    if sm.d != 1 and experiment.model == "density":
+        raise ConfigError(f"density experiments are one-dimensional; got d={sm.d}")
+    if sm.d != 1 and sm.p != 2 and experiment.model == "sequence":
+        raise ConfigError(f"a p={sm.p} loss needs grid synthesis, which is defined for d=1 "
+                          f"only; got d={sm.d} (use p=2, whose loss is the coefficient energy, "
+                          "or d=1)")
 
-    filter_name = raw.get("filter", "db2")
     try:
-        filt = get_filter(filter_name)
+        filt = get_filter(config.filter)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
-    if filt.vanishing_moments < math.ceil(s):
+    if filt.vanishing_moments < math.ceil(sm.s):
         raise ConfigError(
-            f"filter {filter_name!r} has {filt.vanishing_moments} vanishing moments; "
-            f"the smoothness characterization needs at least ceil(s) = {math.ceil(s)}"
+            f"filter {config.filter!r} has {filt.vanishing_moments} vanishing moments; "
+            f"the smoothness characterization needs at least ceil(s) = {math.ceil(sm.s)}"
         )
 
-    j_max = int(raw.get("j_max", 14))
-    if j_max < 1:
+    if config.j_max < 1:
         raise ConfigError("j_max must be >= 1")
+    if config.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {config.threads}")
 
-    try:
-        threads = int(raw.get("threads", 1))
-    except (TypeError, ValueError):
-        raise ConfigError(f"threads: expected an integer, got {raw['threads']!r}") from None
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-
-    tolerances = dict(raw.get("tolerances", {}))
-    unknown = sorted(set(tolerances) - set(experiment.tolerances))
+    unknown = sorted(set(config.tolerances) - set(experiment.tolerances))
     if unknown:
         raise ConfigError(f"tolerances: unknown key {unknown[0]!r} for {kind}; "
                           f"expected any of {sorted(experiment.tolerances)}")
-
-    window = tuple(int(v) for v in raw.get("scaling_window", (4, 14)))
-    t_range = tuple(int(v) for v in raw.get("witness_t_range", (10, 30)))
-    if len(window) != 2 or len(t_range) != 2:
-        raise ConfigError("scaling_window and witness_t_range must be pairs")
-
-    return ExperimentConfig(
-        experiment_kind=kind,
-        smoothness=smoothness,
-        truth_spec=truth_spec,
-        estimator_spec=estimator_spec,
-        n_grid=n_grid,
-        replicates=replicates,
-        master_seed=int(raw.get("master_seed", 0)),
-        filter_name=filter_name,
-        j_max=j_max,
-        output_dir=str(raw.get("output_dir", "out")),
-        probe_alphas=tuple(float(a) for a in raw.get("probe_alphas", (-1.0, -0.3, 0.3, 1.0))),
-        scaling_p=tuple(float(v) for v in raw.get("scaling_p", (1.0, 2.0, 4.0))),
-        scaling_window=window,
-        witness_eps=float(raw.get("witness_eps", 0.1)),
-        witness_t_range=t_range,
-        tolerances=tolerances,
-        threads=threads,
-    )
+    config = replace(config, truth_spec={"kind": truth_kind, **truth_spec},
+                     estimator_spec={"kind": estimator.kind, "kappa": estimator.kappa,
+                                     **config.estimator_spec})
+    experiment.check(config)
+    return config
 
 
-def _build_truth(config: ExperimentConfig, probe_alpha=None) -> CoefficientTree:
+def _estimator(config: ExperimentConfig) -> EstimatorSpec:
+    return EstimatorSpec(smoothness=config.smoothness,
+                         **{"kind": "threshold_hard", **config.estimator_spec})
+
+
+def _model_truth(config: ExperimentConfig, tree: CoefficientTree) -> CoefficientTree:
+    """tree as the truth of the experiment's model: density experiments estimate 1 + tree."""
+    density = EXPERIMENTS[config.experiment_kind].model == "density"
+    return density_truth_tree(tree) if density else tree
+
+
+def _generic_g_truth(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness
-    spec = config.truth_spec
-    kind = spec["kind"]
-    if kind == "explicit_tree_file":
-        return recordio.read_tree(spec["path"])
-    if kind == "uniform_density":
-        return uniform_density_tree(config.j_max)
-    if kind == "custom_bump":
-        tree = bump_tree(d=sm.d, j_max=config.j_max, level=int(spec.get("level", 1)),
-                         position=int(spec.get("position", 0)),
-                         amplitude=float(spec.get("amplitude", 1.0)))
-    else:  # generic_g: the probe line through a shell-tree base
-        alpha = probe_alpha if probe_alpha is not None else float(spec.get("probe_alpha", 0.7))
-        base = float(spec.get("base_amplitude", 0.0))
-        tree = alpha * _g(config)
-        if base != 0.0:
-            tree = tree + shell_tree(sm.s, sm.r, sm.d, config.j_max, base,
-                                     dither=float(spec.get("dither", 0.0)),
-                                     j_min=int(spec.get("j_min", 0)))
-    if EXPERIMENTS[config.experiment_kind].model == "density":
-        return density_truth_tree(tree)
-    return tree
+    return _model_truth(config, probe_line_truth(
+        sm.s, sm.r, sm.d, config.j_max, float(base_amplitude), float(probe_alpha),
+        dither=float(dither), j_min=int(j_min)))
 
 
-def _estimator_from_spec(config: ExperimentConfig) -> EstimatorSpec:
-    spec, fixed = config.estimator_spec, config.estimator_spec.get("fixed_m_n")
-    return EstimatorSpec(kind=spec["kind"], smoothness=config.smoothness,
-                         kappa=float(spec.get("kappa", 2.0)),
-                         pinsker_order=float(spec.get("pinsker_order", 2.0)),
-                         fixed_m_n=None if fixed is None else float(fixed))
+def _custom_bump_truth(config, level=1, position=0, amplitude=1.0):
+    return _model_truth(config, bump_tree(d=config.smoothness.d, j_max=config.j_max,
+                                          level=int(level), position=int(position),
+                                          amplitude=float(amplitude)))
+
+
+class Truth(NamedTuple):
+    """A truth kind: the Monte Carlo model it requires (None: any) and build(config,
+    **spec), whose keyword parameters are the kind's truth_spec keys with defaults."""
+
+    model: str | None
+    build: Callable
+
+
+TRUTHS = {
+    "generic_g": Truth(None, _generic_g_truth),
+    "explicit_tree_file": Truth(None, lambda config, path: recordio.read_tree(path)),
+    "uniform_density": Truth("density", lambda config: uniform_density_tree(config.j_max)),
+    "custom_bump": Truth(None, _custom_bump_truth),
+}
+
+
+def _truth(config: ExperimentConfig, **overrides) -> CoefficientTree:
+    spec = {**config.truth_spec, **overrides}
+    return TRUTHS[spec.pop("kind")].build(config, **spec)
 
 
 def _alpha_label(alpha: float) -> str:
@@ -337,9 +331,9 @@ def _risk_name(config: ExperimentConfig, label: str) -> str:
 def _risk_tables(config: ExperimentConfig, truth, label: str = ""):
     """Risk and slope tables of one truth, and the slope fit."""
     model = EXPERIMENTS[config.experiment_kind].model
-    model_spec = ModelSpec(kind=model, filter_name=config.filter_name,
+    model_spec = ModelSpec(kind=model, filter_name=config.filter,
                            j_max=None if model == "density" else config.j_max)
-    table = monte_carlo_risk(truth, _estimator_from_spec(config), model_spec, config.n_grid,
+    table = monte_carlo_risk(truth, _estimator(config), model_spec, config.n_grid,
                              config.replicates, config.smoothness.p, config.master_seed,
                              threads=config.threads)
     fit = fit_slope(table, _regime(config).normalization)
@@ -359,7 +353,7 @@ def _stored_fit(config: ExperimentConfig, read, label: str = ""):
 
 
 def _rate_fit_tables(config: ExperimentConfig):
-    return _risk_tables(config, _build_truth(config))[0]
+    return _risk_tables(config, _truth(config))[0]
 
 
 def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -381,11 +375,19 @@ def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
 def _probe_sweep_tables(config: ExperimentConfig):
     tables, fits = [], {}
     for alpha in config.probe_alphas:
-        truth = _build_truth(config, probe_alpha=alpha)
-        new, fit = _risk_tables(config, truth, "_" + _alpha_label(alpha))
+        new, fit = _risk_tables(config, _truth(config, probe_alpha=alpha),
+                                "_" + _alpha_label(alpha))
         tables += new
         fits[alpha] = fit.implied_alpha
     return tables + [("probe_sweep.csv", ["alpha", "implied_alpha"], sorted(fits.items()))]
+
+
+def _probe_sweep_check(config: ExperimentConfig) -> None:
+    if not config.probe_alphas:
+        raise ConfigError("probe_alphas must be nonempty")
+    truth_kind = config.truth_spec["kind"]
+    if truth_kind != "generic_g":
+        raise ConfigError(f"probe_sweep needs a generic_g truth, got {truth_kind!r}")
 
 
 def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -404,6 +406,15 @@ def _scaling_tables(config: ExperimentConfig):
     return [("scaling.csv", ["p", "estimate", "theory", "residual"], rows)]
 
 
+def _scaling_check(config: ExperimentConfig) -> None:
+    if not config.scaling_p:
+        raise ConfigError("scaling_p must be nonempty")
+    try:
+        check_scaling_window(config.scaling_window, config.j_max)
+    except ValueError as exc:
+        raise ConfigError(f"scaling_window: {exc}") from None
+
+
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
     scale_tol = float(_tolerance(config, "scaling"))
     return [
@@ -413,12 +424,26 @@ def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
     ]
 
 
-def _witness_tables(config: ExperimentConfig):
+def _witness(config: ExperimentConfig, g: CoefficientTree):
     sm = config.smoothness
-    witness = weak_exclusion_witness(_g(config), sm.s, sm.r, sm.p, sm.d, config.witness_eps,
-                                     config.witness_t_range[1])
+    return weak_exclusion_witness(g, sm.s, sm.r, sm.p, sm.d, config.witness_eps,
+                                  config.witness_t_range[1])
+
+
+def _witness_tables(config: ExperimentConfig):
+    witness = _witness(config, _g(config))
     rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in witness]
     return [("witness.csv", ["t", "bound", "log2_bound"], rows)]
+
+
+def _witness_check(config: ExperimentConfig) -> None:
+    t_lo, t_hi = config.witness_t_range
+    if not 1 <= t_lo < t_hi:
+        raise ConfigError(f"witness_t_range must satisfy 1 <= lo < hi, got {[t_lo, t_hi]}")
+    try:  # the witness is closed-form: it reads only the tree's dimension
+        _witness(config, CoefficientTree.zeros(config.smoothness.d, 1))
+    except ValueError as exc:
+        raise ConfigError(f"witness_eps: {exc}") from None
 
 
 def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -435,24 +460,27 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
 class Experiment(NamedTuple):
     """An experiment kind: its Monte Carlo model ("sequence", "density" or None),
     its tolerance keys with their defaults, tables(config) -> [(file name,
-    columns, rows)], and verdicts(config, read), where read(file name) returns
-    a stored table's rows as floats."""
+    columns, rows)], verdicts(config, read), where read(file name) returns a
+    stored table's rows as floats, and check(config), which rejects its own
+    fields' values that its run cannot use."""
 
     model: str | None
     tolerances: dict
     tables: Callable
     verdicts: Callable
+    check: Callable = lambda config: None
 
 
 _RATE_TOLERANCES = {"alpha": 0.08, "one_sided": False, "r_squared": None}
 
 EXPERIMENTS = {
     "rate_fit": Experiment("sequence", _RATE_TOLERANCES, _rate_fit_tables, _rate_fit_verdicts),
-    "scaling_function": Experiment(None, {"scaling": 0.1}, _scaling_tables, _scaling_verdicts),
+    "scaling_function": Experiment(None, {"scaling": 0.1}, _scaling_tables, _scaling_verdicts,
+                                   _scaling_check),
     "weak_exclusion": Experiment(None, {"witness_rel": 0.2}, _witness_tables,
-                                 _witness_verdicts),
+                                 _witness_verdicts, _witness_check),
     "probe_sweep": Experiment("sequence", {"spread": 0.05}, _probe_sweep_tables,
-                              _probe_sweep_verdicts),
+                              _probe_sweep_verdicts, _probe_sweep_check),
     "density_rate_fit": Experiment("density", _RATE_TOLERANCES, _rate_fit_tables,
                                    _rate_fit_verdicts),
 }
@@ -591,13 +619,12 @@ def _command(args) -> int:
 
     if args.command == "rates":
         params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p, d=args.d)
-        mm, mm_val = minimax_rate(params, args.n)
-        lin, lin_val = linear_minimax_rate(params, args.n)
         print(f"parameters: s={args.s} r={args.r} p={args.p} d={args.d} (n={args.n})")
-        print(f"minimax:        branch={mm.branch:6s} alpha={mm.alpha:.6f} "
-              f"norm={mm.normalization:12s} value={mm_val:.6e}")
-        print(f"linear minimax: branch={lin.branch:6s} alpha={lin.alpha:.6f} "
-              f"norm={lin.normalization:12s} value={lin_val:.6e}")
+        for label, rate in (("minimax:       ", minimax_rate),
+                            ("linear minimax:", linear_minimax_rate)):
+            reg, value = rate(params, args.n)
+            print(f"{label} branch={reg.branch:6s} alpha={reg.alpha:.6f} "
+                  f"norm={reg.normalization:12s} value={value:.6e}")
         for family in ("linear", "threshold", "limited", "elitist"):
             reg = generic_alpha(family, params)
             print(f"generic {family:9s} branch={reg.branch:6s} alpha={reg.alpha:.6f} "

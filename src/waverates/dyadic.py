@@ -184,10 +184,6 @@ class CoefficientTree:
     def total_energy(self) -> float:
         return self.scaling**2 + self.wavelet_energy()
 
-    def max_abs(self) -> float:
-        vals = [abs(self.scaling)] + [float(np.max(np.abs(a))) for a in self.levels.values()]
-        return max(vals)
-
     # -- arithmetic -------------------------------------------------------------
 
     def _combine(self, other: "CoefficientTree", beta: float) -> "CoefficientTree":

@@ -49,14 +49,22 @@ def noise_depth(n: int) -> int:
     """The depth j(n) with 2^{-j(n)} <= log n / n < 2^{-j(n)+1}."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    q = math.log(n) / n
-    j = math.ceil(-math.log2(q))
-    # guard against floating error at exact powers of two
-    if 2.0**-j > q:
+    q, j = math.log(n) / n, 0
+    while 2.0**-j > q:
         j += 1
-    elif j >= 1 and 2.0 ** (-j + 1) <= q:
-        j -= 1
     return j
+
+
+def _unit_levels(levels: Mapping[int, np.ndarray], what: str) -> dict[int, np.ndarray]:
+    """Read-only float copies of per-level arrays whose values all lie in [0, 1]."""
+    clean = {}
+    for j, arr in levels.items():
+        arr = np.array(arr, dtype=np.float64)
+        if np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise ValueError(f"{what} at level {j} leave [0, 1]")
+        arr.flags.writeable = False
+        clean[int(j)] = arr
+    return clean
 
 
 @dataclass(frozen=True)
@@ -80,15 +88,7 @@ class WeightProfile:
             raise ValueError("m_n must be non-negative")
         if self.kind == "pinsker" and self.pinsker_order <= 0:
             raise ValueError("pinsker_order must be positive")
-        clean = {}
-        for j, arr in self.weights.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValueError(f"weights at level {j} leave [0, 1]")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            clean[int(j)] = arr
-        object.__setattr__(self, "weights", clean)
+        object.__setattr__(self, "weights", _unit_levels(self.weights, "weights"))
 
     @classmethod
     def projection(cls, m_n: float) -> "WeightProfile":
@@ -176,19 +176,21 @@ def threshold_estimate(obs: SequenceObservation, cfg: ThresholdConfig) -> Coeffi
     if cfg.n != obs.n:
         raise ValueError(f"config n={cfg.n} does not match observation n={obs.n}")
     lam = cfg.kappa * cfg.t_n
-    j_cut = cfg.j_n
-    y = obs.y
+    if cfg.mode == "hard":
+        return _thresholded(obs.y, cfg.j_n, lambda a: np.where(np.abs(a) >= lam, a, 0.0))
+    return _thresholded(obs.y, cfg.j_n, lambda a: np.sign(a) * np.maximum(np.abs(a) - lam, 0.0))
+
+
+def _thresholded(tree: CoefficientTree, j_cut: int, rule) -> CoefficientTree:
+    """rule applied to every level j <= j_cut; deeper and all-zero levels dropped."""
     levels = {}
-    for j, arr in y.levels.items():
+    for j, arr in tree.levels.items():
         if j > j_cut:
             continue
-        if cfg.mode == "hard":
-            est = np.where(np.abs(arr) >= lam, arr, 0.0)
-        else:
-            est = np.sign(arr) * np.maximum(np.abs(arr) - lam, 0.0)
+        est = rule(arr)
         if est.any():
             levels[j] = est
-    return CoefficientTree(d=y.d, j_max=y.j_max, scaling=y.scaling, levels=levels)
+    return CoefficientTree(d=tree.d, j_max=tree.j_max, scaling=tree.scaling, levels=levels)
 
 
 def density_linear_estimate(beta_hat: CoefficientTree, j_max_keep: int) -> CoefficientTree:
@@ -201,20 +203,8 @@ def density_linear_estimate(beta_hat: CoefficientTree, j_max_keep: int) -> Coeff
 
 def density_threshold_estimate(beta_hat: CoefficientTree, n: int) -> CoefficientTree:
     """Density thresholding: keep |beta| > t_n (strict, no kappa) on j <= j(n)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     t = universal_threshold(n)
-    j_cut = noise_depth(n)
-    levels = {}
-    for j, arr in beta_hat.levels.items():
-        if j > j_cut:
-            continue
-        est = np.where(np.abs(arr) > t, arr, 0.0)
-        if est.any():
-            levels[j] = est
-    return CoefficientTree(
-        d=beta_hat.d, j_max=beta_hat.j_max, scaling=beta_hat.scaling, levels=levels
-    )
+    return _thresholded(beta_hat, noise_depth(n), lambda a: np.where(np.abs(a) > t, a, 0.0))
 
 
 @dataclass(frozen=True)
@@ -243,15 +233,7 @@ class ShrinkageTrace:
     observation: SequenceObservation
 
     def __post_init__(self):
-        clean = {}
-        for j, arr in self.gammas.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValueError(f"gamma values at level {j} leave [0, 1]")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            clean[int(j)] = arr
-        object.__setattr__(self, "gammas", clean)
+        object.__setattr__(self, "gammas", _unit_levels(self.gammas, "gamma values"))
 
 
 def shrinkage_trace(obs: SequenceObservation, estimate: CoefficientTree) -> ShrinkageTrace:

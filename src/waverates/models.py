@@ -58,10 +58,6 @@ class SequenceObservation:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    @property
-    def noise_std(self) -> float:
-        return self.n**-0.5
-
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -83,12 +79,6 @@ class DensitySample:
         object.__setattr__(self, "points", points)
 
 
-def _resolve_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def simulate_sequence(
     theta: CoefficientTree, n: int, j_max: int, seed, truth_ref: str = ""
 ) -> SequenceObservation:
@@ -103,7 +93,7 @@ def simulate_sequence(
         raise ValueError("n must be >= 1")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    rng = _resolve_rng(seed)
+    rng = np.random.default_rng(seed)  # an int seed is read as SeedSequence(seed)
     sigma = n**-0.5
     scaling = theta.scaling + sigma * rng.standard_normal()
     shape = lambda j: (1 << j,) * theta.d
@@ -181,7 +171,7 @@ class DensitySampler:
         """Draw n i.i.d. points; bit-identical for identical (n, seed)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        u = _resolve_rng(seed).random(n)
+        u = np.random.default_rng(seed).random(n)
         cells = self.locate(u)
         left = np.where(cells > 0, self.cum[cells - 1], 0.0)
         frac = (u - left) / self.masses[cells]

@@ -62,7 +62,6 @@ class RateRegime:
     family: str
     branch: str
     alpha: float
-    s_prime: float
     normalization: str
 
     def __post_init__(self):
@@ -77,10 +76,6 @@ class RateRegime:
     def alpha_tilde(self) -> float:
         """The square-root-normalized exponent, exactly twice alpha."""
         return 2.0 * self.alpha
-
-
-def _s_prime(params: SmoothnessParams) -> float:
-    return params.s - max(params.d / params.r - params.d / params.p, 0.0)
 
 
 def _norm_value(normalization: str, n: int) -> float:
@@ -104,17 +99,13 @@ def minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
 
 
 def linear_minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
-    """Best rate achievable by linear rules: slower than minimax once p > r."""
-    s, r, p, d = params.s, params.r, params.p, params.d
-    if r > p:
-        regime = RateRegime("linear_minimax", "dense", s / (2.0 * s + d), _s_prime(params), "n")
-    else:
-        sp = s - d / r + d / p
-        regime = RateRegime(
-            "linear_minimax", "sparse", sp / (2.0 * sp + d), _s_prime(params), "n_over_log_n"
-        )
-    value = _norm_value(regime.normalization, n) ** (-p * regime.alpha)
-    return regime, value
+    """Best rate achievable by linear rules: slower than minimax once p > r.
+
+    generic_alpha("linear") relabelled "linear_minimax": n^{-p alpha}, dense
+    when r >= p.  Linear rates carry no log factor.
+    """
+    regime = replace(generic_alpha("linear", params), family="linear_minimax")
+    return regime, _norm_value(regime.normalization, n) ** (-params.p * regime.alpha)
 
 
 _GENERIC_FAMILIES = {
@@ -148,7 +139,7 @@ def generic_alpha(family: str, params: SmoothnessParams) -> RateRegime:
             branch, alpha = "dense", s / (2.0 * s + d)
         else:
             branch, alpha = "sparse", (s - d / r + d / p) / (2.0 * (s - d / r) + d)
-    return RateRegime(name, branch, alpha, _s_prime(params), normalization)
+    return RateRegime(name, branch, alpha, normalization)
 
 
 # -- Monte Carlo risk ---------------------------------------------------------
@@ -168,8 +159,6 @@ class RiskTable:
 
     rows: tuple[RiskRow, ...]
     loss_p: float
-    estimator_id: str = ""
-    truth_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -179,10 +168,6 @@ class RiskTable:
         for row in self.rows:
             if row.empirical_risk < 0 or row.std_error < 0:
                 raise ValueError("risks and standard errors must be non-negative")
-
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.array([row.n for row in self.rows], dtype=np.int64)
 
     @property
     def risks(self) -> np.ndarray:
@@ -207,8 +192,9 @@ class EstimatorSpec:
     """Estimator selection for the risk engine.
 
     kind is a key of ESTIMATOR_KINDS, which gives its model and family.  The
-    linear kinds derive their cutoff from choose_mn at the given smoothness;
-    thresholds use kappa.
+    linear kinds derive their cutoff from choose_mn at the given smoothness,
+    or use fixed_m_n (finite, >= 0; m_n <= 1 keeps no level); thresholds use
+    kappa.  Numbers are coerced to float.
     """
 
     kind: str
@@ -220,6 +206,17 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        for name in ("kappa", "pinsker_order", "fixed_m_n"):
+            value = getattr(self, name)
+            try:
+                if value is not None or name != "fixed_m_n":
+                    object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}: expected a number, got {value!r}") from None
+        ThresholdConfig(n=2, kappa=self.kappa)  # kappa must be positive
+        WeightProfile.pinsker(1.0, self.pinsker_order)  # pinsker_order must be positive
+        if self.fixed_m_n is not None and not 0.0 <= self.fixed_m_n < math.inf:
+            raise ValueError(f"fixed_m_n must be a finite number >= 0, got {self.fixed_m_n}")
         if self.family == "linear" and self.smoothness is None and self.fixed_m_n is None:
             raise ValueError(f"estimator {self.kind!r} needs smoothness parameters or fixed_m_n")
 
@@ -257,14 +254,10 @@ class ModelSpec:
 
 
 def _linear_cutoff_level(m_n: float) -> int:
-    """Largest level kept by the projection profile: max j with 2^j < m_n."""
-    if m_n <= 1.0:
-        return -1
-    j = math.ceil(math.log2(m_n)) - 1
-    if 2.0 ** (j + 1) < m_n:
+    """Largest level kept by the projection profile (max j with 2^j < m_n), or -1."""
+    profile, j = WeightProfile.projection(m_n), -1
+    while profile.level_weight(j + 1):
         j += 1
-    elif 2.0**j >= m_n:
-        j -= 1
     return j
 
 
@@ -280,7 +273,7 @@ def _projection(est, obs, n, model, filt):
 
 
 def _pinsker(est, obs, n, model, filt):
-    m_levels = math.log2(est.cutoff(n))
+    m_levels = math.log2(max(est.cutoff(n), 1.0))
     return linear_estimate(obs, WeightProfile.pinsker(m_levels, est.pinsker_order))
 
 
@@ -384,7 +377,7 @@ def monte_carlo_risk(
         )
         for i, n in enumerate(n_grid)
     )
-    return RiskTable(rows=rows, loss_p=p, estimator_id=estimator_cfg.kind)
+    return RiskTable(rows=rows, loss_p=p)
 
 
 def fit_slope(table: RiskTable, normalization: str) -> SlopeFit:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import CoefficientTree, reduced_level_array
-from .generic import GenericFunctionSpec, ProbeDraw, build_g, probe_perturb
+from .generic import GenericFunctionSpec, build_g
 
 __all__ = [
     "shell_tree",
@@ -92,11 +92,14 @@ def probe_line_truth(
     base_amplitude: float,
     alpha: float,
     dither: float = 0.0,
+    j_min: int = 0,
 ) -> CoefficientTree:
-    """A point of the probe line: base shell plus alpha times the saturating tree."""
-    base = shell_tree(s, r, d, j_max, base_amplitude, dither)
-    g = build_g(GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max))
-    return probe_perturb(base, g, ProbeDraw(alpha=alpha))
+    """A point of the probe line: alpha times the saturating tree plus the base
+    shell on levels j_min..j_max, which is not built when base_amplitude is 0."""
+    tree = alpha * build_g(GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max))
+    if base_amplitude != 0.0:
+        tree = tree + shell_tree(s, r, d, j_max, base_amplitude, dither, j_min)
+    return tree
 
 
 def uniform_density_tree(j_max: int) -> CoefficientTree:

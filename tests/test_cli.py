@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -115,7 +116,7 @@ def test_validate_rejects_unknown_keys(tmp_path):
         validate_config(rate_config(tmp_path / "o", tolerances={"spread": 0.1}))
     with pytest.raises(ConfigError, match="unknown config key 'replicate'"):
         validate_config(rate_config(tmp_path / "o", replicate=4))
-    with pytest.raises(ConfigError, match="invalid config"):
+    with pytest.raises(ConfigError, match="j_max: expected an integer"):
         validate_config(rate_config(tmp_path / "o", j_max="deep"))
     # the defaults stay out of the resolved form, and so out of the manifest hash
     config = validate_config(rate_config(tmp_path / "o", tolerances={"r_squared": 0.9}))
@@ -294,3 +295,66 @@ def test_main_subcommands(tmp_path, capsys):
 
     # report: re-render from the stored directory
     assert main(["report", "--dir", str(tmp_path / "cli_out")]) == 0
+
+
+DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_configs_round_trip(path):
+    config = validate_config(path.read_text())
+    assert validate_config(json.dumps(config.resolved())) == config
+
+
+SCALING = {"experiment_kind": "scaling_function", "smoothness": {"s": 2, "r": 2, "p": 2},
+           "j_max": 6, "scaling_window": [2, 6]}
+WITNESS = {"experiment_kind": "weak_exclusion", "smoothness": {"s": 2, "r": 2, "p": 2},
+           "j_max": 4}
+
+
+def _rate(**overrides):
+    return json.loads(rate_config("unused", **overrides))
+
+
+# (config, the key its error line must name); each passed validate but broke
+# or vacuously passed run before these keys were checked
+REJECTED = {
+    "smoothness_typo": (_rate(smoothness={"s": 2, "r": 2, "p": 2, "dd": 2}), "smoothness.dd"),
+    "truth_typo": (_rate(truth_spec={"kind": "generic_g", "base_amplitud": 1}), "base_amplitud"),
+    "estimator_typo": (_rate(estimator_spec={"kapa": 3}), "kapa"),
+    "fractional_replicates": (_rate(replicates=2.7), "replicates"),
+    "boolean_j_max": (_rate(j_max=True), "j_max"),
+    "window_above_j_max": (dict(SCALING, scaling_window=[2, 7]), "scaling_window"),
+    "window_too_short": (dict(SCALING, scaling_window=[5, 6]), "scaling_window"),
+    "empty_scaling_p": (dict(SCALING, scaling_p=[]), "scaling_p"),
+    "eps_too_large": (dict(WITNESS, witness_eps=0.3), "witness_eps"),
+    "reversed_t_range": (dict(WITNESS, witness_t_range=[30, 10]), "witness_t_range"),
+    "empty_probe_alphas": (_rate(experiment_kind="probe_sweep", probe_alphas=[]), "probe_alphas"),
+    "probe_without_line": (_rate(experiment_kind="probe_sweep",
+                                 truth_spec={"kind": "custom_bump"}), "generic_g"),
+    "zero_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": 0}), "kappa"),
+    "negative_pinsker_order": (_rate(estimator_spec={"kind": "pinsker", "pinsker_order": -2}),
+                               "pinsker_order"),
+    "text_fixed_m_n": (_rate(estimator_spec={"kind": "projection", "fixed_m_n": "abc"}),
+                       "fixed_m_n"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys):
+    raw, key = REJECTED[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
+def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):
+    config = validate_config(rate_config(tmp_path / "o", estimator_spec={"kind": "pinsker"},
+                                         truth_spec={"base_amplitude": 3}))
+    assert config.estimator_spec == {"kind": "pinsker", "kappa": 2.0}
+    assert config.truth_spec == {"kind": "generic_g", "base_amplitude": 3}
+    assert validate_config(rate_config(tmp_path / "o", replicates=4.0)).replicates == 4

@@ -19,7 +19,7 @@ from waverates.estimators import (
     threshold_estimate,
     universal_threshold,
 )
-from waverates.models import simulate_sequence
+from waverates.models import SequenceObservation, simulate_sequence
 from waverates.spaces import SmoothnessParams
 from waverates.truths import shell_tree
 
@@ -236,3 +236,48 @@ def test_shrinkage_class_validation():
         ShrinkageClass("other", 0.1)
     with pytest.raises(ValueError):
         ShrinkageClass("limited", 0.1, threshold_a=1.0)
+
+
+def _reference_threshold(tree, j_cut, rule):
+    """Thresholding written out coefficient by coefficient."""
+    levels = {}
+    for j, arr in tree.levels.items():
+        if j <= j_cut:
+            est = np.array([rule(v) for v in arr])
+            if est.any():
+                levels[j] = est
+    return levels
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft", "density"])
+def test_threshold_rules_match_reference_loops(mode):
+    # values exactly at the threshold, their float neighbours, and levels above j(n)
+    n = 1024
+    j_cut = noise_depth(n)
+    lam = universal_threshold(n) * (1.0 if mode == "density" else 2.0)
+    rng = np.random.default_rng(4)
+    levels = {j: rng.normal(0.0, lam, 1 << j) for j in range(j_cut + 3)}
+    edges = [lam, -lam, np.nextafter(lam, 0.0), np.nextafter(-lam, 0.0),
+             np.nextafter(lam, 1.0), 0.0]
+    for j in (0, 3, j_cut, j_cut + 1):
+        levels[j][: len(edges[: 1 << j])] = edges[: 1 << j]
+    levels[2] = np.array([lam * 0.5, -lam * 0.25, 0.0, np.nextafter(lam, 0.0)])  # all dropped
+    tree = CoefficientTree(d=1, j_max=j_cut + 2, scaling=0.3, levels=levels)
+    if mode == "density":
+        est = density_threshold_estimate(tree, n)
+        want = _reference_threshold(tree, j_cut, lambda v: v if abs(v) > lam else 0.0)
+        assert est.get(3, 1) == 0.0 and est.get(3, 0) == 0.0  # |beta| = t_n is dropped
+    else:
+        obs = SequenceObservation(n=n, y=tree)
+        est = threshold_estimate(obs, ThresholdConfig(n=n, kappa=2.0, mode=mode))
+        if mode == "hard":
+            rule = lambda v: v if abs(v) >= lam else 0.0
+            assert est.get(3, 0) == lam and est.get(3, 1) == -lam  # |y| = kappa t_n is kept
+        else:
+            rule = lambda v: math.copysign(max(abs(v) - lam, 0.0), v) if v else 0.0
+        want = _reference_threshold(tree, j_cut, rule)
+    assert est.scaling == 0.3 and est.j_max == tree.j_max
+    assert sorted(est.levels) == sorted(want)
+    assert 2 not in want and max(want) <= j_cut
+    for j, arr in want.items():
+        assert est.levels[j].tobytes() == arr.tobytes()

@@ -10,6 +10,7 @@ from waverates.generic import (
     weak_exclusion_witness,
 )
 from waverates.spaces import besov_norm
+from waverates.truths import probe_line_truth, shell_tree
 
 
 def test_spec_validation():
@@ -143,3 +144,28 @@ def test_witness_validation():
         weak_exclusion_witness(g, 2, 2, 2, 1, 0.0, 30)
     with pytest.raises(ValueError):
         weak_exclusion_witness(g, 2, 2, 2, 2, 0.1, 30)  # dimension mismatch
+
+
+def _same_bits(a: CoefficientTree, b: CoefficientTree) -> bool:
+    return ((a.d, a.j_max, a.scaling) == (b.d, b.j_max, b.scaling)
+            and list(a.levels) == list(b.levels)
+            and all(a.levels[j].tobytes() == b.levels[j].tobytes() for j in a.levels))
+
+
+@pytest.mark.parametrize("alpha,base,dither,j_min", [
+    (0.7, 1024.0, 2.0, 0), (-1.0, 2.0, 0.0, 3), (-0.3, 64.0, 2.0, 2), (0.0, 1.0, 2.0, 2),
+])
+def test_probe_line_truth_is_alpha_g_plus_shell(alpha, base, dither, j_min):
+    s, r, d, j_max = 2.0, 2.0, 1, 9
+    got = probe_line_truth(s, r, d, j_max, base, alpha, dither=dither, j_min=j_min)
+    want = (alpha * build_g(GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max))
+            + shell_tree(s, r, d, j_max, base, dither=dither, j_min=j_min))
+    assert _same_bits(got, want)
+
+
+def test_probe_line_truth_without_base_builds_no_shell():
+    g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=7))
+    for alpha in (-0.5, 0.7):
+        got = probe_line_truth(2, 2, 1, 7, base_amplitude=0.0, alpha=alpha, dither=2.0)
+        assert _same_bits(got, alpha * g)
+        assert 0 not in got.levels  # g has no level 0; a zero shell would add one

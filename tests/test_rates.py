@@ -18,6 +18,7 @@ from waverates.estimators import (
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
+    _linear_cutoff_level,
     SYNTHESIS_PAD,
     EstimatorSpec,
     ModelSpec,
@@ -61,10 +62,10 @@ def test_linear_minimax_rate_examples():
     regime, _ = linear_minimax_rate(SPARSE, 100)
     assert abs(regime.alpha * 4 - 4 * 0.45 / 1.9) < 1e-12
 
-    # r = p boundary: strict inequality, else-branch
+    # r = p boundary: dense, polynomial in n (linear rates carry no log factor)
     regime, _ = linear_minimax_rate(DENSE, 100)
-    assert regime.branch == "sparse"
-    assert abs(regime.alpha - 0.4) < 1e-12  # s' = s when r = p
+    assert regime.branch == "dense" and regime.normalization == "n"
+    assert abs(regime.alpha - 0.4) < 1e-12
 
 
 def test_generic_alpha_examples():
@@ -81,7 +82,7 @@ def test_generic_alpha_examples():
 
 def test_generic_alpha_rate_identities():
     # over a parameter grid: threshold exponent matches minimax on both
-    # branches; linear matches the linear-minimax exponent whenever r > p;
+    # branches; linear matches the linear-minimax regime everywhere;
     # alpha_tilde is exactly twice alpha and halves the weak scaling exponent
     rng = np.random.default_rng(0)
     count = 0
@@ -99,10 +100,9 @@ def test_generic_alpha_rate_identities():
         assert thr.alpha_tilde == 2.0 * thr.alpha
         if not math.isinf(r):
             assert abs(thr.alpha_tilde - theoretical_weak_scaling(s, r, p, 1)) < 1e-12
-        if r > p:
-            lin = generic_alpha("linear", params)
-            lm, _ = linear_minimax_rate(params, 100)
-            assert abs(lin.alpha - lm.alpha) < 1e-12
+        lin = generic_alpha("linear", params)
+        lm, _ = linear_minimax_rate(params, 100)
+        assert (lm.branch, lm.alpha, lm.normalization) == (lin.branch, lin.alpha, lin.normalization)
         assert generic_alpha("limited", params).alpha == generic_alpha("linear", params).alpha
         assert generic_alpha("elitist", params).alpha == thr.alpha
 
@@ -298,3 +298,40 @@ def test_fit_slope_normalization_and_errors():
     bad = synthetic_table([1.0, 0.5, 0.0, 0.125])
     with pytest.warns(UserWarning):
         fit_slope(bad, "n")
+
+
+def test_linear_cutoff_level_agrees_with_projection_weights():
+    ms = [0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0]
+    for k in range(1, 40):
+        m = 2.0**k
+        ms += [np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]
+    for m in ms:
+        profile = WeightProfile.projection(m)
+        kept = [j for j in range(64) if profile.level_weight(j)]
+        assert _linear_cutoff_level(m) == (max(kept) if kept else -1)
+    assert _linear_cutoff_level(1.0) == -1 and _linear_cutoff_level(np.nextafter(1.0, 2.0)) == 0
+    assert _linear_cutoff_level(8.0) == 2 and _linear_cutoff_level(np.nextafter(8.0, 9.0)) == 3
+
+
+def test_estimator_spec_checks_its_numbers():
+    assert EstimatorSpec("projection", fixed_m_n="8").fixed_m_n == 8.0
+    assert EstimatorSpec("threshold_hard", kappa=3).kappa == 3.0
+    for kwargs, message in [
+        (dict(kind="threshold_hard", kappa=0.0), "kappa must be positive"),
+        (dict(kind="pinsker", smoothness=DENSE, pinsker_order=-1), "pinsker_order must be"),
+        (dict(kind="projection", fixed_m_n="many"), "fixed_m_n: expected a number"),
+        (dict(kind="projection", fixed_m_n=-1.0), "fixed_m_n must be a finite number"),
+        (dict(kind="projection", fixed_m_n=math.inf), "fixed_m_n must be a finite number"),
+        (dict(kind="threshold_soft", kappa=None), "kappa: expected a number"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            EstimatorSpec(**kwargs)
+
+
+def test_pinsker_below_one_level_keeps_no_wavelet_level():
+    # m_n <= 1 keeps no level under either linear profile
+    truth = shell_tree(2, 2, 1, 5, 1.0)
+    model = ModelSpec(kind="sequence", filter_name="db2")
+    risks = [monte_carlo_risk(truth, EstimatorSpec(kind, fixed_m_n=0.5), model, [256, 512], 4,
+                              2.0, 3).risks for kind in ("projection", "pinsker")]
+    assert np.array_equal(risks[0], risks[1])
