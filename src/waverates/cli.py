@@ -26,7 +26,7 @@ Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
 ``TRUTHS``.  ``run`` writes the tables, then derives the verdicts from the
 written files exactly as ``report`` does.  Unknown keys are rejected at every
 level: top-level keys are ``ExperimentConfig`` fields, and ``validate`` builds
-the run's ``EstimatorSpec`` and binds the truth builder's keywords.  Exit
+the run's ``EstimatorSpec`` and runs the truth kind's check.  Exit
 status: the count of failed verdicts, capped at 100; EXIT_CONFIG_ERROR (101)
 for an invalid or unreadable config, flag or run directory (one ``error:``
 line on stderr); EXIT_INTERNAL_ERROR (102) otherwise (traceback on stderr).
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -69,7 +68,14 @@ from .spaces import (
     empirical_scaling,
     theoretical_scaling,
 )
-from .truths import bump_tree, density_truth_tree, probe_line_truth, uniform_density_tree
+from .truths import (
+    bump_tree,
+    check_bump,
+    check_probe_line,
+    density_truth_tree,
+    probe_line_truth,
+    uniform_density_tree,
+)
 from .wavelet import get_filter
 
 EXIT_CONFIG_ERROR = 101
@@ -170,13 +176,14 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse and cross-check a JSON experiment config, applying defaults.
 
     Defaults are those of ExperimentConfig, SmoothnessParams, EstimatorSpec
-    (kind threshold_hard), the TRUTHS builders (kind generic_g) and the
+    (kind threshold_hard), the TRUTHS args (kind generic_g) and the
     EXPERIMENTS tolerances.  Rejects unknown keys at every level, values of
     the wrong type, and every value the run cannot use: among others s <= d/r,
     an estimator, truth or filter unfit for the experiment, replicates < 2
     for Monte Carlo risks, threads < 1 (also from --threads or
-    WAVERATES_THREADS), d != 1 where the run synthesizes a grid, and the
-    experiment kind's own fields (EXPERIMENTS' check).
+    WAVERATES_THREADS), d != 1 where the run synthesizes a grid, truth
+    parameters the builder refuses (TRUTHS' check) and the experiment kind's
+    own fields (EXPERIMENTS' check).
     """
     raw = _parse_object(raw_text)
     try:
@@ -199,20 +206,6 @@ def _validated(raw: dict) -> ExperimentConfig:
     if monte_carlo and estimator.model != experiment.model:
         raise ConfigError(f"estimator {estimator.kind!r} is incompatible with experiment kind "
                           f"{kind!r}")
-
-    truth_spec = {"kind": "generic_g", **config.truth_spec}
-    truth_kind = truth_spec.pop("kind")
-    if truth_kind not in TRUTHS:
-        raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
-    truth = TRUTHS[truth_kind]
-    if truth.model not in (None, experiment.model):
-        raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
-    try:
-        inspect.signature(truth.build).bind(config, **truth_spec)
-    except TypeError as exc:
-        raise ConfigError(f"truth_spec: {exc}") from None
-    if truth_kind == "explicit_tree_file" and not Path(str(truth_spec["path"])).is_file():
-        raise ConfigError(f"truth_spec.path does not exist: {truth_spec['path']!r}")
 
     if monte_carlo:
         if not config.n_grid or any(b <= a for a, b in zip(config.n_grid, config.n_grid[1:])):
@@ -246,6 +239,18 @@ def _validated(raw: dict) -> ExperimentConfig:
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
 
+    truth_spec = {"kind": "generic_g", **config.truth_spec}
+    truth_kind = truth_spec.pop("kind")
+    if truth_kind not in TRUTHS:
+        raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
+    truth = TRUTHS[truth_kind]
+    if truth.model not in (None, experiment.model):
+        raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
+    try:
+        truth.check(**truth.args(config, **truth_spec))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"truth_spec: {exc}") from None
+
     unknown = sorted(set(config.tolerances) - set(experiment.tolerances))
     if unknown:
         raise ConfigError(f"tolerances: unknown key {unknown[0]!r} for {kind}; "
@@ -262,44 +267,52 @@ def _estimator(config: ExperimentConfig) -> EstimatorSpec:
                          **{"kind": "threshold_hard", **config.estimator_spec})
 
 
-def _model_truth(config: ExperimentConfig, tree: CoefficientTree) -> CoefficientTree:
-    """tree as the truth of the experiment's model: density experiments estimate 1 + tree."""
-    density = EXPERIMENTS[config.experiment_kind].model == "density"
-    return density_truth_tree(tree) if density else tree
-
-
-def _generic_g_truth(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
+def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness
-    return _model_truth(config, probe_line_truth(
-        sm.s, sm.r, sm.d, config.j_max, float(base_amplitude), float(probe_alpha),
-        dither=float(dither), j_min=int(j_min)))
+    return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max, base_amplitude=float(base_amplitude),
+                alpha=float(probe_alpha), dither=float(dither), j_min=int(j_min))
 
 
-def _custom_bump_truth(config, level=1, position=0, amplitude=1.0):
-    return _model_truth(config, bump_tree(d=config.smoothness.d, j_max=config.j_max,
-                                          level=int(level), position=int(position),
-                                          amplitude=float(amplitude)))
+def _bump_args(config, level=1, position=0, amplitude=1.0):
+    return dict(d=config.smoothness.d, j_max=config.j_max, level=int(level),
+                position=int(position), amplitude=float(amplitude))
+
+
+def _check_tree_file(path) -> None:
+    if not Path(str(path)).is_file():
+        raise ValueError(f"path does not exist: {path!r}")
 
 
 class Truth(NamedTuple):
-    """A truth kind: the Monte Carlo model it requires (None: any) and build(config,
-    **spec), whose keyword parameters are the kind's truth_spec keys with defaults."""
+    """A truth kind.  args(config, **spec), whose keyword parameters are the
+    kind's truth_spec keys with defaults, gives the keyword arguments of
+    build(...) -> tree and of check(...), which raises ValueError wherever build
+    would, without building.  model: the Monte Carlo model the kind requires
+    (None: any); wavelet_part: a density experiment estimates 1 + tree."""
 
     model: str | None
+    args: Callable
     build: Callable
+    check: Callable = lambda **args: None
+    wavelet_part: bool = True
 
 
 TRUTHS = {
-    "generic_g": Truth(None, _generic_g_truth),
-    "explicit_tree_file": Truth(None, lambda config, path: recordio.read_tree(path)),
-    "uniform_density": Truth("density", lambda config: uniform_density_tree(config.j_max)),
-    "custom_bump": Truth(None, _custom_bump_truth),
+    "generic_g": Truth(None, _probe_line_args, probe_line_truth, check_probe_line),
+    "explicit_tree_file": Truth(None, lambda config, path: {"path": path}, recordio.read_tree,
+                                _check_tree_file, wavelet_part=False),
+    "uniform_density": Truth("density", lambda config: {"j_max": config.j_max},
+                             uniform_density_tree, wavelet_part=False),
+    "custom_bump": Truth(None, _bump_args, bump_tree, check_bump),
 }
 
 
 def _truth(config: ExperimentConfig, **overrides) -> CoefficientTree:
     spec = {**config.truth_spec, **overrides}
-    return TRUTHS[spec.pop("kind")].build(config, **spec)
+    truth = TRUTHS[spec.pop("kind")]
+    tree = truth.build(**truth.args(config, **spec))
+    density = EXPERIMENTS[config.experiment_kind].model == "density"
+    return density_truth_tree(tree) if density and truth.wavelet_part else tree
 
 
 def _alpha_label(alpha: float) -> str:
@@ -328,22 +341,26 @@ def _risk_name(config: ExperimentConfig, label: str) -> str:
     return f"risk_{config.estimator_spec['kind']}{label}.csv"
 
 
-def _risk_tables(config: ExperimentConfig, truth, label: str = ""):
-    """Risk and slope tables of one truth, and the slope fit."""
+def _risk_tables(config: ExperimentConfig, labels, truths):
+    """Risk and slope tables of each truth, named by its label, and their slope
+    fits; the truths are observed under one noise draw per (n, replicate)."""
     model = EXPERIMENTS[config.experiment_kind].model
     model_spec = ModelSpec(kind=model, filter_name=config.filter,
                            j_max=None if model == "density" else config.j_max)
-    table = monte_carlo_risk(truth, _estimator(config), model_spec, config.n_grid,
-                             config.replicates, config.smoothness.p, config.master_seed,
-                             threads=config.threads)
-    fit = fit_slope(table, _regime(config).normalization)
-    return [
-        (_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
-         [(row.n, row.empirical_risk, row.std_error, row.replicates) for row in table.rows]),
-        (f"slope_{config.estimator_spec['kind']}{label}.csv",
-         ["normalization", "slope", "implied_alpha", "r_squared"],
-         [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)]),
-    ], fit
+    risks = monte_carlo_risk(tuple(truths), _estimator(config), model_spec,
+                             config.n_grid, config.replicates, config.smoothness.p,
+                             config.master_seed, threads=config.threads)
+    fits = [fit_slope(table, _regime(config).normalization) for table in risks]
+    tables = []
+    for label, table, fit in zip(labels, risks, fits):
+        tables += [
+            (_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
+             [(row.n, row.empirical_risk, row.std_error, row.replicates) for row in table.rows]),
+            (f"slope_{config.estimator_spec['kind']}{label}.csv",
+             ["normalization", "slope", "implied_alpha", "r_squared"],
+             [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)]),
+        ]
+    return tables, fits
 
 
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
@@ -353,7 +370,7 @@ def _stored_fit(config: ExperimentConfig, read, label: str = ""):
 
 
 def _rate_fit_tables(config: ExperimentConfig):
-    return _risk_tables(config, _truth(config))[0]
+    return _risk_tables(config, [""], [_truth(config)])[0]
 
 
 def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -373,13 +390,11 @@ def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
 
 
 def _probe_sweep_tables(config: ExperimentConfig):
-    tables, fits = [], {}
-    for alpha in config.probe_alphas:
-        new, fit = _risk_tables(config, _truth(config, probe_alpha=alpha),
-                                "_" + _alpha_label(alpha))
-        tables += new
-        fits[alpha] = fit.implied_alpha
-    return tables + [("probe_sweep.csv", ["alpha", "implied_alpha"], sorted(fits.items()))]
+    alphas = config.probe_alphas
+    tables, fits = _risk_tables(config, ["_" + _alpha_label(alpha) for alpha in alphas],
+                                [_truth(config, probe_alpha=alpha) for alpha in alphas])
+    implied = dict(zip(alphas, (fit.implied_alpha for fit in fits)))
+    return tables + [("probe_sweep.csv", ["alpha", "implied_alpha"], sorted(implied.items()))]
 
 
 def _probe_sweep_check(config: ExperimentConfig) -> None:
@@ -441,9 +456,13 @@ def _witness_check(config: ExperimentConfig) -> None:
     if not 1 <= t_lo < t_hi:
         raise ConfigError(f"witness_t_range must satisfy 1 <= lo < hi, got {[t_lo, t_hi]}")
     try:  # the witness is closed-form: it reads only the tree's dimension
-        _witness(config, CoefficientTree.zeros(config.smoothness.d, 1))
+        witness = _witness(config, CoefficientTree.zeros(config.smoothness.d, 1))
     except ValueError as exc:
         raise ConfigError(f"witness_eps: {exc}") from None
+    zero = [t for t, bound in witness if t >= t_lo and not bound > 0.0]
+    if zero:  # the verdict fits log2 of the bound
+        raise ConfigError(f"witness_t_range: the witness bound is 0 at t = {zero[0]}; "
+                          "the range must hold positive bounds only")
 
 
 def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:

@@ -1,8 +1,9 @@
 """Observation models: the Gaussian sequence model and i.i.d. density sampling.
 
 Sequence observations add independent Gaussian noise of standard deviation
-n^{-1/2} to every coefficient up to the requested depth (zero coefficients
-included -- the model observes the full sequence).  Density samples are drawn
+n^{-1/2} to every coefficient up to the requested depth, zero coefficients
+included.  The risk engine requests the depth its estimator reads, and
+``observe`` adds one noise draw to several truths.  Density samples are drawn
 from the normalized, nonnegative part of a wavelet-specified density by
 inverse CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a
 guide table for one truth, so replicates share it; it refuses densities whose
@@ -29,6 +30,7 @@ __all__ = [
     "DensitySample",
     "DensitySampler",
     "simulate_sequence",
+    "observe",
     "sample_density",
     "empirical_coefficients",
 ]
@@ -105,6 +107,27 @@ def simulate_sequence(
     y = CoefficientTree(d=theta.d, j_max=j_max, scaling=scaling, levels=levels)
     seed_repr = seed if isinstance(seed, int) else 0
     return SequenceObservation(n=n, y=y, truth_ref=truth_ref, seed=seed_repr)
+
+
+def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> SequenceObservation:
+    """theta observed to depth j_max under the noise of an observation of zero.
+
+    noise is simulate_sequence(zero tree, n, J, seed) with J >= j_max.  The
+    result equals simulate_sequence(theta, n, j_max, seed) bit for bit: the
+    draws of levels 0..j_max do not depend on J, the zero tree's observation
+    is the draw itself, and each sum here is the one simulate_sequence forms.
+    """
+    y = noise.y
+    if not 0 <= j_max <= y.j_max or theta.d != y.d:
+        raise ValueError(f"noise of depth {y.j_max} and d={y.d} cannot observe "
+                         f"a d={theta.d} tree to depth {j_max}")
+    levels = {}
+    for j in range(j_max + 1):
+        base = theta.levels.get(j)
+        levels[j] = y.levels[j] if base is None else base + y.levels[j]
+    tree = CoefficientTree(d=theta.d, j_max=j_max, scaling=theta.scaling + y.scaling,
+                           levels=levels)
+    return SequenceObservation(n=noise.n, y=tree, seed=noise.seed)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ from .estimators import (
     noise_depth,
     threshold_estimate,
 )
-from .models import DensitySampler, empirical_coefficients, simulate_sequence
+from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams
-from .wavelet import WaveletFilter, get_filter, lp_mean
+from .wavelet import get_filter, lp_mean
 
 __all__ = [
     "RateRegime",
@@ -239,9 +239,11 @@ class EstimatorSpec:
 class ModelSpec:
     """Observation model for the risk engine.
 
-    j_max fixes the observed depth; when omitted, sequence observations use
-    the truth's depth and density coefficients run to the noise depth j(n)
-    (or the linear cutoff for the projection-form density estimator).
+    j_max fixes the model's depth; when omitted, sequence observations have
+    the truth's depth and density coefficients the estimator's read depth.
+    Each replicate is observed only up to the estimator's read depth (the
+    ESTIMATOR_KINDS column) within the model's depth: no estimator reads a
+    deeper level, and its estimate is that of the model-depth observation.
     """
 
     kind: str
@@ -252,77 +254,144 @@ class ModelSpec:
         if self.kind not in ("sequence", "density"):
             raise ValueError(f"model kind must be 'sequence' or 'density', got {self.kind!r}")
 
+    def depth(self, truth: CoefficientTree, read_depth: int) -> int:
+        """The model's depth for truth: j_max, else the truth's depth (sequence)
+        or read_depth (density)."""
+        if self.j_max is not None:
+            return self.j_max
+        return truth.j_max if self.kind == "sequence" else read_depth
 
-def _linear_cutoff_level(m_n: float) -> int:
-    """Largest level kept by the projection profile (max j with 2^j < m_n), or -1."""
-    profile, j = WeightProfile.projection(m_n), -1
+
+def _last_level(profile: WeightProfile) -> int:
+    """Last level with a nonzero weight, or -1; the weights of a projection or
+    Pinsker profile are nonzero on levels 0..j and zero above."""
+    j = -1
     while profile.level_weight(j + 1):
         j += 1
     return j
 
 
-def _loss(diff: CoefficientTree, p: float, filt: WaveletFilter) -> float:
-    """||diff||_p^p: exact coefficient-space identity for p = 2, grid quadrature else."""
+def _linear_cutoff_level(m_n: float) -> int:
+    """Largest level kept by the projection profile (max j with 2^j < m_n), or -1."""
+    return _last_level(WeightProfile.projection(m_n))
+
+
+def _pinsker_profile(est, n) -> WeightProfile:
+    return WeightProfile.pinsker(math.log2(max(est.cutoff(n), 1.0)), est.pinsker_order)
+
+
+def _level_energies(tree: CoefficientTree) -> dict:
+    """Energy of each level the tree holds, summed as total_energy sums it."""
+    return {j: np.sum(a * a) for j, a in tree.levels.items()}
+
+
+def _energy_loss(estimate: CoefficientTree, truth: CoefficientTree, truth_energy) -> float:
+    """(estimate - truth).total_energy(), bit for bit, with truth_energy[j] the
+    energy of the truth's level j standing in for each level the estimate does
+    not hold (0 - t is -t exactly).  The levels are summed in the order and the
+    way CoefficientTree's subtraction and total_energy sum them."""
+    parts = []
+    for j in set(estimate.levels) | set(truth.levels):
+        e, t = estimate.levels.get(j), truth.levels.get(j)
+        if e is None:
+            parts.append(truth_energy[j])
+        else:
+            diff = e if t is None else e - t
+            parts.append(np.sum(diff * diff))
+    return (estimate.scaling - truth.scaling) ** 2 + float(sum(parts))
+
+
+def _loss(estimate, truth, truth_energy, p, filt, depth) -> float:
+    """||estimate - truth||_p^p: the coefficient energy for p = 2, else grid
+    quadrature of the difference.  The quadrature synthesizes to the
+    difference's depth, so the estimate keeps the model's depth, as if read
+    from an observation to that depth."""
     if p == 2.0:
-        return diff.total_energy()
+        return _energy_loss(estimate, truth, truth_energy)
+    diff = replace(estimate, j_max=depth) - truth
     return lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p)
 
 
-def _projection(est, obs, n, model, filt):
+def _projection(est, obs, n):
     return linear_estimate(obs, WeightProfile.projection(est.cutoff(n)))
 
 
-def _pinsker(est, obs, n, model, filt):
-    m_levels = math.log2(max(est.cutoff(n), 1.0))
-    return linear_estimate(obs, WeightProfile.pinsker(m_levels, est.pinsker_order))
+def _pinsker(est, obs, n):
+    return linear_estimate(obs, _pinsker_profile(est, n))
 
 
-def _threshold(mode, est, obs, n, model, filt):
+def _threshold(mode, est, obs, n):
     return threshold_estimate(obs, ThresholdConfig(n=n, kappa=est.kappa, mode=mode))
 
 
-def _density_linear(est, sample, n, model, filt):
-    cutoff = _linear_cutoff_level(est.cutoff(n))
-    depth = model.j_max if model.j_max is not None else max(cutoff, 0)
-    return density_linear_estimate(empirical_coefficients(sample, filt, depth), cutoff)
+def _density_linear(est, beta_hat, n):
+    return density_linear_estimate(beta_hat, _linear_cutoff_level(est.cutoff(n)))
 
 
-def _density_threshold(est, sample, n, model, filt):
-    depth = model.j_max if model.j_max is not None else noise_depth(n)
-    return density_threshold_estimate(empirical_coefficients(sample, filt, depth), n)
+def _density_threshold(est, beta_hat, n):
+    return density_threshold_estimate(beta_hat, n)
+
+
+def _linear_depth(est, n):
+    return max(_linear_cutoff_level(est.cutoff(n)), 0)
+
+
+def _pinsker_depth(est, n):
+    return max(_last_level(_pinsker_profile(est, n)), 0)
+
+
+def _threshold_depth(est, n):
+    return noise_depth(n)
 
 
 class EstimatorKind(NamedTuple):
-    """An estimator kind's model, its rate family, and estimate(spec, observation
-    or density sample, n, ModelSpec, filter) -> estimate tree."""
+    """An estimator kind: its model, its rate family, estimate(spec, observation
+    or empirical coefficient tree, n) -> estimate tree, and read_depth(spec, n),
+    the deepest level the estimate reads (>= 0); it holds no deeper level."""
 
     model: str
     family: str
     estimate: Callable
+    read_depth: Callable
 
 
 ESTIMATOR_KINDS = {
-    "projection": EstimatorKind("sequence", "linear", _projection),
-    "pinsker": EstimatorKind("sequence", "linear", _pinsker),
-    "threshold_hard": EstimatorKind("sequence", "threshold", partial(_threshold, "hard")),
-    "threshold_soft": EstimatorKind("sequence", "threshold", partial(_threshold, "soft")),
-    "density_linear": EstimatorKind("density", "linear", _density_linear),
-    "density_threshold": EstimatorKind("density", "threshold", _density_threshold),
+    "projection": EstimatorKind("sequence", "linear", _projection, _linear_depth),
+    "pinsker": EstimatorKind("sequence", "linear", _pinsker, _pinsker_depth),
+    "threshold_hard": EstimatorKind("sequence", "threshold", partial(_threshold, "hard"),
+                                    _threshold_depth),
+    "threshold_soft": EstimatorKind("sequence", "threshold", partial(_threshold, "soft"),
+                                    _threshold_depth),
+    "density_linear": EstimatorKind("density", "linear", _density_linear, _linear_depth),
+    "density_threshold": EstimatorKind("density", "threshold", _density_threshold,
+                                       _threshold_depth),
 }
 
 
-def _one_replicate(truth, est, model, n, p, filt, seed, sampler):
+def _one_replicate(truths, energies, est, model, n, p, filt, seed, samplers):
+    """The loss of every truth's estimate on the replicate drawn from seed.
+
+    Sequence truths share one noise draw, to the deepest depth any of them
+    reads, and each adds its own levels to it; each density truth samples its
+    own law from the same seed.
+    """
+    kind = ESTIMATOR_KINDS[est.kind]
+    read = kind.read_depth(est, n)
+    depths = [model.depth(truth, read) for truth in truths]
+    reads = [min(read, depth) for depth in depths]
     if model.kind == "sequence":
-        obs_depth = model.j_max if model.j_max is not None else truth.j_max
-        observed = simulate_sequence(truth, n, obs_depth, seed)
+        top = max(reads)
+        noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
+        observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
     else:
-        observed = sampler.sample(n, seed)
-    estimate = ESTIMATOR_KINDS[est.kind].estimate(est, observed, n, model, filt)
-    return _loss(estimate - truth, p, filt)
+        observed = [empirical_coefficients(sampler.sample(n, seed), filt, j)
+                    for sampler, j in zip(samplers, reads)]
+    return [_loss(kind.estimate(est, obs, n), truth, energy, p, filt, depth)
+            for obs, truth, energy, depth in zip(observed, truths, energies, depths)]
 
 
 def monte_carlo_risk(
-    truth: CoefficientTree,
+    truth: CoefficientTree | tuple[CoefficientTree, ...],
     estimator_cfg: EstimatorSpec,
     model_cfg: ModelSpec,
     n_grid,
@@ -330,54 +399,69 @@ def monte_carlo_risk(
     p: float,
     master_seed: int,
     threads: int = 1,
-) -> RiskTable:
+) -> RiskTable | tuple[RiskTable, ...]:
     """Empirical risk E ||estimate - truth||_p^p over an increasing n-grid.
 
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the table is
     bit-identical across reruns and independent of scheduling; replicates may
     evaluate on a thread pool, the reduction order is fixed.  The density
-    model builds one DensitySampler for the truth, shared by all replicates.
+    model builds one DensitySampler per truth, shared by all replicates.
+
+    Given a tuple of truths (of one dimension), it returns one RiskTable per
+    truth, each equal to that truth's own table: the seed does not depend on
+    the truth, so every truth is observed under the same noise (common random
+    numbers), which each replicate draws once.
     """
+    truths = truth if isinstance(truth, tuple) else (truth,)
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("n_grid must be nonempty and strictly increasing")
     if R < 2:
         raise ValueError("need at least 2 replicates for a standard error")
+    if not truths or len({t.d for t in truths}) != 1:
+        raise ValueError("need at least one truth, all of one dimension")
     if estimator_cfg.model != model_cfg.kind:
         raise ValueError(
             f"estimator {estimator_cfg.kind!r} is incompatible with the {model_cfg.kind} model"
         )
     filt = get_filter(model_cfg.filter_name)
-    sampler = DensitySampler.from_tree(truth, filt) if model_cfg.kind == "density" else None
-    losses = np.empty((len(n_grid), R))
+    samplers = None
+    if model_cfg.kind == "density":
+        samplers = [DensitySampler.from_tree(t, filt) for t in truths]
+    energies = [_level_energies(t) for t in truths]
+    losses = np.empty((len(truths), len(n_grid), R))
 
     def task(i_rep):
         i, rep = i_rep
         n = n_grid[i]
         seed = np.random.SeedSequence((master_seed, n, rep))
-        return i, rep, _one_replicate(truth, estimator_cfg, model_cfg, n, p, filt, seed, sampler)
+        return i, rep, _one_replicate(truths, energies, estimator_cfg, model_cfg, n, p, filt,
+                                      seed, samplers)
 
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, rep, value in pool.map(task, jobs):
-                losses[i, rep] = value
+            for i, rep, values in pool.map(task, jobs):
+                losses[:, i, rep] = values
     else:
         for job in jobs:
-            i, rep, value = task(job)
-            losses[i, rep] = value
+            i, rep, values = task(job)
+            losses[:, i, rep] = values
 
-    rows = tuple(
-        RiskRow(
-            n=n,
-            empirical_risk=float(np.mean(losses[i])),
-            std_error=float(np.std(losses[i], ddof=1) / math.sqrt(R)),
-            replicates=R,
-        )
-        for i, n in enumerate(n_grid)
+    tables = tuple(
+        RiskTable(rows=tuple(
+            RiskRow(
+                n=n,
+                empirical_risk=float(np.mean(per_truth[i])),
+                std_error=float(np.std(per_truth[i], ddof=1) / math.sqrt(R)),
+                replicates=R,
+            )
+            for i, n in enumerate(n_grid)
+        ), loss_p=p)
+        for per_truth in losses
     )
-    return RiskTable(rows=rows, loss_p=p)
+    return tables if isinstance(truth, tuple) else tables[0]
 
 
 def fit_slope(table: RiskTable, normalization: str) -> SlopeFit:

@@ -1,4 +1,4 @@
-"""CSV record streams for trees, grids, and experiment tables.
+"""CSV record streams for coefficient trees and experiment tables.
 
 Every emitted table starts with comment rows (prefixed '#') carrying the
 structural header or the manifest hash, followed by a named column header.
@@ -10,16 +10,11 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from .dyadic import CoefficientTree
-from .wavelet import GridSignal
 
 __all__ = [
     "write_tree",
     "read_tree",
-    "write_grid",
-    "read_grid",
     "write_table",
     "read_table",
 ]
@@ -52,27 +47,6 @@ def read_tree(path) -> CoefficientTree:
             j, *k, value = row
             items.append(((int(j), tuple(int(c) for c in k)), float(value)))
     return CoefficientTree.from_items(d, j_max, scaling, items)
-
-
-def write_grid(signal: GridSignal, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# grid-signal,resolution_log2={signal.resolution_log2}\n")
-        fh.write("sample\n")
-        for v in signal.samples:
-            fh.write(f"{float(v)!r}\n")
-
-
-def read_grid(path) -> GridSignal:
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# grid-signal,"):
-            raise ValueError(f"{path}: not a grid-signal stream")
-        res = int(header.split("=", 1)[1])
-        next(fh)  # column header
-        samples = np.array([float(line) for line in fh if line.strip()])
-    return GridSignal(res, samples)
 
 
 def write_table(path, columns: list[str], rows, manifest_hash: str = "") -> None:

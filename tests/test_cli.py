@@ -165,9 +165,12 @@ def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
         bad = json.loads(rate_config(tmp_path / "o", experiment_kind=kind, smoothness=d2))
         with pytest.raises(ConfigError, match="grid synthesis, which is defined for d=1"):
             validate_config(json.dumps(bad))
-    # the p = 2 loss is the coefficient energy and needs no grid
-    ok = validate_config(rate_config(tmp_path / "o", smoothness=dict(d2, p=2), j_max=3))
+    # the p = 2 loss is the coefficient energy and needs no grid (dithered shells are d=1 only)
+    ok = validate_config(rate_config(tmp_path / "o", smoothness=dict(d2, p=2), j_max=3,
+                                     truth_spec={"kind": "generic_g", "base_amplitude": 64.0}))
     assert ok.smoothness.d == 2
+    with pytest.raises(ConfigError, match="dithered shells are implemented for d=1 only"):
+        validate_config(rate_config(tmp_path / "o", smoothness=dict(d2, p=2), j_max=3))
     dens = json.loads(rate_config(tmp_path / "o", experiment_kind="density_rate_fit",
                                   smoothness=dict(d2, p=2)))
     dens["estimator_spec"] = {"kind": "density_threshold"}
@@ -329,6 +332,15 @@ REJECTED = {
     "empty_scaling_p": (dict(SCALING, scaling_p=[]), "scaling_p"),
     "eps_too_large": (dict(WITNESS, witness_eps=0.3), "witness_eps"),
     "reversed_t_range": (dict(WITNESS, witness_t_range=[30, 10]), "witness_t_range"),
+    "zero_witness_bound": (dict(WITNESS, witness_t_range=[1, 30]), "witness_t_range"),
+    "j_min_above_j_max": (_rate(j_max=6, truth_spec={"kind": "generic_g", "j_min": 20}),
+                          "j_min must lie in [0, 6]"),
+    "bump_level_above_j_max": (_rate(j_max=6, truth_spec={"kind": "custom_bump", "level": 9}),
+                               "level 9 outside [0, 6]"),
+    "bump_position_outside_level": (_rate(truth_spec={"kind": "custom_bump", "level": 2,
+                                                      "position": 4}), "coordinate 4"),
+    "text_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": "big"}),
+                       "truth_spec"),
     "empty_probe_alphas": (_rate(experiment_kind="probe_sweep", probe_alphas=[]), "probe_alphas"),
     "probe_without_line": (_rate(experiment_kind="probe_sweep",
                                  truth_spec={"kind": "custom_bump"}), "generic_g"),

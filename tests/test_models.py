@@ -10,6 +10,7 @@ from waverates.models import (
     DensitySample,
     DensitySampler,
     empirical_coefficients,
+    observe,
     sample_density,
     simulate_sequence,
 )
@@ -79,6 +80,25 @@ def test_simulate_sequence_fills_all_indices():
     obs = simulate_sequence(theta, 4, 5, seed=1)
     for j in range(6):
         assert np.all(obs.y.level(j) != 0.0)
+
+
+def test_observe_equals_simulating_the_truth():
+    # one noise draw to depth 6 observes trees of other depths and missing levels
+    trees = [small_truth(), shell_tree(2, 2, 1, 6, 3.0, dither=2.0, j_min=2),
+             CoefficientTree.zeros(1, 3)]
+    for n, seed in ((100, 4), (4096, np.random.SeedSequence((9, 4096, 3)))):
+        noise = simulate_sequence(CoefficientTree.zeros(1, 6), n, 6, seed)
+        for theta in trees:
+            for j_max in range(min(theta.j_max, 6) + 1):
+                got = observe(theta, noise, j_max)
+                want = simulate_sequence(theta, n, j_max, seed)
+                assert got.n == n and got.y.j_max == j_max
+                assert got.y.scaling == want.y.scaling
+                assert got.y.levels.keys() == want.y.levels.keys()
+                for j, level in want.y.levels.items():
+                    assert np.array_equal(got.y.levels[j], level)
+    with pytest.raises(ValueError):
+        observe(small_truth(), simulate_sequence(CoefficientTree.zeros(1, 1), 100, 1, 4), 2)
 
 
 def test_sample_density_uniform():

@@ -18,6 +18,8 @@ from waverates.estimators import (
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
+    _energy_loss,
+    _level_energies,
     _linear_cutoff_level,
     SYNTHESIS_PAD,
     EstimatorSpec,
@@ -335,3 +337,85 @@ def test_pinsker_below_one_level_keeps_no_wavelet_level():
     risks = [monte_carlo_risk(truth, EstimatorSpec(kind, fixed_m_n=0.5), model, [256, 512], 4,
                               2.0, 3).risks for kind in ("projection", "pinsker")]
     assert np.array_equal(risks[0], risks[1])
+
+
+MULTI_CASES = [
+    ("threshold_hard", 2.0, None), ("threshold_soft", 2.0, 5), ("projection", 4.0, None),
+    ("pinsker", 2.0, None), ("density_threshold", 2.0, None), ("density_linear", 2.0, 4),
+]
+
+
+@pytest.mark.parametrize("kind,p,j_max", MULTI_CASES)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, p, j_max, threads):
+    # the truths differ in depth and in missing levels but share one draw per (n, rep)
+    if ESTIMATOR_KINDS[kind].model == "sequence":
+        truths = (shell_tree(2, 2, 1, 6, 64.0, dither=2.0), shell_tree(2, 2, 1, 8, 8.0, j_min=3),
+                  CoefficientTree.zeros(1, 4))
+        n_grid, filter_name = [256, 4096, 65536], "db2"
+    else:
+        truths = tuple(density_truth_tree(shell_tree(2, 2, 1, 6, a, dither=2.0, j_min=2))
+                       for a in (1.0, 0.5))
+        n_grid, filter_name = [1024, 16384], "db3"
+    est = EstimatorSpec(kind, smoothness=DENSE)
+    model = ModelSpec(kind=ESTIMATOR_KINDS[kind].model, filter_name=filter_name, j_max=j_max)
+    tables = monte_carlo_risk(truths, est, model, n_grid, 3, p, 17, threads=threads)
+    assert isinstance(tables, tuple) and len(tables) == len(truths)
+    for truth, table in zip(truths, tables):
+        alone = monte_carlo_risk(truth, est, model, n_grid, 3, p, 17)
+        assert isinstance(alone, RiskTable)
+        assert table.rows == alone.rows and table.loss_p == alone.loss_p
+
+
+def test_monte_carlo_risk_rejects_mixed_or_missing_truths():
+    est, model = EstimatorSpec("threshold_hard"), ModelSpec(kind="sequence")
+    for truths in ((), (CoefficientTree.zeros(1, 3), CoefficientTree.zeros(2, 3))):
+        with pytest.raises(ValueError, match="one dimension"):
+            monte_carlo_risk(truths, est, model, [64, 128], 2, 2.0, 1)
+
+
+@pytest.mark.parametrize("kind", [k for k, e in ESTIMATOR_KINDS.items() if e.model == "sequence"])
+@pytest.mark.parametrize("fixed_m_n", [0.0, 1.0, 2.0, 7.5, None])
+def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
+    truth, top = shell_tree(2, 2, 1, 10, 8.0, dither=2.0), 10
+    entry = ESTIMATOR_KINDS[kind]
+    est = EstimatorSpec(kind, smoothness=DENSE, fixed_m_n=fixed_m_n)
+    for n in (4, 64, 1000, 4096, 65536, 2**20):
+        seed = np.random.SeedSequence((3, n))
+        read = entry.read_depth(est, n)
+        assert read >= 0
+        full = entry.estimate(est, simulate_sequence(truth, n, top, seed), n)
+        short = entry.estimate(est, simulate_sequence(truth, n, min(read, top), seed), n)
+        assert max(full.levels, default=-1) <= read and max(short.levels, default=-1) <= read
+        assert short.scaling == full.scaling
+        assert short.levels.keys() == full.levels.keys()
+        for j, level in full.levels.items():
+            assert np.array_equal(short.levels[j], level)
+
+
+def test_energy_loss_is_the_difference_energy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    noisy = lambda j, scale=1.0: scale * rng.standard_normal(1 << j)
+    truths = [
+        shell_tree(2, 2, 1, 9, 3.0, dither=2.0),
+        shell_tree(2, 2, 1, 9, 3.0, j_min=4),  # levels 0..3 missing
+        CoefficientTree(1, 7, 0.25, {1: noisy(1), 6: noisy(6)}),
+        CoefficientTree.zeros(1, 5),
+    ]
+    estimates = [
+        CoefficientTree(1, 5, 0.3, {j: noisy(j, 0.1) for j in range(6)}),
+        CoefficientTree(1, 5, -0.1, {j: np.zeros(1 << j) for j in range(6)}),  # all zero
+        CoefficientTree(1, 3, 0.0, {0: noisy(0), 2: np.zeros(4)}),
+        CoefficientTree.zeros(1, 2),  # no level
+        CoefficientTree(1, 12, 1e-3, {11: noisy(11, 1e-4)}),  # a level the truths lack
+    ]
+    for truth in truths:
+        energies = _level_energies(truth)
+        for estimate in estimates:
+            want = (estimate - truth).total_energy()
+            assert _energy_loss(estimate, truth, energies) == want
+    square = lambda js: {j: rng.standard_normal((1 << j, 1 << j)) for j in js}
+    truth2 = CoefficientTree(2, 4, 0.5, square((1, 3)))
+    estimate2 = CoefficientTree(2, 2, 0.4, square((0, 1)))
+    assert (_energy_loss(estimate2, truth2, _level_energies(truth2))
+            == (estimate2 - truth2).total_energy())

@@ -3,7 +3,6 @@ import numpy as np
 from waverates import recordio
 from waverates.dyadic import CoefficientTree
 from waverates.generic import GenericFunctionSpec, build_g
-from waverates.wavelet import GridSignal
 
 
 def test_tree_round_trip(tmp_path):
@@ -36,16 +35,6 @@ def test_saturating_tree_round_trip_lossless(tmp_path):
     back = recordio.read_tree(path)
     for j in range(1, 9):
         assert np.array_equal(back.level(j), g.level(j))
-
-
-def test_grid_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    sig = GridSignal(6, rng.standard_normal(64))
-    path = tmp_path / "grid.csv"
-    recordio.write_grid(sig, path)
-    back = recordio.read_grid(path)
-    assert back.resolution_log2 == 6
-    assert np.array_equal(back.samples, sig.samples)
 
 
 def test_table_round_trip_with_hash(tmp_path):
