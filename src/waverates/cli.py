@@ -270,12 +270,12 @@ def _estimator(config: ExperimentConfig) -> EstimatorSpec:
 def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness
     return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max, base_amplitude=float(base_amplitude),
-                alpha=float(probe_alpha), dither=float(dither), j_min=int(j_min))
+                alpha=float(probe_alpha), dither=float(dither), j_min=_parse("int", j_min, "j_min"))
 
 
 def _bump_args(config, level=1, position=0, amplitude=1.0):
-    return dict(d=config.smoothness.d, j_max=config.j_max, level=int(level),
-                position=int(position), amplitude=float(amplitude))
+    return dict(d=config.smoothness.d, j_max=config.j_max, level=_parse("int", level, "level"),
+                position=_parse("int", position, "position"), amplitude=float(amplitude))
 
 
 def _check_tree_file(path) -> None:
@@ -400,6 +400,13 @@ def _probe_sweep_tables(config: ExperimentConfig):
 def _probe_sweep_check(config: ExperimentConfig) -> None:
     if not config.probe_alphas:
         raise ConfigError("probe_alphas must be nonempty")
+    labels = {}
+    for alpha in config.probe_alphas:  # each alpha's risk table is named by its label
+        label = _alpha_label(alpha)
+        if label in labels:
+            raise ConfigError(f"probe_alphas: {labels[label]!r} and {alpha!r} share the table "
+                              f"label {label!r}; alphas must differ at two decimals")
+        labels[label] = alpha
     truth_kind = config.truth_spec["kind"]
     if truth_kind != "generic_g":
         raise ConfigError(f"probe_sweep needs a generic_g truth, got {truth_kind!r}")

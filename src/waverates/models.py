@@ -9,7 +9,9 @@ inverse CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a
 guide table for one truth, so replicates share it; it refuses densities whose
 clipped negative mass exceeds MAX_CLIPPED_MASS.  Empirical coefficients
 average the periodized wavelet at the sample points, read from a cached grid
-of each level's wavelet support.
+of each level's wavelet support.  A level with no more grid cells than
+sample points depends on the sample only through its cell counts, so it is
+summed over those counts; a finer level is summed over the points.
 
 All generation is deterministic given the seed.  Replicated experiments
 derive per-replicate seeds from a master seed through numpy's SeedSequence
@@ -270,12 +272,25 @@ def empirical_coefficients(
 ) -> CoefficientTree:
     """Empirical wavelet coefficients (1/n) sum_i psi_{j,k}(X_i).
 
-    The wavelet is evaluated on a fine grid (resolution j + 8 for level j) by
-    looking up each point's cell.  The cells are computed once at resolution
-    j_max + 8; a coarser level's cells are a right shift of those (exact, as
-    scaling by a power of two is).  Within a level the positions are circular
-    shifts of position 0, so the level is assembled from weighted bin counts
-    over the compact support instead of evaluating each (j, k) separately.
+    The wavelet is evaluated on a fine grid (resolution j + 8 for level j):
+    each point reads the value of its cell.  The cells are computed once at
+    resolution j_max + 8; a coarser level's cells are a right shift of those
+    (exact, as scaling by a power of two is).  Within a level the positions
+    are circular shifts of position 0 by whole blocks of 2^8 cells, so each
+    support block m gives per-block sums S[m, b] over the points in block b,
+    and beta_{j,k} = sum_m S[m, (k + m) mod 2^j], added in increasing m.
+
+    A level takes one of two paths, by n and j alone.  Where it has no more
+    cells than the sample has points (2^(j+8) <= n), S is the contraction of
+    the level's cell counts with the support grid: one bincount at the finest
+    such level, then adjacent cells added pairwise per coarser level (exact,
+    the counts being integers), so the work is per cell, not per point.  Its
+    summation order differs from the per-point sum, by at most the recursive
+    summation bound n eps sum_i |psi_{j,k}(X_i)| / n.  Finer levels, with
+    more cells than points, sum per point: a bincount per support block,
+    bit-identical to summing psi_{j,k} over the points in order.  The
+    scaling coefficient is always the plain sum over the points.  The count
+    arrays hold at most n values, so memory stays O(n).
     """
     if sample.n < 1 or sample.points.size == 0:
         raise ValueError("empty sample")
@@ -287,19 +302,40 @@ def empirical_coefficients(
     scaling = float(np.sum(_scaling_grid(filt)[fine >> j_max]) * inv_n)
     stride = 1 << DENSITY_GRID_PAD
     levels = {}
-    for j in range(j_max + 1):
+    # count levels 0..top: 2^(j+8) <= n; top = -1 when there are none
+    top = max(min(j_max, sample.n.bit_length() - 1 - DENSITY_GRID_PAD), -1)
+    if top >= 0:
+        counts = np.bincount(fine >> (j_max - top), minlength=stride << top).astype(np.float64)
+    for j in range(top, -1, -1):
+        if j < top:
+            counts = counts[0::2] + counts[1::2]
         psi, blocks = _wavelet_support(j, filt)
-        n_pos = 1 << j
+        # einsum without optimize: no BLAS, so no dependence on its threads
+        per_block = np.einsum("bp,mp->mb", counts.reshape(1 << j, stride),
+                              psi.reshape(blocks, stride))
+        levels[j] = _fold(per_block, 1 << j) * inv_n
+    # point levels: 2^(j+8) > n
+    for j in range(top + 1, j_max + 1):
+        psi, blocks = _wavelet_support(j, filt)
         cells = fine >> (j_max - j)
         block = cells >> DENSITY_GRID_PAD
         phase = cells & (stride - 1)
-        beta = np.zeros(n_pos)
-        for m in range(blocks):
-            vals = psi[phase + m * stride]
-            k = (block - m) & (n_pos - 1)
-            beta += np.bincount(k, weights=vals, minlength=n_pos)
-        levels[j] = beta * inv_n
-    return CoefficientTree(d=1, j_max=j_max, scaling=scaling, levels=levels)
+        psi = psi.reshape(blocks, stride)
+        per_block = (np.bincount(block, weights=psi[m][phase], minlength=1 << j)
+                     for m in range(blocks))
+        levels[j] = _fold(per_block, 1 << j) * inv_n
+    # levels in increasing j: sums over a tree's levels follow their order
+    return CoefficientTree(d=1, j_max=j_max, scaling=scaling,
+                           levels={j: levels[j] for j in range(j_max + 1)})
+
+
+def _fold(per_block, n_pos: int) -> np.ndarray:
+    """beta[k] = sum_m per_block[m][(k + m) mod n_pos], added in increasing m."""
+    beta = np.zeros(n_pos)
+    for m, row in enumerate(per_block):
+        beta[: n_pos - m] += row[m:]
+        beta[n_pos - m:] += row[:m]
+    return beta
 
 
 def _cells(points: np.ndarray, res: int) -> np.ndarray:

@@ -8,7 +8,9 @@ from waverates import recordio
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
+    TRUTHS,
     ConfigError,
+    _truth,
     main,
     report_from_dir,
     run,
@@ -341,7 +343,16 @@ REJECTED = {
                                                       "position": 4}), "coordinate 4"),
     "text_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": "big"}),
                        "truth_spec"),
+    "fractional_bump_level": (_rate(truth_spec={"kind": "custom_bump", "level": 1.5}), "level"),
+    "boolean_bump_position": (_rate(truth_spec={"kind": "custom_bump", "position": True}),
+                              "position"),
+    "fractional_j_min": (_rate(truth_spec={"kind": "generic_g", "j_min": 2.7}), "j_min"),
     "empty_probe_alphas": (_rate(experiment_kind="probe_sweep", probe_alphas=[]), "probe_alphas"),
+    # one risk table per two-decimal label: 0.3 and 0.301 would share one file
+    "colliding_probe_alphas": (_rate(experiment_kind="probe_sweep",
+                                     probe_alphas=[0.3, 0.301, -1.0]), "probe_alphas"),
+    "duplicate_probe_alphas": (_rate(experiment_kind="probe_sweep", probe_alphas=[0.5, 0.5]),
+                               "probe_alphas"),
     "probe_without_line": (_rate(experiment_kind="probe_sweep",
                                  truth_spec={"kind": "custom_bump"}), "generic_g"),
     "zero_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": 0}), "kappa"),
@@ -370,3 +381,32 @@ def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):
     assert config.estimator_spec == {"kind": "pinsker", "kappa": 2.0}
     assert config.truth_spec == {"kind": "generic_g", "base_amplitude": 3}
     assert validate_config(rate_config(tmp_path / "o", replicates=4.0)).replicates == 4
+
+
+def test_integral_truth_parameters_parse_like_top_level_integers(tmp_path):
+    bump = validate_config(rate_config(tmp_path / "o", truth_spec={
+        "kind": "custom_bump", "level": 4.0, "position": 3.0}))
+    args = TRUTHS["custom_bump"].args(bump, **{"level": 4.0, "position": 3.0})
+    assert (args["level"], args["position"]) == (4, 3)
+    assert all(type(args[key]) is int for key in ("level", "position"))
+    assert _truth(bump).get(4, 3) == 1.0
+    line = validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "generic_g",
+                                                                   "j_min": 2.0}))
+    assert TRUTHS["generic_g"].args(line, j_min=2.0)["j_min"] == 2
+    for bad in (2.7, True, "two"):
+        with pytest.raises(ConfigError, match="truth_spec: level: expected an integer"):
+            validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "custom_bump",
+                                                                    "level": bad}))
+        with pytest.raises(ConfigError, match="truth_spec: j_min: expected an integer"):
+            validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "generic_g",
+                                                                    "j_min": bad}))
+
+
+def test_probe_alphas_with_distinct_labels_validate(tmp_path):
+    config = validate_config(rate_config(tmp_path / "o", experiment_kind="probe_sweep",
+                                         probe_alphas=[0.3, 0.31, -0.3, 0.0]))
+    assert config.probe_alphas == (0.3, 0.31, -0.3, 0.0)
+    with pytest.raises(ConfigError, match=r"probe_alphas: 0\.3 and 0\.304 share the table "
+                                          r"label 'alphap0_30'"):
+        validate_config(rate_config(tmp_path / "o", experiment_kind="probe_sweep",
+                                    probe_alphas=[0.3, -1.0, 0.304]))

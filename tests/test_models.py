@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,8 +192,10 @@ def test_empirical_coefficients_empty_sample():
 
 
 # -- reference implementations: the searchsorted sampler and the per-level
-# bincount loop over full wavelet grids that DensitySampler and
-# empirical_coefficients must reproduce bit for bit.
+# bincount loop over full wavelet grids that DensitySampler, the scaling
+# coefficient and the per-point levels of empirical_coefficients must
+# reproduce bit for bit, and the exact means that bound the levels it sums
+# over cell counts.
 
 
 def reference_cdf(f_tree, filt):
@@ -244,6 +248,45 @@ def reference_coefficients(points, filt, j_max):
             beta += np.bincount(k, weights=vals, minlength=n_pos)
         levels[j] = beta * (1.0 / n)
     return scaling, levels
+
+
+def count_path_reference(points, filt, j_max):
+    """levels[j] = (means, bounds) for each level j <= j_max with 2^(j+8) <= n
+    cells, the levels empirical_coefficients sums over cell counts.
+
+    A mean is fsum's correctly rounded sum over the points divided by n; its
+    bound is the recursive summation bound n eps sum_i |psi_{j,k}(X_i)| / n.
+    """
+    n = len(points)
+    eps = np.finfo(np.float64).eps
+
+    def mean_and_bound(values):
+        return math.fsum(values) / n, n * eps * math.fsum(np.abs(values)) / n
+
+    levels = {}
+    for j in range(j_max + 1):
+        if 1 << (j + DENSITY_GRID_PAD) > n:
+            break
+        psi = psi_grid(j, filt)
+        cells = grid_cells(points, j + DENSITY_GRID_PAD)
+        pairs = [mean_and_bound(psi[(cells - (k << DENSITY_GRID_PAD)) % len(psi)])
+                 for k in range(1 << j)]
+        levels[j] = tuple(np.array(column) for column in zip(*pairs))
+    return levels
+
+
+def assert_matches_references(beta, per_point, counted):
+    """The scaling coefficient and the levels of beta with more cells than
+    points equal the per-point reference bit for bit; the other levels lie
+    within their recursive summation bounds."""
+    scaling, levels = per_point
+    assert beta.scaling == scaling
+    for j in range(beta.j_max + 1):
+        if j in counted:
+            means, bounds = counted[j]
+            assert np.all(np.abs(beta.level(j) - means) <= bounds), (beta.j_max, j)
+        else:
+            assert np.array_equal(beta.level(j), levels[j]), (beta.j_max, j)
 
 
 def demo_density_truth():
@@ -318,12 +361,12 @@ def test_empirical_coefficients_match_per_level_reference(name):
         [0.0, 1.0, np.nextafter(1.0, 0.0), 0.5, 0.25, 3 / 1024, 1 - 2.0**-20],
     ])
     sample = DensitySample(len(points), points)
-    scaling, levels = reference_coefficients(points, filt, 12)
+    per_point = reference_coefficients(points, filt, 12)
+    counted = count_path_reference(points, filt, 12)
+    assert sorted(counted) == [0, 1, 2, 3]  # 2^11 <= 3007 < 2^12 cells
     for j_max in range(13):
         beta = empirical_coefficients(sample, filt, j_max)
-        assert beta.scaling == scaling
-        for j in range(j_max + 1):
-            assert np.array_equal(beta.level(j), levels[j]), (j_max, j)
+        assert_matches_references(beta, per_point, counted)
 
 
 def test_empirical_coefficients_support_spanning_synthesis_blocks(monkeypatch):
@@ -332,11 +375,9 @@ def test_empirical_coefficients_support_spanning_synthesis_blocks(monkeypatch):
     monkeypatch.setattr(models, "_PSI_CACHE", {})
     filt = get_filter("db10")
     points = np.random.default_rng(3).random(1000)
-    scaling, levels = reference_coefficients(points, filt, 8)
     beta = empirical_coefficients(DensitySample(len(points), points), filt, 8)
-    assert beta.scaling == scaling
-    for j in range(9):
-        assert np.array_equal(beta.level(j), levels[j]), j
+    assert_matches_references(beta, reference_coefficients(points, filt, 8),
+                              count_path_reference(points, filt, 8))
 
 
 def test_empirical_coefficients_cache_keyed_by_taps():
@@ -344,8 +385,35 @@ def test_empirical_coefficients_cache_keyed_by_taps():
     db2 = empirical_coefficients(sample, get_filter("db2"), 4)
     impostor = WaveletFilter(name="db2", taps=np.array(DAUBECHIES_LOWPASS[3]), vanishing_moments=3)
     got = empirical_coefficients(sample, impostor, 4)
-    scaling, levels = reference_coefficients(sample.points, get_filter("db3"), 4)
-    assert got.scaling == scaling
-    for j in range(5):
-        assert np.array_equal(got.level(j), levels[j])
+    db3 = get_filter("db3")
+    counted = count_path_reference(sample.points, db3, 4)
+    assert_matches_references(got, reference_coefficients(sample.points, db3, 4), counted)
+    _, bounds = counted[0]  # level 0 is summed over cell counts
+    assert np.all(np.abs(got.level(0) - db2.level(0)) > 1e6 * bounds)
     assert not np.array_equal(got.level(4), db2.level(4))
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_empirical_coefficients_count_path_from_one_point_per_cell(j):
+    # n = 2^(j+8) copies of one point: level j has one cell per point, so it
+    # and every coarser level are summed over cell counts, where n psi / n is
+    # exactly the grid value psi; the per-point sum of n copies rounds.
+    filt = get_filter("db2")
+    n, x = 1 << (j + DENSITY_GRID_PAD), 0.618
+    points = np.full(n, x)
+    beta = empirical_coefficients(DensitySample(n, points), filt, j + 2)
+    scaling, levels = reference_coefficients(points, filt, j + 2)
+    assert beta.scaling == scaling
+    for level in range(j + 1):
+        psi = psi_grid(level, filt)
+        cell = grid_cells(points[:1], level + DENSITY_GRID_PAD)[0]
+        exact = psi[(cell - (np.arange(1 << level) << DENSITY_GRID_PAD)) % len(psi)]
+        assert np.array_equal(beta.level(level), exact), level
+    assert not np.array_equal(levels[j], exact)  # so the per-point path would fail
+    for level in (j + 1, j + 2):
+        assert np.array_equal(beta.level(level), levels[level]), level
+    # one point fewer: level j has more cells than points and is summed per point
+    fewer = points[:-1]
+    beta = empirical_coefficients(DensitySample(n - 1, fewer), filt, j + 2)
+    assert_matches_references(beta, reference_coefficients(fewer, filt, j + 2),
+                              count_path_reference(fewer, filt, j + 2))
