@@ -3,15 +3,19 @@
 Draws i.i.d. points from a wavelet-specified density, recovers coefficients
 by averaging the periodized wavelet over the sample, thresholds them at
 sqrt(log n / n), and compares the estimate's coefficients with the truth.
+The empirical coefficients form a tree like a sequence observation's, so the
+sequence model's projection rule applies to them unchanged.
 """
 
 import numpy as np
 
 from waverates import (
+    WeightProfile,
     density_threshold_estimate,
     density_truth_tree,
     empirical_coefficients,
     get_filter,
+    linear_estimate,
     sample_density,
     shell_tree,
     synthesize,
@@ -37,6 +41,8 @@ print(f"kept {kept} of {total} empirical coefficients")
 err = estimate - truth
 print(f"coefficient-space squared error: {err.total_energy():.5f}")
 print(f"trivial estimate (uniform) squared error: {truth.wavelet_energy():.5f}")
+projection = linear_estimate(beta, WeightProfile.projection(16.0))
+print(f"projection onto levels 2^j < 16 squared error: {(projection - truth).total_energy():.5f}")
 
 print("\nper-level recovered coefficient counts:")
 for j in sorted(estimate.levels):

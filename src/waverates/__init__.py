@@ -5,9 +5,10 @@ The package is organized around a single data structure, the dyadic
 ``CoefficientTree``: truths, observations and estimates all live in it.
 ``wavelet`` moves between trees and grid functions on [0, 1]; ``spaces``
 measures trees (Besov norms, weak functionals, scaling functions);
-``generic`` builds the explicit saturating function and its probe line;
-``models`` simulates observations; ``estimators`` maps observations to
-estimates; ``rates`` holds the closed-form exponents and the risk engine;
+``generic`` builds the explicit saturating function; ``truths`` builds the
+experiments' truths; ``models`` simulates observations; ``estimators`` maps
+observed coefficient trees to estimates; ``rates`` holds the closed-form
+exponents and the risk engine, whose estimator kinds fix the model;
 ``cli`` orchestrates reproducible experiments from JSON configs.
 """
 
@@ -19,7 +20,6 @@ from .estimators import (
     WeightProfile,
     choose_mn,
     classify_rule,
-    density_linear_estimate,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
@@ -27,13 +27,7 @@ from .estimators import (
     threshold_estimate,
     universal_threshold,
 )
-from .generic import (
-    GenericFunctionSpec,
-    ProbeDraw,
-    build_g,
-    probe_perturb,
-    weak_exclusion_witness,
-)
+from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from .models import (
     DensitySample,
     DensitySampler,
@@ -44,7 +38,6 @@ from .models import (
 )
 from .rates import (
     EstimatorSpec,
-    ModelSpec,
     RateRegime,
     RiskRow,
     RiskTable,

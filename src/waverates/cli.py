@@ -53,7 +53,6 @@ from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from .rates import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
-    ModelSpec,
     RiskRow,
     RiskTable,
     fit_slope,
@@ -206,6 +205,11 @@ def _validated(raw: dict) -> ExperimentConfig:
     if monte_carlo and estimator.model != experiment.model:
         raise ConfigError(f"estimator {estimator.kind!r} is incompatible with experiment kind "
                           f"{kind!r}")
+    kind_params = ESTIMATOR_KINDS[estimator.kind].params
+    unread = sorted(set(config.estimator_spec) - {"kind", *kind_params})
+    if unread:
+        raise ConfigError(f"estimator_spec.{unread[0]}: estimator {estimator.kind!r} does not "
+                          f"read it; it reads {list(kind_params)}")
 
     if monte_carlo:
         if not config.n_grid or any(b <= a for a, b in zip(config.n_grid, config.n_grid[1:])):
@@ -214,6 +218,8 @@ def _validated(raw: dict) -> ExperimentConfig:
             raise ConfigError("n_grid entries must be >= 2")
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    if config.master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {config.master_seed}")
     if monte_carlo and config.replicates < 2:
         raise ConfigError("replicates must be >= 2: the risk standard error needs two")
 
@@ -255,8 +261,9 @@ def _validated(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"tolerances: unknown key {unknown[0]!r} for {kind}; "
                           f"expected any of {sorted(experiment.tolerances)}")
+    defaults = {"kappa": estimator.kappa} if "kappa" in kind_params else {}
     config = replace(config, truth_spec={"kind": truth_kind, **truth_spec},
-                     estimator_spec={"kind": estimator.kind, "kappa": estimator.kappa,
+                     estimator_spec={"kind": estimator.kind, **defaults,
                                      **config.estimator_spec})
     experiment.check(config)
     return config
@@ -344,12 +351,11 @@ def _risk_name(config: ExperimentConfig, label: str) -> str:
 def _risk_tables(config: ExperimentConfig, labels, truths):
     """Risk and slope tables of each truth, named by its label, and their slope
     fits; the truths are observed under one noise draw per (n, replicate)."""
-    model = EXPERIMENTS[config.experiment_kind].model
-    model_spec = ModelSpec(kind=model, filter_name=config.filter,
-                           j_max=None if model == "density" else config.j_max)
-    risks = monte_carlo_risk(tuple(truths), _estimator(config), model_spec,
-                             config.n_grid, config.replicates, config.smoothness.p,
-                             config.master_seed, threads=config.threads)
+    estimator = _estimator(config)
+    risks = monte_carlo_risk(tuple(truths), estimator, config.n_grid, config.replicates,
+                             config.smoothness.p, config.master_seed, filter_name=config.filter,
+                             j_max=None if estimator.model == "density" else config.j_max,
+                             threads=config.threads)
     fits = [fit_slope(table, _regime(config).normalization) for table in risks]
     tables = []
     for label, table, fit in zip(labels, risks, fits):
@@ -514,8 +520,11 @@ EXPERIMENTS = {
 
 def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     def read(name: str) -> list[list[float]]:
-        _, rows = recordio.read_table(out_dir / name)
-        return [[float(v) for v in row] for row in rows]
+        try:
+            _, rows = recordio.read_table(out_dir / name)
+            return [[float(v) for v in row] for row in rows]
+        except ValueError as exc:
+            raise ConfigError(f"damaged table {out_dir / name}: {exc}") from None
 
     return EXPERIMENTS[config.experiment_kind].verdicts(config, read)
 

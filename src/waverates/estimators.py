@@ -1,11 +1,14 @@
-"""Estimation procedures on sequence observations and empirical coefficients.
+"""Estimation procedures: maps from an observed coefficient tree to an estimate.
 
-Linear rules apply smoothing weights coefficient-wise (projection and Pinsker
+The observed tree is a sequence observation's y or the empirical
+coefficients of a density sample; the rules do not depend on which.  Linear
+rules apply smoothing weights coefficient-wise (projection and Pinsker
 profiles built in); thresholding keeps or shrinks observed coefficients
 against the universal threshold sqrt(log n / n) up to the noise-matched depth
-j(n).  The shrinkage-trace machinery classifies realized rules as limited
-(significant weights confined to coarse scales) or elitist (significant
-weights confined to large observations).
+j(n), and the density threshold is the strict, kappa-free variant.  The
+shrinkage-trace machinery classifies realized rules on sequence observations
+as limited (significant weights confined to coarse scales) or elitist
+(significant weights confined to large observations).
 
 Throughout, "log" is the natural logarithm and the scaling coefficient is
 passed through untouched: every procedure acts on wavelet coefficients only.
@@ -31,7 +34,6 @@ __all__ = [
     "linear_estimate",
     "choose_mn",
     "threshold_estimate",
-    "density_linear_estimate",
     "density_threshold_estimate",
     "classify_rule",
     "shrinkage_trace",
@@ -126,9 +128,8 @@ def choose_mn(params: SmoothnessParams, n: int) -> float:
     return float(n) ** (1.0 / (2.0 * (s - d / r + d / p) + d))
 
 
-def linear_estimate(obs: SequenceObservation, w: WeightProfile) -> CoefficientTree:
-    """Coefficient-wise weighted observation; scaling passed through with weight 1."""
-    y = obs.y
+def linear_estimate(y: CoefficientTree, w: WeightProfile) -> CoefficientTree:
+    """Coefficient-wise weighted observed tree; scaling passed through with weight 1."""
     levels = {}
     for j, arr in y.levels.items():
         wj = w.level_weight(j)
@@ -166,19 +167,17 @@ class ThresholdConfig:
         return noise_depth(self.n)
 
 
-def threshold_estimate(obs: SequenceObservation, cfg: ThresholdConfig) -> CoefficientTree:
+def threshold_estimate(y: CoefficientTree, cfg: ThresholdConfig) -> CoefficientTree:
     """Hard or soft thresholding at kappa * t_n on levels j <= j(n).
 
     Hard keeps y when |y| >= kappa t_n (boundary kept); soft shrinks by
     sign(y) (|y| - kappa t_n)_+.  Levels above j(n) are zeroed; the scaling
     coefficient is passed through untouched.
     """
-    if cfg.n != obs.n:
-        raise ValueError(f"config n={cfg.n} does not match observation n={obs.n}")
     lam = cfg.kappa * cfg.t_n
     if cfg.mode == "hard":
-        return _thresholded(obs.y, cfg.j_n, lambda a: np.where(np.abs(a) >= lam, a, 0.0))
-    return _thresholded(obs.y, cfg.j_n, lambda a: np.sign(a) * np.maximum(np.abs(a) - lam, 0.0))
+        return _thresholded(y, cfg.j_n, lambda a: np.where(np.abs(a) >= lam, a, 0.0))
+    return _thresholded(y, cfg.j_n, lambda a: np.sign(a) * np.maximum(np.abs(a) - lam, 0.0))
 
 
 def _thresholded(tree: CoefficientTree, j_cut: int, rule) -> CoefficientTree:
@@ -191,14 +190,6 @@ def _thresholded(tree: CoefficientTree, j_cut: int, rule) -> CoefficientTree:
         if est.any():
             levels[j] = est
     return CoefficientTree(d=tree.d, j_max=tree.j_max, scaling=tree.scaling, levels=levels)
-
-
-def density_linear_estimate(beta_hat: CoefficientTree, j_max_keep: int) -> CoefficientTree:
-    """Projection form of the density estimator: truncate at level j_max_keep."""
-    levels = {j: arr for j, arr in beta_hat.levels.items() if j <= j_max_keep}
-    return CoefficientTree(
-        d=beta_hat.d, j_max=beta_hat.j_max, scaling=beta_hat.scaling, levels=levels
-    )
 
 
 def density_threshold_estimate(beta_hat: CoefficientTree, n: int) -> CoefficientTree:

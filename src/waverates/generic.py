@@ -1,11 +1,11 @@
-"""The explicit saturating function and probe perturbations.
+"""The explicit saturating function and its weak-exclusion witness.
 
 Builds the coefficient tree whose entries combine a smoothness envelope with
-an irreducible-dyadic-fraction weight and a polynomial-in-j damping; sweeps
-of the affine line f + alpha * g operationalize the genericity experiments,
-and the exclusion witness evaluates the closed-form lower bound on the weak
-functional whose growth in the threshold exponent certifies that the
-construction saturates the weak scaling function.
+an irreducible-dyadic-fraction weight and a polynomial-in-j damping; the
+genericity experiments probe the line f + alpha * g of
+truths.probe_line_truth.  The exclusion witness evaluates the closed-form
+lower bound on the weak functional whose growth in the threshold exponent
+certifies that the construction saturates the weak scaling function.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from .spaces import theoretical_weak_scaling
 
 __all__ = [
     "GenericFunctionSpec",
-    "ProbeDraw",
     "build_g",
-    "probe_perturb",
     "weak_exclusion_witness",
 ]
 
@@ -49,24 +47,6 @@ class GenericFunctionSpec:
         return 1.0 + 3.0 / self.r
 
 
-@dataclass(frozen=True)
-class ProbeDraw:
-    """A point of the one-dimensional probe: a coefficient alpha in [-1, 1]."""
-
-    alpha: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not -1.0 <= self.alpha <= 1.0:
-            raise ValueError(f"probe coefficient must lie in [-1, 1], got {self.alpha}")
-
-    @classmethod
-    def uniform(cls, seed: int) -> "ProbeDraw":
-        """Draw alpha uniformly on [-1, 1] (Lebesgue measure on the unit ball)."""
-        rng = np.random.default_rng(seed)
-        return cls(alpha=float(rng.uniform(-1.0, 1.0)), seed=seed)
-
-
 def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
     """Coefficient tree of the saturating function.
 
@@ -85,13 +65,6 @@ def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
         J = reduced_level_array(j, d)
         levels[j] = 2.0 ** (-envelope * j - (d / r) * J) / float(j) ** spec.exponent_a
     return CoefficientTree(d=d, j_max=spec.j_max, scaling=0.0, levels=levels)
-
-
-def probe_perturb(f: CoefficientTree, g: CoefficientTree, draw: ProbeDraw) -> CoefficientTree:
-    """The probe point f + alpha * g, coefficient-wise."""
-    if f.d != g.d:
-        raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    return f + draw.alpha * g
 
 
 def weak_exclusion_witness(

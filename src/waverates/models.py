@@ -3,15 +3,17 @@
 Sequence observations add independent Gaussian noise of standard deviation
 n^{-1/2} to every coefficient up to the requested depth, zero coefficients
 included.  The risk engine requests the depth its estimator reads, and
-``observe`` adds one noise draw to several truths.  Density samples are drawn
-from the normalized, nonnegative part of a wavelet-specified density by
-inverse CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a
-guide table for one truth, so replicates share it; it refuses densities whose
-clipped negative mass exceeds MAX_CLIPPED_MASS.  Empirical coefficients
-average the periodized wavelet at the sample points, read from a cached grid
-of each level's wavelet support.  A level with no more grid cells than
+``observe`` adds one noise draw to several truths, giving each its observed
+coefficient tree.  Density samples are drawn from the normalized,
+nonnegative part of a wavelet-specified density by inverse CDF on a fine
+dyadic grid.  A DensitySampler holds that CDF and a guide table for one
+truth, so replicates share it; it refuses densities whose clipped negative
+mass exceeds MAX_CLIPPED_MASS.  Empirical coefficients average the
+periodized wavelet at the sample points, read from a cached grid of each
+level's wavelet support.  A level with no more grid cells than
 sample points depends on the sample only through its cell counts, so it is
-summed over those counts; a finer level is summed over the points.
+summed over those counts; a finer level is summed over the points.  The
+observed trees of both models feed the same estimators.
 
 All generation is deterministic given the seed.  Replicated experiments
 derive per-replicate seeds from a master seed through numpy's SeedSequence
@@ -55,8 +57,6 @@ class SequenceObservation:
 
     n: int
     y: CoefficientTree
-    truth_ref: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -69,8 +69,6 @@ class DensitySample:
 
     n: int
     points: np.ndarray
-    truth_ref: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
@@ -83,9 +81,7 @@ class DensitySample:
         object.__setattr__(self, "points", points)
 
 
-def simulate_sequence(
-    theta: CoefficientTree, n: int, j_max: int, seed, truth_ref: str = ""
-) -> SequenceObservation:
+def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> SequenceObservation:
     """Observe theta under Gaussian noise of standard deviation n^{-1/2}.
 
     Every index up to j_max receives noise, including indices where theta is
@@ -107,15 +103,15 @@ def simulate_sequence(
         base = theta.levels.get(j)
         levels[j] = noise if base is None else base + noise
     y = CoefficientTree(d=theta.d, j_max=j_max, scaling=scaling, levels=levels)
-    seed_repr = seed if isinstance(seed, int) else 0
-    return SequenceObservation(n=n, y=y, truth_ref=truth_ref, seed=seed_repr)
+    return SequenceObservation(n=n, y=y)
 
 
-def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> SequenceObservation:
-    """theta observed to depth j_max under the noise of an observation of zero.
+def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> CoefficientTree:
+    """The tree of theta observed to depth j_max under the noise of an
+    observation of zero.
 
     noise is simulate_sequence(zero tree, n, J, seed) with J >= j_max.  The
-    result equals simulate_sequence(theta, n, j_max, seed) bit for bit: the
+    result equals simulate_sequence(theta, n, j_max, seed).y bit for bit: the
     draws of levels 0..j_max do not depend on J, the zero tree's observation
     is the draw itself, and each sum here is the one simulate_sequence forms.
     """
@@ -127,9 +123,8 @@ def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> S
     for j in range(j_max + 1):
         base = theta.levels.get(j)
         levels[j] = y.levels[j] if base is None else base + y.levels[j]
-    tree = CoefficientTree(d=theta.d, j_max=j_max, scaling=theta.scaling + y.scaling,
+    return CoefficientTree(d=theta.d, j_max=j_max, scaling=theta.scaling + y.scaling,
                            levels=levels)
-    return SequenceObservation(n=noise.n, y=tree, seed=noise.seed)
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,7 @@ class DensitySampler:
         cells[short] = np.searchsorted(self.cum, u[short], side="left")
         return cells
 
-    def sample(self, n: int, seed, truth_ref: str = "") -> DensitySample:
+    def sample(self, n: int, seed) -> DensitySample:
         """Draw n i.i.d. points; bit-identical for identical (n, seed)."""
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -201,19 +196,16 @@ class DensitySampler:
         left = np.where(cells > 0, self.cum[cells - 1], 0.0)
         frac = (u - left) / self.masses[cells]
         points = (cells + np.clip(frac, 0.0, 1.0)) / (1 << self.res)
-        seed_repr = seed if isinstance(seed, int) else 0
-        return DensitySample(n=n, points=points, truth_ref=truth_ref, seed=seed_repr)
+        return DensitySample(n=n, points=points)
 
 
-def sample_density(
-    f_tree: CoefficientTree, filt: WaveletFilter, n: int, seed, truth_ref: str = ""
-) -> DensitySample:
+def sample_density(f_tree: CoefficientTree, filt: WaveletFilter, n: int, seed) -> DensitySample:
     """Draw n i.i.d. points from the density specified by a coefficient tree.
 
     One-shot form of DensitySampler.from_tree(f_tree, filt).sample(n, seed);
     repeated draws from one truth should build the sampler once.
     """
-    return DensitySampler.from_tree(f_tree, filt).sample(n, seed, truth_ref)
+    return DensitySampler.from_tree(f_tree, filt).sample(n, seed)
 
 
 # Per filter taps (and level): the support slice of the level's wavelet grid

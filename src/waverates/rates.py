@@ -3,10 +3,13 @@
 The closed-form rate formulas return the polynomial exponent alpha together
 with its regime (dense or sparse branch, and whether the rate is polynomial
 in n or in n / log n).  The risk engine estimates E ||estimate - truth||_p^p
-over replicated simulations, and the slope fitter regresses log risk on the
-log of the normalization to recover the empirical exponent; the asymptotic
-"same rate" relation only constrains the ratio of logs, so an ordinary
-least-squares slope in log-log coordinates is its finite-sample proxy.
+over replicated simulations in the observation model that the estimator
+kind fixes (Gaussian sequence or density sample; either way the estimate
+maps an observed coefficient tree to a tree), and the slope fitter regresses
+log risk on the log of the normalization to recover the empirical exponent;
+the asymptotic "same rate" relation only constrains the ratio of logs, so an
+ordinary least-squares slope in log-log coordinates is its finite-sample
+proxy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .estimators import (
     ThresholdConfig,
     WeightProfile,
     choose_mn,
-    density_linear_estimate,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
@@ -43,7 +45,6 @@ __all__ = [
     "EstimatorKind",
     "EstimatorSpec",
     "ESTIMATOR_KINDS",
-    "ModelSpec",
     "minimax_rate",
     "linear_minimax_rate",
     "generic_alpha",
@@ -191,10 +192,11 @@ class SlopeFit:
 class EstimatorSpec:
     """Estimator selection for the risk engine.
 
-    kind is a key of ESTIMATOR_KINDS, which gives its model and family.  The
-    linear kinds derive their cutoff from choose_mn at the given smoothness,
-    or use fixed_m_n (finite, >= 0; m_n <= 1 keeps no level); thresholds use
-    kappa.  Numbers are coerced to float.
+    kind is a key of ESTIMATOR_KINDS, which gives its model, family and the
+    parameters it reads.  The linear kinds derive their cutoff from choose_mn
+    at the given smoothness, or use fixed_m_n (finite, >= 0; m_n <= 1 keeps
+    no level); the sequence thresholds use kappa.  Numbers are coerced to
+    float.
     """
 
     kind: str
@@ -233,33 +235,6 @@ class EstimatorSpec:
     @property
     def family(self) -> str:
         return ESTIMATOR_KINDS[self.kind].family
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Observation model for the risk engine.
-
-    j_max fixes the model's depth; when omitted, sequence observations have
-    the truth's depth and density coefficients the estimator's read depth.
-    Each replicate is observed only up to the estimator's read depth (the
-    ESTIMATOR_KINDS column) within the model's depth: no estimator reads a
-    deeper level, and its estimate is that of the model-depth observation.
-    """
-
-    kind: str
-    filter_name: str = "db2"
-    j_max: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("sequence", "density"):
-            raise ValueError(f"model kind must be 'sequence' or 'density', got {self.kind!r}")
-
-    def depth(self, truth: CoefficientTree, read_depth: int) -> int:
-        """The model's depth for truth: j_max, else the truth's depth (sequence)
-        or read_depth (density)."""
-        if self.j_max is not None:
-            return self.j_max
-        return truth.j_max if self.kind == "sequence" else read_depth
 
 
 def _last_level(profile: WeightProfile) -> int:
@@ -312,20 +287,16 @@ def _loss(estimate, truth, truth_energy, p, filt, depth) -> float:
     return lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p)
 
 
-def _projection(est, obs, n):
-    return linear_estimate(obs, WeightProfile.projection(est.cutoff(n)))
+def _projection(est, y, n):
+    return linear_estimate(y, WeightProfile.projection(est.cutoff(n)))
 
 
-def _pinsker(est, obs, n):
-    return linear_estimate(obs, _pinsker_profile(est, n))
+def _pinsker(est, y, n):
+    return linear_estimate(y, _pinsker_profile(est, n))
 
 
-def _threshold(mode, est, obs, n):
-    return threshold_estimate(obs, ThresholdConfig(n=n, kappa=est.kappa, mode=mode))
-
-
-def _density_linear(est, beta_hat, n):
-    return density_linear_estimate(beta_hat, _linear_cutoff_level(est.cutoff(n)))
+def _threshold(mode, est, y, n):
+    return threshold_estimate(y, ThresholdConfig(n=n, kappa=est.kappa, mode=mode))
 
 
 def _density_threshold(est, beta_hat, n):
@@ -345,30 +316,36 @@ def _threshold_depth(est, n):
 
 
 class EstimatorKind(NamedTuple):
-    """An estimator kind: its model, its rate family, estimate(spec, observation
-    or empirical coefficient tree, n) -> estimate tree, and read_depth(spec, n),
-    the deepest level the estimate reads (>= 0); it holds no deeper level."""
+    """An estimator kind: the observation model the risk engine draws for it
+    ("sequence" or "density"), its rate family, estimate(spec, observed
+    coefficient tree, n) -> estimate tree, read_depth(spec, n), the deepest
+    level the estimate reads (>= 0; it holds no deeper level), and params,
+    the EstimatorSpec parameters besides kind and smoothness that it reads."""
 
     model: str
     family: str
     estimate: Callable
     read_depth: Callable
+    params: tuple[str, ...]
 
 
 ESTIMATOR_KINDS = {
-    "projection": EstimatorKind("sequence", "linear", _projection, _linear_depth),
-    "pinsker": EstimatorKind("sequence", "linear", _pinsker, _pinsker_depth),
+    "projection": EstimatorKind("sequence", "linear", _projection, _linear_depth,
+                                ("fixed_m_n",)),
+    "pinsker": EstimatorKind("sequence", "linear", _pinsker, _pinsker_depth,
+                             ("fixed_m_n", "pinsker_order")),
     "threshold_hard": EstimatorKind("sequence", "threshold", partial(_threshold, "hard"),
-                                    _threshold_depth),
+                                    _threshold_depth, ("kappa",)),
     "threshold_soft": EstimatorKind("sequence", "threshold", partial(_threshold, "soft"),
-                                    _threshold_depth),
-    "density_linear": EstimatorKind("density", "linear", _density_linear, _linear_depth),
+                                    _threshold_depth, ("kappa",)),
+    "density_linear": EstimatorKind("density", "linear", _projection, _linear_depth,
+                                    ("fixed_m_n",)),
     "density_threshold": EstimatorKind("density", "threshold", _density_threshold,
-                                       _threshold_depth),
+                                       _threshold_depth, ()),
 }
 
 
-def _one_replicate(truths, energies, est, model, n, p, filt, seed, samplers):
+def _one_replicate(truths, energies, est, n, p, filt, j_max, seed, samplers):
     """The loss of every truth's estimate on the replicate drawn from seed.
 
     Sequence truths share one noise draw, to the deepest depth any of them
@@ -377,43 +354,56 @@ def _one_replicate(truths, energies, est, model, n, p, filt, seed, samplers):
     """
     kind = ESTIMATOR_KINDS[est.kind]
     read = kind.read_depth(est, n)
-    depths = [model.depth(truth, read) for truth in truths]
+    density = samplers is not None
+    depths = [j_max if j_max is not None else read if density else truth.j_max
+              for truth in truths]
     reads = [min(read, depth) for depth in depths]
-    if model.kind == "sequence":
+    if density:
+        observed = [empirical_coefficients(sampler.sample(n, seed), filt, j)
+                    for sampler, j in zip(samplers, reads)]
+    else:
         top = max(reads)
         noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
         observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
-    else:
-        observed = [empirical_coefficients(sampler.sample(n, seed), filt, j)
-                    for sampler, j in zip(samplers, reads)]
-    return [_loss(kind.estimate(est, obs, n), truth, energy, p, filt, depth)
-            for obs, truth, energy, depth in zip(observed, truths, energies, depths)]
+    return [_loss(kind.estimate(est, y, n), truth, energy, p, filt, depth)
+            for y, truth, energy, depth in zip(observed, truths, energies, depths)]
 
 
 def monte_carlo_risk(
-    truth: CoefficientTree | tuple[CoefficientTree, ...],
-    estimator_cfg: EstimatorSpec,
-    model_cfg: ModelSpec,
+    truths: tuple[CoefficientTree, ...],
+    estimator: EstimatorSpec,
     n_grid,
     R: int,
     p: float,
     master_seed: int,
+    *,
+    filter_name: str = "db2",
+    j_max: int | None = None,
     threads: int = 1,
-) -> RiskTable | tuple[RiskTable, ...]:
-    """Empirical risk E ||estimate - truth||_p^p over an increasing n-grid.
+) -> tuple[RiskTable, ...]:
+    """Empirical risk E ||estimate - truth||_p^p of each truth over an
+    increasing n-grid, one RiskTable per truth.
+
+    The estimator's kind fixes the observation model: Gaussian sequence
+    observations of the truth, or empirical coefficients of a sample from
+    the density the truth specifies.  filter_name is the wavelet of the
+    density model and of the p != 2 loss quadrature.  j_max fixes the
+    model's depth; when omitted, sequence observations have the truth's depth
+    and density coefficients the estimator's read depth.  Each replicate is
+    observed only up to the estimator's read depth (the ESTIMATOR_KINDS
+    column) within the model's depth: no estimator reads a deeper level, and
+    its estimate is that of the model-depth observation.
 
     Each of the R replicates at each n simulates, estimates and evaluates the
-    loss with a seed derived from (master_seed, n, replicate), so the table is
-    bit-identical across reruns and independent of scheduling; replicates may
-    evaluate on a thread pool, the reduction order is fixed.  The density
+    loss with a seed derived from (master_seed, n, replicate), so the tables
+    are bit-identical across reruns and independent of scheduling; replicates
+    may evaluate on a thread pool, the reduction order is fixed.  The density
     model builds one DensitySampler per truth, shared by all replicates.
 
-    Given a tuple of truths (of one dimension), it returns one RiskTable per
-    truth, each equal to that truth's own table: the seed does not depend on
-    the truth, so every truth is observed under the same noise (common random
-    numbers), which each replicate draws once.
+    The truths (of one dimension) do not enter the seed, so every truth is
+    observed under the same noise (common random numbers), which each
+    replicate draws once, and each table equals that of the truth alone.
     """
-    truths = truth if isinstance(truth, tuple) else (truth,)
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("n_grid must be nonempty and strictly increasing")
@@ -421,13 +411,9 @@ def monte_carlo_risk(
         raise ValueError("need at least 2 replicates for a standard error")
     if not truths or len({t.d for t in truths}) != 1:
         raise ValueError("need at least one truth, all of one dimension")
-    if estimator_cfg.model != model_cfg.kind:
-        raise ValueError(
-            f"estimator {estimator_cfg.kind!r} is incompatible with the {model_cfg.kind} model"
-        )
-    filt = get_filter(model_cfg.filter_name)
+    filt = get_filter(filter_name)
     samplers = None
-    if model_cfg.kind == "density":
+    if estimator.model == "density":
         samplers = [DensitySampler.from_tree(t, filt) for t in truths]
     energies = [_level_energies(t) for t in truths]
     losses = np.empty((len(truths), len(n_grid), R))
@@ -436,8 +422,8 @@ def monte_carlo_risk(
         i, rep = i_rep
         n = n_grid[i]
         seed = np.random.SeedSequence((master_seed, n, rep))
-        return i, rep, _one_replicate(truths, energies, estimator_cfg, model_cfg, n, p, filt,
-                                      seed, samplers)
+        return i, rep, _one_replicate(truths, energies, estimator, n, p, filt, j_max, seed,
+                                      samplers)
 
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
     if threads > 1:
@@ -449,7 +435,7 @@ def monte_carlo_risk(
             i, rep, values = task(job)
             losses[:, i, rep] = values
 
-    tables = tuple(
+    return tuple(
         RiskTable(rows=tuple(
             RiskRow(
                 n=n,
@@ -461,7 +447,6 @@ def monte_carlo_risk(
         ), loss_p=p)
         for per_truth in losses
     )
-    return tables if isinstance(truth, tuple) else tables[0]
 
 
 def fit_slope(table: RiskTable, normalization: str) -> SlopeFit:

@@ -62,8 +62,14 @@ def write_table(path, columns: list[str], rows, manifest_hash: str = "") -> None
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read back a table written by write_table (comment rows skipped)."""
+    """Read back a table written by write_table (comment rows skipped); raises
+    ValueError for a missing column header or a row of another width."""
     path = Path(path)
     with path.open() as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    if not rows:
+        raise ValueError("no column header")
+    ragged = [row for row in rows if len(row) != len(rows[0])]
+    if ragged:
+        raise ValueError(f"row {ragged[0]} has {len(ragged[0])} cells, the header {len(rows[0])}")
     return rows[0], rows[1:]

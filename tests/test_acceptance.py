@@ -30,7 +30,6 @@ from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witne
 from waverates.models import empirical_coefficients, sample_density, simulate_sequence
 from waverates.rates import (
     EstimatorSpec,
-    ModelSpec,
     fit_slope,
     generic_alpha,
     monte_carlo_risk,
@@ -49,7 +48,6 @@ N_GRID = [2**j for j in range(10, 19)]
 R = 32
 DENSE = SmoothnessParams(s=2, r=2, p=2, d=1)
 SPARSE = SmoothnessParams(s=1.2, r=1, p=4, d=1)
-SEQ_MODEL = ModelSpec(kind="sequence", filter_name="db2")
 THREADS = 4
 
 
@@ -71,8 +69,8 @@ def dense_truth():
 
 @pytest.fixture(scope="module")
 def dense_threshold_fit(dense_truth):
-    table = monte_carlo_risk(dense_truth, EstimatorSpec("threshold_hard", kappa=2.0),
-                             SEQ_MODEL, N_GRID, R, 2.0, 20240801, threads=THREADS)
+    (table,) = monte_carlo_risk((dense_truth,), EstimatorSpec("threshold_hard", kappa=2.0),
+                                N_GRID, R, 2.0, 20240801, threads=THREADS)
     return fit_slope(table, "n_over_log_n")
 
 
@@ -83,14 +81,14 @@ def sparse_truth():
 
 @pytest.fixture(scope="module")
 def sparse_linear_table(sparse_truth):
-    return monte_carlo_risk(sparse_truth, EstimatorSpec("projection", smoothness=SPARSE),
-                            SEQ_MODEL, N_GRID, R, 4.0, 7, threads=THREADS)
+    return monte_carlo_risk((sparse_truth,), EstimatorSpec("projection", smoothness=SPARSE),
+                            N_GRID, R, 4.0, 7, threads=THREADS)[0]
 
 
 @pytest.fixture(scope="module")
 def sparse_threshold_table(sparse_truth):
-    return monte_carlo_risk(sparse_truth, EstimatorSpec("threshold_hard", kappa=2.0),
-                            SEQ_MODEL, N_GRID, R, 4.0, 7, threads=THREADS)
+    return monte_carlo_risk((sparse_truth,), EstimatorSpec("threshold_hard", kappa=2.0),
+                            N_GRID, R, 4.0, 7, threads=THREADS)[0]
 
 
 # -- criteria -----------------------------------------------------------------
@@ -162,10 +160,9 @@ def test_criterion_5_weak_exclusion_growth():
 
 
 def test_criterion_6_closed_form_gaussian_risk():
-    truth = CoefficientTree.zeros(1, 8)
-    model = ModelSpec(kind="sequence", filter_name="db2", j_max=8)
-    table = monte_carlo_risk(truth, EstimatorSpec("projection", fixed_m_n=32.0), model,
-                             [2**10, 2**14], R, 2.0, 123, threads=THREADS)
+    truths = (CoefficientTree.zeros(1, 8),)
+    (table,) = monte_carlo_risk(truths, EstimatorSpec("projection", fixed_m_n=32.0),
+                                [2**10, 2**14], R, 2.0, 123, j_max=8, threads=THREADS)
     ok = True
     for row in table.rows:
         good = abs(row.empirical_risk * row.n - 32.0) <= 3.0 * row.std_error * row.n
@@ -186,8 +183,8 @@ def test_criterion_7_maxiset_bound_stability(sparse_linear_table):
 
 def test_criterion_8_one_sided_lower_bounds(dense_truth, dense_threshold_fit):
     # limited rule: the tuned projection must not beat the generic exponent
-    table = monte_carlo_risk(dense_truth, EstimatorSpec("projection", smoothness=DENSE),
-                             SEQ_MODEL, N_GRID, R, 2.0, 20240801, threads=THREADS)
+    (table,) = monte_carlo_risk((dense_truth,), EstimatorSpec("projection", smoothness=DENSE),
+                                N_GRID, R, 2.0, 20240801, threads=THREADS)
     proj = fit_slope(table, "n")
     limited_alpha = generic_alpha("limited", DENSE).alpha
     elitist_alpha = generic_alpha("elitist", DENSE).alpha
@@ -244,12 +241,12 @@ def test_criterion_9_structural_suites(tmp_path):
         obs = simulate_sequence(truth, 256, 5, seed=seed)
         cfg = ThresholdConfig(n=256, kappa=2.0, mode="hard")
         elitist = classify_rule(
-            shrinkage_trace(obs, threshold_estimate(obs, cfg)),
+            shrinkage_trace(obs, threshold_estimate(obs.y, cfg)),
             ShrinkageClass("elitist", cfg.kappa * cfg.t_n * 0.999, 0.5),
         )
         m_n = choose_mn(DENSE, 256)
         limited = classify_rule(
-            shrinkage_trace(obs, linear_estimate(obs, WeightProfile.projection(m_n))),
+            shrinkage_trace(obs, linear_estimate(obs.y, WeightProfile.projection(m_n))),
             ShrinkageClass("limited", 2.0 ** (-math.ceil(math.log2(m_n))), 0.5),
         )
         good += elitist and limited
@@ -295,9 +292,8 @@ def test_criterion_10_density_model():
 
     # thresholded density estimation recovers the dense-regime exponent
     truth = density_truth_tree(shell_tree(2, 2, 1, 10, 1.0, dither=2.0, j_min=2))
-    table = monte_carlo_risk(truth, EstimatorSpec("density_threshold"),
-                             ModelSpec(kind="density", filter_name="db2"),
-                             [2**j for j in range(10, 17)], R, 2.0, 99, threads=THREADS)
+    (table,) = monte_carlo_risk((truth,), EstimatorSpec("density_threshold"),
+                                [2**j for j in range(10, 17)], R, 2.0, 99, threads=THREADS)
     fit = fit_slope(table, "n_over_log_n")
     good = abs(fit.implied_alpha - 0.4) <= 0.12
     ok &= report("10.density_threshold_alpha", good, fit.implied_alpha, 0.4, 0.12)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 from pathlib import Path
@@ -360,6 +362,18 @@ REJECTED = {
                                "pinsker_order"),
     "text_fixed_m_n": (_rate(estimator_spec={"kind": "projection", "fixed_m_n": "abc"}),
                        "fixed_m_n"),
+    # parameters the estimator kind does not read would enter the manifest unused
+    "unread_density_kappa": (_rate(experiment_kind="density_rate_fit",
+                                   estimator_spec={"kind": "density_threshold", "kappa": 9.0}),
+                             "estimator_spec.kappa"),
+    "unread_fixed_m_n": (_rate(estimator_spec={"kind": "threshold_hard", "fixed_m_n": 8}),
+                         "estimator_spec.fixed_m_n"),
+    "unread_pinsker_order": (_rate(estimator_spec={"kind": "threshold_hard",
+                                                   "pinsker_order": 3}),
+                             "estimator_spec.pinsker_order"),
+    "unread_projection_kappa": (_rate(estimator_spec={"kind": "projection", "kappa": 2.0}),
+                                "estimator_spec.kappa"),
+    "negative_master_seed": (_rate(master_seed=-3), "master_seed"),
 }
 
 
@@ -375,10 +389,36 @@ def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "p,estimate,theory,residual\n2.0,x,1.0,0.0\n",
+                                  "p,estimate,theory,residual\n2.0,1.0,1.0\n"],
+                         ids=["empty", "not_a_number", "short_row"])
+def test_report_on_a_damaged_table_is_a_config_error(text, tmp_path, capsys):
+    out = tmp_path / "scal"
+    run(validate_config(json.dumps(dict(SCALING, output_dir=str(out)))))
+    (out / "scaling.csv").write_text(text)
+    assert main(["report", "--dir", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: damaged table") and "scaling.csv" in err
+    assert err.count("\n") == 1
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports_exist(path):
+    # the demos are not run by the suite; check that what they import exists
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "waverates":
+            module = importlib.import_module(node.module)
+            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not missing, f"{path.name}: {node.module} has no {missing}"
+
+
 def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):
     config = validate_config(rate_config(tmp_path / "o", estimator_spec={"kind": "pinsker"},
                                          truth_spec={"base_amplitude": 3}))
-    assert config.estimator_spec == {"kind": "pinsker", "kappa": 2.0}
+    assert config.estimator_spec == {"kind": "pinsker"}  # kappa only for the thresholds
     assert config.truth_spec == {"kind": "generic_g", "base_amplitude": 3}
     assert validate_config(rate_config(tmp_path / "o", replicates=4.0)).replicates == 4
 

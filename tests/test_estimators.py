@@ -11,7 +11,6 @@ from waverates.estimators import (
     WeightProfile,
     choose_mn,
     classify_rule,
-    density_linear_estimate,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
@@ -19,7 +18,7 @@ from waverates.estimators import (
     threshold_estimate,
     universal_threshold,
 )
-from waverates.models import SequenceObservation, simulate_sequence
+from waverates.models import simulate_sequence
 from waverates.spaces import SmoothnessParams
 from waverates.truths import shell_tree
 
@@ -48,10 +47,10 @@ def test_pinsker_weights_hand_value():
 def test_linear_estimate_identity_and_zero():
     obs = observation()
     ones = WeightProfile.custom({j: np.ones(1 << j) for j in range(7)})
-    est = linear_estimate(obs, ones)
+    est = linear_estimate(obs.y, ones)
     for j in range(7):
         assert np.array_equal(est.level(j), obs.y.level(j))
-    killed = linear_estimate(obs, WeightProfile.projection(0.0))
+    killed = linear_estimate(obs.y, WeightProfile.projection(0.0))
     assert killed.wavelet_energy() == 0.0
     assert killed.scaling == obs.y.scaling  # scaling passes through
 
@@ -78,13 +77,9 @@ def test_universal_threshold_and_depth():
 
 
 def test_threshold_soft_hand_values():
-    theta = CoefficientTree.zeros(1, 2)
-    obs = simulate_sequence(theta, 100, 2, seed=1)
-    # overwrite with a deterministic observation for arithmetic checks
     y = CoefficientTree.from_items(1, 2, 0.0, [((1, 0), 0.5), ((1, 1), -0.5), ((2, 2), 0.1)])
-    obs = type(obs)(n=obs.n, y=y, truth_ref="", seed=1)
     cfg = ThresholdConfig(n=100, kappa=0.2 / universal_threshold(100), mode="soft")
-    est = threshold_estimate(obs, cfg)
+    est = threshold_estimate(y, cfg)
     assert abs(est.get(1, 0) - 0.3) < 1e-12
     assert abs(est.get(1, 1) + 0.3) < 1e-12
     assert est.get(2, 2) == 0.0
@@ -92,10 +87,8 @@ def test_threshold_soft_hand_values():
 
 def test_threshold_hard_boundary_kept():
     y = CoefficientTree.from_items(1, 2, 0.7, [((1, 0), 0.2), ((1, 1), 0.19)])
-    obs = simulate_sequence(CoefficientTree.zeros(1, 2), 100, 2, seed=0)
-    obs = type(obs)(n=100, y=y, truth_ref="", seed=0)
     cfg = ThresholdConfig(n=100, kappa=0.2 / universal_threshold(100), mode="hard")
-    est = threshold_estimate(obs, cfg)
+    est = threshold_estimate(y, cfg)
     assert est.get(1, 0) == 0.2  # |y| = kappa t_n is kept
     assert est.get(1, 1) == 0.0
     assert est.scaling == 0.7
@@ -104,7 +97,7 @@ def test_threshold_hard_boundary_kept():
 def test_threshold_level_cutoff():
     obs = observation(n=2**10, j_max=9)
     cfg = ThresholdConfig(n=2**10, kappa=1e-9)  # keep everything below j(n)
-    est = threshold_estimate(obs, cfg)
+    est = threshold_estimate(obs.y, cfg)
     assert cfg.j_n == 8
     for j in range(9):
         assert np.array_equal(est.level(j), obs.y.level(j))
@@ -114,7 +107,7 @@ def test_threshold_level_cutoff():
 def test_threshold_zero_kappa_is_projection():
     # kappa t_n -> 0 keeps every observed coefficient up to j(n)
     obs = observation(n=64, j_max=8)
-    est = threshold_estimate(obs, ThresholdConfig(n=64, kappa=1e-12, mode="hard"))
+    est = threshold_estimate(obs.y, ThresholdConfig(n=64, kappa=1e-12, mode="hard"))
     jn = noise_depth(64)
     for j in range(obs.y.j_max + 1):
         if j <= jn:
@@ -126,7 +119,7 @@ def test_threshold_zero_kappa_is_projection():
 def test_shrinkage_property_and_soft_lipschitz():
     obs = observation(seed=3)
     for mode in ("hard", "soft"):
-        est = threshold_estimate(obs, ThresholdConfig(n=obs.n, kappa=2.0, mode=mode))
+        est = threshold_estimate(obs.y, ThresholdConfig(n=obs.n, kappa=2.0, mode=mode))
         for j in range(obs.y.j_max + 1):
             assert np.all(np.abs(est.level(j)) <= np.abs(obs.y.level(j)) + 1e-15)
     # soft thresholding is 1-Lipschitz in the observation
@@ -143,18 +136,18 @@ def test_threshold_config_validation():
         ThresholdConfig(n=10, kappa=-1.0)
     with pytest.raises(ValueError):
         ThresholdConfig(n=10, mode="medium")
-    obs = observation(n=128)
-    with pytest.raises(ValueError):
-        threshold_estimate(obs, ThresholdConfig(n=64))
 
 
-def test_density_linear_estimate_truncation():
+def test_density_linear_projection_truncation():
+    # the density linear kind projects the empirical coefficients: weights 1 or 0
     beta = shell_tree(2, 2, 1, 6, 1.0)
-    full = density_linear_estimate(beta, 6)
+    full = linear_estimate(beta, WeightProfile.projection(2.0**7))
     for j in range(7):
         assert np.array_equal(full.level(j), beta.level(j))
-    only_scaling = density_linear_estimate(beta, -1)
-    assert only_scaling.wavelet_energy() == 0.0
+    cut = linear_estimate(beta, WeightProfile.projection(8.0))  # keeps 2^j < 8
+    assert sorted(cut.levels) == [0, 1, 2] and cut.j_max == 6
+    only_scaling = linear_estimate(beta, WeightProfile.projection(1.0))
+    assert only_scaling.wavelet_energy() == 0.0 and only_scaling.scaling == beta.scaling
 
 
 def test_density_linear_truncation_reduces_risk_on_uniform():
@@ -171,7 +164,7 @@ def test_density_linear_truncation_reduces_risk_on_uniform():
         s = sample_density(truth, filt, n, seed=np.random.SeedSequence((17, rep)))
         beta = empirical_coefficients(s, filt, 6)
         risk_full += (beta - truth).total_energy()
-        risk_cut += (density_linear_estimate(beta, 2) - truth).total_energy()
+        risk_cut += (linear_estimate(beta, WeightProfile.projection(8.0)) - truth).total_energy()
     assert risk_cut < risk_full
 
 
@@ -194,7 +187,7 @@ def test_classify_projection_is_limited():
     params = SmoothnessParams(s=2, r=2, p=2, d=1)
     obs = observation(n=1024)
     m_n = choose_mn(params, obs.n)
-    est = linear_estimate(obs, WeightProfile.projection(m_n))
+    est = linear_estimate(obs.y, WeightProfile.projection(m_n))
     trace = shrinkage_trace(obs, est)
     lam = 2.0 ** (-math.ceil(math.log2(m_n)))
     assert classify_rule(trace, ShrinkageClass("limited", lam, 0.5))
@@ -207,7 +200,7 @@ def test_classify_projection_is_limited():
 def test_classify_hard_threshold_is_elitist(seed):
     obs = observation(seed=seed, n=256, j_max=5)
     cfg = ThresholdConfig(n=256, kappa=2.0, mode="hard")
-    est = threshold_estimate(obs, cfg)
+    est = threshold_estimate(obs.y, cfg)
     trace = shrinkage_trace(obs, est)
     assert classify_rule(trace, ShrinkageClass("elitist", cfg.kappa * cfg.t_n * 0.999, 0.5))
 
@@ -268,8 +261,7 @@ def test_threshold_rules_match_reference_loops(mode):
         want = _reference_threshold(tree, j_cut, lambda v: v if abs(v) > lam else 0.0)
         assert est.get(3, 1) == 0.0 and est.get(3, 0) == 0.0  # |beta| = t_n is dropped
     else:
-        obs = SequenceObservation(n=n, y=tree)
-        est = threshold_estimate(obs, ThresholdConfig(n=n, kappa=2.0, mode=mode))
+        est = threshold_estimate(tree, ThresholdConfig(n=n, kappa=2.0, mode=mode))
         if mode == "hard":
             rule = lambda v: v if abs(v) >= lam else 0.0
             assert est.get(3, 0) == lam and est.get(3, 1) == -lam  # |y| = kappa t_n is kept

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from waverates.dyadic import CoefficientTree, reduced_level_array
-from waverates.generic import (
-    GenericFunctionSpec,
-    ProbeDraw,
-    build_g,
-    probe_perturb,
-    weak_exclusion_witness,
-)
+from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from waverates.spaces import besov_norm
 from waverates.truths import probe_line_truth, shell_tree
 
@@ -74,30 +68,6 @@ def test_build_g_d2():
     g = build_g(GenericFunctionSpec(s=2, r=2, d=2, j_max=4))
     # j=1, k=(1,1): J=1 -> 2^{-(2 - 1 + 1)} * 2^{-(2/2)} / 1 = 2^{-3}
     assert abs(g.get(1, (1, 1)) - 2.0**-3) < 1e-15
-
-
-def test_probe_perturb_affine():
-    g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=6))
-    rng = np.random.default_rng(0)
-    f = CoefficientTree(1, 6, 0.3, {j: rng.standard_normal(1 << j) for j in range(7)})
-    same = probe_perturb(f, g, ProbeDraw(0.0))
-    assert same.scaling == f.scaling
-    for j in range(7):
-        assert np.array_equal(same.level(j), f.level(j))
-    assert probe_perturb(CoefficientTree.zeros(1, 6), g, ProbeDraw(1.0)).levels.keys() == g.levels.keys()
-    a1, a2 = 0.8, -0.5
-    diff = probe_perturb(f, g, ProbeDraw(a1)) - probe_perturb(f, g, ProbeDraw(a2))
-    for j in range(1, 7):
-        assert np.max(np.abs(diff.level(j) - (a1 - a2) * g.level(j))) < 1e-12
-
-
-def test_probe_draw_validation_and_uniform():
-    with pytest.raises(ValueError):
-        ProbeDraw(1.5)
-    draws = {ProbeDraw.uniform(seed).alpha for seed in range(5)}
-    assert len(draws) == 5
-    assert all(-1.0 <= a <= 1.0 for a in draws)
-    assert ProbeDraw.uniform(7).alpha == ProbeDraw.uniform(7).alpha
 
 
 def witness_dict(eps, t_max, s=2.0, r=2.0, p=2.0):

@@ -93,12 +93,11 @@ def test_observe_equals_simulating_the_truth():
         for theta in trees:
             for j_max in range(min(theta.j_max, 6) + 1):
                 got = observe(theta, noise, j_max)
-                want = simulate_sequence(theta, n, j_max, seed)
-                assert got.n == n and got.y.j_max == j_max
-                assert got.y.scaling == want.y.scaling
-                assert got.y.levels.keys() == want.y.levels.keys()
-                for j, level in want.y.levels.items():
-                    assert np.array_equal(got.y.levels[j], level)
+                want = simulate_sequence(theta, n, j_max, seed).y
+                assert got.j_max == j_max and got.scaling == want.scaling
+                assert got.levels.keys() == want.levels.keys()
+                for j, level in want.levels.items():
+                    assert np.array_equal(got.levels[j], level)
     with pytest.raises(ValueError):
         observe(small_truth(), simulate_sequence(CoefficientTree.zeros(1, 1), 100, 1, 4), 2)
 

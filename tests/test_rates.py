@@ -9,7 +9,6 @@ from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
     ThresholdConfig,
     WeightProfile,
-    density_linear_estimate,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
@@ -23,7 +22,6 @@ from waverates.rates import (
     _linear_cutoff_level,
     SYNTHESIS_PAD,
     EstimatorSpec,
-    ModelSpec,
     RiskRow,
     RiskTable,
     fit_slope,
@@ -118,44 +116,42 @@ def test_risk_table_validation():
 
 
 def test_monte_carlo_deterministic_and_threaded():
-    truth = shell_tree(2, 2, 1, 6, 2.0)
-    model = ModelSpec(kind="sequence", filter_name="db2")
+    truths = (shell_tree(2, 2, 1, 6, 2.0),)
     est = EstimatorSpec("threshold_hard")
-    a = monte_carlo_risk(truth, est, model, [64, 256], 8, 2.0, 4242)
-    b = monte_carlo_risk(truth, est, model, [64, 256], 8, 2.0, 4242, threads=3)
+    (a,) = monte_carlo_risk(truths, est, [64, 256], 8, 2.0, 4242)
+    (b,) = monte_carlo_risk(truths, est, [64, 256], 8, 2.0, 4242, threads=3)
     assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
-    c = monte_carlo_risk(truth, est, model, [64, 256], 8, 2.0, 4243)
+    (c,) = monte_carlo_risk(truths, est, [64, 256], 8, 2.0, 4243)
     assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
 
 
 def test_monte_carlo_density_deterministic_and_threaded():
     # one DensitySampler and the wavelet-support cache are shared by the pool;
     # start the cache cold and switch threads often to expose a lost update
-    truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
-    model = ModelSpec(kind="density", filter_name="db3")
+    truths = (density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2)),)
     est = EstimatorSpec("density_threshold")
-    a = monte_carlo_risk(truth, est, model, [256, 1024], 8, 2.0, 4242)
+    (a,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3")
     models._PSI_CACHE.clear()
     models._PHI_CACHE.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        b = monte_carlo_risk(truth, est, model, [256, 1024], 8, 2.0, 4242, threads=3)
+        (b,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3",
+                                threads=3)
     finally:
         sys.setswitchinterval(interval)
     assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
-    c = monte_carlo_risk(truth, est, model, [256, 1024], 8, 2.0, 4243)
+    (c,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4243, filter_name="db3")
     assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
 
 
 def test_monte_carlo_zero_weight_estimator_constant_risk():
     # all wavelet weights zero (scaling kept): risk = wavelet energy + O(1/n)
     truth = shell_tree(2, 2, 1, 5, 1.0)
-    model = ModelSpec(kind="sequence", filter_name="db2")
     est = EstimatorSpec("projection", fixed_m_n=0.0)
-    table = monte_carlo_risk(truth, est, model, [2**8, 2**12], 16, 2.0, 9)
+    (table,) = monte_carlo_risk((truth,), est, [2**8, 2**12], 16, 2.0, 9)
     energy = truth.wavelet_energy()
     for row in table.rows:
         assert abs(row.empirical_risk - energy) < 2.0 / row.n + 3 * row.std_error
@@ -163,70 +159,55 @@ def test_monte_carlo_zero_weight_estimator_constant_risk():
 
 def test_monte_carlo_projection_closed_form_gaussian():
     # truth 0, keep 2^5 coefficients (31 wavelet + scaling): risk * n = 32
-    truth = CoefficientTree.zeros(1, 8)
-    model = ModelSpec(kind="sequence", filter_name="db2", j_max=8)
+    truths = (CoefficientTree.zeros(1, 8),)
     est = EstimatorSpec("projection", fixed_m_n=32.0)
-    table = monte_carlo_risk(truth, est, model, [2**10, 2**14], 32, 2.0, 123)
+    (table,) = monte_carlo_risk(truths, est, [2**10, 2**14], 32, 2.0, 123, j_max=8)
     for row in table.rows:
         assert abs(row.empirical_risk * row.n - 32.0) <= 3.0 * row.std_error * row.n
 
 
 def test_monte_carlo_standard_error_scaling():
-    truth = shell_tree(2, 2, 1, 6, 2.0)
-    model = ModelSpec(kind="sequence", filter_name="db2")
+    truths = (shell_tree(2, 2, 1, 6, 2.0),)
     est = EstimatorSpec("threshold_hard")
     se = {}
     for R in (64, 256):
-        rows = monte_carlo_risk(truth, est, model, [256], R, 2.0, 5).rows
+        rows = monte_carlo_risk(truths, est, [256], R, 2.0, 5)[0].rows
         se[R] = rows[0].std_error
     assert abs(se[256] / se[64] - 0.5) < 0.2  # 1/sqrt(R) within 20% at these R
 
 
-def test_monte_carlo_incompatible_model():
-    truth = shell_tree(2, 2, 1, 5, 1.0)
-    with pytest.raises(ValueError):
-        monte_carlo_risk(
-            truth,
-            EstimatorSpec("density_threshold"),
-            ModelSpec(kind="sequence"),
-            [64, 128],
-            4,
-            2.0,
-            1,
-        )
-
-
-def reference_risk(truth, est, model, n_grid, R, p, master_seed):
+def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
     """monte_carlo_risk written out for one estimator kind, replicate by replicate."""
-    filt = get_filter(model.filter_name)
-    sampler = DensitySampler.from_tree(truth, filt) if model.kind == "density" else None
+    filt = get_filter(filter_name)
+    sampler = DensitySampler.from_tree(truth, filt) if est.model == "density" else None
     rows = []
     for n in n_grid:
         losses = []
         for rep in range(R):
             seed = np.random.SeedSequence((master_seed, n, rep))
             if sampler is None:
-                depth = model.j_max if model.j_max is not None else truth.j_max
-                obs = simulate_sequence(truth, n, depth, seed)
+                depth = j_max if j_max is not None else truth.j_max
+                y = simulate_sequence(truth, n, depth, seed).y
             else:
                 sample = sampler.sample(n, seed)
             if est.kind == "projection":
-                estimate = linear_estimate(obs, WeightProfile.projection(est.cutoff(n)))
+                estimate = linear_estimate(y, WeightProfile.projection(est.cutoff(n)))
             elif est.kind == "pinsker":
                 weights = WeightProfile.pinsker(math.log2(est.cutoff(n)), est.pinsker_order)
-                estimate = linear_estimate(obs, weights)
+                estimate = linear_estimate(y, weights)
             elif est.kind in ("threshold_hard", "threshold_soft"):
                 config = ThresholdConfig(n=n, kappa=est.kappa, mode=est.kind.split("_")[1])
-                estimate = threshold_estimate(obs, config)
+                estimate = threshold_estimate(y, config)
             elif est.kind == "density_linear":
                 cutoff = -1  # the largest level j with 2^j < m_n
                 while 2.0 ** (cutoff + 1) < est.cutoff(n):
                     cutoff += 1
-                depth = model.j_max if model.j_max is not None else max(cutoff, 0)
-                estimate = density_linear_estimate(empirical_coefficients(sample, filt, depth),
-                                                   cutoff)
+                depth = j_max if j_max is not None else max(cutoff, 0)
+                beta = empirical_coefficients(sample, filt, depth)
+                estimate = CoefficientTree(d=1, j_max=depth, scaling=beta.scaling, levels={
+                    j: level for j, level in beta.levels.items() if j <= cutoff})
             else:
-                depth = model.j_max if model.j_max is not None else noise_depth(n)
+                depth = j_max if j_max is not None else noise_depth(n)
                 estimate = density_threshold_estimate(
                     empirical_coefficients(sample, filt, depth), n)
             diff = estimate - truth
@@ -256,9 +237,9 @@ def test_monte_carlo_risk_matches_reference_loop(kind, p, j_max):
         truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
         n_grid, filter_name = [1024, 65536], "db3"
     est = EstimatorSpec(kind, smoothness=DENSE)
-    model = ModelSpec(kind=ESTIMATOR_KINDS[kind].model, filter_name=filter_name, j_max=j_max)
-    table = monte_carlo_risk(truth, est, model, n_grid, 3, p, 31, threads=2)
-    want = reference_risk(truth, est, model, n_grid, 3, p, 31)
+    (table,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 31, filter_name=filter_name,
+                                j_max=j_max, threads=2)
+    want = reference_risk(truth, est, filter_name, j_max, n_grid, 3, p, 31)
     assert [(row.empirical_risk, row.std_error) for row in table.rows] == want
 
 
@@ -332,10 +313,9 @@ def test_estimator_spec_checks_its_numbers():
 
 def test_pinsker_below_one_level_keeps_no_wavelet_level():
     # m_n <= 1 keeps no level under either linear profile
-    truth = shell_tree(2, 2, 1, 5, 1.0)
-    model = ModelSpec(kind="sequence", filter_name="db2")
-    risks = [monte_carlo_risk(truth, EstimatorSpec(kind, fixed_m_n=0.5), model, [256, 512], 4,
-                              2.0, 3).risks for kind in ("projection", "pinsker")]
+    truths = (shell_tree(2, 2, 1, 5, 1.0),)
+    risks = [monte_carlo_risk(truths, EstimatorSpec(kind, fixed_m_n=0.5), [256, 512], 4,
+                              2.0, 3)[0].risks for kind in ("projection", "pinsker")]
     assert np.array_equal(risks[0], risks[1])
 
 
@@ -358,20 +338,20 @@ def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, p, j_max, th
                        for a in (1.0, 0.5))
         n_grid, filter_name = [1024, 16384], "db3"
     est = EstimatorSpec(kind, smoothness=DENSE)
-    model = ModelSpec(kind=ESTIMATOR_KINDS[kind].model, filter_name=filter_name, j_max=j_max)
-    tables = monte_carlo_risk(truths, est, model, n_grid, 3, p, 17, threads=threads)
+    model = dict(filter_name=filter_name, j_max=j_max)
+    tables = monte_carlo_risk(truths, est, n_grid, 3, p, 17, threads=threads, **model)
     assert isinstance(tables, tuple) and len(tables) == len(truths)
     for truth, table in zip(truths, tables):
-        alone = monte_carlo_risk(truth, est, model, n_grid, 3, p, 17)
+        (alone,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 17, **model)
         assert isinstance(alone, RiskTable)
         assert table.rows == alone.rows and table.loss_p == alone.loss_p
 
 
 def test_monte_carlo_risk_rejects_mixed_or_missing_truths():
-    est, model = EstimatorSpec("threshold_hard"), ModelSpec(kind="sequence")
+    est = EstimatorSpec("threshold_hard")
     for truths in ((), (CoefficientTree.zeros(1, 3), CoefficientTree.zeros(2, 3))):
         with pytest.raises(ValueError, match="one dimension"):
-            monte_carlo_risk(truths, est, model, [64, 128], 2, 2.0, 1)
+            monte_carlo_risk(truths, est, [64, 128], 2, 2.0, 1)
 
 
 @pytest.mark.parametrize("kind", [k for k, e in ESTIMATOR_KINDS.items() if e.model == "sequence"])
@@ -384,8 +364,8 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
         seed = np.random.SeedSequence((3, n))
         read = entry.read_depth(est, n)
         assert read >= 0
-        full = entry.estimate(est, simulate_sequence(truth, n, top, seed), n)
-        short = entry.estimate(est, simulate_sequence(truth, n, min(read, top), seed), n)
+        full = entry.estimate(est, simulate_sequence(truth, n, top, seed).y, n)
+        short = entry.estimate(est, simulate_sequence(truth, n, min(read, top), seed).y, n)
         assert max(full.levels, default=-1) <= read and max(short.levels, default=-1) <= read
         assert short.scaling == full.scaling
         assert short.levels.keys() == full.levels.keys()
