@@ -201,15 +201,20 @@ def _validated(raw: dict) -> ExperimentConfig:
     config = ExperimentConfig(**_parse_fields(ExperimentConfig, raw))
     sm, monte_carlo = config.smoothness, experiment.model is not None
 
-    estimator = _estimator(config)
-    if monte_carlo and estimator.model != experiment.model:
-        raise ConfigError(f"estimator {estimator.kind!r} is incompatible with experiment kind "
+    estimator_kind = config.estimator_spec.get("kind", "threshold_hard")
+    if estimator_kind not in ESTIMATOR_KINDS:
+        raise ConfigError(f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, "
+                          f"got {estimator_kind!r}")
+    if monte_carlo and ESTIMATOR_KINDS[estimator_kind].model != experiment.model:
+        raise ConfigError(f"estimator {estimator_kind!r} is incompatible with experiment kind "
                           f"{kind!r}")
-    kind_params = ESTIMATOR_KINDS[estimator.kind].params
+    # checked before the spec is built, which takes smoothness from the top level
+    kind_params = ESTIMATOR_KINDS[estimator_kind].params
     unread = sorted(set(config.estimator_spec) - {"kind", *kind_params})
     if unread:
-        raise ConfigError(f"estimator_spec.{unread[0]}: estimator {estimator.kind!r} does not "
+        raise ConfigError(f"estimator_spec.{unread[0]}: estimator {estimator_kind!r} does not "
                           f"read it; it reads {list(kind_params)}")
+    estimator = _estimator(config)
 
     if monte_carlo:
         if not config.n_grid or any(b <= a for a, b in zip(config.n_grid, config.n_grid[1:])):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import CoefficientTree
-from .wavelet import WaveletFilter, _synthesis_blocks, synthesize
+from .wavelet import WaveletFilter, _cascade_table, _coarse_samples, _refined_blocks, synthesize
 
 __all__ = [
     "SequenceObservation",
@@ -236,7 +236,8 @@ def _wavelet_support(j: int, filt: WaveletFilter) -> tuple[np.ndarray, int]:
     single = CoefficientTree(d=1, j_max=j, scaling=0.0, levels={j: e})
     reach = min((len(filt.taps) - 1) << DENSITY_GRID_PAD, 1 << res)
     parts = []
-    for offset, block in _synthesis_blocks(single, filt, res):
+    table = _cascade_table(filt.taps, DENSITY_GRID_PAD - 1)
+    for offset, block in _refined_blocks(_coarse_samples(single, filt), table):
         parts.append(block)
         if offset + len(block) >= reach:
             break

@@ -35,7 +35,7 @@ from .estimators import (
 )
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams
-from .wavelet import get_filter, lp_mean
+from .wavelet import GridSignal, get_filter, lp_mean, synthesize
 
 __all__ = [
     "RateRegime",
@@ -276,15 +276,35 @@ def _energy_loss(estimate: CoefficientTree, truth: CoefficientTree, truth_energy
     return (estimate.scaling - truth.scaling) ** 2 + float(sum(parts))
 
 
-def _loss(estimate, truth, truth_energy, p, filt, depth) -> float:
-    """||estimate - truth||_p^p: the coefficient energy for p = 2, else grid
-    quadrature of the difference.  The quadrature synthesizes to the
-    difference's depth, so the estimate keeps the model's depth, as if read
-    from an observation to that depth."""
+def _coarse_resolution(truth: CoefficientTree, depth: int) -> int:
+    """Resolution of the samples the p != 2 loss refines: one above the
+    deeper of the model depth and the truth's."""
+    return max(depth, truth.j_max) + 1
+
+
+def _truth_side(truth: CoefficientTree, depths, p: float, filt) -> dict:
+    """What the loss needs of a truth, computed once before any replicate:
+    its level energies for p = 2, else its grid samples at the coarse
+    resolution of each model depth in depths."""
     if p == 2.0:
-        return _energy_loss(estimate, truth, truth_energy)
-    diff = replace(estimate, j_max=depth) - truth
-    return lp_mean(diff, filt, diff.j_max + SYNTHESIS_PAD, p)
+        return _level_energies(truth)
+    return {res: synthesize(truth, filt, res).samples
+            for res in {_coarse_resolution(truth, depth) for depth in depths}}
+
+
+def _loss(estimate, truth, truth_side, p, filt, depth) -> float:
+    """||estimate - truth||_p^p: the coefficient energy for p = 2, else grid
+    quadrature of the difference.  The quadrature runs on the difference's
+    samples at resolution max(depth, truth depth) + 1, refined by
+    SYNTHESIS_PAD - 1 zero-detail steps (lp_mean): the estimate is
+    synthesized there, its inverse steps stopping at the depth it holds, and
+    the truth's samples, computed once per depth (_truth_side), are
+    subtracted."""
+    if p == 2.0:
+        return _energy_loss(estimate, truth, truth_side)
+    res = _coarse_resolution(truth, depth)
+    diff = synthesize(estimate, filt, res).samples - truth_side[res]
+    return lp_mean(GridSignal(res, diff), filt, res + SYNTHESIS_PAD - 1, p)
 
 
 def _projection(est, y, n):
@@ -345,7 +365,13 @@ ESTIMATOR_KINDS = {
 }
 
 
-def _one_replicate(truths, energies, est, n, p, filt, j_max, seed, samplers):
+def _model_depth(truth, read, j_max, density) -> int:
+    """The model's depth: j_max when given, else the estimator's read depth
+    for density coefficients and the truth's depth for sequence observations."""
+    return j_max if j_max is not None else read if density else truth.j_max
+
+
+def _one_replicate(truths, truth_sides, est, n, p, filt, j_max, seed, samplers):
     """The loss of every truth's estimate on the replicate drawn from seed.
 
     Sequence truths share one noise draw, to the deepest depth any of them
@@ -355,8 +381,7 @@ def _one_replicate(truths, energies, est, n, p, filt, j_max, seed, samplers):
     kind = ESTIMATOR_KINDS[est.kind]
     read = kind.read_depth(est, n)
     density = samplers is not None
-    depths = [j_max if j_max is not None else read if density else truth.j_max
-              for truth in truths]
+    depths = [_model_depth(truth, read, j_max, density) for truth in truths]
     reads = [min(read, depth) for depth in depths]
     if density:
         observed = [empirical_coefficients(sampler.sample(n, seed), filt, j)
@@ -365,8 +390,8 @@ def _one_replicate(truths, energies, est, n, p, filt, j_max, seed, samplers):
         top = max(reads)
         noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
         observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
-    return [_loss(kind.estimate(est, y, n), truth, energy, p, filt, depth)
-            for y, truth, energy, depth in zip(observed, truths, energies, depths)]
+    return [_loss(kind.estimate(est, y, n), truth, side, p, filt, depth)
+            for y, truth, side, depth in zip(observed, truths, truth_sides, depths)]
 
 
 def monte_carlo_risk(
@@ -398,7 +423,9 @@ def monte_carlo_risk(
     loss with a seed derived from (master_seed, n, replicate), so the tables
     are bit-identical across reruns and independent of scheduling; replicates
     may evaluate on a thread pool, the reduction order is fixed.  The density
-    model builds one DensitySampler per truth, shared by all replicates.
+    model builds one DensitySampler per truth, shared by all replicates,
+    and the truth's side of the loss (_truth_side) is computed once per truth
+    before the replicates start.
 
     The truths (of one dimension) do not enter the seed, so every truth is
     observed under the same noise (common random numbers), which each
@@ -412,17 +439,18 @@ def monte_carlo_risk(
     if not truths or len({t.d for t in truths}) != 1:
         raise ValueError("need at least one truth, all of one dimension")
     filt = get_filter(filter_name)
-    samplers = None
-    if estimator.model == "density":
-        samplers = [DensitySampler.from_tree(t, filt) for t in truths]
-    energies = [_level_energies(t) for t in truths]
+    density = estimator.model == "density"
+    samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
+    reads = [ESTIMATOR_KINDS[estimator.kind].read_depth(estimator, n) for n in n_grid]
+    truth_sides = [_truth_side(t, [_model_depth(t, read, j_max, density) for read in reads],
+                               p, filt) for t in truths]
     losses = np.empty((len(truths), len(n_grid), R))
 
     def task(i_rep):
         i, rep = i_rep
         n = n_grid[i]
         seed = np.random.SeedSequence((master_seed, n, rep))
-        return i, rep, _one_replicate(truths, energies, estimator, n, p, filt, j_max, seed,
+        return i, rep, _one_replicate(truths, truth_sides, estimator, n, p, filt, j_max, seed,
                                       samplers)
 
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]

@@ -8,12 +8,20 @@ synthesize are exact inverses up to floating-point roundoff and the discrete
 coefficients obey Parseval against the midpoint quadrature of the signal.
 
 Synthesis to a grid finer than the tree runs the two-channel inverse step
-only for the levels the tree holds.  The K steps above j_max have no detail
-input; together they are one linear map, upsampling by 2^K and circular
+only for the levels the tree holds, which gives its samples at resolution
+j_max + 1.  The K steps above j_max have no detail input; together they are
+one linear map that refines any such samples: upsampling by 2^K and circular
 convolution with the K-fold cascade of the lowpass taps.  That map is a small
 phase table, built per call in microseconds, applied as one matrix product in
-blocks of about 2^15 samples, so an L^p loss (``lp_mean``) can be accumulated
-block by block without allocating the fine grid.
+blocks of about 2^15 samples.
+
+``lp_mean`` takes coarse samples and gives the mean of |f|^p over their
+refinement without allocating the fine grid.  Each refined sample is a window
+of S coarse samples times a table column, so for p = 4 the sum over a
+window's 2^K phases is a quadratic form in the S(S+1)/2 pairwise products of
+the window, with a matrix built once per (taps, K); it is used where the
+table has at most three rows (db1, db2).  Other p and longer filters sum the
+refined samples block by block.
 
 Coefficient convention: a signal is
 
@@ -232,6 +240,8 @@ def analyze(signal: GridSignal, filt: WaveletFilter, j_max: int) -> CoefficientT
 
 
 _BLOCK_SAMPLES = 1 << 15
+_FORM_WINDOWS = 1 << 12
+_FORM_MAX_SHIFTS = 3
 
 
 def _cascade_table(taps: np.ndarray, K: int) -> np.ndarray:
@@ -256,33 +266,33 @@ def _cascade_table(taps: np.ndarray, K: int) -> np.ndarray:
     return np.ascontiguousarray(padded.reshape(shifts, phases)[::-1])
 
 
-def _synthesis_blocks(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int):
-    """Yield (offset, block): the grid samples of a tree, in order, in blocks.
-
-    Levels 0..j_max run the two-channel inverse step.  The K zero-detail
-    steps above them are one product of the cyclically gathered coarse
-    approximations with the _cascade_table, about _BLOCK_SAMPLES output
-    samples at a time; the gather wraps as often as a cascade longer than the
-    coarse grid needs.
-    """
-    if tree.d != 1:
-        raise ValueError("grid synthesis is defined for d=1 trees")
-    if resolution_log2 <= tree.j_max:
-        raise ValueError(
-            f"resolution 2^{resolution_log2} too coarse for a tree of depth {tree.j_max}"
-        )
+def _coarse_samples(tree: CoefficientTree, filt: WaveletFilter) -> np.ndarray:
+    """Grid samples of a tree at resolution j_max + 1: the two-channel
+    inverse step of each level 0..j_max."""
     lo = filt.taps
     hi = filt.highpass
     a = np.array([tree.scaling])
     for j in range(tree.j_max + 1):
         a = _idwt_step(a, tree.level(j), lo, hi)
-    a = a * 2.0 ** ((tree.j_max + 1) / 2.0)
-    table = _cascade_table(lo, resolution_log2 - tree.j_max - 1)
+    return a * 2.0 ** ((tree.j_max + 1) / 2.0)
+
+
+def _wrapped(coarse: np.ndarray, shifts: int) -> np.ndarray:
+    """coarse[(m - shifts + 1) mod n] for m = 0 .. n + shifts - 2: its slice
+    [q, q + shifts) is the cyclic window coarse[q - shifts + 1 .. q], wrapping
+    as often as a window longer than the grid needs."""
+    n = len(coarse)
+    return coarse[np.arange(1 - shifts, n) % n]
+
+
+def _refined_blocks(coarse: np.ndarray, table: np.ndarray):
+    """Yield (offset, block): coarse samples refined by a _cascade_table, in
+    order, one product of the cyclic windows with the table per about
+    _BLOCK_SAMPLES output samples."""
     shifts, phases = table.shape
-    n = len(a)
-    windows = np.lib.stride_tricks.sliding_window_view(a[np.arange(1 - shifts, n) % n], shifts)
+    windows = np.lib.stride_tricks.sliding_window_view(_wrapped(coarse, shifts), shifts)
     rows = max(1, _BLOCK_SAMPLES // phases)
-    for q in range(0, n, rows):
+    for q in range(0, len(coarse), rows):
         block = np.ascontiguousarray(windows[q : q + rows]) @ table
         yield q * phases, block.ravel()
 
@@ -290,12 +300,20 @@ def _synthesis_blocks(tree: CoefficientTree, filt: WaveletFilter, resolution_log
 def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int) -> GridSignal:
     """Reconstruct the grid signal of a coefficient tree at the given resolution.
 
-    Levels 0..j_max run the two-channel inverse step; the remaining
-    resolution_log2 - j_max - 1 zero-detail steps are one product with the
-    phase table of _cascade_table, written into the grid block by block.
+    Levels 0..j_max run the two-channel inverse step (_coarse_samples); the
+    remaining resolution_log2 - j_max - 1 zero-detail steps are one product
+    with the phase table of _cascade_table, written into the grid block by
+    block.
     """
+    if tree.d != 1:
+        raise ValueError("grid synthesis is defined for d=1 trees")
+    if resolution_log2 <= tree.j_max:
+        raise ValueError(
+            f"resolution 2^{resolution_log2} too coarse for a tree of depth {tree.j_max}"
+        )
+    table = _cascade_table(filt.taps, resolution_log2 - tree.j_max - 1)
     samples = np.empty(1 << resolution_log2)
-    for offset, block in _synthesis_blocks(tree, filt, resolution_log2):
+    for offset, block in _refined_blocks(_coarse_samples(tree, filt), table):
         samples[offset : offset + len(block)] = block
     return GridSignal(resolution_log2, samples)
 
@@ -319,14 +337,90 @@ def lp_norm(signal: GridSignal, p: float) -> float:
     return float(np.mean(_abs_pow(signal.samples, p)) ** (1.0 / p))
 
 
-def lp_mean(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int, p: float) -> float:
-    """Mean of |f|^p over the 2^resolution_log2 synthesis grid of a tree.
+def _quartic_gram(table: np.ndarray):
+    """(i, j, gram) with sum_r (w . T[:, r])^4 = u^T gram u for every window
+    w of a _cascade_table T, u being the products w_i w_j over the pairs
+    i <= j.  With v_r the products T[i, r] T[j, r], doubled off the diagonal,
+    (w . T[:, r])^2 = v_r . u, so gram = sum_r v_r v_r^T."""
+    i, j = np.triu_indices(table.shape[0])
+    v = table[i] * table[j] * np.where(i == j, 1.0, 2.0)[:, None]
+    return i, j, v @ v.T
 
+
+# Per filter taps and K: the _quartic_gram of the K-step cascade, or None.
+# Pool threads may race to fill an entry; they compute identical arrays, so
+# either write serves.
+_QUARTIC_CACHE: dict[tuple[bytes, int], tuple | None] = {}
+
+
+def _quartic_form(taps: np.ndarray, K: int):
+    """The _quartic_gram of the K-step cascade, where that is the cheaper
+    path: the table has at most _FORM_MAX_SHIFTS rows, else None.
+
+    A window costs the form P = S(S+1)/2 products and a P x P product, and
+    the block path S 2^K products and passes over 2^K samples.  Timed at
+    2^15 windows and K = 1..8: with S <= 3 (db1; db2 from K = 2; db3 at
+    K = 1) the form was within 5% of the block path at K = 2 and faster at
+    every other K, 2x for db2 and 8x for db1 at K = 5, the K of the Monte
+    Carlo loss; with S >= 4 (db3 to db10) it was slower at every K up to 5.
+    """
+    key = (taps.tobytes(), K)
+    if key not in _QUARTIC_CACHE:
+        table = _cascade_table(taps, K)
+        short = table.shape[0] <= _FORM_MAX_SHIFTS
+        _QUARTIC_CACHE[key] = _quartic_gram(table) if short else None
+    return _QUARTIC_CACHE[key]
+
+
+def _quartic_sum(coarse: np.ndarray, form) -> float:
+    """sum over the cyclic windows w_q of u_q^T gram u_q: the sum of |f|^4
+    over the grid the coarse samples refine to.
+
+    The product w_i w_j of window q multiplies the wrapped samples q + i and
+    q + j, so each row of u is a slice of lags[j - i], the products of the
+    samples j - i apart, and the windows are never formed.  _FORM_WINDOWS
+    windows at a time keep the gram product of a short table (P <= 6) on
+    OpenBLAS's single-threaded path: a threaded BLAS call inside each pool
+    thread of the risk engine stalls both.
+    """
+    i, j, gram = form
+    shifts, n = j[-1] + 1, len(coarse)  # the last pair is (S - 1, S - 1)
+    wrapped = _wrapped(coarse, shifts)
+    total = 0.0
+    for q in range(0, n, _FORM_WINDOWS):
+        rows = min(_FORM_WINDOWS, n - q)
+        block = wrapped[q : q + rows + shifts - 1]
+        lags = [block[: len(block) - d] * block[d:] for d in range(shifts)]
+        u = np.empty((len(i), rows))
+        for row, (a, b) in enumerate(zip(i, j)):
+            u[row] = lags[b - a][a : a + rows]
+        total += float(np.einsum("ij,ij->", gram @ u, u))
+    return total
+
+
+def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: float) -> float:
+    """Mean of |f|^p over the 2^resolution_log2 grid that refines coarse samples.
+
+    signal holds the samples of f at a coarser resolution (for a tree,
+    synthesize(tree, filt, tree.j_max + 1)); the K = resolution_log2 -
+    signal.resolution_log2 zero-detail steps refine it, as synthesize does.
     Equals lp_norm(synthesize(tree, filt, resolution_log2), p) ** p up to
-    roundoff, accumulated block by block without allocating the grid.
+    roundoff and never allocates the fine grid.  For p = 4 and a table of at
+    most three rows (db1 at any K, db2 at K >= 2; _quartic_form) it sums a
+    quadratic form in the pairwise products of each window of coarse
+    samples; for other p or longer filters it sums the refined samples
+    block by block.
     """
     _check_p(p)
-    total = 0.0
-    for _, block in _synthesis_blocks(tree, filt, resolution_log2):
-        total += float(np.sum(_abs_pow(block, p)))
+    K = resolution_log2 - signal.resolution_log2
+    if K < 0:
+        raise ValueError(f"resolution 2^{resolution_log2} is coarser than the signal's "
+                         f"2^{signal.resolution_log2}")
+    form = _quartic_form(filt.taps, K) if p == 4 else None
+    if form is not None:
+        total = _quartic_sum(signal.samples, form)
+    else:
+        total = 0.0
+        for _, block in _refined_blocks(signal.samples, _cascade_table(filt.taps, K)):
+            total += float(np.sum(_abs_pow(block, p)))
     return total / (1 << resolution_log2)

@@ -374,6 +374,10 @@ REJECTED = {
     "unread_projection_kappa": (_rate(estimator_spec={"kind": "projection", "kappa": 2.0}),
                                 "estimator_spec.kappa"),
     "negative_master_seed": (_rate(master_seed=-3), "master_seed"),
+    # smoothness is the top-level key; EstimatorSpec must not get it twice
+    "estimator_smoothness": (_rate(estimator_spec={"kind": "projection", "smoothness": {"s": 1}}),
+                             "estimator_spec.smoothness: estimator 'projection' does not read"),
+    "unknown_estimator_kind": (_rate(estimator_spec={"kind": "wiener"}), "estimator_spec.kind"),
 }
 
 

@@ -6,6 +6,11 @@ from waverates.wavelet import (
     DAUBECHIES_LOWPASS,
     GridSignal,
     WaveletFilter,
+    _cascade_table,
+    _quartic_form,
+    _quartic_gram,
+    _quartic_sum,
+    _refined_blocks,
     analyze,
     get_filter,
     lp_mean,
@@ -217,11 +222,58 @@ def test_synthesize_across_blocks_matches_cascade(name, j_max, res):
 def test_lp_mean_equals_lp_norm_of_synthesis(p):
     filt = get_filter("db4")
     tree = random_tree(np.random.default_rng(8), 6)
-    for res in (9, 17):  # one block, several blocks
+    coarse = synthesize(tree, filt, tree.j_max + 1)
+    for res in (9, 17):  # one block, several blocks; for p = 4 the block path, then the form
         want = lp_norm(synthesize(tree, filt, res), p) ** p
-        assert abs(lp_mean(tree, filt, res, p) - want) <= 1e-12 * want
+        assert abs(lp_mean(coarse, filt, res, p) - want) <= 1e-12 * want
 
 
 def test_lp_mean_rejects_p_below_one():
     with pytest.raises(ValueError, match="p must be >= 1"):
-        lp_mean(CoefficientTree(1, 2, 1.0), get_filter("db2"), 6, 0.5)
+        lp_mean(GridSignal(3, np.ones(8)), get_filter("db2"), 6, 0.5)
+
+
+def test_lp_mean_rejects_a_grid_coarser_than_the_signal():
+    with pytest.raises(ValueError, match="coarser than the signal"):
+        lp_mean(GridSignal(3, np.ones(8)), get_filter("db2"), 2, 4.0)
+
+
+def block_quartic_sum(coarse, table):
+    return sum(float(np.sum(block**4)) for _, block in _refined_blocks(coarse, table))
+
+
+@pytest.mark.parametrize("vm", [1, 2, 3, 4, 10])
+def test_quartic_form_matches_block_path(vm):
+    # J = 1 and J = 3 give coarse grids shorter than most windows (wrap-around);
+    # J = 14 spans several _FORM_WINDOWS blocks
+    taps = get_filter(f"db{vm}").taps
+    rng = np.random.default_rng(vm)
+    for K in range(1, 7):
+        table = _cascade_table(taps, K)
+        form = _quartic_gram(table)
+        for J in (1, 3, 14):
+            coarse = rng.standard_normal(1 << J)
+            want = block_quartic_sum(coarse, table)
+            assert abs(_quartic_sum(coarse, form) - want) <= 1e-12 * want, (K, J)
+
+
+def test_quartic_form_is_chosen_for_short_cascades_only():
+    # the form for tables of at most three rows: db1, db2 from K = 2, db3 at K = 1
+    taps = {vm: get_filter(f"db{vm}").taps for vm in (1, 2, 3, 4, 10)}
+    assert [_quartic_form(taps[vm], 5) is not None for vm in taps] == [True, True, False,
+                                                                       False, False]
+    assert _quartic_form(taps[3], 1) is not None and _quartic_form(taps[3], 2) is None
+    assert all(_quartic_form(taps[1], K) is not None for K in range(7))
+    assert all(_quartic_form(taps[10], K) is None for K in range(1, 7))
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db3", "db4", "db10"])
+def test_lp_mean_p4_matches_grid_quadrature(name):
+    # a smooth tree plus noise, refined K = 5 steps as the Monte Carlo loss does
+    filt = get_filter(name)
+    rng = np.random.default_rng(len(name))
+    tree = CoefficientTree(1, 7, 0.5, {j: 2.0 ** -j * rng.standard_normal(1 << j)
+                                       for j in range(8)})
+    want = lp_norm(synthesize(tree, filt, 13), 4.0) ** 4
+    got = lp_mean(synthesize(tree, filt, 8), filt, 13, 4.0)
+    assert abs(got - want) <= 1e-12 * want
