@@ -10,12 +10,12 @@ sequence model's projection rule applies to them unchanged.
 import numpy as np
 
 from waverates import (
-    WeightProfile,
     density_threshold_estimate,
     density_truth_tree,
     empirical_coefficients,
     get_filter,
     linear_estimate,
+    projection_weights,
     sample_density,
     shell_tree,
     synthesize,
@@ -41,7 +41,7 @@ print(f"kept {kept} of {total} empirical coefficients")
 err = estimate - truth
 print(f"coefficient-space squared error: {err.total_energy():.5f}")
 print(f"trivial estimate (uniform) squared error: {truth.wavelet_energy():.5f}")
-projection = linear_estimate(beta, WeightProfile.projection(16.0))
+projection = linear_estimate(beta, projection_weights(16.0))
 print(f"projection onto levels 2^j < 16 squared error: {(projection - truth).total_energy():.5f}")
 
 print("\nper-level recovered coefficient counts:")

@@ -16,13 +16,13 @@ from .dyadic import CoefficientTree, LevelIndex, level_count, reduce_dyadic
 from .estimators import (
     ShrinkageClass,
     ShrinkageTrace,
-    ThresholdConfig,
-    WeightProfile,
     choose_mn,
     classify_rule,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
+    pinsker_weights,
+    projection_weights,
     shrinkage_trace,
     threshold_estimate,
     universal_threshold,

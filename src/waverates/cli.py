@@ -2,10 +2,11 @@
 
 A JSON config describes one experiment: smoothness/loss parameters, truth,
 estimator, n-grid, replicates and tolerances.  ``run`` executes it, writes
-plot-ready CSV tables and a manifest (resolved config and its content hash)
+plot-ready CSV tables and a manifest (the resolved config but for the
+unhashed ``execution`` entry, threads and output_dir, and its content hash)
 into the output directory and reports pass/fail verdicts; identical config
-and seed give byte-identical outputs.  ``report`` re-renders the verdicts
-from the stored tables without re-simulating.
+and seed give byte-identical tables at any thread count and output path.
+``report`` re-renders the verdicts from the stored tables without re-simulating.
 
 Subcommands:
     run       execute an experiment from a config file
@@ -130,11 +131,17 @@ def _parse(kind: str, value, name: str):
     if kind == "SmoothnessParams":
         return SmoothnessParams(**_parse_fields(SmoothnessParams, _parse("dict", value, name),
                                                 name + "."))
-    if kind == "float":
+    if kind == "float":  # NaN is not a number here; inf is
         try:
-            return float(value)
+            if not math.isnan(number := float(value)):
+                return number
         except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+            pass
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name}: expected true or false, got {value!r}")
+        return value
     if kind == "int":  # strictly: 2.7 and true are not integers
         integral = value.is_integer() if isinstance(value, float) else not isinstance(value, bool)
         try:
@@ -201,7 +208,8 @@ def _validated(raw: dict) -> ExperimentConfig:
     config = ExperimentConfig(**_parse_fields(ExperimentConfig, raw))
     sm, monte_carlo = config.smoothness, experiment.model is not None
 
-    estimator_kind = config.estimator_spec.get("kind", "threshold_hard")
+    config = replace(config, estimator_spec={"kind": "threshold_hard", **config.estimator_spec})
+    estimator_kind = config.estimator_spec["kind"]
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, "
                           f"got {estimator_kind!r}")
@@ -266,28 +274,35 @@ def _validated(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"tolerances: unknown key {unknown[0]!r} for {kind}; "
                           f"expected any of {sorted(experiment.tolerances)}")
+    tolerances = dict(config.tolerances)
+    for key, value in tolerances.items():  # parsed by the type of the key's default
+        default = experiment.tolerances[key]
+        if value is not None or default is not None:  # r_squared: null, no floor
+            kind_of = "bool" if isinstance(default, bool) else "float"
+            tolerances[key] = _parse(kind_of, value, f"tolerances.{key}")
     defaults = {"kappa": estimator.kappa} if "kappa" in kind_params else {}
     config = replace(config, truth_spec={"kind": truth_kind, **truth_spec},
-                     estimator_spec={"kind": estimator.kind, **defaults,
-                                     **config.estimator_spec})
+                     estimator_spec={**defaults, **config.estimator_spec}, tolerances=tolerances)
     experiment.check(config)
     return config
 
 
 def _estimator(config: ExperimentConfig) -> EstimatorSpec:
-    return EstimatorSpec(smoothness=config.smoothness,
-                         **{"kind": "threshold_hard", **config.estimator_spec})
+    return EstimatorSpec(smoothness=config.smoothness, **config.estimator_spec)
 
 
 def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness
-    return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max, base_amplitude=float(base_amplitude),
-                alpha=float(probe_alpha), dither=float(dither), j_min=_parse("int", j_min, "j_min"))
+    return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max,
+                base_amplitude=_parse("float", base_amplitude, "base_amplitude"),
+                alpha=_parse("float", probe_alpha, "probe_alpha"),
+                dither=_parse("float", dither, "dither"), j_min=_parse("int", j_min, "j_min"))
 
 
 def _bump_args(config, level=1, position=0, amplitude=1.0):
     return dict(d=config.smoothness.d, j_max=config.j_max, level=_parse("int", level, "level"),
-                position=_parse("int", position, "position"), amplitude=float(amplitude))
+                position=_parse("int", position, "position"),
+                amplitude=_parse("float", amplitude, "amplitude"))
 
 
 def _check_tree_file(path) -> None:
@@ -386,17 +401,17 @@ def _rate_fit_tables(config: ExperimentConfig):
 
 def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
     expected, fit = _regime(config).alpha, _stored_fit(config, read)
-    implied, alpha_tol = fit.implied_alpha, float(_tolerance(config, "alpha"))
+    implied, alpha_tol = fit.implied_alpha, _tolerance(config, "alpha")
     kind = config.experiment_kind
-    if bool(_tolerance(config, "one_sided")):
+    if _tolerance(config, "one_sided"):
         name, passed = "alpha_upper", implied <= expected + alpha_tol
     else:
         name, passed = "implied_alpha", abs(implied - expected) <= alpha_tol
     verdicts = [_verdict(f"{kind}.{name}", implied, expected, alpha_tol, passed)]
     floor = _tolerance(config, "r_squared")
     if floor is not None:
-        verdicts.append(_verdict(f"{kind}.r_squared", fit.r_squared, float(floor), 0.0,
-                                 fit.r_squared >= float(floor)))
+        verdicts.append(_verdict(f"{kind}.r_squared", fit.r_squared, floor, 0.0,
+                                 fit.r_squared >= floor))
     return verdicts
 
 
@@ -427,7 +442,7 @@ def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
     fits = [_stored_fit(config, read, "_" + _alpha_label(alpha)).implied_alpha
             for alpha in config.probe_alphas]
     spread = max(fits) - min(fits)
-    spread_tol = float(_tolerance(config, "spread"))
+    spread_tol = _tolerance(config, "spread")
     return [_verdict("probe_sweep.spread", spread, 0.0, spread_tol, spread <= spread_tol)]
 
 
@@ -449,7 +464,7 @@ def _scaling_check(config: ExperimentConfig) -> None:
 
 
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
-    scale_tol = float(_tolerance(config, "scaling"))
+    scale_tol = _tolerance(config, "scaling")
     return [
         _verdict(f"scaling_function.p={p:g}", est, theory, scale_tol,
                  abs(est - theory) <= scale_tol)
@@ -489,7 +504,7 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
     ts = np.array([t for t, _ in kept], dtype=np.float64)
     slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
-    rel_tol = float(_tolerance(config, "witness_rel"))
+    rel_tol = _tolerance(config, "witness_rel")
     ok = abs(slope - target) <= rel_tol * target
     return [_verdict("weak_exclusion.log2_slope", slope, target, rel_tol * target, ok)]
 
@@ -538,7 +553,8 @@ def run(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment; write tables, manifest and verdicts."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = config.resolved()
+    manifest = config.resolved()  # the science; how the run was executed is not hashed
+    execution = {key: manifest.pop(key) for key in ("threads", "output_dir")}
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     mh = hashlib.sha256(canonical.encode()).hexdigest()
     tables = []
@@ -546,7 +562,8 @@ def run(config: ExperimentConfig) -> RunReport:
         recordio.write_table(out_dir / name, columns, rows, mh)
         tables.append(str(out_dir / name))
     verdicts = _verdicts(config, out_dir)
-    for name, payload in (("manifest.json", {"manifest": manifest, "hash": mh}),
+    for name, payload in (("manifest.json", {"manifest": manifest, "hash": mh,
+                                              "execution": execution}),
                           ("report.json", {"hash": mh, "verdicts": verdicts})):
         (out_dir / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return RunReport(manifest=manifest, manifest_hash=mh,
@@ -554,7 +571,7 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def report_from_dir(out_dir) -> list[dict]:
-    """Re-render verdicts from the stored tables of a completed run."""
+    """Re-render verdicts from the stored tables and manifest of a completed run."""
     out_dir = Path(out_dir)
     try:  # only reading the directory's files raises these
         manifest = json.loads((out_dir / "manifest.json").read_text()).get("manifest")

@@ -2,8 +2,8 @@
 
 The observed tree is a sequence observation's y or the empirical
 coefficients of a density sample; the rules do not depend on which.  Linear
-rules apply smoothing weights coefficient-wise (projection and Pinsker
-profiles built in); thresholding keeps or shrinks observed coefficients
+rules multiply each level by its weight (projection_weights and
+pinsker_weights give them); thresholding keeps or shrinks observed coefficients
 against the universal threshold sqrt(log n / n) up to the noise-matched depth
 j(n), and the density threshold is the strict, kappa-free variant.  The
 shrinkage-trace machinery classifies realized rules on sequence observations
@@ -17,7 +17,7 @@ passed through untouched: every procedure acts on wavelet coefficients only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -27,8 +27,8 @@ from .models import SequenceObservation
 from .spaces import SmoothnessParams
 
 __all__ = [
-    "WeightProfile",
-    "ThresholdConfig",
+    "projection_weights",
+    "pinsker_weights",
     "ShrinkageClass",
     "ShrinkageTrace",
     "linear_estimate",
@@ -57,68 +57,35 @@ def noise_depth(n: int) -> int:
     return j
 
 
-def _unit_levels(levels: Mapping[int, np.ndarray], what: str) -> dict[int, np.ndarray]:
-    """Read-only float copies of per-level arrays whose values all lie in [0, 1]."""
-    clean = {}
-    for j, arr in levels.items():
-        arr = np.array(arr, dtype=np.float64)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError(f"{what} at level {j} leave [0, 1]")
-        arr.flags.writeable = False
-        clean[int(j)] = arr
-    return clean
+def projection_weights(m_n: float) -> dict[int, float]:
+    """Projection weights, level -> weight: 1 on the levels with 2^j < m_n."""
+    if not 0.0 <= m_n < math.inf:
+        raise ValueError(f"m_n must be a finite number >= 0, got {m_n}")
+    weights = {}
+    while 2.0 ** len(weights) < m_n:
+        weights[len(weights)] = 1.0
+    return weights
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Smoothing weights for linear rules.
-
-    kind 'projection' keeps levels with 2^j < m_n; kind 'pinsker' applies
-    (1 - (j / m_n)^order)_+ with m_n read as a level count; kind 'custom'
-    carries explicit per-level weight arrays.  All weights lie in [0, 1].
-    """
-
-    kind: str
-    m_n: float = 0.0
-    pinsker_order: float = 2.0
-    weights: Mapping[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("projection", "pinsker", "custom"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in ("projection", "pinsker") and self.m_n < 0:
-            raise ValueError("m_n must be non-negative")
-        if self.kind == "pinsker" and self.pinsker_order <= 0:
-            raise ValueError("pinsker_order must be positive")
-        object.__setattr__(self, "weights", _unit_levels(self.weights, "weights"))
-
-    @classmethod
-    def projection(cls, m_n: float) -> "WeightProfile":
-        return cls(kind="projection", m_n=m_n)
-
-    @classmethod
-    def pinsker(cls, m_n: float, order: float = 2.0) -> "WeightProfile":
-        return cls(kind="pinsker", m_n=m_n, pinsker_order=order)
-
-    @classmethod
-    def custom(cls, weights: Mapping[int, np.ndarray]) -> "WeightProfile":
-        return cls(kind="custom", weights=weights)
-
-    def level_weight(self, j: int):
-        """Weight applied at level j: a scalar, or an array for custom profiles."""
-        if self.kind == "projection":
-            return 1.0 if 2.0**j < self.m_n else 0.0
-        if self.kind == "pinsker":
-            return max(0.0, 1.0 - (j / self.m_n) ** self.pinsker_order) if self.m_n > 0 else 0.0
-        arr = self.weights.get(j)
-        return 0.0 if arr is None else arr
+def pinsker_weights(m_n: float, order: float = 2.0) -> dict[int, float]:
+    """Pinsker weights, level -> weight: (1 - (j / m_n)^order)_+ with m_n read
+    as a level count, up to the first level whose weight is 0 (every deeper
+    one is 0 too); m_n = 0 weights no level."""
+    if not 0.0 <= m_n < math.inf:
+        raise ValueError(f"m_n must be a finite number >= 0, got {m_n}")
+    if order <= 0:
+        raise ValueError("pinsker_order must be positive")
+    weights = {}
+    while m_n > 0 and (w := max(0.0, 1.0 - (len(weights) / m_n) ** order)):
+        weights[len(weights)] = w
+    return weights
 
 
 def choose_mn(params: SmoothnessParams, n: int) -> float:
     """Bias-variance cutoff scale for linear rules.
 
     m_n = n^{1 / (2 s + d)} when r >= p, and n^{1 / (2 (s - d/r + d/p) + d)}
-    when p > r.  The projection profile keeps levels with 2^j < m_n.
+    when p > r.  projection_weights(m_n) keeps the levels with 2^j < m_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -128,56 +95,30 @@ def choose_mn(params: SmoothnessParams, n: int) -> float:
     return float(n) ** (1.0 / (2.0 * (s - d / r + d / p) + d))
 
 
-def linear_estimate(y: CoefficientTree, w: WeightProfile) -> CoefficientTree:
-    """Coefficient-wise weighted observed tree; scaling passed through with weight 1."""
-    levels = {}
-    for j, arr in y.levels.items():
-        wj = w.level_weight(j)
-        if isinstance(wj, np.ndarray):
-            if wj.shape != arr.shape:
-                raise ValueError(f"custom weights at level {j} have shape {wj.shape}")
-            levels[j] = wj * arr
-        elif wj != 0.0:
-            levels[j] = wj * arr
+def linear_estimate(y: CoefficientTree, weights: Mapping[int, float]) -> CoefficientTree:
+    """Each level of the observed tree times its weight (levels without one are
+    dropped); scaling passed through with weight 1."""
+    levels = {j: weights[j] * arr for j, arr in y.levels.items() if weights.get(j, 0.0) != 0.0}
     return CoefficientTree(d=y.d, j_max=y.j_max, scaling=y.scaling, levels=levels)
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Universal-threshold configuration; t_n and j(n) are derived, never stored."""
-
-    n: int
-    kappa: float = 2.0
-    mode: str = "hard"
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.mode not in ("hard", "soft"):
-            raise ValueError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
-
-    @property
-    def t_n(self) -> float:
-        return universal_threshold(self.n)
-
-    @property
-    def j_n(self) -> int:
-        return noise_depth(self.n)
-
-
-def threshold_estimate(y: CoefficientTree, cfg: ThresholdConfig) -> CoefficientTree:
+def threshold_estimate(y: CoefficientTree, n: int, kappa: float = 2.0,
+                       mode: str = "hard") -> CoefficientTree:
     """Hard or soft thresholding at kappa * t_n on levels j <= j(n).
 
     Hard keeps y when |y| >= kappa t_n (boundary kept); soft shrinks by
     sign(y) (|y| - kappa t_n)_+.  Levels above j(n) are zeroed; the scaling
-    coefficient is passed through untouched.
+    coefficient is passed through untouched.  kappa must be finite and > 0.
     """
-    lam = cfg.kappa * cfg.t_n
-    if cfg.mode == "hard":
-        return _thresholded(y, cfg.j_n, lambda a: np.where(np.abs(a) >= lam, a, 0.0))
-    return _thresholded(y, cfg.j_n, lambda a: np.sign(a) * np.maximum(np.abs(a) - lam, 0.0))
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if mode not in ("hard", "soft"):
+        raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
+    lam = kappa * universal_threshold(n)
+    if mode == "hard":
+        return _thresholded(y, noise_depth(n), lambda a: np.where(np.abs(a) >= lam, a, 0.0))
+    return _thresholded(y, noise_depth(n),
+                        lambda a: np.sign(a) * np.maximum(np.abs(a) - lam, 0.0))
 
 
 def _thresholded(tree: CoefficientTree, j_cut: int, rule) -> CoefficientTree:
@@ -224,7 +165,14 @@ class ShrinkageTrace:
     observation: SequenceObservation
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", _unit_levels(self.gammas, "gamma values"))
+        gammas = {}
+        for j, g in self.gammas.items():  # read-only float copies, values in [0, 1]
+            g = np.array(g, dtype=np.float64)
+            if np.any(g < 0.0) or np.any(g > 1.0):
+                raise ValueError(f"gamma values at level {j} leave [0, 1]")
+            g.flags.writeable = False
+            gammas[int(j)] = g
+        object.__setattr__(self, "gammas", gammas)
 
 
 def shrinkage_trace(obs: SequenceObservation, estimate: CoefficientTree) -> ShrinkageTrace:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoefficientTree
+from .dyadic import CoefficientTree, _freeze
 from .wavelet import WaveletFilter, _cascade_table, _coarse_samples, _refined_blocks, synthesize
 
 __all__ = [
@@ -71,13 +71,11 @@ class DensitySample:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
+        points = _freeze(self.points)
         if self.n < 1 or points.shape != (self.n,):
             raise ValueError(f"expected {self.n} points, got shape {points.shape}")
         if points.size and (points.min() < 0.0 or points.max() > 1.0):
             raise ValueError("sample points must lie in [0, 1]")
-        points = points.copy()
-        points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
 

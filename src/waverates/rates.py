@@ -25,12 +25,12 @@ import numpy as np
 
 from .dyadic import CoefficientTree
 from .estimators import (
-    ThresholdConfig,
-    WeightProfile,
     choose_mn,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
+    pinsker_weights,
+    projection_weights,
     threshold_estimate,
 )
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
@@ -196,7 +196,7 @@ class EstimatorSpec:
     parameters it reads.  The linear kinds derive their cutoff from choose_mn
     at the given smoothness, or use fixed_m_n (finite, >= 0; m_n <= 1 keeps
     no level); the sequence thresholds use kappa.  Numbers are coerced to
-    float.
+    float; kappa and pinsker_order must be finite and > 0.
     """
 
     kind: str
@@ -215,8 +215,9 @@ class EstimatorSpec:
                     object.__setattr__(self, name, float(value))
             except (TypeError, ValueError):
                 raise ValueError(f"{name}: expected a number, got {value!r}") from None
-        ThresholdConfig(n=2, kappa=self.kappa)  # kappa must be positive
-        WeightProfile.pinsker(1.0, self.pinsker_order)  # pinsker_order must be positive
+        for name in ("kappa", "pinsker_order"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.fixed_m_n is not None and not 0.0 <= self.fixed_m_n < math.inf:
             raise ValueError(f"fixed_m_n must be a finite number >= 0, got {self.fixed_m_n}")
         if self.family == "linear" and self.smoothness is None and self.fixed_m_n is None:
@@ -235,24 +236,6 @@ class EstimatorSpec:
     @property
     def family(self) -> str:
         return ESTIMATOR_KINDS[self.kind].family
-
-
-def _last_level(profile: WeightProfile) -> int:
-    """Last level with a nonzero weight, or -1; the weights of a projection or
-    Pinsker profile are nonzero on levels 0..j and zero above."""
-    j = -1
-    while profile.level_weight(j + 1):
-        j += 1
-    return j
-
-
-def _linear_cutoff_level(m_n: float) -> int:
-    """Largest level kept by the projection profile (max j with 2^j < m_n), or -1."""
-    return _last_level(WeightProfile.projection(m_n))
-
-
-def _pinsker_profile(est, n) -> WeightProfile:
-    return WeightProfile.pinsker(math.log2(max(est.cutoff(n), 1.0)), est.pinsker_order)
 
 
 def _level_energies(tree: CoefficientTree) -> dict:
@@ -307,61 +290,48 @@ def _loss(estimate, truth, truth_side, p, filt, depth) -> float:
     return lp_mean(GridSignal(res, diff), filt, res + SYNTHESIS_PAD - 1, p)
 
 
-def _projection(est, y, n):
-    return linear_estimate(y, WeightProfile.projection(est.cutoff(n)))
+def _projection(spec, n):
+    weights = projection_weights(spec.cutoff(n))
+    return max(weights, default=0), lambda y: linear_estimate(y, weights)
 
 
-def _pinsker(est, y, n):
-    return linear_estimate(y, _pinsker_profile(est, n))
+def _pinsker(spec, n):
+    weights = pinsker_weights(math.log2(max(spec.cutoff(n), 1.0)), spec.pinsker_order)
+    return max(weights, default=0), lambda y: linear_estimate(y, weights)
 
 
-def _threshold(mode, est, y, n):
-    return threshold_estimate(y, ThresholdConfig(n=n, kappa=est.kappa, mode=mode))
+def _threshold(mode, spec, n):
+    return noise_depth(n), lambda y: threshold_estimate(y, n, spec.kappa, mode)
 
 
-def _density_threshold(est, beta_hat, n):
-    return density_threshold_estimate(beta_hat, n)
-
-
-def _linear_depth(est, n):
-    return max(_linear_cutoff_level(est.cutoff(n)), 0)
-
-
-def _pinsker_depth(est, n):
-    return max(_last_level(_pinsker_profile(est, n)), 0)
-
-
-def _threshold_depth(est, n):
-    return noise_depth(n)
+def _density_threshold(spec, n):
+    return noise_depth(n), lambda beta_hat: density_threshold_estimate(beta_hat, n)
 
 
 class EstimatorKind(NamedTuple):
     """An estimator kind: the observation model the risk engine draws for it
-    ("sequence" or "density"), its rate family, estimate(spec, observed
-    coefficient tree, n) -> estimate tree, read_depth(spec, n), the deepest
-    level the estimate reads (>= 0; it holds no deeper level), and params,
-    the EstimatorSpec parameters besides kind and smoothness that it reads."""
+    ("sequence" or "density"), its rate family, rule(spec, n) -> (read_depth,
+    estimate), where estimate maps an observed coefficient tree to the
+    estimate tree and read_depth >= 0 is the deepest level it reads (the
+    estimate holds no deeper level), and params, the EstimatorSpec parameters
+    besides kind and smoothness that it reads.  The rules look the estimators
+    up when called, so a wrapped estimator is the one that runs."""
 
     model: str
     family: str
-    estimate: Callable
-    read_depth: Callable
+    rule: Callable
     params: tuple[str, ...]
 
 
 ESTIMATOR_KINDS = {
-    "projection": EstimatorKind("sequence", "linear", _projection, _linear_depth,
-                                ("fixed_m_n",)),
-    "pinsker": EstimatorKind("sequence", "linear", _pinsker, _pinsker_depth,
-                             ("fixed_m_n", "pinsker_order")),
+    "projection": EstimatorKind("sequence", "linear", _projection, ("fixed_m_n",)),
+    "pinsker": EstimatorKind("sequence", "linear", _pinsker, ("fixed_m_n", "pinsker_order")),
     "threshold_hard": EstimatorKind("sequence", "threshold", partial(_threshold, "hard"),
-                                    _threshold_depth, ("kappa",)),
+                                    ("kappa",)),
     "threshold_soft": EstimatorKind("sequence", "threshold", partial(_threshold, "soft"),
-                                    _threshold_depth, ("kappa",)),
-    "density_linear": EstimatorKind("density", "linear", _projection, _linear_depth,
-                                    ("fixed_m_n",)),
-    "density_threshold": EstimatorKind("density", "threshold", _density_threshold,
-                                       _threshold_depth, ()),
+                                    ("kappa",)),
+    "density_linear": EstimatorKind("density", "linear", _projection, ("fixed_m_n",)),
+    "density_threshold": EstimatorKind("density", "threshold", _density_threshold, ()),
 }
 
 
@@ -371,15 +341,15 @@ def _model_depth(truth, read, j_max, density) -> int:
     return j_max if j_max is not None else read if density else truth.j_max
 
 
-def _one_replicate(truths, truth_sides, est, n, p, filt, j_max, seed, samplers):
-    """The loss of every truth's estimate on the replicate drawn from seed.
+def _one_replicate(truths, truth_sides, rule, n, p, filt, j_max, seed, samplers):
+    """The loss of every truth's estimate on the replicate drawn from seed,
+    rule being the estimator kind's (read depth, estimate) at n.
 
     Sequence truths share one noise draw, to the deepest depth any of them
     reads, and each adds its own levels to it; each density truth samples its
     own law from the same seed.
     """
-    kind = ESTIMATOR_KINDS[est.kind]
-    read = kind.read_depth(est, n)
+    read, estimate = rule
     density = samplers is not None
     depths = [_model_depth(truth, read, j_max, density) for truth in truths]
     reads = [min(read, depth) for depth in depths]
@@ -390,7 +360,7 @@ def _one_replicate(truths, truth_sides, est, n, p, filt, j_max, seed, samplers):
         top = max(reads)
         noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
         observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
-    return [_loss(kind.estimate(est, y, n), truth, side, p, filt, depth)
+    return [_loss(estimate(y), truth, side, p, filt, depth)
             for y, truth, side, depth in zip(observed, truths, truth_sides, depths)]
 
 
@@ -414,10 +384,11 @@ def monte_carlo_risk(
     the density the truth specifies.  filter_name is the wavelet of the
     density model and of the p != 2 loss quadrature.  j_max fixes the
     model's depth; when omitted, sequence observations have the truth's depth
-    and density coefficients the estimator's read depth.  Each replicate is
-    observed only up to the estimator's read depth (the ESTIMATOR_KINDS
-    column) within the model's depth: no estimator reads a deeper level, and
-    its estimate is that of the model-depth observation.
+    and density coefficients the estimator's read depth.  The kind's rule
+    gives the read depth and the estimate at each n, once per n; each
+    replicate is observed only up to that depth within the model's depth: no
+    estimator reads a deeper level, and its estimate is that of the
+    model-depth observation.
 
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
@@ -441,8 +412,8 @@ def monte_carlo_risk(
     filt = get_filter(filter_name)
     density = estimator.model == "density"
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
-    reads = [ESTIMATOR_KINDS[estimator.kind].read_depth(estimator, n) for n in n_grid]
-    truth_sides = [_truth_side(t, [_model_depth(t, read, j_max, density) for read in reads],
+    rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
+    truth_sides = [_truth_side(t, [_model_depth(t, read, j_max, density) for read, _ in rules],
                                p, filt) for t in truths]
     losses = np.empty((len(truths), len(n_grid), R))
 
@@ -450,7 +421,7 @@ def monte_carlo_risk(
         i, rep = i_rep
         n = n_grid[i]
         seed = np.random.SeedSequence((master_seed, n, rep))
-        return i, rep, _one_replicate(truths, truth_sides, estimator, n, p, filt, j_max, seed,
+        return i, rep, _one_replicate(truths, truth_sides, rules[i], n, p, filt, j_max, seed,
                                       samplers)
 
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoefficientTree
+from .dyadic import CoefficientTree, _freeze
 
 __all__ = [
     "WaveletFilter",
@@ -171,15 +171,13 @@ class GridSignal:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = _freeze(self.samples)
         if self.resolution_log2 < 0:
             raise ValueError("resolution_log2 must be non-negative")
         if samples.shape != (1 << self.resolution_log2,):
             raise ValueError(
                 f"expected {1 << self.resolution_log2} samples, got shape {samples.shape}"
             )
-        samples = samples.copy()
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     def grid(self) -> np.ndarray:
@@ -281,8 +279,9 @@ def _wrapped(coarse: np.ndarray, shifts: int) -> np.ndarray:
     """coarse[(m - shifts + 1) mod n] for m = 0 .. n + shifts - 2: its slice
     [q, q + shifts) is the cyclic window coarse[q - shifts + 1 .. q], wrapping
     as often as a window longer than the grid needs."""
-    n = len(coarse)
-    return coarse[np.arange(1 - shifts, n) % n]
+    n, k = len(coarse), shifts - 1
+    tiled = coarse if k <= n else np.resize(coarse, -(-k // n) * n)  # whole periods
+    return np.concatenate((tiled[len(tiled) - k:], coarse))
 
 
 def _refined_blocks(coarse: np.ndarray, table: np.ndarray):

@@ -18,13 +18,13 @@ from waverates.cli import validate_config, run
 from waverates.dyadic import CoefficientTree, LevelIndex, reduce_dyadic
 from waverates.estimators import (
     ShrinkageClass,
-    ThresholdConfig,
-    WeightProfile,
     choose_mn,
     classify_rule,
     linear_estimate,
+    projection_weights,
     shrinkage_trace,
     threshold_estimate,
+    universal_threshold,
 )
 from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from waverates.models import empirical_coefficients, sample_density, simulate_sequence
@@ -239,14 +239,13 @@ def test_criterion_9_structural_suites(tmp_path):
     good = 0
     for seed in range(100):
         obs = simulate_sequence(truth, 256, 5, seed=seed)
-        cfg = ThresholdConfig(n=256, kappa=2.0, mode="hard")
         elitist = classify_rule(
-            shrinkage_trace(obs, threshold_estimate(obs.y, cfg)),
-            ShrinkageClass("elitist", cfg.kappa * cfg.t_n * 0.999, 0.5),
+            shrinkage_trace(obs, threshold_estimate(obs.y, 256, kappa=2.0, mode="hard")),
+            ShrinkageClass("elitist", 2.0 * universal_threshold(256) * 0.999, 0.5),
         )
         m_n = choose_mn(DENSE, 256)
         limited = classify_rule(
-            shrinkage_trace(obs, linear_estimate(obs.y, WeightProfile.projection(m_n))),
+            shrinkage_trace(obs, linear_estimate(obs.y, projection_weights(m_n))),
             ShrinkageClass("limited", 2.0 ** (-math.ceil(math.log2(m_n))), 0.5),
         )
         good += elitist and limited

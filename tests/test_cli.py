@@ -219,19 +219,19 @@ def test_run_density_rate_fit_and_report_round_trip(tmp_path):
 
 
 def test_run_is_byte_identical_across_reruns(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    cfg_a = validate_config(rate_config(out_a, replicates=4))
-    cfg_b = validate_config(rate_config(out_b, replicates=4))
-    run(cfg_a)
-    run(cfg_b)
-    risk_a = (out_a / "risk_threshold_hard.csv").read_text()
-    risk_b = (out_b / "risk_threshold_hard.csv").read_text()
-    # identical except for the output_dir-dependent manifest hash line
-    assert risk_a.splitlines()[1:] == risk_b.splitlines()[1:]
-    report_1 = run(validate_config(rate_config(out_a, replicates=4)))
-    report_2 = run(validate_config(rate_config(out_a, replicates=4)))
-    assert report_1.manifest_hash == report_2.manifest_hash
-    assert (out_a / "risk_threshold_hard.csv").read_text() == risk_a
+    # the hash names the science: neither the output path nor the thread count enters it
+    runs = [(tmp_path / "a", 1), (tmp_path / "b", 1), (tmp_path / "a", 3), (tmp_path / "c", 3)]
+    outputs = []
+    for out, threads in runs:
+        report = run(validate_config(rate_config(out, replicates=4, threads=threads)))
+        stored = json.loads((out / "manifest.json").read_text())
+        assert stored["execution"] == {"threads": threads, "output_dir": str(out)}
+        assert stored["hash"] == report.manifest_hash and "threads" not in stored["manifest"]
+        names = sorted(Path(table).name for table in report.tables) + ["report.json"]
+        outputs.append((report.manifest_hash, {name: (out / name).read_bytes() for name in names}))
+    assert all(output == outputs[0] for output in outputs[1:])
+    assert sorted(outputs[0][1]) == ["report.json", "risk_threshold_hard.csv",
+                                     "slope_threshold_hard.csv"]
 
 
 def test_run_probe_sweep_spread_verdict(tmp_path):
@@ -391,6 +391,52 @@ def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not out.exists()
+
+
+NAN = float("nan")
+# (config, the key its error line must name); each validated at exit 0, and
+# then ran into an error or a wrong verdict before these values were parsed
+UNPARSED = {
+    "nan_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": NAN}), "kappa"),
+    "infinite_kappa": (_rate(estimator_spec={"kind": "threshold_soft", "kappa": math.inf}),
+                       "kappa"),
+    "nan_pinsker_order": (_rate(estimator_spec={"kind": "pinsker", "pinsker_order": NAN}),
+                          "pinsker_order"),
+    "nan_base_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": NAN}),
+                           "base_amplitude"),
+    "nan_dither": (_rate(truth_spec={"kind": "generic_g", "dither": NAN}), "dither"),
+    "nan_probe_alpha": (_rate(experiment_kind="probe_sweep", probe_alphas=[NAN, 1.0]),
+                        "probe_alphas"),
+    "text_alpha_tolerance": (_rate(tolerances={"alpha": "abc"}), "tolerances.alpha"),
+    "list_alpha_tolerance": (_rate(tolerances={"alpha": [1]}), "tolerances.alpha"),
+    "text_r_squared": (_rate(tolerances={"r_squared": "x"}), "tolerances.r_squared"),
+    # bool("no") is True: this ran as the one-sided verdict
+    "text_one_sided": (_rate(tolerances={"one_sided": "no"}), "tolerances.one_sided"),
+    "nan_spread": (_rate(experiment_kind="probe_sweep", tolerances={"spread": NAN}),
+                   "tolerances.spread"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name", UNPARSED)
+def test_nan_and_mistyped_values_are_config_errors(name, command, tmp_path, capsys):
+    raw, key = UNPARSED[name]
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(raw, output_dir=str(out))))
+    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_tolerances_parse_by_the_type_of_their_default(tmp_path):
+    config = validate_config(rate_config(tmp_path / "o", tolerances={
+        "alpha": 1, "one_sided": True, "r_squared": None}))
+    assert config.tolerances == {"alpha": 1.0, "one_sided": True, "r_squared": None}
+    assert type(config.tolerances["alpha"]) is float
+    assert validate_config(rate_config(tmp_path / "o", smoothness={
+        "s": 2, "r": "inf", "p": 2, "d": 1})).smoothness.r == math.inf  # inf is a number
 
 
 @pytest.mark.parametrize("text", ["", "p,estimate,theory,residual\n2.0,x,1.0,0.0\n",

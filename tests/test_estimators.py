@@ -7,13 +7,13 @@ from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
     ShrinkageClass,
     ShrinkageTrace,
-    ThresholdConfig,
-    WeightProfile,
     choose_mn,
     classify_rule,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
+    pinsker_weights,
+    projection_weights,
     shrinkage_trace,
     threshold_estimate,
     universal_threshold,
@@ -29,28 +29,31 @@ def observation(seed=0, n=1024, j_max=6, theta=None):
 
 
 def test_weight_profile_validation():
-    with pytest.raises(ValueError):
-        WeightProfile(kind="nope")
-    with pytest.raises(ValueError):
-        WeightProfile.custom({2: np.array([0.5, 1.2, 0.0, 0.1])})
-    w = WeightProfile.projection(4.0)
-    assert [w.level_weight(j) for j in range(4)] == [1.0, 1.0, 0.0, 0.0]  # keep 2^j < 4
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="m_n must be a finite number >= 0"):
+            projection_weights(bad)
+        with pytest.raises(ValueError, match="m_n must be a finite number >= 0"):
+            pinsker_weights(bad)
+    with pytest.raises(ValueError, match="pinsker_order must be positive"):
+        pinsker_weights(4.0, order=0.0)
+    assert projection_weights(4.0) == {0: 1.0, 1: 1.0}  # keep 2^j < 4
+    assert projection_weights(1.0) == projection_weights(0.0) == pinsker_weights(0.0) == {}
 
 
 def test_pinsker_weights_hand_value():
-    w = WeightProfile.pinsker(4.0, order=2.0)
-    assert w.level_weight(2) == 0.75
-    assert w.level_weight(4) == 0.0
-    assert w.level_weight(7) == 0.0
+    w = pinsker_weights(4.0, order=2.0)
+    assert w == {0: 1.0, 1: 0.9375, 2: 0.75, 3: 0.4375}  # level 4 and above weigh 0
+    assert pinsker_weights(2.5, order=1.0) == {0: 1.0, 1: 0.6, 2: 1.0 - 2 / 2.5}
 
 
 def test_linear_estimate_identity_and_zero():
     obs = observation()
-    ones = WeightProfile.custom({j: np.ones(1 << j) for j in range(7)})
-    est = linear_estimate(obs.y, ones)
+    est = linear_estimate(obs.y, dict.fromkeys(range(7), 1.0))
     for j in range(7):
         assert np.array_equal(est.level(j), obs.y.level(j))
-    killed = linear_estimate(obs.y, WeightProfile.projection(0.0))
+    half = linear_estimate(obs.y, {2: 0.5, 5: 0.0})
+    assert sorted(half.levels) == [2] and np.array_equal(half.level(2), 0.5 * obs.y.level(2))
+    killed = linear_estimate(obs.y, projection_weights(0.0))
     assert killed.wavelet_energy() == 0.0
     assert killed.scaling == obs.y.scaling  # scaling passes through
 
@@ -78,8 +81,7 @@ def test_universal_threshold_and_depth():
 
 def test_threshold_soft_hand_values():
     y = CoefficientTree.from_items(1, 2, 0.0, [((1, 0), 0.5), ((1, 1), -0.5), ((2, 2), 0.1)])
-    cfg = ThresholdConfig(n=100, kappa=0.2 / universal_threshold(100), mode="soft")
-    est = threshold_estimate(y, cfg)
+    est = threshold_estimate(y, 100, kappa=0.2 / universal_threshold(100), mode="soft")
     assert abs(est.get(1, 0) - 0.3) < 1e-12
     assert abs(est.get(1, 1) + 0.3) < 1e-12
     assert est.get(2, 2) == 0.0
@@ -87,8 +89,7 @@ def test_threshold_soft_hand_values():
 
 def test_threshold_hard_boundary_kept():
     y = CoefficientTree.from_items(1, 2, 0.7, [((1, 0), 0.2), ((1, 1), 0.19)])
-    cfg = ThresholdConfig(n=100, kappa=0.2 / universal_threshold(100), mode="hard")
-    est = threshold_estimate(y, cfg)
+    est = threshold_estimate(y, 100, kappa=0.2 / universal_threshold(100), mode="hard")
     assert est.get(1, 0) == 0.2  # |y| = kappa t_n is kept
     assert est.get(1, 1) == 0.0
     assert est.scaling == 0.7
@@ -96,9 +97,8 @@ def test_threshold_hard_boundary_kept():
 
 def test_threshold_level_cutoff():
     obs = observation(n=2**10, j_max=9)
-    cfg = ThresholdConfig(n=2**10, kappa=1e-9)  # keep everything below j(n)
-    est = threshold_estimate(obs.y, cfg)
-    assert cfg.j_n == 8
+    est = threshold_estimate(obs.y, 2**10, kappa=1e-9)  # keep everything below j(n)
+    assert noise_depth(2**10) == 8
     for j in range(9):
         assert np.array_equal(est.level(j), obs.y.level(j))
     assert np.all(est.level(9) == 0.0)
@@ -107,7 +107,7 @@ def test_threshold_level_cutoff():
 def test_threshold_zero_kappa_is_projection():
     # kappa t_n -> 0 keeps every observed coefficient up to j(n)
     obs = observation(n=64, j_max=8)
-    est = threshold_estimate(obs.y, ThresholdConfig(n=64, kappa=1e-12, mode="hard"))
+    est = threshold_estimate(obs.y, 64, kappa=1e-12, mode="hard")
     jn = noise_depth(64)
     for j in range(obs.y.j_max + 1):
         if j <= jn:
@@ -119,7 +119,7 @@ def test_threshold_zero_kappa_is_projection():
 def test_shrinkage_property_and_soft_lipschitz():
     obs = observation(seed=3)
     for mode in ("hard", "soft"):
-        est = threshold_estimate(obs.y, ThresholdConfig(n=obs.n, kappa=2.0, mode=mode))
+        est = threshold_estimate(obs.y, obs.n, kappa=2.0, mode=mode)
         for j in range(obs.y.j_max + 1):
             assert np.all(np.abs(est.level(j)) <= np.abs(obs.y.level(j)) + 1e-15)
     # soft thresholding is 1-Lipschitz in the observation
@@ -130,23 +130,25 @@ def test_shrinkage_property_and_soft_lipschitz():
 
 
 def test_threshold_config_validation():
-    with pytest.raises(ValueError):
-        ThresholdConfig(n=1)
-    with pytest.raises(ValueError):
-        ThresholdConfig(n=10, kappa=-1.0)
-    with pytest.raises(ValueError):
-        ThresholdConfig(n=10, mode="medium")
+    y = observation(n=16, j_max=3).y
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        threshold_estimate(y, 1)
+    for kappa in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            threshold_estimate(y, 10, kappa=kappa)
+    with pytest.raises(ValueError, match="mode must be 'hard' or 'soft'"):
+        threshold_estimate(y, 10, mode="medium")
 
 
 def test_density_linear_projection_truncation():
     # the density linear kind projects the empirical coefficients: weights 1 or 0
     beta = shell_tree(2, 2, 1, 6, 1.0)
-    full = linear_estimate(beta, WeightProfile.projection(2.0**7))
+    full = linear_estimate(beta, projection_weights(2.0**7))
     for j in range(7):
         assert np.array_equal(full.level(j), beta.level(j))
-    cut = linear_estimate(beta, WeightProfile.projection(8.0))  # keeps 2^j < 8
+    cut = linear_estimate(beta, projection_weights(8.0))  # keeps 2^j < 8
     assert sorted(cut.levels) == [0, 1, 2] and cut.j_max == 6
-    only_scaling = linear_estimate(beta, WeightProfile.projection(1.0))
+    only_scaling = linear_estimate(beta, projection_weights(1.0))
     assert only_scaling.wavelet_energy() == 0.0 and only_scaling.scaling == beta.scaling
 
 
@@ -164,7 +166,7 @@ def test_density_linear_truncation_reduces_risk_on_uniform():
         s = sample_density(truth, filt, n, seed=np.random.SeedSequence((17, rep)))
         beta = empirical_coefficients(s, filt, 6)
         risk_full += (beta - truth).total_energy()
-        risk_cut += (linear_estimate(beta, WeightProfile.projection(8.0)) - truth).total_energy()
+        risk_cut += (linear_estimate(beta, projection_weights(8.0)) - truth).total_energy()
     assert risk_cut < risk_full
 
 
@@ -187,7 +189,7 @@ def test_classify_projection_is_limited():
     params = SmoothnessParams(s=2, r=2, p=2, d=1)
     obs = observation(n=1024)
     m_n = choose_mn(params, obs.n)
-    est = linear_estimate(obs.y, WeightProfile.projection(m_n))
+    est = linear_estimate(obs.y, projection_weights(m_n))
     trace = shrinkage_trace(obs, est)
     lam = 2.0 ** (-math.ceil(math.log2(m_n)))
     assert classify_rule(trace, ShrinkageClass("limited", lam, 0.5))
@@ -199,10 +201,10 @@ def test_classify_projection_is_limited():
 @pytest.mark.parametrize("seed", range(100))
 def test_classify_hard_threshold_is_elitist(seed):
     obs = observation(seed=seed, n=256, j_max=5)
-    cfg = ThresholdConfig(n=256, kappa=2.0, mode="hard")
-    est = threshold_estimate(obs.y, cfg)
+    est = threshold_estimate(obs.y, 256, kappa=2.0, mode="hard")
     trace = shrinkage_trace(obs, est)
-    assert classify_rule(trace, ShrinkageClass("elitist", cfg.kappa * cfg.t_n * 0.999, 0.5))
+    assert classify_rule(trace, ShrinkageClass("elitist", 2.0 * universal_threshold(256) * 0.999,
+                                               0.5))
 
 
 def test_classify_adversarial_trace():
@@ -261,7 +263,7 @@ def test_threshold_rules_match_reference_loops(mode):
         want = _reference_threshold(tree, j_cut, lambda v: v if abs(v) > lam else 0.0)
         assert est.get(3, 1) == 0.0 and est.get(3, 0) == 0.0  # |beta| = t_n is dropped
     else:
-        est = threshold_estimate(tree, ThresholdConfig(n=n, kappa=2.0, mode=mode))
+        est = threshold_estimate(tree, n, kappa=2.0, mode=mode)
         if mode == "hard":
             rule = lambda v: v if abs(v) >= lam else 0.0
             assert est.get(3, 0) == lam and est.get(3, 1) == -lam  # |y| = kappa t_n is kept

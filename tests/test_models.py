@@ -134,6 +134,9 @@ def test_density_sample_validation():
         DensitySample(3, np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         DensitySample(2, np.array([0.1, 1.2]))
+    points = np.array([0.0, 0.5, 1.0])  # the ends of [0, 1] are inside it
+    sample = DensitySample(3, points)
+    assert sample.points is points and not points.flags.writeable  # frozen, not copied
 
 
 def test_empirical_coefficients_single_point_exact():

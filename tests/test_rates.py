@@ -7,11 +7,10 @@ import pytest
 from waverates import models
 from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
-    ThresholdConfig,
-    WeightProfile,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
+    projection_weights,
     threshold_estimate,
 )
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
@@ -19,7 +18,6 @@ from waverates.rates import (
     ESTIMATOR_KINDS,
     _energy_loss,
     _level_energies,
-    _linear_cutoff_level,
     SYNTHESIS_PAD,
     EstimatorSpec,
     RiskRow,
@@ -191,13 +189,14 @@ def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
             else:
                 sample = sampler.sample(n, seed)
             if est.kind == "projection":
-                estimate = linear_estimate(y, WeightProfile.projection(est.cutoff(n)))
+                m_n = est.cutoff(n)
+                estimate = linear_estimate(y, {j: 1.0 for j in range(64) if 2.0**j < m_n})
             elif est.kind == "pinsker":
-                weights = WeightProfile.pinsker(math.log2(est.cutoff(n)), est.pinsker_order)
-                estimate = linear_estimate(y, weights)
+                m_n = math.log2(est.cutoff(n))
+                estimate = linear_estimate(y, {j: max(0.0, 1.0 - (j / m_n) ** est.pinsker_order)
+                                               for j in range(64)})
             elif est.kind in ("threshold_hard", "threshold_soft"):
-                config = ThresholdConfig(n=n, kappa=est.kappa, mode=est.kind.split("_")[1])
-                estimate = threshold_estimate(y, config)
+                estimate = threshold_estimate(y, n, est.kappa, est.kind.split("_")[1])
             elif est.kind == "density_linear":
                 cutoff = -1  # the largest level j with 2^j < m_n
                 while 2.0 ** (cutoff + 1) < est.cutoff(n):
@@ -300,17 +299,20 @@ def test_fit_slope_normalization_and_errors():
         fit_slope(bad, "n")
 
 
-def test_linear_cutoff_level_agrees_with_projection_weights():
+def test_projection_read_depth_is_its_last_kept_level():
     ms = [0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0]
     for k in range(1, 40):
         m = 2.0**k
         ms += [np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]
+    depth = {}
     for m in ms:
-        profile = WeightProfile.projection(m)
-        kept = [j for j in range(64) if profile.level_weight(j)]
-        assert _linear_cutoff_level(m) == (max(kept) if kept else -1)
-    assert _linear_cutoff_level(1.0) == -1 and _linear_cutoff_level(np.nextafter(1.0, 2.0)) == 0
-    assert _linear_cutoff_level(8.0) == 2 and _linear_cutoff_level(np.nextafter(8.0, 9.0)) == 3
+        kept = [j for j in range(64) if 2.0**j < m]
+        assert projection_weights(m) == dict.fromkeys(kept, 1.0)
+        for kind in ("projection", "density_linear"):
+            depth[m], _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, fixed_m_n=m), 1024)
+            assert depth[m] == max(kept, default=0)
+    assert depth[1.0] == depth[np.nextafter(1.0, 2.0)] == 0
+    assert depth[8.0] == 2 and depth[np.nextafter(8.0, 9.0)] == 3
 
 
 def test_estimator_spec_checks_its_numbers():
@@ -323,6 +325,10 @@ def test_estimator_spec_checks_its_numbers():
         (dict(kind="projection", fixed_m_n=-1.0), "fixed_m_n must be a finite number"),
         (dict(kind="projection", fixed_m_n=math.inf), "fixed_m_n must be a finite number"),
         (dict(kind="threshold_soft", kappa=None), "kappa: expected a number"),
+        (dict(kind="threshold_hard", kappa=math.nan), "kappa must be positive and finite"),
+        (dict(kind="threshold_soft", kappa=math.inf), "kappa must be positive and finite"),
+        (dict(kind="pinsker", smoothness=DENSE, pinsker_order=math.nan),
+         "pinsker_order must be positive and finite"),
     ]:
         with pytest.raises(ValueError, match=message):
             EstimatorSpec(**kwargs)
@@ -375,14 +381,13 @@ def test_monte_carlo_risk_rejects_mixed_or_missing_truths():
 @pytest.mark.parametrize("fixed_m_n", [0.0, 1.0, 2.0, 7.5, None])
 def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
     truth, top = shell_tree(2, 2, 1, 10, 8.0, dither=2.0), 10
-    entry = ESTIMATOR_KINDS[kind]
     est = EstimatorSpec(kind, smoothness=DENSE, fixed_m_n=fixed_m_n)
     for n in (4, 64, 1000, 4096, 65536, 2**20):
         seed = np.random.SeedSequence((3, n))
-        read = entry.read_depth(est, n)
+        read, estimate = ESTIMATOR_KINDS[kind].rule(est, n)
         assert read >= 0
-        full = entry.estimate(est, simulate_sequence(truth, n, top, seed).y, n)
-        short = entry.estimate(est, simulate_sequence(truth, n, min(read, top), seed).y, n)
+        full = estimate(simulate_sequence(truth, n, top, seed).y)
+        short = estimate(simulate_sequence(truth, n, min(read, top), seed).y)
         assert max(full.levels, default=-1) <= read and max(short.levels, default=-1) <= read
         assert short.scaling == full.scaling
         assert short.levels.keys() == full.levels.keys()

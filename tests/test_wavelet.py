@@ -11,6 +11,7 @@ from waverates.wavelet import (
     _quartic_gram,
     _quartic_sum,
     _refined_blocks,
+    _wrapped,
     analyze,
     get_filter,
     lp_mean,
@@ -278,3 +279,24 @@ def test_lp_mean_p4_matches_grid_quadrature(name):
     want = lp_norm(synthesize(tree, filt, 13), 4.0) ** 4
     got = lp_mean(synthesize(tree, filt, 8), filt, 13, 4.0)
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_wrapped_holds_every_cyclic_window():
+    # windows longer than the grid wrap more than once
+    for n in (1, 2, 4, 8):
+        coarse = np.arange(n, dtype=np.float64) + 0.5
+        for shifts in range(1, 20):
+            want = coarse[np.arange(1 - shifts, n) % n]
+            assert _wrapped(coarse, shifts).tobytes() == want.tobytes()
+
+
+def test_grid_signal_freezes_without_copying_float_arrays():
+    samples = np.linspace(0.0, 1.0, 8)
+    sig = GridSignal(3, samples)
+    assert sig.samples is samples and not sig.samples.flags.writeable
+    ints = GridSignal(2, [1, 2, 3, 4]).samples  # converted, then frozen
+    assert ints.dtype == np.float64 and not ints.flags.writeable
+    strided = np.arange(16.0)[::2]
+    assert GridSignal(3, strided).samples.flags.c_contiguous
+    with pytest.raises(ValueError, match="expected 8 samples"):
+        GridSignal(3, np.zeros(7))
