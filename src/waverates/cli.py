@@ -43,6 +43,7 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
+from inspect import Parameter, signature
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -111,10 +112,9 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """JSON form that round-trips through validate_config deterministically."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update({key: list(value) for key, value in out.items() if isinstance(value, tuple)})
+        out = asdict(self)  # the tuples are written as JSON lists
         out["smoothness"] = {key: "inf" if math.isinf(value) else value
-                             for key, value in asdict(self.smoothness).items()}
+                             for key, value in out["smoothness"].items()}
         return out
 
 
@@ -129,26 +129,22 @@ class RunReport:
 def _parse(kind: str, value, name: str):
     """value read as the field annotation kind; otherwise a ConfigError naming the key."""
     if kind == "SmoothnessParams":
-        return SmoothnessParams(**_parse_fields(SmoothnessParams, _parse("dict", value, name),
-                                                name + "."))
-    if kind == "float":  # NaN is not a number here; inf is
-        try:
-            if not math.isnan(number := float(value)):
-                return number
-        except (TypeError, ValueError):
-            pass
+        kinds = {f.name: f.type for f in fields(SmoothnessParams)}
+        return SmoothnessParams(**_parse_keys(_parse("dict", value, name), kinds, name + ".", kind))
+    if kind == "float | None":  # a None default: null, or a number
+        return None if value is None else _parse("float", value, name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "float":  # a JSON number but NaN, or the "inf" resolved() writes for r
+        if value == "inf" or number and not math.isnan(value):
+            return float(value)
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     if kind == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"{name}: expected true or false, got {value!r}")
         return value
-    if kind == "int":  # strictly: 2.7 and true are not integers
-        integral = value.is_integer() if isinstance(value, float) else not isinstance(value, bool)
-        try:
-            if integral:
-                return int(value)
-        except (TypeError, ValueError):
-            pass
+    if kind == "int":  # strictly: 2.7, true and "2" are not integers
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     container = {"str": str, "dict": dict}.get(kind, list)  # lists become tuple fields
     if not isinstance(value, container) or kind == "tuple[int, int]" and len(value) != 2:
@@ -159,13 +155,26 @@ def _parse(kind: str, value, name: str):
     return container(value)
 
 
-def _parse_fields(cls, raw: dict, prefix: str = "") -> dict:
-    """raw's values parsed by the field annotations of dataclass cls; other keys are errors."""
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(raw) - set(types))
+def _parse_keys(raw: dict, kinds: dict, prefix: str, reader: str) -> dict:
+    """raw's values parsed by kinds, key -> _parse kind; other keys are errors
+    naming the key and its reader."""
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
-        raise ConfigError(f"unknown config key '{prefix}{unknown[0]}'")
-    return {key: _parse(types[key], value, prefix + key) for key, value in raw.items()}
+        raise ConfigError(f"{prefix}{unknown[0]}: {reader} does not read it; "
+                          f"it reads {list(kinds)}")
+    return {key: _parse(kinds[key], value, prefix + key) for key, value in raw.items()}
+
+
+def _parse_section(raw: dict, defaults: dict, name: str, reader: str) -> dict:
+    """raw parsed by the type of each key's default (None: null or a number;
+    Parameter.empty: required text), with every default filled in."""
+    kinds = {key: {None: "float | None", Parameter.empty: "str"}.get(d, type(d).__name__)
+             for key, d in defaults.items()}
+    spec = {**defaults, **_parse_keys(raw, kinds, name + ".", reader)}
+    missing = [key for key, value in spec.items() if value is Parameter.empty]
+    if missing:
+        raise ConfigError(f"{name}.{missing[0]}: {reader} needs it")
+    return spec
 
 
 def _parse_object(text: str) -> dict:
@@ -181,15 +190,16 @@ def _parse_object(text: str) -> dict:
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse and cross-check a JSON experiment config, applying defaults.
 
-    Defaults are those of ExperimentConfig, SmoothnessParams, EstimatorSpec
-    (kind threshold_hard), the TRUTHS args (kind generic_g) and the
-    EXPERIMENTS tolerances.  Rejects unknown keys at every level, values of
-    the wrong type, and every value the run cannot use: among others s <= d/r,
-    an estimator, truth or filter unfit for the experiment, replicates < 2
-    for Monte Carlo risks, threads < 1 (also from --threads or
-    WAVERATES_THREADS), d != 1 where the run synthesizes a grid, truth
-    parameters the builder refuses (TRUTHS' check) and the experiment kind's
-    own fields (EXPERIMENTS' check).
+    Defaults are those of ExperimentConfig, SmoothnessParams, the EstimatorSpec
+    fields the estimator kind reads (kind threshold_hard), the TRUTHS args
+    (kind generic_g; no probe_alpha in a probe sweep) and the EXPERIMENTS
+    tolerances; the last three are filled in and fix each value's type.
+    Rejects unknown keys at every level, values of the wrong type, and every
+    value the run cannot use: among others s <= d/r, an estimator, truth or
+    filter unfit for the experiment, replicates < 2 for Monte Carlo risks,
+    threads < 1 (also from --threads or WAVERATES_THREADS), d != 1 where the
+    run synthesizes a grid, truth parameters the builder refuses (TRUTHS'
+    check) and the experiment kind's own fields (EXPERIMENTS' check).
     """
     raw = _parse_object(raw_text)
     try:
@@ -205,24 +215,23 @@ def _validated(raw: dict) -> ExperimentConfig:
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
     experiment = EXPERIMENTS[kind]
-    config = ExperimentConfig(**_parse_fields(ExperimentConfig, raw))
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(**_parse_keys(raw, kinds, "", "ExperimentConfig"))
     sm, monte_carlo = config.smoothness, experiment.model is not None
 
-    config = replace(config, estimator_spec={"kind": "threshold_hard", **config.estimator_spec})
-    estimator_kind = config.estimator_spec["kind"]
+    spec = dict(config.estimator_spec)
+    estimator_kind = spec.pop("kind", "threshold_hard")
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, "
                           f"got {estimator_kind!r}")
     if monte_carlo and ESTIMATOR_KINDS[estimator_kind].model != experiment.model:
         raise ConfigError(f"estimator {estimator_kind!r} is incompatible with experiment kind "
                           f"{kind!r}")
-    # checked before the spec is built, which takes smoothness from the top level
-    kind_params = ESTIMATOR_KINDS[estimator_kind].params
-    unread = sorted(set(config.estimator_spec) - {"kind", *kind_params})
-    if unread:
-        raise ConfigError(f"estimator_spec.{unread[0]}: estimator {estimator_kind!r} does not "
-                          f"read it; it reads {list(kind_params)}")
-    estimator = _estimator(config)
+    read = {f.name: f.default for f in fields(EstimatorSpec)
+            if f.name in ESTIMATOR_KINDS[estimator_kind].params}
+    config = replace(config, estimator_spec={"kind": estimator_kind, **_parse_section(
+        spec, read, "estimator_spec", f"estimator {estimator_kind!r}")})
+    EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
 
     if monte_carlo:
         if not config.n_grid or any(b <= a for a, b in zip(config.n_grid, config.n_grid[1:])):
@@ -258,64 +267,48 @@ def _validated(raw: dict) -> ExperimentConfig:
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
 
-    truth_spec = {"kind": "generic_g", **config.truth_spec}
-    truth_kind = truth_spec.pop("kind")
+    spec = dict(config.truth_spec)
+    truth_kind = spec.pop("kind", "generic_g")
     if truth_kind not in TRUTHS:
         raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
     truth = TRUTHS[truth_kind]
     if truth.model not in (None, experiment.model):
         raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
+    _, *keys = signature(truth.args).parameters.values()
+    read = {key.name: key.default for key in keys}
+    if kind == "probe_sweep":  # the sweep sets the line's alpha from probe_alphas
+        read.pop("probe_alpha", None)
+    spec = _parse_section(spec, read, "truth_spec", f"truth {truth_kind!r} of {kind}")
+    config = replace(config, truth_spec={"kind": truth_kind, **spec})
     try:
-        truth.check(**truth.args(config, **truth_spec))
+        truth.check(**truth.args(config, **spec))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"truth_spec: {exc}") from None
 
-    unknown = sorted(set(config.tolerances) - set(experiment.tolerances))
-    if unknown:
-        raise ConfigError(f"tolerances: unknown key {unknown[0]!r} for {kind}; "
-                          f"expected any of {sorted(experiment.tolerances)}")
-    tolerances = dict(config.tolerances)
-    for key, value in tolerances.items():  # parsed by the type of the key's default
-        default = experiment.tolerances[key]
-        if value is not None or default is not None:  # r_squared: null, no floor
-            kind_of = "bool" if isinstance(default, bool) else "float"
-            tolerances[key] = _parse(kind_of, value, f"tolerances.{key}")
-    defaults = {"kappa": estimator.kappa} if "kappa" in kind_params else {}
-    config = replace(config, truth_spec={"kind": truth_kind, **truth_spec},
-                     estimator_spec={**defaults, **config.estimator_spec}, tolerances=tolerances)
+    config = replace(config, tolerances=_parse_section(
+        config.tolerances, experiment.tolerances, "tolerances", f"experiment {kind!r}"))
     experiment.check(config)
     return config
 
 
-def _estimator(config: ExperimentConfig) -> EstimatorSpec:
-    return EstimatorSpec(smoothness=config.smoothness, **config.estimator_spec)
-
-
 def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness
-    return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max,
-                base_amplitude=_parse("float", base_amplitude, "base_amplitude"),
-                alpha=_parse("float", probe_alpha, "probe_alpha"),
-                dither=_parse("float", dither, "dither"), j_min=_parse("int", j_min, "j_min"))
+    return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max, base_amplitude=base_amplitude,
+                alpha=probe_alpha, dither=dither, j_min=j_min)
 
 
-def _bump_args(config, level=1, position=0, amplitude=1.0):
-    return dict(d=config.smoothness.d, j_max=config.j_max, level=_parse("int", level, "level"),
-                position=_parse("int", position, "position"),
-                amplitude=_parse("float", amplitude, "amplitude"))
-
-
-def _check_tree_file(path) -> None:
-    if not Path(str(path)).is_file():
+def _check_tree_file(path: str) -> None:
+    if not Path(path).is_file():
         raise ValueError(f"path does not exist: {path!r}")
 
 
 class Truth(NamedTuple):
     """A truth kind.  args(config, **spec), whose keyword parameters are the
-    kind's truth_spec keys with defaults, gives the keyword arguments of
-    build(...) -> tree and of check(...), which raises ValueError wherever build
-    would, without building.  model: the Monte Carlo model the kind requires
-    (None: any); wavelet_part: a density experiment estimates 1 + tree."""
+    kind's truth_spec keys with defaults that fix their types (a key without one
+    is required text), gives the keyword arguments of build(...) -> tree and of
+    check(...), which raises ValueError wherever build would, without building.
+    model: the Monte Carlo model the kind requires (None: any); wavelet_part: a
+    density experiment estimates 1 + tree."""
 
     model: str | None
     args: Callable
@@ -330,7 +323,9 @@ TRUTHS = {
                                 _check_tree_file, wavelet_part=False),
     "uniform_density": Truth("density", lambda config: {"j_max": config.j_max},
                              uniform_density_tree, wavelet_part=False),
-    "custom_bump": Truth(None, _bump_args, bump_tree, check_bump),
+    "custom_bump": Truth(None, lambda config, level=1, position=0, amplitude=1.0: dict(
+        d=config.smoothness.d, j_max=config.j_max, level=level, position=position,
+        amplitude=amplitude), bump_tree, check_bump),
 }
 
 
@@ -351,10 +346,6 @@ def _verdict(criterion, measured, expected, tolerance, passed) -> dict:
             "tolerance": float(tolerance), "pass": bool(passed)}
 
 
-def _tolerance(config: ExperimentConfig, key: str):
-    return config.tolerances.get(key, EXPERIMENTS[config.experiment_kind].tolerances[key])
-
-
 def _g(config: ExperimentConfig) -> CoefficientTree:
     sm = config.smoothness
     return build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
@@ -371,7 +362,7 @@ def _risk_name(config: ExperimentConfig, label: str) -> str:
 def _risk_tables(config: ExperimentConfig, labels, truths):
     """Risk and slope tables of each truth, named by its label, and their slope
     fits; the truths are observed under one noise draw per (n, replicate)."""
-    estimator = _estimator(config)
+    estimator = EstimatorSpec(smoothness=config.smoothness, **config.estimator_spec)
     risks = monte_carlo_risk(tuple(truths), estimator, config.n_grid, config.replicates,
                              config.smoothness.p, config.master_seed, filter_name=config.filter,
                              j_max=None if estimator.model == "density" else config.j_max,
@@ -401,14 +392,14 @@ def _rate_fit_tables(config: ExperimentConfig):
 
 def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
     expected, fit = _regime(config).alpha, _stored_fit(config, read)
-    implied, alpha_tol = fit.implied_alpha, _tolerance(config, "alpha")
+    implied, alpha_tol = fit.implied_alpha, config.tolerances["alpha"]
     kind = config.experiment_kind
-    if _tolerance(config, "one_sided"):
+    if config.tolerances["one_sided"]:
         name, passed = "alpha_upper", implied <= expected + alpha_tol
     else:
         name, passed = "implied_alpha", abs(implied - expected) <= alpha_tol
     verdicts = [_verdict(f"{kind}.{name}", implied, expected, alpha_tol, passed)]
-    floor = _tolerance(config, "r_squared")
+    floor = config.tolerances["r_squared"]
     if floor is not None:
         verdicts.append(_verdict(f"{kind}.r_squared", fit.r_squared, floor, 0.0,
                                  fit.r_squared >= floor))
@@ -442,7 +433,7 @@ def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
     fits = [_stored_fit(config, read, "_" + _alpha_label(alpha)).implied_alpha
             for alpha in config.probe_alphas]
     spread = max(fits) - min(fits)
-    spread_tol = _tolerance(config, "spread")
+    spread_tol = config.tolerances["spread"]
     return [_verdict("probe_sweep.spread", spread, 0.0, spread_tol, spread <= spread_tol)]
 
 
@@ -464,7 +455,7 @@ def _scaling_check(config: ExperimentConfig) -> None:
 
 
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
-    scale_tol = _tolerance(config, "scaling")
+    scale_tol = config.tolerances["scaling"]
     return [
         _verdict(f"scaling_function.p={p:g}", est, theory, scale_tol,
                  abs(est - theory) <= scale_tol)
@@ -504,7 +495,7 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
     ts = np.array([t for t, _ in kept], dtype=np.float64)
     slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
-    rel_tol = _tolerance(config, "witness_rel")
+    rel_tol = config.tolerances["witness_rel"]
     ok = abs(slope - target) <= rel_tol * target
     return [_verdict("weak_exclusion.log2_slope", slope, target, rel_tol * target, ok)]
 
@@ -660,6 +651,11 @@ def _command(args) -> int:
                                ("output_dir", args.out, "WAVERATES_OUT"),
                                ("threads", args.threads, "WAVERATES_THREADS")):
             value = flag if flag is not None else os.environ.get(env)
+            if isinstance(value, str) and key != "output_dir":  # the variable's text
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ConfigError(f"{env}: expected an integer, got {value!r}") from None
             if value is not None:
                 raw[key] = value
         report = run(validate_config(json.dumps(raw)))

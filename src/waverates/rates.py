@@ -19,6 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -195,8 +196,8 @@ class EstimatorSpec:
     kind is a key of ESTIMATOR_KINDS, which gives its model, family and the
     parameters it reads.  The linear kinds derive their cutoff from choose_mn
     at the given smoothness, or use fixed_m_n (finite, >= 0; m_n <= 1 keeps
-    no level); the sequence thresholds use kappa.  Numbers are coerced to
-    float; kappa and pinsker_order must be finite and > 0.
+    no level); the sequence thresholds use kappa.  kappa and pinsker_order
+    must be numbers, finite and > 0.
     """
 
     kind: str
@@ -208,18 +209,12 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        for name in ("kappa", "pinsker_order", "fixed_m_n"):
-            value = getattr(self, name)
-            try:
-                if value is not None or name != "fixed_m_n":
-                    object.__setattr__(self, name, float(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"{name}: expected a number, got {value!r}") from None
-        for name in ("kappa", "pinsker_order"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.fixed_m_n is not None and not 0.0 <= self.fixed_m_n < math.inf:
-            raise ValueError(f"fixed_m_n must be a finite number >= 0, got {self.fixed_m_n}")
+        for name, value in (("kappa", self.kappa), ("pinsker_order", self.pinsker_order)):
+            if not (isinstance(value, Real) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        m_n = self.fixed_m_n
+        if m_n is not None and not (isinstance(m_n, Real) and 0.0 <= m_n < math.inf):
+            raise ValueError(f"fixed_m_n must be a finite number >= 0, got {m_n!r}")
         if self.family == "linear" and self.smoothness is None and self.fixed_m_n is None:
             raise ValueError(f"estimator {self.kind!r} needs smoothness parameters or fixed_m_n")
 

@@ -31,8 +31,8 @@ __all__ = [
 class SmoothnessParams:
     """Smoothness/loss parameter bundle shared by all rate formulas.
 
-    s: smoothness, r: Besov integrability, p: loss exponent, d: dimension,
-    q: Besov fine index (the rate theory uses q = infinity throughout).
+    s: smoothness, r: Besov integrability, p: loss exponent, d: dimension;
+    the rate theory uses the Besov fine index q = infinity throughout.
     Requires the standing assumption s > d/r.
     """
 
@@ -40,7 +40,6 @@ class SmoothnessParams:
     r: float
     p: float
     d: int = 1
-    q: float = math.inf
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -49,8 +48,6 @@ class SmoothnessParams:
             raise ValueError(f"r must be in [1, inf], got {self.r}")
         if not 1 <= self.p < math.inf:
             raise ValueError(f"p must be in [1, inf), got {self.p}")
-        if not 0 < self.q:
-            raise ValueError(f"q must be positive (possibly inf), got {self.q}")
         if self.s <= self.d / self.r:
             raise ValueError(f"need s > d/r, got s={self.s}, d/r={self.d / self.r}")
 

@@ -10,7 +10,6 @@ from waverates import recordio
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
-    TRUTHS,
     ConfigError,
     _truth,
     main,
@@ -39,11 +38,19 @@ def rate_config(out_dir, **overrides):
     return json.dumps(cfg)
 
 
+def sweep_config(out_dir, **overrides):
+    # a probe sweep sets the line's alpha from probe_alphas: its truth has no probe_alpha
+    truth = {"kind": "generic_g", "base_amplitude": 64.0, "dither": 2.0}
+    return rate_config(out_dir, **{"experiment_kind": "probe_sweep", "truth_spec": truth,
+                                   **overrides})
+
+
 def test_validate_minimal_config_fills_defaults(tmp_path):
     config = validate_config(rate_config(tmp_path / "o"))
-    assert math.isinf(config.smoothness.q)
-    assert config.estimator_spec["kappa"] == 2.0
-    assert config.tolerances == {}
+    assert config.estimator_spec == {"kind": "threshold_hard", "kappa": 2.0}
+    assert config.truth_spec == {"kind": "generic_g", "probe_alpha": 0.7, "base_amplitude": 64.0,
+                                 "dither": 2.0, "j_min": 0}
+    assert config.tolerances == {"alpha": 0.08, "one_sided": False, "r_squared": None}
     assert config.threads == 1
 
 
@@ -108,23 +115,28 @@ def test_validate_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: threads must be >= 1, got -4\n"
     monkeypatch.setenv("WAVERATES_THREADS", "two")
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == "error: threads: expected an integer, got 'two'\n"
+    assert capsys.readouterr().err == "error: WAVERATES_THREADS: expected an integer, got 'two'\n"
+    monkeypatch.delenv("WAVERATES_THREADS")
+    monkeypatch.setenv("WAVERATES_SEED", "7.5")
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: WAVERATES_SEED: expected an integer, got '7.5'\n"
     assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ConfigError, match="tolerances: unknown key 'aplha' for rate_fit"):
+    with pytest.raises(ConfigError, match="tolerances.aplha: experiment 'rate_fit' does not read"):
         validate_config(rate_config(tmp_path / "o", tolerances={"aplha": 0.0}))
     # each kind accepts only its own tolerance keys
-    with pytest.raises(ConfigError, match="tolerances: unknown key 'spread' for rate_fit"):
+    with pytest.raises(ConfigError, match="tolerances.spread: experiment 'rate_fit' does not"):
         validate_config(rate_config(tmp_path / "o", tolerances={"spread": 0.1}))
-    with pytest.raises(ConfigError, match="unknown config key 'replicate'"):
+    with pytest.raises(ConfigError, match="replicate: ExperimentConfig does not read it"):
         validate_config(rate_config(tmp_path / "o", replicate=4))
     with pytest.raises(ConfigError, match="j_max: expected an integer"):
         validate_config(rate_config(tmp_path / "o", j_max="deep"))
-    # the defaults stay out of the resolved form, and so out of the manifest hash
+    # the defaults are filled in, so a default left out or written out hashes alike
     config = validate_config(rate_config(tmp_path / "o", tolerances={"r_squared": 0.9}))
-    assert config.resolved()["tolerances"] == {"r_squared": 0.9}
+    assert config.resolved()["tolerances"] == {"alpha": 0.08, "one_sided": False,
+                                               "r_squared": 0.9}
 
 
 def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monkeypatch):
@@ -138,7 +150,7 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     typo = tmp_path / "typo.json"
     typo.write_text(rate_config(tmp_path / "o", tolerances={"aplha": 0.0}))
     assert main(["run", "--config", str(typo)]) == EXIT_CONFIG_ERROR
-    assert "'aplha'" in capsys.readouterr().err
+    assert "tolerances.aplha" in capsys.readouterr().err
     assert main(["run"]) == EXIT_CONFIG_ERROR  # usage error: --config is required
     assert main(["rates", "--s", "1", "--r", "1", "--p", "2"]) == EXIT_CONFIG_ERROR  # s = d/r
     assert not (tmp_path / "o").exists()
@@ -165,8 +177,8 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
 
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
     d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
-    for kind in ("rate_fit", "probe_sweep"):
-        bad = json.loads(rate_config(tmp_path / "o", experiment_kind=kind, smoothness=d2))
+    for config in (rate_config, sweep_config):
+        bad = json.loads(config(tmp_path / "o", smoothness=d2))
         with pytest.raises(ConfigError, match="grid synthesis, which is defined for d=1"):
             validate_config(json.dumps(bad))
     # the p = 2 loss is the coefficient energy and needs no grid (dithered shells are d=1 only)
@@ -212,7 +224,7 @@ def test_run_density_rate_fit_and_report_round_trip(tmp_path):
     raw["estimator_spec"] = {"kind": "density_threshold"}
     report = run(validate_config(json.dumps(raw)))
     assert [v["criterion"] for v in report.verdicts] == ["density_rate_fit.implied_alpha"]
-    assert report.verdicts[0]["tolerance"] == 0.08  # the kind's default, not in the manifest
+    assert report.verdicts[0]["tolerance"] == 0.08  # the kind's default, filled in
     assert (out / "risk_density_threshold.csv").is_file()
     assert (out / "slope_density_threshold.csv").is_file()
     assert report_from_dir(out) == list(report.verdicts)
@@ -236,8 +248,7 @@ def test_run_is_byte_identical_across_reruns(tmp_path):
 
 def test_run_probe_sweep_spread_verdict(tmp_path):
     out = tmp_path / "sweep"
-    raw = json.loads(rate_config(out, replicates=6))
-    raw["experiment_kind"] = "probe_sweep"
+    raw = json.loads(sweep_config(out, replicates=6))
     raw["probe_alphas"] = [-1.0, 0.5]
     raw["tolerances"] = {"spread": 0.2}
     report = run(validate_config(json.dumps(raw)))
@@ -323,11 +334,18 @@ def _rate(**overrides):
     return json.loads(rate_config("unused", **overrides))
 
 
+def _sweep(**overrides):
+    return json.loads(sweep_config("unused", **overrides))
+
+
 # (config, the key its error line must name); each passed validate but broke
 # or vacuously passed run before these keys were checked
 REJECTED = {
     "smoothness_typo": (_rate(smoothness={"s": 2, "r": 2, "p": 2, "dd": 2}), "smoothness.dd"),
-    "truth_typo": (_rate(truth_spec={"kind": "generic_g", "base_amplitud": 1}), "base_amplitud"),
+    "truth_typo": (_rate(truth_spec={"kind": "generic_g", "base_amplitud": 1}),
+                   "truth_spec.base_amplitud: truth 'generic_g' of rate_fit does not read it"),
+    "missing_tree_path": (_rate(truth_spec={"kind": "explicit_tree_file"}),
+                          "truth_spec.path: truth 'explicit_tree_file' of rate_fit needs it"),
     "estimator_typo": (_rate(estimator_spec={"kapa": 3}), "kapa"),
     "fractional_replicates": (_rate(replicates=2.7), "replicates"),
     "boolean_j_max": (_rate(j_max=True), "j_max"),
@@ -349,14 +367,11 @@ REJECTED = {
     "boolean_bump_position": (_rate(truth_spec={"kind": "custom_bump", "position": True}),
                               "position"),
     "fractional_j_min": (_rate(truth_spec={"kind": "generic_g", "j_min": 2.7}), "j_min"),
-    "empty_probe_alphas": (_rate(experiment_kind="probe_sweep", probe_alphas=[]), "probe_alphas"),
+    "empty_probe_alphas": (_sweep(probe_alphas=[]), "probe_alphas"),
     # one risk table per two-decimal label: 0.3 and 0.301 would share one file
-    "colliding_probe_alphas": (_rate(experiment_kind="probe_sweep",
-                                     probe_alphas=[0.3, 0.301, -1.0]), "probe_alphas"),
-    "duplicate_probe_alphas": (_rate(experiment_kind="probe_sweep", probe_alphas=[0.5, 0.5]),
-                               "probe_alphas"),
-    "probe_without_line": (_rate(experiment_kind="probe_sweep",
-                                 truth_spec={"kind": "custom_bump"}), "generic_g"),
+    "colliding_probe_alphas": (_sweep(probe_alphas=[0.3, 0.301, -1.0]), "probe_alphas"),
+    "duplicate_probe_alphas": (_sweep(probe_alphas=[0.5, 0.5]), "probe_alphas"),
+    "probe_without_line": (_sweep(truth_spec={"kind": "custom_bump"}), "generic_g"),
     "zero_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": 0}), "kappa"),
     "negative_pinsker_order": (_rate(estimator_spec={"kind": "pinsker", "pinsker_order": -2}),
                                "pinsker_order"),
@@ -394,8 +409,9 @@ def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys):
 
 
 NAN = float("nan")
-# (config, the key its error line must name); each validated at exit 0, and
-# then ran into an error or a wrong verdict before these values were parsed
+# (config, the key its error line must name); each validated at exit 0 before
+# these values were parsed, and then ran into an error or a wrong verdict, ran
+# on a coerced value, or entered the manifest hash while nothing read it
 UNPARSED = {
     "nan_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": NAN}), "kappa"),
     "infinite_kappa": (_rate(estimator_spec={"kind": "threshold_soft", "kappa": math.inf}),
@@ -405,15 +421,26 @@ UNPARSED = {
     "nan_base_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": NAN}),
                            "base_amplitude"),
     "nan_dither": (_rate(truth_spec={"kind": "generic_g", "dither": NAN}), "dither"),
-    "nan_probe_alpha": (_rate(experiment_kind="probe_sweep", probe_alphas=[NAN, 1.0]),
-                        "probe_alphas"),
+    "nan_probe_alpha": (_sweep(probe_alphas=[NAN, 1.0]), "probe_alphas"),
     "text_alpha_tolerance": (_rate(tolerances={"alpha": "abc"}), "tolerances.alpha"),
     "list_alpha_tolerance": (_rate(tolerances={"alpha": [1]}), "tolerances.alpha"),
     "text_r_squared": (_rate(tolerances={"r_squared": "x"}), "tolerances.r_squared"),
     # bool("no") is True: this ran as the one-sided verdict
     "text_one_sided": (_rate(tolerances={"one_sided": "no"}), "tolerances.one_sided"),
-    "nan_spread": (_rate(experiment_kind="probe_sweep", tolerances={"spread": NAN}),
-                   "tolerances.spread"),
+    "nan_spread": (_sweep(tolerances={"spread": NAN}), "tolerances.spread"),
+    # a number is a JSON number: not a boolean, not text
+    "boolean_alpha_tolerance": (_rate(tolerances={"alpha": True}), "tolerances.alpha"),
+    "boolean_witness_eps": (dict(WITNESS, witness_eps=True), "witness_eps"),
+    "text_replicates": (_rate(replicates="32"), "replicates"),
+    "text_s": (_rate(smoothness={"s": "2", "r": 2, "p": 2, "d": 1}), "smoothness.s"),
+    "text_master_seed": (_rate(master_seed=" 7 "), "master_seed"),
+    "text_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": "3"}),
+                   "estimator_spec.kappa"),
+    "boolean_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": True}),
+                      "estimator_spec.kappa"),
+    "smoothness_q": (_rate(smoothness={"s": 2, "r": 2, "p": 2, "d": 1, "q": 1}), "smoothness.q"),
+    "probe_alpha_in_sweep": (_sweep(truth_spec={"kind": "generic_g", "probe_alpha": 0.7}),
+                             "truth_spec.probe_alpha: truth 'generic_g' of probe_sweep"),
 }
 
 
@@ -468,35 +495,50 @@ def test_demo_imports_exist(path):
 def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):
     config = validate_config(rate_config(tmp_path / "o", estimator_spec={"kind": "pinsker"},
                                          truth_spec={"base_amplitude": 3}))
-    assert config.estimator_spec == {"kind": "pinsker"}  # kappa only for the thresholds
-    assert config.truth_spec == {"kind": "generic_g", "base_amplitude": 3}
+    # no kappa: only the thresholds read it
+    assert config.estimator_spec == {"kind": "pinsker", "pinsker_order": 2.0, "fixed_m_n": None}
+    assert config.truth_spec == {"kind": "generic_g", "probe_alpha": 0.7, "base_amplitude": 3.0,
+                                 "dither": 0.0, "j_min": 0}
+    assert type(config.truth_spec["base_amplitude"]) is float
     assert validate_config(rate_config(tmp_path / "o", replicates=4.0)).replicates == 4
+
+
+def test_equivalent_spellings_give_one_manifest_hash(tmp_path):
+    base = json.loads(sweep_config(tmp_path / "o", replicates=2, probe_alphas=[-1.0, 1.0],
+                                   n_grid=[2**8, 2**9, 2**10, 2**11]))
+    truth = base["truth_spec"]
+    spellings = [base, dict(base, estimator_spec={"kind": "threshold_hard", "kappa": 2}),
+                 dict(base, truth_spec=dict(truth, base_amplitude=64)),
+                 dict(base, truth_spec=dict(truth, j_min=0)),
+                 dict(base, tolerances={"spread": 0.05})]
+    hashes = {run(validate_config(json.dumps(raw))).manifest_hash for raw in spellings}
+    assert len(hashes) == 1
+    other = dict(base, estimator_spec={"kind": "threshold_hard", "kappa": 3})
+    assert run(validate_config(json.dumps(other))).manifest_hash not in hashes
 
 
 def test_integral_truth_parameters_parse_like_top_level_integers(tmp_path):
     bump = validate_config(rate_config(tmp_path / "o", truth_spec={
         "kind": "custom_bump", "level": 4.0, "position": 3.0}))
-    args = TRUTHS["custom_bump"].args(bump, **{"level": 4.0, "position": 3.0})
-    assert (args["level"], args["position"]) == (4, 3)
-    assert all(type(args[key]) is int for key in ("level", "position"))
+    assert bump.truth_spec == {"kind": "custom_bump", "level": 4, "position": 3,
+                               "amplitude": 1.0}
+    assert all(type(bump.truth_spec[key]) is int for key in ("level", "position"))
     assert _truth(bump).get(4, 3) == 1.0
     line = validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "generic_g",
                                                                    "j_min": 2.0}))
-    assert TRUTHS["generic_g"].args(line, j_min=2.0)["j_min"] == 2
+    assert line.truth_spec["j_min"] == 2 and type(line.truth_spec["j_min"]) is int
     for bad in (2.7, True, "two"):
-        with pytest.raises(ConfigError, match="truth_spec: level: expected an integer"):
+        with pytest.raises(ConfigError, match="truth_spec.level: expected an integer"):
             validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "custom_bump",
                                                                     "level": bad}))
-        with pytest.raises(ConfigError, match="truth_spec: j_min: expected an integer"):
+        with pytest.raises(ConfigError, match="truth_spec.j_min: expected an integer"):
             validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "generic_g",
                                                                     "j_min": bad}))
 
 
 def test_probe_alphas_with_distinct_labels_validate(tmp_path):
-    config = validate_config(rate_config(tmp_path / "o", experiment_kind="probe_sweep",
-                                         probe_alphas=[0.3, 0.31, -0.3, 0.0]))
+    config = validate_config(sweep_config(tmp_path / "o", probe_alphas=[0.3, 0.31, -0.3, 0.0]))
     assert config.probe_alphas == (0.3, 0.31, -0.3, 0.0)
     with pytest.raises(ConfigError, match=r"probe_alphas: 0\.3 and 0\.304 share the table "
                                           r"label 'alphap0_30'"):
-        validate_config(rate_config(tmp_path / "o", experiment_kind="probe_sweep",
-                                    probe_alphas=[0.3, -1.0, 0.304]))
+        validate_config(sweep_config(tmp_path / "o", probe_alphas=[0.3, -1.0, 0.304]))

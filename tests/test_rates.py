@@ -316,15 +316,15 @@ def test_projection_read_depth_is_its_last_kept_level():
 
 
 def test_estimator_spec_checks_its_numbers():
-    assert EstimatorSpec("projection", fixed_m_n="8").fixed_m_n == 8.0
     assert EstimatorSpec("threshold_hard", kappa=3).kappa == 3.0
     for kwargs, message in [
+        (dict(kind="projection", fixed_m_n="8"), "fixed_m_n must be a finite number"),  # text
         (dict(kind="threshold_hard", kappa=0.0), "kappa must be positive"),
         (dict(kind="pinsker", smoothness=DENSE, pinsker_order=-1), "pinsker_order must be"),
-        (dict(kind="projection", fixed_m_n="many"), "fixed_m_n: expected a number"),
+        (dict(kind="projection", fixed_m_n="many"), "fixed_m_n must be a finite number"),
         (dict(kind="projection", fixed_m_n=-1.0), "fixed_m_n must be a finite number"),
         (dict(kind="projection", fixed_m_n=math.inf), "fixed_m_n must be a finite number"),
-        (dict(kind="threshold_soft", kappa=None), "kappa: expected a number"),
+        (dict(kind="threshold_soft", kappa=None), "kappa must be positive and finite"),
         (dict(kind="threshold_hard", kappa=math.nan), "kappa must be positive and finite"),
         (dict(kind="threshold_soft", kappa=math.inf), "kappa must be positive and finite"),
         (dict(kind="pinsker", smoothness=DENSE, pinsker_order=math.nan),
