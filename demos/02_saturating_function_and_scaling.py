@@ -34,7 +34,7 @@ for p in (1.0, 1.5, 2.0, 3.0, 4.0):
           f"residual={est.residual:.2e}")
 
 print("\nweak-functional exclusion: the lower bound grows like 2^(eps*p*t)")
-witness = weak_exclusion_witness(g, 2, 2, 2, 1, eps=0.1, t_max=30)
+witness = weak_exclusion_witness(2, 2, 2, 1, eps=0.1, t_max=30)
 ts = np.array([t for t, _ in witness[9:]])
 lb = np.log2([b for _, b in witness[9:]])
 slope = np.polyfit(ts, lb, 1)[0]

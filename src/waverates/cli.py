@@ -26,8 +26,8 @@ witness (t, bound, log2_bound).  Coefficient trees use the record stream of
 Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
 ``TRUTHS``.  ``run`` writes the tables, then derives the verdicts from the
 written files exactly as ``report`` does.  Unknown keys are rejected at every
-level: top-level keys are ``ExperimentConfig`` fields, and ``validate`` builds
-the run's ``EstimatorSpec`` and runs the truth kind's check.  Exit
+level: the top level holds the ``ExperimentConfig`` fields the kind reads, and
+a Monte Carlo kind builds its ``EstimatorSpec`` and runs its truth's check.  Exit
 status: the count of failed verdicts, capped at 100; EXIT_CONFIG_ERROR (101)
 for an invalid or unreadable config, flag or run directory (one ``error:``
 line on stderr); EXIT_INTERNAL_ERROR (102) otherwise (traceback on stderr).
@@ -89,8 +89,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment; the field names are the config keys, and every
-    top-level default is the field's default here."""
+    """A validated experiment; the field names are the config keys and their
+    defaults the top-level defaults.  A kind sets only the fields it reads."""
 
     experiment_kind: str
     smoothness: SmoothnessParams
@@ -111,8 +111,9 @@ class ExperimentConfig:
     threads: int = 1
 
     def resolved(self) -> dict:
-        """JSON form that round-trips through validate_config deterministically."""
-        out = asdict(self)  # the tuples are written as JSON lists
+        """JSON form of the keys the kind reads; round-trips through validate_config."""
+        reads = EXPERIMENTS[self.experiment_kind].reads  # the tuples become JSON lists
+        out = {key: value for key, value in asdict(self).items() if key in reads}
         out["smoothness"] = {key: "inf" if math.isinf(value) else value
                              for key, value in out["smoothness"].items()}
         return out
@@ -150,6 +151,8 @@ def _parse(kind: str, value, name: str):
     if not isinstance(value, container) or kind == "tuple[int, int]" and len(value) != 2:
         raise ConfigError(f"{name}: expected {kind}, got {value!r}")
     if container is list:
+        if not value:
+            raise ConfigError(f"{name} must be nonempty")
         item = "int" if kind.startswith("tuple[int") else "float"
         return tuple(_parse(item, v, name) for v in value)
     return container(value)
@@ -190,16 +193,14 @@ def _parse_object(text: str) -> dict:
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse and cross-check a JSON experiment config, applying defaults.
 
-    Defaults are those of ExperimentConfig, SmoothnessParams, the EstimatorSpec
-    fields the estimator kind reads (kind threshold_hard), the TRUTHS args
-    (kind generic_g; no probe_alpha in a probe sweep) and the EXPERIMENTS
-    tolerances; the last three are filled in and fix each value's type.
-    Rejects unknown keys at every level, values of the wrong type, and every
-    value the run cannot use: among others s <= d/r, an estimator, truth or
-    filter unfit for the experiment, replicates < 2 for Monte Carlo risks,
-    threads < 1 (also from --threads or WAVERATES_THREADS), d != 1 where the
-    run synthesizes a grid, truth parameters the builder refuses (TRUTHS'
-    check) and the experiment kind's own fields (EXPERIMENTS' check).
+    The top level holds the keys the kind's EXPERIMENTS entry reads; a Monte
+    Carlo kind's sections fill in the EstimatorSpec fields its estimator reads
+    (kind threshold_hard) and the TRUTHS args (kind generic_g), and every kind
+    its tolerances.  Defaults fix each value's type.  Rejects unknown keys at
+    every level, values of the wrong type and every value the run cannot use:
+    s <= d/r, threads < 1, the kind's own fields (EXPERIMENTS' check) and, for
+    a Monte Carlo kind, among others an unfit estimator, truth or filter,
+    replicates < 2 and truth parameters the builder refuses (TRUTHS' check).
     """
     raw = _parse_object(raw_text)
     try:
@@ -211,20 +212,31 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 
 
 def _validated(raw: dict) -> ExperimentConfig:
-    kind = raw.get("experiment_kind")
+    kind = _parse("str", raw.get("experiment_kind"), "experiment_kind")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
     experiment = EXPERIMENTS[kind]
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
-    config = ExperimentConfig(**_parse_keys(raw, kinds, "", "ExperimentConfig"))
-    sm, monte_carlo = config.smoothness, experiment.model is not None
+    kinds = {f.name: f.type for f in fields(ExperimentConfig) if f.name in experiment.reads}
+    config = ExperimentConfig(**_parse_keys(raw, kinds, "", f"experiment {kind!r}"))
+    if config.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {config.threads}")
+    if experiment.model is not None:
+        config = _with_model(config, experiment.model)
+    config = replace(config, tolerances=_parse_section(
+        config.tolerances, experiment.tolerances, "tolerances", f"experiment {kind!r}"))
+    experiment.check(config)
+    return config
 
+
+def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
+    """A Monte Carlo kind's config, its fields checked and its two specs parsed."""
+    kind, sm = config.experiment_kind, config.smoothness
     spec = dict(config.estimator_spec)
-    estimator_kind = spec.pop("kind", "threshold_hard")
+    estimator_kind = _parse("str", spec.pop("kind", "threshold_hard"), "estimator_spec.kind")
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, "
                           f"got {estimator_kind!r}")
-    if monte_carlo and ESTIMATOR_KINDS[estimator_kind].model != experiment.model:
+    if ESTIMATOR_KINDS[estimator_kind].model != model:
         raise ConfigError(f"estimator {estimator_kind!r} is incompatible with experiment kind "
                           f"{kind!r}")
     read = {f.name: f.default for f in fields(EstimatorSpec)
@@ -233,21 +245,17 @@ def _validated(raw: dict) -> ExperimentConfig:
         spec, read, "estimator_spec", f"estimator {estimator_kind!r}")})
     EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
 
-    if monte_carlo:
-        if not config.n_grid or any(b <= a for a, b in zip(config.n_grid, config.n_grid[1:])):
-            raise ConfigError("n_grid must be nonempty and strictly increasing")
-        if min(config.n_grid) < 2:
-            raise ConfigError("n_grid entries must be >= 2")
-    if config.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    ns = config.n_grid
+    if not ns or ns[0] < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("n_grid must be nonempty and strictly increasing from at least 2")
+    if config.replicates < 2:
+        raise ConfigError("replicates must be >= 2: the risk standard error needs two")
     if config.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {config.master_seed}")
-    if monte_carlo and config.replicates < 2:
-        raise ConfigError("replicates must be >= 2: the risk standard error needs two")
 
-    if sm.d != 1 and experiment.model == "density":
+    if sm.d != 1 and model == "density":
         raise ConfigError(f"density experiments are one-dimensional; got d={sm.d}")
-    if sm.d != 1 and sm.p != 2 and experiment.model == "sequence":
+    if sm.d != 1 and sm.p != 2 and model == "sequence":
         raise ConfigError(f"a p={sm.p} loss needs grid synthesis, which is defined for d=1 "
                           f"only; got d={sm.d} (use p=2, whose loss is the coefficient energy, "
                           "or d=1)")
@@ -261,18 +269,15 @@ def _validated(raw: dict) -> ExperimentConfig:
             f"filter {config.filter!r} has {filt.vanishing_moments} vanishing moments; "
             f"the smoothness characterization needs at least ceil(s) = {math.ceil(sm.s)}"
         )
-
     if config.j_max < 1:
         raise ConfigError("j_max must be >= 1")
-    if config.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {config.threads}")
 
     spec = dict(config.truth_spec)
-    truth_kind = spec.pop("kind", "generic_g")
+    truth_kind = _parse("str", spec.pop("kind", "generic_g"), "truth_spec.kind")
     if truth_kind not in TRUTHS:
         raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
     truth = TRUTHS[truth_kind]
-    if truth.model not in (None, experiment.model):
+    if truth.model not in (None, model):
         raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
     _, *keys = signature(truth.args).parameters.values()
     read = {key.name: key.default for key in keys}
@@ -284,10 +289,6 @@ def _validated(raw: dict) -> ExperimentConfig:
         truth.check(**truth.args(config, **spec))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"truth_spec: {exc}") from None
-
-    config = replace(config, tolerances=_parse_section(
-        config.tolerances, experiment.tolerances, "tolerances", f"experiment {kind!r}"))
-    experiment.check(config)
     return config
 
 
@@ -344,11 +345,6 @@ def _alpha_label(alpha: float) -> str:
 def _verdict(criterion, measured, expected, tolerance, passed) -> dict:
     return {"criterion": criterion, "measured": float(measured), "expected": float(expected),
             "tolerance": float(tolerance), "pass": bool(passed)}
-
-
-def _g(config: ExperimentConfig) -> CoefficientTree:
-    sm = config.smoothness
-    return build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
 
 
 def _regime(config: ExperimentConfig):
@@ -415,8 +411,6 @@ def _probe_sweep_tables(config: ExperimentConfig):
 
 
 def _probe_sweep_check(config: ExperimentConfig) -> None:
-    if not config.probe_alphas:
-        raise ConfigError("probe_alphas must be nonempty")
     labels = {}
     for alpha in config.probe_alphas:  # each alpha's risk table is named by its label
         label = _alpha_label(alpha)
@@ -438,7 +432,8 @@ def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
 
 
 def _scaling_tables(config: ExperimentConfig):
-    sm, g = config.smoothness, _g(config)
+    sm = config.smoothness
+    g = build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
     estimates = [empirical_scaling(g, p, config.scaling_window) for p in config.scaling_p]
     rows = [(p, e.estimate, theoretical_scaling(sm.s, sm.r, p, sm.d), e.residual)
             for p, e in zip(config.scaling_p, estimates)]
@@ -446,8 +441,6 @@ def _scaling_tables(config: ExperimentConfig):
 
 
 def _scaling_check(config: ExperimentConfig) -> None:
-    if not config.scaling_p:
-        raise ConfigError("scaling_p must be nonempty")
     try:
         check_scaling_window(config.scaling_window, config.j_max)
     except ValueError as exc:
@@ -463,15 +456,14 @@ def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
     ]
 
 
-def _witness(config: ExperimentConfig, g: CoefficientTree):
+def _witness(config: ExperimentConfig):
     sm = config.smoothness
-    return weak_exclusion_witness(g, sm.s, sm.r, sm.p, sm.d, config.witness_eps,
+    return weak_exclusion_witness(sm.s, sm.r, sm.p, sm.d, config.witness_eps,
                                   config.witness_t_range[1])
 
 
 def _witness_tables(config: ExperimentConfig):
-    witness = _witness(config, _g(config))
-    rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in witness]
+    rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in _witness(config)]
     return [("witness.csv", ["t", "bound", "log2_bound"], rows)]
 
 
@@ -479,8 +471,8 @@ def _witness_check(config: ExperimentConfig) -> None:
     t_lo, t_hi = config.witness_t_range
     if not 1 <= t_lo < t_hi:
         raise ConfigError(f"witness_t_range must satisfy 1 <= lo < hi, got {[t_lo, t_hi]}")
-    try:  # the witness is closed-form: it reads only the tree's dimension
-        witness = _witness(config, CoefficientTree.zeros(config.smoothness.d, 1))
+    try:
+        witness = _witness(config)
     except ValueError as exc:
         raise ConfigError(f"witness_eps: {exc}") from None
     zero = [t for t, bound in witness if t >= t_lo and not bound > 0.0]
@@ -502,29 +494,40 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
 
 class Experiment(NamedTuple):
     """An experiment kind: its Monte Carlo model ("sequence", "density" or None),
-    its tolerance keys with their defaults, tables(config) -> [(file name,
-    columns, rows)], verdicts(config, read), where read(file name) returns a
-    stored table's rows as floats, and check(config), which rejects its own
-    fields' values that its run cannot use."""
+    its own top-level keys (reads adds every kind's and its model's), its
+    tolerance keys with their defaults, tables(config) -> [(file name, columns,
+    rows)], verdicts(config, read), where read(file name) returns a stored table's
+    rows as floats, and check(config), which rejects its own unusable values."""
 
     model: str | None
+    keys: tuple[str, ...]
     tolerances: dict
     tables: Callable
     verdicts: Callable
     check: Callable = lambda config: None
 
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The kind's top-level keys: every kind's, a Monte Carlo model's, its own."""
+        model = ("truth_spec", "estimator_spec", "n_grid", "replicates", "master_seed",
+                 "filter", "j_max") if self.model else ()
+        return ("experiment_kind", "smoothness", "tolerances", "output_dir", "threads",
+                *model, *self.keys)
+
 
 _RATE_TOLERANCES = {"alpha": 0.08, "one_sided": False, "r_squared": None}
 
 EXPERIMENTS = {
-    "rate_fit": Experiment("sequence", _RATE_TOLERANCES, _rate_fit_tables, _rate_fit_verdicts),
-    "scaling_function": Experiment(None, {"scaling": 0.1}, _scaling_tables, _scaling_verdicts,
+    "rate_fit": Experiment("sequence", (), _RATE_TOLERANCES, _rate_fit_tables,
+                           _rate_fit_verdicts),
+    "scaling_function": Experiment(None, ("j_max", "scaling_p", "scaling_window"),
+                                   {"scaling": 0.1}, _scaling_tables, _scaling_verdicts,
                                    _scaling_check),
-    "weak_exclusion": Experiment(None, {"witness_rel": 0.2}, _witness_tables,
-                                 _witness_verdicts, _witness_check),
-    "probe_sweep": Experiment("sequence", {"spread": 0.05}, _probe_sweep_tables,
-                              _probe_sweep_verdicts, _probe_sweep_check),
-    "density_rate_fit": Experiment("density", _RATE_TOLERANCES, _rate_fit_tables,
+    "weak_exclusion": Experiment(None, ("witness_eps", "witness_t_range"), {"witness_rel": 0.2},
+                                 _witness_tables, _witness_verdicts, _witness_check),
+    "probe_sweep": Experiment("sequence", ("probe_alphas",), {"spread": 0.05},
+                              _probe_sweep_tables, _probe_sweep_verdicts, _probe_sweep_check),
+    "density_rate_fit": Experiment("density", (), _RATE_TOLERANCES, _rate_fit_tables,
                                    _rate_fit_verdicts),
 }
 

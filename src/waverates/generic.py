@@ -68,7 +68,6 @@ def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
 
 
 def weak_exclusion_witness(
-    g: CoefficientTree,
     s: float,
     r: float,
     p: float,
@@ -92,8 +91,6 @@ def weak_exclusion_witness(
     per-position enumeration is needed.  For valid eps the sequence grows like
     2^{eps p t}, which is the quantitative content of the exclusion argument.
     """
-    if g.d != d:
-        raise ValueError(f"dimension mismatch: tree has d={g.d}, got d={d}")
     alpha_tilde = theoretical_weak_scaling(s, r, p, d)
     if not 0.0 < eps < 1.0 - alpha_tilde:
         raise ValueError(

@@ -150,8 +150,7 @@ def test_criterion_4_scaling_function_of_g():
 
 
 def test_criterion_5_weak_exclusion_growth():
-    g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=4))
-    witness = dict(weak_exclusion_witness(g, 2, 2, 2, 1, 0.1, 30))
+    witness = dict(weak_exclusion_witness(2, 2, 2, 1, 0.1, 30))
     ts = np.arange(10, 31)
     slope = float(np.polyfit(ts, np.log2([witness[t] for t in ts]), 1)[0])
     ok = abs(slope - 0.2) <= 0.2 * 0.2

@@ -10,6 +10,7 @@ from waverates import recordio
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
+    EXPERIMENTS,
     ConfigError,
     _truth,
     main,
@@ -91,13 +92,10 @@ def test_validate_rejects_bad_grid_and_filter(tmp_path):
 def test_validate_rejects_single_replicate(tmp_path):
     with pytest.raises(ConfigError, match="replicates must be >= 2"):
         validate_config(rate_config(tmp_path / "o", replicates=1))
-    # kinds without a Monte Carlo risk keep accepting one replicate
-    scaling = {"experiment_kind": "scaling_function",
-               "smoothness": {"s": 2, "r": 2, "p": 2, "d": 1}, "j_max": 6,
-               "scaling_p": [2.0], "scaling_window": [2, 6], "replicates": 1}
-    assert validate_config(json.dumps(scaling)).replicates == 1
-    with pytest.raises(ConfigError, match="replicates must be >= 1"):
-        validate_config(json.dumps(dict(scaling, replicates=0)))
+    # kinds without a Monte Carlo risk do not read replicates at all
+    with pytest.raises(ConfigError, match="replicates: experiment 'scaling_function' does "
+                                          "not read it"):
+        validate_config(json.dumps(dict(SCALING, replicates=1)))
 
 
 def test_validate_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys):
@@ -129,7 +127,7 @@ def test_validate_rejects_unknown_keys(tmp_path):
     # each kind accepts only its own tolerance keys
     with pytest.raises(ConfigError, match="tolerances.spread: experiment 'rate_fit' does not"):
         validate_config(rate_config(tmp_path / "o", tolerances={"spread": 0.1}))
-    with pytest.raises(ConfigError, match="replicate: ExperimentConfig does not read it"):
+    with pytest.raises(ConfigError, match="replicate: experiment 'rate_fit' does not read it"):
         validate_config(rate_config(tmp_path / "o", replicate=4))
     with pytest.raises(ConfigError, match="j_max: expected an integer"):
         validate_config(rate_config(tmp_path / "o", j_max="deep"))
@@ -167,8 +165,7 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert "RuntimeError: broken engine" in capsys.readouterr().err
 
     # failed verdicts are counted, by run and by report alike
-    witness = {"experiment_kind": "weak_exclusion", "smoothness": {"s": 2, "r": 2, "p": 2},
-               "j_max": 4, "tolerances": {"witness_rel": 0.0}}
+    witness = dict(WITNESS, tolerances={"witness_rel": 0.0})
     cfg_path.write_text(json.dumps(witness))
     out = str(tmp_path / "wit")
     assert main(["run", "--config", str(cfg_path), "--out", out]) == 1
@@ -259,29 +256,30 @@ def test_run_probe_sweep_spread_verdict(tmp_path):
 
 
 def test_run_scaling_and_witness_kinds(tmp_path):
-    raw = {
-        "experiment_kind": "scaling_function",
-        "smoothness": {"s": 2, "r": 2, "p": 2, "d": 1},
-        "j_max": 14,
-        "scaling_p": [1.0, 2.0, 4.0],
-        "scaling_window": [4, 14],
-        "output_dir": str(tmp_path / "scal"),
-    }
-    report = run(validate_config(json.dumps(raw)))
-    assert all(v["pass"] for v in report.verdicts)
-    assert report_from_dir(tmp_path / "scal") == list(report.verdicts)
+    # neither kind reads a filter, so s = 3 needs none with three vanishing moments
+    for s in (2, 3):
+        raw = {
+            "experiment_kind": "scaling_function",
+            "smoothness": {"s": s, "r": 2, "p": 2, "d": 1},
+            "j_max": 14,
+            "scaling_p": [1.0, 2.0, 4.0],
+            "scaling_window": [4, 14],
+            "output_dir": str(tmp_path / f"scal{s}"),
+        }
+        report = run(validate_config(json.dumps(raw)))
+        assert len(report.verdicts) == 3 and all(v["pass"] for v in report.verdicts)
+        assert report_from_dir(tmp_path / f"scal{s}") == list(report.verdicts)
 
-    raw = {
-        "experiment_kind": "weak_exclusion",
-        "smoothness": {"s": 2, "r": 2, "p": 2, "d": 1},
-        "j_max": 4,
-        "witness_eps": 0.1,
-        "witness_t_range": [10, 30],
-        "output_dir": str(tmp_path / "wit"),
-    }
-    report = run(validate_config(json.dumps(raw)))
-    assert report.verdicts[0]["pass"]
-    assert report_from_dir(tmp_path / "wit") == list(report.verdicts)
+        raw = {
+            "experiment_kind": "weak_exclusion",
+            "smoothness": {"s": s, "r": 2, "p": 2, "d": 1},
+            "witness_eps": 0.1,
+            "witness_t_range": [10, 30],
+            "output_dir": str(tmp_path / f"wit{s}"),
+        }
+        report = run(validate_config(json.dumps(raw)))
+        assert report.verdicts[0]["pass"]
+        assert report_from_dir(tmp_path / f"wit{s}") == list(report.verdicts)
 
 
 def test_main_subcommands(tmp_path, capsys):
@@ -318,16 +316,31 @@ def test_main_subcommands(tmp_path, capsys):
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
 
 
+_BASE_KEYS = {"experiment_kind", "smoothness", "tolerances"}
+_MODEL_KEYS = {"truth_spec", "estimator_spec", "n_grid", "replicates", "master_seed", "filter",
+               "j_max"}
+# the hashed keys of each kind: run moves output_dir and threads out of the manifest
+MANIFEST_KEYS = {
+    "rate_fit": _BASE_KEYS | _MODEL_KEYS,
+    "density_rate_fit": _BASE_KEYS | _MODEL_KEYS,
+    "probe_sweep": _BASE_KEYS | _MODEL_KEYS | {"probe_alphas"},
+    "scaling_function": _BASE_KEYS | {"j_max", "scaling_p", "scaling_window"},
+    "weak_exclusion": _BASE_KEYS | {"witness_eps", "witness_t_range"},
+}
+
+
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_configs_round_trip(path):
     config = validate_config(path.read_text())
     assert validate_config(json.dumps(config.resolved())) == config
+    keys = MANIFEST_KEYS[config.experiment_kind]
+    assert set(config.resolved()) == keys | {"output_dir", "threads"}
+    assert set(EXPERIMENTS[config.experiment_kind].reads) == keys | {"output_dir", "threads"}
 
 
 SCALING = {"experiment_kind": "scaling_function", "smoothness": {"s": 2, "r": 2, "p": 2},
            "j_max": 6, "scaling_window": [2, 6]}
-WITNESS = {"experiment_kind": "weak_exclusion", "smoothness": {"s": 2, "r": 2, "p": 2},
-           "j_max": 4}
+WITNESS = {"experiment_kind": "weak_exclusion", "smoothness": {"s": 2, "r": 2, "p": 2}}
 
 
 def _rate(**overrides):
@@ -338,8 +351,9 @@ def _sweep(**overrides):
     return json.loads(sweep_config("unused", **overrides))
 
 
-# (config, the key its error line must name); each passed validate but broke
-# or vacuously passed run before these keys were checked
+# (config, the key its error line must name[, run flags]); each passed validate
+# but broke or vacuously passed run, or entered the manifest hash while nothing
+# read it, before these keys were checked
 REJECTED = {
     "smoothness_typo": (_rate(smoothness={"s": 2, "r": 2, "p": 2, "dd": 2}), "smoothness.dd"),
     "truth_typo": (_rate(truth_spec={"kind": "generic_g", "base_amplitud": 1}),
@@ -393,16 +407,31 @@ REJECTED = {
     "estimator_smoothness": (_rate(estimator_spec={"kind": "projection", "smoothness": {"s": 1}}),
                              "estimator_spec.smoothness: estimator 'projection' does not read"),
     "unknown_estimator_kind": (_rate(estimator_spec={"kind": "wiener"}), "estimator_spec.kind"),
+    # each kind reads only its own top-level keys; a rate fit ran one truth, not the alphas
+    "probe_alphas_in_rate_fit": (_rate(probe_alphas=[1.0]),
+                                 "probe_alphas: experiment 'rate_fit' does not read it; it "
+                                 "reads ['experiment_kind', 'smoothness', 'truth_spec', "
+                                 "'estimator_spec', 'n_grid', 'replicates', 'master_seed', "
+                                 "'filter', 'j_max', 'output_dir', 'tolerances', 'threads']"),
+    "replicates_in_scaling": (dict(SCALING, replicates=32), "replicates: experiment "
+                              "'scaling_function' does not read it"),
+    "filter_in_scaling": (dict(SCALING, filter="db3"), "filter: experiment 'scaling_function'"),
+    "estimator_in_scaling": (dict(SCALING, estimator_spec={"kind": "projection"}),
+                             "estimator_spec: experiment 'scaling_function'"),
+    "j_max_in_witness": (dict(WITNESS, j_max=4), "j_max: experiment 'weak_exclusion'"),
+    "scaling_p_in_witness": (dict(WITNESS, scaling_p=[2.0]),
+                             "scaling_p: experiment 'weak_exclusion'"),
+    "seed_flag_on_scaling": (SCALING, "master_seed: experiment 'scaling_function'", "--seed", "3"),
 }
 
 
 @pytest.mark.parametrize("name", REJECTED)
 def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys):
-    raw, key = REJECTED[name]
+    raw, key, *flags = REJECTED[name]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not out.exists()
@@ -441,6 +470,13 @@ UNPARSED = {
     "smoothness_q": (_rate(smoothness={"s": 2, "r": 2, "p": 2, "d": 1, "q": 1}), "smoothness.q"),
     "probe_alpha_in_sweep": (_sweep(truth_spec={"kind": "generic_g", "probe_alpha": 0.7}),
                              "truth_spec.probe_alpha: truth 'generic_g' of probe_sweep"),
+    # a kind is text: looked up unparsed, a list or an object was an unhashable-type error
+    "list_experiment_kind": (_rate(experiment_kind=["x"]),
+                             "experiment_kind: expected str, got ['x']"),
+    "list_truth_kind": (_rate(truth_spec={"kind": ["x"]}),
+                        "truth_spec.kind: expected str, got ['x']"),
+    "object_estimator_kind": (_rate(estimator_spec={"kind": {}}),
+                              "estimator_spec.kind: expected str, got {}"),
 }
 
 

@@ -71,8 +71,7 @@ def test_build_g_d2():
 
 
 def witness_dict(eps, t_max, s=2.0, r=2.0, p=2.0):
-    g = build_g(GenericFunctionSpec(s=s, r=r, d=1, j_max=4))
-    return dict(weak_exclusion_witness(g, s, r, p, 1, eps, t_max))
+    return dict(weak_exclusion_witness(s, r, p, 1, eps, t_max))
 
 
 def test_witness_growth_matches_eps_p():
@@ -107,13 +106,10 @@ def test_witness_envelope_growth_dominates_wobble():
 
 
 def test_witness_validation():
-    g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=4))
     with pytest.raises(ValueError):
-        weak_exclusion_witness(g, 2, 2, 2, 1, 0.25, 30)  # eps >= 1 - alpha_tilde
+        weak_exclusion_witness(2, 2, 2, 1, 0.25, 30)  # eps >= 1 - alpha_tilde
     with pytest.raises(ValueError):
-        weak_exclusion_witness(g, 2, 2, 2, 1, 0.0, 30)
-    with pytest.raises(ValueError):
-        weak_exclusion_witness(g, 2, 2, 2, 2, 0.1, 30)  # dimension mismatch
+        weak_exclusion_witness(2, 2, 2, 1, 0.0, 30)
 
 
 def _same_bits(a: CoefficientTree, b: CoefficientTree) -> bool:
