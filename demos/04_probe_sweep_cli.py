@@ -8,12 +8,11 @@ same config reproduces the outputs byte for byte.
 """
 
 import json
-import pathlib
 import tempfile
+from dataclasses import replace
 
 from waverates.cli import run, validate_config
 
-out_dir = pathlib.Path(tempfile.mkdtemp(prefix="waverates_sweep_"))
 config = validate_config(json.dumps({
     "experiment_kind": "probe_sweep",
     "smoothness": {"s": 2, "r": 2, "p": 2, "d": 1},
@@ -24,12 +23,12 @@ config = validate_config(json.dumps({
     "replicates": 16,
     "master_seed": 314159,
     "j_max": 12,
-    "threads": 4,
     "tolerances": {"spread": 0.05},
-    "output_dir": str(out_dir),
 }))
 
-report = run(config)
+# the config holds the science; where and on how many threads it runs is set here
+out_dir = tempfile.mkdtemp(prefix="waverates_sweep_")
+report = run(replace(config, output_dir=out_dir, threads=2))
 print("manifest hash:", report.manifest_hash)
 for verdict in report.verdicts:
     status = "PASS" if verdict["pass"] else "FAIL"
@@ -39,4 +38,4 @@ print("\ntables:")
 for path in report.tables:
     print(" ", path)
 print("\nsame experiment from a shell:")
-print("  waverates run --config sweep.json --seed 314159 --out", out_dir)
+print("  waverates run --config sweep.json --out", out_dir, "--threads 2")

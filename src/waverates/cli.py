@@ -1,11 +1,12 @@
 """Configuration-driven experiment runner.
 
-A JSON config describes one experiment: smoothness/loss parameters, truth,
-estimator, n-grid, replicates and tolerances.  ``run`` executes it, writes
-plot-ready CSV tables and a manifest (the resolved config but for the
-unhashed ``execution`` entry, threads and output_dir, and its content hash)
-into the output directory and reports pass/fail verdicts; identical config
-and seed give byte-identical tables at any thread count and output path.
+A JSON config describes the science of one experiment: smoothness/loss
+parameters, truth, estimator, n-grid, replicates, seed and tolerances.
+``run`` executes it at the caller's thread count, writes plot-ready CSV tables
+and a manifest (the resolved config, its content hash and an unhashed
+``execution`` entry: threads and output directory) into the caller's output
+directory and reports pass/fail verdicts; identical config and seed give
+byte-identical tables at any thread count and output path.
 ``report`` re-renders the verdicts from the stored tables without re-simulating.
 
 Subcommands:
@@ -15,8 +16,8 @@ Subcommands:
     rates     print the theoretical rate table for given parameters
     report    re-render verdicts from a completed output directory
 
-Flags --config/--seed/--out/--threads; the environment variables
-WAVERATES_SEED, WAVERATES_OUT and WAVERATES_THREADS mirror the last three.
+``run`` flags: --config; --seed, which overrides master_seed; --out, the output
+directory (default out/<config file stem>); --threads (default 1).
 
 CSV schemas: risk (n, risk, std_error, replicates), slope (normalization,
 slope, implied_alpha, r_squared), scaling (p, estimate, theory, residual),
@@ -39,7 +40,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -90,7 +90,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment; the field names are the config keys and their
-    defaults the top-level defaults.  A kind sets only the fields it reads."""
+    defaults the top-level defaults.  A kind sets only the fields it reads; no
+    config sets output_dir and threads, which run's caller sets with replace."""
 
     experiment_kind: str
     smoothness: SmoothnessParams
@@ -198,7 +199,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     (kind threshold_hard) and the TRUTHS args (kind generic_g), and every kind
     its tolerances.  Defaults fix each value's type.  Rejects unknown keys at
     every level, values of the wrong type and every value the run cannot use:
-    s <= d/r, threads < 1, the kind's own fields (EXPERIMENTS' check) and, for
+    s <= d/r, the kind's own fields (EXPERIMENTS' check) and, for
     a Monte Carlo kind, among others an unfit estimator, truth or filter,
     replicates < 2 and truth parameters the builder refuses (TRUTHS' check).
     """
@@ -217,9 +218,10 @@ def _validated(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
     experiment = EXPERIMENTS[kind]
     kinds = {f.name: f.type for f in fields(ExperimentConfig) if f.name in experiment.reads}
-    config = ExperimentConfig(**_parse_keys(raw, kinds, "", f"experiment {kind!r}"))
-    if config.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {config.threads}")
+    values = _parse_keys(raw, kinds, "", f"experiment {kind!r}")
+    if "smoothness" not in values:
+        raise ConfigError(f"smoothness: experiment {kind!r} needs it")
+    config = ExperimentConfig(**values)
     if experiment.model is not None:
         config = _with_model(config, experiment.model)
     config = replace(config, tolerances=_parse_section(
@@ -287,7 +289,7 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     config = replace(config, truth_spec={"kind": truth_kind, **spec})
     try:
         truth.check(**truth.args(config, **spec))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"truth_spec: {exc}") from None
     return config
 
@@ -298,9 +300,11 @@ def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_
                 alpha=probe_alpha, dither=dither, j_min=j_min)
 
 
-def _check_tree_file(path: str) -> None:
-    if not Path(path).is_file():
-        raise ValueError(f"path does not exist: {path!r}")
+def _tree_file(path: str, d: int) -> CoefficientTree:
+    tree = recordio.read_tree(path)
+    if tree.d != d:
+        raise ValueError(f"{path} holds a d={tree.d} tree; smoothness.d is {d}")
+    return tree
 
 
 class Truth(NamedTuple):
@@ -320,8 +324,8 @@ class Truth(NamedTuple):
 
 TRUTHS = {
     "generic_g": Truth(None, _probe_line_args, probe_line_truth, check_probe_line),
-    "explicit_tree_file": Truth(None, lambda config, path: {"path": path}, recordio.read_tree,
-                                _check_tree_file, wavelet_part=False),
+    "explicit_tree_file": Truth(None, lambda config, path: dict(path=path, d=config.smoothness.d),
+                                _tree_file, _tree_file, wavelet_part=False),
     "uniform_density": Truth("density", lambda config: {"j_max": config.j_max},
                              uniform_density_tree, wavelet_part=False),
     "custom_bump": Truth(None, lambda config, level=1, position=0, amplitude=1.0: dict(
@@ -511,8 +515,7 @@ class Experiment(NamedTuple):
         """The kind's top-level keys: every kind's, a Monte Carlo model's, its own."""
         model = ("truth_spec", "estimator_spec", "n_grid", "replicates", "master_seed",
                  "filter", "j_max") if self.model else ()
-        return ("experiment_kind", "smoothness", "tolerances", "output_dir", "threads",
-                *model, *self.keys)
+        return ("experiment_kind", "smoothness", "tolerances", *model, *self.keys)
 
 
 _RATE_TOLERANCES = {"alpha": 0.08, "one_sided": False, "r_squared": None}
@@ -544,11 +547,14 @@ def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Execute the configured experiment; write tables, manifest and verdicts."""
+    """Execute the configured experiment on config.threads threads; write tables,
+    manifest and verdicts into config.output_dir."""
+    if config.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {config.threads}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = config.resolved()  # the science; how the run was executed is not hashed
-    execution = {key: manifest.pop(key) for key in ("threads", "output_dir")}
+    execution = {"threads": config.threads, "output_dir": config.output_dir}
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     mh = hashlib.sha256(canonical.encode()).hexdigest()
     tables = []
@@ -591,8 +597,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--threads", type=int, default=None)
+    run_p.add_argument("--out", default=None)  # out/<config file stem>
+    run_p.add_argument("--threads", type=int, default=1)
 
     val_p = sub.add_parser("validate", help="validate a config and print the resolved form")
     val_p.add_argument("--config", required=True)
@@ -650,18 +656,11 @@ def _command(args) -> int:
 
     if args.command == "run":
         raw = _parse_object(_read_config(args.config))
-        for key, flag, env in (("master_seed", args.seed, "WAVERATES_SEED"),
-                               ("output_dir", args.out, "WAVERATES_OUT"),
-                               ("threads", args.threads, "WAVERATES_THREADS")):
-            value = flag if flag is not None else os.environ.get(env)
-            if isinstance(value, str) and key != "output_dir":  # the variable's text
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise ConfigError(f"{env}: expected an integer, got {value!r}") from None
-            if value is not None:
-                raw[key] = value
-        report = run(validate_config(json.dumps(raw)))
+        if args.seed is not None:
+            raw["master_seed"] = args.seed
+        out = args.out if args.out is not None else f"out/{Path(args.config).stem}"
+        config = validate_config(json.dumps(raw))
+        report = run(replace(config, output_dir=out, threads=args.threads))
         print(f"manifest hash: {report.manifest_hash}")
         for path in report.tables:
             print(f"wrote {path}")

@@ -420,13 +420,8 @@ def monte_carlo_risk(
                                       samplers)
 
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, rep, values in pool.map(task, jobs):
-                losses[:, i, rep] = values
-    else:
-        for job in jobs:
-            i, rep, values = task(job)
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread at 1
+        for i, rep, values in (pool.map if threads > 1 else map)(task, jobs):
             losses[:, i, rep] = values
 
     return tuple(

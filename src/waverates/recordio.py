@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .dyadic import CoefficientTree
+from .dyadic import CoefficientTree, LevelIndex
 
 __all__ = [
     "write_tree",
@@ -32,21 +32,26 @@ def write_tree(tree: CoefficientTree, path) -> None:
 
 
 def read_tree(path) -> CoefficientTree:
-    path = Path(path)
-    with path.open() as fh:
+    """Read back a stream written by write_tree; raises ValueError naming the file
+    for any other text: no coefficient-tree header, a header field missing, or a
+    row that is not (j, k..., value) at a position inside its level."""
+    with open(path) as fh:
         header = fh.readline().strip()
+        rows = list(csv.reader(fh))[1:]  # below the column header
+    try:
         if not header.startswith("# coefficient-tree,"):
-            raise ValueError(f"{path}: not a coefficient-tree stream")
+            raise ValueError("not a coefficient-tree stream")
         meta = dict(item.split("=", 1) for item in header[2:].split(",")[1:])
-        d, j_max = int(meta["d"]), int(meta["j_max"])
-        scaling = float(meta["scaling"])
-        reader = csv.reader(fh)
-        next(reader)  # column header
+        d, j_max, scaling = int(meta["d"]), int(meta["j_max"]), float(meta["scaling"])
         items = []
-        for row in reader:
-            j, *k, value = row
-            items.append(((int(j), tuple(int(c) for c in k)), float(value)))
-    return CoefficientTree.from_items(d, j_max, scaling, items)
+        for j, *k, value in rows:
+            idx = LevelIndex(int(j), tuple(int(c) for c in k), d)  # k inside level j
+            items.append(((idx.j, idx.k), float(value)))
+        return CoefficientTree.from_items(d, j_max, scaling, items)
+    except KeyError as exc:
+        raise ValueError(f"{path}: the header has no field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_table(path, columns: list[str], rows, manifest_hash: str = "") -> None:

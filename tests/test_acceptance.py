@@ -10,6 +10,7 @@ calibrated at runtime.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,11 +130,9 @@ def test_criterion_3_probe_invariance(tmp_path):
         "master_seed": 20240801,
         "filter": "db2",
         "j_max": 16,
-        "threads": THREADS,
         "tolerances": {"spread": 0.05},
-        "output_dir": str(tmp_path / "sweep"),
     }))
-    verdict = run(config).verdicts[0]
+    verdict = run(replace(config, output_dir=str(tmp_path / "sweep"), threads=THREADS)).verdicts[0]
     ok = report("3.probe_spread", verdict["pass"], verdict["measured"], 0.0, 0.05)
     assert ok
 
@@ -260,11 +259,11 @@ def test_criterion_9_structural_suites(tmp_path):
         "replicates": 8,
         "master_seed": 5,
         "j_max": 8,
-        "output_dir": str(tmp_path / "det"),
     })
-    run(validate_config(cfg_json))
+    out = str(tmp_path / "det")
+    run(replace(validate_config(cfg_json), output_dir=out))
     first = (tmp_path / "det" / "risk_threshold_hard.csv").read_bytes()
-    run(validate_config(cfg_json))
+    run(replace(validate_config(cfg_json), output_dir=out))
     second = (tmp_path / "det" / "risk_threshold_hard.csv").read_bytes()
     ok &= report("9.byte_identical_rerun", first == second, float(first == second), 1.0, 0.0)
     assert ok

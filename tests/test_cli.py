@@ -2,6 +2,10 @@ import ast
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,7 @@ from waverates.cli import (
 from waverates.generic import GenericFunctionSpec, build_g
 
 
-def rate_config(out_dir, **overrides):
+def rate_config(**overrides):
     cfg = {
         "experiment_kind": "rate_fit",
         "smoothness": {"s": 2, "r": 2, "p": 2, "d": 1},
@@ -33,21 +37,25 @@ def rate_config(out_dir, **overrides):
         "master_seed": 11,
         "filter": "db2",
         "j_max": 8,
-        "output_dir": str(out_dir),
     }
     cfg.update(overrides)
     return json.dumps(cfg)
 
 
-def sweep_config(out_dir, **overrides):
+def run_in(out_dir, text, threads=1):
+    """run the config text as the command line does: the caller sets where and how"""
+    return run(replace(validate_config(text), output_dir=str(out_dir), threads=threads))
+
+
+def sweep_config(**overrides):
     # a probe sweep sets the line's alpha from probe_alphas: its truth has no probe_alpha
     truth = {"kind": "generic_g", "base_amplitude": 64.0, "dither": 2.0}
-    return rate_config(out_dir, **{"experiment_kind": "probe_sweep", "truth_spec": truth,
+    return rate_config(**{"experiment_kind": "probe_sweep", "truth_spec": truth,
                                    **overrides})
 
 
 def test_validate_minimal_config_fills_defaults(tmp_path):
-    config = validate_config(rate_config(tmp_path / "o"))
+    config = validate_config(rate_config())
     assert config.estimator_spec == {"kind": "threshold_hard", "kappa": 2.0}
     assert config.truth_spec == {"kind": "generic_g", "probe_alpha": 0.7, "base_amplitude": 64.0,
                                  "dither": 2.0, "j_min": 0}
@@ -56,7 +64,7 @@ def test_validate_minimal_config_fills_defaults(tmp_path):
 
 
 def test_validate_rejects_standing_assumption_violation(tmp_path):
-    raw = rate_config(tmp_path / "o")
+    raw = rate_config()
     bad = json.loads(raw)
     bad["smoothness"]["s"] = 0.4  # s <= d/r at r = 2
     with pytest.raises(ConfigError, match="s > d/r"):
@@ -64,7 +72,7 @@ def test_validate_rejects_standing_assumption_violation(tmp_path):
 
 
 def test_validate_rejects_model_mismatch(tmp_path):
-    bad = json.loads(rate_config(tmp_path / "o"))
+    bad = json.loads(rate_config())
     bad["estimator_spec"]["kind"] = "density_threshold"
     with pytest.raises(ConfigError, match="incompatible"):
         validate_config(json.dumps(bad))
@@ -75,69 +83,61 @@ def test_validate_rejects_model_mismatch(tmp_path):
 
 
 def test_validate_rejects_bad_grid_and_filter(tmp_path):
-    bad = json.loads(rate_config(tmp_path / "o"))
+    bad = json.loads(rate_config())
     bad["n_grid"] = [1024, 512]
     with pytest.raises(ConfigError, match="increasing"):
         validate_config(json.dumps(bad))
-    bad = json.loads(rate_config(tmp_path / "o"))
+    bad = json.loads(rate_config())
     bad["filter"] = "haar"  # 1 vanishing moment < ceil(s) = 2
     with pytest.raises(ConfigError, match="vanishing moments"):
         validate_config(json.dumps(bad))
-    bad = json.loads(rate_config(tmp_path / "o"))
+    bad = json.loads(rate_config())
     bad["truth_spec"] = {"kind": "explicit_tree_file", "path": str(tmp_path / "nope.csv")}
-    with pytest.raises(ConfigError, match="does not exist"):
+    with pytest.raises(ConfigError, match="No such file or directory"):
         validate_config(json.dumps(bad))
 
 
 def test_validate_rejects_single_replicate(tmp_path):
     with pytest.raises(ConfigError, match="replicates must be >= 2"):
-        validate_config(rate_config(tmp_path / "o", replicates=1))
+        validate_config(rate_config(replicates=1))
     # kinds without a Monte Carlo risk do not read replicates at all
     with pytest.raises(ConfigError, match="replicates: experiment 'scaling_function' does "
                                           "not read it"):
         validate_config(json.dumps(dict(SCALING, replicates=1)))
 
 
-def test_validate_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys):
+def test_run_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default --out is under the working directory
     for bad in (0, -4):
-        with pytest.raises(ConfigError, match="threads must be >= 1"):
-            validate_config(rate_config(tmp_path / "o", threads=bad))
-    # the --threads flag and WAVERATES_THREADS go through the same check;
-    # main reports it as a config error, not as a count of failed verdicts
+        with pytest.raises(ConfigError, match=f"threads must be >= 1, got {bad}"):
+            run_in(tmp_path / "o", rate_config(), threads=bad)
+    # main reports the --threads flag as a config error, not as a count of failed verdicts
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(rate_config(tmp_path / "o"))
-    assert main(["run", "--config", str(cfg_path), "--threads", "0"]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
-    monkeypatch.setenv("WAVERATES_THREADS", "-4")
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == "error: threads must be >= 1, got -4\n"
-    monkeypatch.setenv("WAVERATES_THREADS", "two")
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == "error: WAVERATES_THREADS: expected an integer, got 'two'\n"
-    monkeypatch.delenv("WAVERATES_THREADS")
-    monkeypatch.setenv("WAVERATES_SEED", "7.5")
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == "error: WAVERATES_SEED: expected an integer, got '7.5'\n"
-    assert not (tmp_path / "o").exists()
+    cfg_path.write_text(rate_config())
+    for bad in ("0", "-4"):
+        assert main(["run", "--config", str(cfg_path), "--threads", bad]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: threads must be >= 1, got {bad}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_validate_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="tolerances.aplha: experiment 'rate_fit' does not read"):
-        validate_config(rate_config(tmp_path / "o", tolerances={"aplha": 0.0}))
+        validate_config(rate_config(tolerances={"aplha": 0.0}))
     # each kind accepts only its own tolerance keys
     with pytest.raises(ConfigError, match="tolerances.spread: experiment 'rate_fit' does not"):
-        validate_config(rate_config(tmp_path / "o", tolerances={"spread": 0.1}))
+        validate_config(rate_config(tolerances={"spread": 0.1}))
     with pytest.raises(ConfigError, match="replicate: experiment 'rate_fit' does not read it"):
-        validate_config(rate_config(tmp_path / "o", replicate=4))
+        validate_config(rate_config(replicate=4))
     with pytest.raises(ConfigError, match="j_max: expected an integer"):
-        validate_config(rate_config(tmp_path / "o", j_max="deep"))
+        validate_config(rate_config(j_max="deep"))
     # the defaults are filled in, so a default left out or written out hashes alike
-    config = validate_config(rate_config(tmp_path / "o", tolerances={"r_squared": 0.9}))
+    config = validate_config(rate_config(tolerances={"r_squared": 0.9}))
     assert config.resolved()["tolerances"] == {"alpha": 0.08, "one_sided": False,
                                                "r_squared": 0.9}
 
 
 def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default --out is under the working directory
     missing = str(tmp_path / "missing.json")
     assert main(["run", "--config", missing]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
@@ -146,19 +146,19 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert main(["report", "--dir", str(tmp_path / "nowhere")]) == EXIT_CONFIG_ERROR
     assert "error: cannot read run directory" in capsys.readouterr().err
     typo = tmp_path / "typo.json"
-    typo.write_text(rate_config(tmp_path / "o", tolerances={"aplha": 0.0}))
+    typo.write_text(rate_config(tolerances={"aplha": 0.0}))
     assert main(["run", "--config", str(typo)]) == EXIT_CONFIG_ERROR
     assert "tolerances.aplha" in capsys.readouterr().err
     assert main(["run"]) == EXIT_CONFIG_ERROR  # usage error: --config is required
     assert main(["rates", "--s", "1", "--r", "1", "--p", "2"]) == EXIT_CONFIG_ERROR  # s = d/r
-    assert not (tmp_path / "o").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.json"]
 
     # a fault inside the run is an internal error, not a count of failed verdicts
     def broken_run(config):
         raise RuntimeError("broken engine")
 
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(rate_config(tmp_path / "o"))
+    cfg_path.write_text(rate_config())
     with monkeypatch.context() as patch:
         patch.setattr("waverates.cli.run", broken_run)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_INTERNAL_ERROR
@@ -175,16 +175,16 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
     d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
     for config in (rate_config, sweep_config):
-        bad = json.loads(config(tmp_path / "o", smoothness=d2))
+        bad = json.loads(config(smoothness=d2))
         with pytest.raises(ConfigError, match="grid synthesis, which is defined for d=1"):
             validate_config(json.dumps(bad))
     # the p = 2 loss is the coefficient energy and needs no grid (dithered shells are d=1 only)
-    ok = validate_config(rate_config(tmp_path / "o", smoothness=dict(d2, p=2), j_max=3,
+    ok = validate_config(rate_config(smoothness=dict(d2, p=2), j_max=3,
                                      truth_spec={"kind": "generic_g", "base_amplitude": 64.0}))
     assert ok.smoothness.d == 2
     with pytest.raises(ConfigError, match="dithered shells are implemented for d=1 only"):
-        validate_config(rate_config(tmp_path / "o", smoothness=dict(d2, p=2), j_max=3))
-    dens = json.loads(rate_config(tmp_path / "o", experiment_kind="density_rate_fit",
+        validate_config(rate_config(smoothness=dict(d2, p=2), j_max=3))
+    dens = json.loads(rate_config(experiment_kind="density_rate_fit",
                                   smoothness=dict(d2, p=2)))
     dens["estimator_spec"] = {"kind": "density_threshold"}
     with pytest.raises(ConfigError, match="density experiments are one-dimensional"):
@@ -198,8 +198,7 @@ def test_validate_reports_parse_error_line():
 
 def test_run_rate_fit_and_report_round_trip(tmp_path):
     out = tmp_path / "run1"
-    config = validate_config(rate_config(out, tolerances={"alpha": 0.5}))
-    report = run(config)
+    report = run_in(out, rate_config(tolerances={"alpha": 0.5}))
     assert (out / "manifest.json").is_file()
     assert (out / "report.json").is_file()
     assert (out / "risk_threshold_hard.csv").is_file()
@@ -214,12 +213,12 @@ def test_run_rate_fit_and_report_round_trip(tmp_path):
 
 def test_run_density_rate_fit_and_report_round_trip(tmp_path):
     out = tmp_path / "dens"
-    raw = json.loads(rate_config(out, experiment_kind="density_rate_fit", replicates=4, j_max=6,
+    raw = json.loads(rate_config(experiment_kind="density_rate_fit", replicates=4, j_max=6,
                                  n_grid=[256, 512, 1024, 2048]))
     raw["truth_spec"] = {"kind": "generic_g", "base_amplitude": 1.0, "probe_alpha": 0.0,
                          "dither": 2.0, "j_min": 2}
     raw["estimator_spec"] = {"kind": "density_threshold"}
-    report = run(validate_config(json.dumps(raw)))
+    report = run_in(out, json.dumps(raw))
     assert [v["criterion"] for v in report.verdicts] == ["density_rate_fit.implied_alpha"]
     assert report.verdicts[0]["tolerance"] == 0.08  # the kind's default, filled in
     assert (out / "risk_density_threshold.csv").is_file()
@@ -232,7 +231,7 @@ def test_run_is_byte_identical_across_reruns(tmp_path):
     runs = [(tmp_path / "a", 1), (tmp_path / "b", 1), (tmp_path / "a", 3), (tmp_path / "c", 3)]
     outputs = []
     for out, threads in runs:
-        report = run(validate_config(rate_config(out, replicates=4, threads=threads)))
+        report = run_in(out, rate_config(replicates=4), threads=threads)
         stored = json.loads((out / "manifest.json").read_text())
         assert stored["execution"] == {"threads": threads, "output_dir": str(out)}
         assert stored["hash"] == report.manifest_hash and "threads" not in stored["manifest"]
@@ -245,10 +244,10 @@ def test_run_is_byte_identical_across_reruns(tmp_path):
 
 def test_run_probe_sweep_spread_verdict(tmp_path):
     out = tmp_path / "sweep"
-    raw = json.loads(sweep_config(out, replicates=6))
+    raw = json.loads(sweep_config(replicates=6))
     raw["probe_alphas"] = [-1.0, 0.5]
     raw["tolerances"] = {"spread": 0.2}
-    report = run(validate_config(json.dumps(raw)))
+    report = run_in(out, json.dumps(raw))
     verdict = report.verdicts[0]
     assert verdict["criterion"] == "probe_sweep.spread"
     assert (out / "probe_sweep.csv").is_file()
@@ -264,9 +263,8 @@ def test_run_scaling_and_witness_kinds(tmp_path):
             "j_max": 14,
             "scaling_p": [1.0, 2.0, 4.0],
             "scaling_window": [4, 14],
-            "output_dir": str(tmp_path / f"scal{s}"),
         }
-        report = run(validate_config(json.dumps(raw)))
+        report = run_in(tmp_path / f"scal{s}", json.dumps(raw))
         assert len(report.verdicts) == 3 and all(v["pass"] for v in report.verdicts)
         assert report_from_dir(tmp_path / f"scal{s}") == list(report.verdicts)
 
@@ -275,14 +273,13 @@ def test_run_scaling_and_witness_kinds(tmp_path):
             "smoothness": {"s": s, "r": 2, "p": 2, "d": 1},
             "witness_eps": 0.1,
             "witness_t_range": [10, 30],
-            "output_dir": str(tmp_path / f"wit{s}"),
         }
-        report = run(validate_config(json.dumps(raw)))
+        report = run_in(tmp_path / f"wit{s}", json.dumps(raw))
         assert report.verdicts[0]["pass"]
         assert report_from_dir(tmp_path / f"wit{s}") == list(report.verdicts)
 
 
-def test_main_subcommands(tmp_path, capsys):
+def test_main_subcommands(tmp_path, capsys, monkeypatch):
     # rates: prints the closed-form table
     assert main(["rates", "--s", "2", "--r", "2", "--p", "2"]) == 0
     out = capsys.readouterr().out
@@ -297,20 +294,28 @@ def test_main_subcommands(tmp_path, capsys):
 
     # validate: prints resolved config, exit 0
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(rate_config(tmp_path / "cli_out", replicates=4))
+    cfg_path.write_text(rate_config(replicates=4))
     assert main(["validate", "--config", str(cfg_path)]) == 0
 
-    # run with overrides; exit code counts failed verdicts (tolerance huge: 0)
-    cfg_path.write_text(rate_config(tmp_path / "ignored", replicates=4,
-                                    tolerances={"alpha": 10.0}))
-    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli_out"),
-                 "--seed", "3", "--threads", "2"])
+    # run with flags; exit code counts failed verdicts (tolerance huge: 0)
+    cfg_path.write_text(rate_config(replicates=4, tolerances={"alpha": 10.0}))
+    out = tmp_path / "cli_out"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "3",
+                 "--threads", "2"])
     assert code == 0
-    assert (tmp_path / "cli_out" / "report.json").is_file()
-    assert not (tmp_path / "ignored").exists()
+    stored = json.loads((out / "manifest.json").read_text())
+    assert stored["execution"] == {"threads": 2, "output_dir": str(out)}
+    assert stored["manifest"]["master_seed"] == 3
 
     # report: re-render from the stored directory
-    assert main(["report", "--dir", str(tmp_path / "cli_out")]) == 0
+    assert main(["report", "--dir", str(out)]) == 0
+
+    # without flags: out/<config file stem> under the working directory, one thread
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    stored = json.loads((tmp_path / "out" / "cfg" / "manifest.json").read_text())
+    assert stored["execution"] == {"threads": 1, "output_dir": "out/cfg"}
+    assert stored["manifest"]["master_seed"] == 11
 
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
@@ -319,7 +324,7 @@ DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob(
 _BASE_KEYS = {"experiment_kind", "smoothness", "tolerances"}
 _MODEL_KEYS = {"truth_spec", "estimator_spec", "n_grid", "replicates", "master_seed", "filter",
                "j_max"}
-# the hashed keys of each kind: run moves output_dir and threads out of the manifest
+# the keys of each kind: the config reads these and the manifest hashes these
 MANIFEST_KEYS = {
     "rate_fit": _BASE_KEYS | _MODEL_KEYS,
     "density_rate_fit": _BASE_KEYS | _MODEL_KEYS,
@@ -333,9 +338,8 @@ MANIFEST_KEYS = {
 def test_demo_configs_round_trip(path):
     config = validate_config(path.read_text())
     assert validate_config(json.dumps(config.resolved())) == config
-    keys = MANIFEST_KEYS[config.experiment_kind]
-    assert set(config.resolved()) == keys | {"output_dir", "threads"}
-    assert set(EXPERIMENTS[config.experiment_kind].reads) == keys | {"output_dir", "threads"}
+    reads = EXPERIMENTS[config.experiment_kind].reads
+    assert set(config.resolved()) == set(reads) == MANIFEST_KEYS[config.experiment_kind]
 
 
 SCALING = {"experiment_kind": "scaling_function", "smoothness": {"s": 2, "r": 2, "p": 2},
@@ -344,11 +348,11 @@ WITNESS = {"experiment_kind": "weak_exclusion", "smoothness": {"s": 2, "r": 2, "
 
 
 def _rate(**overrides):
-    return json.loads(rate_config("unused", **overrides))
+    return json.loads(rate_config(**overrides))
 
 
 def _sweep(**overrides):
-    return json.loads(sweep_config("unused", **overrides))
+    return json.loads(sweep_config(**overrides))
 
 
 # (config, the key its error line must name[, run flags]); each passed validate
@@ -412,7 +416,7 @@ REJECTED = {
                                  "probe_alphas: experiment 'rate_fit' does not read it; it "
                                  "reads ['experiment_kind', 'smoothness', 'truth_spec', "
                                  "'estimator_spec', 'n_grid', 'replicates', 'master_seed', "
-                                 "'filter', 'j_max', 'output_dir', 'tolerances', 'threads']"),
+                                 "'filter', 'j_max', 'tolerances']"),
     "replicates_in_scaling": (dict(SCALING, replicates=32), "replicates: experiment "
                               "'scaling_function' does not read it"),
     "filter_in_scaling": (dict(SCALING, filter="db3"), "filter: experiment 'scaling_function'"),
@@ -422,19 +426,52 @@ REJECTED = {
     "scaling_p_in_witness": (dict(WITNESS, scaling_p=[2.0]),
                              "scaling_p: experiment 'weak_exclusion'"),
     "seed_flag_on_scaling": (SCALING, "master_seed: experiment 'scaling_function'", "--seed", "3"),
+    # how a run is executed is set by its caller, not by the config
+    "threads_in_config": (_rate(threads=2), "threads: experiment 'rate_fit' does not read it"),
+    "output_dir_in_config": (_rate(output_dir="elsewhere"),
+                             "output_dir: experiment 'rate_fit' does not read it"),
+    "missing_smoothness": ({"experiment_kind": "rate_fit"},
+                           "smoothness: experiment 'rate_fit' needs it"),
+    # a tree file is read at validate as run reads it (TREE_FILES holds each file)
+    "tree_file_not_a_tree": (_rate(truth_spec={"kind": "explicit_tree_file", "path": "t.csv"}),
+                             "t.csv: not a coefficient-tree stream"),
+    "tree_file_without_d": (_rate(truth_spec={"kind": "explicit_tree_file", "path": "t.csv"}),
+                            "t.csv: the header has no field 'd'"),
+    "tree_file_row_outside_level": (_rate(truth_spec={"kind": "explicit_tree_file",
+                                                      "path": "t.csv"}),
+                                    "t.csv: coordinate 5 outside [0, 2^1)"),
+    # at p = 4 the run's grid synthesis refused the d = 2 tree; at p = 2 it ran on it
+    "tree_file_of_other_dimension": (_rate(smoothness={"s": 2, "r": 2, "p": 4, "d": 1},
+                                           truth_spec={"kind": "explicit_tree_file",
+                                                       "path": "t.csv"}),
+                                     "t.csv holds a d=2 tree; smoothness.d is 1"),
+}
+TREE_FILES = {
+    "tree_file_not_a_tree": "j,k,value\n1,0,1.0\n",
+    "tree_file_without_d": "# coefficient-tree,j_max=4,scaling=0.0\nj,k,value\n1,0,1.0\n",
+    "tree_file_row_outside_level": "# coefficient-tree,d=1,j_max=4,scaling=0.0\n"
+                                   "j,k,value\n1,5,1.0\n",
+    "tree_file_of_other_dimension": "# coefficient-tree,d=2,j_max=2,scaling=0.0\n"
+                                    "j,k1,k2,value\n1,0,1,1.0\n",
 }
 
 
 @pytest.mark.parametrize("name", REJECTED)
-def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys):
+def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys, monkeypatch):
     raw, key, *flags = REJECTED[name]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
-    assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    inputs = {"cfg.json": json.dumps(raw)}
+    if name in TREE_FILES:
+        inputs["t.csv"] = TREE_FILES[name]
+    for file, text in inputs.items():
+        (tmp_path / file).write_text(text)
+    # run flags apply to run only; without them validate must reject the config too
+    commands = [["run", "--out", "out", *flags]] + ([] if flags else [["validate"]])
+    for command, *options in commands:
+        assert main([command, "--config", "cfg.json", *options]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 NAN = float("nan")
@@ -482,11 +519,12 @@ UNPARSED = {
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("name", UNPARSED)
-def test_nan_and_mistyped_values_are_config_errors(name, command, tmp_path, capsys):
+def test_nan_and_mistyped_values_are_config_errors(name, command, tmp_path, capsys,
+                                                      monkeypatch):
     raw, key = UNPARSED[name]
-    out = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)  # run's default --out is under the working directory
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(raw, output_dir=str(out))))
+    cfg_path.write_text(json.dumps(raw))
     assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
@@ -494,11 +532,11 @@ def test_nan_and_mistyped_values_are_config_errors(name, command, tmp_path, caps
 
 
 def test_tolerances_parse_by_the_type_of_their_default(tmp_path):
-    config = validate_config(rate_config(tmp_path / "o", tolerances={
+    config = validate_config(rate_config(tolerances={
         "alpha": 1, "one_sided": True, "r_squared": None}))
     assert config.tolerances == {"alpha": 1.0, "one_sided": True, "r_squared": None}
     assert type(config.tolerances["alpha"]) is float
-    assert validate_config(rate_config(tmp_path / "o", smoothness={
+    assert validate_config(rate_config(smoothness={
         "s": 2, "r": "inf", "p": 2, "d": 1})).smoothness.r == math.inf  # inf is a number
 
 
@@ -507,7 +545,7 @@ def test_tolerances_parse_by_the_type_of_their_default(tmp_path):
                          ids=["empty", "not_a_number", "short_row"])
 def test_report_on_a_damaged_table_is_a_config_error(text, tmp_path, capsys):
     out = tmp_path / "scal"
-    run(validate_config(json.dumps(dict(SCALING, output_dir=str(out)))))
+    run_in(out, json.dumps(SCALING))
     (out / "scaling.csv").write_text(text)
     assert main(["report", "--dir", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
@@ -520,7 +558,7 @@ DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_imports_exist(path):
-    # the demos are not run by the suite; check that what they import exists
+    # names a demo imports exist (test_demos_run runs each demo)
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "waverates":
             module = importlib.import_module(node.module)
@@ -528,53 +566,64 @@ def test_demo_imports_exist(path):
             assert not missing, f"{path.name}: {node.module} has no {missing}"
 
 
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demos_run(path, tmp_path):
+    # each demo runs to exit 0 and writes only under its working directory and TMPDIR
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):
-    config = validate_config(rate_config(tmp_path / "o", estimator_spec={"kind": "pinsker"},
+    config = validate_config(rate_config(estimator_spec={"kind": "pinsker"},
                                          truth_spec={"base_amplitude": 3}))
     # no kappa: only the thresholds read it
     assert config.estimator_spec == {"kind": "pinsker", "pinsker_order": 2.0, "fixed_m_n": None}
     assert config.truth_spec == {"kind": "generic_g", "probe_alpha": 0.7, "base_amplitude": 3.0,
                                  "dither": 0.0, "j_min": 0}
     assert type(config.truth_spec["base_amplitude"]) is float
-    assert validate_config(rate_config(tmp_path / "o", replicates=4.0)).replicates == 4
+    assert validate_config(rate_config(replicates=4.0)).replicates == 4
 
 
 def test_equivalent_spellings_give_one_manifest_hash(tmp_path):
-    base = json.loads(sweep_config(tmp_path / "o", replicates=2, probe_alphas=[-1.0, 1.0],
+    base = json.loads(sweep_config(replicates=2, probe_alphas=[-1.0, 1.0],
                                    n_grid=[2**8, 2**9, 2**10, 2**11]))
     truth = base["truth_spec"]
     spellings = [base, dict(base, estimator_spec={"kind": "threshold_hard", "kappa": 2}),
                  dict(base, truth_spec=dict(truth, base_amplitude=64)),
                  dict(base, truth_spec=dict(truth, j_min=0)),
                  dict(base, tolerances={"spread": 0.05})]
-    hashes = {run(validate_config(json.dumps(raw))).manifest_hash for raw in spellings}
+    hashes = {run_in(tmp_path / "o", json.dumps(raw)).manifest_hash for raw in spellings}
     assert len(hashes) == 1
     other = dict(base, estimator_spec={"kind": "threshold_hard", "kappa": 3})
-    assert run(validate_config(json.dumps(other))).manifest_hash not in hashes
+    assert run_in(tmp_path / "o", json.dumps(other)).manifest_hash not in hashes
 
 
 def test_integral_truth_parameters_parse_like_top_level_integers(tmp_path):
-    bump = validate_config(rate_config(tmp_path / "o", truth_spec={
+    bump = validate_config(rate_config(truth_spec={
         "kind": "custom_bump", "level": 4.0, "position": 3.0}))
     assert bump.truth_spec == {"kind": "custom_bump", "level": 4, "position": 3,
                                "amplitude": 1.0}
     assert all(type(bump.truth_spec[key]) is int for key in ("level", "position"))
     assert _truth(bump).get(4, 3) == 1.0
-    line = validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "generic_g",
+    line = validate_config(rate_config(truth_spec={"kind": "generic_g",
                                                                    "j_min": 2.0}))
     assert line.truth_spec["j_min"] == 2 and type(line.truth_spec["j_min"]) is int
     for bad in (2.7, True, "two"):
         with pytest.raises(ConfigError, match="truth_spec.level: expected an integer"):
-            validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "custom_bump",
+            validate_config(rate_config(truth_spec={"kind": "custom_bump",
                                                                     "level": bad}))
         with pytest.raises(ConfigError, match="truth_spec.j_min: expected an integer"):
-            validate_config(rate_config(tmp_path / "o", truth_spec={"kind": "generic_g",
+            validate_config(rate_config(truth_spec={"kind": "generic_g",
                                                                     "j_min": bad}))
 
 
 def test_probe_alphas_with_distinct_labels_validate(tmp_path):
-    config = validate_config(sweep_config(tmp_path / "o", probe_alphas=[0.3, 0.31, -0.3, 0.0]))
+    config = validate_config(sweep_config(probe_alphas=[0.3, 0.31, -0.3, 0.0]))
     assert config.probe_alphas == (0.3, 0.31, -0.3, 0.0)
     with pytest.raises(ConfigError, match=r"probe_alphas: 0\.3 and 0\.304 share the table "
                                           r"label 'alphap0_30'"):
-        validate_config(sweep_config(tmp_path / "o", probe_alphas=[0.3, -1.0, 0.304]))
+        validate_config(sweep_config(probe_alphas=[0.3, -1.0, 0.304]))
