@@ -1,8 +1,10 @@
 """Density estimation: sampling, empirical coefficients, thresholding.
 
-Draws i.i.d. points from a wavelet-specified density, recovers coefficients
-by averaging the periodized wavelet over the sample, thresholds them at
-sqrt(log n / n), and compares the estimate's coefficients with the truth.
+Draws i.i.d. points from a wavelet-specified density through a
+DensitySampler (built once per truth, so replicates would share it),
+recovers coefficients by averaging the periodized wavelet over the sample,
+thresholds them at sqrt(log n / n), and compares the estimate's coefficients
+with the truth.
 The empirical coefficients form a tree like a sequence observation's, so the
 sequence model's projection rule applies to them unchanged.
 """
@@ -10,17 +12,18 @@ sequence model's projection rule applies to them unchanged.
 import numpy as np
 
 from waverates import (
+    DensitySampler,
     density_threshold_estimate,
     density_truth_tree,
     empirical_coefficients,
     get_filter,
     linear_estimate,
+    noise_depth,
     projection_weights,
-    sample_density,
     shell_tree,
     synthesize,
+    universal_threshold,
 )
-from waverates.estimators import noise_depth, universal_threshold
 
 filt = get_filter("db2")
 truth = density_truth_tree(shell_tree(2, 2, 1, 10, amplitude=1.0, dither=2.0, j_min=2))
@@ -28,7 +31,7 @@ grid = synthesize(truth, filt, 16).samples
 print(f"truth density range: [{grid.min():.3f}, {grid.max():.3f}] (mean {grid.mean():.3f})")
 
 n = 4096
-sample = sample_density(truth, filt, n, seed=7)
+sample = DensitySampler.from_tree(truth, filt).sample(n, seed=7)
 print(f"drew {n} points; first five:", np.round(sample.points[:5], 4))
 
 beta = empirical_coefficients(sample, filt, j_max=noise_depth(n))

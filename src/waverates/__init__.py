@@ -33,7 +33,6 @@ from .models import (
     DensitySampler,
     SequenceObservation,
     empirical_coefficients,
-    sample_density,
     simulate_sequence,
 )
 from .rates import (
@@ -44,7 +43,6 @@ from .rates import (
     SlopeFit,
     fit_slope,
     generic_alpha,
-    linear_minimax_rate,
     minimax_rate,
     monte_carlo_risk,
 )
@@ -55,7 +53,6 @@ from .spaces import (
     besov_norm,
     empirical_scaling,
     theoretical_scaling,
-    theoretical_weak_scaling,
     weak_besov_functional,
 )
 from .truths import (

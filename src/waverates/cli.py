@@ -59,7 +59,6 @@ from .rates import (
     RiskTable,
     fit_slope,
     generic_alpha,
-    linear_minimax_rate,
     minimax_rate,
     monte_carlo_risk,
 )
@@ -551,23 +550,23 @@ def run(config: ExperimentConfig) -> RunReport:
     manifest and verdicts into config.output_dir."""
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = config.resolved()  # the science; how the run was executed is not hashed
     execution = {"threads": config.threads, "output_dir": config.output_dir}
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     mh = hashlib.sha256(canonical.encode()).hexdigest()
-    tables = []
-    for name, columns, rows in EXPERIMENTS[config.experiment_kind].tables(config):
+    tables = EXPERIMENTS[config.experiment_kind].tables(config)
+    out_dir = Path(config.output_dir)  # made only now: a run that fails leaves none behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, columns, rows in tables:
         recordio.write_table(out_dir / name, columns, rows, mh)
-        tables.append(str(out_dir / name))
     verdicts = _verdicts(config, out_dir)
     for name, payload in (("manifest.json", {"manifest": manifest, "hash": mh,
                                               "execution": execution}),
                           ("report.json", {"hash": mh, "verdicts": verdicts})):
         (out_dir / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return RunReport(manifest=manifest, manifest_hash=mh,
-                     tables=tuple(tables), verdicts=tuple(verdicts))
+                     tables=tuple(str(out_dir / name) for name, _, _ in tables),
+                     verdicts=tuple(verdicts))
 
 
 def report_from_dir(out_dir) -> list[dict]:
@@ -675,9 +674,10 @@ def _command(args) -> int:
     if args.command == "rates":
         params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p, d=args.d)
         print(f"parameters: s={args.s} r={args.r} p={args.p} d={args.d} (n={args.n})")
-        for label, rate in (("minimax:       ", minimax_rate),
-                            ("linear minimax:", linear_minimax_rate)):
-            reg, value = rate(params, args.n)
+        mm, mm_value = minimax_rate(params, args.n)
+        lin = generic_alpha("linear", params)  # normalized by n: no log factor
+        for label, reg, value in (("minimax:       ", mm, mm_value),
+                                  ("linear minimax:", lin, args.n ** (-params.p * lin.alpha))):
             print(f"{label} branch={reg.branch:6s} alpha={reg.alpha:.6f} "
                   f"norm={reg.normalization:12s} value={value:.6e}")
         for family in ("linear", "threshold", "limited", "elitist"):

@@ -27,6 +27,8 @@ from .models import SequenceObservation
 from .spaces import SmoothnessParams
 
 __all__ = [
+    "universal_threshold",
+    "noise_depth",
     "projection_weights",
     "pinsker_weights",
     "ShrinkageClass",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import CoefficientTree, reduced_level_array
-from .spaces import theoretical_weak_scaling
+from .rates import generic_alpha
+from .spaces import SmoothnessParams
 
 __all__ = [
     "GenericFunctionSpec",
@@ -81,7 +82,7 @@ def weak_exclusion_witness(
 
         2^{-(1 - at - eps) p t} / (2^d - 1) * max(term1, term2)
 
-    with at the generic weak scaling exponent,
+    with at = generic_alpha("threshold").alpha_tilde (s, r, p, d must make SmoothnessParams),
 
         term1 = max over 0 <= j <= t / (s + d/2)           of 2^{d p j / 2} (1 - 2^{-j d}),
         term2 = max over t / (s + d/2) < j <= t / (s - d/r + d/2)
@@ -91,7 +92,7 @@ def weak_exclusion_witness(
     per-position enumeration is needed.  For valid eps the sequence grows like
     2^{eps p t}, which is the quantitative content of the exclusion argument.
     """
-    alpha_tilde = theoretical_weak_scaling(s, r, p, d)
+    alpha_tilde = generic_alpha("threshold", SmoothnessParams(s, r, p, d)).alpha_tilde
     if not 0.0 < eps < 1.0 - alpha_tilde:
         raise ValueError(
             f"eps must lie in (0, 1 - {alpha_tilde:.6g}) for these parameters, got {eps}"

@@ -35,7 +35,6 @@ __all__ = [
     "DensitySampler",
     "simulate_sequence",
     "observe",
-    "sample_density",
     "empirical_coefficients",
 ]
 
@@ -195,15 +194,6 @@ class DensitySampler:
         frac = (u - left) / self.masses[cells]
         points = (cells + np.clip(frac, 0.0, 1.0)) / (1 << self.res)
         return DensitySample(n=n, points=points)
-
-
-def sample_density(f_tree: CoefficientTree, filt: WaveletFilter, n: int, seed) -> DensitySample:
-    """Draw n i.i.d. points from the density specified by a coefficient tree.
-
-    One-shot form of DensitySampler.from_tree(f_tree, filt).sample(n, seed);
-    repeated draws from one truth should build the sampler once.
-    """
-    return DensitySampler.from_tree(f_tree, filt).sample(n, seed)
 
 
 # Per filter taps (and level): the support slice of the level's wavelet grid

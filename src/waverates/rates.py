@@ -47,7 +47,6 @@ __all__ = [
     "EstimatorSpec",
     "ESTIMATOR_KINDS",
     "minimax_rate",
-    "linear_minimax_rate",
     "generic_alpha",
     "monte_carlo_risk",
     "fit_slope",
@@ -97,16 +96,6 @@ def minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
     regime = generic_alpha("threshold", params)
     regime = replace(regime, family="minimax",
                      normalization="n" if regime.branch == "dense" else "n_over_log_n")
-    return regime, _norm_value(regime.normalization, n) ** (-params.p * regime.alpha)
-
-
-def linear_minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
-    """Best rate achievable by linear rules: slower than minimax once p > r.
-
-    generic_alpha("linear") relabelled "linear_minimax": n^{-p alpha}, dense
-    when r >= p.  Linear rates carry no log factor.
-    """
-    regime = replace(generic_alpha("linear", params), family="linear_minimax")
     return regime, _norm_value(regime.normalization, n) ** (-params.p * regime.alpha)
 
 

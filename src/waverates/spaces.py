@@ -2,7 +2,7 @@
 
 Sequence-space Besov norms, the weak (Lorentz-type) exceedance functional,
 empirical scaling-function estimation by level-sum regression, and the
-closed-form generic scaling functions the estimates are compared against.
+closed-form generic scaling function the estimates are compared against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "check_scaling_window",
     "empirical_scaling",
     "theoretical_scaling",
-    "theoretical_weak_scaling",
 ]
 
 
@@ -197,19 +196,3 @@ def theoretical_scaling(s0: float, p0: float, p: float, d: int) -> float:
     if p <= p0:
         return s0
     return d / p + s0 - d / p0
-
-
-def theoretical_weak_scaling(s: float, r: float, p: float, d: int) -> float:
-    """Generic weak scaling function inside a smoothness-s ball.
-
-    Returns 2s / (2s + d) in the dense regime r > p d / (2s + d), and
-    2 (s - d/r + d/p) / (2 (s - d/r) + d) otherwise (the boundary belongs
-    to the sparse branch; both branches agree there only incidentally).
-    """
-    if s - d / r <= 0:
-        raise ValueError(f"need s > d/r, got s={s}, d/r={d / r}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if r > p * d / (2.0 * s + d):
-        return 2.0 * s / (2.0 * s + d)
-    return 2.0 * (s - d / r + d / p) / (2.0 * (s - d / r) + d)

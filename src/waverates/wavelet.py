@@ -135,10 +135,6 @@ class WaveletFilter:
             raise ValueError(f"filter {self.name}: taps are not unit norm")
 
     @property
-    def support_width(self) -> int:
-        return len(self.taps) - 1
-
-    @property
     def highpass(self) -> np.ndarray:
         """Quadrature-mirror highpass: g[t] = (-1)^t h[L-1-t]."""
         h = self.taps

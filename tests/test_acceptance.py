@@ -28,7 +28,7 @@ from waverates.estimators import (
     universal_threshold,
 )
 from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witness
-from waverates.models import empirical_coefficients, sample_density, simulate_sequence
+from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     EstimatorSpec,
     fit_slope,
@@ -278,8 +278,9 @@ def test_criterion_10_density_model():
     uniform = uniform_density_tree(8)
     runs = 50
     acc = np.empty((runs, 2))
+    sampler = DensitySampler.from_tree(uniform, filt)
     for rep in range(runs):
-        s = sample_density(uniform, filt, 500, seed=np.random.SeedSequence((13, rep)))
+        s = sampler.sample(500, seed=np.random.SeedSequence((13, rep)))
         beta = empirical_coefficients(s, filt, 3)
         acc[rep] = [beta.get(2, 1), beta.get(3, 4)]
     se = acc.std(axis=0, ddof=1) / np.sqrt(runs)

@@ -172,6 +172,19 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert main(["report", "--dir", out]) == 1
 
 
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # validates, but the truth's density goes negative: the run fails before any table
+    workload = Path(__file__).parent.parent / "perfbench" / "workloads" / "density_threshold.json"
+    raw = json.loads(workload.read_text())
+    raw["truth_spec"]["base_amplitude"] = 40
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL_ERROR
+    assert "negative mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
     d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
     for config in (rate_config, sweep_config):
@@ -204,7 +217,8 @@ def test_run_rate_fit_and_report_round_trip(tmp_path):
     assert (out / "risk_threshold_hard.csv").is_file()
     # every table carries the manifest hash comment
     for table in report.tables:
-        assert f"# manifest_hash={report.manifest_hash}" in open(table).readline()
+        with open(table) as fh:
+            assert f"# manifest_hash={report.manifest_hash}" in fh.readline()
     # nothing written outside the output directory
     assert {p.name for p in tmp_path.iterdir()} == {"run1"}
     # re-rendered verdicts match the stored run exactly
@@ -279,12 +293,36 @@ def test_run_scaling_and_witness_kinds(tmp_path):
         assert report_from_dir(tmp_path / f"wit{s}") == list(report.verdicts)
 
 
-def test_main_subcommands(tmp_path, capsys, monkeypatch):
-    # rates: prints the closed-form table
-    assert main(["rates", "--s", "2", "--r", "2", "--p", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "minimax" in out and "alpha=0.400000" in out
+RATES_OUTPUT = {
+    ("2", "2", "2"): """\
+parameters: s=2.0 r=2.0 p=2.0 d=1 (n=16384)
+minimax:        branch=dense  alpha=0.400000 norm=n            value=4.250735e-04
+linear minimax: branch=dense  alpha=0.400000 norm=n            value=4.250735e-04
+generic linear    branch=dense  alpha=0.400000 norm=n            (alpha_tilde=0.800000)
+generic threshold branch=dense  alpha=0.400000 norm=n_over_log_n (alpha_tilde=0.800000)
+generic limited   branch=dense  alpha=0.400000 norm=n            (alpha_tilde=0.800000)
+generic elitist   branch=dense  alpha=0.400000 norm=n_over_log_n (alpha_tilde=0.800000)
+""",
+    ("1.2", "1", "4"): """\
+parameters: s=1.2 r=1.0 p=4.0 d=1 (n=16384)
+minimax:        branch=sparse alpha=0.321429 norm=n_over_log_n value=7.085986e-05
+linear minimax: branch=sparse alpha=0.236842 norm=n            value=1.017166e-04
+generic linear    branch=sparse alpha=0.236842 norm=n            (alpha_tilde=0.473684)
+generic threshold branch=sparse alpha=0.321429 norm=n_over_log_n (alpha_tilde=0.642857)
+generic limited   branch=sparse alpha=0.236842 norm=n            (alpha_tilde=0.473684)
+generic elitist   branch=sparse alpha=0.321429 norm=n_over_log_n (alpha_tilde=0.642857)
+""",
+}
 
+
+@pytest.mark.parametrize("srp", sorted(RATES_OUTPUT))
+def test_rates_prints_the_closed_form_table(srp, capsys):
+    s, r, p = srp
+    assert main(["rates", "--s", s, "--r", r, "--p", p]) == 0
+    assert capsys.readouterr().out == RATES_OUTPUT[srp]
+
+
+def test_main_subcommands(tmp_path, capsys, monkeypatch):
     # build-g: writes a loadable record stream
     g_path = tmp_path / "g.csv"
     assert main(["build-g", "--s", "2", "--r", "2", "--j-max", "6", "--out", str(g_path)]) == 0

@@ -154,7 +154,7 @@ def test_density_linear_projection_truncation():
 
 def test_density_linear_truncation_reduces_risk_on_uniform():
     # uniform truth: every kept level only adds noise, so truncation helps
-    from waverates.models import empirical_coefficients, sample_density
+    from waverates.models import DensitySampler, empirical_coefficients
     from waverates.truths import uniform_density_tree
     from waverates.wavelet import get_filter
 
@@ -162,8 +162,9 @@ def test_density_linear_truncation_reduces_risk_on_uniform():
     truth = uniform_density_tree(6)
     n, runs = 1000, 50
     risk_full = risk_cut = 0.0
+    sampler = DensitySampler.from_tree(truth, filt)
     for rep in range(runs):
-        s = sample_density(truth, filt, n, seed=np.random.SeedSequence((17, rep)))
+        s = sampler.sample(n, seed=np.random.SeedSequence((17, rep)))
         beta = empirical_coefficients(s, filt, 6)
         risk_full += (beta - truth).total_energy()
         risk_cut += (linear_estimate(beta, projection_weights(8.0)) - truth).total_energy()

@@ -110,6 +110,11 @@ def test_witness_validation():
         weak_exclusion_witness(2, 2, 2, 1, 0.25, 30)  # eps >= 1 - alpha_tilde
     with pytest.raises(ValueError):
         weak_exclusion_witness(2, 2, 2, 1, 0.0, 30)
+    # the exponent comes from generic_alpha, whose SmoothnessParams need r >= 1 and p >= 1
+    with pytest.raises(ValueError, match="r must be"):
+        weak_exclusion_witness(2, 0.8, 2, 1, 0.1, 30)
+    with pytest.raises(ValueError, match="p must be"):
+        weak_exclusion_witness(2, 2, 0.5, 1, 0.1, 30)
 
 
 def _same_bits(a: CoefficientTree, b: CoefficientTree) -> bool:

@@ -13,7 +13,6 @@ from waverates.models import (
     DensitySampler,
     empirical_coefficients,
     observe,
-    sample_density,
     simulate_sequence,
 )
 from waverates.truths import bump_tree, density_truth_tree, shell_tree, uniform_density_tree
@@ -103,7 +102,7 @@ def test_observe_equals_simulating_the_truth():
 
 
 def test_sample_density_uniform():
-    sample = sample_density(uniform_density_tree(6), HAAR, 10_000, seed=2)
+    sample = DensitySampler.from_tree(uniform_density_tree(6), HAAR).sample(10_000, seed=2)
     pts = np.sort(sample.points)
     ks = np.max(np.abs(pts - np.arange(1, len(pts) + 1) / len(pts)))
     assert ks < 0.02
@@ -112,20 +111,20 @@ def test_sample_density_uniform():
 def test_sample_density_half_interval():
     # density 2 * 1_{[0, 1/2)}: scaling 1 plus a unit Haar coefficient
     tree = CoefficientTree.from_items(1, 3, 1.0, [((0, 0), 1.0)])
-    sample = sample_density(tree, HAAR, 10_000, seed=3)
+    sample = DensitySampler.from_tree(tree, HAAR).sample(10_000, seed=3)
     assert np.max(sample.points) < 0.5
 
 
 def test_sample_density_rejects_nonpositive():
     tree = CoefficientTree(1, 3, scaling=-1.0)
     with pytest.raises(ValueError, match="identically zero"):
-        sample_density(tree, HAAR, 10, seed=1)
+        DensitySampler.from_tree(tree, HAAR)
 
 
 def test_sample_density_deterministic():
     tree = uniform_density_tree(5)
-    a = sample_density(tree, HAAR, 64, seed=9)
-    b = sample_density(tree, HAAR, 64, seed=9)
+    a = DensitySampler.from_tree(tree, HAAR).sample(64, seed=9)
+    b = DensitySampler.from_tree(tree, HAAR).sample(64, seed=9)
     assert np.array_equal(a.points, b.points)
 
 
@@ -154,8 +153,9 @@ def test_empirical_coefficients_single_point_exact():
 def test_empirical_coefficients_uniform_unbiased_at_zero():
     runs = 50
     acc = []
+    sampler = DensitySampler.from_tree(uniform_density_tree(6), HAAR)
     for rep in range(runs):
-        s = sample_density(uniform_density_tree(6), HAAR, 500, seed=np.random.SeedSequence((5, rep)))
+        s = sampler.sample(500, seed=np.random.SeedSequence((5, rep)))
         beta = empirical_coefficients(s, HAAR, 3)
         acc.append([beta.get(1, 0), beta.get(2, 1), beta.get(3, 5)])
     acc = np.asarray(acc)
@@ -163,7 +163,7 @@ def test_empirical_coefficients_uniform_unbiased_at_zero():
     stderr = acc.std(axis=0, ddof=1) / np.sqrt(runs)
     assert np.all(np.abs(means) < 3.0 * stderr + 1e-12)
     # scaling function integrates the density: exactly 1 for every sample
-    s = sample_density(uniform_density_tree(6), HAAR, 100, seed=0)
+    s = sampler.sample(100, seed=0)
     assert abs(empirical_coefficients(s, HAAR, 2).scaling - 1.0) < 1e-12
 
 
@@ -175,8 +175,9 @@ def test_empirical_coefficients_unbiased_vs_quadrature_oracle():
     runs, n = 200, 400
     targets = [(1, 0), (2, 1), (0, 0)]
     acc = np.empty((runs, len(targets)))
+    sampler = DensitySampler.from_tree(truth, HAAR)
     for rep in range(runs):
-        s = sample_density(truth, HAAR, n, seed=np.random.SeedSequence((31, rep)))
+        s = sampler.sample(n, seed=np.random.SeedSequence((31, rep)))
         beta = empirical_coefficients(s, HAAR, 2)
         acc[rep] = [beta.get(j, k) for j, k in targets]
     for col, (j, k) in enumerate(targets):
@@ -317,7 +318,6 @@ def test_density_sampler_matches_searchsorted_reference(case):
     for n, seed in ((1, 4), (5000, 17), (65536, 90210)):
         want = reference_sample_points(tree, filt, n, seed)
         assert np.array_equal(sampler.sample(n, seed).points, want)
-        assert np.array_equal(sample_density(tree, filt, n, seed).points, want)
 
 
 def test_density_sampler_locate_flat_runs_and_bucket_edges():
@@ -346,8 +346,6 @@ def test_density_sampler_refuses_clipped_mass():
     lobe = lambda c: CoefficientTree.from_items(1, 2, 1.0, [((0, 0), c)])
     with pytest.raises(ValueError, match="negative mass"):
         DensitySampler.from_tree(lobe(1.5), HAAR)
-    with pytest.raises(ValueError, match="negative mass"):
-        sample_density(lobe(1.5), HAAR, 10, seed=1)
     small = DensitySampler.from_tree(lobe(1.0 + 1e-5), HAAR)
     assert 0.0 < small.clipped_mass < MAX_CLIPPED_MASS
     assert abs(small.clipped_mass - 5e-6) < 1e-12
@@ -383,7 +381,7 @@ def test_empirical_coefficients_support_spanning_synthesis_blocks(monkeypatch):
 
 
 def test_empirical_coefficients_cache_keyed_by_taps():
-    sample = sample_density(uniform_density_tree(4), HAAR, 300, seed=8)
+    sample = DensitySampler.from_tree(uniform_density_tree(4), HAAR).sample(300, seed=8)
     db2 = empirical_coefficients(sample, get_filter("db2"), 4)
     impostor = WaveletFilter(name="db2", taps=np.array(DAUBECHIES_LOWPASS[3]), vanishing_moments=3)
     got = empirical_coefficients(sample, impostor, 4)

@@ -24,11 +24,10 @@ from waverates.rates import (
     RiskTable,
     fit_slope,
     generic_alpha,
-    linear_minimax_rate,
     minimax_rate,
     monte_carlo_risk,
 )
-from waverates.spaces import SmoothnessParams, theoretical_weak_scaling
+from waverates.spaces import SmoothnessParams
 from waverates.truths import density_truth_tree, shell_tree
 from waverates.wavelet import get_filter, lp_mean, synthesize
 
@@ -53,26 +52,22 @@ def test_minimax_rate_examples():
     assert regime.branch == "sparse"
 
 
-def test_linear_minimax_rate_examples():
-    regime, _ = linear_minimax_rate(SmoothnessParams(s=2, r=4, p=2, d=1), 100)
-    assert regime.branch == "dense" and abs(regime.alpha * 2 - 0.8) < 1e-12
-
-    regime, _ = linear_minimax_rate(SPARSE, 100)
-    assert abs(regime.alpha * 4 - 4 * 0.45 / 1.9) < 1e-12
-
-    # r = p boundary: dense, polynomial in n (linear rates carry no log factor)
-    regime, _ = linear_minimax_rate(DENSE, 100)
-    assert regime.branch == "dense" and regime.normalization == "n"
-    assert abs(regime.alpha - 0.4) < 1e-12
-
-
 def test_generic_alpha_examples():
+    # r = p boundary: dense, polynomial in n (linear rates carry no log factor)
     lin = generic_alpha("linear", DENSE)
     assert lin.branch == "dense" and lin.alpha == 0.4 and lin.normalization == "n"
+    lin = generic_alpha("linear", SmoothnessParams(s=2, r=4, p=2, d=1))
+    assert lin.branch == "dense" and abs(lin.alpha * 2 - 0.8) < 1e-12
+    lin = generic_alpha("linear", SPARSE)
+    assert lin.branch == "sparse" and abs(lin.alpha * 4 - 4 * 0.45 / 1.9) < 1e-12
 
     thr = generic_alpha("threshold", SPARSE)
     assert thr.branch == "sparse" and thr.normalization == "n_over_log_n"
     assert abs(thr.alpha - 0.45 / 1.4) < 1e-12
+    # alpha_tilde is the weak scaling exponent: 2s / (2s + d) on the dense branch,
+    # 2 (s - d/r + d/p) / (2 (s - d/r) + d) on the sparse one
+    assert abs(generic_alpha("threshold", DENSE).alpha_tilde - 0.8) < 1e-15
+    assert abs(thr.alpha_tilde - 0.9 / 1.4) < 1e-15
 
     with pytest.raises(ValueError):
         generic_alpha("quantum", DENSE)
@@ -80,8 +75,7 @@ def test_generic_alpha_examples():
 
 def test_generic_alpha_rate_identities():
     # over a parameter grid: threshold exponent matches minimax on both
-    # branches; linear matches the linear-minimax regime everywhere;
-    # alpha_tilde is exactly twice alpha and halves the weak scaling exponent
+    # branches; alpha_tilde is exactly twice alpha
     rng = np.random.default_rng(0)
     count = 0
     while count < 50:
@@ -96,11 +90,6 @@ def test_generic_alpha_rate_identities():
         mm, _ = minimax_rate(params, 100)
         assert abs(thr.alpha - mm.alpha) < 1e-12
         assert thr.alpha_tilde == 2.0 * thr.alpha
-        if not math.isinf(r):
-            assert abs(thr.alpha_tilde - theoretical_weak_scaling(s, r, p, 1)) < 1e-12
-        lin = generic_alpha("linear", params)
-        lm, _ = linear_minimax_rate(params, 100)
-        assert (lm.branch, lm.alpha, lm.normalization) == (lin.branch, lin.alpha, lin.normalization)
         assert generic_alpha("limited", params).alpha == generic_alpha("linear", params).alpha
         assert generic_alpha("elitist", params).alpha == thr.alpha
 

@@ -12,7 +12,6 @@ from waverates.spaces import (
     besov_norm,
     empirical_scaling,
     theoretical_scaling,
-    theoretical_weak_scaling,
     weak_besov_functional,
 )
 
@@ -164,16 +163,3 @@ def test_theoretical_scaling_branches():
     assert abs(theoretical_scaling(2, 2, 4, 1) - 1.75) < 1e-15
     with pytest.raises(ValueError):
         theoretical_scaling(0.4, 2, 1, 1)
-
-
-def test_theoretical_weak_scaling_branches():
-    assert abs(theoretical_weak_scaling(2, 2, 2, 1) - 0.8) < 1e-15
-    got = theoretical_weak_scaling(1.2, 1, 4, 1)
-    assert abs(got - 0.9 / 1.4) < 1e-15
-    # boundary r = p d / (2s + d) goes to the sparse branch
-    s, p, d = 2.0, 4.0, 1
-    r_star = p * d / (2 * s + d)
-    sparse = 2 * (s - d / r_star + d / p) / (2 * (s - d / r_star) + d)
-    assert theoretical_weak_scaling(s, r_star, p, d) == sparse
-    with pytest.raises(ValueError):
-        theoretical_weak_scaling(1.0, 1.0, 2.0, 1)

@@ -31,7 +31,7 @@ def test_filter_tables_orthonormal(vm):
         assert abs(taps[2 * m :] @ taps[: len(taps) - 2 * m]) < 1e-12
     filt = get_filter(f"db{vm}")
     assert filt.vanishing_moments == vm
-    assert filt.support_width == 2 * vm - 1
+    assert len(filt.taps) == 2 * vm
 
 
 def test_filter_validation_rejects_bad_taps():
