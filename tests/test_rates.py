@@ -52,22 +52,27 @@ def test_minimax_rate_examples():
     assert regime.branch == "sparse"
 
 
-def test_generic_alpha_examples():
-    # r = p boundary: dense, polynomial in n (linear rates carry no log factor)
-    lin = generic_alpha("linear", DENSE)
-    assert lin.branch == "dense" and lin.alpha == 0.4 and lin.normalization == "n"
+def test_linear_minimax_rate_examples():
+    # the linear minimax rate is generic_alpha("linear")
     lin = generic_alpha("linear", SmoothnessParams(s=2, r=4, p=2, d=1))
     assert lin.branch == "dense" and abs(lin.alpha * 2 - 0.8) < 1e-12
+
     lin = generic_alpha("linear", SPARSE)
     assert lin.branch == "sparse" and abs(lin.alpha * 4 - 4 * 0.45 / 1.9) < 1e-12
+
+    # r = p boundary: dense, polynomial in n (linear rates carry no log factor)
+    lin = generic_alpha("linear", DENSE)
+    assert lin.branch == "dense" and lin.normalization == "n"
+    assert abs(lin.alpha - 0.4) < 1e-12
+
+
+def test_generic_alpha_examples():
+    lin = generic_alpha("linear", DENSE)
+    assert lin.branch == "dense" and lin.alpha == 0.4 and lin.normalization == "n"
 
     thr = generic_alpha("threshold", SPARSE)
     assert thr.branch == "sparse" and thr.normalization == "n_over_log_n"
     assert abs(thr.alpha - 0.45 / 1.4) < 1e-12
-    # alpha_tilde is the weak scaling exponent: 2s / (2s + d) on the dense branch,
-    # 2 (s - d/r + d/p) / (2 (s - d/r) + d) on the sparse one
-    assert abs(generic_alpha("threshold", DENSE).alpha_tilde - 0.8) < 1e-15
-    assert abs(thr.alpha_tilde - 0.9 / 1.4) < 1e-15
 
     with pytest.raises(ValueError):
         generic_alpha("quantum", DENSE)

@@ -5,6 +5,7 @@ import pytest
 
 from waverates.dyadic import CoefficientTree
 from waverates.generic import GenericFunctionSpec, build_g
+from waverates.rates import generic_alpha
 from waverates.spaces import (
     ScalingFunctionEstimate,
     SmoothnessParams,
@@ -163,3 +164,21 @@ def test_theoretical_scaling_branches():
     assert abs(theoretical_scaling(2, 2, 4, 1) - 1.75) < 1e-15
     with pytest.raises(ValueError):
         theoretical_scaling(0.4, 2, 1, 1)
+
+
+def test_theoretical_weak_scaling_branches():
+    # the weak scaling exponent is generic_alpha("threshold").alpha_tilde:
+    # 2s / (2s + d) on the dense branch, 2 (s - d/r + d/p) / (2 (s - d/r) + d) on the sparse one
+    def weak_scaling(s, r, p, d):
+        return generic_alpha("threshold", SmoothnessParams(s=s, r=r, p=p, d=d)).alpha_tilde
+
+    assert abs(weak_scaling(2, 2, 2, 1) - 0.8) < 1e-15
+    assert abs(weak_scaling(1.2, 1, 4, 1) - 0.9 / 1.4) < 1e-15
+    # boundary r = p d / (2s + d) goes to the sparse branch (r = 2 here, inside r >= 1)
+    s, p, d = 2.0, 10.0, 1
+    r_star = p * d / (2 * s + d)
+    sparse = 2 * (s - d / r_star + d / p) / (2 * (s - d / r_star) + d)
+    boundary = generic_alpha("threshold", SmoothnessParams(s=s, r=r_star, p=p, d=d))
+    assert boundary.branch == "sparse" and boundary.alpha_tilde == sparse
+    with pytest.raises(ValueError):
+        weak_scaling(1.0, 1.0, 2.0, 1)  # s <= d/r
