@@ -2,11 +2,11 @@
 
 A JSON config describes the science of one experiment: smoothness/loss
 parameters, truth, estimator, n-grid, replicates, seed and tolerances.
-``run`` executes it at the caller's thread count, writes plot-ready CSV tables
-and a manifest (the resolved config, its content hash and an unhashed
-``execution`` entry: threads and output directory) into the caller's output
-directory and reports pass/fail verdicts; identical config and seed give
-byte-identical tables at any thread count and output path.
+``run`` executes it on the caller's count of worker processes, writes
+plot-ready CSV tables and a manifest (the resolved config, its content hash
+and an unhashed ``execution`` entry: threads and output directory) into the
+caller's output directory and reports pass/fail verdicts; identical config
+and seed give byte-identical tables at any worker count and output path.
 ``report`` re-renders the verdicts from the stored tables without re-simulating.
 
 Subcommands:
@@ -16,8 +16,10 @@ Subcommands:
     rates     print the theoretical rate table for given parameters
     report    re-render verdicts from a completed output directory
 
-``run`` flags: --config; --seed, which overrides master_seed; --out, the output
-directory (default out/<config file stem>); --threads (default 1).
+``run`` flags: --config; --seed, which overrides master_seed (only the kinds
+that read it take the flag); --out, the output directory (default
+out/<config file stem>); --threads, the number of worker processes of the
+Monte Carlo replicates (default 1: none, they run in the runner's process).
 
 CSV schemas: risk (n, risk, std_error, replicates), slope (normalization,
 slope, implied_alpha, r_squared), scaling (p, estimate, theory, residual),
@@ -533,6 +535,9 @@ EXPERIMENTS = {
                                    _rate_fit_verdicts),
 }
 
+_SEEDED_KINDS = ", ".join(kind for kind, experiment in EXPERIMENTS.items()
+                          if "master_seed" in experiment.reads)
+
 
 def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     def read(name: str) -> list[list[float]]:
@@ -546,8 +551,9 @@ def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Execute the configured experiment on config.threads threads; write tables,
-    manifest and verdicts into config.output_dir."""
+    """Execute the configured experiment, its Monte Carlo replicates on
+    config.threads worker processes (at most one per cpu; 1 runs them in this
+    process); write tables, manifest and verdicts into config.output_dir."""
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
     manifest = config.resolved()  # the science; how the run was executed is not hashed
@@ -595,9 +601,14 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
+    run_p.add_argument("--seed", type=int, default=None,
+                       help=f"override the config's master_seed; the experiment kinds "
+                            f"{_SEEDED_KINDS} read it")
     run_p.add_argument("--out", default=None)  # out/<config file stem>
-    run_p.add_argument("--threads", type=int, default=1)
+    run_p.add_argument("--threads", type=int, default=1,
+                       help="number of worker processes for the Monte Carlo replicates, "
+                            "capped at the cpu count (default 1: none, the replicates run "
+                            "in this process); the tables do not depend on it")
 
     val_p = sub.add_parser("validate", help="validate a config and print the resolved form")
     val_p.add_argument("--config", required=True)
@@ -656,6 +667,10 @@ def _command(args) -> int:
     if args.command == "run":
         raw = _parse_object(_read_config(args.config))
         if args.seed is not None:
+            kind = raw.get("experiment_kind")
+            if kind in EXPERIMENTS and "master_seed" not in EXPERIMENTS[kind].reads:
+                raise ConfigError(f"--seed: experiment {kind!r} reads no seed; only "
+                                  f"{_SEEDED_KINDS} do")
             raw["master_seed"] = args.seed
         out = args.out if args.out is not None else f"out/{Path(args.config).stem}"
         config = validate_config(json.dumps(raw))

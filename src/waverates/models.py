@@ -135,7 +135,8 @@ class DensitySampler:
     nonpositive everywhere, or whose clipped negative mass (the integral of
     the negative part, recorded as clipped_mass) exceeds MAX_CLIPPED_MASS:
     risks are measured against the unclipped tree, so the sampled law must be
-    that tree.  The arrays are read-only, so one sampler serves every thread.
+    that tree.  The arrays are read-only, so one sampler serves every
+    replicate, and the risk engine's forked workers inherit it.
     """
 
     res: int
@@ -197,9 +198,9 @@ class DensitySampler:
 
 
 # Per filter taps (and level): the support slice of the level's wavelet grid
-# with its block count, and the level-0 scaling grid.  Pool threads may race
-# to fill an entry; they compute identical read-only arrays, so either write
-# serves.
+# with its block count, and the level-0 scaling grid.  Each worker process of
+# the risk engine fills its own copy, starting from the entries its parent
+# held when it forked; every copy computes identical read-only arrays.
 _PSI_CACHE: dict[tuple[bytes, int], tuple[np.ndarray, int]] = {}
 _PHI_CACHE: dict[bytes, np.ndarray] = {}
 

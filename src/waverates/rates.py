@@ -15,8 +15,8 @@ proxy.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from numbers import Real
@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams
-from .wavelet import GridSignal, get_filter, lp_mean, synthesize
+from .wavelet import GridSignal, WaveletFilter, get_filter, lp_mean, synthesize
 
 __all__ = [
     "RateRegime",
@@ -325,27 +325,72 @@ def _model_depth(truth, read, j_max, density) -> int:
     return j_max if j_max is not None else read if density else truth.j_max
 
 
-def _one_replicate(truths, truth_sides, rule, n, p, filt, j_max, seed, samplers):
-    """The loss of every truth's estimate on the replicate drawn from seed,
-    rule being the estimator kind's (read depth, estimate) at n.
+class _Replicates(NamedTuple):
+    """What every replicate of one monte_carlo_risk call reads; called on a
+    job (i, rep), it returns (i, rep, the loss of every truth's estimate) on
+    the replicate drawn from the seed (master_seed, n_grid[i], rep).
 
     Sequence truths share one noise draw, to the deepest depth any of them
     reads, and each adds its own levels to it; each density truth samples its
     own law from the same seed.
     """
-    read, estimate = rule
-    density = samplers is not None
-    depths = [_model_depth(truth, read, j_max, density) for truth in truths]
-    reads = [min(read, depth) for depth in depths]
-    if density:
-        observed = [empirical_coefficients(sampler.sample(n, seed), filt, j)
-                    for sampler, j in zip(samplers, reads)]
-    else:
-        top = max(reads)
-        noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
-        observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
-    return [_loss(estimate(y), truth, side, p, filt, depth)
-            for y, truth, side, depth in zip(observed, truths, truth_sides, depths)]
+
+    truths: tuple[CoefficientTree, ...]
+    truth_sides: list[dict]
+    rules: list[tuple]
+    n_grid: list[int]
+    p: float
+    filt: WaveletFilter
+    j_max: int | None
+    master_seed: int
+    samplers: list[DensitySampler] | None
+
+    def __call__(self, job):
+        i, rep = job
+        n, (read, estimate) = self.n_grid[i], self.rules[i]
+        seed = np.random.SeedSequence((self.master_seed, n, rep))
+        density, truths = self.samplers is not None, self.truths
+        depths = [_model_depth(truth, read, self.j_max, density) for truth in truths]
+        reads = [min(read, depth) for depth in depths]
+        if density:
+            observed = [empirical_coefficients(sampler.sample(n, seed), self.filt, j)
+                        for sampler, j in zip(self.samplers, reads)]
+        else:
+            top = max(reads)
+            noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
+            observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
+        return i, rep, [_loss(estimate(y), truth, side, self.p, self.filt, depth)
+                        for y, truth, side, depth
+                        in zip(observed, truths, self.truth_sides, depths)]
+
+
+_WORKER_REPLICATES: _Replicates | None = None  # a worker process's, set by _start_worker
+
+
+def _start_worker(replicates: _Replicates) -> None:
+    global _WORKER_REPLICATES
+    _WORKER_REPLICATES = replicates
+
+
+def _worker_job(job):
+    return _WORKER_REPLICATES(job)
+
+
+def _replicate_results(replicates: _Replicates, jobs, threads: int):
+    """replicates(job) for every job: in this process when one worker would
+    run them, else on min(threads, len(jobs), cpu count) forked worker
+    processes, which inherit replicates (its rules hold lambdas, which fork
+    need not pickle); only the jobs and their losses are pickled."""
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers == 1:
+        yield from map(replicates, jobs)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(replicates,)) as pool:
+        yield from pool.map(_worker_job, jobs, chunksize=4)
 
 
 def monte_carlo_risk(
@@ -376,8 +421,11 @@ def monte_carlo_risk(
 
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
-    are bit-identical across reruns and independent of scheduling; replicates
-    may evaluate on a thread pool, the reduction order is fixed.  The density
+    are bit-identical across reruns and independent of scheduling.  threads
+    is the number of worker processes, capped at the job count and the cpu
+    count: at 1 (or a cap of 1) the replicates run in this process, else on
+    worker processes forked from it, each with its own caches; the losses are
+    stored by (n, replicate), so the reduction order is fixed.  The density
     model builds one DensitySampler per truth, shared by all replicates,
     and the truth's side of the loss (_truth_side) is computed once per truth
     before the replicates start.
@@ -391,6 +439,8 @@ def monte_carlo_risk(
         raise ValueError("n_grid must be nonempty and strictly increasing")
     if R < 2:
         raise ValueError("need at least 2 replicates for a standard error")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not truths or len({t.d for t in truths}) != 1:
         raise ValueError("need at least one truth, all of one dimension")
     filt = get_filter(filter_name)
@@ -399,19 +449,12 @@ def monte_carlo_risk(
     rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
     truth_sides = [_truth_side(t, [_model_depth(t, read, j_max, density) for read, _ in rules],
                                p, filt) for t in truths]
-    losses = np.empty((len(truths), len(n_grid), R))
-
-    def task(i_rep):
-        i, rep = i_rep
-        n = n_grid[i]
-        seed = np.random.SeedSequence((master_seed, n, rep))
-        return i, rep, _one_replicate(truths, truth_sides, rules[i], n, p, filt, j_max, seed,
-                                      samplers)
-
+    replicates = _Replicates(truths, truth_sides, rules, n_grid, p, filt, j_max, master_seed,
+                             samplers)
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread at 1
-        for i, rep, values in (pool.map if threads > 1 else map)(task, jobs):
-            losses[:, i, rep] = values
+    losses = np.empty((len(truths), len(n_grid), R))
+    for i, rep, values in _replicate_results(replicates, jobs, threads):
+        losses[:, i, rep] = values
 
     return tuple(
         RiskTable(rows=tuple(

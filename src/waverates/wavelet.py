@@ -343,8 +343,8 @@ def _quartic_gram(table: np.ndarray):
 
 
 # Per filter taps and K: the _quartic_gram of the K-step cascade, or None.
-# Pool threads may race to fill an entry; they compute identical arrays, so
-# either write serves.
+# Each worker process of the risk engine fills its own copy; every copy
+# computes identical arrays.
 _QUARTIC_CACHE: dict[tuple[bytes, int], tuple | None] = {}
 
 
@@ -375,8 +375,9 @@ def _quartic_sum(coarse: np.ndarray, form) -> float:
     q + j, so each row of u is a slice of lags[j - i], the products of the
     samples j - i apart, and the windows are never formed.  _FORM_WINDOWS
     windows at a time keep the gram product of a short table (P <= 6) on
-    OpenBLAS's single-threaded path: a threaded BLAS call inside each pool
-    thread of the risk engine stalls both.
+    OpenBLAS's single-threaded path: a threaded BLAS call inside each worker
+    process of the risk engine would start a BLAS thread per core in every
+    worker, more threads than cores.
     """
     i, j, gram = form
     shifts, n = j[-1] + 1, len(coarse)  # the last pair is (S - 1, S - 1)

@@ -185,6 +185,22 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_worker_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # an exception raised in a forked worker reaches the runner: exit 102, traceback
+    def broken(*args, **kwargs):
+        raise ValueError("estimator broke in a worker")
+
+    monkeypatch.setattr("waverates.rates.threshold_estimate", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(rate_config(replicates=4))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out), "--threads", "2"])
+    assert code == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: estimator broke in a worker" in err
+    assert not out.exists()
+
+
 def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
     d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
     for config in (rate_config, sweep_config):
@@ -463,7 +479,11 @@ REJECTED = {
     "j_max_in_witness": (dict(WITNESS, j_max=4), "j_max: experiment 'weak_exclusion'"),
     "scaling_p_in_witness": (dict(WITNESS, scaling_p=[2.0]),
                              "scaling_p: experiment 'weak_exclusion'"),
-    "seed_flag_on_scaling": (SCALING, "master_seed: experiment 'scaling_function'", "--seed", "3"),
+    # --seed on a kind without a seed names the flag, not a key the config lacks
+    "seed_flag_on_scaling": (SCALING, "--seed: experiment 'scaling_function' reads no seed; "
+                             "only rate_fit, probe_sweep, density_rate_fit do", "--seed", "3"),
+    "seed_flag_on_witness": (WITNESS, "--seed: experiment 'weak_exclusion' reads no seed",
+                             "--seed", "5"),
     # how a run is executed is set by its caller, not by the config
     "threads_in_config": (_rate(threads=2), "threads: experiment 'rate_fit' does not read it"),
     "output_dir_in_config": (_rate(output_dir="elsewhere"),

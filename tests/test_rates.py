@@ -1,10 +1,14 @@
+import concurrent.futures
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from waverates import models
+from waverates import models, rates
 from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
     density_threshold_estimate,
@@ -119,24 +123,97 @@ def test_monte_carlo_deterministic_and_threaded():
 
 
 def test_monte_carlo_density_deterministic_and_threaded():
-    # one DensitySampler and the wavelet-support cache are shared by the pool;
-    # start the cache cold and switch threads often to expose a lost update
+    # the worker processes inherit one DensitySampler and fill their own
+    # wavelet-support caches: start the caches cold, so every worker builds its
+    # own, and the tables must equal the in-process run's
     truths = (density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2)),)
     est = EstimatorSpec("density_threshold")
     (a,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3")
     models._PSI_CACHE.clear()
     models._PHI_CACHE.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        (b,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3",
-                                threads=3)
-    finally:
-        sys.setswitchinterval(interval)
+    (b,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3",
+                            threads=3)
     assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
     (c,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4243, filter_name="db3")
     assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
+
+
+def _small_risk(n_grid=(64, 256), R=4, threads=1):
+    return monte_carlo_risk((shell_tree(2, 2, 1, 6, 2.0),), EstimatorSpec("threshold_hard"),
+                            n_grid, R, 2.0, 4242, threads=threads)
+
+
+def test_monte_carlo_one_thread_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 1-thread run started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    (table,) = _small_risk(threads=1)
+    assert [row.n for row in table.rows] == [64, 256]
+
+
+def test_import_cli_loads_no_pool_modules():
+    # the runner's start-up imports neither; only a run with workers does
+    code = ("import sys, waverates.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its worker counts and runs
+    map in this process, after the initializer a worker would run."""
+
+    workers: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, n_grid, R, expected", [
+    (os.cpu_count(), [64], 2, min(2, os.cpu_count() or 1)),  # 2 jobs
+    (8, [64], 2, 2),
+    (3, [64, 256], 4, 3),
+    (1, [64, 256], 4, 1),
+    (None, [64, 256], 4, 1),
+])
+def test_monte_carlo_caps_the_workers(cpus, n_grid, R, expected, monkeypatch):
+    # no process starts: a huge threads value must not ask for that many
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "workers", [])
+    monkeypatch.setattr(rates, "_WORKER_REPLICATES", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    tables = _small_risk(n_grid, R, threads=10**6)
+    # one worker runs the jobs in this process, without a pool
+    assert _InProcessPool.workers == ([expected] if expected > 1 else [])
+    monkeypatch.undo()
+    assert tables == _small_risk(n_grid, R, threads=1)
+
+
+def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("estimator broke in a worker")
+
+    monkeypatch.setattr(rates, "threshold_estimate", broken)  # the forked workers inherit it
+    with pytest.raises(ValueError, match="estimator broke in a worker"):
+        _small_risk(threads=2)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        _small_risk(threads=0)
 
 
 def test_monte_carlo_zero_weight_estimator_constant_risk():
