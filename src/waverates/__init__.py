@@ -4,7 +4,7 @@ verification that their generic convergence rates match the minimax exponents.
 The package is organized around a single data structure, the dyadic
 ``CoefficientTree``: truths, observations and estimates all live in it.
 ``wavelet`` moves between trees and grid functions on [0, 1]; ``spaces``
-measures trees (Besov norms, weak functionals, scaling functions);
+measures trees (Besov norms and scaling functions);
 ``generic`` builds the explicit saturating function; ``truths`` builds the
 experiments' truths; ``models`` simulates observations; ``estimators`` maps
 observed coefficient trees to estimates; ``rates`` holds the closed-form
@@ -12,18 +12,14 @@ exponents and the risk engine, whose estimator kinds fix the model;
 ``cli`` orchestrates reproducible experiments from JSON configs.
 """
 
-from .dyadic import CoefficientTree, LevelIndex, level_count, reduce_dyadic
+from .dyadic import CoefficientTree, LevelIndex, level_count
 from .estimators import (
-    ShrinkageClass,
-    ShrinkageTrace,
     choose_mn,
-    classify_rule,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
     pinsker_weights,
     projection_weights,
-    shrinkage_trace,
     threshold_estimate,
     universal_threshold,
 )
@@ -49,11 +45,9 @@ from .rates import (
 from .spaces import (
     ScalingFunctionEstimate,
     SmoothnessParams,
-    WeakBesovParams,
     besov_norm,
     empirical_scaling,
     theoretical_scaling,
-    weak_besov_functional,
 )
 from .truths import (
     bump_tree,

@@ -489,6 +489,9 @@ def _witness_check(config: ExperimentConfig) -> None:
 def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
     t_lo, t_hi = config.witness_t_range
     kept = [(t, b) for t, b, _log2_b in read("witness.csv") if t_lo <= t <= t_hi]
+    if len(kept) < 2:
+        raise ValueError(f"witness.csv holds {len(kept)} rows in witness_t_range; "
+                         "the slope needs 2")
     ts = np.array([t for t, _ in kept], dtype=np.float64)
     slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
@@ -576,12 +579,21 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def report_from_dir(out_dir) -> list[dict]:
-    """Re-render verdicts from the stored tables and manifest of a completed run."""
+    """Re-render verdicts from the stored tables and manifest of a completed run;
+    any fault in those files is a ConfigError naming the directory."""
     out_dir = Path(out_dir)
-    try:  # only reading the directory's files raises these
-        manifest = json.loads((out_dir / "manifest.json").read_text()).get("manifest")
-        return _verdicts(validate_config(json.dumps(manifest)), out_dir)
-    except (OSError, json.JSONDecodeError) as exc:
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("manifest"), dict):
+            raise ValueError("manifest.json holds no manifest object")
+        config = validate_config(json.dumps(manifest["manifest"]))
+    except (OSError, ValueError) as exc:  # ValueError includes ConfigError
+        raise ConfigError(f"cannot read run directory {out_dir}: {exc}") from None
+    try:
+        return _verdicts(config, out_dir)
+    except ConfigError:  # a damaged table, named by its path
+        raise
+    except ValueError as exc:  # a table too short to fit
         raise ConfigError(f"cannot read run directory {out_dir}: {exc}") from None
 
 
@@ -695,7 +707,7 @@ def _command(args) -> int:
                                   ("linear minimax:", lin, args.n ** (-params.p * lin.alpha))):
             print(f"{label} branch={reg.branch:6s} alpha={reg.alpha:.6f} "
                   f"norm={reg.normalization:12s} value={value:.6e}")
-        for family in ("linear", "threshold", "limited", "elitist"):
+        for family in ("linear", "threshold"):
             reg = generic_alpha(family, params)
             print(f"generic {family:9s} branch={reg.branch:6s} alpha={reg.alpha:.6f} "
                   f"norm={reg.normalization:12s} (alpha_tilde={reg.alpha_tilde:.6f})")

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "LevelIndex",
     "CoefficientTree",
-    "reduce_dyadic",
     "reduced_level_array",
     "level_count",
 ]
@@ -57,25 +56,13 @@ class LevelIndex:
                 raise ValueError(f"coordinate {c} outside [0, 2^{self.j})")
 
 
-def reduce_dyadic(idx: LevelIndex) -> LevelIndex:
-    """Reduce k / 2^j to its irreducible dyadic form K / 2^J.
-
-    Halves scale and position while every coordinate of k is even, so the
-    result has J = 0 or at least one odd coordinate.  k = 0 reduces all the
-    way to (J=0, K=0), the unique irreducible form of the zero fraction.
-    """
-    j, k = idx.j, idx.k
-    while j > 0 and all(c % 2 == 0 for c in k):
-        j -= 1
-        k = tuple(c // 2 for c in k)
-    return LevelIndex(j, k, idx.d)
-
-
 def reduced_level_array(j: int, d: int) -> np.ndarray:
     """Reduced scale J of every position at level j, as one dense array.
 
     For d=1 the result has shape (2^j,), for d=2 shape (2^j, 2^j), matching
-    the level layout of CoefficientTree.  Agrees with reduce_dyadic pointwise.
+    the level layout of CoefficientTree.  J is the scale of the irreducible
+    form K / 2^J of k / 2^j: j less the trailing zero bits shared by every
+    coordinate of k, and 0 for k = 0.
     """
     n = level_count(j, 1)
     k = np.arange(n, dtype=np.int64)

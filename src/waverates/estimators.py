@@ -5,10 +5,7 @@ coefficients of a density sample; the rules do not depend on which.  Linear
 rules multiply each level by its weight (projection_weights and
 pinsker_weights give them); thresholding keeps or shrinks observed coefficients
 against the universal threshold sqrt(log n / n) up to the noise-matched depth
-j(n), and the density threshold is the strict, kappa-free variant.  The
-shrinkage-trace machinery classifies realized rules on sequence observations
-as limited (significant weights confined to coarse scales) or elitist
-(significant weights confined to large observations).
+j(n), and the density threshold is the strict, kappa-free variant.
 
 Throughout, "log" is the natural logarithm and the scaling coefficient is
 passed through untouched: every procedure acts on wavelet coefficients only.
@@ -17,13 +14,11 @@ passed through untouched: every procedure acts on wavelet coefficients only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .dyadic import CoefficientTree
-from .models import SequenceObservation
 from .spaces import SmoothnessParams
 
 __all__ = [
@@ -31,14 +26,10 @@ __all__ = [
     "noise_depth",
     "projection_weights",
     "pinsker_weights",
-    "ShrinkageClass",
-    "ShrinkageTrace",
     "linear_estimate",
     "choose_mn",
     "threshold_estimate",
     "density_threshold_estimate",
-    "classify_rule",
-    "shrinkage_trace",
 ]
 
 
@@ -139,77 +130,3 @@ def density_threshold_estimate(beta_hat: CoefficientTree, n: int) -> Coefficient
     """Density thresholding: keep |beta| > t_n (strict, no kappa) on j <= j(n)."""
     t = universal_threshold(n)
     return _thresholded(beta_hat, noise_depth(n), lambda a: np.where(np.abs(a) > t, a, 0.0))
-
-
-@dataclass(frozen=True)
-class ShrinkageClass:
-    """A limited or elitist class: deterministic level/magnitude bound lambda_n
-    and significance constant a in [0, 1)."""
-
-    kind: str
-    lambda_n: float
-    threshold_a: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("limited", "elitist"):
-            raise ValueError(f"kind must be 'limited' or 'elitist', got {self.kind!r}")
-        if self.lambda_n < 0:
-            raise ValueError("lambda_n must be non-negative")
-        if not 0.0 <= self.threshold_a < 1.0:
-            raise ValueError("threshold_a must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class ShrinkageTrace:
-    """Realized shrinkage weights gamma_{j,k} of an estimate on an observation."""
-
-    gammas: Mapping[int, np.ndarray]
-    observation: SequenceObservation
-
-    def __post_init__(self):
-        gammas = {}
-        for j, g in self.gammas.items():  # read-only float copies, values in [0, 1]
-            g = np.array(g, dtype=np.float64)
-            if np.any(g < 0.0) or np.any(g > 1.0):
-                raise ValueError(f"gamma values at level {j} leave [0, 1]")
-            g.flags.writeable = False
-            gammas[int(j)] = g
-        object.__setattr__(self, "gammas", gammas)
-
-
-def shrinkage_trace(obs: SequenceObservation, estimate: CoefficientTree) -> ShrinkageTrace:
-    """Recover gamma_{j,k} = estimate / observation (0 where the observation is 0).
-
-    Tiny floating excursions outside [0, 1] are clipped; a genuine non-shrinkage
-    estimate raises through the trace invariant.
-    """
-    gammas = {}
-    for j in range(obs.y.j_max + 1):
-        y = obs.y.level(j)
-        est = estimate.level(j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(y != 0.0, est / np.where(y != 0.0, y, 1.0), 0.0)
-        if np.any(g < -1e-9) or np.any(g > 1.0 + 1e-9):
-            raise ValueError(f"estimate is not a shrinkage of the observation at level {j}")
-        gammas[j] = np.clip(g, 0.0, 1.0)
-    return ShrinkageTrace(gammas=gammas, observation=obs)
-
-
-def classify_rule(trace: ShrinkageTrace, cls: ShrinkageClass) -> bool:
-    """Check the defining implication of a shrinkage class on a realized trace.
-
-    limited: every index with gamma > a must satisfy 2^{-j} > lambda_n;
-    elitist: every index with gamma > a must satisfy |y_{j,k}| > lambda_n.
-    """
-    for j, g in trace.gammas.items():
-        significant = g > cls.threshold_a
-        if not significant.any():
-            continue
-        if cls.kind == "limited":
-            if 2.0**-j <= cls.lambda_n:
-                return False
-        else:
-            y = trace.observation.y.level(j)
-            if np.any(np.abs(y[significant]) <= cls.lambda_n):
-                return False
-    return True

@@ -101,25 +101,23 @@ def minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
 
 _GENERIC_FAMILIES = {
     "linear": ("generic_linear", "n"),
-    "limited": ("limited_lower", "n"),
     "threshold": ("generic_threshold", "n_over_log_n"),
-    "elitist": ("elitist_lower", "n_over_log_n"),
 }
 
 
 def generic_alpha(family: str, params: SmoothnessParams) -> RateRegime:
     """Generic (prevalent) rate exponent for an estimator family.
 
-    linear/limited: alpha = s / (2s + d) when r >= p, else s' / (2 s' + d)
-    with s' = s - d/r + d/p, polynomial in n.  threshold/elitist:
-    alpha = s / (2s + d) when r > p d / (2 s + d), else
-    (s - d/r + d/p) / (2 (s - d/r) + d), polynomial in n / log n.
+    linear: alpha = s / (2s + d) when r >= p, else s' / (2 s' + d) with
+    s' = s - d/r + d/p, polynomial in n.  threshold: alpha = s / (2s + d)
+    when r > p d / (2 s + d), else (s - d/r + d/p) / (2 (s - d/r) + d),
+    polynomial in n / log n.
     """
     if family not in _GENERIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_GENERIC_FAMILIES)}")
     name, normalization = _GENERIC_FAMILIES[family]
     s, r, p, d = params.s, params.r, params.p, params.d
-    if family in ("linear", "limited"):
+    if family == "linear":
         if r >= p:
             branch, alpha = "dense", s / (2.0 * s + d)
         else:

@@ -1,8 +1,8 @@
 """Besov-scale functionals on coefficient trees.
 
-Sequence-space Besov norms, the weak (Lorentz-type) exceedance functional,
-empirical scaling-function estimation by level-sum regression, and the
-closed-form generic scaling function the estimates are compared against.
+Sequence-space Besov norms, empirical scaling-function estimation by
+level-sum regression, and the closed-form generic scaling function the
+estimates are compared against.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from .dyadic import CoefficientTree
 
 __all__ = [
     "SmoothnessParams",
-    "WeakBesovParams",
     "ScalingFunctionEstimate",
     "besov_norm",
-    "weak_besov_functional",
     "check_scaling_window",
     "empirical_scaling",
     "theoretical_scaling",
@@ -49,18 +47,6 @@ class SmoothnessParams:
             raise ValueError(f"p must be in [1, inf), got {self.p}")
         if self.s <= self.d / self.r:
             raise ValueError(f"need s > d/r, got s={self.s}, d/r={self.d / self.r}")
-
-
-@dataclass(frozen=True)
-class WeakBesovParams:
-    """Parameters (rho, p) of the weak space W(rho, p); requires 0 < rho < p."""
-
-    rho: float
-    p: float
-
-    def __post_init__(self):
-        if not 0 < self.rho < self.p:
-            raise ValueError(f"need 0 < rho < p, got rho={self.rho}, p={self.p}")
 
 
 @dataclass(frozen=True)
@@ -106,39 +92,6 @@ def besov_norm(tree: CoefficientTree, s: float, r: float, q: float = math.inf) -
     else:
         body = float(np.sum(np.asarray(aggregates) ** q)) ** (1.0 / q)
     return abs(tree.scaling) + body
-
-
-def weak_besov_functional(
-    tree: CoefficientTree,
-    params: WeakBesovParams,
-    t_grid_max: int = 30,
-    lambda_grid=None,
-) -> float:
-    """Weak-space functional: max over thresholds of the weighted exceedance count.
-
-    Evaluates lambda^rho * sum_j 2^{j (d p / 2 - d)} #{k : |c_{j,k}| > lambda}
-    on the dyadic grid lambda = 2^{-t}, t = 0..t_grid_max (or an explicit
-    ``lambda_grid``), with the strict inequality in the count.  The dyadic
-    grid bounds the continuous supremum to within a factor 2^rho.
-    """
-    if lambda_grid is None:
-        if t_grid_max < 1:
-            raise ValueError("t_grid_max must be >= 1")
-        lam = 2.0 ** (-np.arange(t_grid_max + 1, dtype=np.float64))
-    else:
-        lam = np.asarray(lambda_grid, dtype=np.float64)
-        if lam.size == 0 or np.any(lam <= 0):
-            raise ValueError("lambda_grid must contain positive thresholds")
-    d = tree.d
-    total = np.zeros_like(lam)
-    for j, arr in tree.levels.items():
-        mags = np.sort(np.abs(arr), axis=None)
-        if mags[-1] == 0.0:
-            continue
-        # count of strictly-exceeding coefficients for every lambda at once
-        counts = mags.size - np.searchsorted(mags, lam, side="right")
-        total += 2.0 ** (j * (d * params.p / 2.0 - d)) * counts
-    return float(np.max(lam**params.rho * total))
 
 
 def check_scaling_window(window: tuple[int, int], j_max: int) -> None:

@@ -171,6 +171,32 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert main(["run", "--config", str(cfg_path), "--out", out]) == 1
     assert main(["report", "--dir", out]) == 1
 
+    # a damaged run directory is a config error naming it, on one line
+    def damaged(name, config_text, damage):
+        run_dir = tmp_path / name
+        run_in(run_dir, config_text)
+        damage(run_dir)
+        assert main(["report", "--dir", str(run_dir)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read run directory {run_dir}: ")
+        assert err.count("\n") == 1
+        return err
+
+    def keep_rows(table, count):
+        def damage(run_dir):
+            lines = (run_dir / table).read_text().splitlines(keepends=True)
+            (run_dir / table).write_text("".join(lines[:2 + count]))  # hash and column lines
+        return damage
+
+    for payload in ("[]", "{}"):
+        err = damaged(f"manifest{len(payload)}", json.dumps(WITNESS),
+                      lambda run_dir: (run_dir / "manifest.json").write_text(payload))
+        assert "manifest.json holds no manifest object" in err
+    err = damaged("rate", rate_config(replicates=2), keep_rows("risk_threshold_hard.csv", 2))
+    assert "need at least 4 rows" in err
+    err = damaged("witness", json.dumps(WITNESS), keep_rows("witness.csv", 0))
+    assert "witness.csv holds 0 rows" in err
+
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     # validates, but the truth's density goes negative: the run fails before any table
@@ -316,8 +342,6 @@ minimax:        branch=dense  alpha=0.400000 norm=n            value=4.250735e-0
 linear minimax: branch=dense  alpha=0.400000 norm=n            value=4.250735e-04
 generic linear    branch=dense  alpha=0.400000 norm=n            (alpha_tilde=0.800000)
 generic threshold branch=dense  alpha=0.400000 norm=n_over_log_n (alpha_tilde=0.800000)
-generic limited   branch=dense  alpha=0.400000 norm=n            (alpha_tilde=0.800000)
-generic elitist   branch=dense  alpha=0.400000 norm=n_over_log_n (alpha_tilde=0.800000)
 """,
     ("1.2", "1", "4"): """\
 parameters: s=1.2 r=1.0 p=4.0 d=1 (n=16384)
@@ -325,8 +349,6 @@ minimax:        branch=sparse alpha=0.321429 norm=n_over_log_n value=7.085986e-0
 linear minimax: branch=sparse alpha=0.236842 norm=n            value=1.017166e-04
 generic linear    branch=sparse alpha=0.236842 norm=n            (alpha_tilde=0.473684)
 generic threshold branch=sparse alpha=0.321429 norm=n_over_log_n (alpha_tilde=0.642857)
-generic limited   branch=sparse alpha=0.236842 norm=n            (alpha_tilde=0.473684)
-generic elitist   branch=sparse alpha=0.321429 norm=n_over_log_n (alpha_tilde=0.642857)
 """,
 }
 

@@ -7,7 +7,6 @@ from waverates.dyadic import (
     CoefficientTree,
     LevelIndex,
     level_count,
-    reduce_dyadic,
     reduced_level_array,
 )
 
@@ -31,48 +30,43 @@ def gcd_oracle(j, k):
     ],
 )
 def test_reduce_dyadic_examples(j, k, expected):
-    out = reduce_dyadic(LevelIndex(j, (k,), 1))
-    assert (out.j, out.k[0]) == expected
-    assert (out.j, out.k[0]) == gcd_oracle(j, k)
+    assert gcd_oracle(j, k) == expected
+    assert reduced_level_array(j, 1)[k] == expected[0]
 
 
 def test_reduce_dyadic_exhaustive_vs_gcd():
     for j in range(11):
         vec = reduced_level_array(j, 1)
         for k in range(1 << j):
-            out = reduce_dyadic(LevelIndex(j, (k,), 1))
             jo, ko = gcd_oracle(j, k)
-            assert (out.j, out.k[0]) == (jo, ko)
             assert vec[k] == jo
             # irreducible: J = 0 or odd position
-            assert out.j == 0 or out.k[0] % 2 == 1
+            assert jo == 0 or ko % 2 == 1
             # value preservation
-            assert out.k[0] * (1 << (j - out.j)) == k
+            assert ko * (1 << (j - jo)) == k
 
 
 def test_reduce_dyadic_idempotent():
+    # an irreducible position K at its reduced scale J reduces to J again
     rng = np.random.default_rng(5)
     for _ in range(200):
         j = int(rng.integers(0, 14))
         k = int(rng.integers(0, 1 << j)) if j else 0
-        once = reduce_dyadic(LevelIndex(j, (k,), 1))
-        assert reduce_dyadic(once) == once
+        jo, ko = gcd_oracle(j, k)
+        assert reduced_level_array(jo, 1)[ko] == jo
 
 
 def test_reduce_dyadic_d2():
     # halve only while all coordinates even
-    out = reduce_dyadic(LevelIndex(3, (4, 2), 2))
-    assert (out.j, out.k) == (2, (2, 1))
-    out = reduce_dyadic(LevelIndex(3, (0, 6), 2))
-    assert (out.j, out.k) == (2, (0, 3))
-    out = reduce_dyadic(LevelIndex(4, (0, 0), 2))
-    assert (out.j, out.k) == (0, (0, 0))
-    # vectorized layout agrees pointwise
+    assert reduced_level_array(3, 2)[4, 2] == 2
+    assert reduced_level_array(3, 2)[0, 6] == 2
+    assert reduced_level_array(4, 2)[0, 0] == 0
+    # k0 / 2^j and k1 / 2^j share the scale of gcd(k0, k1) / 2^j
     j = 5
     grid = reduced_level_array(j, 2)
     for k0 in range(1 << j):
         for k1 in range(0, 1 << j, 7):
-            assert grid[k0, k1] == reduce_dyadic(LevelIndex(j, (k0, k1), 2)).j
+            assert grid[k0, k1] == gcd_oracle(j, math.gcd(k0, k1))[0]
 
 
 def test_level_count():

@@ -5,16 +5,12 @@ import pytest
 
 from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
-    ShrinkageClass,
-    ShrinkageTrace,
     choose_mn,
-    classify_rule,
     density_threshold_estimate,
     linear_estimate,
     noise_depth,
     pinsker_weights,
     projection_weights,
-    shrinkage_trace,
     threshold_estimate,
     universal_threshold,
 )
@@ -186,52 +182,52 @@ def test_density_threshold_estimate():
     assert density_threshold_estimate(beta2, 2**10).wavelet_energy() == 0.0
 
 
+def _kept(y, est):
+    """Per level, the mask of the observations a keep-or-kill estimate keeps;
+    every estimate coefficient must be its observation or 0."""
+    kept = {}
+    for j in range(y.j_max + 1):
+        obs, out = y.level(j), est.level(j)
+        assert np.all((out == obs) | (out == 0.0))
+        kept[j] = (out == obs) & (obs != 0.0)
+    return kept
+
+
+def _is_limited(kept, lam):
+    """Limited rule (Kerkyacharian & Picard 2000): it keeps only levels with 2^-j > lam."""
+    return all(2.0**-j > lam for j, mask in kept.items() if mask.any())
+
+
+def _is_elitist(y, kept, lam):
+    """Elitist rule: it keeps only observations with |y| > lam."""
+    return all(np.all(np.abs(y.level(j)[mask]) > lam) for j, mask in kept.items())
+
+
 def test_classify_projection_is_limited():
     params = SmoothnessParams(s=2, r=2, p=2, d=1)
     obs = observation(n=1024)
     m_n = choose_mn(params, obs.n)
-    est = linear_estimate(obs.y, projection_weights(m_n))
-    trace = shrinkage_trace(obs, est)
-    lam = 2.0 ** (-math.ceil(math.log2(m_n)))
-    assert classify_rule(trace, ShrinkageClass("limited", lam, 0.5))
+    kept = _kept(obs.y, linear_estimate(obs.y, projection_weights(m_n)))
+    assert _is_limited(kept, 2.0 ** (-math.ceil(math.log2(m_n))))
     # not elitist once the magnitude bound exceeds every kept observation
     lam_big = max(np.max(np.abs(obs.y.level(j))) for j in range(2)) + 1.0
-    assert not classify_rule(trace, ShrinkageClass("elitist", lam_big, 0.5))
+    assert not _is_elitist(obs.y, kept, lam_big)
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_classify_hard_threshold_is_elitist(seed):
     obs = observation(seed=seed, n=256, j_max=5)
-    est = threshold_estimate(obs.y, 256, kappa=2.0, mode="hard")
-    trace = shrinkage_trace(obs, est)
-    assert classify_rule(trace, ShrinkageClass("elitist", 2.0 * universal_threshold(256) * 0.999,
-                                               0.5))
+    kept = _kept(obs.y, threshold_estimate(obs.y, 256, kappa=2.0, mode="hard"))
+    assert _is_elitist(obs.y, kept, 2.0 * universal_threshold(256) * 0.999)
 
 
 def test_classify_adversarial_trace():
+    # an estimate that keeps one tiny coefficient is not elitist
     obs = observation(n=256, j_max=3)
-    gammas = {j: np.zeros(1 << j) for j in range(4)}
     small = int(np.argmin(np.abs(obs.y.level(3))))
-    gammas[3][small] = 1.0  # keeps one tiny coefficient
-    trace = ShrinkageTrace(gammas=gammas, observation=obs)
+    est = CoefficientTree.from_items(1, 3, obs.y.scaling, [((3, small), obs.y.level(3)[small])])
     lam = abs(obs.y.level(3)[small]) + 0.1
-    assert not classify_rule(trace, ShrinkageClass("elitist", lam, 0.5))
-
-
-def test_shrinkage_trace_rejects_expansion():
-    obs = observation(n=256, j_max=3)
-    inflated = CoefficientTree(
-        1, 3, obs.y.scaling, {j: 2.0 * obs.y.level(j) for j in range(4)}
-    )
-    with pytest.raises(ValueError):
-        shrinkage_trace(obs, inflated)
-
-
-def test_shrinkage_class_validation():
-    with pytest.raises(ValueError):
-        ShrinkageClass("other", 0.1)
-    with pytest.raises(ValueError):
-        ShrinkageClass("limited", 0.1, threshold_a=1.0)
+    assert not _is_elitist(obs.y, _kept(obs.y, est), lam)
 
 
 def _reference_threshold(tree, j_cut, rule):

@@ -99,8 +99,6 @@ def test_generic_alpha_rate_identities():
         mm, _ = minimax_rate(params, 100)
         assert abs(thr.alpha - mm.alpha) < 1e-12
         assert thr.alpha_tilde == 2.0 * thr.alpha
-        assert generic_alpha("limited", params).alpha == generic_alpha("linear", params).alpha
-        assert generic_alpha("elitist", params).alpha == thr.alpha
 
 
 def test_risk_table_validation():

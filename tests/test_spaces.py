@@ -9,11 +9,9 @@ from waverates.rates import generic_alpha
 from waverates.spaces import (
     ScalingFunctionEstimate,
     SmoothnessParams,
-    WeakBesovParams,
     besov_norm,
     empirical_scaling,
     theoretical_scaling,
-    weak_besov_functional,
 )
 
 
@@ -73,55 +71,6 @@ def test_besov_norm_r_infinity():
     tree = CoefficientTree.from_items(1, 4, 0.0, [((3, 1), 2.0), ((3, 5), -1.0)])
     # sup_k |c| * 2^{(s + 1/2) j}
     assert abs(besov_norm(tree, 1.0, math.inf) - 2.0 * 2.0**4.5) < 1e-12
-
-
-def test_weak_functional_zero_tree():
-    assert weak_besov_functional(CoefficientTree.zeros(1, 4), WeakBesovParams(1.0, 2.0)) == 0.0
-
-
-def test_weak_functional_single_coefficient():
-    # strict inequality: lambda = 1 contributes nothing, max at lambda = 1/2
-    tree = CoefficientTree.from_items(1, 4, 0.0, [((3, 2), 1.0)])
-    got = weak_besov_functional(tree, WeakBesovParams(1.0, 2.0), 10)
-    assert got == 0.5
-
-
-def test_weak_functional_homogeneity_on_rescaled_grid():
-    # scaling identity when the threshold grid is rescaled along with the tree;
-    # bit-exact for rho = 1 and dyadic alpha (all factors are powers of two)
-    rng = np.random.default_rng(4)
-    tree = random_tree(rng, j_max=7)
-    lam = 2.0 ** (-np.arange(31, dtype=np.float64))
-    exact = WeakBesovParams(1.0, 2.0)
-    base = weak_besov_functional(tree, exact, lambda_grid=lam)
-    for m in (1, 2, 3):
-        alpha = 2.0**-m
-        scaled = weak_besov_functional(alpha * tree, exact, lambda_grid=alpha * lam)
-        assert scaled == alpha * base
-    # fractional rho picks up one rounding of alpha**rho, nothing more
-    frac = WeakBesovParams(0.7, 2.0)
-    base = weak_besov_functional(tree, frac, lambda_grid=lam)
-    for m in (1, 2, 3):
-        alpha = 2.0**-m
-        scaled = weak_besov_functional(alpha * tree, frac, lambda_grid=alpha * lam)
-        assert abs(scaled - alpha**frac.rho * base) <= 4e-16 * base
-
-
-def test_weak_functional_contains_besov_ball():
-    # trees on the critical ball beta = (d/2)(p/r - 1): functional stays bounded
-    # as the threshold grid refines
-    rng = np.random.default_rng(5)
-    r, p = 2.0, 3.0
-    beta = 0.5 * (p / r - 1.0)
-    for _ in range(5):
-        levels = {
-            j: rng.standard_normal(1 << j) * 2.0 ** (-(beta + 0.5 + 1.0 / r) * j)
-            for j in range(13)
-        }
-        tree = CoefficientTree(1, 12, 0.0, levels)
-        tree = (1.0 / besov_norm(tree, beta, r)) * tree
-        vals = [weak_besov_functional(tree, WeakBesovParams(r, p), t) for t in (10, 20, 30)]
-        assert max(vals) <= 1.05 * min(vals)
 
 
 def test_empirical_scaling_exact_power_law():
