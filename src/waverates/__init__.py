@@ -12,7 +12,7 @@ exponents and the risk engine, whose estimator kinds fix the model;
 ``cli`` orchestrates reproducible experiments from JSON configs.
 """
 
-from .dyadic import CoefficientTree, LevelIndex, level_count
+from .dyadic import CoefficientTree
 from .estimators import (
     choose_mn,
     density_threshold_estimate,

@@ -24,7 +24,7 @@ Monte Carlo replicates (default 1: none, they run in the runner's process).
 CSV schemas: risk (n, risk, std_error, replicates), slope (normalization,
 slope, implied_alpha, r_squared), scaling (p, estimate, theory, residual),
 witness (t, bound, log2_bound).  Coefficient trees use the record stream of
-``recordio`` ((j, k..., value) rows under a d/j_max/scaling header).
+``recordio`` ((j, k, value) rows under a d/j_max/scaling header, d = 1).
 
 Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
 ``TRUTHS``.  ``run`` writes the tables, then derives the verdicts from the
@@ -137,10 +137,12 @@ def _parse(kind: str, value, name: str):
     if kind == "float | None":  # a None default: null, or a number
         return None if value is None else _parse("float", value, name)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "float":  # a JSON number but NaN, or the "inf" resolved() writes for r
-        if value == "inf" or number and not math.isnan(value):
+    if kind == "float":  # a finite JSON number; r may be infinite, as resolved() writes it
+        if name == "smoothness.r" and value in ("inf", math.inf):
+            return math.inf
+        if number and math.isfinite(value):
             return float(value)
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     if kind == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"{name}: expected true or false, got {value!r}")
@@ -256,13 +258,6 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     if config.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {config.master_seed}")
 
-    if sm.d != 1 and model == "density":
-        raise ConfigError(f"density experiments are one-dimensional; got d={sm.d}")
-    if sm.d != 1 and sm.p != 2 and model == "sequence":
-        raise ConfigError(f"a p={sm.p} loss needs grid synthesis, which is defined for d=1 "
-                          f"only; got d={sm.d} (use p=2, whose loss is the coefficient energy, "
-                          "or d=1)")
-
     try:
         filt = get_filter(config.filter)
     except KeyError as exc:
@@ -301,13 +296,6 @@ def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_
                 alpha=probe_alpha, dither=dither, j_min=j_min)
 
 
-def _tree_file(path: str, d: int) -> CoefficientTree:
-    tree = recordio.read_tree(path)
-    if tree.d != d:
-        raise ValueError(f"{path} holds a d={tree.d} tree; smoothness.d is {d}")
-    return tree
-
-
 class Truth(NamedTuple):
     """A truth kind.  args(config, **spec), whose keyword parameters are the
     kind's truth_spec keys with defaults that fix their types (a key without one
@@ -325,8 +313,8 @@ class Truth(NamedTuple):
 
 TRUTHS = {
     "generic_g": Truth(None, _probe_line_args, probe_line_truth, check_probe_line),
-    "explicit_tree_file": Truth(None, lambda config, path: dict(path=path, d=config.smoothness.d),
-                                _tree_file, _tree_file, wavelet_part=False),
+    "explicit_tree_file": Truth(None, lambda config, path: dict(path=path), recordio.read_tree,
+                                recordio.read_tree, wavelet_part=False),
     "uniform_density": Truth("density", lambda config: {"j_max": config.j_max},
                              uniform_density_tree, wavelet_part=False),
     "custom_bump": Truth(None, lambda config, level=1, position=0, amplitude=1.0: dict(
@@ -628,7 +616,6 @@ def main(argv=None) -> int:
     g_p = sub.add_parser("build-g", help="dump the saturating tree to CSV")
     g_p.add_argument("--s", type=float, required=True)
     g_p.add_argument("--r", type=float, required=True)
-    g_p.add_argument("--d", type=int, default=1)
     g_p.add_argument("--j-max", type=int, default=12)
     g_p.add_argument("--out", required=True)
 
@@ -636,7 +623,6 @@ def main(argv=None) -> int:
     rates_p.add_argument("--s", type=float, required=True)
     rates_p.add_argument("--r", type=float, required=True)
     rates_p.add_argument("--p", type=float, required=True)
-    rates_p.add_argument("--d", type=int, default=1)
     rates_p.add_argument("--n", type=int, default=1 << 14)
 
     rep_p = sub.add_parser("report", help="re-render verdicts from a run directory")
@@ -693,14 +679,14 @@ def _command(args) -> int:
         return _print_verdicts(report.verdicts)
 
     if args.command == "build-g":
-        spec = _from_flags(GenericFunctionSpec, s=args.s, r=args.r, d=args.d, j_max=args.j_max)
+        spec = _from_flags(GenericFunctionSpec, s=args.s, r=args.r, d=1, j_max=args.j_max)
         recordio.write_tree(build_g(spec), args.out)
         print(f"wrote {args.out}")
         return 0
 
     if args.command == "rates":
-        params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p, d=args.d)
-        print(f"parameters: s={args.s} r={args.r} p={args.p} d={args.d} (n={args.n})")
+        params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p)
+        print(f"parameters: s={args.s} r={args.r} p={args.p} d={params.d} (n={args.n})")
         mm, mm_value = minimax_rate(params, args.n)
         lin = generic_alpha("linear", params)  # normalized by n: no log factor
         for label, reg, value in (("minimax:       ", mm, mm_value),

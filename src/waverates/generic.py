@@ -36,8 +36,8 @@ class GenericFunctionSpec:
     j_max: int
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d}")
+        if self.d != 1:
+            raise ValueError(f"dimension must be 1, got {self.d}")
         if self.s - self.d / self.r <= 0:
             raise ValueError(f"need s > d/r, got s={self.s}, d/r={self.d / self.r}")
         if self.j_max < 1:
@@ -63,7 +63,7 @@ def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
     envelope = s - d / r + d / 2.0
     levels = {}
     for j in range(1, spec.j_max + 1):
-        J = reduced_level_array(j, d)
+        J = reduced_level_array(j)
         levels[j] = 2.0 ** (-envelope * j - (d / r) * J) / float(j) ** spec.exponent_a
     return CoefficientTree(d=d, j_max=spec.j_max, scaling=0.0, levels=levels)
 

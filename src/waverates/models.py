@@ -93,10 +93,9 @@ def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> Seque
     rng = np.random.default_rng(seed)  # an int seed is read as SeedSequence(seed)
     sigma = n**-0.5
     scaling = theta.scaling + sigma * rng.standard_normal()
-    shape = lambda j: (1 << j,) * theta.d
     levels = {}
     for j in range(j_max + 1):
-        noise = sigma * rng.standard_normal(shape(j))
+        noise = sigma * rng.standard_normal(1 << j)
         base = theta.levels.get(j)
         levels[j] = noise if base is None else base + noise
     y = CoefficientTree(d=theta.d, j_max=j_max, scaling=scaling, levels=levels)
@@ -113,9 +112,8 @@ def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> C
     is the draw itself, and each sum here is the one simulate_sequence forms.
     """
     y = noise.y
-    if not 0 <= j_max <= y.j_max or theta.d != y.d:
-        raise ValueError(f"noise of depth {y.j_max} and d={y.d} cannot observe "
-                         f"a d={theta.d} tree to depth {j_max}")
+    if not 0 <= j_max <= y.j_max:
+        raise ValueError(f"noise of depth {y.j_max} cannot observe to depth {j_max}")
     levels = {}
     for j in range(j_max + 1):
         base = theta.levels.get(j)

@@ -355,7 +355,7 @@ class _Replicates(NamedTuple):
                         for sampler, j in zip(self.samplers, reads)]
         else:
             top = max(reads)
-            noise = simulate_sequence(CoefficientTree.zeros(truths[0].d, top), n, top, seed)
+            noise = simulate_sequence(CoefficientTree.zeros(1, top), n, top, seed)
             observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
         return i, rep, [_loss(estimate(y), truth, side, self.p, self.filt, depth)
                         for y, truth, side, depth
@@ -428,9 +428,9 @@ def monte_carlo_risk(
     and the truth's side of the loss (_truth_side) is computed once per truth
     before the replicates start.
 
-    The truths (of one dimension) do not enter the seed, so every truth is
-    observed under the same noise (common random numbers), which each
-    replicate draws once, and each table equals that of the truth alone.
+    The truths do not enter the seed, so every truth is observed under the
+    same noise (common random numbers), which each replicate draws once, and
+    each table equals that of the truth alone.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
@@ -439,8 +439,8 @@ def monte_carlo_risk(
         raise ValueError("need at least 2 replicates for a standard error")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if not truths or len({t.d for t in truths}) != 1:
-        raise ValueError("need at least one truth, all of one dimension")
+    if not truths:
+        raise ValueError("need at least one truth")
     filt = get_filter(filter_name)
     density = estimator.model == "density"
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None

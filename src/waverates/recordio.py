@@ -8,9 +8,10 @@ Floats are written with repr for lossless round trips.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
-from .dyadic import CoefficientTree, LevelIndex
+from .dyadic import CoefficientTree
 
 __all__ = [
     "write_tree",
@@ -21,20 +22,21 @@ __all__ = [
 
 
 def write_tree(tree: CoefficientTree, path) -> None:
-    """Record stream (j, k..., value), one row per nonzero coefficient."""
+    """Record stream (j, k, value), one row per nonzero coefficient."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(f"# coefficient-tree,d={tree.d},j_max={tree.j_max},scaling={tree.scaling!r}\n")
         writer = csv.writer(fh)
-        writer.writerow(["j", "k", "value"] if tree.d == 1 else ["j", "k1", "k2", "value"])
-        for idx, value in tree.items():
-            writer.writerow([idx.j, *idx.k, repr(value)])
+        writer.writerow(["j", "k", "value"])
+        for j, k, value in tree.items():
+            writer.writerow([j, k, repr(value)])
 
 
 def read_tree(path) -> CoefficientTree:
     """Read back a stream written by write_tree; raises ValueError naming the file
-    for any other text: no coefficient-tree header, a header field missing, or a
-    row that is not (j, k..., value) at a position inside its level."""
+    for any other text: no coefficient-tree header, a header field missing, a
+    d other than 1, an infinite or NaN value, or a row that is not (j, k, value)
+    at a position 0 <= k < 2^j of a level 0 <= j <= j_max, or that repeats one."""
     with open(path) as fh:
         header = fh.readline().strip()
         rows = list(csv.reader(fh))[1:]  # below the column header
@@ -43,11 +45,21 @@ def read_tree(path) -> CoefficientTree:
             raise ValueError("not a coefficient-tree stream")
         meta = dict(item.split("=", 1) for item in header[2:].split(",")[1:])
         d, j_max, scaling = int(meta["d"]), int(meta["j_max"]), float(meta["scaling"])
-        items = []
-        for j, *k, value in rows:
-            idx = LevelIndex(int(j), tuple(int(c) for c in k), d)  # k inside level j
-            items.append(((idx.j, idx.k), float(value)))
-        return CoefficientTree.from_items(d, j_max, scaling, items)
+        CoefficientTree(d, j_max)  # checks d and j_max before any row
+        items = {}
+        for j, k, value in rows:
+            j, k, value = int(j), int(k), float(value)
+            if not 0 <= j <= j_max:
+                raise ValueError(f"level {j} outside [0, {j_max}]")
+            if not 0 <= k < 1 << j:
+                raise ValueError(f"position {k} outside [0, 2^{j})")
+            if (j, k) in items:
+                raise ValueError(f"position ({j}, {k}) repeats")
+            items[j, k] = value
+        bad = [v for v in (scaling, *items.values()) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"value {bad[0]} is not finite")
+        return CoefficientTree.from_items(d, j_max, scaling, items.items())
     except KeyError as exc:
         raise ValueError(f"{path}: the header has no field {exc}") from None
     except ValueError as exc:

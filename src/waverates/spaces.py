@@ -28,7 +28,7 @@ __all__ = [
 class SmoothnessParams:
     """Smoothness/loss parameter bundle shared by all rate formulas.
 
-    s: smoothness, r: Besov integrability, p: loss exponent, d: dimension;
+    s: smoothness, r: Besov integrability, p: loss exponent, d: dimension (1);
     the rate theory uses the Besov fine index q = infinity throughout.
     Requires the standing assumption s > d/r.
     """
@@ -39,8 +39,8 @@ class SmoothnessParams:
     d: int = 1
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d}")
+        if self.d != 1:
+            raise ValueError(f"dimension must be 1, got {self.d}")
         if not 1 <= self.r:
             raise ValueError(f"r must be in [1, inf], got {self.r}")
         if not 1 <= self.p < math.inf:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import CoefficientTree, LevelIndex, reduced_level_array
+from .dyadic import CoefficientTree, reduced_level_array
 from .generic import GenericFunctionSpec, build_g
 
 __all__ = [
@@ -41,8 +41,6 @@ def check_shell(s: float, r: float, d: int, j_max: int, dither: float = 0.0,
         raise ValueError(f"need s > d/r, got s={s}, d/r={d / r}")
     if dither < 0:
         raise ValueError("dither must be non-negative")
-    if dither > 0 and d != 1:
-        raise ValueError("dithered shells are implemented for d=1 only")
     if not 0 <= j_min <= j_max:
         raise ValueError(f"j_min must lie in [0, {j_max}]")
 
@@ -67,13 +65,13 @@ def shell_tree(
     2^dither inside every reduced-scale block, renormalized so each block's
     energy is exactly preserved.  This smooths the discrete magnitude ladder
     (slope fits stop seeing level-granularity staircases) without moving any
-    level energy, so projection risks are unchanged.  Dither requires d=1.
+    level energy, so projection risks are unchanged.
     """
     check_shell(s, r, d, j_max, dither, j_min)
     envelope = s - d / r + d / 2.0
     levels = {}
     for j in range(j_min, j_max + 1):
-        J = reduced_level_array(j, d)
+        J = reduced_level_array(j)
         vals = amplitude * 2.0 ** (-envelope * j - (d / r) * J)
         if dither > 0:
             k = np.arange(1 << j, dtype=np.float64)
@@ -86,14 +84,15 @@ def shell_tree(
     return CoefficientTree(d=d, j_max=j_max, scaling=0.0, levels=levels)
 
 
-def check_bump(d: int, j_max: int, level: int, position, amplitude: float = 1.0) -> None:
+def check_bump(d: int, j_max: int, level: int, position: int, amplitude: float = 1.0) -> None:
     """Raise ValueError for the arguments bump_tree refuses; builds nothing."""
     if not 0 <= level <= j_max:
         raise ValueError(f"level {level} outside [0, {j_max}]")
-    LevelIndex(level, position, d)  # one coordinate per dimension, inside the level
+    if not 0 <= position < 1 << level:
+        raise ValueError(f"position {position} outside [0, 2^{level})")
 
 
-def bump_tree(d: int, j_max: int, level: int, position, amplitude: float) -> CoefficientTree:
+def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -> CoefficientTree:
     """A single wavelet coefficient of the given amplitude."""
     check_bump(d, j_max, level, position)
     return CoefficientTree.from_items(d, j_max, 0.0, [((level, position), amplitude)])
@@ -136,8 +135,6 @@ def uniform_density_tree(j_max: int) -> CoefficientTree:
 
 def density_truth_tree(wavelet_part: CoefficientTree) -> CoefficientTree:
     """Density tree 1 + (wavelet part): unit mass plus zero-mean detail."""
-    if wavelet_part.d != 1:
-        raise ValueError("densities are one-dimensional")
     return CoefficientTree(
         d=1,
         j_max=wavelet_part.j_max,

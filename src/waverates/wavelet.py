@@ -300,8 +300,6 @@ def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int)
     with the phase table of _cascade_table, written into the grid block by
     block.
     """
-    if tree.d != 1:
-        raise ValueError("grid synthesis is defined for d=1 trees")
     if resolution_log2 <= tree.j_max:
         raise ValueError(
             f"resolution 2^{resolution_log2} too coarse for a tree of depth {tree.j_max}"

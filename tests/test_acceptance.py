@@ -10,6 +10,7 @@ calibrated at runtime.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ R = 32
 DENSE = SmoothnessParams(s=2, r=2, p=2, d=1)
 SPARSE = SmoothnessParams(s=1.2, r=1, p=4, d=1)
 THREADS = 4
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def report(criterion, ok, measured, expected, tol):
@@ -240,3 +242,22 @@ def test_criterion_10_density_model():
     good = abs(fit.implied_alpha - 0.4) <= 0.12
     ok &= report("10.density_threshold_alpha", good, fit.implied_alpha, 0.4, 0.12)
     assert ok
+
+
+# -- estimator kinds without a demo config of their own -------------------------
+
+
+@pytest.mark.parametrize("config_name,estimator", [
+    ("dense_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
+    ("sparse_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
+    ("density_threshold_rate", {"kind": "density_linear"}),
+], ids=["threshold_soft_dense", "threshold_soft_sparse", "density_linear"])
+def test_criterion_11_other_estimator_kinds(config_name, estimator, tmp_path):
+    # the demo config with only the estimator swapped, at the config's own tolerances
+    raw = json.loads((DEMO_CONFIGS / f"{config_name}.json").read_text())
+    config = validate_config(json.dumps(dict(raw, estimator_spec=estimator)))
+    verdicts = run(replace(config, output_dir=str(tmp_path / "out"), threads=THREADS)).verdicts
+    for v in verdicts:
+        report(f"11.{estimator['kind']}.{config_name}.{v['criterion']}", v["pass"],
+               v["measured"], v["expected"], v["tolerance"])
+    assert all(v["pass"] for v in verdicts)

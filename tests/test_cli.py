@@ -227,23 +227,18 @@ def test_worker_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path):
-    d2 = {"s": 2, "r": 2, "p": 4, "d": 2}
-    for config in (rate_config, sweep_config):
-        bad = json.loads(config(smoothness=d2))
-        with pytest.raises(ConfigError, match="grid synthesis, which is defined for d=1"):
-            validate_config(json.dumps(bad))
-    # the p = 2 loss is the coefficient energy and needs no grid (dithered shells are d=1 only)
-    ok = validate_config(rate_config(smoothness=dict(d2, p=2), j_max=3,
-                                     truth_spec={"kind": "generic_g", "base_amplitude": 64.0}))
-    assert ok.smoothness.d == 2
-    with pytest.raises(ConfigError, match="dithered shells are implemented for d=1 only"):
-        validate_config(rate_config(smoothness=dict(d2, p=2), j_max=3))
-    dens = json.loads(rate_config(experiment_kind="density_rate_fit",
-                                  smoothness=dict(d2, p=2)))
-    dens["estimator_spec"] = {"kind": "density_threshold"}
-    with pytest.raises(ConfigError, match="density experiments are one-dimensional"):
-        validate_config(json.dumps(dens))
+def test_validate_rejects_grid_losses_beyond_one_dimension(tmp_path, capsys, monkeypatch):
+    # d = 2 passed validate at p = 2 and fitted no rate; every kind now takes d = 1 only
+    monkeypatch.chdir(tmp_path)  # run's default --out is under the working directory
+    density = _rate(experiment_kind="density_rate_fit",
+                    estimator_spec={"kind": "density_threshold"})
+    for raw in (_rate(), _sweep(), SCALING, WITNESS, density):
+        smoothness = dict(raw["smoothness"], d=2)
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(raw, smoothness=smoothness)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", "cfg.json"]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == "error: invalid config: dimension must be 1, got 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_validate_reports_parse_error_line():
@@ -454,7 +449,8 @@ REJECTED = {
     "bump_level_above_j_max": (_rate(j_max=6, truth_spec={"kind": "custom_bump", "level": 9}),
                                "level 9 outside [0, 6]"),
     "bump_position_outside_level": (_rate(truth_spec={"kind": "custom_bump", "level": 2,
-                                                      "position": 4}), "coordinate 4"),
+                                                      "position": 4}),
+                                    "position 4 outside [0, 2^2)"),
     "text_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": "big"}),
                        "truth_spec"),
     "fractional_bump_level": (_rate(truth_spec={"kind": "custom_bump", "level": 1.5}), "level"),
@@ -519,12 +515,24 @@ REJECTED = {
                             "t.csv: the header has no field 'd'"),
     "tree_file_row_outside_level": (_rate(truth_spec={"kind": "explicit_tree_file",
                                                       "path": "t.csv"}),
-                                    "t.csv: coordinate 5 outside [0, 2^1)"),
-    # at p = 4 the run's grid synthesis refused the d = 2 tree; at p = 2 it ran on it
-    "tree_file_of_other_dimension": (_rate(smoothness={"s": 2, "r": 2, "p": 4, "d": 1},
-                                           truth_spec={"kind": "explicit_tree_file",
+                                    "t.csv: position 5 outside [0, 2^1)"),
+    "tree_file_of_other_dimension": (_rate(truth_spec={"kind": "explicit_tree_file",
                                                        "path": "t.csv"}),
-                                     "t.csv holds a d=2 tree; smoothness.d is 1"),
+                                     "t.csv: dimension must be 1, got 2"),
+    # these ran to FAIL ... measured=nan, or kept the last of two values at one position
+    "tree_file_nan_value": (_rate(truth_spec={"kind": "explicit_tree_file", "path": "t.csv"}),
+                            "t.csv: value nan is not finite"),
+    "tree_file_infinite_scaling": (_rate(truth_spec={"kind": "explicit_tree_file",
+                                                     "path": "t.csv"}),
+                                   "t.csv: value inf is not finite"),
+    "tree_file_repeated_position": (_rate(truth_spec={"kind": "explicit_tree_file",
+                                                      "path": "t.csv"}),
+                                    "t.csv: position (1, 0) repeats"),
+    # "inf" is text only for smoothness.r: an infinite tolerance passed any slope, and an
+    # infinite amplitude ran to FAIL ... measured=nan
+    "infinite_alpha_tolerance": (_rate(tolerances={"alpha": "inf"}), "tolerances.alpha"),
+    "infinite_base_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": "inf"}),
+                                "truth_spec.base_amplitude"),
 }
 TREE_FILES = {
     "tree_file_not_a_tree": "j,k,value\n1,0,1.0\n",
@@ -533,6 +541,11 @@ TREE_FILES = {
                                    "j,k,value\n1,5,1.0\n",
     "tree_file_of_other_dimension": "# coefficient-tree,d=2,j_max=2,scaling=0.0\n"
                                     "j,k1,k2,value\n1,0,1,1.0\n",
+    "tree_file_nan_value": "# coefficient-tree,d=1,j_max=4,scaling=0.0\nj,k,value\n1,0,nan\n",
+    "tree_file_infinite_scaling": "# coefficient-tree,d=1,j_max=4,scaling=inf\n"
+                                  "j,k,value\n1,0,1.0\n",
+    "tree_file_repeated_position": "# coefficient-tree,d=1,j_max=4,scaling=0.0\n"
+                                   "j,k,value\n1,0,1.0\n1,0,2.0\n",
 }
 
 

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from waverates.dyadic import (
-    CoefficientTree,
-    LevelIndex,
-    level_count,
-    reduced_level_array,
-)
+from waverates.dyadic import CoefficientTree, reduced_level_array
 
 
 def gcd_oracle(j, k):
@@ -31,12 +26,12 @@ def gcd_oracle(j, k):
 )
 def test_reduce_dyadic_examples(j, k, expected):
     assert gcd_oracle(j, k) == expected
-    assert reduced_level_array(j, 1)[k] == expected[0]
+    assert reduced_level_array(j)[k] == expected[0]
 
 
 def test_reduce_dyadic_exhaustive_vs_gcd():
     for j in range(11):
-        vec = reduced_level_array(j, 1)
+        vec = reduced_level_array(j)
         for k in range(1 << j):
             jo, ko = gcd_oracle(j, k)
             assert vec[k] == jo
@@ -53,41 +48,7 @@ def test_reduce_dyadic_idempotent():
         j = int(rng.integers(0, 14))
         k = int(rng.integers(0, 1 << j)) if j else 0
         jo, ko = gcd_oracle(j, k)
-        assert reduced_level_array(jo, 1)[ko] == jo
-
-
-def test_reduce_dyadic_d2():
-    # halve only while all coordinates even
-    assert reduced_level_array(3, 2)[4, 2] == 2
-    assert reduced_level_array(3, 2)[0, 6] == 2
-    assert reduced_level_array(4, 2)[0, 0] == 0
-    # k0 / 2^j and k1 / 2^j share the scale of gcd(k0, k1) / 2^j
-    j = 5
-    grid = reduced_level_array(j, 2)
-    for k0 in range(1 << j):
-        for k1 in range(0, 1 << j, 7):
-            assert grid[k0, k1] == gcd_oracle(j, math.gcd(k0, k1))[0]
-
-
-def test_level_count():
-    assert level_count(3, 1) == 8
-    assert level_count(2, 2) == 16
-    assert level_count(0, 1) == 1
-    with pytest.raises(OverflowError):
-        level_count(40, 2)
-    with pytest.raises(ValueError):
-        level_count(2, 3)
-
-
-def test_level_index_validation():
-    with pytest.raises(ValueError):
-        LevelIndex(2, (4,), 1)  # coordinate >= 2^j
-    with pytest.raises(ValueError):
-        LevelIndex(-1, (0,), 1)
-    with pytest.raises(ValueError):
-        LevelIndex(2, (1, 1), 1)  # wrong arity
-    idx = LevelIndex(3, 5, 1)  # scalar position accepted for d=1
-    assert idx.k == (5,)
+        assert reduced_level_array(jo)[ko] == jo
 
 
 def test_tree_implicit_zeros_and_access():
@@ -97,7 +58,7 @@ def test_tree_implicit_zeros_and_access():
     assert tree.get(5, 7) == 0.0  # absent level
     assert np.all(tree.level(5) == 0.0)
     items = list(tree.items())
-    assert items == [(LevelIndex(3, (2,), 1), 1.25)]
+    assert items == [(3, 2, 1.25)]
     assert tree.total_energy() == 0.25 + 1.25**2
 
 
@@ -106,8 +67,9 @@ def test_tree_shape_validation():
         CoefficientTree(1, 4, 0.0, {2: np.zeros(3)})
     with pytest.raises(ValueError):
         CoefficientTree(1, 4, 0.0, {5: np.zeros(32)})  # above j_max
-    with pytest.raises(ValueError):
-        CoefficientTree(2, 3, 0.0, {2: np.zeros(4)})  # d=2 wants (4, 4)
+    for d in (0, 2):  # one dimension only
+        with pytest.raises(ValueError, match=f"dimension must be 1, got {d}"):
+            CoefficientTree(d, 3, 0.0, {2: np.zeros(4)})
 
 
 def test_tree_immutable():
@@ -126,6 +88,3 @@ def test_tree_arithmetic():
     assert d.get(2, 1) == 3.0 and d.get(3, 0) == -4.0
     h = 0.5 * a
     assert h.scaling == 0.5 and h.get(2, 1) == 1.0
-    two = CoefficientTree.zeros(2, 3)
-    with pytest.raises(ValueError):
-        a + two

@@ -29,7 +29,7 @@ def test_build_g_hand_values():
 def test_build_g_depends_on_k_only_through_reduced_scale():
     g = build_g(GenericFunctionSpec(s=1.5, r=3, d=1, j_max=8))
     for j in range(1, 9):
-        J = reduced_level_array(j, 1)
+        J = reduced_level_array(j)
         vals = g.levels[j]
         for Jv in range(j + 1):
             block = vals[J == Jv]
@@ -65,9 +65,10 @@ def test_build_g_besov_norm_stable_in_depth():
 
 
 def test_build_g_d2():
-    g = build_g(GenericFunctionSpec(s=2, r=2, d=2, j_max=4))
-    # j=1, k=(1,1): J=1 -> 2^{-(2 - 1 + 1)} * 2^{-(2/2)} / 1 = 2^{-3}
-    assert abs(g.get(1, (1, 1)) - 2.0**-3) < 1e-15
+    # the construction is one-dimensional: d = 2 is refused before anything is built
+    for d in (0, 2):
+        with pytest.raises(ValueError, match=f"dimension must be 1, got {d}"):
+            GenericFunctionSpec(s=2, r=2, d=d, j_max=4)
 
 
 def witness_dict(eps, t_max, s=2.0, r=2.0, p=2.0):

@@ -1,7 +1,12 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import waverates
 
@@ -50,3 +55,21 @@ def test_every_listed_name_has_a_reader_outside_tests():
               for name in getattr(importlib.import_module(f"waverates.{stem}"), "__all__", ())
               if name not in read]
     assert not unread
+
+
+WORKLOADS = sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_benchmark_setup_builds_every_workload(workload, tmp_path):
+    # the benchmark times this child on each workload, and a failed child is a failed
+    # operation of every run: it calls validate_config, GenericFunctionSpec(d=),
+    # shell_tree's positional d and density_truth_tree
+    src = str(ROOT / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_child.py"),
+                           str(workload), "0"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("built ")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from waverates import recordio
 from waverates.dyadic import CoefficientTree
@@ -19,13 +20,25 @@ def test_tree_round_trip(tmp_path):
 
 
 def test_tree_round_trip_d2(tmp_path):
-    tree = CoefficientTree.from_items(2, 3, 0.5, [((2, (1, 3)), 0.75), ((3, (0, 7)), -2.0)])
+    # a stream of a d = 2 tree (k1, k2 columns) is refused by its header
     path = tmp_path / "tree2.csv"
-    recordio.write_tree(tree, path)
-    back = recordio.read_tree(path)
-    assert back.d == 2
-    assert back.get(2, (1, 3)) == 0.75
-    assert back.get(3, (0, 7)) == -2.0
+    path.write_text("# coefficient-tree,d=2,j_max=3,scaling=0.5\nj,k1,k2,value\n2,1,3,0.75\n")
+    with pytest.raises(ValueError, match="tree2.csv: dimension must be 1, got 2"):
+        recordio.read_tree(path)
+
+
+def test_read_tree_refuses_positions_outside_their_level(tmp_path):
+    path = tmp_path / "bad.csv"
+    for row, message in [
+        ("2,4,1.0", r"position 4 outside \[0, 2\^2\)"),
+        ("2,-1,1.0", r"position -1 outside \[0, 2\^2\)"),
+        ("-1,0,1.0", r"level -1 outside \[0, 3\]"),
+        ("4,0,1.0", r"level 4 outside \[0, 3\]"),
+        ("2,1,3,1.0", "too many values to unpack"),  # one position per row
+    ]:
+        path.write_text(f"# coefficient-tree,d=1,j_max=3,scaling=0.0\nj,k,value\n{row}\n")
+        with pytest.raises(ValueError, match="bad.csv: " + message):
+            recordio.read_tree(path)
 
 
 def test_saturating_tree_round_trip_lossless(tmp_path):
