@@ -3,8 +3,8 @@
 Draws i.i.d. points from a wavelet-specified density through a
 DensitySampler (built once per truth, so replicates would share it),
 recovers coefficients by averaging the periodized wavelet over the sample,
-thresholds them at sqrt(log n / n), and compares the estimate's coefficients
-with the truth.
+hard-thresholds them at sqrt(log n / n) (kappa = 1), and compares the
+estimate's coefficients with the truth.
 The empirical coefficients form a tree like a sequence observation's, so the
 sequence model's projection rule applies to them unchanged.
 """
@@ -13,15 +13,15 @@ import numpy as np
 
 from waverates import (
     DensitySampler,
-    density_threshold_estimate,
     density_truth_tree,
     empirical_coefficients,
     get_filter,
     linear_estimate,
+    linear_weights,
     noise_depth,
-    projection_weights,
     shell_tree,
     synthesize,
+    threshold_estimate,
     universal_threshold,
 )
 
@@ -35,7 +35,7 @@ sample = DensitySampler.from_tree(truth, filt).sample(n, seed=7)
 print(f"drew {n} points; first five:", np.round(sample.points[:5], 4))
 
 beta = empirical_coefficients(sample, filt, j_max=noise_depth(n))
-estimate = density_threshold_estimate(beta, n)
+estimate = threshold_estimate(beta, n, kappa=1.0)  # the density_threshold kind's rule
 kept = sum(int(np.count_nonzero(a)) for a in estimate.levels.values())
 total = sum(a.size for a in beta.levels.values())
 print(f"threshold sqrt(log n / n) = {universal_threshold(n):.4f} up to level {noise_depth(n)}")
@@ -44,7 +44,7 @@ print(f"kept {kept} of {total} empirical coefficients")
 err = estimate - truth
 print(f"coefficient-space squared error: {err.total_energy():.5f}")
 print(f"trivial estimate (uniform) squared error: {truth.wavelet_energy():.5f}")
-projection = linear_estimate(beta, projection_weights(16.0))
+projection = linear_estimate(beta, linear_weights(16.0))
 print(f"projection onto levels 2^j < 16 squared error: {(projection - truth).total_energy():.5f}")
 
 print("\nper-level recovered coefficient counts:")

@@ -14,12 +14,9 @@ exponents and the risk engine, whose estimator kinds fix the model;
 
 from .dyadic import CoefficientTree
 from .estimators import (
-    choose_mn,
-    density_threshold_estimate,
     linear_estimate,
+    linear_weights,
     noise_depth,
-    pinsker_weights,
-    projection_weights,
     threshold_estimate,
     universal_threshold,
 )

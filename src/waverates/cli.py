@@ -52,8 +52,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import recordio
-from .dyadic import CoefficientTree
+from .dyadic import MAX_DEPTH, CoefficientTree
 from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
+from .models import DensitySampler
 from .rates import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
@@ -225,6 +226,8 @@ def _validated(raw: dict) -> ExperimentConfig:
     if "smoothness" not in values:
         raise ConfigError(f"smoothness: experiment {kind!r} needs it")
     config = ExperimentConfig(**values)
+    if "j_max" in values and not 1 <= config.j_max <= MAX_DEPTH:
+        raise ConfigError(f"j_max must lie in [1, {MAX_DEPTH}], got {config.j_max}")
     if experiment.model is not None:
         config = _with_model(config, experiment.model)
     config = replace(config, tolerances=_parse_section(
@@ -267,8 +270,6 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
             f"filter {config.filter!r} has {filt.vanishing_moments} vanishing moments; "
             f"the smoothness characterization needs at least ceil(s) = {math.ceil(sm.s)}"
         )
-    if config.j_max < 1:
-        raise ConfigError("j_max must be >= 1")
 
     spec = dict(config.truth_spec)
     truth_kind = _parse("str", spec.pop("kind", "generic_g"), "truth_spec.kind")
@@ -285,6 +286,8 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     config = replace(config, truth_spec={"kind": truth_kind, **spec})
     try:
         truth.check(**truth.args(config, **spec))
+        if model == "density":  # the run samples the truth's law: build its sampler
+            DensitySampler.from_tree(_truth(config), filt)
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"truth_spec: {exc}") from None
     return config

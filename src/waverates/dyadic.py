@@ -13,9 +13,14 @@ from typing import Iterator, Mapping
 import numpy as np
 
 __all__ = [
+    "MAX_DEPTH",
     "CoefficientTree",
     "reduced_level_array",
 ]
+
+# Deepest level a tree may hold, and the finest dyadic grid built from one:
+# 2^24 doubles (128 MiB) per array.
+MAX_DEPTH = 24
 
 
 def reduced_level_array(j: int) -> np.ndarray:
@@ -43,7 +48,8 @@ class CoefficientTree:
     """Wavelet coefficients c_{j,k} plus the coarse scaling coefficient.
 
     ``levels`` maps a scale j to the dense value array for that level; scales
-    absent from the map are semantically zero.  The dimension d must be 1.
+    absent from the map are semantically zero.  The dimension d must be 1 and
+    0 <= j_max <= MAX_DEPTH.
     Instances are immutable: the arrays are frozen at construction and all
     arithmetic returns new trees.
     """
@@ -56,8 +62,8 @@ class CoefficientTree:
     def __post_init__(self):
         if self.d != 1:
             raise ValueError(f"dimension must be 1, got {self.d}")
-        if self.j_max < 0:
-            raise ValueError(f"j_max must be non-negative, got {self.j_max}")
+        if not 0 <= self.j_max <= MAX_DEPTH:
+            raise ValueError(f"j_max must lie in [0, {MAX_DEPTH}], got {self.j_max}")
         clean = {}
         for j, arr in self.levels.items():
             if not 0 <= j <= self.j_max:

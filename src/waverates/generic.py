@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoefficientTree, reduced_level_array
+from .dyadic import MAX_DEPTH, CoefficientTree, reduced_level_array
 from .rates import generic_alpha
 from .spaces import SmoothnessParams
 
@@ -40,8 +40,8 @@ class GenericFunctionSpec:
             raise ValueError(f"dimension must be 1, got {self.d}")
         if self.s - self.d / self.r <= 0:
             raise ValueError(f"need s > d/r, got s={self.s}, d/r={self.d / self.r}")
-        if self.j_max < 1:
-            raise ValueError("j_max must be >= 1")
+        if not 1 <= self.j_max <= MAX_DEPTH:
+            raise ValueError(f"j_max must lie in [1, {MAX_DEPTH}], got {self.j_max}")
 
     @property
     def exponent_a(self) -> float:

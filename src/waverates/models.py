@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoefficientTree, _freeze
+from .dyadic import MAX_DEPTH, CoefficientTree, _freeze
 from .wavelet import WaveletFilter, _cascade_table, _coarse_samples, _refined_blocks, synthesize
 
 __all__ = [
@@ -129,12 +129,13 @@ class DensitySampler:
     Built once per truth: the tree is synthesized on a fine grid (resolution
     j_max + 8), negative values are clipped to zero and the result
     renormalized to unit mass; the points are drawn exactly from that
-    piecewise-constant density.  Refuses a tree whose reconstruction is
-    nonpositive everywhere, or whose clipped negative mass (the integral of
-    the negative part, recorded as clipped_mass) exceeds MAX_CLIPPED_MASS:
-    risks are measured against the unclipped tree, so the sampled law must be
-    that tree.  The arrays are read-only, so one sampler serves every
-    replicate, and the risk engine's forked workers inherit it.
+    piecewise-constant density.  Refuses a grid finer than 2^MAX_DEPTH cells,
+    a tree whose reconstruction is nonpositive everywhere, or whose clipped
+    negative mass (the integral of the negative part, recorded as
+    clipped_mass) exceeds MAX_CLIPPED_MASS: risks are measured against the
+    unclipped tree, so the sampled law must be that tree.  The arrays are
+    read-only, so one sampler serves every replicate, and the risk engine's
+    forked workers inherit it.
     """
 
     res: int
@@ -146,6 +147,9 @@ class DensitySampler:
     @classmethod
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
         res = f_tree.j_max + DENSITY_GRID_PAD
+        if res > MAX_DEPTH:
+            raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
+                             f"j_max must be <= {MAX_DEPTH - DENSITY_GRID_PAD}")
         values = synthesize(f_tree, filt, res).samples
         clipped_mass = float(np.maximum(-values, 0.0).sum()) / (1 << res)
         values = np.clip(values, 0.0, None)

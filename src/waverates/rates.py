@@ -18,22 +18,13 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dyadic import CoefficientTree
-from .estimators import (
-    choose_mn,
-    density_threshold_estimate,
-    linear_estimate,
-    noise_depth,
-    pinsker_weights,
-    projection_weights,
-    threshold_estimate,
-)
+from .estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams
 from .wavelet import GridSignal, WaveletFilter, get_filter, lp_mean, synthesize
@@ -118,17 +109,22 @@ def generic_alpha(family: str, params: SmoothnessParams) -> RateRegime:
     name, normalization = _GENERIC_FAMILIES[family]
     s, r, p, d = params.s, params.r, params.p, params.d
     if family == "linear":
-        if r >= p:
-            branch, alpha = "dense", s / (2.0 * s + d)
-        else:
-            sp = s - d / r + d / p
-            branch, alpha = "sparse", sp / (2.0 * sp + d)
+        branch, sp = _linear_smoothness(params)
+        alpha = sp / (2.0 * sp + d)
+    elif r > p * d / (2.0 * s + d):
+        branch, alpha = "dense", s / (2.0 * s + d)
     else:
-        if r > p * d / (2.0 * s + d):
-            branch, alpha = "dense", s / (2.0 * s + d)
-        else:
-            branch, alpha = "sparse", (s - d / r + d / p) / (2.0 * (s - d / r) + d)
+        branch, alpha = "sparse", (s - d / r + d / p) / (2.0 * (s - d / r) + d)
     return RateRegime(name, branch, alpha, normalization)
+
+
+def _linear_smoothness(params: SmoothnessParams) -> tuple[str, float]:
+    """The linear family's branch and smoothness s': s when r >= p ("dense"),
+    else s - d/r + d/p ("sparse")."""
+    s, r, p, d = params.s, params.r, params.p, params.d
+    if r >= p:
+        return "dense", s
+    return "sparse", s - d / r + d / p
 
 
 # -- Monte Carlo risk ---------------------------------------------------------
@@ -181,10 +177,10 @@ class EstimatorSpec:
     """Estimator selection for the risk engine.
 
     kind is a key of ESTIMATOR_KINDS, which gives its model, family and the
-    parameters it reads.  The linear kinds derive their cutoff from choose_mn
-    at the given smoothness, or use fixed_m_n (finite, >= 0; m_n <= 1 keeps
-    no level); the sequence thresholds use kappa.  kappa and pinsker_order
-    must be numbers, finite and > 0.
+    parameters it reads.  The linear kinds weigh the levels below their
+    cutoff m_n (see cutoff; m_n <= 1 keeps no level), pinsker with weights of
+    order pinsker_order; the sequence thresholds use kappa.  kappa and
+    pinsker_order must be numbers, finite and > 0.
     """
 
     kind: str
@@ -206,10 +202,13 @@ class EstimatorSpec:
             raise ValueError(f"estimator {self.kind!r} needs smoothness parameters or fixed_m_n")
 
     def cutoff(self, n: int) -> float:
-        """The m_n in force at sample size n (fixed override or choose_mn)."""
+        """The m_n in force at sample size n: fixed_m_n (finite, >= 0) when
+        given, else the bias-variance cutoff n^{1 / (2 s' + d)} with the s' of
+        generic_alpha("linear")."""
         if self.fixed_m_n is not None:
             return self.fixed_m_n
-        return choose_mn(self.smoothness, n)
+        _, sp = _linear_smoothness(self.smoothness)
+        return float(n) ** (1.0 / (2.0 * sp + self.smoothness.d))
 
     @property
     def model(self) -> str:
@@ -272,22 +271,13 @@ def _loss(estimate, truth, truth_side, p, filt, depth) -> float:
     return lp_mean(GridSignal(res, diff), filt, res + SYNTHESIS_PAD - 1, p)
 
 
-def _projection(spec, n):
-    weights = projection_weights(spec.cutoff(n))
+def _linear(order, spec, n):
+    weights = linear_weights(spec.cutoff(n), order)
     return max(weights, default=0), lambda y: linear_estimate(y, weights)
 
 
-def _pinsker(spec, n):
-    weights = pinsker_weights(math.log2(max(spec.cutoff(n), 1.0)), spec.pinsker_order)
-    return max(weights, default=0), lambda y: linear_estimate(y, weights)
-
-
-def _threshold(mode, spec, n):
-    return noise_depth(n), lambda y: threshold_estimate(y, n, spec.kappa, mode)
-
-
-def _density_threshold(spec, n):
-    return noise_depth(n), lambda beta_hat: density_threshold_estimate(beta_hat, n)
+def _threshold(mode, kappa, n):
+    return noise_depth(n), lambda y: threshold_estimate(y, n, kappa, mode)
 
 
 class EstimatorKind(NamedTuple):
@@ -296,8 +286,11 @@ class EstimatorKind(NamedTuple):
     estimate), where estimate maps an observed coefficient tree to the
     estimate tree and read_depth >= 0 is the deepest level it reads (the
     estimate holds no deeper level), and params, the EstimatorSpec parameters
-    besides kind and smoothness that it reads.  The rules look the estimators
-    up when called, so a wrapped estimator is the one that runs."""
+    besides kind and smoothness that it reads.  Each family has one rule:
+    _linear(order, ...) (order math.inf is projection) and _threshold(mode,
+    kappa, ...); an entry passes the values its kind fixes and those it reads
+    from the spec.  The rules look the estimators up when called, so a
+    wrapped estimator is the one that runs."""
 
     model: str
     family: str
@@ -306,14 +299,19 @@ class EstimatorKind(NamedTuple):
 
 
 ESTIMATOR_KINDS = {
-    "projection": EstimatorKind("sequence", "linear", _projection, ("fixed_m_n",)),
-    "pinsker": EstimatorKind("sequence", "linear", _pinsker, ("fixed_m_n", "pinsker_order")),
-    "threshold_hard": EstimatorKind("sequence", "threshold", partial(_threshold, "hard"),
-                                    ("kappa",)),
-    "threshold_soft": EstimatorKind("sequence", "threshold", partial(_threshold, "soft"),
-                                    ("kappa",)),
-    "density_linear": EstimatorKind("density", "linear", _projection, ("fixed_m_n",)),
-    "density_threshold": EstimatorKind("density", "threshold", _density_threshold, ()),
+    "projection": EstimatorKind("sequence", "linear",
+                                lambda spec, n: _linear(math.inf, spec, n), ("fixed_m_n",)),
+    "pinsker": EstimatorKind("sequence", "linear",
+                             lambda spec, n: _linear(spec.pinsker_order, spec, n),
+                             ("fixed_m_n", "pinsker_order")),
+    "threshold_hard": EstimatorKind("sequence", "threshold",
+                                    lambda spec, n: _threshold("hard", spec.kappa, n), ("kappa",)),
+    "threshold_soft": EstimatorKind("sequence", "threshold",
+                                    lambda spec, n: _threshold("soft", spec.kappa, n), ("kappa",)),
+    "density_linear": EstimatorKind("density", "linear",
+                                    lambda spec, n: _linear(math.inf, spec, n), ("fixed_m_n",)),
+    "density_threshold": EstimatorKind("density", "threshold",
+                                       lambda spec, n: _threshold("hard", 1.0, n), ()),
 }
 
 

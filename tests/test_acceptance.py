@@ -17,10 +17,10 @@ import pytest
 
 from waverates.cli import validate_config, run
 from waverates.dyadic import CoefficientTree
-from waverates.estimators import choose_mn
 from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from waverates.models import DensitySampler, empirical_coefficients
 from waverates.rates import (
+    ESTIMATOR_KINDS,
     EstimatorSpec,
     fit_slope,
     generic_alpha,
@@ -158,7 +158,8 @@ def test_criterion_6_closed_form_gaussian_risk():
 
 def test_criterion_7_maxiset_bound_stability(sparse_linear_table):
     s_prime_p = (1.2 - 1.0 + 0.25) * 4.0
-    products = [row.empirical_risk * choose_mn(SPARSE, row.n) ** s_prime_p
+    cutoff = EstimatorSpec("projection", smoothness=SPARSE).cutoff
+    products = [row.empirical_risk * cutoff(row.n) ** s_prime_p
                 for row in sparse_linear_table.rows]
     ratio = max(products) / min(products)
     ok = report("7.linear_bound_stability", ratio <= 3.0, ratio, 1.0, 3.0)
@@ -247,11 +248,16 @@ def test_criterion_10_density_model():
 # -- estimator kinds without a demo config of their own -------------------------
 
 
-@pytest.mark.parametrize("config_name,estimator", [
-    ("dense_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
-    ("sparse_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
-    ("density_threshold_rate", {"kind": "density_linear"}),
-], ids=["threshold_soft_dense", "threshold_soft_sparse", "density_linear"])
+OTHER_KINDS = {
+    "threshold_soft_dense": ("dense_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
+    "threshold_soft_sparse": ("sparse_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
+    "density_linear": ("density_threshold_rate", {"kind": "density_linear"}),
+    "pinsker_dense": ("dense_threshold_rate", {"kind": "pinsker"}),
+    "pinsker_sparse": ("sparse_threshold_rate", {"kind": "pinsker"}),
+}
+
+
+@pytest.mark.parametrize("config_name,estimator", OTHER_KINDS.values(), ids=OTHER_KINDS)
 def test_criterion_11_other_estimator_kinds(config_name, estimator, tmp_path):
     # the demo config with only the estimator swapped, at the config's own tolerances
     raw = json.loads((DEMO_CONFIGS / f"{config_name}.json").read_text())
@@ -261,3 +267,11 @@ def test_criterion_11_other_estimator_kinds(config_name, estimator, tmp_path):
         report(f"11.{estimator['kind']}.{config_name}.{v['criterion']}", v["pass"],
                v["measured"], v["expected"], v["tolerance"])
     assert all(v["pass"] for v in verdicts)
+
+
+def test_every_estimator_kind_has_a_verdict():
+    # a kind that neither a demo config nor criterion 11 runs has no verdict
+    demos = [validate_config(path.read_text()) for path in DEMO_CONFIGS.glob("*.json")]
+    kinds = {config.estimator_spec["kind"] for config in demos if config.estimator_spec}
+    kinds |= {estimator["kind"] for _, estimator in OTHER_KINDS.values()}
+    assert kinds == set(ESTIMATOR_KINDS)

@@ -24,6 +24,10 @@ from waverates.cli import (
 )
 from waverates.generic import GenericFunctionSpec, build_g
 
+ROOT = Path(__file__).resolve().parent.parent
+DENSITY_WORKLOAD = json.loads((ROOT / "perfbench" / "workloads" / "density_threshold.json")
+                              .read_text())
+
 
 def rate_config(**overrides):
     cfg = {
@@ -198,16 +202,19 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert "witness.csv holds 0 rows" in err
 
 
-def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
-    # validates, but the truth's density goes negative: the run fails before any table
-    workload = Path(__file__).parent.parent / "perfbench" / "workloads" / "density_threshold.json"
-    raw = json.loads(workload.read_text())
-    raw["truth_spec"]["base_amplitude"] = 40
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    # validates, then the run's sampler build fails before any table
+    class Refused:
+        @staticmethod
+        def from_tree(tree, filt):
+            raise ValueError("sampler refused")
+
+    monkeypatch.setattr("waverates.rates.DensitySampler", Refused)  # validate's is untouched
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
+    cfg_path.write_text(json.dumps(DENSITY_WORKLOAD))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL_ERROR
-    assert "negative mass" in capsys.readouterr().err
+    assert "ValueError: sampler refused" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -533,6 +540,19 @@ REJECTED = {
     "infinite_alpha_tolerance": (_rate(tolerances={"alpha": "inf"}), "tolerances.alpha"),
     "infinite_base_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": "inf"}),
                                 "truth_spec.base_amplitude"),
+    # the run samples a density truth's law: one it cannot sample exited 102 there
+    "density_negative_mass": (dict(DENSITY_WORKLOAD, truth_spec={
+        **DENSITY_WORKLOAD["truth_spec"], "base_amplitude": 40}),
+        "truth_spec: density has negative mass 1.12 > 0.0001"),
+    # deeper than MAX_DEPTH = 24: these tried to allocate 2^40 or 2^25 doubles
+    "tree_file_too_deep": (_rate(truth_spec={"kind": "explicit_tree_file", "path": "t.csv"}),
+                           "t.csv: j_max must lie in [0, 24], got 40"),
+    "j_max_too_deep": (_rate(j_max=40, truth_spec={"kind": "custom_bump"}),
+                       "j_max must lie in [1, 24], got 40"),
+    "scaling_j_max_too_deep": (dict(SCALING, j_max=40), "j_max must lie in [1, 24], got 40"),
+    "density_grid_too_fine": (dict(DENSITY_WORKLOAD, j_max=17),
+                              "truth_spec: density grid of 2^25 cells is finer than 2^24: "
+                              "j_max must be <= 16"),
 }
 TREE_FILES = {
     "tree_file_not_a_tree": "j,k,value\n1,0,1.0\n",
@@ -546,6 +566,7 @@ TREE_FILES = {
                                   "j,k,value\n1,0,1.0\n",
     "tree_file_repeated_position": "# coefficient-tree,d=1,j_max=4,scaling=0.0\n"
                                    "j,k,value\n1,0,1.0\n1,0,2.0\n",
+    "tree_file_too_deep": "# coefficient-tree,d=1,j_max=40,scaling=0.0\nj,k,value\n40,0,1.0\n",
 }
 
 

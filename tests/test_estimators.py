@@ -5,16 +5,14 @@ import pytest
 
 from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
-    choose_mn,
-    density_threshold_estimate,
     linear_estimate,
+    linear_weights,
     noise_depth,
-    pinsker_weights,
-    projection_weights,
     threshold_estimate,
     universal_threshold,
 )
 from waverates.models import simulate_sequence
+from waverates.rates import ESTIMATOR_KINDS, EstimatorSpec
 from waverates.spaces import SmoothnessParams
 from waverates.truths import shell_tree
 
@@ -26,20 +24,24 @@ def observation(seed=0, n=1024, j_max=6, theta=None):
 
 def test_weight_profile_validation():
     for bad in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="m_n must be a finite number >= 0"):
-            projection_weights(bad)
-        with pytest.raises(ValueError, match="m_n must be a finite number >= 0"):
-            pinsker_weights(bad)
-    with pytest.raises(ValueError, match="pinsker_order must be positive"):
-        pinsker_weights(4.0, order=0.0)
-    assert projection_weights(4.0) == {0: 1.0, 1: 1.0}  # keep 2^j < 4
-    assert projection_weights(1.0) == projection_weights(0.0) == pinsker_weights(0.0) == {}
+        for order in (math.inf, 2.0):
+            with pytest.raises(ValueError, match="m_n must be a finite number >= 0"):
+                linear_weights(bad, order)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="order must be positive"):
+            linear_weights(4.0, order=bad)
+    assert linear_weights(4.0) == {0: 1.0, 1: 1.0}  # projection: keep 2^j < 4
+    assert linear_weights(1.0) == linear_weights(0.0) == linear_weights(0.0, 2.0) == {}
 
 
 def test_pinsker_weights_hand_value():
-    w = pinsker_weights(4.0, order=2.0)
-    assert w == {0: 1.0, 1: 0.9375, 2: 0.75, 3: 0.4375}  # level 4 and above weigh 0
-    assert pinsker_weights(2.5, order=1.0) == {0: 1.0, 1: 0.6, 2: 1.0 - 2 / 2.5}
+    # 1 - (2^j / m_n)^order on the levels with 2^j < m_n: the frequency of level j is 2^j
+    assert linear_weights(4.0, order=2.0) == {0: 0.9375, 1: 0.75}  # 2^2 = m_n weighs 0
+    assert linear_weights(10.0, order=1.0) == {0: 1.0 - 1 / 10, 1: 1.0 - 2 / 10,
+                                               2: 1.0 - 4 / 10, 3: 1.0 - 8 / 10}
+    # projection is the order -> inf limit, on the same levels
+    assert linear_weights(10.0, order=200.0) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0 - 0.8**200}
+    assert linear_weights(10.0, order=math.inf) == dict.fromkeys(range(4), 1.0)
 
 
 def test_linear_estimate_identity_and_zero():
@@ -49,18 +51,9 @@ def test_linear_estimate_identity_and_zero():
         assert np.array_equal(est.level(j), obs.y.level(j))
     half = linear_estimate(obs.y, {2: 0.5, 5: 0.0})
     assert sorted(half.levels) == [2] and np.array_equal(half.level(2), 0.5 * obs.y.level(2))
-    killed = linear_estimate(obs.y, projection_weights(0.0))
+    killed = linear_estimate(obs.y, linear_weights(0.0))
     assert killed.wavelet_energy() == 0.0
     assert killed.scaling == obs.y.scaling  # scaling passes through
-
-
-def test_choose_mn_branches():
-    dense = SmoothnessParams(s=2, r=2, p=2, d=1)
-    assert abs(choose_mn(dense, 2**10) - 4.0) < 1e-12  # n^{1/5}
-    sparse = SmoothnessParams(s=1.2, r=1, p=4, d=1)
-    assert abs(choose_mn(sparse, 2**19) - 2.0**10) < 1e-9  # n^{1/1.9}
-    boundary = SmoothnessParams(s=2, r=2, p=2, d=1)  # r = p: dense branch
-    assert choose_mn(boundary, 32) == 32.0 ** (1.0 / 5.0)
 
 
 def test_universal_threshold_and_depth():
@@ -139,12 +132,12 @@ def test_threshold_config_validation():
 def test_density_linear_projection_truncation():
     # the density linear kind projects the empirical coefficients: weights 1 or 0
     beta = shell_tree(2, 2, 1, 6, 1.0)
-    full = linear_estimate(beta, projection_weights(2.0**7))
+    full = linear_estimate(beta, linear_weights(2.0**7))
     for j in range(7):
         assert np.array_equal(full.level(j), beta.level(j))
-    cut = linear_estimate(beta, projection_weights(8.0))  # keeps 2^j < 8
+    cut = linear_estimate(beta, linear_weights(8.0))  # keeps 2^j < 8
     assert sorted(cut.levels) == [0, 1, 2] and cut.j_max == 6
-    only_scaling = linear_estimate(beta, projection_weights(1.0))
+    only_scaling = linear_estimate(beta, linear_weights(1.0))
     assert only_scaling.wavelet_energy() == 0.0 and only_scaling.scaling == beta.scaling
 
 
@@ -163,23 +156,29 @@ def test_density_linear_truncation_reduces_risk_on_uniform():
         s = sampler.sample(n, seed=np.random.SeedSequence((17, rep)))
         beta = empirical_coefficients(s, filt, 6)
         risk_full += (beta - truth).total_energy()
-        risk_cut += (linear_estimate(beta, projection_weights(8.0)) - truth).total_energy()
+        risk_cut += (linear_estimate(beta, linear_weights(8.0)) - truth).total_energy()
     assert risk_cut < risk_full
 
 
+KIND = "density_threshold"
+
+
 def test_density_threshold_estimate():
+    # the density_threshold kind hard-thresholds at t_n (kappa 1) on levels j <= j(n)
     t = universal_threshold(2**10)
+    read, estimate = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), 2**10)
+    assert read == noise_depth(2**10) == 8
     beta = CoefficientTree.from_items(
         1, 9, 1.0, [((1, 0), 2 * t), ((2, 1), 0.5 * t), ((9, 0), 5 * t)]
     )
-    est = density_threshold_estimate(beta, 2**10)
+    est = estimate(beta)
     assert est.get(1, 0) == 2 * t  # survivor kept unchanged
     assert est.get(2, 1) == 0.0  # below threshold
     assert est.get(9, 0) == 0.0  # above j(n) = 8
     assert est.scaling == 1.0
-    # strictly-at-threshold coefficient is dropped (strict inequality)
+    # a coefficient exactly at the threshold is kept, as by the hard rule
     beta2 = CoefficientTree.from_items(1, 3, 0.0, [((1, 0), t)])
-    assert density_threshold_estimate(beta2, 2**10).wavelet_energy() == 0.0
+    assert estimate(beta2).get(1, 0) == t
 
 
 def _kept(y, est):
@@ -206,8 +205,8 @@ def _is_elitist(y, kept, lam):
 def test_classify_projection_is_limited():
     params = SmoothnessParams(s=2, r=2, p=2, d=1)
     obs = observation(n=1024)
-    m_n = choose_mn(params, obs.n)
-    kept = _kept(obs.y, linear_estimate(obs.y, projection_weights(m_n)))
+    m_n = EstimatorSpec("projection", smoothness=params).cutoff(obs.n)
+    kept = _kept(obs.y, linear_estimate(obs.y, linear_weights(m_n)))
     assert _is_limited(kept, 2.0 ** (-math.ceil(math.log2(m_n))))
     # not elitist once the magnitude bound exceeds every kept observation
     lam_big = max(np.max(np.abs(obs.y.level(j))) for j in range(2)) + 1.0
@@ -255,18 +254,17 @@ def test_threshold_rules_match_reference_loops(mode):
         levels[j][: len(edges[: 1 << j])] = edges[: 1 << j]
     levels[2] = np.array([lam * 0.5, -lam * 0.25, 0.0, np.nextafter(lam, 0.0)])  # all dropped
     tree = CoefficientTree(d=1, j_max=j_cut + 2, scaling=0.3, levels=levels)
-    if mode == "density":
-        est = density_threshold_estimate(tree, n)
-        want = _reference_threshold(tree, j_cut, lambda v: v if abs(v) > lam else 0.0)
-        assert est.get(3, 1) == 0.0 and est.get(3, 0) == 0.0  # |beta| = t_n is dropped
+    if mode == "density":  # the density_threshold kind: hard at kappa = 1
+        _, estimate = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), n)
+        est = estimate(tree)
     else:
         est = threshold_estimate(tree, n, kappa=2.0, mode=mode)
-        if mode == "hard":
-            rule = lambda v: v if abs(v) >= lam else 0.0
-            assert est.get(3, 0) == lam and est.get(3, 1) == -lam  # |y| = kappa t_n is kept
-        else:
-            rule = lambda v: math.copysign(max(abs(v) - lam, 0.0), v) if v else 0.0
-        want = _reference_threshold(tree, j_cut, rule)
+    if mode == "soft":
+        rule = lambda v: math.copysign(max(abs(v) - lam, 0.0), v) if v else 0.0
+    else:
+        rule = lambda v: v if abs(v) >= lam else 0.0
+        assert est.get(3, 0) == lam and est.get(3, 1) == -lam  # |y| = kappa t_n is kept
+    want = _reference_threshold(tree, j_cut, rule)
     assert est.scaling == 0.3 and est.j_max == tree.j_max
     assert sorted(est.levels) == sorted(want)
     assert 2 not in want and max(want) <= j_cut

@@ -10,13 +10,7 @@ import pytest
 
 from waverates import models, rates
 from waverates.dyadic import CoefficientTree
-from waverates.estimators import (
-    density_threshold_estimate,
-    linear_estimate,
-    noise_depth,
-    projection_weights,
-    threshold_estimate,
-)
+from waverates.estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
@@ -260,10 +254,10 @@ def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
             if est.kind == "projection":
                 m_n = est.cutoff(n)
                 estimate = linear_estimate(y, {j: 1.0 for j in range(64) if 2.0**j < m_n})
-            elif est.kind == "pinsker":
-                m_n = math.log2(est.cutoff(n))
-                estimate = linear_estimate(y, {j: max(0.0, 1.0 - (j / m_n) ** est.pinsker_order)
-                                               for j in range(64)})
+            elif est.kind == "pinsker":  # the frequency of level j is 2^j
+                m_n = est.cutoff(n)
+                estimate = linear_estimate(y, {j: 1.0 - (2.0**j / m_n) ** est.pinsker_order
+                                               for j in range(64) if 2.0**j < m_n})
             elif est.kind in ("threshold_hard", "threshold_soft"):
                 estimate = threshold_estimate(y, n, est.kappa, est.kind.split("_")[1])
             elif est.kind == "density_linear":
@@ -276,8 +270,8 @@ def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
                     j: level for j, level in beta.levels.items() if j <= cutoff})
             else:
                 depth = j_max if j_max is not None else noise_depth(n)
-                estimate = density_threshold_estimate(
-                    empirical_coefficients(sample, filt, depth), n)
+                estimate = threshold_estimate(empirical_coefficients(sample, filt, depth), n,
+                                              1.0, "hard")
             diff = estimate - truth
             if p == 2.0:
                 losses.append(diff.total_energy())
@@ -376,12 +370,23 @@ def test_projection_read_depth_is_its_last_kept_level():
     depth = {}
     for m in ms:
         kept = [j for j in range(64) if 2.0**j < m]
-        assert projection_weights(m) == dict.fromkeys(kept, 1.0)
-        for kind in ("projection", "density_linear"):
+        assert linear_weights(m) == dict.fromkeys(kept, 1.0)
+        for kind in ("projection", "density_linear", "pinsker"):
             depth[m], _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, fixed_m_n=m), 1024)
             assert depth[m] == max(kept, default=0)
     assert depth[1.0] == depth[np.nextafter(1.0, 2.0)] == 0
     assert depth[8.0] == 2 and depth[np.nextafter(8.0, 9.0)] == 3
+
+
+def test_linear_cutoff_branches():
+    # m_n = n^{1 / (2 s' + d)}, with generic_alpha("linear")'s s' on each branch
+    assert abs(EstimatorSpec("projection", smoothness=DENSE).cutoff(2**10) - 4.0) < 1e-12
+    sparse = EstimatorSpec("pinsker", smoothness=SPARSE)
+    assert abs(sparse.cutoff(2**19) - 2.0**10) < 1e-9  # s' = 0.45: n^{1/1.9}
+    s, r, p, d = 1.2, 1.0, 4.0, 1
+    assert sparse.cutoff(777) == 777.0 ** (1.0 / (2.0 * (s - d / r + d / p) + d))
+    assert EstimatorSpec("density_linear", smoothness=DENSE).cutoff(32) == 32.0 ** (1.0 / 5.0)
+    assert EstimatorSpec("projection", smoothness=DENSE, fixed_m_n=3.0).cutoff(32) == 3.0
 
 
 def test_estimator_spec_checks_its_numbers():
