@@ -30,7 +30,9 @@ Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
 ``TRUTHS``.  ``run`` writes the tables, then derives the verdicts from the
 written files exactly as ``report`` does.  Unknown keys are rejected at every
 level: the top level holds the ``ExperimentConfig`` fields the kind reads, and
-a Monte Carlo kind builds its ``EstimatorSpec`` and runs its truth's check.  Exit
+a Monte Carlo kind builds its ``EstimatorSpec`` and its truth with the run's
+builders, and the other kinds compute their tables, so that ``validate``
+refuses what ``run`` would fail on.  Exit
 status: the count of failed verdicts, capped at 100; EXIT_CONFIG_ERROR (101)
 for an invalid or unreadable config, flag or run directory (one ``error:``
 line on stderr); EXIT_INTERNAL_ERROR (102) otherwise (traceback on stderr).
@@ -44,6 +46,7 @@ import json
 import math
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from inspect import Parameter, signature
 from pathlib import Path
@@ -65,20 +68,8 @@ from .rates import (
     minimax_rate,
     monte_carlo_risk,
 )
-from .spaces import (
-    SmoothnessParams,
-    check_scaling_window,
-    empirical_scaling,
-    theoretical_scaling,
-)
-from .truths import (
-    bump_tree,
-    check_bump,
-    check_probe_line,
-    density_truth_tree,
-    probe_line_truth,
-    uniform_density_tree,
-)
+from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
+from .truths import bump_tree, density_truth_tree, probe_line_truth, uniform_density_tree
 from .wavelet import get_filter
 
 EXIT_CONFIG_ERROR = 101
@@ -87,6 +78,15 @@ EXIT_INTERNAL_ERROR = 102
 
 class ConfigError(ValueError):
     """A config failed validation; the message names the offending field."""
+
+
+@contextmanager
+def _naming(key: str, errors=(ValueError,)):
+    """Turn the errors raised inside into a ConfigError naming key."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,13 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 
     The top level holds the keys the kind's EXPERIMENTS entry reads; a Monte
     Carlo kind's sections fill in the EstimatorSpec fields its estimator reads
-    (kind threshold_hard) and the TRUTHS args (kind generic_g), and every kind
-    its tolerances.  Defaults fix each value's type.  Rejects unknown keys at
-    every level, values of the wrong type and every value the run cannot use:
-    s <= d/r, the kind's own fields (EXPERIMENTS' check) and, for
-    a Monte Carlo kind, among others an unfit estimator, truth or filter,
-    replicates < 2 and truth parameters the builder refuses (TRUTHS' check).
+    (kind threshold_hard) and the keyword parameters of its TRUTHS builder
+    (kind generic_g), and every kind its tolerances.  Defaults fix each value's
+    type.  Rejects unknown keys at every level, values of the wrong type and
+    every value the run cannot use: s <= d/r, the kind's own fields
+    (EXPERIMENTS' check) and, for a Monte Carlo kind, among others an unfit
+    estimator or filter, replicates < 2 and a truth its builder refuses: the
+    truth is built, and a density truth's sampler too, as the run builds them.
     """
     raw = _parse_object(raw_text)
     try:
@@ -237,7 +238,8 @@ def _validated(raw: dict) -> ExperimentConfig:
 
 
 def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
-    """A Monte Carlo kind's config, its fields checked and its two specs parsed."""
+    """A Monte Carlo kind's config, its fields checked, its two specs parsed and
+    its truth built as the run builds it."""
     kind, sm = config.experiment_kind, config.smoothness
     spec = dict(config.estimator_spec)
     estimator_kind = _parse("str", spec.pop("kind", "threshold_hard"), "estimator_spec.kind")
@@ -278,58 +280,53 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     truth = TRUTHS[truth_kind]
     if truth.model not in (None, model):
         raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
-    _, *keys = signature(truth.args).parameters.values()
+    _, *keys = signature(truth.build).parameters.values()
     read = {key.name: key.default for key in keys}
     if kind == "probe_sweep":  # the sweep sets the line's alpha from probe_alphas
         read.pop("probe_alpha", None)
     spec = _parse_section(spec, read, "truth_spec", f"truth {truth_kind!r} of {kind}")
     config = replace(config, truth_spec={"kind": truth_kind, **spec})
-    try:
-        truth.check(**truth.args(config, **spec))
+    with _naming("truth_spec", (TypeError, ValueError, OSError)):
+        tree = _truth(config)
         if model == "density":  # the run samples the truth's law: build its sampler
-            DensitySampler.from_tree(_truth(config), filt)
-    except (TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"truth_spec: {exc}") from None
+            DensitySampler.from_tree(tree, filt)
     return config
 
 
-def _probe_line_args(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
+def _generic_g(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness
-    return dict(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max, base_amplitude=base_amplitude,
-                alpha=probe_alpha, dither=dither, j_min=j_min)
+    return probe_line_truth(sm.s, sm.r, sm.d, config.j_max, base_amplitude, probe_alpha,
+                            dither, j_min)
 
 
 class Truth(NamedTuple):
-    """A truth kind.  args(config, **spec), whose keyword parameters are the
-    kind's truth_spec keys with defaults that fix their types (a key without one
-    is required text), gives the keyword arguments of build(...) -> tree and of
-    check(...), which raises ValueError wherever build would, without building.
+    """A truth kind.  build(config, **spec) -> tree, whose keyword parameters
+    are the kind's truth_spec keys with defaults that fix their types (a key
+    without one is required text), raises ValueError or OSError for a truth it
+    cannot build; validate builds every truth with it, as the run does.
     model: the Monte Carlo model the kind requires (None: any); wavelet_part: a
     density experiment estimates 1 + tree."""
 
     model: str | None
-    args: Callable
     build: Callable
-    check: Callable = lambda **args: None
     wavelet_part: bool = True
 
 
 TRUTHS = {
-    "generic_g": Truth(None, _probe_line_args, probe_line_truth, check_probe_line),
-    "explicit_tree_file": Truth(None, lambda config, path: dict(path=path), recordio.read_tree,
-                                recordio.read_tree, wavelet_part=False),
-    "uniform_density": Truth("density", lambda config: {"j_max": config.j_max},
-                             uniform_density_tree, wavelet_part=False),
-    "custom_bump": Truth(None, lambda config, level=1, position=0, amplitude=1.0: dict(
-        d=config.smoothness.d, j_max=config.j_max, level=level, position=position,
-        amplitude=amplitude), bump_tree, check_bump),
+    "generic_g": Truth(None, _generic_g),
+    "explicit_tree_file": Truth(None, lambda config, path: recordio.read_tree(path),
+                                wavelet_part=False),
+    "uniform_density": Truth("density", lambda config: uniform_density_tree(config.j_max),
+                             wavelet_part=False),
+    "custom_bump": Truth(None, lambda config, level=1, position=0, amplitude=1.0: bump_tree(
+        config.smoothness.d, config.j_max, level, position, amplitude)),
 }
 
 
 def _truth(config: ExperimentConfig, **overrides) -> CoefficientTree:
     spec = {**config.truth_spec, **overrides}
     truth = TRUTHS[spec.pop("kind")]
-    tree = truth.build(**truth.args(config, **spec))
+    tree = truth.build(config, **spec)
     density = EXPERIMENTS[config.experiment_kind].model == "density"
     return density_truth_tree(tree) if density and truth.wavelet_part else tree
 
@@ -430,17 +427,14 @@ def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
 def _scaling_tables(config: ExperimentConfig):
     sm = config.smoothness
     g = build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
-    estimates = [empirical_scaling(g, p, config.scaling_window) for p in config.scaling_p]
-    rows = [(p, e.estimate, theoretical_scaling(sm.s, sm.r, p, sm.d), e.residual)
-            for p, e in zip(config.scaling_p, estimates)]
+    rows = []
+    for p in config.scaling_p:
+        with _naming("scaling_p"):  # first: the estimate divides by p
+            theory = theoretical_scaling(sm.s, sm.r, p, sm.d)
+        with _naming("scaling_window"):
+            estimate = empirical_scaling(g, p, config.scaling_window)
+        rows.append((p, estimate.estimate, theory, estimate.residual))
     return [("scaling.csv", ["p", "estimate", "theory", "residual"], rows)]
-
-
-def _scaling_check(config: ExperimentConfig) -> None:
-    try:
-        check_scaling_window(config.scaling_window, config.j_max)
-    except ValueError as exc:
-        raise ConfigError(f"scaling_window: {exc}") from None
 
 
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -467,14 +461,12 @@ def _witness_check(config: ExperimentConfig) -> None:
     t_lo, t_hi = config.witness_t_range
     if not 1 <= t_lo < t_hi:
         raise ConfigError(f"witness_t_range must satisfy 1 <= lo < hi, got {[t_lo, t_hi]}")
-    try:
+    with _naming("witness_eps"):
         witness = _witness(config)
-    except ValueError as exc:
-        raise ConfigError(f"witness_eps: {exc}") from None
-    zero = [t for t, bound in witness if t >= t_lo and not bound > 0.0]
-    if zero:  # the verdict fits log2 of the bound
-        raise ConfigError(f"witness_t_range: the witness bound is 0 at t = {zero[0]}; "
-                          "the range must hold positive bounds only")
+    bad = [(t, bound) for t, bound in witness if t >= t_lo and not 0.0 < bound < math.inf]
+    if bad:  # the verdict fits log2 of the bound
+        raise ConfigError(f"witness_t_range: the witness bound is {bad[0][1]} at t = "
+                          f"{bad[0][0]}; the range must hold positive finite bounds only")
 
 
 def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -496,7 +488,9 @@ class Experiment(NamedTuple):
     its own top-level keys (reads adds every kind's and its model's), its
     tolerance keys with their defaults, tables(config) -> [(file name, columns,
     rows)], verdicts(config, read), where read(file name) returns a stored table's
-    rows as floats, and check(config), which rejects its own unusable values."""
+    rows as floats, and check(config), which rejects its own unusable values:
+    a kind without a Monte Carlo model computes what its tables hold there, as
+    the run does."""
 
     model: str | None
     keys: tuple[str, ...]
@@ -520,7 +514,7 @@ EXPERIMENTS = {
                            _rate_fit_verdicts),
     "scaling_function": Experiment(None, ("j_max", "scaling_p", "scaling_window"),
                                    {"scaling": 0.1}, _scaling_tables, _scaling_verdicts,
-                                   _scaling_check),
+                                   _scaling_tables),
     "weak_exclusion": Experiment(None, ("witness_eps", "witness_t_range"), {"witness_rel": 0.2},
                                  _witness_tables, _witness_verdicts, _witness_check),
     "probe_sweep": Experiment("sequence", ("probe_alphas",), {"spread": 0.05},

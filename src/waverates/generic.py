@@ -10,6 +10,7 @@ certifies that the construction saturates the weak scaling function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ class GenericFunctionSpec:
         return 1.0 + 3.0 / self.r
 
 
+@functools.lru_cache(maxsize=1)  # trees are immutable: the truths of one config share one
 def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
     """Coefficient tree of the saturating function.
 
@@ -68,6 +70,7 @@ def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
     return CoefficientTree(d=d, j_max=spec.j_max, scaling=0.0, levels=levels)
 
 
+@np.errstate(over="ignore")
 def weak_exclusion_witness(
     s: float,
     r: float,
@@ -91,6 +94,7 @@ def weak_exclusion_witness(
     The exceedance counts reduce to geometric sums over reduced scales, so no
     per-position enumeration is needed.  For valid eps the sequence grows like
     2^{eps p t}, which is the quantitative content of the exclusion argument.
+    A bound too large for a double is inf (at s = r = p = 2, from t = 2560 on).
     """
     alpha_tilde = generic_alpha("threshold", SmoothnessParams(s, r, p, d)).alpha_tilde
     if not 0.0 < eps < 1.0 - alpha_tilde:

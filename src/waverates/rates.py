@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dyadic import CoefficientTree
+from .dyadic import MAX_DEPTH, CoefficientTree
 from .estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams
@@ -180,7 +180,8 @@ class EstimatorSpec:
     parameters it reads.  The linear kinds weigh the levels below their
     cutoff m_n (see cutoff; m_n <= 1 keeps no level), pinsker with weights of
     order pinsker_order; the sequence thresholds use kappa.  kappa and
-    pinsker_order must be numbers, finite and > 0.
+    pinsker_order must be numbers, finite and > 0; fixed_m_n a number in
+    [0, 2^(MAX_DEPTH + 1)], as a larger cutoff adds only levels no tree holds.
     """
 
     kind: str
@@ -195,15 +196,16 @@ class EstimatorSpec:
         for name, value in (("kappa", self.kappa), ("pinsker_order", self.pinsker_order)):
             if not (isinstance(value, Real) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        m_n = self.fixed_m_n
-        if m_n is not None and not (isinstance(m_n, Real) and 0.0 <= m_n < math.inf):
-            raise ValueError(f"fixed_m_n must be a finite number >= 0, got {m_n!r}")
+        m_n, top = self.fixed_m_n, 2.0 ** (MAX_DEPTH + 1)
+        if m_n is not None and not (isinstance(m_n, Real) and 0.0 <= m_n <= top):
+            raise ValueError(f"fixed_m_n must be a finite number in [0, 2^{MAX_DEPTH + 1}], "
+                             f"got {m_n!r}")
         if self.family == "linear" and self.smoothness is None and self.fixed_m_n is None:
             raise ValueError(f"estimator {self.kind!r} needs smoothness parameters or fixed_m_n")
 
     def cutoff(self, n: int) -> float:
-        """The m_n in force at sample size n: fixed_m_n (finite, >= 0) when
-        given, else the bias-variance cutoff n^{1 / (2 s' + d)} with the s' of
+        """The m_n in force at sample size n: fixed_m_n when given, else the
+        bias-variance cutoff n^{1 / (2 s' + d)} with the s' of
         generic_alpha("linear")."""
         if self.fixed_m_n is not None:
             return self.fixed_m_n

@@ -18,7 +18,6 @@ __all__ = [
     "SmoothnessParams",
     "ScalingFunctionEstimate",
     "besov_norm",
-    "check_scaling_window",
     "empirical_scaling",
     "theoretical_scaling",
 ]
@@ -94,17 +93,6 @@ def besov_norm(tree: CoefficientTree, s: float, r: float, q: float = math.inf) -
     return abs(tree.scaling) + body
 
 
-def check_scaling_window(window: tuple[int, int], j_max: int) -> None:
-    """Reject a regression window empirical_scaling cannot fit on a depth-j_max tree."""
-    j_lo, j_hi = window
-    if j_hi - j_lo + 1 < 3:
-        raise ValueError("regression window must span at least 3 levels")
-    if j_lo < 1:
-        raise ValueError("regression window must start at level >= 1")
-    if j_hi > j_max:
-        raise ValueError(f"window top {j_hi} exceeds tree depth {j_max}")
-
-
 def empirical_scaling(
     tree: CoefficientTree, p: float, window: tuple[int, int]
 ) -> ScalingFunctionEstimate:
@@ -118,8 +106,13 @@ def empirical_scaling(
     finite window; the window must therefore start at level 1 or deeper.
     The scaling coefficient carries no scale information and is excluded.
     """
-    check_scaling_window(window, tree.j_max)
     j_lo, j_hi = window
+    if j_hi - j_lo + 1 < 3:
+        raise ValueError("regression window must span at least 3 levels")
+    if j_lo < 1:
+        raise ValueError("regression window must start at level >= 1")
+    if j_hi > tree.j_max:
+        raise ValueError(f"window top {j_hi} exceeds tree depth {tree.j_max}")
     d = tree.d
     js = np.arange(j_lo, j_hi + 1)
     sums = np.empty(len(js))

@@ -14,6 +14,8 @@ energies follow an exact power law and fitted slopes are clean at desk scale.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .dyadic import CoefficientTree, reduced_level_array
@@ -21,11 +23,8 @@ from .generic import GenericFunctionSpec, build_g
 
 __all__ = [
     "shell_tree",
-    "check_shell",
     "bump_tree",
-    "check_bump",
     "probe_line_truth",
-    "check_probe_line",
     "uniform_density_tree",
     "density_truth_tree",
 ]
@@ -34,17 +33,7 @@ __all__ = [
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def check_shell(s: float, r: float, d: int, j_max: int, dither: float = 0.0,
-                j_min: int = 0) -> None:
-    """Raise ValueError for the parameters shell_tree refuses; builds nothing."""
-    if s - d / r <= 0:
-        raise ValueError(f"need s > d/r, got s={s}, d/r={d / r}")
-    if dither < 0:
-        raise ValueError("dither must be non-negative")
-    if not 0 <= j_min <= j_max:
-        raise ValueError(f"j_min must lie in [0, {j_max}]")
-
-
+@functools.lru_cache(maxsize=1)  # trees are immutable: the truths of one config share one
 def shell_tree(
     s: float,
     r: float,
@@ -67,7 +56,12 @@ def shell_tree(
     (slope fits stop seeing level-granularity staircases) without moving any
     level energy, so projection risks are unchanged.
     """
-    check_shell(s, r, d, j_max, dither, j_min)
+    if s - d / r <= 0:
+        raise ValueError(f"need s > d/r, got s={s}, d/r={d / r}")
+    if dither < 0:
+        raise ValueError("dither must be non-negative")
+    if not 0 <= j_min <= j_max:
+        raise ValueError(f"j_min must lie in [0, {j_max}]")
     envelope = s - d / r + d / 2.0
     levels = {}
     for j in range(j_min, j_max + 1):
@@ -84,17 +78,12 @@ def shell_tree(
     return CoefficientTree(d=d, j_max=j_max, scaling=0.0, levels=levels)
 
 
-def check_bump(d: int, j_max: int, level: int, position: int, amplitude: float = 1.0) -> None:
-    """Raise ValueError for the arguments bump_tree refuses; builds nothing."""
+def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -> CoefficientTree:
+    """A single wavelet coefficient of the given amplitude."""
     if not 0 <= level <= j_max:
         raise ValueError(f"level {level} outside [0, {j_max}]")
     if not 0 <= position < 1 << level:
         raise ValueError(f"position {position} outside [0, 2^{level})")
-
-
-def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -> CoefficientTree:
-    """A single wavelet coefficient of the given amplitude."""
-    check_bump(d, j_max, level, position)
     return CoefficientTree.from_items(d, j_max, 0.0, [((level, position), amplitude)])
 
 
@@ -109,23 +98,12 @@ def probe_line_truth(
     j_min: int = 0,
 ) -> CoefficientTree:
     """A point of the probe line: alpha times the saturating tree plus the base
-    shell on levels j_min..j_max, which is not built when base_amplitude is 0."""
-    check_probe_line(s, r, d, j_max, base_amplitude, alpha, dither, j_min)
-    tree = alpha * build_g(GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max))
-    if base_amplitude != 0.0:
-        tree = tree + shell_tree(s, r, d, j_max, base_amplitude, dither, j_min)
-    return tree
-
-
-def check_probe_line(s: float, r: float, d: int, j_max: int, base_amplitude: float = 0.0,
-                     alpha: float = 0.0, dither: float = 0.0, j_min: int = 0) -> None:
-    """Raise ValueError for the arguments probe_line_truth refuses; builds nothing.
-
-    The base shell's dither and j_min are checked also when base_amplitude is
-    0 and no shell is built.
-    """
-    GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max)
-    check_shell(s, r, d, j_max, dither, j_min)
+    shell on levels j_min..j_max.  The shell is built, and so its dither and
+    j_min checked, also when base_amplitude is 0; it is then not added."""
+    spec = GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max)  # refuses a j_max too deep to build
+    shell = shell_tree(s, r, d, j_max, base_amplitude, dither, j_min)
+    tree = alpha * build_g(spec)
+    return tree + shell if base_amplitude != 0.0 else tree
 
 
 def uniform_density_tree(j_max: int) -> CoefficientTree:

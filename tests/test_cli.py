@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import json
 import math
@@ -15,6 +16,7 @@ from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
     EXPERIMENTS,
+    TRUTHS,
     ConfigError,
     _truth,
     main,
@@ -23,6 +25,7 @@ from waverates.cli import (
     validate_config,
 )
 from waverates.generic import GenericFunctionSpec, build_g
+from waverates.truths import bump_tree, shell_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSITY_WORKLOAD = json.loads((ROOT / "perfbench" / "workloads" / "density_threshold.json")
@@ -553,6 +556,18 @@ REJECTED = {
     "density_grid_too_fine": (dict(DENSITY_WORKLOAD, j_max=17),
                               "truth_spec: density grid of 2^25 cells is finer than 2^24: "
                               "j_max must be <= 16"),
+    # a cutoff above 2^25 adds only levels no tree holds: 1e308 overflowed in
+    # linear_weights, and 1e9 read level 29 of every density sample
+    "fixed_m_n_overflows": (_rate(estimator_spec={"kind": "projection", "fixed_m_n": 1e308}),
+                            "fixed_m_n must be a finite number in [0, 2^25]"),
+    "density_fixed_m_n_too_deep": (dict(DENSITY_WORKLOAD, estimator_spec={
+        "kind": "density_linear", "fixed_m_n": 1e9}), "fixed_m_n must be a finite number"),
+    # validate computes the scaling table as the run does, which refuses p <= 0
+    "zero_scaling_p": (dict(SCALING, scaling_p=[0.0]), "scaling_p: p must be positive"),
+    "negative_scaling_p": (dict(SCALING, scaling_p=[2.0, -2.0]), "scaling_p: p must be positive"),
+    # the bound overflows to inf from t = 2560 on; the run printed FAIL ... measured=nan
+    "infinite_witness_bound": (dict(WITNESS, witness_t_range=[10, 3000]),
+                               "witness_t_range: the witness bound is inf at t = 2560"),
 }
 TREE_FILES = {
     "tree_file_not_a_tree": "j,k,value\n1,0,1.0\n",
@@ -586,6 +601,41 @@ def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+# a config of each truth kind that validates
+TRUTH_CONFIGS = {
+    "generic_g": _rate(),
+    "explicit_tree_file": _rate(truth_spec={"kind": "explicit_tree_file", "path": "t.csv"}),
+    "uniform_density": dict(DENSITY_WORKLOAD, truth_spec={"kind": "uniform_density"}),
+    "custom_bump": _rate(truth_spec={"kind": "custom_bump", "level": 3}),
+}
+
+
+@pytest.mark.parametrize("kind", TRUTHS)
+def test_validate_builds_the_truth_with_the_runs_builder(kind, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    recordio.write_tree(bump_tree(1, 4, 2, 1, 0.5), "t.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps(TRUTH_CONFIGS[kind]))
+    assert main(["validate", "--config", "cfg.json"]) == 0
+    capsys.readouterr()
+
+    @functools.wraps(TRUTHS[kind].build)  # the wrapped signature still gives the schema
+    def refused(config, **spec):
+        raise ValueError("the builder refused")
+
+    monkeypatch.setitem(TRUTHS, kind, TRUTHS[kind]._replace(build=refused))
+    assert main(["validate", "--config", "cfg.json"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: truth_spec: the builder refused\n"
+
+
+def test_a_run_builds_one_g_and_one_shell(tmp_path):
+    # validate's truth and the four alphas' truths of a probe sweep share them
+    build_g.cache_clear()
+    shell_tree.cache_clear()
+    run_in(tmp_path / "out", sweep_config())
+    assert build_g.cache_info().misses == shell_tree.cache_info().misses == 1
+    assert build_g.cache_info().hits == shell_tree.cache_info().hits == 4
 
 
 NAN = float("nan")

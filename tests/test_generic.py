@@ -141,3 +141,7 @@ def test_probe_line_truth_without_base_builds_no_shell():
         got = probe_line_truth(2, 2, 1, 7, base_amplitude=0.0, alpha=alpha, dither=2.0)
         assert _same_bits(got, alpha * g)
         assert 0 not in got.levels  # g has no level 0; a zero shell would add one
+    # the zero shell is built all the same, so its dither and j_min stay checked
+    for kwargs, message in ((dict(dither=-1.0), "dither"), (dict(j_min=8), "j_min")):
+        with pytest.raises(ValueError, match=message):
+            probe_line_truth(2, 2, 1, 7, base_amplitude=0.0, alpha=0.7, **kwargs)

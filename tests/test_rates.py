@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from waverates import models, rates
-from waverates.dyadic import CoefficientTree
+from waverates.dyadic import MAX_DEPTH, CoefficientTree
 from waverates.estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
@@ -371,11 +371,16 @@ def test_projection_read_depth_is_its_last_kept_level():
     for m in ms:
         kept = [j for j in range(64) if 2.0**j < m]
         assert linear_weights(m) == dict.fromkeys(kept, 1.0)
+        if m > 2.0 ** (MAX_DEPTH + 1):  # a cutoff past the deepest level a tree holds
+            with pytest.raises(ValueError, match="fixed_m_n must be a finite number"):
+                EstimatorSpec("projection", fixed_m_n=m)
+            continue
         for kind in ("projection", "density_linear", "pinsker"):
             depth[m], _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, fixed_m_n=m), 1024)
             assert depth[m] == max(kept, default=0)
     assert depth[1.0] == depth[np.nextafter(1.0, 2.0)] == 0
     assert depth[8.0] == 2 and depth[np.nextafter(8.0, 9.0)] == 3
+    assert depth[2.0 ** (MAX_DEPTH + 1)] == MAX_DEPTH
 
 
 def test_linear_cutoff_branches():
