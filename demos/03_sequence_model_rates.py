@@ -22,7 +22,7 @@ N_GRID = [2**j for j in range(10, 17)]
 
 def experiment(name, params, truth, estimator):
     regime = generic_alpha(estimator.family, params)
-    # the estimator kind fixes the model: these are sequence observations
+    # monte_carlo_risk's default model: these are sequence observations
     (table,) = monte_carlo_risk((truth,), estimator, N_GRID, 24, params.p,
                                 master_seed=2024, threads=4)
     fit = fit_slope(table, regime.normalization)

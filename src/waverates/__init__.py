@@ -8,7 +8,7 @@ measures trees (Besov norms and scaling functions);
 ``generic`` builds the explicit saturating function; ``truths`` builds the
 experiments' truths; ``models`` simulates observations; ``estimators`` maps
 observed coefficient trees to estimates; ``rates`` holds the closed-form
-exponents and the risk engine, whose estimator kinds fix the model;
+exponents and the risk engine, whose caller names the model;
 ``cli`` orchestrates reproducible experiments from JSON configs.
 """
 

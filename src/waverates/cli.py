@@ -60,6 +60,7 @@ from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
 from .models import DensitySampler
 from .rates import (
     ESTIMATOR_KINDS,
+    MIN_FIT_ROWS,
     EstimatorSpec,
     RiskRow,
     RiskTable,
@@ -233,31 +234,33 @@ def _validated(raw: dict) -> ExperimentConfig:
         config = _with_model(config, experiment.model)
     config = replace(config, tolerances=_parse_section(
         config.tolerances, experiment.tolerances, "tolerances", f"experiment {kind!r}"))
+    for key, value in config.tolerances.items():  # distances >= 0; an R^2 floor in [0, 1]
+        top = 1.0 if key == "r_squared" else math.inf
+        if isinstance(value, float) and not 0.0 <= value <= top:
+            raise ConfigError(f"tolerances.{key}: {value!r} lies outside [0, {top:g}]")
     experiment.check(config)
     return config
 
 
 def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     """A Monte Carlo kind's config, its fields checked, its two specs parsed and
-    its truth built as the run builds it."""
+    its truth built as the run builds it, under the experiment's model."""
     kind, sm = config.experiment_kind, config.smoothness
     spec = dict(config.estimator_spec)
     estimator_kind = _parse("str", spec.pop("kind", "threshold_hard"), "estimator_spec.kind")
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"estimator_spec.kind must be one of {tuple(ESTIMATOR_KINDS)}, "
                           f"got {estimator_kind!r}")
-    if ESTIMATOR_KINDS[estimator_kind].model != model:
-        raise ConfigError(f"estimator {estimator_kind!r} is incompatible with experiment kind "
-                          f"{kind!r}")
     read = {f.name: f.default for f in fields(EstimatorSpec)
             if f.name in ESTIMATOR_KINDS[estimator_kind].params}
     config = replace(config, estimator_spec={"kind": estimator_kind, **_parse_section(
         spec, read, "estimator_spec", f"estimator {estimator_kind!r}")})
     EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
 
-    ns = config.n_grid
-    if not ns or ns[0] < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("n_grid must be nonempty and strictly increasing from at least 2")
+    ns = config.n_grid  # the run fits a slope to one risk per n
+    if len(ns) < MIN_FIT_ROWS or ns[0] < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"n_grid must hold at least {MIN_FIT_ROWS} sizes, strictly increasing "
+                          f"from at least 2, got {list(ns)}")
     if config.replicates < 2:
         raise ConfigError("replicates must be >= 2: the risk standard error needs two")
     if config.master_seed < 0:
@@ -277,10 +280,7 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     truth_kind = _parse("str", spec.pop("kind", "generic_g"), "truth_spec.kind")
     if truth_kind not in TRUTHS:
         raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
-    truth = TRUTHS[truth_kind]
-    if truth.model not in (None, model):
-        raise ConfigError(f"{truth_kind} truth requires a {truth.model} experiment")
-    _, *keys = signature(truth.build).parameters.values()
+    _, *keys = signature(TRUTHS[truth_kind].build).parameters.values()
     read = {key.name: key.default for key in keys}
     if kind == "probe_sweep":  # the sweep sets the line's alpha from probe_alphas
         read.pop("probe_alpha", None)
@@ -303,22 +303,19 @@ class Truth(NamedTuple):
     """A truth kind.  build(config, **spec) -> tree, whose keyword parameters
     are the kind's truth_spec keys with defaults that fix their types (a key
     without one is required text), raises ValueError or OSError for a truth it
-    cannot build; validate builds every truth with it, as the run does.
-    model: the Monte Carlo model the kind requires (None: any); wavelet_part: a
-    density experiment estimates 1 + tree."""
+    cannot build; validate builds every truth with it, as the run does.  Every
+    kind runs under either model; wavelet_part: a density experiment estimates
+    1 + tree."""
 
-    model: str | None
     build: Callable
     wavelet_part: bool = True
 
 
 TRUTHS = {
-    "generic_g": Truth(None, _generic_g),
-    "explicit_tree_file": Truth(None, lambda config, path: recordio.read_tree(path),
-                                wavelet_part=False),
-    "uniform_density": Truth("density", lambda config: uniform_density_tree(config.j_max),
-                             wavelet_part=False),
-    "custom_bump": Truth(None, lambda config, level=1, position=0, amplitude=1.0: bump_tree(
+    "generic_g": Truth(_generic_g),
+    "explicit_tree_file": Truth(lambda config, path: recordio.read_tree(path), wavelet_part=False),
+    "uniform_density": Truth(lambda config: uniform_density_tree(config.j_max), wavelet_part=False),
+    "custom_bump": Truth(lambda config, level=1, position=0, amplitude=1.0: bump_tree(
         config.smoothness.d, config.j_max, level, position, amplitude)),
 }
 
@@ -352,10 +349,11 @@ def _risk_tables(config: ExperimentConfig, labels, truths):
     """Risk and slope tables of each truth, named by its label, and their slope
     fits; the truths are observed under one noise draw per (n, replicate)."""
     estimator = EstimatorSpec(smoothness=config.smoothness, **config.estimator_spec)
+    model = EXPERIMENTS[config.experiment_kind].model
     risks = monte_carlo_risk(tuple(truths), estimator, config.n_grid, config.replicates,
                              config.smoothness.p, config.master_seed, filter_name=config.filter,
-                             j_max=None if estimator.model == "density" else config.j_max,
-                             threads=config.threads)
+                             j_max=None if model == "density" else config.j_max,
+                             threads=config.threads, model=model)
     fits = [fit_slope(table, _regime(config).normalization) for table in risks]
     tables = []
     for label, table, fit in zip(labels, risks, fits):
@@ -485,12 +483,12 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
 
 class Experiment(NamedTuple):
     """An experiment kind: its Monte Carlo model ("sequence", "density" or None),
-    its own top-level keys (reads adds every kind's and its model's), its
-    tolerance keys with their defaults, tables(config) -> [(file name, columns,
-    rows)], verdicts(config, read), where read(file name) returns a stored table's
-    rows as floats, and check(config), which rejects its own unusable values:
-    a kind without a Monte Carlo model computes what its tables hold there, as
-    the run does."""
+    under which every estimator and truth kind runs, its own top-level keys
+    (reads adds every kind's and its model's), its tolerance keys with their
+    defaults, tables(config) -> [(file name, columns, rows)], verdicts(config,
+    read), where read(file name) returns a stored table's rows as floats, and
+    check(config), which rejects its own unusable values: a kind without a
+    Monte Carlo model computes what its tables hold there, as the run does."""
 
     model: str | None
     keys: tuple[str, ...]

@@ -3,9 +3,9 @@
 The closed-form rate formulas return the polynomial exponent alpha together
 with its regime (dense or sparse branch, and whether the rate is polynomial
 in n or in n / log n).  The risk engine estimates E ||estimate - truth||_p^p
-over replicated simulations in the observation model that the estimator
-kind fixes (Gaussian sequence or density sample; either way the estimate
-maps an observed coefficient tree to a tree), and the slope fitter regresses
+over replicated simulations in the observation model its caller names
+(Gaussian sequence or density sample; either way the estimate maps an
+observed coefficient tree to a tree), and the slope fitter regresses
 log risk on the log of the normalization to recover the empirical exponent;
 the asymptotic "same rate" relation only constrains the ratio of logs, so an
 ordinary least-squares slope in log-log coordinates is its finite-sample
@@ -26,7 +26,7 @@ import numpy as np
 from .dyadic import MAX_DEPTH, CoefficientTree
 from .estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
-from .spaces import SmoothnessParams
+from .spaces import SmoothnessParams, theoretical_scaling
 from .wavelet import GridSignal, WaveletFilter, get_filter, lp_mean, synthesize
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "EstimatorKind",
     "EstimatorSpec",
     "ESTIMATOR_KINDS",
+    "MIN_FIT_ROWS",
     "minimax_rate",
     "generic_alpha",
     "monte_carlo_risk",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 RISK_FLOOR = 1e-300
+MIN_FIT_ROWS = 4  # the fewest risks fit_slope fits a slope to
 SYNTHESIS_PAD = 6
 
 
@@ -108,23 +110,21 @@ def generic_alpha(family: str, params: SmoothnessParams) -> RateRegime:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_GENERIC_FAMILIES)}")
     name, normalization = _GENERIC_FAMILIES[family]
     s, r, p, d = params.s, params.r, params.p, params.d
+    linear_branch, sp = _linear_smoothness(params)
     if family == "linear":
-        branch, sp = _linear_smoothness(params)
-        alpha = sp / (2.0 * sp + d)
+        branch, alpha = linear_branch, sp / (2.0 * sp + d)
     elif r > p * d / (2.0 * s + d):
         branch, alpha = "dense", s / (2.0 * s + d)
-    else:
-        branch, alpha = "sparse", (s - d / r + d / p) / (2.0 * (s - d / r) + d)
+    else:  # here r < p, so sp is s - d/r + d/p
+        branch, alpha = "sparse", sp / (2.0 * (s - d / r) + d)
     return RateRegime(name, branch, alpha, normalization)
 
 
 def _linear_smoothness(params: SmoothnessParams) -> tuple[str, float]:
-    """The linear family's branch and smoothness s': s when r >= p ("dense"),
-    else s - d/r + d/p ("sparse")."""
+    """The linear family's branch, "dense" when r >= p, else "sparse", and its
+    smoothness s', the generic scaling function theoretical_scaling(s, r, p, d)."""
     s, r, p, d = params.s, params.r, params.p, params.d
-    if r >= p:
-        return "dense", s
-    return "sparse", s - d / r + d / p
+    return "dense" if r >= p else "sparse", theoretical_scaling(s, r, p, d)
 
 
 # -- Monte Carlo risk ---------------------------------------------------------
@@ -176,10 +176,10 @@ class SlopeFit:
 class EstimatorSpec:
     """Estimator selection for the risk engine.
 
-    kind is a key of ESTIMATOR_KINDS, which gives its model, family and the
+    kind is a key of ESTIMATOR_KINDS, which gives its family, rule and the
     parameters it reads.  The linear kinds weigh the levels below their
     cutoff m_n (see cutoff; m_n <= 1 keeps no level), pinsker with weights of
-    order pinsker_order; the sequence thresholds use kappa.  kappa and
+    order pinsker_order; threshold_hard and threshold_soft use kappa.  kappa and
     pinsker_order must be numbers, finite and > 0; fixed_m_n a number in
     [0, 2^(MAX_DEPTH + 1)], as a larger cutoff adds only levels no tree holds.
     """
@@ -211,10 +211,6 @@ class EstimatorSpec:
             return self.fixed_m_n
         _, sp = _linear_smoothness(self.smoothness)
         return float(n) ** (1.0 / (2.0 * sp + self.smoothness.d))
-
-    @property
-    def model(self) -> str:
-        return ESTIMATOR_KINDS[self.kind].model
 
     @property
     def family(self) -> str:
@@ -283,8 +279,7 @@ def _threshold(mode, kappa, n):
 
 
 class EstimatorKind(NamedTuple):
-    """An estimator kind: the observation model the risk engine draws for it
-    ("sequence" or "density"), its rate family, rule(spec, n) -> (read_depth,
+    """An estimator kind: its rate family, rule(spec, n) -> (read_depth,
     estimate), where estimate maps an observed coefficient tree to the
     estimate tree and read_depth >= 0 is the deepest level it reads (the
     estimate holds no deeper level), and params, the EstimatorSpec parameters
@@ -292,28 +287,24 @@ class EstimatorKind(NamedTuple):
     _linear(order, ...) (order math.inf is projection) and _threshold(mode,
     kappa, ...); an entry passes the values its kind fixes and those it reads
     from the spec.  The rules look the estimators up when called, so a
-    wrapped estimator is the one that runs."""
+    wrapped estimator is the one that runs.  A rule maps noisy and empirical
+    coefficients alike, so every kind runs under either observation model."""
 
-    model: str
     family: str
     rule: Callable
     params: tuple[str, ...]
 
 
 ESTIMATOR_KINDS = {
-    "projection": EstimatorKind("sequence", "linear",
-                                lambda spec, n: _linear(math.inf, spec, n), ("fixed_m_n",)),
-    "pinsker": EstimatorKind("sequence", "linear",
-                             lambda spec, n: _linear(spec.pinsker_order, spec, n),
+    "projection": EstimatorKind("linear", lambda spec, n: _linear(math.inf, spec, n),
+                                ("fixed_m_n",)),
+    "pinsker": EstimatorKind("linear", lambda spec, n: _linear(spec.pinsker_order, spec, n),
                              ("fixed_m_n", "pinsker_order")),
-    "threshold_hard": EstimatorKind("sequence", "threshold",
+    "threshold_hard": EstimatorKind("threshold",
                                     lambda spec, n: _threshold("hard", spec.kappa, n), ("kappa",)),
-    "threshold_soft": EstimatorKind("sequence", "threshold",
+    "threshold_soft": EstimatorKind("threshold",
                                     lambda spec, n: _threshold("soft", spec.kappa, n), ("kappa",)),
-    "density_linear": EstimatorKind("density", "linear",
-                                    lambda spec, n: _linear(math.inf, spec, n), ("fixed_m_n",)),
-    "density_threshold": EstimatorKind("density", "threshold",
-                                       lambda spec, n: _threshold("hard", 1.0, n), ()),
+    "density_threshold": EstimatorKind("threshold", lambda spec, n: _threshold("hard", 1.0, n), ()),
 }
 
 
@@ -402,14 +393,16 @@ def monte_carlo_risk(
     filter_name: str = "db2",
     j_max: int | None = None,
     threads: int = 1,
+    model: str = "sequence",
 ) -> tuple[RiskTable, ...]:
     """Empirical risk E ||estimate - truth||_p^p of each truth over an
     increasing n-grid, one RiskTable per truth.
 
-    The estimator's kind fixes the observation model: Gaussian sequence
-    observations of the truth, or empirical coefficients of a sample from
-    the density the truth specifies.  filter_name is the wavelet of the
-    density model and of the p != 2 loss quadrature.  j_max fixes the
+    model names the observation model: "sequence", Gaussian sequence
+    observations of the truth, or "density", empirical coefficients of a
+    sample from the density the truth specifies; every estimator kind runs
+    under either.  filter_name is the wavelet of the density model and of
+    the p != 2 loss quadrature.  j_max fixes the
     model's depth; when omitted, sequence observations have the truth's depth
     and density coefficients the estimator's read depth.  The kind's rule
     gives the read depth and the estimate at each n, once per n; each
@@ -441,8 +434,10 @@ def monte_carlo_risk(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if not truths:
         raise ValueError("need at least one truth")
+    if model not in ("sequence", "density"):
+        raise ValueError(f"model must be 'sequence' or 'density', got {model!r}")
     filt = get_filter(filter_name)
-    density = estimator.model == "density"
+    density = model == "density"
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
     rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
     truth_sides = [_truth_side(t, [_model_depth(t, read, j_max, density) for read, _ in rules],
@@ -470,8 +465,8 @@ def monte_carlo_risk(
 
 def fit_slope(table: RiskTable, normalization: str) -> SlopeFit:
     """OLS of log risk on the log of n (or n / log n); implied_alpha = -slope / p."""
-    if len(table.rows) < 4:
-        raise ValueError("need at least 4 rows to fit a slope")
+    if len(table.rows) < MIN_FIT_ROWS:
+        raise ValueError(f"need at least {MIN_FIT_ROWS} rows to fit a slope")
     x = np.array([math.log(_norm_value(normalization, row.n)) for row in table.rows])
     risks = table.risks
     if np.any(risks <= 0.0):

@@ -134,11 +134,12 @@ def empirical_scaling(
 
 
 def theoretical_scaling(s0: float, p0: float, p: float, d: int) -> float:
-    """Generic (prevalent) scaling function inside a smoothness-s0 ball."""
+    """Generic (prevalent) scaling function inside a smoothness-s0 ball, the
+    s' of the linear generic rate: s0 for p <= p0, else s0 - d/p0 + d/p."""
     if s0 - d / p0 <= 0:
         raise ValueError(f"need s0 > d/p0, got s0={s0}, d/p0={d / p0}")
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if p <= p0:
         return s0
-    return d / p + s0 - d / p0
+    return s0 - d / p0 + d / p

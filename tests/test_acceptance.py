@@ -238,20 +238,21 @@ def test_criterion_10_density_model():
     # thresholded density estimation recovers the dense-regime exponent
     truth = density_truth_tree(shell_tree(2, 2, 1, 10, 1.0, dither=2.0, j_min=2))
     (table,) = monte_carlo_risk((truth,), EstimatorSpec("density_threshold"),
-                                [2**j for j in range(10, 17)], R, 2.0, 99, threads=THREADS)
+                                [2**j for j in range(10, 17)], R, 2.0, 99, threads=THREADS,
+                                model="density")
     fit = fit_slope(table, "n_over_log_n")
     good = abs(fit.implied_alpha - 0.4) <= 0.12
     ok &= report("10.density_threshold_alpha", good, fit.implied_alpha, 0.4, 0.12)
     assert ok
 
 
-# -- estimator kinds without a demo config of their own -------------------------
+# -- estimator kinds and models without a demo config of their own --------------
 
 
 OTHER_KINDS = {
     "threshold_soft_dense": ("dense_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
     "threshold_soft_sparse": ("sparse_threshold_rate", {"kind": "threshold_soft", "kappa": 2.0}),
-    "density_linear": ("density_threshold_rate", {"kind": "density_linear"}),
+    "projection_density": ("density_threshold_rate", {"kind": "projection"}),
     "pinsker_dense": ("dense_threshold_rate", {"kind": "pinsker"}),
     "pinsker_sparse": ("sparse_threshold_rate", {"kind": "pinsker"}),
 }

@@ -78,15 +78,18 @@ def test_validate_rejects_standing_assumption_violation(tmp_path):
         validate_config(json.dumps(bad))
 
 
-def test_validate_rejects_model_mismatch(tmp_path):
-    bad = json.loads(rate_config())
-    bad["estimator_spec"]["kind"] = "density_threshold"
-    with pytest.raises(ConfigError, match="incompatible"):
-        validate_config(json.dumps(bad))
-    bad["experiment_kind"] = "density_rate_fit"
-    bad["estimator_spec"]["kind"] = "projection"
-    with pytest.raises(ConfigError, match="incompatible"):
-        validate_config(json.dumps(bad))
+def test_validate_takes_every_estimator_and_truth_kind_under_either_model():
+    # the experiment kind alone names the model
+    for estimator in ({"kind": "projection"}, {"kind": "pinsker"},
+                      {"kind": "threshold_hard", "kappa": 1.53},
+                      {"kind": "threshold_soft", "kappa": 2.0}):
+        config = validate_config(json.dumps(dict(DENSITY_WORKLOAD, estimator_spec=estimator)))
+        assert estimator.items() <= config.estimator_spec.items()
+    config = validate_config(rate_config(estimator_spec={"kind": "density_threshold"},
+                                         truth_spec={"kind": "uniform_density"}))
+    assert config.estimator_spec == {"kind": "density_threshold"}
+    uniform = _truth(config)  # the constant 1 under the sequence model too
+    assert uniform.scaling == 1.0 and uniform.wavelet_energy() == 0.0
 
 
 def test_validate_rejects_bad_grid_and_filter(tmp_path):
@@ -400,6 +403,7 @@ def test_main_subcommands(tmp_path, capsys, monkeypatch):
 
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
+DEMO = {path.stem: json.loads(path.read_text()) for path in DEMO_CONFIGS}
 
 
 _BASE_KEYS = {"experiment_kind", "smoothness", "tolerances"}
@@ -561,13 +565,32 @@ REJECTED = {
     "fixed_m_n_overflows": (_rate(estimator_spec={"kind": "projection", "fixed_m_n": 1e308}),
                             "fixed_m_n must be a finite number in [0, 2^25]"),
     "density_fixed_m_n_too_deep": (dict(DENSITY_WORKLOAD, estimator_spec={
-        "kind": "density_linear", "fixed_m_n": 1e9}), "fixed_m_n must be a finite number"),
+        "kind": "projection", "fixed_m_n": 1e9}), "fixed_m_n must be a finite number"),
     # validate computes the scaling table as the run does, which refuses p <= 0
     "zero_scaling_p": (dict(SCALING, scaling_p=[0.0]), "scaling_p: p must be positive"),
     "negative_scaling_p": (dict(SCALING, scaling_p=[2.0, -2.0]), "scaling_p: p must be positive"),
     # the bound overflows to inf from t = 2560 on; the run printed FAIL ... measured=nan
     "infinite_witness_bound": (dict(WITNESS, witness_t_range=[10, 3000]),
                                "witness_t_range: the witness bound is inf at t = 2560"),
+    # a slope needs 4 risks: run simulated the whole grid, then exited 102 in fit_slope
+    "rate_fit_grid_too_short": (dict(DEMO["dense_threshold_rate"], n_grid=[1024, 2048, 4096]),
+                                "n_grid must hold at least 4 sizes"),
+    "density_grid_too_short": (dict(DENSITY_WORKLOAD, n_grid=[1024, 2048, 4096]),
+                               "n_grid must hold at least 4 sizes"),
+    # a negative tolerance ran to a FAIL verdict, an R^2 floor outside [0, 1] passed
+    # vacuously or could never pass: config errors that read as verdicts
+    "negative_alpha_tolerance": (dict(DEMO["dense_threshold_rate"], tolerances={"alpha": -0.1}),
+                                 "tolerances.alpha: -0.1 lies outside [0, inf]"),
+    "negative_r_squared": (dict(DEMO["dense_threshold_rate"], tolerances={"r_squared": -5}),
+                           "tolerances.r_squared: -5.0 lies outside [0, 1]"),
+    "r_squared_above_one": (dict(DEMO["dense_threshold_rate"], tolerances={"r_squared": 1.5}),
+                            "tolerances.r_squared: 1.5 lies outside [0, 1]"),
+    "negative_witness_tolerance": (dict(DEMO["weak_exclusion"], tolerances={"witness_rel": -0.2}),
+                                   "tolerances.witness_rel: -0.2 lies outside"),
+    "negative_scaling_tolerance": (dict(SCALING, tolerances={"scaling": -0.1}),
+                                   "tolerances.scaling: -0.1 lies outside"),
+    "negative_spread": (_sweep(tolerances={"spread": -0.05}),
+                        "tolerances.spread: -0.05 lies outside"),
 }
 TREE_FILES = {
     "tree_file_not_a_tree": "j,k,value\n1,0,1.0\n",

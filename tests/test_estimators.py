@@ -130,7 +130,7 @@ def test_threshold_config_validation():
 
 
 def test_density_linear_projection_truncation():
-    # the density linear kind projects the empirical coefficients: weights 1 or 0
+    # projection under the density model keeps empirical coefficients: weights 1 or 0
     beta = shell_tree(2, 2, 1, 6, 1.0)
     full = linear_estimate(beta, linear_weights(2.0**7))
     for j in range(7):

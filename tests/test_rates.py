@@ -119,15 +119,14 @@ def test_monte_carlo_density_deterministic_and_threaded():
     # wavelet-support caches: start the caches cold, so every worker builds its
     # own, and the tables must equal the in-process run's
     truths = (density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2)),)
-    est = EstimatorSpec("density_threshold")
-    (a,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3")
+    est, density = EstimatorSpec("density_threshold"), dict(filter_name="db3", model="density")
+    (a,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, **density)
     models._PSI_CACHE.clear()
     models._PHI_CACHE.clear()
-    (b,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, filter_name="db3",
-                            threads=3)
+    (b,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, threads=3, **density)
     assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
-    (c,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4243, filter_name="db3")
+    (c,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4243, **density)
     assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
 
 
@@ -237,12 +236,19 @@ def test_monte_carlo_standard_error_scaling():
     assert abs(se[256] / se[64] - 0.5) < 0.2  # 1/sqrt(R) within 20% at these R
 
 
-def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
+def reference_risk(truth, est, model, filter_name, j_max, n_grid, R, p, master_seed):
     """monte_carlo_risk written out for one estimator kind, replicate by replicate."""
     filt = get_filter(filter_name)
-    sampler = DensitySampler.from_tree(truth, filt) if est.model == "density" else None
+    sampler = DensitySampler.from_tree(truth, filt) if model == "density" else None
     rows = []
     for n in n_grid:
+        if est.family == "linear":
+            read = -1  # the largest level j with 2^j < m_n
+            while 2.0 ** (read + 1) < est.cutoff(n):
+                read += 1
+            read = max(read, 0)
+        else:
+            read = noise_depth(n)
         losses = []
         for rep in range(R):
             seed = np.random.SeedSequence((master_seed, n, rep))
@@ -250,7 +256,8 @@ def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
                 depth = j_max if j_max is not None else truth.j_max
                 y = simulate_sequence(truth, n, depth, seed).y
             else:
-                sample = sampler.sample(n, seed)
+                depth = j_max if j_max is not None else read
+                y = empirical_coefficients(sampler.sample(n, seed), filt, depth)
             if est.kind == "projection":
                 m_n = est.cutoff(n)
                 estimate = linear_estimate(y, {j: 1.0 for j in range(64) if 2.0**j < m_n})
@@ -260,18 +267,8 @@ def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
                                                for j in range(64) if 2.0**j < m_n})
             elif est.kind in ("threshold_hard", "threshold_soft"):
                 estimate = threshold_estimate(y, n, est.kappa, est.kind.split("_")[1])
-            elif est.kind == "density_linear":
-                cutoff = -1  # the largest level j with 2^j < m_n
-                while 2.0 ** (cutoff + 1) < est.cutoff(n):
-                    cutoff += 1
-                depth = j_max if j_max is not None else max(cutoff, 0)
-                beta = empirical_coefficients(sample, filt, depth)
-                estimate = CoefficientTree(d=1, j_max=depth, scaling=beta.scaling, levels={
-                    j: level for j, level in beta.levels.items() if j <= cutoff})
-            else:
-                depth = j_max if j_max is not None else noise_depth(n)
-                estimate = threshold_estimate(empirical_coefficients(sample, filt, depth), n,
-                                              1.0, "hard")
+            else:  # density_threshold: hard at kappa = 1
+                estimate = threshold_estimate(y, n, 1.0, "hard")
             diff = estimate - truth
             if p == 2.0:
                 losses.append(diff.total_energy())
@@ -282,29 +279,36 @@ def reference_risk(truth, est, filter_name, j_max, n_grid, R, p, master_seed):
     return rows
 
 
-# the density kinds at p = 4 and j_max None synthesize each truth at one
-# resolution per read depth of the n-grid
+def _model_case(kind, model, *rest):
+    """A (kind, model, ...) test case; its id names the model when it is density."""
+    suffix = ["density"] if model == "density" else []
+    return pytest.param(kind, model, *rest, id="-".join(map(str, [kind, *rest, *suffix])))
+
+
+# every estimator kind under either model; the density cases at p = 4 and
+# j_max None synthesize each truth at one resolution per read depth of the n-grid
 ENGINE_CASES = [
-    (kind, p, j_max)
+    _model_case(kind, model, p, j_max)
     for kind in ESTIMATOR_KINDS
+    for model in ("sequence", "density")
     for p in (2.0, 4.0)
     for j_max in (None, 2)
 ]
 
 
-@pytest.mark.parametrize("kind,p,j_max", ENGINE_CASES)
-def test_monte_carlo_risk_matches_reference_loop(kind, p, j_max):
+@pytest.mark.parametrize("kind,model,p,j_max", ENGINE_CASES)
+def test_monte_carlo_risk_matches_reference_loop(kind, model, p, j_max):
     # at the larger n the linear cutoff level (3) and the kept thresholds reach
     # past j_max = 2, so the observed depth matters
-    if ESTIMATOR_KINDS[kind].model == "sequence":
+    if model == "sequence":
         truth, n_grid, filter_name = shell_tree(2, 2, 1, 6, 64.0, dither=2.0), [4096, 65536], "db2"
     else:
         truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
         n_grid, filter_name = [1024, 65536], "db3"
     est = EstimatorSpec(kind, smoothness=DENSE)
     (table,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 31, filter_name=filter_name,
-                                j_max=j_max, threads=2)
-    want = reference_risk(truth, est, filter_name, j_max, n_grid, 3, p, 31)
+                                j_max=j_max, threads=2, model=model)
+    want = reference_risk(truth, est, model, filter_name, j_max, n_grid, 3, p, 31)
     got = [(row.empirical_risk, row.std_error) for row in table.rows]
     if p == 2.0:
         assert got == want
@@ -318,7 +322,7 @@ def test_monte_carlo_risk_matches_reference_loop(kind, p, j_max):
         assert abs(risk - want_risk) <= 1e-12 * want_risk
         assert abs(se - want_se) <= 1e-12 * math.hypot(want_se, want_risk / math.sqrt(2))
     (serial,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 31, filter_name=filter_name,
-                                 j_max=j_max, threads=1)
+                                 j_max=j_max, threads=1, model=model)
     assert serial.rows == table.rows
 
 
@@ -375,7 +379,7 @@ def test_projection_read_depth_is_its_last_kept_level():
             with pytest.raises(ValueError, match="fixed_m_n must be a finite number"):
                 EstimatorSpec("projection", fixed_m_n=m)
             continue
-        for kind in ("projection", "density_linear", "pinsker"):
+        for kind in ("projection", "pinsker"):
             depth[m], _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, fixed_m_n=m), 1024)
             assert depth[m] == max(kept, default=0)
     assert depth[1.0] == depth[np.nextafter(1.0, 2.0)] == 0
@@ -390,7 +394,6 @@ def test_linear_cutoff_branches():
     assert abs(sparse.cutoff(2**19) - 2.0**10) < 1e-9  # s' = 0.45: n^{1/1.9}
     s, r, p, d = 1.2, 1.0, 4.0, 1
     assert sparse.cutoff(777) == 777.0 ** (1.0 / (2.0 * (s - d / r + d / p) + d))
-    assert EstimatorSpec("density_linear", smoothness=DENSE).cutoff(32) == 32.0 ** (1.0 / 5.0)
     assert EstimatorSpec("projection", smoothness=DENSE, fixed_m_n=3.0).cutoff(32) == 3.0
 
 
@@ -421,17 +424,19 @@ def test_pinsker_below_one_level_keeps_no_wavelet_level():
     assert np.array_equal(risks[0], risks[1])
 
 
-MULTI_CASES = [
-    ("threshold_hard", 2.0, None), ("threshold_soft", 2.0, 5), ("projection", 4.0, None),
-    ("pinsker", 2.0, None), ("density_threshold", 2.0, None), ("density_linear", 2.0, 4),
-]
+MULTI_CASES = [_model_case(*case) for case in [
+    ("threshold_hard", "sequence", 2.0, None), ("threshold_soft", "sequence", 2.0, 5),
+    ("projection", "sequence", 4.0, None), ("pinsker", "sequence", 2.0, None),
+    ("density_threshold", "sequence", 2.0, None), ("density_threshold", "density", 2.0, None),
+    ("projection", "density", 2.0, 4), ("threshold_soft", "density", 2.0, None),
+]]
 
 
-@pytest.mark.parametrize("kind,p,j_max", MULTI_CASES)
+@pytest.mark.parametrize("kind,model,p,j_max", MULTI_CASES)
 @pytest.mark.parametrize("threads", [1, 2])
-def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, p, j_max, threads):
+def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, model, p, j_max, threads):
     # the truths differ in depth and in missing levels but share one draw per (n, rep)
-    if ESTIMATOR_KINDS[kind].model == "sequence":
+    if model == "sequence":
         truths = (shell_tree(2, 2, 1, 6, 64.0, dither=2.0), shell_tree(2, 2, 1, 8, 8.0, j_min=3),
                   CoefficientTree.zeros(1, 4))
         n_grid, filter_name = [256, 4096, 65536], "db2"
@@ -440,11 +445,11 @@ def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, p, j_max, th
                        for a in (1.0, 0.5))
         n_grid, filter_name = [1024, 16384], "db3"
     est = EstimatorSpec(kind, smoothness=DENSE)
-    model = dict(filter_name=filter_name, j_max=j_max)
-    tables = monte_carlo_risk(truths, est, n_grid, 3, p, 17, threads=threads, **model)
+    options = dict(filter_name=filter_name, j_max=j_max, model=model)
+    tables = monte_carlo_risk(truths, est, n_grid, 3, p, 17, threads=threads, **options)
     assert isinstance(tables, tuple) and len(tables) == len(truths)
     for truth, table in zip(truths, tables):
-        (alone,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 17, **model)
+        (alone,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 17, **options)
         assert isinstance(alone, RiskTable)
         assert table.rows == alone.rows and table.loss_p == alone.loss_p
 
@@ -456,9 +461,13 @@ def test_monte_carlo_risk_rejects_mixed_or_missing_truths():
         monte_carlo_risk((), est, [64, 128], 2, 2.0, 1)
     with pytest.raises(ValueError, match="dimension must be 1, got 2"):
         CoefficientTree.zeros(2, 3)
+    # a misspelt model is an error, not the sequence model
+    with pytest.raises(ValueError, match="model must be 'sequence' or 'density', got 'densty'"):
+        monte_carlo_risk((shell_tree(2, 2, 1, 4, 1.0),), est, [64, 128], 2, 2.0, 1,
+                         model="densty")
 
 
-@pytest.mark.parametrize("kind", [k for k, e in ESTIMATOR_KINDS.items() if e.model == "sequence"])
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)  # every kind, under the sequence model
 @pytest.mark.parametrize("fixed_m_n", [0.0, 1.0, 2.0, 7.5, None])
 def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
     truth, top = shell_tree(2, 2, 1, 10, 8.0, dither=2.0), 10
