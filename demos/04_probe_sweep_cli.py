@@ -27,15 +27,15 @@ config = validate_config(json.dumps({
 }))
 
 # the config holds the science; where and on how many threads it runs is set here
-out_dir = tempfile.mkdtemp(prefix="waverates_sweep_")
-report = run(replace(config, output_dir=out_dir, threads=2))
-print("manifest hash:", report.manifest_hash)
-for verdict in report.verdicts:
-    status = "PASS" if verdict["pass"] else "FAIL"
-    print(f"{status} {verdict['criterion']}: spread = {verdict['measured']:.3g} "
-          f"(tolerance {verdict['tolerance']})")
-print("\ntables:")
-for path in report.tables:
-    print(" ", path)
-print("\nsame experiment from a shell:")
-print("  waverates run --config sweep.json --out", out_dir, "--threads 2")
+with tempfile.TemporaryDirectory(prefix="waverates_sweep_") as out_dir:
+    report = run(replace(config, output_dir=out_dir, threads=2))
+    print("manifest hash:", report.manifest_hash)
+    for verdict in report.verdicts:
+        status = "PASS" if verdict["pass"] else "FAIL"
+        print(f"{status} {verdict['criterion']}: spread = {verdict['measured']:.3g} "
+              f"(tolerance {verdict['tolerance']})")
+    print("\ntables (removed with their temporary directory when the demo ends):")
+    for path in report.tables:
+        print(" ", path)
+print("\nsame experiment from a shell, keeping its tables:")
+print("  waverates run --config sweep.json --out sweep_out --threads 2")

@@ -234,10 +234,12 @@ def _validated(raw: dict) -> ExperimentConfig:
         config = _with_model(config, experiment.model)
     config = replace(config, tolerances=_parse_section(
         config.tolerances, experiment.tolerances, "tolerances", f"experiment {kind!r}"))
-    for key, value in config.tolerances.items():  # distances >= 0; an R^2 floor in [0, 1]
-        top = 1.0 if key == "r_squared" else math.inf
-        if isinstance(value, float) and not 0.0 <= value <= top:
-            raise ConfigError(f"tolerances.{key}: {value!r} lies outside [0, {top:g}]")
+    for key, value in config.tolerances.items():
+        # distances >= 0; an R^2 floor in (0, 1], as a floor of 0 passes every fit
+        floor = key == "r_squared"
+        if isinstance(value, float) and not (0.0 < value <= 1.0 if floor else 0.0 <= value):
+            raise ConfigError(f"tolerances.{key}: {value!r} lies outside "
+                              + ("(0, 1]" if floor else "[0, inf]"))
     experiment.check(config)
     return config
 

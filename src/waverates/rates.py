@@ -10,6 +10,12 @@ log risk on the log of the normalization to recover the empirical exponent;
 the asymptotic "same rate" relation only constrains the ratio of logs, so an
 ordinary least-squares slope in log-log coordinates is its finite-sample
 proxy.
+
+What the loss needs of a truth is computed once, before any replicate.  At
+p = 4 with db1 or db2 that is the truth split at each read depth J
+(wavelet._quartic_split), and a replicate's loss runs on the estimate's own
+2^(J + 1) coarse samples instead of the truth's grid; wavelet._loss_sides
+makes that choice.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .dyadic import MAX_DEPTH, CoefficientTree
 from .estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams, theoretical_scaling
-from .wavelet import GridSignal, WaveletFilter, get_filter, lp_mean, synthesize
+from .wavelet import WaveletFilter, _loss_sides, get_filter
 
 __all__ = [
     "RateRegime",
@@ -245,28 +251,33 @@ def _coarse_resolution(truth: CoefficientTree, depth: int) -> int:
 
 
 def _truth_side(truth: CoefficientTree, depths, p: float, filt) -> dict:
-    """What the loss needs of a truth, computed once before any replicate:
-    its level energies for p = 2, else its grid samples at the coarse
-    resolution of each model depth in depths."""
+    """What the loss needs of a truth, computed once before any replicate,
+    for each (model depth, observed depth) of depths (_depths): its level
+    energies for p = 2; else, keyed by (coarse resolution, observed depth),
+    the wavelet._loss_sides of the truth at that resolution."""
     if p == 2.0:
         return _level_energies(truth)
-    return {res: synthesize(truth, filt, res).samples
-            for res in {_coarse_resolution(truth, depth) for depth in depths}}
+    reads: dict[int, set] = {}
+    for depth, read in depths:
+        reads.setdefault(_coarse_resolution(truth, depth), set()).add(read)
+    # deepest first: the smaller splits reuse the memory the largest one's
+    # temporaries free (0.5 MB less peak RSS on perfbench sparse_linear)
+    return {(res, read): side for res, observed in reads.items()
+            for read, side in _loss_sides(truth, filt, sorted(observed, reverse=True), res,
+                                          res + SYNTHESIS_PAD - 1, p).items()}
 
 
 def _loss(estimate, truth, truth_side, p, filt, depth) -> float:
     """||estimate - truth||_p^p: the coefficient energy for p = 2, else grid
-    quadrature of the difference.  The quadrature runs on the difference's
-    samples at resolution max(depth, truth depth) + 1, refined by
-    SYNTHESIS_PAD - 1 zero-detail steps (lp_mean): the estimate is
-    synthesized there, its inverse steps stopping at the depth it holds, and
-    the truth's samples, computed once per depth (_truth_side), are
-    subtracted."""
+    quadrature of the difference over the 2^F samples that refine its samples
+    at resolution C = max(depth, truth depth) + 1 by SYNTHESIS_PAD - 1
+    zero-detail steps, by the truth's side at C and the estimate's depth
+    (_truth_side): for p = 4 with db1 or db2 a sum over the estimate's own
+    2^(J + 1) coarse samples, J its depth; otherwise the estimate synthesized
+    at C less the truth's samples there, refined by lp_mean."""
     if p == 2.0:
         return _energy_loss(estimate, truth, truth_side)
-    res = _coarse_resolution(truth, depth)
-    diff = synthesize(estimate, filt, res).samples - truth_side[res]
-    return lp_mean(GridSignal(res, diff), filt, res + SYNTHESIS_PAD - 1, p)
+    return truth_side[_coarse_resolution(truth, depth), estimate.j_max].mean(estimate)
 
 
 def _linear(order, spec, n):
@@ -308,10 +319,13 @@ ESTIMATOR_KINDS = {
 }
 
 
-def _model_depth(truth, read, j_max, density) -> int:
-    """The model's depth: j_max when given, else the estimator's read depth
-    for density coefficients and the truth's depth for sequence observations."""
-    return j_max if j_max is not None else read if density else truth.j_max
+def _depths(truth, read, j_max, density) -> tuple[int, int]:
+    """(model depth, observed depth).  The model's depth is j_max when given,
+    else the estimator's read depth for density coefficients and the truth's
+    depth for sequence observations; a replicate is observed to the lesser of
+    it and the read depth."""
+    depth = j_max if j_max is not None else read if density else truth.j_max
+    return depth, min(read, depth)
 
 
 class _Replicates(NamedTuple):
@@ -339,8 +353,7 @@ class _Replicates(NamedTuple):
         n, (read, estimate) = self.n_grid[i], self.rules[i]
         seed = np.random.SeedSequence((self.master_seed, n, rep))
         density, truths = self.samplers is not None, self.truths
-        depths = [_model_depth(truth, read, self.j_max, density) for truth in truths]
-        reads = [min(read, depth) for depth in depths]
+        depths, reads = zip(*(_depths(truth, read, self.j_max, density) for truth in truths))
         if density:
             observed = [empirical_coefficients(sampler.sample(n, seed), self.filt, j)
                         for sampler, j in zip(self.samplers, reads)]
@@ -440,8 +453,8 @@ def monte_carlo_risk(
     density = model == "density"
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
     rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
-    truth_sides = [_truth_side(t, [_model_depth(t, read, j_max, density) for read, _ in rules],
-                               p, filt) for t in truths]
+    truth_sides = [_truth_side(t, {_depths(t, read, j_max, density) for read, _ in rules}, p, filt)
+                   for t in truths]
     replicates = _Replicates(truths, truth_sides, rules, n_grid, p, filt, j_max, master_seed,
                              samplers)
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]

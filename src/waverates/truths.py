@@ -101,7 +101,8 @@ def probe_line_truth(
     shell on levels j_min..j_max.  The shell is built, and so its dither and
     j_min checked, also when base_amplitude is 0; it is then not added."""
     spec = GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max)  # refuses a j_max too deep to build
-    shell = shell_tree(s, r, d, j_max, base_amplitude, dither, j_min)
+    # by keyword, as perfbench/setup_child.py calls it: both calls share one cache entry
+    shell = shell_tree(s, r, d, j_max, base_amplitude, dither=dither, j_min=j_min)
     tree = alpha * build_g(spec)
     return tree + shell if base_amplitude != 0.0 else tree
 

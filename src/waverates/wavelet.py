@@ -23,6 +23,17 @@ the window, with a matrix built once per (taps, K); it is used where the
 table has at most three rows (db1, db2).  Other p and longer filters sum the
 refined samples block by block.
 
+The p = 4 loss of the risk engine sums (E - T)^4 over a grid far finer than
+the estimate E.  ``_quartic_split`` splits the truth T at E's depth J into a
+head (levels <= J) and a tail B, expands (L - B)^4 with L = E - head, and
+computes once what the tail contributes: the sum of B^4, and for each of
+L's 2^(J + 1) coarse windows the weights of its monomials of degree 1 to 3
+against B^3, B^2 and B.  Each estimate then costs sums over its own coarse
+windows; the fine grid is never built.  ``_loss_sides`` chooses, per read
+depth, between that split and the full-grid loss (``_GridLoss``: synthesize
+the estimate, subtract the truth's samples, ``lp_mean``), which other p and
+longer filters keep.
+
 Coefficient convention: a signal is
 
     f = scaling * phi + sum_{j=0..j_max} sum_k c_{j,k} psi_{j,k}
@@ -34,7 +45,10 @@ periodized wavelets; for the Haar filter c_{j,k} equals the inner product
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -330,14 +344,51 @@ def lp_norm(signal: GridSignal, p: float) -> float:
     return float(np.mean(_abs_pow(signal.samples, p)) ** (1.0 / p))
 
 
+def _monomials(shifts: int, degree: int):
+    """The degree-k products of a window of `shifts` samples: the index tuples
+    i_1 <= ... <= i_k as the columns of a (k, M) array, and for each the number
+    of its orderings, its coefficient in (sum_s w_s t_s)^k."""
+    combos = list(itertools.combinations_with_replacement(range(shifts), degree))
+    orderings = [math.factorial(degree) / math.prod(math.factorial(a.count(s)) for s in set(a))
+                 for a in combos]
+    return np.array(combos, dtype=np.intp).T, np.array(orderings)
+
+
+def _monomial_weights(table: np.ndarray, degree: int):
+    """(combos, weights) with (w . T[:, r])^k = sum_a weights[a, r] w_a for
+    every window w of a _cascade_table T, w_a being the product of w over the
+    indices of combos' column a (_monomials(S, k))."""
+    combos, orderings = _monomials(table.shape[0], degree)
+    weights = np.empty((combos.shape[1], table.shape[1]))
+    for m, a in enumerate(combos.T):
+        weights[m] = np.prod(table[a], axis=0) * orderings[m]
+    return combos, weights
+
+
+def _window_monomials(wrapped: np.ndarray, combos: np.ndarray, q: int, rows: int) -> np.ndarray:
+    """(M, rows) array: the products over combos' columns of the cyclic windows
+    q .. q + rows - 1 of the _wrapped samples.  Entry s of window q is
+    wrapped[q + s], so the factors are slices of wrapped and the windows are
+    never formed; the last column of combos is (S - 1, ..., S - 1)."""
+    slices = np.array([wrapped[q + s : q + s + rows] for s in range(combos[-1, -1] + 1)])
+    product = slices[combos[0]]
+    for index in combos[1:]:
+        product *= slices[index]
+    return product
+
+
 def _quartic_gram(table: np.ndarray):
-    """(i, j, gram) with sum_r (w . T[:, r])^4 = u^T gram u for every window
-    w of a _cascade_table T, u being the products w_i w_j over the pairs
-    i <= j.  With v_r the products T[i, r] T[j, r], doubled off the diagonal,
-    (w . T[:, r])^2 = v_r . u, so gram = sum_r v_r v_r^T."""
-    i, j = np.triu_indices(table.shape[0])
-    v = table[i] * table[j] * np.where(i == j, 1.0, 2.0)[:, None]
-    return i, j, v @ v.T
+    """(combos, gram) with sum_r (w . T[:, r])^4 = u^T gram u for every window
+    w of a _cascade_table T, u being the products w_i w_j over the pairs i <= j
+    of combos.  With v_r the degree-2 _monomial_weights of phase r,
+    (w . T[:, r])^2 = v_r . u, so gram = sum_r v_r v_r^T, summed over
+    _FORM_WINDOWS phases at a time to stay on OpenBLAS's single-threaded path
+    (_quartic_sum)."""
+    gram = 0.0
+    for r in range(0, table.shape[1], _FORM_WINDOWS):
+        combos, v = _monomial_weights(table[:, r : r + _FORM_WINDOWS], 2)
+        gram = gram + v @ v.T
+    return combos, gram
 
 
 # Per filter taps and K: the _quartic_gram of the K-step cascade, or None.
@@ -369,25 +420,17 @@ def _quartic_sum(coarse: np.ndarray, form) -> float:
     """sum over the cyclic windows w_q of u_q^T gram u_q: the sum of |f|^4
     over the grid the coarse samples refine to.
 
-    The product w_i w_j of window q multiplies the wrapped samples q + i and
-    q + j, so each row of u is a slice of lags[j - i], the products of the
-    samples j - i apart, and the windows are never formed.  _FORM_WINDOWS
-    windows at a time keep the gram product of a short table (P <= 6) on
-    OpenBLAS's single-threaded path: a threaded BLAS call inside each worker
-    process of the risk engine would start a BLAS thread per core in every
-    worker, more threads than cores.
+    _FORM_WINDOWS windows at a time keep the gram product of a short table
+    (P <= 6) on OpenBLAS's single-threaded path: a threaded BLAS call inside
+    each worker process of the risk engine would start a BLAS thread per core
+    in every worker, more threads than cores.
     """
-    i, j, gram = form
-    shifts, n = j[-1] + 1, len(coarse)  # the last pair is (S - 1, S - 1)
+    combos, gram = form
+    shifts, n = combos[-1, -1] + 1, len(coarse)  # the last pair is (S - 1, S - 1)
     wrapped = _wrapped(coarse, shifts)
     total = 0.0
     for q in range(0, n, _FORM_WINDOWS):
-        rows = min(_FORM_WINDOWS, n - q)
-        block = wrapped[q : q + rows + shifts - 1]
-        lags = [block[: len(block) - d] * block[d:] for d in range(shifts)]
-        u = np.empty((len(i), rows))
-        for row, (a, b) in enumerate(zip(i, j)):
-            u[row] = lags[b - a][a : a + rows]
+        u = _window_monomials(wrapped, combos, q, min(_FORM_WINDOWS, n - q))
         total += float(np.einsum("ij,ij->", gram @ u, u))
     return total
 
@@ -418,3 +461,165 @@ def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: fl
         for _, block in _refined_blocks(signal.samples, _cascade_table(filt.taps, K)):
             total += float(np.sum(_abs_pow(block, p)))
     return total / (1 << resolution_log2)
+
+
+# Per filter taps, K and K_tail: the _cross_tensors of a split.  Filled, like
+# _QUARTIC_CACHE, in each process; the risk engine fills it before it forks.
+_CROSS_CACHE: dict[tuple[bytes, int, int], list] = {}
+
+
+def _cross_tensors(taps: np.ndarray, K: int, K_tail: int) -> list:
+    """For k = 1, 2, 3: (combos, tail_combos, tensor) with tensor[b, o, a] =
+    c_k sum_r weights[a, 2^K_tail o + r] tail_weights[b, r], where weights are
+    the degree-k _monomial_weights of the K-step table, tail_weights the
+    degree-(4 - k) ones of the K_tail-step table and c_k = -4, 6, -4 the
+    coefficient of L^k B^(4 - k) in (L - B)^4."""
+    key = (taps.tobytes(), K, K_tail)
+    if key not in _CROSS_CACHE:
+        table, tail_table = _cascade_table(taps, K), _cascade_table(taps, K_tail)
+        phases = tail_table.shape[1]
+        offsets = max(1, _FORM_WINDOWS // phases)  # per block of the K-step table's phases
+        tensors = []
+        for k, c_k in ((1, -4.0), (2, 6.0), (3, -4.0)):
+            tail_combos, tail_weights = _monomial_weights(tail_table, 4 - k)
+            combos, _ = _monomials(table.shape[0], k)
+            tensor = np.empty((len(tail_weights), table.shape[1] // phases, combos.shape[1]))
+            for o in range(0, tensor.shape[1], offsets):
+                _, weights = _monomial_weights(table[:, o * phases : (o + offsets) * phases], k)
+                block = weights.reshape(-1, phases) @ tail_weights.T
+                tensor[:, o : o + offsets] = c_k * block.reshape(len(weights), -1,
+                                                                 len(tail_weights)).T
+            tensors.append((combos, tail_combos, tensor))
+        _CROSS_CACHE[key] = tensors
+    return _CROSS_CACHE[key]
+
+
+def _cross_weights(tail: np.ndarray, taps: np.ndarray, K: int, K_tail: int, cells: int) -> list:
+    """For k = 1, 2, 3: (combos, C) with C[a, q] = c_k sum_r weights[a, r]
+    B[2^K q + r]^(4 - k) (the terms of _cross_tensors), B being the samples
+    the tail samples refine to in K_tail steps, for the `cells` cells q of a
+    read depth's coarse grid.  Each of the 2^(K - K_tail) tail windows of a
+    cell contributes its degree-(4 - k) monomials times the tensor of its
+    offset o in the cell; whole cells of about _FORM_WINDOWS tail windows are
+    summed at a time."""
+    per_cell = len(tail) // cells
+    block = max(1, _FORM_WINDOWS // per_cell)
+    out = []
+    for combos, tail_combos, tensor in _cross_tensors(taps, K, K_tail):
+        wrapped = _wrapped(tail, tail_combos[-1, -1] + 1)
+        weights = np.empty((combos.shape[1], cells))
+        for q in range(0, cells, block):
+            rows = min(block, cells - q)
+            m = _window_monomials(wrapped, tail_combos, q * per_cell, rows * per_cell)
+            weights[:, q : q + rows] = (m.reshape(len(m), rows, per_cell) @ tensor).sum(0).T
+        out.append((combos, weights))
+    return out
+
+
+def _cross_sum(coarse: np.ndarray, cross: list) -> float:
+    """sum_k sum_q m_k(w_q) . C_k[:, q] over the cyclic windows w_q of the
+    coarse samples, m_k the window's degree-k monomials (_cross_weights)."""
+    n, total = len(coarse), 0.0
+    wrapped = _wrapped(coarse, cross[0][0][-1, -1] + 1)
+    for q in range(0, n, _FORM_WINDOWS):
+        rows = min(_FORM_WINDOWS, n - q)
+        for combos, weights in cross:
+            total += float(np.einsum("ij,ij->", _window_monomials(wrapped, combos, q, rows),
+                                     weights[:, q : q + rows]))
+    return total
+
+
+class _QuarticSplit(NamedTuple):
+    """The truth's side of the p = 4 loss at one read depth J; see
+    _quartic_split."""
+
+    filt: WaveletFilter
+    head: np.ndarray  # the head's samples at resolution J + 1
+    form: tuple  # the _quartic_form of the K = F - J - 1 step table
+    cross: list | None  # the tail's _cross_weights; None for an empty tail
+    tail_sum: float  # the sum of B^4 over the fine grid
+    resolution_log2: int  # F
+
+    def mean(self, estimate: CoefficientTree) -> float:
+        """Mean of (estimate - truth)^4 over the 2^F grid, for an estimate of depth J."""
+        coarse = _coarse_samples(estimate, self.filt) - self.head
+        total = _quartic_sum(coarse, self.form) + self.tail_sum
+        if self.cross is not None:
+            total += _cross_sum(coarse, self.cross)
+        return total / (1 << self.resolution_log2)
+
+
+def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_log2: int,
+                   resolution_log2: int) -> _QuarticSplit | None:
+    """What the mean of (E - truth)^4 over the 2^F grid (F = resolution_log2)
+    needs of the truth, for any tree E of depth J = read, computed once; the
+    grid refines samples at resolution coarse_log2 (C), with J < C, truth.j_max
+    < C and C <= F.  None where a table is longer than _FORM_MAX_SHIFTS rows
+    (db3 to db10) and where the K-step one has more than _BLOCK_SAMPLES
+    phases.
+
+    The truth splits into its head (scaling and levels <= J) and its tail B
+    (levels > J); E - truth = L - B with L = E - head of depth J.  A fine
+    sample of L is the window l[q - S + 1 .. q] of L's 2^(J + 1) coarse
+    samples times a column of the K = F - J - 1 step table, so with (L - B)^4
+    expanded binomially
+
+        sum (L - B)^4 = sum_q u_q^T gram u_q + sum_k sum_q m_k(l_q) . C_k[:, q]
+                        + sum B^4,
+
+    the first term being _quartic_sum at K, m_k the degree-k window monomials
+    and C_k their weights against B^(4 - k) over the fine samples of cell q
+    (_cross_weights).  B's fine samples are its samples at resolution C
+    refined by F - C steps, so the C_k and sum B^4 come from B's coarse
+    windows; the fine grid is never built.
+    """
+    K, K_tail = resolution_log2 - read - 1, resolution_log2 - coarse_log2
+    if 1 << K > _BLOCK_SAMPLES:
+        return None
+    form, tail_form = _quartic_form(filt.taps, K), _quartic_form(filt.taps, K_tail)
+    if form is None or tail_form is None:
+        return None
+    head = {j: a for j, a in truth.levels.items() if j <= read}
+    tail = {j: a for j, a in truth.levels.items() if j > read}
+    cross, tail_sum = None, 0.0
+    if tail:
+        samples = synthesize(CoefficientTree(1, truth.j_max, 0.0, tail), filt, coarse_log2).samples
+        tail_sum = _quartic_sum(samples, tail_form)
+        cross = _cross_weights(samples, filt.taps, K, K_tail, 1 << (read + 1))
+    head_samples = _coarse_samples(CoefficientTree(1, read, truth.scaling, head), filt)
+    return _QuarticSplit(filt, head_samples, form, cross, tail_sum, resolution_log2)
+
+
+class _GridLoss(NamedTuple):
+    """The truth's side of the full-grid L^p loss: its samples at the coarse
+    resolution C."""
+
+    filt: WaveletFilter
+    truth: GridSignal  # the truth's samples at resolution C
+    resolution_log2: int  # F
+    p: float
+
+    def mean(self, estimate: CoefficientTree) -> float:
+        """Mean of |estimate - truth|^p over the 2^F grid: the estimate is
+        synthesized at C, the truth's samples subtracted and lp_mean refines
+        the difference."""
+        res = self.truth.resolution_log2
+        diff = synthesize(estimate, self.filt, res).samples - self.truth.samples
+        return lp_mean(GridSignal(res, diff), self.filt, self.resolution_log2, self.p)
+
+
+def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, reads, coarse_log2: int,
+                resolution_log2: int, p: float) -> dict:
+    """For each read depth J in reads, what the mean of |E - truth|^p over the
+    2^F grid that refines samples at resolution C (coarse_log2) needs of the
+    truth, for any tree E of depth J: an object whose .mean(E) is that mean.
+    It is the _quartic_split at J where there is one (p = 4 with db1 or db2),
+    else a _GridLoss; the _GridLoss of all read depths share one synthesis of
+    the truth."""
+    sides, grid = {}, None
+    for read in reads:
+        split = _quartic_split(truth, filt, read, coarse_log2, resolution_log2) if p == 4 else None
+        if split is None and grid is None:
+            grid = synthesize(truth, filt, coarse_log2)
+        sides[read] = split if split is not None else _GridLoss(filt, grid, resolution_log2, p)
+    return sides

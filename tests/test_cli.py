@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -577,14 +578,17 @@ REJECTED = {
                                 "n_grid must hold at least 4 sizes"),
     "density_grid_too_short": (dict(DENSITY_WORKLOAD, n_grid=[1024, 2048, 4096]),
                                "n_grid must hold at least 4 sizes"),
-    # a negative tolerance ran to a FAIL verdict, an R^2 floor outside [0, 1] passed
-    # vacuously or could never pass: config errors that read as verdicts
+    # a negative tolerance ran to a FAIL verdict, an R^2 floor outside (0, 1] passed
+    # vacuously (R^2 is clamped to [0, 1]) or could never pass: config errors that
+    # read as verdicts
     "negative_alpha_tolerance": (dict(DEMO["dense_threshold_rate"], tolerances={"alpha": -0.1}),
                                  "tolerances.alpha: -0.1 lies outside [0, inf]"),
     "negative_r_squared": (dict(DEMO["dense_threshold_rate"], tolerances={"r_squared": -5}),
-                           "tolerances.r_squared: -5.0 lies outside [0, 1]"),
+                           "tolerances.r_squared: -5.0 lies outside (0, 1]"),
+    "zero_r_squared": (dict(DEMO["dense_threshold_rate"], tolerances={"r_squared": 0}),
+                       "tolerances.r_squared: 0.0 lies outside (0, 1]"),
     "r_squared_above_one": (dict(DEMO["dense_threshold_rate"], tolerances={"r_squared": 1.5}),
-                            "tolerances.r_squared: 1.5 lies outside [0, 1]"),
+                            "tolerances.r_squared: 1.5 lies outside (0, 1]"),
     "negative_witness_tolerance": (dict(DEMO["weak_exclusion"], tolerances={"witness_rel": -0.2}),
                                    "tolerances.witness_rel: -0.2 lies outside"),
     "negative_scaling_tolerance": (dict(SCALING, tolerances={"scaling": -0.1}),
@@ -659,6 +663,19 @@ def test_a_run_builds_one_g_and_one_shell(tmp_path):
     run_in(tmp_path / "out", sweep_config())
     assert build_g.cache_info().misses == shell_tree.cache_info().misses == 1
     assert build_g.cache_info().hits == shell_tree.cache_info().hits == 4
+
+
+def test_shell_tree_call_forms_share_one_cache_entry():
+    # the benchmark set-up and probe_line_truth both name dither and j_min:
+    # validate and the set-up's truth build one shell between them
+    spec = importlib.util.spec_from_file_location("setup_child",
+                                                  ROOT / "perfbench" / "setup_child.py")
+    setup_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_child)
+    shell_tree.cache_clear()
+    config = validate_config((ROOT / "perfbench" / "workloads" / "sparse_linear.json").read_text())
+    setup_child.build_truths(config)
+    assert shell_tree.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 NAN = float("nan")
@@ -755,13 +772,16 @@ def test_demo_imports_exist(path):
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demos_run(path, tmp_path):
-    # each demo runs to exit 0 and writes only under its working directory and TMPDIR
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    # each demo runs to exit 0, writes only under its working directory and TMPDIR,
+    # and removes what it wrote under TMPDIR
+    src, tmp = str(Path(__file__).parent.parent / "src"), tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert not any(tmp.iterdir())
 
 
 def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):

@@ -26,8 +26,8 @@ from waverates.rates import (
     monte_carlo_risk,
 )
 from waverates.spaces import SmoothnessParams
-from waverates.truths import density_truth_tree, shell_tree
-from waverates.wavelet import get_filter, lp_mean, synthesize
+from waverates.truths import bump_tree, density_truth_tree, probe_line_truth, shell_tree
+from waverates.wavelet import GridSignal, _QuarticSplit, get_filter, lp_mean, synthesize
 
 DENSE = SmoothnessParams(s=2, r=2, p=2, d=1)
 SPARSE = SmoothnessParams(s=1.2, r=1, p=4, d=1)
@@ -324,6 +324,66 @@ def test_monte_carlo_risk_matches_reference_loop(kind, model, p, j_max):
     (serial,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 31, filter_name=filter_name,
                                  j_max=j_max, threads=1, model=model)
     assert serial.rows == table.rows
+
+
+def grid_loss(estimate, truth, truth_side, p, filt, depth):
+    """The p != 2 loss on the full grid: the estimate's samples at the coarse
+    resolution max(depth, truth depth) + 1 less the truth's, refined by lp_mean."""
+    res = max(depth, truth.j_max) + 1
+    diff = synthesize(estimate, filt, res).samples - synthesize(truth, filt, res).samples
+    return lp_mean(GridSignal(res, diff), filt, res + SYNTHESIS_PAD - 1, p)
+
+
+def split_truths(model):
+    """A generic_g truth, a bump at level 6 and a truth of depth 2, below most
+    observed depths (an empty tail); under the density model, densities with
+    these wavelet parts at amplitudes that keep them positive for db1 and db2."""
+    if model == "sequence":
+        return (probe_line_truth(1.2, 1, 1, 9, 2.0, 0.7, 2.0), bump_tree(1, 9, 6, 21, 0.5),
+                shell_tree(2, 2, 1, 2, 4.0))
+    return tuple(density_truth_tree(t) for t in (
+        probe_line_truth(1.2, 1, 1, 9, 0.3, 0.1, 2.0, 2), bump_tree(1, 9, 6, 21, 0.05),
+        shell_tree(2, 2, 1, 2, 0.2)))
+
+
+@pytest.mark.parametrize("kind", ["projection", "pinsker", "threshold_hard", "threshold_soft"])
+@pytest.mark.parametrize("filter_name", ["db1", "db2"])
+@pytest.mark.parametrize("model", ["sequence", "density"])
+@pytest.mark.parametrize("j_max", [None, 9])
+def test_p4_loss_on_the_estimate_grid_matches_the_full_grid(kind, filter_name, model, j_max,
+                                                             monkeypatch):
+    # at n = 64 every kind reads less deep than the depth-9 truths (a nonempty
+    # tail), and at 4096 the thresholds read all of them (an empty one)
+    args = (split_truths(model), EstimatorSpec(kind, smoothness=DENSE), [64, 4096], 3, 4.0, 23)
+    options = dict(filter_name=filter_name, j_max=j_max, model=model)
+    threaded = monte_carlo_risk(*args, threads=2, **options)
+    tails, errors, split_loss = set(), [], rates._loss
+
+    def checked(estimate, truth, truth_side, p, filt, depth):
+        split = truth_side[max(depth, truth.j_max) + 1, estimate.j_max]
+        assert isinstance(split, _QuarticSplit)
+        tails.add(split.cross is not None)
+        loss = split_loss(estimate, truth, truth_side, p, filt, depth)
+        want = grid_loss(estimate, truth, truth_side, p, filt, depth)
+        errors.append(abs(loss - want) / want)
+        return loss
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rates, "_loss", checked)
+        assert monte_carlo_risk(*args, threads=1, **options) == threaded
+    assert tails == {True, False} and len(errors) == 3 * 2 * 3 and max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize("filter_name,p", [("db4", 4.0), ("db2", 3.0), ("db1", 3.0)])
+@pytest.mark.parametrize("model", ["sequence", "density"])
+def test_loss_off_the_quartic_forms_is_the_full_grid_bit_for_bit(filter_name, p, model,
+                                                                  monkeypatch):
+    # db3 to db10 at p = 4 and every other p keep the full-grid quadrature
+    args = (split_truths(model), EstimatorSpec("threshold_soft"), [64, 4096], 3, p, 5)
+    options = dict(filter_name=filter_name, model=model)
+    got = monte_carlo_risk(*args, **options)
+    monkeypatch.setattr(rates, "_loss", grid_loss)
+    assert monte_carlo_risk(*args, **options) == got
 
 
 def synthetic_table(risks, ns=None, p=2.0):

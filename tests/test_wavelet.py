@@ -9,6 +9,7 @@ from waverates.wavelet import (
     _cascade_table,
     _quartic_form,
     _quartic_gram,
+    _quartic_split,
     _quartic_sum,
     _refined_blocks,
     _wrapped,
@@ -300,3 +301,36 @@ def test_grid_signal_freezes_without_copying_float_arrays():
     assert GridSignal(3, strided).samples.flags.c_contiguous
     with pytest.raises(ValueError, match="expected 8 samples"):
         GridSignal(3, np.zeros(7))
+
+
+@pytest.mark.parametrize("name", ["haar", "db2"])
+def test_quartic_split_mean_is_the_full_grid_lp_mean(name):
+    # read depths 0 and 1 give coarse grids shorter than a window, those >= 6 an
+    # empty tail; at C = 13 a cell holds up to 1024 tail windows
+    filt, rng = get_filter(name), np.random.default_rng(4)
+    truth = CoefficientTree(1, 6, 0.5, {j: rng.standard_normal(1 << j) * 2.0**-j
+                                        for j in (0, 2, 3, 5, 6)})
+    tails = set()
+    for coarse_log2 in (7, 9, 13):
+        fine = coarse_log2 + 5
+        for read in range(coarse_log2):
+            split = _quartic_split(truth, filt, read, coarse_log2, fine)
+            # a K-step table of more than 2^15 phases
+            if fine - read - 1 > 15:
+                assert split is None, (coarse_log2, read)
+                continue
+            tails.add(split.cross is not None)
+            estimate = CoefficientTree(1, read, -0.2, {j: rng.standard_normal(1 << j)
+                                                       for j in range(read + 1)})
+            diff = (synthesize(estimate, filt, coarse_log2).samples
+                    - synthesize(truth, filt, coarse_log2).samples)
+            want = lp_mean(GridSignal(coarse_log2, diff), filt, fine, 4.0)
+            assert abs(split.mean(estimate) - want) <= 1e-12 * want, (coarse_log2, read)
+    assert tails == {True, False}
+
+
+def test_quartic_split_is_built_for_short_cascades_only():
+    truth = CoefficientTree(1, 4, 0.0, {3: np.ones(8)})
+    assert all(_quartic_split(truth, get_filter(f"db{vm}"), 2, 8, 13) is None
+               for vm in (3, 4, 10))
+    assert _quartic_split(truth, get_filter("db2"), 2, 8, 13) is not None
