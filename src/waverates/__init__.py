@@ -3,12 +3,12 @@ verification that their generic convergence rates match the minimax exponents.
 
 The package is organized around a single data structure, the dyadic
 ``CoefficientTree``: truths, observations and estimates all live in it.
-``wavelet`` moves between trees and grid functions on [0, 1]; ``spaces``
-measures trees (Besov norms and scaling functions);
-``generic`` builds the explicit saturating function; ``truths`` builds the
-experiments' truths; ``models`` simulates observations; ``estimators`` maps
-observed coefficient trees to estimates; ``rates`` holds the closed-form
-exponents and the risk engine, whose caller names the model;
+``wavelet`` moves between trees and grid functions on [0, 1] and owns the
+risk engine's L^p loss; ``spaces`` measures trees (Besov norms and scaling
+functions); ``generic`` builds the explicit saturating function; ``truths``
+builds the experiments' truths; ``models`` simulates observations;
+``estimators`` maps observed coefficient trees to estimates; ``rates`` holds
+the closed-form exponents and the risk engine, whose caller names the model;
 ``cli`` orchestrates reproducible experiments from JSON configs.
 """
 

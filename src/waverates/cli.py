@@ -682,6 +682,8 @@ def _command(args) -> int:
         return 0
 
     if args.command == "rates":
+        if args.n < 2:  # the n / log n normalization needs n >= 2
+            raise ConfigError(f"--n must be >= 2, got {args.n}")
         params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p)
         print(f"parameters: s={args.s} r={args.r} p={args.p} d={params.d} (n={args.n})")
         mm, mm_value = minimax_rate(params, args.n)

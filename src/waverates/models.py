@@ -8,16 +8,16 @@ coefficient tree.  Density samples are drawn from the normalized,
 nonnegative part of a wavelet-specified density by inverse CDF on a fine
 dyadic grid.  A DensitySampler holds that CDF and a guide table for one
 truth, so replicates share it; it refuses densities whose clipped negative
-mass exceeds MAX_CLIPPED_MASS.  Empirical coefficients average the
-periodized wavelet at the sample points, read from a cached grid of each
-level's wavelet support.  A level with no more grid cells than
-sample points depends on the sample only through its cell counts, so it is
-summed over those counts; a finer level is summed over the points.  The
-observed trees of both models feed the same estimators.
+mass, or whose mass's distance from 1, exceeds MAX_CLIPPED_MASS.  Empirical
+coefficients average the periodized wavelet at the sample points, read from
+a cached grid of each level's wavelet support.  A level with no more grid
+cells than sample points depends on the sample only through its cell
+counts, so it is summed over those counts; a finer level is summed over the
+points.  The observed trees of both models feed the same estimators.
 
-All generation is deterministic given the seed.  Replicated experiments
-derive per-replicate seeds from a master seed through numpy's SeedSequence
-spawning, which guarantees distinct, non-overlapping streams.
+All generation is deterministic given the seed.  The risk engine seeds
+each replicate with SeedSequence((master_seed, n, replicate)), whose entropy
+hashing gives each (n, replicate) its own stream.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ __all__ = [
 ]
 
 DENSITY_GRID_PAD = 8
-# Largest integral of the negative part a density tree may have.  Clipping a
-# negative mass m and renormalizing moves the sampled density 2m in L^1 from
-# the tree, against which the risk is measured.
+# Largest integral of the negative part a density tree may have, and largest
+# distance of its integral from 1.  Clipping a negative mass m and
+# renormalizing moves the sampled density 2m in L^1 from the tree, against
+# which the risk is measured; renormalizing a mass 1 + m moves it |m|.
 MAX_CLIPPED_MASS = 1e-4
 # Forward steps from the guide-table cell before falling back to a binary
 # search.  A draw steps once per cell boundary inside its guide bucket, of
@@ -130,12 +131,13 @@ class DensitySampler:
     j_max + 8), negative values are clipped to zero and the result
     renormalized to unit mass; the points are drawn exactly from that
     piecewise-constant density.  Refuses a grid finer than 2^MAX_DEPTH cells,
-    a tree whose reconstruction is nonpositive everywhere, or whose clipped
+    a tree whose reconstruction is nonpositive everywhere, whose clipped
     negative mass (the integral of the negative part, recorded as
-    clipped_mass) exceeds MAX_CLIPPED_MASS: risks are measured against the
-    unclipped tree, so the sampled law must be that tree.  The arrays are
-    read-only, so one sampler serves every replicate, and the risk engine's
-    forked workers inherit it.
+    clipped_mass) exceeds MAX_CLIPPED_MASS, or whose mass (the mean of the
+    grid before clipping) differs from 1 by more: risks are measured against
+    the unclipped, unnormalized tree, so the sampled law must be that tree.
+    The arrays are read-only, so one sampler serves every replicate, and the
+    risk engine's forked workers inherit it.
     """
 
     res: int
@@ -151,6 +153,7 @@ class DensitySampler:
             raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
                              f"j_max must be <= {MAX_DEPTH - DENSITY_GRID_PAD}")
         values = synthesize(f_tree, filt, res).samples
+        mass = float(np.mean(values))
         clipped_mass = float(np.maximum(-values, 0.0).sum()) / (1 << res)
         values = np.clip(values, 0.0, None)
         total = values.sum()
@@ -161,6 +164,9 @@ class DensitySampler:
                 f"density has negative mass {clipped_mass:.3g} > {MAX_CLIPPED_MASS:g}; "
                 "clipping it would sample a different law than the tree"
             )
+        if abs(mass - 1.0) > MAX_CLIPPED_MASS:
+            raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
+                             "renormalizing it would sample a different law than the tree")
         masses = values / total
         cum = np.cumsum(masses)
         cum[-1] = 1.0

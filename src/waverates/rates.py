@@ -11,11 +11,10 @@ the asymptotic "same rate" relation only constrains the ratio of logs, so an
 ordinary least-squares slope in log-log coordinates is its finite-sample
 proxy.
 
-What the loss needs of a truth is computed once, before any replicate.  At
-p = 4 with db1 or db2 that is the truth split at each read depth J
-(wavelet._quartic_split), and a replicate's loss runs on the estimate's own
-2^(J + 1) coarse samples instead of the truth's grid; wavelet._loss_sides
-makes that choice.
+The loss itself is wavelet's: wavelet._loss_sides gives, once per truth and
+depth before any replicate, an object whose .mean(estimate) is the loss.
+The engine plans each n once (the estimate, each truth's observed depth and
+its side of the loss), and a replicate observes, estimates and calls .mean.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
 
 RISK_FLOOR = 1e-300
 MIN_FIT_ROWS = 4  # the fewest risks fit_slope fits a slope to
-SYNTHESIS_PAD = 6
 
 
 @dataclass(frozen=True)
@@ -223,63 +221,6 @@ class EstimatorSpec:
         return ESTIMATOR_KINDS[self.kind].family
 
 
-def _level_energies(tree: CoefficientTree) -> dict:
-    """Energy of each level the tree holds, summed as total_energy sums it."""
-    return {j: np.sum(a * a) for j, a in tree.levels.items()}
-
-
-def _energy_loss(estimate: CoefficientTree, truth: CoefficientTree, truth_energy) -> float:
-    """(estimate - truth).total_energy(), bit for bit, with truth_energy[j] the
-    energy of the truth's level j standing in for each level the estimate does
-    not hold (0 - t is -t exactly).  The levels are summed in the order and the
-    way CoefficientTree's subtraction and total_energy sum them."""
-    parts = []
-    for j in set(estimate.levels) | set(truth.levels):
-        e, t = estimate.levels.get(j), truth.levels.get(j)
-        if e is None:
-            parts.append(truth_energy[j])
-        else:
-            diff = e if t is None else e - t
-            parts.append(np.sum(diff * diff))
-    return (estimate.scaling - truth.scaling) ** 2 + float(sum(parts))
-
-
-def _coarse_resolution(truth: CoefficientTree, depth: int) -> int:
-    """Resolution of the samples the p != 2 loss refines: one above the
-    deeper of the model depth and the truth's."""
-    return max(depth, truth.j_max) + 1
-
-
-def _truth_side(truth: CoefficientTree, depths, p: float, filt) -> dict:
-    """What the loss needs of a truth, computed once before any replicate,
-    for each (model depth, observed depth) of depths (_depths): its level
-    energies for p = 2; else, keyed by (coarse resolution, observed depth),
-    the wavelet._loss_sides of the truth at that resolution."""
-    if p == 2.0:
-        return _level_energies(truth)
-    reads: dict[int, set] = {}
-    for depth, read in depths:
-        reads.setdefault(_coarse_resolution(truth, depth), set()).add(read)
-    # deepest first: the smaller splits reuse the memory the largest one's
-    # temporaries free (0.5 MB less peak RSS on perfbench sparse_linear)
-    return {(res, read): side for res, observed in reads.items()
-            for read, side in _loss_sides(truth, filt, sorted(observed, reverse=True), res,
-                                          res + SYNTHESIS_PAD - 1, p).items()}
-
-
-def _loss(estimate, truth, truth_side, p, filt, depth) -> float:
-    """||estimate - truth||_p^p: the coefficient energy for p = 2, else grid
-    quadrature of the difference over the 2^F samples that refine its samples
-    at resolution C = max(depth, truth depth) + 1 by SYNTHESIS_PAD - 1
-    zero-detail steps, by the truth's side at C and the estimate's depth
-    (_truth_side): for p = 4 with db1 or db2 a sum over the estimate's own
-    2^(J + 1) coarse samples, J its depth; otherwise the estimate synthesized
-    at C less the truth's samples there, refined by lp_mean."""
-    if p == 2.0:
-        return _energy_loss(estimate, truth, truth_side)
-    return truth_side[_coarse_resolution(truth, depth), estimate.j_max].mean(estimate)
-
-
 def _linear(order, spec, n):
     weights = linear_weights(spec.cutoff(n), order)
     return max(weights, default=0), lambda y: linear_estimate(y, weights)
@@ -331,7 +272,8 @@ def _depths(truth, read, j_max, density) -> tuple[int, int]:
 class _Replicates(NamedTuple):
     """What every replicate of one monte_carlo_risk call reads; called on a
     job (i, rep), it returns (i, rep, the loss of every truth's estimate) on
-    the replicate drawn from the seed (master_seed, n_grid[i], rep).
+    the replicate drawn from the seed (master_seed, n, rep), plans[i] being
+    (n, the estimate, each truth's observed depth, each truth's loss side).
 
     Sequence truths share one noise draw, to the deepest depth any of them
     reads, and each adds its own levels to it; each density truth samples its
@@ -339,31 +281,23 @@ class _Replicates(NamedTuple):
     """
 
     truths: tuple[CoefficientTree, ...]
-    truth_sides: list[dict]
-    rules: list[tuple]
-    n_grid: list[int]
-    p: float
+    plans: list[tuple]
     filt: WaveletFilter
-    j_max: int | None
     master_seed: int
     samplers: list[DensitySampler] | None
 
     def __call__(self, job):
         i, rep = job
-        n, (read, estimate) = self.n_grid[i], self.rules[i]
+        n, estimate, reads, sides = self.plans[i]
         seed = np.random.SeedSequence((self.master_seed, n, rep))
-        density, truths = self.samplers is not None, self.truths
-        depths, reads = zip(*(_depths(truth, read, self.j_max, density) for truth in truths))
-        if density:
+        if self.samplers is not None:
             observed = [empirical_coefficients(sampler.sample(n, seed), self.filt, j)
                         for sampler, j in zip(self.samplers, reads)]
         else:
             top = max(reads)
             noise = simulate_sequence(CoefficientTree.zeros(1, top), n, top, seed)
-            observed = [observe(truth, noise, j) for truth, j in zip(truths, reads)]
-        return i, rep, [_loss(estimate(y), truth, side, self.p, self.filt, depth)
-                        for y, truth, side, depth
-                        in zip(observed, truths, self.truth_sides, depths)]
+            observed = [observe(truth, noise, j) for truth, j in zip(self.truths, reads)]
+        return i, rep, [side.mean(estimate(y)) for y, side in zip(observed, sides)]
 
 
 _WORKER_REPLICATES: _Replicates | None = None  # a worker process's, set by _start_worker
@@ -430,9 +364,9 @@ def monte_carlo_risk(
     count: at 1 (or a cap of 1) the replicates run in this process, else on
     worker processes forked from it, each with its own caches; the losses are
     stored by (n, replicate), so the reduction order is fixed.  The density
-    model builds one DensitySampler per truth, shared by all replicates,
-    and the truth's side of the loss (_truth_side) is computed once per truth
-    before the replicates start.
+    model builds one DensitySampler per truth, shared by all replicates.  A
+    plan per n, built before any replicate, holds the estimate and each
+    truth's observed depth and side of the loss (wavelet._loss_sides).
 
     The truths do not enter the seed, so every truth is observed under the
     same noise (common random numbers), which each replicate draws once, and
@@ -453,10 +387,12 @@ def monte_carlo_risk(
     density = model == "density"
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
     rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
-    truth_sides = [_truth_side(t, {_depths(t, read, j_max, density) for read, _ in rules}, p, filt)
-                   for t in truths]
-    replicates = _Replicates(truths, truth_sides, rules, n_grid, p, filt, j_max, master_seed,
-                             samplers)
+    # per n, each truth's (model depth, observed depth); per truth, its sides
+    depths = [[_depths(t, read, j_max, density) for t in truths] for read, _ in rules]
+    sides = [_loss_sides(t, filt, [row[k] for row in depths], p) for k, t in enumerate(truths)]
+    plans = [(n, estimate, [read for _, read in row], [s[pair] for s, pair in zip(sides, row)])
+             for n, (_, estimate), row in zip(n_grid, rules, depths)]
+    replicates = _Replicates(truths, plans, filt, master_seed, samplers)
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
     losses = np.empty((len(truths), len(n_grid), R))
     for i, rep, values in _replicate_results(replicates, jobs, threads):

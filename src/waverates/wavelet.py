@@ -23,16 +23,15 @@ the window, with a matrix built once per (taps, K); it is used where the
 table has at most three rows (db1, db2).  Other p and longer filters sum the
 refined samples block by block.
 
-The p = 4 loss of the risk engine sums (E - T)^4 over a grid far finer than
-the estimate E.  ``_quartic_split`` splits the truth T at E's depth J into a
-head (levels <= J) and a tail B, expands (L - B)^4 with L = E - head, and
-computes once what the tail contributes: the sum of B^4, and for each of
-L's 2^(J + 1) coarse windows the weights of its monomials of degree 1 to 3
-against B^3, B^2 and B.  Each estimate then costs sums over its own coarse
-windows; the fine grid is never built.  ``_loss_sides`` chooses, per read
-depth, between that split and the full-grid loss (``_GridLoss``: synthesize
-the estimate, subtract the truth's samples, ``lp_mean``), which other p and
-longer filters keep.
+The risk engine's loss mean |E - T|^p of an estimate E against a truth T is
+this module's: ``_loss_sides`` chooses how to compute it and what of T to
+compute once.  At p = 2 it is the coefficient energy.  At p = 4 with db1 or
+db2, ``_quartic_split`` splits T at E's depth J into a head (levels <= J)
+and a tail B, expands (L - B)^4 with L = E - head, and computes once what
+the tail contributes: the sum of B^4, and for each of L's 2^(J + 1) coarse
+windows the weights of its monomials of degree 1 to 3 against B^3, B^2 and
+B; the fine grid is never built.  Other p and longer filters synthesize E,
+subtract T's samples and refine the difference by ``lp_mean``.
 
 Coefficient convention: a signal is
 
@@ -248,6 +247,7 @@ def analyze(signal: GridSignal, filt: WaveletFilter, j_max: int) -> CoefficientT
 
 
 _BLOCK_SAMPLES = 1 << 15
+SYNTHESIS_PAD = 6  # the p != 2 loss refines by SYNTHESIS_PAD - 1 steps (_loss_sides)
 _FORM_WINDOWS = 1 << 12
 _FORM_MAX_SHIFTS = 3
 
@@ -608,18 +608,51 @@ class _GridLoss(NamedTuple):
         return lp_mean(GridSignal(res, diff), self.filt, self.resolution_log2, self.p)
 
 
-def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, reads, coarse_log2: int,
-                resolution_log2: int, p: float) -> dict:
-    """For each read depth J in reads, what the mean of |E - truth|^p over the
-    2^F grid that refines samples at resolution C (coarse_log2) needs of the
-    truth, for any tree E of depth J: an object whose .mean(E) is that mean.
-    It is the _quartic_split at J where there is one (p = 4 with db1 or db2),
-    else a _GridLoss; the _GridLoss of all read depths share one synthesis of
-    the truth."""
-    sides, grid = {}, None
-    for read in reads:
-        split = _quartic_split(truth, filt, read, coarse_log2, resolution_log2) if p == 4 else None
-        if split is None and grid is None:
-            grid = synthesize(truth, filt, coarse_log2)
-        sides[read] = split if split is not None else _GridLoss(filt, grid, resolution_log2, p)
-    return sides
+class _EnergyLoss(NamedTuple):
+    """The truth's side of the p = 2 loss: its level energies."""
+
+    truth: CoefficientTree
+    energies: dict  # level j -> the energy of the truth's level j
+
+    def mean(self, estimate: CoefficientTree) -> float:
+        """(estimate - truth).total_energy() bit for bit, the energy of a
+        truth level the estimate lacks standing in for its sum (0 - t is -t
+        exactly), the levels summed in the order and the way CoefficientTree's
+        subtraction and total_energy sum them."""
+        parts = []
+        for j in set(estimate.levels) | set(self.truth.levels):
+            e, t = estimate.levels.get(j), self.truth.levels.get(j)
+            if e is None:
+                parts.append(self.energies[j])
+            else:
+                diff = e if t is None else e - t
+                parts.append(np.sum(diff * diff))
+        return (estimate.scaling - self.truth.scaling) ** 2 + float(sum(parts))
+
+
+def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, pairs, p: float) -> dict:
+    """What the L^p loss mean |E - truth|^p needs of the truth, computed once,
+    for each (model depth, observed depth J) of pairs: an object whose .mean(E)
+    is that loss for any tree E of depth J, keyed by the pair.
+
+    For p = 2 it is the _EnergyLoss, whatever the pair.  Else the mean runs
+    over the 2^F grid, F = C + SYNTHESIS_PAD - 1, that refines samples at
+    resolution C = max(model depth, truth depth) + 1: the _quartic_split at
+    (C, J) where there is one (p = 4 with db1 or db2), else a _GridLoss; the
+    _GridLoss of one C share one synthesis of the truth."""
+    if p == 2:
+        energies = {j: np.sum(a * a) for j, a in truth.levels.items()}
+        return dict.fromkeys(pairs, _EnergyLoss(truth, energies))
+    at = {pair: (max(pair[0], truth.j_max) + 1, pair[1]) for pair in pairs}
+    sides, grids = {}, {}
+    # deepest first: the smaller splits reuse the memory the largest one's
+    # temporaries free (0.5 MB less peak RSS on perfbench sparse_linear)
+    for coarse, read in sorted(set(at.values()), reverse=True):
+        fine = coarse + SYNTHESIS_PAD - 1
+        side = _quartic_split(truth, filt, read, coarse, fine) if p == 4 else None
+        if side is None:
+            if coarse not in grids:
+                grids[coarse] = synthesize(truth, filt, coarse)
+            side = _GridLoss(filt, grids[coarse], fine, p)
+        sides[coarse, read] = side
+    return {pair: sides[at[pair]] for pair in pairs}

@@ -162,6 +162,14 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert "tolerances.aplha" in capsys.readouterr().err
     assert main(["run"]) == EXIT_CONFIG_ERROR  # usage error: --config is required
     assert main(["rates", "--s", "1", "--r", "1", "--p", "2"]) == EXIT_CONFIG_ERROR  # s = d/r
+    # these raised ZeroDivisionError and ValueError, or printed complex "values"
+    for smoothness, n in ((("2", "2", "2"), "0"), (("1.2", "1", "4"), "1"),
+                          (("2", "2", "2"), "-5")):
+        flags = [flag for pair in zip(("--s", "--r", "--p"), smoothness) for flag in pair]
+        capsys.readouterr()
+        assert main(["rates", *flags, "--n", n]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --n must be >= 2, got {n}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.json"]
 
     # a fault inside the run is an internal error, not a count of failed verdicts
@@ -552,6 +560,10 @@ REJECTED = {
     "density_negative_mass": (dict(DENSITY_WORKLOAD, truth_spec={
         **DENSITY_WORKLOAD["truth_spec"], "base_amplitude": 40}),
         "truth_spec: density has negative mass 1.12 > 0.0001"),
+    # the sampler renormalized it, and the run measured a flat risk to a FAIL verdict
+    "density_mass_not_one": (dict(DENSITY_WORKLOAD, j_max=6, truth_spec={
+        "kind": "explicit_tree_file", "path": "t.csv"}),
+        "truth_spec: density has mass 2, not 1 within 0.0001"),
     # deeper than MAX_DEPTH = 24: these tried to allocate 2^40 or 2^25 doubles
     "tree_file_too_deep": (_rate(truth_spec={"kind": "explicit_tree_file", "path": "t.csv"}),
                            "t.csv: j_max must lie in [0, 24], got 40"),
@@ -609,6 +621,7 @@ TREE_FILES = {
     "tree_file_repeated_position": "# coefficient-tree,d=1,j_max=4,scaling=0.0\n"
                                    "j,k,value\n1,0,1.0\n1,0,2.0\n",
     "tree_file_too_deep": "# coefficient-tree,d=1,j_max=40,scaling=0.0\nj,k,value\n40,0,1.0\n",
+    "density_mass_not_one": "# coefficient-tree,d=1,j_max=6,scaling=2.0\nj,k,value\n3,2,0.1\n",
 }
 
 

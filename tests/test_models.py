@@ -121,6 +121,15 @@ def test_sample_density_rejects_nonpositive():
         DensitySampler.from_tree(tree, HAAR)
 
 
+def test_density_sampler_refuses_mass_other_than_one():
+    # the sampler renormalizes, but the risk is measured against the tree itself
+    mass = lambda scaling: CoefficientTree.from_items(1, 3, scaling, [((1, 0), 0.1)])
+    for scaling in (2.0, 0.5, 1.0 + 2e-4):
+        with pytest.raises(ValueError, match=f"density has mass {scaling:.6g}, not 1 within"):
+            DensitySampler.from_tree(mass(scaling), HAAR)
+    DensitySampler.from_tree(mass(1.0 + 5e-5), HAAR)  # within MAX_CLIPPED_MASS
+
+
 def test_sample_density_deterministic():
     tree = uniform_density_tree(5)
     a = DensitySampler.from_tree(tree, HAAR).sample(64, seed=9)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,6 @@ from waverates.estimators import linear_estimate, linear_weights, noise_depth, t
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
-    _energy_loss,
-    _level_energies,
-    SYNTHESIS_PAD,
     EstimatorSpec,
     RiskRow,
     RiskTable,
@@ -27,7 +25,15 @@ from waverates.rates import (
 )
 from waverates.spaces import SmoothnessParams
 from waverates.truths import bump_tree, density_truth_tree, probe_line_truth, shell_tree
-from waverates.wavelet import GridSignal, _QuarticSplit, get_filter, lp_mean, synthesize
+from waverates.wavelet import (
+    SYNTHESIS_PAD,
+    GridSignal,
+    _loss_sides,
+    _QuarticSplit,
+    get_filter,
+    lp_mean,
+    synthesize,
+)
 
 DENSE = SmoothnessParams(s=2, r=2, p=2, d=1)
 SPARSE = SmoothnessParams(s=1.2, r=1, p=4, d=1)
@@ -326,12 +332,25 @@ def test_monte_carlo_risk_matches_reference_loop(kind, model, p, j_max):
     assert serial.rows == table.rows
 
 
-def grid_loss(estimate, truth, truth_side, p, filt, depth):
+def grid_loss(estimate, truth, p, filt, depth):
     """The p != 2 loss on the full grid: the estimate's samples at the coarse
     resolution max(depth, truth depth) + 1 less the truth's, refined by lp_mean."""
     res = max(depth, truth.j_max) + 1
     diff = synthesize(estimate, filt, res).samples - synthesize(truth, filt, res).samples
     return lp_mean(GridSignal(res, diff), filt, res + SYNTHESIS_PAD - 1, p)
+
+
+def hook_loss(patch, hook):
+    """Route every loss the engine computes through hook(side, estimate, truth,
+    p, filt, model depth), side being the engine's own at that depth pair."""
+    def hooked(side, truth, filt, depth, p):
+        return SimpleNamespace(mean=lambda estimate: hook(side, estimate, truth, p, filt, depth))
+
+    def sides(truth, filt, pairs, p):
+        return {pair: hooked(side, truth, filt, pair[0], p)
+                for pair, side in _loss_sides(truth, filt, pairs, p).items()}
+
+    patch.setattr(rates, "_loss_sides", sides)
 
 
 def split_truths(model):
@@ -357,19 +376,18 @@ def test_p4_loss_on_the_estimate_grid_matches_the_full_grid(kind, filter_name, m
     args = (split_truths(model), EstimatorSpec(kind, smoothness=DENSE), [64, 4096], 3, 4.0, 23)
     options = dict(filter_name=filter_name, j_max=j_max, model=model)
     threaded = monte_carlo_risk(*args, threads=2, **options)
-    tails, errors, split_loss = set(), [], rates._loss
+    tails, errors = set(), []
 
-    def checked(estimate, truth, truth_side, p, filt, depth):
-        split = truth_side[max(depth, truth.j_max) + 1, estimate.j_max]
+    def checked(split, estimate, truth, p, filt, depth):
         assert isinstance(split, _QuarticSplit)
         tails.add(split.cross is not None)
-        loss = split_loss(estimate, truth, truth_side, p, filt, depth)
-        want = grid_loss(estimate, truth, truth_side, p, filt, depth)
+        loss = split.mean(estimate)
+        want = grid_loss(estimate, truth, p, filt, depth)
         errors.append(abs(loss - want) / want)
         return loss
 
     with monkeypatch.context() as patch:
-        patch.setattr(rates, "_loss", checked)
+        hook_loss(patch, checked)
         assert monte_carlo_risk(*args, threads=1, **options) == threaded
     assert tails == {True, False} and len(errors) == 3 * 2 * 3 and max(errors) <= 1e-12
 
@@ -382,8 +400,9 @@ def test_loss_off_the_quartic_forms_is_the_full_grid_bit_for_bit(filter_name, p,
     args = (split_truths(model), EstimatorSpec("threshold_soft"), [64, 4096], 3, p, 5)
     options = dict(filter_name=filter_name, model=model)
     got = monte_carlo_risk(*args, **options)
-    monkeypatch.setattr(rates, "_loss", grid_loss)
-    assert monte_carlo_risk(*args, **options) == got
+    calls = []
+    hook_loss(monkeypatch, lambda side, *loss_args: calls.append(side) or grid_loss(*loss_args))
+    assert monte_carlo_risk(*args, **options) == got and len(calls) == 3 * 2 * 3
 
 
 def synthetic_table(risks, ns=None, p=2.0):
@@ -545,6 +564,27 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
             assert np.array_equal(short.levels[j], level)
 
 
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+@pytest.mark.parametrize("model", ["sequence", "density"])
+def test_each_estimate_has_the_depth_of_its_observed_tree(kind, model):
+    # the engine picks each truth's loss side by the observed depth, before
+    # any replicate, so the estimate must have that depth whatever it reads
+    truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
+    filt = get_filter("db2")
+    sampler = DensitySampler.from_tree(truth, filt)
+    est = EstimatorSpec(kind, smoothness=DENSE)
+    for n in (64, 4096):
+        read, estimate = ESTIMATOR_KINDS[kind].rule(est, n)
+        assert read >= 1
+        for depth in (read - 1, read, read + 3):  # shallower and deeper than the read depth
+            seed = np.random.SeedSequence((5, n))
+            if model == "sequence":
+                y = simulate_sequence(truth, n, depth, seed).y
+            else:
+                y = empirical_coefficients(sampler.sample(n, seed), filt, depth)
+            assert y.j_max == depth and estimate(y).j_max == depth
+
+
 def test_energy_loss_is_the_difference_energy_bit_for_bit():
     rng = np.random.default_rng(8)
     noisy = lambda j, scale=1.0: scale * rng.standard_normal(1 << j)
@@ -561,8 +601,11 @@ def test_energy_loss_is_the_difference_energy_bit_for_bit():
         CoefficientTree.zeros(1, 2),  # no level
         CoefficientTree(1, 12, 1e-3, {11: noisy(11, 1e-4)}),  # a level the truths lack
     ]
+    filt = get_filter("db2")
     for truth in truths:
-        energies = _level_energies(truth)
+        # every pair gets the truth's one side; at p = 2 the depths do not enter
+        sides = _loss_sides(truth, filt, [(3, 2), (5, 5), (12, 12)], 2.0)
+        assert len({id(side) for side in sides.values()}) == 1
         for estimate in estimates:
             want = (estimate - truth).total_energy()
-            assert _energy_loss(estimate, truth, energies) == want
+            assert sides[5, 5].mean(estimate) == want
