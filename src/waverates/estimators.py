@@ -62,10 +62,15 @@ def linear_weights(m_n: float, order: float = math.inf) -> dict[int, float]:
 
 
 def linear_estimate(y: CoefficientTree, weights: Mapping[int, float]) -> CoefficientTree:
-    """Each level of the observed tree times its weight (levels without one are
-    dropped); scaling passed through with weight 1."""
-    levels = {j: weights[j] * arr for j, arr in y.levels.items() if weights.get(j, 0.0) != 0.0}
-    return CoefficientTree(d=y.d, j_max=y.j_max, scaling=y.scaling, levels=levels)
+    """Each level of the observed tree times its weight, as one multiply by a
+    weight per coefficient; the populated levels are those of y with a
+    nonzero weight, and the others are dropped.  Scaling passed through with
+    weight 1."""
+    kept = y.populated & sum(1 << j for j, w in weights.items() if w != 0.0)
+    top = kept.bit_length()
+    per_level = [1.0] + [weights.get(j, 0.0) for j in range(top)]
+    per_coeff = np.repeat(per_level, [1] + [1 << j for j in range(top)])
+    return CoefficientTree._of(y.j_max, per_coeff * y.coeffs[: len(per_coeff)], kept)
 
 
 def threshold_estimate(y: CoefficientTree, n: int, kappa: float = 2.0,
@@ -74,19 +79,22 @@ def threshold_estimate(y: CoefficientTree, n: int, kappa: float = 2.0,
 
     Hard keeps y when |y| >= kappa t_n (boundary kept); soft shrinks by
     sign(y) (|y| - kappa t_n)_+.  Levels above j(n) are zeroed; the scaling
-    coefficient is passed through untouched.  kappa must be finite and > 0.
+    coefficient is passed through untouched.  The populated levels are those
+    of y up to j(n) that keep a nonzero coefficient.  kappa must be finite
+    and > 0.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
     lam = kappa * universal_threshold(n)
+    j_cut = noise_depth(n)
+    a = y.coeffs[: 2 << j_cut]
     if mode == "hard":
-        rule = lambda a: np.where(np.abs(a) >= lam, a, 0.0)
+        est = np.where(np.abs(a) >= lam, a, 0.0)
     else:
-        rule = lambda a: np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    j_cut, levels = noise_depth(n), {}
-    for j, arr in y.levels.items():
-        if j <= j_cut and (est := rule(arr)).any():  # all-zero levels dropped
-            levels[j] = est
-    return CoefficientTree(d=y.d, j_max=y.j_max, scaling=y.scaling, levels=levels)
+        est = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
+    est[0] = a[0]
+    starts = 1 << np.arange(len(a).bit_length() - 1)  # level j starts at 2^j, its bit
+    kept = y.populated & int(starts[np.logical_or.reduceat(est != 0.0, starts)].sum())
+    return CoefficientTree._of(y.j_max, est, kept)

@@ -2,18 +2,20 @@
 
 Sequence observations add independent Gaussian noise of standard deviation
 n^{-1/2} to every coefficient up to the requested depth, zero coefficients
-included.  The risk engine requests the depth its estimator reads, and
-``observe`` adds one noise draw to several truths, giving each its observed
-coefficient tree.  Density samples are drawn from the normalized,
-nonnegative part of a wavelet-specified density by inverse CDF on a fine
-dyadic grid.  A DensitySampler holds that CDF and a guide table for one
-truth, so replicates share it; it refuses densities whose clipped negative
-mass, or whose mass's distance from 1, exceeds MAX_CLIPPED_MASS.  Empirical
-coefficients average the periodized wavelet at the sample points, read from
-a cached grid of each level's wavelet support.  A level with no more grid
-cells than sample points depends on the sample only through its cell
-counts, so it is summed over those counts; a finer level is summed over the
-points.  The observed trees of both models feed the same estimators.
+included.  The noise is one draw in the trees' heap order (see dyadic), so
+observing a truth is one array add.  The risk engine requests the depth its
+estimator reads, and ``observe`` adds one noise draw to several truths,
+giving each its observed coefficient tree.  Density samples are drawn from
+the normalized, nonnegative part of a wavelet-specified density by inverse
+CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a guide
+table for one truth, so replicates share it; it refuses densities whose
+clipped negative mass, or whose mass's distance from 1, exceeds
+MAX_CLIPPED_MASS.  Empirical coefficients average the periodized wavelet at
+the sample points, read from a cached grid of each level's wavelet support.
+A level with no more grid cells than sample points depends on the sample
+only through its cell counts, so it is summed over those counts; a finer
+level is summed over the points.  The observed trees of both models feed the
+same estimators.
 
 All generation is deterministic given the seed.  The risk engine seeds
 each replicate with SeedSequence((master_seed, n, replicate)), whose entropy
@@ -83,45 +85,46 @@ def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> Seque
     """Observe theta under Gaussian noise of standard deviation n^{-1/2}.
 
     Every index up to j_max receives noise, including indices where theta is
-    zero; the scaling coefficient is observed under the same noise law.  The
-    draw order (scaling first, then levels in increasing j) is fixed, so the
-    observation is bit-identical for identical inputs.
+    zero; the scaling coefficient is observed under the same noise law, and
+    every level 0..j_max of the observation is populated.  The noise is one
+    draw of 2^(j_max + 1) standard normals in heap order (the scaling
+    coefficient first, then levels in increasing j), so the observation is
+    bit-identical for identical inputs, and equal to drawing the scaling
+    coefficient and then each level in turn from the same generator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     rng = np.random.default_rng(seed)  # an int seed is read as SeedSequence(seed)
-    sigma = n**-0.5
-    scaling = theta.scaling + sigma * rng.standard_normal()
-    levels = {}
-    for j in range(j_max + 1):
-        noise = sigma * rng.standard_normal(1 << j)
-        base = theta.levels.get(j)
-        levels[j] = noise if base is None else base + noise
-    y = CoefficientTree(d=theta.d, j_max=j_max, scaling=scaling, levels=levels)
-    return SequenceObservation(n=n, y=y)
+    y = n**-0.5 * rng.standard_normal(2 << j_max)
+    base = theta.coeffs[: 2 << j_max]
+    y[: len(base)] += base
+    return SequenceObservation(n=n, y=CoefficientTree._of(j_max, y, (2 << j_max) - 1))
 
 
 def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> CoefficientTree:
     """The tree of theta observed to depth j_max under the noise of an
-    observation of zero.
+    observation of zero, with every level 0..j_max populated.
 
     noise is simulate_sequence(zero tree, n, J, seed) with J >= j_max.  The
     result equals simulate_sequence(theta, n, j_max, seed).y bit for bit: the
     draws of levels 0..j_max do not depend on J, the zero tree's observation
     is the draw itself, and each sum here is the one simulate_sequence forms.
     """
-    y = noise.y
-    if not 0 <= j_max <= y.j_max:
-        raise ValueError(f"noise of depth {y.j_max} cannot observe to depth {j_max}")
-    levels = {}
-    for j in range(j_max + 1):
-        base = theta.levels.get(j)
-        levels[j] = y.levels[j] if base is None else base + y.levels[j]
-    return CoefficientTree(d=theta.d, j_max=j_max, scaling=theta.scaling + y.scaling,
-                           levels=levels)
+    drawn = noise.y.coeffs
+    if not 0 <= j_max <= noise.y.j_max:
+        raise ValueError(f"noise of depth {noise.y.j_max} cannot observe to depth {j_max}")
+    base = theta.coeffs[: 2 << j_max]
+    y = np.empty(2 << j_max)
+    np.add(base, drawn[: len(base)], out=y[: len(base)])
+    y[len(base):] = drawn[len(base) : len(y)]
+    return CoefficientTree._of(j_max, y, (2 << j_max) - 1)
 
+
+# The last DensitySampler from_tree built, keyed by its filter taps, tree
+# depth and tree array; one entry at most.
+_LAST_SAMPLER: dict[tuple[bytes, int, bytes], DensitySampler] = {}
 
 @dataclass(frozen=True)
 class DensitySampler:
@@ -137,7 +140,10 @@ class DensitySampler:
     grid before clipping) differs from 1 by more: risks are measured against
     the unclipped, unnormalized tree, so the sampled law must be that tree.
     The arrays are read-only, so one sampler serves every replicate, and the
-    risk engine's forked workers inherit it.
+    risk engine's forked workers inherit it.  from_tree keeps the last
+    sampler it built and returns it again for a tree of the same depth and
+    array under the same filter, so the truth's sampler that validating a
+    config builds is the one its run samples from.
     """
 
     res: int
@@ -148,6 +154,9 @@ class DensitySampler:
 
     @classmethod
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
+        key = (filt.taps.tobytes(), f_tree.j_max, f_tree.coeffs.tobytes())
+        if key in _LAST_SAMPLER:
+            return _LAST_SAMPLER[key]
         res = f_tree.j_max + DENSITY_GRID_PAD
         if res > MAX_DEPTH:
             raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
@@ -174,7 +183,9 @@ class DensitySampler:
         guide = np.searchsorted(cum, np.arange(1 << res) / (1 << res), side="left")
         for arr in (masses, cum, guide):
             arr.flags.writeable = False
-        return cls(res, masses, cum, guide, clipped_mass)
+        _LAST_SAMPLER.clear()
+        _LAST_SAMPLER[key] = sampler = cls(res, masses, cum, guide, clipped_mass)
+        return sampler
 
     def locate(self, u: np.ndarray) -> np.ndarray:
         """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
@@ -280,7 +291,8 @@ def empirical_coefficients(
     more cells than points, sum per point: a bincount per support block,
     bit-identical to summing psi_{j,k} over the points in order.  The
     scaling coefficient is always the plain sum over the points.  The count
-    arrays hold at most n values, so memory stays O(n).
+    arrays hold at most n values, so memory stays O(n).  Every level
+    0..j_max of the result is populated.
     """
     if sample.n < 1 or sample.points.size == 0:
         raise ValueError("empty sample")
@@ -289,9 +301,9 @@ def empirical_coefficients(
     inv_n = 1.0 / sample.n
     fine = _cells(sample.points, j_max + DENSITY_GRID_PAD)
     # scaling function: constant 1 on [0, 1] after periodization
-    scaling = float(np.sum(_scaling_grid(filt)[fine >> j_max]) * inv_n)
+    coeffs = np.empty(2 << j_max)
+    coeffs[0] = np.sum(_scaling_grid(filt)[fine >> j_max]) * inv_n
     stride = 1 << DENSITY_GRID_PAD
-    levels = {}
     # count levels 0..top: 2^(j+8) <= n; top = -1 when there are none
     top = max(min(j_max, sample.n.bit_length() - 1 - DENSITY_GRID_PAD), -1)
     if top >= 0:
@@ -303,7 +315,7 @@ def empirical_coefficients(
         # einsum without optimize: no BLAS, so no dependence on its threads
         per_block = np.einsum("bp,mp->mb", counts.reshape(1 << j, stride),
                               psi.reshape(blocks, stride))
-        levels[j] = _fold(per_block, 1 << j) * inv_n
+        np.multiply(_fold(per_block, 1 << j), inv_n, out=coeffs[1 << j : 2 << j])
     # point levels: 2^(j+8) > n
     for j in range(top + 1, j_max + 1):
         psi, blocks = _wavelet_support(j, filt)
@@ -313,10 +325,8 @@ def empirical_coefficients(
         psi = psi.reshape(blocks, stride)
         per_block = (np.bincount(block, weights=psi[m][phase], minlength=1 << j)
                      for m in range(blocks))
-        levels[j] = _fold(per_block, 1 << j) * inv_n
-    # levels in increasing j: sums over a tree's levels follow their order
-    return CoefficientTree(d=1, j_max=j_max, scaling=scaling,
-                           levels={j: levels[j] for j in range(j_max + 1)})
+        np.multiply(_fold(per_block, 1 << j), inv_n, out=coeffs[1 << j : 2 << j])
+    return CoefficientTree._of(j_max, coeffs, (2 << j_max) - 1)
 
 
 def _fold(per_block, n_pos: int) -> np.ndarray:

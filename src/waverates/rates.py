@@ -176,6 +176,10 @@ class SlopeFit:
             raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
 
+def _number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Estimator selection for the risk engine.
@@ -186,6 +190,7 @@ class EstimatorSpec:
     order pinsker_order; threshold_hard and threshold_soft use kappa.  kappa and
     pinsker_order must be numbers, finite and > 0; fixed_m_n a number in
     [0, 2^(MAX_DEPTH + 1)], as a larger cutoff adds only levels no tree holds.
+    A bool is not a number here: True would pass as 1.
     """
 
     kind: str
@@ -198,10 +203,10 @@ class EstimatorSpec:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         for name, value in (("kappa", self.kappa), ("pinsker_order", self.pinsker_order)):
-            if not (isinstance(value, Real) and 0.0 < value < math.inf):
+            if not (_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         m_n, top = self.fixed_m_n, 2.0 ** (MAX_DEPTH + 1)
-        if m_n is not None and not (isinstance(m_n, Real) and 0.0 <= m_n <= top):
+        if m_n is not None and not (_number(m_n) and 0.0 <= m_n <= top):
             raise ValueError(f"fixed_m_n must be a finite number in [0, 2^{MAX_DEPTH + 1}], "
                              f"got {m_n!r}")
         if self.family == "linear" and self.smoothness is None and self.fixed_m_n is None:
@@ -277,7 +282,8 @@ class _Replicates(NamedTuple):
 
     Sequence truths share one noise draw, to the deepest depth any of them
     reads, and each adds its own levels to it; each density truth samples its
-    own law from the same seed.
+    own law from the same seed.  The truths are observed one at a time, as
+    their losses are taken, so one observed tree is alive at a time.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -291,12 +297,12 @@ class _Replicates(NamedTuple):
         n, estimate, reads, sides = self.plans[i]
         seed = np.random.SeedSequence((self.master_seed, n, rep))
         if self.samplers is not None:
-            observed = [empirical_coefficients(sampler.sample(n, seed), self.filt, j)
-                        for sampler, j in zip(self.samplers, reads)]
+            observed = (empirical_coefficients(sampler.sample(n, seed), self.filt, j)
+                        for sampler, j in zip(self.samplers, reads))
         else:
             top = max(reads)
             noise = simulate_sequence(CoefficientTree.zeros(1, top), n, top, seed)
-            observed = [observe(truth, noise, j) for truth, j in zip(self.truths, reads)]
+            observed = (observe(truth, noise, j) for truth, j in zip(self.truths, reads))
         return i, rep, [side.mean(estimate(y)) for y, side in zip(observed, sides)]
 
 

@@ -114,9 +114,4 @@ def uniform_density_tree(j_max: int) -> CoefficientTree:
 
 def density_truth_tree(wavelet_part: CoefficientTree) -> CoefficientTree:
     """Density tree 1 + (wavelet part): unit mass plus zero-mean detail."""
-    return CoefficientTree(
-        d=1,
-        j_max=wavelet_part.j_max,
-        scaling=1.0 + wavelet_part.scaling,
-        levels=dict(wavelet_part.levels),
-    )
+    return uniform_density_tree(wavelet_part.j_max) + wavelet_part

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import CoefficientTree, _freeze
+from .dyadic import CoefficientTree, _freeze, level_list
 
 __all__ = [
     "WaveletFilter",
@@ -615,18 +615,22 @@ class _EnergyLoss(NamedTuple):
     energies: dict  # level j -> the energy of the truth's level j
 
     def mean(self, estimate: CoefficientTree) -> float:
-        """(estimate - truth).total_energy() bit for bit, the energy of a
-        truth level the estimate lacks standing in for its sum (0 - t is -t
-        exactly), the levels summed in the order and the way CoefficientTree's
-        subtraction and total_energy sum them."""
-        parts = []
-        for j in set(estimate.levels) | set(self.truth.levels):
-            e, t = estimate.levels.get(j), self.truth.levels.get(j)
-            if e is None:
-                parts.append(self.energies[j])
-            else:
-                diff = e if t is None else e - t
-                parts.append(np.sum(diff * diff))
+        """(estimate - truth).total_energy() bit for bit.  The difference is
+        squared once over the estimate's array; each populated level of
+        either tree is summed from it in increasing j, as total_energy sums
+        them, and a truth level past the estimate's array adds its energy
+        (0 - t is -t exactly, so the two sums agree)."""
+        e, t = estimate.coeffs, self.truth.coeffs
+        if len(e) <= len(t):
+            sq = e - t[: len(e)]
+        else:
+            sq = e.copy()
+            sq[: len(t)] -= t
+        sq *= sq
+        held = len(e).bit_length() - 1  # levels below held lie in e's array
+        # np.add.reduce is np.sum's reduction, without its argument handling
+        parts = [np.add.reduce(sq[1 << j : 2 << j]) if j < held else self.energies[j]
+                 for j in level_list(estimate.populated | self.truth.populated)]
         return (estimate.scaling - self.truth.scaling) ** 2 + float(sum(parts))
 
 

@@ -26,6 +26,7 @@ from waverates.cli import (
     validate_config,
 )
 from waverates.generic import GenericFunctionSpec, build_g
+from waverates.models import DensitySampler
 from waverates.truths import bump_tree, shell_tree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -676,6 +677,17 @@ def test_a_run_builds_one_g_and_one_shell(tmp_path):
     run_in(tmp_path / "out", sweep_config())
     assert build_g.cache_info().misses == shell_tree.cache_info().misses == 1
     assert build_g.cache_info().hits == shell_tree.cache_info().hits == 4
+
+
+def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
+    # validate builds the truth's sampler to check it; the run samples from that one
+    built = []
+    build = DensitySampler.from_tree.__func__
+    monkeypatch.setattr(DensitySampler, "from_tree", classmethod(
+        lambda cls, tree, filt: built.append(build(cls, tree, filt)) or built[-1]))
+    cfg = dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512], replicates=2, j_max=4)
+    run_in(tmp_path / "out", json.dumps(cfg))
+    assert len(built) == 2 and built[0] is built[1]
 
 
 def test_shell_tree_call_forms_share_one_cache_entry():

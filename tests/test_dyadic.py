@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from waverates.dyadic import CoefficientTree, reduced_level_array
+from waverates.truths import bump_tree
 
 
 def gcd_oracle(j, k):
@@ -88,3 +90,49 @@ def test_tree_arithmetic():
     assert d.get(2, 1) == 3.0 and d.get(3, 0) == -4.0
     h = 0.5 * a
     assert h.scaling == 0.5 and h.get(2, 1) == 1.0
+
+
+def test_heap_layout_ends_at_the_deepest_populated_level():
+    # index 0 is the scaling coefficient and [2^j, 2^(j+1)) is level j
+    bump = bump_tree(1, 24, 3, 5, 2.0)
+    assert bump.coeffs.size == 16 and list(bump.levels) == [3]
+    assert bump.coeffs[8 + 5] == 2.0 and np.count_nonzero(bump.coeffs) == 1
+    assert CoefficientTree.zeros(1, 24).coeffs.size == 1
+    tree = CoefficientTree(1, 9, 0.5, {2: np.arange(4.0) + 1.0, 0: [7.0]})
+    assert list(tree.levels) == [0, 2]  # increasing j, whatever the order given
+    assert tree.coeffs.tolist() == [0.5, 7.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+    assert not tree.coeffs.flags.writeable
+    assert np.shares_memory(tree.levels[2], tree.coeffs)
+    with pytest.raises(AttributeError):
+        tree.j_max = 3
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy.levels.keys() == tree.levels.keys() and not copy.coeffs.flags.writeable
+    assert copy.coeffs.tobytes() == tree.coeffs.tobytes()
+
+
+def _random_tree(rng, j_max, levels, scaling=0.25):
+    return CoefficientTree(1, j_max, scaling, {j: rng.standard_normal(1 << j) for j in levels})
+
+
+def test_arithmetic_follows_the_per_level_rules():
+    # + and - populate the union of the operands' levels and * the operand's,
+    # each level holding what the per-level sum or product gives, bit for bit
+    rng = np.random.default_rng(11)
+    trees = [_random_tree(rng, 6, [1, 4]), _random_tree(rng, 3, [0, 2, 3], -1.0),
+             _random_tree(rng, 9, [9]), CoefficientTree.zeros(1, 2),
+             CoefficientTree(1, 5, 0.0, {2: np.zeros(4)})]  # an all-zero level stays
+    for a in trees:
+        for b in trees:
+            for got, beta in ((a + b, 1.0), (a - b, -1.0)):
+                assert got.levels.keys() == set(a.levels) | set(b.levels)
+                assert got.j_max == max(a.j_max, b.j_max)
+                assert got.scaling == a.scaling + beta * b.scaling
+                for j, level in got.levels.items():
+                    assert level.tobytes() == (a.level(j) + beta * b.level(j)).tobytes()
+        for alpha in (0.0, -1.5, 3):
+            got = alpha * a
+            assert got.levels.keys() == a.levels.keys() and got.scaling == alpha * a.scaling
+            for j, level in got.levels.items():
+                assert level.tobytes() == (alpha * a.levels[j]).tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        math.inf * trees[0]

@@ -56,6 +56,25 @@ def test_linear_estimate_identity_and_zero():
     assert killed.scaling == obs.y.scaling  # scaling passes through
 
 
+def test_estimates_populate_only_the_levels_their_rule_keeps():
+    y = CoefficientTree(1, 7, -0.4, {0: [0.5], 2: np.arange(4.0) - 1.5, 3: np.zeros(8),
+                                     6: np.ones(64)})
+    weights = {0: 0.0, 1: 0.5, 2: 0.25, 3: 2.0, 4: 1.0, 6: 1e-300}
+    est = linear_estimate(y, weights)
+    # the parent rule: each level of y whose weight is nonzero, the others dropped
+    want = {j for j in y.levels if weights.get(j, 0.0) != 0.0}
+    assert est.levels.keys() == want == {2, 3, 6}
+    assert est.scaling == y.scaling and est.j_max == y.j_max
+    for j in want:
+        assert est.levels[j].tobytes() == (weights[j] * y.levels[j]).tobytes()
+    assert linear_estimate(y, {6: 0.0}).coeffs.size == 1  # no level left
+    # thresholding drops all-zero levels; the array ends at the deepest kept one
+    lam = 2.0 * universal_threshold(1024)
+    y = CoefficientTree(1, 9, 0.1, {1: [2 * lam, 0.0], 3: np.full(8, lam / 2), 4: np.zeros(16)})
+    est = threshold_estimate(y, 1024)
+    assert est.levels.keys() == {1} and est.coeffs.size == 4 and est.j_max == 9
+
+
 def test_universal_threshold_and_depth():
     n = 2**10
     assert abs(universal_threshold(n) - math.sqrt(math.log(n) / n)) < 1e-15

@@ -101,6 +101,35 @@ def test_observe_equals_simulating_the_truth():
         observe(small_truth(), simulate_sequence(CoefficientTree.zeros(1, 1), 100, 1, 4), 2)
 
 
+@pytest.mark.parametrize("J", [0, 1, 5, 16])
+def test_noise_is_one_draw_in_heap_order(J):
+    # the one draw of 2^(J+1) normals equals drawing the scaling coefficient
+    # and then each level in turn: a generator that chunked its stream
+    # differently would change every observation
+    seed, n = np.random.SeedSequence((3, 512, J)), 512
+    rng = np.random.default_rng(seed)
+    sigma = n**-0.5
+    want = [sigma * rng.standard_normal()]
+    for j in range(J + 1):
+        want.extend(sigma * rng.standard_normal(1 << j))
+    y = simulate_sequence(CoefficientTree.zeros(1, J), n, J, seed).y
+    assert y.coeffs.tobytes() == np.array(want).tobytes()
+    assert list(y.levels) == list(range(J + 1))
+
+
+def test_observed_and_empirical_trees_populate_every_level():
+    theta = CoefficientTree(1, 8, 0.3, {2: np.ones(4), 5: np.zeros(32)})
+    noise = simulate_sequence(CoefficientTree.zeros(1, 6), 100, 6, seed=4)
+    for j_max in (0, 3, 6):
+        assert observe(theta, noise, j_max).levels.keys() == set(range(j_max + 1))
+        assert simulate_sequence(theta, 100, j_max, 4).y.levels.keys() == set(range(j_max + 1))
+    sample = DensitySampler.from_tree(uniform_density_tree(3), HAAR).sample(300, seed=1)
+    for j_max in (0, 2, 4):  # levels of both summation paths at n = 300
+        beta = empirical_coefficients(sample, HAAR, j_max)
+        assert beta.levels.keys() == set(range(j_max + 1))
+        assert beta.coeffs.size == 2 << j_max
+
+
 def test_sample_density_uniform():
     sample = DensitySampler.from_tree(uniform_density_tree(6), HAAR).sample(10_000, seed=2)
     pts = np.sort(sample.points)

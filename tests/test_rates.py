@@ -490,6 +490,11 @@ def test_estimator_spec_checks_its_numbers():
         (dict(kind="threshold_soft", kappa=math.inf), "kappa must be positive and finite"),
         (dict(kind="pinsker", smoothness=DENSE, pinsker_order=math.nan),
          "pinsker_order must be positive and finite"),
+        # a bool is not a number: True would pass as 1 and False as 0
+        (dict(kind="threshold_hard", kappa=True), "kappa must be positive and finite"),
+        (dict(kind="pinsker", smoothness=DENSE, pinsker_order=True), "pinsker_order must be"),
+        (dict(kind="projection", fixed_m_n=False), "fixed_m_n must be a finite number"),
+        (dict(kind="projection", fixed_m_n=np.True_), "fixed_m_n must be a finite number"),
     ]:
         with pytest.raises(ValueError, match=message):
             EstimatorSpec(**kwargs)
