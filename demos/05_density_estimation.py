@@ -34,11 +34,12 @@ n = 4096
 sample = DensitySampler.from_tree(truth, filt).sample(n, seed=7)
 print(f"drew {n} points; first five:", np.round(sample.points[:5], 4))
 
-beta = empirical_coefficients(sample, filt, j_max=noise_depth(n))
-estimate = threshold_estimate(beta, n, kappa=1.0)  # the density_threshold kind's rule
+depth, lam = noise_depth(n), universal_threshold(n)  # kappa = 1: the density_threshold rule
+beta = empirical_coefficients(sample, filt, j_max=depth)
+estimate = threshold_estimate(beta, lam, depth)
 kept = sum(int(np.count_nonzero(a)) for a in estimate.levels.values())
 total = sum(a.size for a in beta.levels.values())
-print(f"threshold sqrt(log n / n) = {universal_threshold(n):.4f} up to level {noise_depth(n)}")
+print(f"threshold sqrt(log n / n) = {lam:.4f} up to level {depth}")
 print(f"kept {kept} of {total} empirical coefficients")
 
 err = estimate - truth
@@ -48,7 +49,8 @@ projection = linear_estimate(beta, linear_weights(16.0))
 print(f"projection onto levels 2^j < 16 squared error: {(projection - truth).total_energy():.5f}")
 
 print("\nper-level recovered coefficient counts:")
-for j in sorted(estimate.levels):
-    a = estimate.levels[j]
+for j, a in estimate.levels.items():
+    if not a.any():
+        continue
     print(f"  level {j}: kept {np.count_nonzero(a):3d} / {a.size:<5d} "
           f"largest |beta| = {np.max(np.abs(a)):.4f}")

@@ -3,11 +3,10 @@
 Wavelet coefficients live on the dyadic grid (j, k) with scale j >= 0 and
 position k in {0, ..., 2^j - 1}.  A tree stores them in one read-only float64
 array in heap order: index 0 holds the scaling coefficient and index 2^j + k
-holds c_{j,k}, so level j is the slice [2^j, 2^(j+1)).  The array ends after
-the deepest populated level: its length is 2^(deepest + 1), or 1 when no
-level is populated.  A level is populated when the tree was built with it or
-the rule that made the tree keeps it (see CoefficientTree); the entries of
-the other levels are zero, inside the array or past its end.
+holds c_{j,k}, so level j is the slice [2^j, 2^(j+1)).  The array holds
+levels 0..J, its length being 2^(J + 1), or 1 when it holds no level; the
+rule that made the tree sets J (see CoefficientTree), and the levels past
+the array's end are zero.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 __all__ = [
     "MAX_DEPTH",
     "CoefficientTree",
-    "level_list",
     "reduced_level_array",
 ]
 
@@ -44,9 +42,20 @@ def reduced_level_array(j: int) -> np.ndarray:
     return np.maximum(j - tz, 0)
 
 
-def level_list(mask: int) -> list[int]:
-    """The levels j whose bit 2^j is set in mask, in increasing j."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+def _refuse_bools(**values) -> None:
+    """Refuse a bool given for a number, as the config parser does: True would pass as 1."""
+    for name, value in values.items():
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _check_tree_shape(d: int, j_max: int) -> None:
+    """Refuse a dimension other than 1 and a depth outside [0, MAX_DEPTH]."""
+    _refuse_bools(d=d, j_max=j_max)
+    if d != 1:
+        raise ValueError(f"dimension must be 1, got {d}")
+    if not 0 <= j_max <= MAX_DEPTH:
+        raise ValueError(f"j_max must lie in [0, {MAX_DEPTH}], got {j_max}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -58,63 +67,53 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class CoefficientTree:
     """Wavelet coefficients c_{j,k} plus the coarse scaling coefficient.
 
-    ``coeffs`` is the tree's heap-order array (see the module docstring) and
-    ``populated`` the set of populated levels as a bit mask (bit j for level
-    j).  ``levels`` maps each populated level j, in increasing j, to its view
-    coeffs[2^j : 2^(j+1)]; levels absent from it are semantically zero.  The
-    constructor takes the scaling coefficient and a mapping of level j to its
-    values of shape (2^j,), and copies them; d must be 1 and 0 <= j_max <=
-    MAX_DEPTH.
+    ``coeffs`` is the tree's heap-order array (see the module docstring), and
+    ``levels`` maps each level j it holds, in increasing j, to its view
+    coeffs[2^j : 2^(j+1)].  The constructor takes the scaling coefficient
+    and a mapping of level j to its values of shape (2^j,), and copies them
+    into an array that ends at the deepest level given; d must be 1 and
+    0 <= j_max <= MAX_DEPTH.
 
-    The populated levels of a derived tree follow the rule that made it: the
-    union of the operands' for + and -, the operand's for scalar *, and as
-    the observation models and estimators document for theirs.  Instances
+    The array of a derived tree ends where the rule that made it says: at
+    the longer operand's end for + and -, at the operand's for scalar *, and
+    as the observation models and estimators document for theirs.  Instances
     are immutable: the array is read-only and arithmetic returns new trees.
     """
 
+    d = 1  # the only dimension
+
     def __init__(self, d: int, j_max: int, scaling: float = 0.0,
                  levels: Mapping[int, np.ndarray] | None = None):
-        if d != 1:
-            raise ValueError(f"dimension must be 1, got {d}")
-        if not 0 <= j_max <= MAX_DEPTH:
-            raise ValueError(f"j_max must lie in [0, {MAX_DEPTH}], got {j_max}")
-        clean = {}
-        for j, arr in (levels or {}).items():
+        _check_tree_shape(d, j_max)
+        levels = {j: np.asarray(arr, dtype=np.float64) for j, arr in (levels or {}).items()}
+        for j, arr in levels.items():
             if not 0 <= j <= j_max:
                 raise ValueError(f"level {j} outside [0, {j_max}]")
-            arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != (1 << j,):
                 raise ValueError(f"level {j} has shape {arr.shape}, expected {(1 << j,)}")
-            clean[int(j)] = arr
-        populated = sum(1 << j for j in clean)
-        coeffs = np.zeros(1 << populated.bit_length())
+        coeffs = np.zeros(1 << (max(levels, default=-1) + 1))
         coeffs[0] = float(scaling)
-        for j, arr in clean.items():
+        for j, arr in levels.items():
             coeffs[1 << j : 2 << j] = arr
-        self._set(j_max, coeffs, populated)
+        vars(self).update(j_max=j_max, coeffs=_freeze(coeffs))
 
     @classmethod
-    def _of(cls, j_max: int, coeffs: np.ndarray, populated: int) -> "CoefficientTree":
-        """The tree of a heap-order array whose unpopulated entries are zero,
-        without the constructor's checks and copy; coeffs may run past the
-        deepest populated level, and is cut there."""
+    def _of(cls, j_max: int, coeffs: np.ndarray) -> "CoefficientTree":
+        """The tree of a heap-order array of length 2^(J + 1), J <= j_max,
+        made read-only, without the constructor's checks and copy."""
         tree = object.__new__(cls)
-        tree._set(j_max, coeffs[: 1 << populated.bit_length()], populated)
+        vars(tree).update(j_max=j_max, coeffs=_freeze(coeffs))
         return tree
-
-    def _set(self, j_max, coeffs, populated) -> None:
-        coeffs.flags.writeable = False
-        vars(self).update(d=1, j_max=j_max, coeffs=coeffs, populated=populated)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CoefficientTree is immutable; cannot set {name!r}")
 
     def __reduce__(self):
-        return CoefficientTree._of, (self.j_max, self.coeffs, self.populated)
+        return CoefficientTree._of, (self.j_max, self.coeffs)
 
     def __repr__(self) -> str:
         return (f"CoefficientTree(d={self.d}, j_max={self.j_max}, scaling={self.scaling!r}, "
-                f"levels={level_list(self.populated)})")
+                f"levels={list(self.levels)})")
 
     # -- construction helpers ------------------------------------------------
 
@@ -140,20 +139,16 @@ class CoefficientTree:
 
     @cached_property
     def levels(self) -> Mapping[int, np.ndarray]:
-        """Populated level j -> its read-only view of coeffs, in increasing j."""
+        """Each level j the array holds -> its read-only view, in increasing j."""
         return MappingProxyType({j: self.coeffs[1 << j : 2 << j]
-                                 for j in level_list(self.populated)})
+                                 for j in range(len(self.coeffs).bit_length() - 1)})
 
     def level(self, j: int) -> np.ndarray:
-        """Dense array of level j (zeros when the level is unpopulated)."""
-        if self.populated >> j & 1:
-            return self.coeffs[1 << j : 2 << j]
-        return np.zeros(1 << j)
+        """Dense array of level j (zeros past the array's end)."""
+        return self.levels[j] if j in self.levels else np.zeros(1 << j)
 
     def get(self, j: int, k: int) -> float:
-        if not self.populated >> j & 1:
-            return 0.0
-        return float(self.coeffs[1 << j : 2 << j][k])
+        return float(self.levels[j][k]) if j in self.levels else 0.0
 
     def items(self) -> Iterator[tuple[int, int, float]]:
         """Iterate nonzero coefficients as (j, k, value), coarse levels first."""
@@ -180,8 +175,7 @@ class CoefficientTree:
             out = np.zeros(max(len(a), len(b)))
             out[: len(a)] = a
             op(out[: len(b)], b, out=out[: len(b)])
-        return CoefficientTree._of(max(self.j_max, other.j_max), out,
-                                   self.populated | other.populated)
+        return CoefficientTree._of(max(self.j_max, other.j_max), out)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -191,8 +185,8 @@ class CoefficientTree:
 
     def __mul__(self, alpha):
         alpha = float(alpha)
-        if not np.isfinite(alpha):  # inf * 0 would fill the unpopulated entries with nan
+        if not np.isfinite(alpha):  # inf * 0 would fill the zero entries with nan
             raise ValueError(f"a tree can only be scaled by a finite number, got {alpha}")
-        return CoefficientTree._of(self.j_max, alpha * self.coeffs, self.populated)
+        return CoefficientTree._of(self.j_max, alpha * self.coeffs)
 
     __rmul__ = __mul__

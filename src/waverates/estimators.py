@@ -4,8 +4,8 @@ The observed tree is a sequence observation's y or the empirical
 coefficients of a density sample; the rules do not depend on which.  Two
 families: linear rules multiply each level by its linear_weights weight
 (projection is the order-inf case), and thresholding keeps or shrinks observed
-coefficients against kappa times the universal threshold sqrt(log n / n) up
-to the noise-matched depth j(n).
+coefficients against a threshold up to a depth, which the risk engine plans
+once per n: kappa sqrt(log n / n) and the noise-matched depth j(n).
 
 Throughout, "log" is the natural logarithm and the scaling coefficient is
 passed through untouched: every procedure acts on wavelet coefficients only.
@@ -63,38 +63,34 @@ def linear_weights(m_n: float, order: float = math.inf) -> dict[int, float]:
 
 def linear_estimate(y: CoefficientTree, weights: Mapping[int, float]) -> CoefficientTree:
     """Each level of the observed tree times its weight, as one multiply by a
-    weight per coefficient; the populated levels are those of y with a
-    nonzero weight, and the others are dropped.  Scaling passed through with
-    weight 1."""
-    kept = y.populated & sum(1 << j for j, w in weights.items() if w != 0.0)
-    top = kept.bit_length()
+    weight per coefficient; the estimate's array ends at the deepest level of
+    y with a nonzero weight.  Scaling passed through with weight 1."""
+    held = len(y.coeffs).bit_length() - 1
+    top = max((j + 1 for j, w in weights.items() if w != 0.0 and j < held), default=0)
     per_level = [1.0] + [weights.get(j, 0.0) for j in range(top)]
     per_coeff = np.repeat(per_level, [1] + [1 << j for j in range(top)])
-    return CoefficientTree._of(y.j_max, per_coeff * y.coeffs[: len(per_coeff)], kept)
+    return CoefficientTree._of(y.j_max, per_coeff * y.coeffs[: len(per_coeff)])
 
 
-def threshold_estimate(y: CoefficientTree, n: int, kappa: float = 2.0,
+def threshold_estimate(y: CoefficientTree, lam: float, depth: int,
                        mode: str = "hard") -> CoefficientTree:
-    """Hard or soft thresholding at kappa * t_n on levels j <= j(n).
+    """Hard or soft thresholding at lam on levels j <= depth.
 
-    Hard keeps y when |y| >= kappa t_n (boundary kept); soft shrinks by
-    sign(y) (|y| - kappa t_n)_+.  Levels above j(n) are zeroed; the scaling
-    coefficient is passed through untouched.  The populated levels are those
-    of y up to j(n) that keep a nonzero coefficient.  kappa must be finite
-    and > 0.
+    Hard keeps y when |y| >= lam (boundary kept); soft shrinks by
+    sign(y) (|y| - lam)_+.  Levels above depth are zeroed and the scaling
+    coefficient passed through untouched; the array ends at the deepest
+    level that keeps a coefficient.  lam must be finite and > 0.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-    lam = kappa * universal_threshold(n)
-    j_cut = noise_depth(n)
-    a = y.coeffs[: 2 << j_cut]
+    a = y.coeffs[: 2 << depth]
     if mode == "hard":
         est = np.where(np.abs(a) >= lam, a, 0.0)
     else:
         est = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
     est[0] = a[0]
-    starts = 1 << np.arange(len(a).bit_length() - 1)  # level j starts at 2^j, its bit
-    kept = y.populated & int(starts[np.logical_or.reduceat(est != 0.0, starts)].sum())
-    return CoefficientTree._of(y.j_max, est, kept)
+    starts = 1 << np.arange(len(a).bit_length() - 1)  # level j starts at 2^j
+    kept = np.flatnonzero(np.logical_or.reduceat(est != 0.0, starts))
+    return CoefficientTree._of(y.j_max, est[: 2 << kept[-1] if kept.size else 1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_DEPTH, CoefficientTree, reduced_level_array
+from .dyadic import MAX_DEPTH, CoefficientTree, _refuse_bools, reduced_level_array
 from .rates import generic_alpha
 from .spaces import SmoothnessParams
 
@@ -37,6 +37,7 @@ class GenericFunctionSpec:
     j_max: int
 
     def __post_init__(self):
+        _refuse_bools(s=self.s, r=self.r, d=self.d, j_max=self.j_max)
         if self.d != 1:
             raise ValueError(f"dimension must be 1, got {self.d}")
         if self.s - self.d / self.r <= 0:
@@ -63,11 +64,11 @@ def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
     """
     s, r, d = spec.s, spec.r, spec.d
     envelope = s - d / r + d / 2.0
-    levels = {}
+    coeffs = np.zeros(2 << spec.j_max)
     for j in range(1, spec.j_max + 1):
         J = reduced_level_array(j)
-        levels[j] = 2.0 ** (-envelope * j - (d / r) * J) / float(j) ** spec.exponent_a
-    return CoefficientTree(d=d, j_max=spec.j_max, scaling=0.0, levels=levels)
+        coeffs[1 << j : 2 << j] = 2.0 ** (-envelope * j - (d / r) * J) / float(j) ** spec.exponent_a
+    return CoefficientTree._of(spec.j_max, coeffs)
 
 
 @np.errstate(over="ignore")

@@ -86,7 +86,7 @@ def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> Seque
 
     Every index up to j_max receives noise, including indices where theta is
     zero; the scaling coefficient is observed under the same noise law, and
-    every level 0..j_max of the observation is populated.  The noise is one
+    the observation's array holds every level 0..j_max.  The noise is one
     draw of 2^(j_max + 1) standard normals in heap order (the scaling
     coefficient first, then levels in increasing j), so the observation is
     bit-identical for identical inputs, and equal to drawing the scaling
@@ -100,12 +100,12 @@ def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> Seque
     y = n**-0.5 * rng.standard_normal(2 << j_max)
     base = theta.coeffs[: 2 << j_max]
     y[: len(base)] += base
-    return SequenceObservation(n=n, y=CoefficientTree._of(j_max, y, (2 << j_max) - 1))
+    return SequenceObservation(n=n, y=CoefficientTree._of(j_max, y))
 
 
 def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> CoefficientTree:
     """The tree of theta observed to depth j_max under the noise of an
-    observation of zero, with every level 0..j_max populated.
+    observation of zero; its array holds every level 0..j_max.
 
     noise is simulate_sequence(zero tree, n, J, seed) with J >= j_max.  The
     result equals simulate_sequence(theta, n, j_max, seed).y bit for bit: the
@@ -119,7 +119,7 @@ def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> C
     y = np.empty(2 << j_max)
     np.add(base, drawn[: len(base)], out=y[: len(base)])
     y[len(base):] = drawn[len(base) : len(y)]
-    return CoefficientTree._of(j_max, y, (2 << j_max) - 1)
+    return CoefficientTree._of(j_max, y)
 
 
 # The last DensitySampler from_tree built, keyed by its filter taps, tree
@@ -291,8 +291,8 @@ def empirical_coefficients(
     more cells than points, sum per point: a bincount per support block,
     bit-identical to summing psi_{j,k} over the points in order.  The
     scaling coefficient is always the plain sum over the points.  The count
-    arrays hold at most n values, so memory stays O(n).  Every level
-    0..j_max of the result is populated.
+    arrays hold at most n values, so memory stays O(n).  The result's array
+    holds every level 0..j_max.
     """
     if sample.n < 1 or sample.points.size == 0:
         raise ValueError("empty sample")
@@ -326,7 +326,7 @@ def empirical_coefficients(
         per_block = (np.bincount(block, weights=psi[m][phase], minlength=1 << j)
                      for m in range(blocks))
         np.multiply(_fold(per_block, 1 << j), inv_n, out=coeffs[1 << j : 2 << j])
-    return CoefficientTree._of(j_max, coeffs, (2 << j_max) - 1)
+    return CoefficientTree._of(j_max, coeffs)
 
 
 def _fold(per_block, n_pos: int) -> np.ndarray:

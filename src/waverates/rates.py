@@ -29,7 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dyadic import MAX_DEPTH, CoefficientTree
-from .estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
+from .estimators import (linear_estimate, linear_weights, noise_depth, threshold_estimate,
+                         universal_threshold)
 from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
 from .spaces import SmoothnessParams, theoretical_scaling
 from .wavelet import WaveletFilter, _loss_sides, get_filter
@@ -232,7 +233,8 @@ def _linear(order, spec, n):
 
 
 def _threshold(mode, kappa, n):
-    return noise_depth(n), lambda y: threshold_estimate(y, n, kappa, mode)
+    depth, lam = noise_depth(n), kappa * universal_threshold(n)
+    return depth, lambda y: threshold_estimate(y, lam, depth, mode)
 
 
 class EstimatorKind(NamedTuple):

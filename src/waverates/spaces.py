@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CoefficientTree
+from .dyadic import CoefficientTree, _refuse_bools
 
 __all__ = [
     "SmoothnessParams",
@@ -38,6 +38,7 @@ class SmoothnessParams:
     d: int = 1
 
     def __post_init__(self):
+        _refuse_bools(s=self.s, r=self.r, p=self.p, d=self.d)
         if self.d != 1:
             raise ValueError(f"dimension must be 1, got {self.d}")
         if not 1 <= self.r:
@@ -117,9 +118,7 @@ def empirical_scaling(
     js = np.arange(j_lo, j_hi + 1)
     sums = np.empty(len(js))
     for i, j in enumerate(js):
-        if j not in tree.levels:
-            raise ValueError(f"level {j} in the regression window is all zero")
-        sums[i] = np.sum(np.abs(tree.levels[j]) ** p)
+        sums[i] = np.sum(np.abs(tree.level(j)) ** p)
         if sums[i] == 0.0:
             raise ValueError(f"level {j} in the regression window is all zero")
     y = np.log2(sums)

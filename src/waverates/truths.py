@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .dyadic import CoefficientTree, reduced_level_array
+from .dyadic import CoefficientTree, _check_tree_shape, _refuse_bools, reduced_level_array
 from .generic import GenericFunctionSpec, build_g
 
 __all__ = [
@@ -33,7 +33,8 @@ __all__ = [
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-@functools.lru_cache(maxsize=1)  # trees are immutable: the truths of one config share one
+# immutable trees: one config's truths share one; typed: True must not hit 1's entry
+@functools.lru_cache(maxsize=1, typed=True)
 def shell_tree(
     s: float,
     r: float,
@@ -56,6 +57,8 @@ def shell_tree(
     (slope fits stop seeing level-granularity staircases) without moving any
     level energy, so projection risks are unchanged.
     """
+    _refuse_bools(s=s, r=r, amplitude=amplitude, dither=dither, j_min=j_min)
+    _check_tree_shape(d, j_max)
     if s - d / r <= 0:
         raise ValueError(f"need s > d/r, got s={s}, d/r={d / r}")
     if dither < 0:
@@ -63,7 +66,7 @@ def shell_tree(
     if not 0 <= j_min <= j_max:
         raise ValueError(f"j_min must lie in [0, {j_max}]")
     envelope = s - d / r + d / 2.0
-    levels = {}
+    coeffs = np.zeros(2 << j_max)
     for j in range(j_min, j_max + 1):
         J = reduced_level_array(j)
         vals = amplitude * 2.0 ** (-envelope * j - (d / r) * J)
@@ -74,8 +77,8 @@ def shell_tree(
             energy = np.bincount(J, weights=m * m, minlength=j + 1)
             scale = np.sqrt(count / np.where(energy > 0.0, energy, 1.0))
             vals = vals * m * scale[J]
-        levels[j] = vals
-    return CoefficientTree(d=d, j_max=j_max, scaling=0.0, levels=levels)
+        coeffs[1 << j : 2 << j] = vals
+    return CoefficientTree._of(j_max, coeffs)
 
 
 def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -> CoefficientTree:
@@ -103,8 +106,12 @@ def probe_line_truth(
     spec = GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max)  # refuses a j_max too deep to build
     # by keyword, as perfbench/setup_child.py calls it: both calls share one cache entry
     shell = shell_tree(s, r, d, j_max, base_amplitude, dither=dither, j_min=j_min)
-    tree = alpha * build_g(spec)
-    return tree + shell if base_amplitude != 0.0 else tree
+    if not np.isfinite(alpha):  # as tree * alpha refuses it
+        raise ValueError(f"a tree can only be scaled by a finite number, got {alpha}")
+    coeffs = alpha * build_g(spec).coeffs  # one new array, the shell added in place
+    if base_amplitude != 0.0:
+        coeffs += shell.coeffs
+    return CoefficientTree._of(j_max, coeffs)
 
 
 def uniform_density_tree(j_max: int) -> CoefficientTree:

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import CoefficientTree, _freeze, level_list
+from .dyadic import CoefficientTree, _freeze
 
 __all__ = [
     "WaveletFilter",
@@ -579,14 +579,14 @@ def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coars
     form, tail_form = _quartic_form(filt.taps, K), _quartic_form(filt.taps, K_tail)
     if form is None or tail_form is None:
         return None
-    head = {j: a for j, a in truth.levels.items() if j <= read}
-    tail = {j: a for j, a in truth.levels.items() if j > read}
     cross, tail_sum = None, 0.0
-    if tail:
-        samples = synthesize(CoefficientTree(1, truth.j_max, 0.0, tail), filt, coarse_log2).samples
+    if len(truth.coeffs) > 2 << read:
+        tail = truth.coeffs.copy()
+        tail[: 2 << read] = 0.0
+        samples = synthesize(CoefficientTree._of(truth.j_max, tail), filt, coarse_log2).samples
         tail_sum = _quartic_sum(samples, tail_form)
         cross = _cross_weights(samples, filt.taps, K, K_tail, 1 << (read + 1))
-    head_samples = _coarse_samples(CoefficientTree(1, read, truth.scaling, head), filt)
+    head_samples = _coarse_samples(CoefficientTree._of(read, truth.coeffs[: 2 << read]), filt)
     return _QuarticSplit(filt, head_samples, form, cross, tail_sum, resolution_log2)
 
 
@@ -616,10 +616,10 @@ class _EnergyLoss(NamedTuple):
 
     def mean(self, estimate: CoefficientTree) -> float:
         """(estimate - truth).total_energy() bit for bit.  The difference is
-        squared once over the estimate's array; each populated level of
-        either tree is summed from it in increasing j, as total_energy sums
-        them, and a truth level past the estimate's array adds its energy
-        (0 - t is -t exactly, so the two sums agree)."""
+        squared once over the estimate's array; each level of the longer
+        array is summed from it in increasing j, as total_energy sums them,
+        and a truth level past the estimate's array adds its energy (0 - t
+        is -t exactly, so the two sums agree)."""
         e, t = estimate.coeffs, self.truth.coeffs
         if len(e) <= len(t):
             sq = e - t[: len(e)]
@@ -630,7 +630,7 @@ class _EnergyLoss(NamedTuple):
         held = len(e).bit_length() - 1  # levels below held lie in e's array
         # np.add.reduce is np.sum's reduction, without its argument handling
         parts = [np.add.reduce(sq[1 << j : 2 << j]) if j < held else self.energies[j]
-                 for j in level_list(estimate.populated | self.truth.populated)]
+                 for j in range(max(len(e), len(t)).bit_length() - 1)]
         return (estimate.scaling - self.truth.scaling) ** 2 + float(sum(parts))
 
 

@@ -92,15 +92,18 @@ def test_tree_arithmetic():
     assert h.scaling == 0.5 and h.get(2, 1) == 1.0
 
 
-def test_heap_layout_ends_at_the_deepest_populated_level():
+def test_heap_layout_ends_at_the_deepest_level_given():
     # index 0 is the scaling coefficient and [2^j, 2^(j+1)) is level j
     bump = bump_tree(1, 24, 3, 5, 2.0)
-    assert bump.coeffs.size == 16 and list(bump.levels) == [3]
+    assert bump.coeffs.size == 16 and list(bump.levels) == [0, 1, 2, 3]
     assert bump.coeffs[8 + 5] == 2.0 and np.count_nonzero(bump.coeffs) == 1
-    assert CoefficientTree.zeros(1, 24).coeffs.size == 1
+    empty = CoefficientTree.zeros(1, 24)
+    assert empty.coeffs.size == 1 and not empty.levels and not empty.level(24).any()
     tree = CoefficientTree(1, 9, 0.5, {2: np.arange(4.0) + 1.0, 0: [7.0]})
-    assert list(tree.levels) == [0, 2]  # increasing j, whatever the order given
+    # every level the array holds, in increasing j, whatever the order given
+    assert list(tree.levels) == [0, 1, 2] and tree.levels[1].tolist() == [0.0, 0.0]
     assert tree.coeffs.tolist() == [0.5, 7.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+    assert tree.get(1, 1) == 0.0 and tree.get(3, 7) == 0.0 and tree.level(3).tolist() == [0.0] * 8
     assert not tree.coeffs.flags.writeable
     assert np.shares_memory(tree.levels[2], tree.coeffs)
     with pytest.raises(AttributeError):
@@ -115,7 +118,7 @@ def _random_tree(rng, j_max, levels, scaling=0.25):
 
 
 def test_arithmetic_follows_the_per_level_rules():
-    # + and - populate the union of the operands' levels and * the operand's,
+    # + and - hold the levels of the longer operand's array and * the operand's,
     # each level holding what the per-level sum or product gives, bit for bit
     rng = np.random.default_rng(11)
     trees = [_random_tree(rng, 6, [1, 4]), _random_tree(rng, 3, [0, 2, 3], -1.0),

@@ -49,30 +49,33 @@ def test_linear_estimate_identity_and_zero():
     est = linear_estimate(obs.y, dict.fromkeys(range(7), 1.0))
     for j in range(7):
         assert np.array_equal(est.level(j), obs.y.level(j))
-    half = linear_estimate(obs.y, {2: 0.5, 5: 0.0})
-    assert sorted(half.levels) == [2] and np.array_equal(half.level(2), 0.5 * obs.y.level(2))
+    half = linear_estimate(obs.y, {2: 0.5, 5: 0.0})  # ends at level 2, the last weighed
+    assert half.coeffs.size == 8 and np.array_equal(half.level(2), 0.5 * obs.y.level(2))
+    assert half.coeffs[:4].tolist() == [obs.y.scaling, 0.0, 0.0, 0.0]
     killed = linear_estimate(obs.y, linear_weights(0.0))
     assert killed.wavelet_energy() == 0.0
     assert killed.scaling == obs.y.scaling  # scaling passes through
 
 
-def test_estimates_populate_only_the_levels_their_rule_keeps():
+def test_estimates_end_at_the_deepest_level_their_rule_keeps():
     y = CoefficientTree(1, 7, -0.4, {0: [0.5], 2: np.arange(4.0) - 1.5, 3: np.zeros(8),
                                      6: np.ones(64)})
-    weights = {0: 0.0, 1: 0.5, 2: 0.25, 3: 2.0, 4: 1.0, 6: 1e-300}
+    weights = {0: 0.0, 1: 0.5, 2: 0.25, 3: 2.0, 4: 1.0, 6: 1e-300, 7: 1.0}
     est = linear_estimate(y, weights)
-    # the parent rule: each level of y whose weight is nonzero, the others dropped
-    want = {j for j in y.levels if weights.get(j, 0.0) != 0.0}
-    assert est.levels.keys() == want == {2, 3, 6}
+    # the array ends at the deepest level y holds with a nonzero weight; each
+    # level is its weight times y's, and an unweighed level is zero
+    assert est.coeffs.size == 128 and list(est.levels) == list(range(7))
     assert est.scaling == y.scaling and est.j_max == y.j_max
-    for j in want:
-        assert est.levels[j].tobytes() == (weights[j] * y.levels[j]).tobytes()
+    for j in range(7):
+        assert est.levels[j].tobytes() == (weights.get(j, 0.0) * y.level(j)).tobytes()
     assert linear_estimate(y, {6: 0.0}).coeffs.size == 1  # no level left
-    # thresholding drops all-zero levels; the array ends at the deepest kept one
+    assert linear_estimate(y, {1: 1.0, 7: 1.0}).coeffs.size == 4  # y holds no level 7
+    # thresholding ends the array at the deepest level that keeps a coefficient
     lam = 2.0 * universal_threshold(1024)
     y = CoefficientTree(1, 9, 0.1, {1: [2 * lam, 0.0], 3: np.full(8, lam / 2), 4: np.zeros(16)})
-    est = threshold_estimate(y, 1024)
-    assert est.levels.keys() == {1} and est.coeffs.size == 4 and est.j_max == 9
+    est = threshold_estimate(y, lam, noise_depth(1024))
+    assert est.coeffs.tolist() == [0.1, 0.0, 2 * lam, 0.0] and est.j_max == 9
+    assert threshold_estimate(y, 4 * lam, noise_depth(1024)).coeffs.tolist() == [0.1]
 
 
 def test_universal_threshold_and_depth():
@@ -89,7 +92,7 @@ def test_universal_threshold_and_depth():
 
 def test_threshold_soft_hand_values():
     y = CoefficientTree.from_items(1, 2, 0.0, [((1, 0), 0.5), ((1, 1), -0.5), ((2, 2), 0.1)])
-    est = threshold_estimate(y, 100, kappa=0.2 / universal_threshold(100), mode="soft")
+    est = threshold_estimate(y, 0.2, noise_depth(100), mode="soft")
     assert abs(est.get(1, 0) - 0.3) < 1e-12
     assert abs(est.get(1, 1) + 0.3) < 1e-12
     assert est.get(2, 2) == 0.0
@@ -97,7 +100,7 @@ def test_threshold_soft_hand_values():
 
 def test_threshold_hard_boundary_kept():
     y = CoefficientTree.from_items(1, 2, 0.7, [((1, 0), 0.2), ((1, 1), 0.19)])
-    est = threshold_estimate(y, 100, kappa=0.2 / universal_threshold(100), mode="hard")
+    est = threshold_estimate(y, 0.2, noise_depth(100), mode="hard")
     assert est.get(1, 0) == 0.2  # |y| = kappa t_n is kept
     assert est.get(1, 1) == 0.0
     assert est.scaling == 0.7
@@ -105,8 +108,7 @@ def test_threshold_hard_boundary_kept():
 
 def test_threshold_level_cutoff():
     obs = observation(n=2**10, j_max=9)
-    est = threshold_estimate(obs.y, 2**10, kappa=1e-9)  # keep everything below j(n)
-    assert noise_depth(2**10) == 8
+    est = threshold_estimate(obs.y, 1e-300, 8)  # keep everything up to level 8
     for j in range(9):
         assert np.array_equal(est.level(j), obs.y.level(j))
     assert np.all(est.level(9) == 0.0)
@@ -115,8 +117,8 @@ def test_threshold_level_cutoff():
 def test_threshold_zero_kappa_is_projection():
     # kappa t_n -> 0 keeps every observed coefficient up to j(n)
     obs = observation(n=64, j_max=8)
-    est = threshold_estimate(obs.y, 64, kappa=1e-12, mode="hard")
     jn = noise_depth(64)
+    est = threshold_estimate(obs.y, 1e-12 * universal_threshold(64), jn, mode="hard")
     for j in range(obs.y.j_max + 1):
         if j <= jn:
             assert np.array_equal(est.level(j), obs.y.level(j))
@@ -127,7 +129,8 @@ def test_threshold_zero_kappa_is_projection():
 def test_shrinkage_property_and_soft_lipschitz():
     obs = observation(seed=3)
     for mode in ("hard", "soft"):
-        est = threshold_estimate(obs.y, obs.n, kappa=2.0, mode=mode)
+        est = threshold_estimate(obs.y, 2.0 * universal_threshold(obs.n), noise_depth(obs.n),
+                                 mode=mode)
         for j in range(obs.y.j_max + 1):
             assert np.all(np.abs(est.level(j)) <= np.abs(obs.y.level(j)) + 1e-15)
     # soft thresholding is 1-Lipschitz in the observation
@@ -139,13 +142,11 @@ def test_shrinkage_property_and_soft_lipschitz():
 
 def test_threshold_config_validation():
     y = observation(n=16, j_max=3).y
-    with pytest.raises(ValueError, match="n must be >= 2"):
-        threshold_estimate(y, 1)
-    for kappa in (-1.0, 0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            threshold_estimate(y, 10, kappa=kappa)
+    for lam in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            threshold_estimate(y, lam, 3)
     with pytest.raises(ValueError, match="mode must be 'hard' or 'soft'"):
-        threshold_estimate(y, 10, mode="medium")
+        threshold_estimate(y, 0.1, 3, mode="medium")
 
 
 def test_density_linear_projection_truncation():
@@ -235,7 +236,8 @@ def test_classify_projection_is_limited():
 @pytest.mark.parametrize("seed", range(100))
 def test_classify_hard_threshold_is_elitist(seed):
     obs = observation(seed=seed, n=256, j_max=5)
-    kept = _kept(obs.y, threshold_estimate(obs.y, 256, kappa=2.0, mode="hard"))
+    lam = 2.0 * universal_threshold(256)
+    kept = _kept(obs.y, threshold_estimate(obs.y, lam, noise_depth(256), mode="hard"))
     assert _is_elitist(obs.y, kept, 2.0 * universal_threshold(256) * 0.999)
 
 
@@ -249,14 +251,8 @@ def test_classify_adversarial_trace():
 
 
 def _reference_threshold(tree, j_cut, rule):
-    """Thresholding written out coefficient by coefficient."""
-    levels = {}
-    for j, arr in tree.levels.items():
-        if j <= j_cut:
-            est = np.array([rule(v) for v in arr])
-            if est.any():
-                levels[j] = est
-    return levels
+    """Thresholding written out coefficient by coefficient, level by level up to j_cut."""
+    return {j: np.array([rule(v) for v in arr]) for j, arr in tree.levels.items() if j <= j_cut}
 
 
 @pytest.mark.parametrize("mode", ["hard", "soft", "density"])
@@ -277,15 +273,17 @@ def test_threshold_rules_match_reference_loops(mode):
         _, estimate = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), n)
         est = estimate(tree)
     else:
-        est = threshold_estimate(tree, n, kappa=2.0, mode=mode)
+        est = threshold_estimate(tree, lam, j_cut, mode=mode)
     if mode == "soft":
         rule = lambda v: math.copysign(max(abs(v) - lam, 0.0), v) if v else 0.0
     else:
         rule = lambda v: v if abs(v) >= lam else 0.0
         assert est.get(3, 0) == lam and est.get(3, 1) == -lam  # |y| = kappa t_n is kept
     want = _reference_threshold(tree, j_cut, rule)
+    kept = [j for j, arr in want.items() if arr.any()]
     assert est.scaling == 0.3 and est.j_max == tree.j_max
-    assert sorted(est.levels) == sorted(want)
-    assert 2 not in want and max(want) <= j_cut
-    for j, arr in want.items():
-        assert est.levels[j].tobytes() == arr.tobytes()
+    assert 2 not in kept and max(kept) <= j_cut
+    # the array ends at the deepest level that keeps a coefficient
+    assert est.coeffs.size == 2 << max(kept)
+    for j, level in est.levels.items():
+        assert level.tobytes() == want[j].tobytes()

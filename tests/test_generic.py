@@ -22,8 +22,8 @@ def test_build_g_hand_values():
     assert abs(g.get(1, 1) - 2.0**-2.5) < 1e-15
     # j=4, k=0: J=0 -> 2^{-8} / 4^{2.5} = 2^{-13}
     assert abs(g.get(4, 0) - 2.0**-13) < 1e-15
-    assert g.scaling == 0.0
-    assert 0 not in g.levels  # level 0 left at zero
+    assert g.scaling == 0.0 and g.coeffs.size == 2 << 8
+    assert g.levels[0].tolist() == [0.0]  # level 0 left at zero
 
 
 def test_build_g_depends_on_k_only_through_reduced_scale():
@@ -139,8 +139,9 @@ def test_probe_line_truth_without_base_builds_no_shell():
     g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=7))
     for alpha in (-0.5, 0.7):
         got = probe_line_truth(2, 2, 1, 7, base_amplitude=0.0, alpha=alpha, dither=2.0)
-        assert _same_bits(got, alpha * g)
-        assert 0 not in got.levels  # g has no level 0; a zero shell would add one
+        assert _same_bits(got, alpha * g) and got.coeffs.size == 2 << 7
+        # alpha g's zeros keep alpha's sign; adding a zero shell would make -0.0 + 0.0 = 0.0
+        assert np.signbit(got.coeffs[:2]).tolist() == [alpha < 0] * 2
     # the zero shell is built all the same, so its dither and j_min stay checked
     for kwargs, message in ((dict(dither=-1.0), "dither"), (dict(j_min=8), "j_min")):
         with pytest.raises(ValueError, match=message):

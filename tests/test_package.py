@@ -1,6 +1,8 @@
 import ast
 import importlib
+import json
 import os
+import shutil
 import subprocess
 import sys
 import tokenize
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import waverates
+from waverates import CoefficientTree, GenericFunctionSpec, SmoothnessParams, shell_tree
+from waverates.cli import main
 
 MODULES = sorted(p.stem for p in Path(waverates.__file__).parent.glob("*.py")
                  if not p.stem.startswith("_"))
@@ -73,3 +77,35 @@ def test_benchmark_setup_builds_every_workload(workload, tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("built ")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_benchmark_workload_runs_give_one_output_at_either_thread_count(workload, tmp_path,
+                                                                         capsys):
+    # the benchmark's output check: each run exits 0 and writes report.json, and the
+    # --threads 2 run writes the tables, report and manifest hash of the --threads 1 run
+    out, outputs = tmp_path / "out", []
+    for threads in ("1", "2"):
+        status = main(["run", "--config", str(workload), "--out", str(out), "--seed", "7",
+                       "--threads", threads])
+        assert status == 0, capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        assert manifest["execution"]["threads"] == int(threads)
+        outputs.append((manifest["hash"], files))
+        shutil.rmtree(out)  # as the benchmark takes a run's outputs
+    assert "report.json" in outputs[0][1] and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("build,args", [
+    (SmoothnessParams, (True, 2, 2, 1)), (SmoothnessParams, (2, 2, 2, True)),
+    (GenericFunctionSpec, (2, 2, 1, True)), (shell_tree, (2, 2, 1, True, 1.0)),
+    (CoefficientTree, (1, True)),
+], ids=["SmoothnessParams.s", "SmoothnessParams.d", "GenericFunctionSpec.j_max",
+        "shell_tree.j_max", "CoefficientTree.j_max"])
+def test_library_constructors_refuse_bools(build, args):
+    # True would pass as 1, as the config parser refuses it; the form with 1 builds
+    # first, so shell_tree is also called with True on what its cache holds for 1
+    build(*(1 if arg is True else arg for arg in args))
+    with pytest.raises(ValueError, match="must be a number, got True"):
+        build(*args)

@@ -11,7 +11,8 @@ import pytest
 
 from waverates import models, rates
 from waverates.dyadic import MAX_DEPTH, CoefficientTree
-from waverates.estimators import linear_estimate, linear_weights, noise_depth, threshold_estimate
+from waverates.estimators import (linear_estimate, linear_weights, noise_depth, threshold_estimate,
+                                  universal_threshold)
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
@@ -272,9 +273,10 @@ def reference_risk(truth, est, model, filter_name, j_max, n_grid, R, p, master_s
                 estimate = linear_estimate(y, {j: 1.0 - (2.0**j / m_n) ** est.pinsker_order
                                                for j in range(64) if 2.0**j < m_n})
             elif est.kind in ("threshold_hard", "threshold_soft"):
-                estimate = threshold_estimate(y, n, est.kappa, est.kind.split("_")[1])
+                estimate = threshold_estimate(y, est.kappa * universal_threshold(n), read,
+                                              est.kind.split("_")[1])
             else:  # density_threshold: hard at kappa = 1
-                estimate = threshold_estimate(y, n, 1.0, "hard")
+                estimate = threshold_estimate(y, universal_threshold(n), read, "hard")
             diff = estimate - truth
             if p == 2.0:
                 losses.append(diff.total_energy())
