@@ -10,12 +10,11 @@ the normalized, nonnegative part of a wavelet-specified density by inverse
 CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a guide
 table for one truth, so replicates share it; it refuses densities whose
 clipped negative mass, or whose mass's distance from 1, exceeds
-MAX_CLIPPED_MASS.  Empirical coefficients average the periodized wavelet at
-the sample points, read from a cached grid of each level's wavelet support.
-A level with no more grid cells than sample points depends on the sample
-only through its cell counts, so it is summed over those counts; a finer
-level is summed over the points.  The observed trees of both models feed the
-same estimators.
+MAX_CLIPPED_MASS.  Empirical coefficients of depth J average the periodized
+scaling functions of level J + 1 at the sample points, read from one cascade
+table on the 2^(J+8) grid, one bincount of the points per table row; the
+analysis pyramid takes them to every level, so each level reads its wavelet
+on that grid.  The observed trees of both models feed the same estimators.
 
 All generation is deterministic given the seed.  The risk engine seeds
 each replicate with SeedSequence((master_seed, n, replicate)), whose entropy
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import MAX_DEPTH, CoefficientTree, _freeze
-from .wavelet import WaveletFilter, _cascade_table, _coarse_samples, _refined_blocks, synthesize
+from .wavelet import WaveletFilter, _cascade_table, _dwt_step, synthesize
 
 __all__ = [
     "SequenceObservation",
@@ -190,18 +189,21 @@ class DensitySampler:
     def locate(self, u: np.ndarray) -> np.ndarray:
         """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
 
-        The guide table gives a cell at or below the answer; draws step
-        forward from there, and any still short after _GUIDE_STEPS steps (a
-        run of near-empty cells) fall back to a binary search.
+        The guide table gives a cell at or below the answer, from which
+        draws step forward.  About half the draws step once, so the first
+        step is one pass over all of them; the few still short then step
+        over a shrinking index set, and any still short after _GUIDE_STEPS
+        steps (a run of near-empty cells) fall back to a binary search.
         """
-        cells = self.guide[(u * len(self.guide)).astype(np.intp)]
-        for _ in range(_GUIDE_STEPS):
-            short = self.cum[cells] < u
-            if not short.any():
+        cells = self.guide.take((u * len(self.guide)).astype(np.intp))
+        cells += self.cum.take(cells) < u
+        short = np.flatnonzero(self.cum.take(cells) < u)
+        for _ in range(_GUIDE_STEPS - 1):
+            if not short.size:
                 return cells
-            cells += short
-        short = np.flatnonzero(self.cum[cells] < u)
-        cells[short] = np.searchsorted(self.cum, u[short], side="left")
+            cells[short] += 1
+            short = short[self.cum.take(cells.take(short)) < u.take(short)]
+        cells[short] = np.searchsorted(self.cum, u.take(short), side="left")
         return cells
 
     def sample(self, n: int, seed) -> DensitySample:
@@ -216,116 +218,43 @@ class DensitySampler:
         return DensitySample(n=n, points=points)
 
 
-# Per filter taps (and level): the support slice of the level's wavelet grid
-# with its block count, and the level-0 scaling grid.  Each worker process of
-# the risk engine fills its own copy, starting from the entries its parent
-# held when it forked; every copy computes identical read-only arrays.
-_PSI_CACHE: dict[tuple[bytes, int], tuple[np.ndarray, int]] = {}
-_PHI_CACHE: dict[bytes, np.ndarray] = {}
-
-
-def _wavelet_support(j: int, filt: WaveletFilter) -> tuple[np.ndarray, int]:
-    """Support of the periodized wavelet psi_{j,0} on its fine grid.
-
-    Returns (psi, blocks): psi holds the grid values (resolution j + 8) of
-    the first `blocks` blocks of 2^8 cells, beyond which psi_{j,0} is zero;
-    blocks is at most 2^j, where the support wraps the whole circle.  Every
-    position k in the level is a circular shift of position 0 by k blocks.
-    The cascade spreads position 0 forward only, over fewer than
-    (L - 1) 2^8 cells, so only the synthesis blocks covering those are built.
-    """
-    key = (filt.taps.tobytes(), j)
-    cached = _PSI_CACHE.get(key)
-    if cached is not None:
-        return cached
-    res = j + DENSITY_GRID_PAD
-    e = np.zeros(1 << j)
-    e[0] = 1.0
-    single = CoefficientTree(d=1, j_max=j, scaling=0.0, levels={j: e})
-    reach = min((len(filt.taps) - 1) << DENSITY_GRID_PAD, 1 << res)
-    parts = []
-    table = _cascade_table(filt.taps, DENSITY_GRID_PAD - 1)
-    for offset, block in _refined_blocks(_coarse_samples(single, filt), table):
-        parts.append(block)
-        if offset + len(block) >= reach:
-            break
-    psi = np.concatenate(parts)
-    nz = np.flatnonzero(psi)
-    blocks = min(int(nz[-1] >> DENSITY_GRID_PAD) + 1, 1 << j) if nz.size else 0
-    psi = psi[: blocks << DENSITY_GRID_PAD].copy()
-    psi.flags.writeable = False
-    _PSI_CACHE[key] = psi, blocks
-    return psi, blocks
-
-
-def _scaling_grid(filt: WaveletFilter) -> np.ndarray:
-    """Grid values (resolution 8) of the periodized scaling function."""
-    key = filt.taps.tobytes()
-    phi = _PHI_CACHE.get(key)
-    if phi is None:
-        phi = synthesize(CoefficientTree(d=1, j_max=0, scaling=1.0), filt, DENSITY_GRID_PAD).samples
-        _PHI_CACHE[key] = phi
-    return phi
-
-
 def empirical_coefficients(
     sample: DensitySample, filt: WaveletFilter, j_max: int
 ) -> CoefficientTree:
-    """Empirical wavelet coefficients (1/n) sum_i psi_{j,k}(X_i).
+    """Empirical wavelet coefficients (1/n) sum_i psi_{j,k}(X_i), levels 0..j_max.
 
-    The wavelet is evaluated on a fine grid (resolution j + 8 for level j):
-    each point reads the value of its cell.  The cells are computed once at
-    resolution j_max + 8; a coarser level's cells are a right shift of those
-    (exact, as scaling by a power of two is).  Within a level the positions
-    are circular shifts of position 0 by whole blocks of 2^8 cells, so each
-    support block m gives per-block sums S[m, b] over the points in block b,
-    and beta_{j,k} = sum_m S[m, (k + m) mod 2^j], added in increasing m.
-
-    A level takes one of two paths, by n and j alone.  Where it has no more
-    cells than the sample has points (2^(j+8) <= n), S is the contraction of
-    the level's cell counts with the support grid: one bincount at the finest
-    such level, then adjacent cells added pairwise per coarser level (exact,
-    the counts being integers), so the work is per cell, not per point.  Its
-    summation order differs from the per-point sum, by at most the recursive
-    summation bound n eps sum_i |psi_{j,k}(X_i)| / n.  Finer levels, with
-    more cells than points, sum per point: a bincount per support block,
-    bit-identical to summing psi_{j,k} over the points in order.  The
-    scaling coefficient is always the plain sum over the points.  The count
-    arrays hold at most n values, so memory stays O(n).  The result's array
-    holds every level 0..j_max.
+    The sample enters once, through the empirical scaling coefficients of
+    level J + 1 (J = j_max): alpha_l = (1/n) sum_i phi_{J+1,l}(X_i), phi read
+    on the grid of resolution J + 8.  There phi_{J+1,l} is the table of the
+    7-step lowpass cascade (_cascade_table) times 2^((J+1)/2): a point in cell
+    2^7 q + r reads row s of the table at phase r for l = (q - s) mod
+    2^(J+1), rows that meet at one l (where the support wraps the circle)
+    added first.  Each row is one bincount of the points by q, and _fold adds
+    the rows at their shifts.  The periodized analysis steps
+    (wavelet._dwt_step) then take alpha down to level 0, giving every level
+    and the scaling coefficient.  By linearity of the cascade, level j reads
+    psi_{j,k} synthesized on the 2^(J+8) grid: level J reads its own 2^(J+8)
+    grid, a coarser level a grid finer than 2^(j+8), so a tree's levels
+    depend on its depth.
     """
     if sample.n < 1 or sample.points.size == 0:
         raise ValueError("empty sample")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    inv_n = 1.0 / sample.n
-    fine = _cells(sample.points, j_max + DENSITY_GRID_PAD)
-    # scaling function: constant 1 on [0, 1] after periodization
-    coeffs = np.empty(2 << j_max)
-    coeffs[0] = np.sum(_scaling_grid(filt)[fine >> j_max]) * inv_n
-    stride = 1 << DENSITY_GRID_PAD
-    # count levels 0..top: 2^(j+8) <= n; top = -1 when there are none
-    top = max(min(j_max, sample.n.bit_length() - 1 - DENSITY_GRID_PAD), -1)
-    if top >= 0:
-        counts = np.bincount(fine >> (j_max - top), minlength=stride << top).astype(np.float64)
-    for j in range(top, -1, -1):
-        if j < top:
-            counts = counts[0::2] + counts[1::2]
-        psi, blocks = _wavelet_support(j, filt)
-        # einsum without optimize: no BLAS, so no dependence on its threads
-        per_block = np.einsum("bp,mp->mb", counts.reshape(1 << j, stride),
-                              psi.reshape(blocks, stride))
-        np.multiply(_fold(per_block, 1 << j), inv_n, out=coeffs[1 << j : 2 << j])
-    # point levels: 2^(j+8) > n
-    for j in range(top + 1, j_max + 1):
-        psi, blocks = _wavelet_support(j, filt)
-        cells = fine >> (j_max - j)
-        block = cells >> DENSITY_GRID_PAD
-        phase = cells & (stride - 1)
-        psi = psi.reshape(blocks, stride)
-        per_block = (np.bincount(block, weights=psi[m][phase], minlength=1 << j)
-                     for m in range(blocks))
-        np.multiply(_fold(per_block, 1 << j), inv_n, out=coeffs[1 << j : 2 << j])
+    n_pos, pad = 2 << j_max, DENSITY_GRID_PAD - 1
+    table = _cascade_table(filt.taps, pad)[::-1]  # row s: phi_{J+1,l} for l = q - s
+    if len(table) > n_pos:
+        table = np.array([table[s::n_pos].sum(axis=0) for s in range(n_pos)])
+    table = table * 2.0 ** ((j_max + 1) / 2.0)
+    cells = _cells(sample.points, j_max + DENSITY_GRID_PAD)
+    q, r = cells >> pad, cells & ((1 << pad) - 1)
+    per_row = (np.bincount(q, weights=row[r], minlength=n_pos) for row in table)
+    a = _fold(per_row, n_pos) * (1.0 / sample.n)
+    coeffs = np.empty(n_pos)
+    lo, hi = filt.taps, filt.highpass
+    for j in range(j_max, -1, -1):
+        a, coeffs[1 << j : 2 << j] = _dwt_step(a, lo, hi)
+    coeffs[0] = a[0]
     return CoefficientTree._of(j_max, coeffs)
 
 

@@ -271,7 +271,7 @@ def _depths(truth, read, j_max, density) -> tuple[int, int]:
     """(model depth, observed depth).  The model's depth is j_max when given,
     else the estimator's read depth for density coefficients and the truth's
     depth for sequence observations; a replicate is observed to the lesser of
-    it and the read depth."""
+    it and the read depth (a density replicate at the model depth, then cut)."""
     depth = j_max if j_max is not None else read if density else truth.j_max
     return depth, min(read, depth)
 
@@ -280,12 +280,16 @@ class _Replicates(NamedTuple):
     """What every replicate of one monte_carlo_risk call reads; called on a
     job (i, rep), it returns (i, rep, the loss of every truth's estimate) on
     the replicate drawn from the seed (master_seed, n, rep), plans[i] being
-    (n, the estimate, each truth's observed depth, each truth's loss side).
+    (n, the estimate, each truth's (model depth, observed depth), each
+    truth's loss side).
 
     Sequence truths share one noise draw, to the deepest depth any of them
     reads, and each adds its own levels to it; each density truth samples its
-    own law from the same seed.  The truths are observed one at a time, as
-    their losses are taken, so one observed tree is alive at a time.
+    own law from the same seed, and its empirical coefficients, whose levels
+    depend on their depth (models.empirical_coefficients), are taken at the
+    model depth and cut to the observed one.  The truths are observed one at
+    a time, as their losses are taken, so one observed tree is alive at a
+    time.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -296,16 +300,21 @@ class _Replicates(NamedTuple):
 
     def __call__(self, job):
         i, rep = job
-        n, estimate, reads, sides = self.plans[i]
+        n, estimate, depths, sides = self.plans[i]
         seed = np.random.SeedSequence((self.master_seed, n, rep))
         if self.samplers is not None:
-            observed = (empirical_coefficients(sampler.sample(n, seed), self.filt, j)
-                        for sampler, j in zip(self.samplers, reads))
+            observed = (_cut(empirical_coefficients(sampler.sample(n, seed), self.filt, depth), j)
+                        for sampler, (depth, j) in zip(self.samplers, depths))
         else:
-            top = max(reads)
+            top = max(j for _, j in depths)
             noise = simulate_sequence(CoefficientTree.zeros(1, top), n, top, seed)
-            observed = (observe(truth, noise, j) for truth, j in zip(self.truths, reads))
+            observed = (observe(truth, noise, j) for truth, (_, j) in zip(self.truths, depths))
         return i, rep, [side.mean(estimate(y)) for y, side in zip(observed, sides)]
+
+
+def _cut(tree: CoefficientTree, j_max: int) -> CoefficientTree:
+    """The tree's levels 0..j_max, a view of its array."""
+    return CoefficientTree._of(j_max, tree.coeffs[: 2 << j_max])
 
 
 _WORKER_REPLICATES: _Replicates | None = None  # a worker process's, set by _start_worker
@@ -361,7 +370,8 @@ def monte_carlo_risk(
     model's depth; when omitted, sequence observations have the truth's depth
     and density coefficients the estimator's read depth.  The kind's rule
     gives the read depth and the estimate at each n, once per n; each
-    replicate is observed only up to that depth within the model's depth: no
+    replicate is observed only up to that depth within the model's depth
+    (density coefficients are taken at the model depth and cut there): no
     estimator reads a deeper level, and its estimate is that of the
     model-depth observation.
 
@@ -398,7 +408,7 @@ def monte_carlo_risk(
     # per n, each truth's (model depth, observed depth); per truth, its sides
     depths = [[_depths(t, read, j_max, density) for t in truths] for read, _ in rules]
     sides = [_loss_sides(t, filt, [row[k] for row in depths], p) for k, t in enumerate(truths)]
-    plans = [(n, estimate, [read for _, read in row], [s[pair] for s, pair in zip(sides, row)])
+    plans = [(n, estimate, row, [s[pair] for s, pair in zip(sides, row)])
              for n, (_, estimate), row in zip(n_grid, rules, depths)]
     replicates = _Replicates(truths, plans, filt, master_seed, samplers)
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]

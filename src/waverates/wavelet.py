@@ -195,14 +195,18 @@ class GridSignal:
 
 
 def _dwt_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """One periodized analysis step: approx[m] = sum_t lo[t] a[(2m+t) mod n]."""
+    """One periodized analysis step: approx[m] = sum_t lo[t] a[(2m+t) mod n],
+    detail likewise with hi; L slice multiply-adds, the adjoint of _idwt_step."""
     n = len(a)
     L = len(lo)
-    ext = np.empty(n + L - 1)
-    ext[:n] = a
-    ext[n:] = np.resize(a, L - 1)  # cyclic extension; tiles when L - 1 > n
-    windows = np.lib.stride_tricks.sliding_window_view(ext, L)[0:n:2]
-    return windows @ lo, windows @ hi
+    # cyclic extension; tiles when L - 1 > n
+    ext = np.concatenate((a, a[: L - 1] if L - 1 <= n else np.resize(a, L - 1)))
+    approx = lo[0] * ext[0:n:2]
+    detail = hi[0] * ext[0:n:2]
+    for t in range(1, L):
+        approx += lo[t] * ext[t : t + n : 2]
+        detail += hi[t] * ext[t : t + n : 2]
+    return approx, detail
 
 
 def _idwt_step(approx: np.ndarray, detail: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -124,7 +124,7 @@ def test_observed_and_empirical_trees_populate_every_level():
         assert observe(theta, noise, j_max).levels.keys() == set(range(j_max + 1))
         assert simulate_sequence(theta, 100, j_max, 4).y.levels.keys() == set(range(j_max + 1))
     sample = DensitySampler.from_tree(uniform_density_tree(3), HAAR).sample(300, seed=1)
-    for j_max in (0, 2, 4):  # levels of both summation paths at n = 300
+    for j_max in (0, 2, 4):
         beta = empirical_coefficients(sample, HAAR, j_max)
         assert beta.levels.keys() == set(range(j_max + 1))
         assert beta.coeffs.size == 2 << j_max
@@ -177,15 +177,20 @@ def test_density_sample_validation():
 
 
 def test_empirical_coefficients_single_point_exact():
-    x = 0.618
-    beta = empirical_coefficients(DensitySample(1, np.array([x])), HAAR, 5)
-    for j in (0, 2, 5):
-        psi = psi_grid(j, HAAR)
-        stride = 1 << DENSITY_GRID_PAD
-        cell = grid_cells(np.array([x]), j + DENSITY_GRID_PAD)[0]
-        for k in (0, (1 << j) - 1):
-            want = psi[(cell - k * stride) % (1 << (j + DENSITY_GRID_PAD))]
-            assert beta.get(j, k) == want
+    # one point of a Haar sample: level j reads 2^(j/2) on the first half of
+    # psi_{j,k}'s support and -2^(j/2) on the second, within the rounding of
+    # the cascade, and exactly 0 off it
+    x, j_max = 0.618, 5
+    beta = empirical_coefficients(DensitySample(1, np.array([x])), HAAR, j_max)
+    gamma = rounding(1, HAAR, j_max)
+    assert abs(beta.scaling - 1.0) <= gamma
+    for j in range(j_max + 1):
+        t = (1 << j) * x
+        want = np.zeros(1 << j)
+        want[int(t)] = 2.0 ** (j / 2) * (1.0 if t % 1.0 < 0.5 else -1.0)
+        got = beta.level(j)
+        assert np.array_equal(got == 0.0, want == 0.0), j
+        assert np.all(np.abs(got - want) <= gamma * np.abs(want)), j
 
 
 def test_empirical_coefficients_uniform_unbiased_at_zero():
@@ -232,11 +237,10 @@ def test_empirical_coefficients_empty_sample():
         empirical_coefficients(DensitySample(1, np.array([0.5])), HAAR, -1)
 
 
-# -- reference implementations: the searchsorted sampler and the per-level
-# bincount loop over full wavelet grids that DensitySampler, the scaling
-# coefficient and the per-point levels of empirical_coefficients must
-# reproduce bit for bit, and the exact means that bound the levels it sums
-# over cell counts.
+# -- reference implementations: the searchsorted sampler that DensitySampler
+# must reproduce bit for bit, and empirical coefficients read point by point
+# from each level's wavelet synthesized at the tree's resolution j_max + 8,
+# summed by fsum, with a bound on the rounding of both computations.
 
 
 def reference_cdf(f_tree, filt):
@@ -261,73 +265,82 @@ def grid_cells(points, res):
     return np.minimum((points * (1 << res)).astype(np.int64), (1 << res) - 1)
 
 
-def psi_grid(j, filt):
-    e = np.zeros(1 << j)
-    e[0] = 1.0
-    single = CoefficientTree(d=1, j_max=j, scaling=0.0, levels={j: e})
-    return synthesize(single, filt, j + DENSITY_GRID_PAD).samples
+def rounding(n, filt, j_max):
+    """gamma_m = m eps / (1 - m eps) for m = n + 2 (j_max + 12)(L + 1): more
+    roundings than any path through a tree of depth j_max takes, in
+    empirical_coefficients or in the reference, with n point sums and at most
+    j_max + 12 tap levels (cascade tables, synthesis and analysis steps),
+    each a product and a sum of at most L + 1 terms."""
+    m = n + 2 * (j_max + 12) * (len(filt.taps) + 1)
+    eps = np.finfo(np.float64).eps
+    return m * eps / (1.0 - m * eps)
+
+
+def psi_grids(j, filt, j_max):
+    """psi_{j,0} (j = -1: the scaling function phi) synthesized from a tree
+    of depth j_max at resolution j_max + 8, and the same cascade run on the
+    taps' absolute values.
+
+    Every partial sum that synthesize forms for psi_{j,k}, and that
+    empirical_coefficients forms through its cascade table and analysis
+    steps, adds products of taps whose absolute values the absolute cascade
+    adds, so the absolute grid read at the points bounds them all."""
+    lo, hi = np.abs(filt.taps), np.abs(filt.highpass)
+    approx = np.ones(1) if j < 0 else np.zeros(1 << j)
+    unit = np.zeros(1 << max(j, 0))
+    unit[0] = float(j >= 0)
+    for level in range(max(j, 0), j_max + 1):
+        approx = wavelet._idwt_step(approx, unit if level == j else np.zeros(1 << level), lo, hi)
+    coarse = approx * 2.0 ** ((j_max + 1) / 2.0)
+    blocks = wavelet._refined_blocks(coarse, wavelet._cascade_table(lo, DENSITY_GRID_PAD - 1))
+    absolute = np.concatenate([block for _, block in blocks])
+    levels = {j: unit} if j >= 0 else {}
+    tree = CoefficientTree(d=1, j_max=j_max, scaling=float(j < 0), levels=levels)
+    return synthesize(tree, filt, j_max + DENSITY_GRID_PAD).samples, absolute
 
 
 def reference_coefficients(points, filt, j_max):
-    n = len(points)
-    phi = synthesize(CoefficientTree(d=1, j_max=0, scaling=1.0), filt, DENSITY_GRID_PAD).samples
-    scaling = float(np.sum(phi[grid_cells(points, DENSITY_GRID_PAD)]) * (1.0 / n))
-    stride = 1 << DENSITY_GRID_PAD
-    levels = {}
-    for j in range(j_max + 1):
-        psi = psi_grid(j, filt)
-        n_pos = 1 << j
-        cells = grid_cells(points, j + DENSITY_GRID_PAD)
-        block = cells >> DENSITY_GRID_PAD
-        phase = cells & (stride - 1)
-        nz = np.flatnonzero(np.abs(psi) > 0.0)
-        support_blocks = min(int(nz[-1] >> DENSITY_GRID_PAD) + 1, n_pos) if nz.size else 0
-        beta = np.zeros(n_pos)
-        for m in range(support_blocks):
-            vals = psi[phase + m * stride]
-            k = (block - m) % n_pos
-            beta += np.bincount(k, weights=vals, minlength=n_pos)
-        levels[j] = beta * (1.0 / n)
-    return scaling, levels
+    """{heap index: (mean, bound)} for the scaling coefficient and each level
+    j <= j_max of a tree of depth j_max, every position of a level of at most
+    16 and six of a longer one.  The mean is the fsum of psi_{j,k} read at the
+    points on the 2^(j_max + 8) grid, over n; the bound on its distance from
+    empirical_coefficients is rounding() times the absolute grid's mean, plus
+    the mean's own rounding."""
+    n, res = len(points), j_max + DENSITY_GRID_PAD
+    cells = grid_cells(points, res)
+    gamma, eps = rounding(n, filt, j_max), np.finfo(np.float64).eps
+    out = {}
+    for j in range(-1, j_max + 1):
+        signed, absolute = psi_grids(j, filt, j_max)
+        n_pos = 1 << max(j, 0)
+        stride = len(signed) // n_pos  # psi_{j,k} is psi_{j,0} shifted k strides
+        picks = (range(n_pos) if n_pos <= 16
+                 else (0, 1, n_pos // 3, n_pos // 2, n_pos - 2, n_pos - 1))
+        for k in picks:
+            at = (cells - k * stride) % len(signed)
+            mean = math.fsum(signed[at]) / n
+            bound = gamma * math.fsum(absolute[at]) / n + eps * abs(mean)
+            out[0 if j < 0 else n_pos + k] = mean, bound
+    return out
 
 
-def count_path_reference(points, filt, j_max):
-    """levels[j] = (means, bounds) for each level j <= j_max with 2^(j+8) <= n
-    cells, the levels empirical_coefficients sums over cell counts.
-
-    A mean is fsum's correctly rounded sum over the points divided by n; its
-    bound is the recursive summation bound n eps sum_i |psi_{j,k}(X_i)| / n.
-    """
-    n = len(points)
-    eps = np.finfo(np.float64).eps
-
-    def mean_and_bound(values):
-        return math.fsum(values) / n, n * eps * math.fsum(np.abs(values)) / n
-
-    levels = {}
-    for j in range(j_max + 1):
-        if 1 << (j + DENSITY_GRID_PAD) > n:
-            break
-        psi = psi_grid(j, filt)
-        cells = grid_cells(points, j + DENSITY_GRID_PAD)
-        pairs = [mean_and_bound(psi[(cells - (k << DENSITY_GRID_PAD)) % len(psi)])
-                 for k in range(1 << j)]
-        levels[j] = tuple(np.array(column) for column in zip(*pairs))
-    return levels
+def assert_matches_reference(beta, reference):
+    for index, (mean, bound) in reference.items():
+        assert abs(beta.coeffs[index] - mean) <= bound, (beta.j_max, index)
 
 
-def assert_matches_references(beta, per_point, counted):
-    """The scaling coefficient and the levels of beta with more cells than
-    points equal the per-point reference bit for bit; the other levels lie
-    within their recursive summation bounds."""
-    scaling, levels = per_point
-    assert beta.scaling == scaling
-    for j in range(beta.j_max + 1):
-        if j in counted:
-            means, bounds = counted[j]
-            assert np.all(np.abs(beta.level(j) - means) <= bounds), (beta.j_max, j)
-        else:
-            assert np.array_equal(beta.level(j), levels[j]), (beta.j_max, j)
+def level_quadrature(points, filt, j):
+    """(beta, absolute): level j read on its own 2^(j+8) grid, psi_{j,k} from
+    psi_{j,0} synthesized at resolution j + 8 summed over the points by one
+    bincount per support block of 2^8 cells, and the same sums of the
+    absolute grid (psi_grids), each over n."""
+    res, n_pos = j + DENSITY_GRID_PAD, 1 << j
+    cells = grid_cells(points, res)
+    block, phase = cells >> DENSITY_GRID_PAD, cells & ((1 << DENSITY_GRID_PAD) - 1)
+    grids = [grid.reshape(n_pos, -1) for grid in psi_grids(j, filt, j)]
+    support = np.flatnonzero(grids[1].any(axis=1))
+    return [sum(np.bincount((block - m) % n_pos, weights=grid[m][phase], minlength=n_pos)
+                for m in support) / len(points) for grid in grids]
 
 
 def demo_density_truth():
@@ -399,59 +412,67 @@ def test_empirical_coefficients_match_per_level_reference(name):
         [0.0, 1.0, np.nextafter(1.0, 0.0), 0.5, 0.25, 3 / 1024, 1 - 2.0**-20],
     ])
     sample = DensitySample(len(points), points)
-    per_point = reference_coefficients(points, filt, 12)
-    counted = count_path_reference(points, filt, 12)
-    assert sorted(counted) == [0, 1, 2, 3]  # 2^11 <= 3007 < 2^12 cells
-    for j_max in range(13):
-        beta = empirical_coefficients(sample, filt, j_max)
-        assert_matches_references(beta, per_point, counted)
+    for j_max in (0, 1, 2, 3, 4, 6, 9, 12):
+        reference = reference_coefficients(points, filt, j_max)
+        # the absolute cascade grows with the filter length and depth: to
+        # 1e-7 for db10 at depth 12, against errors of a few 1e-16
+        assert max(bound for _, bound in reference.values()) < 1e-6
+        assert_matches_reference(empirical_coefficients(sample, filt, j_max), reference)
 
 
 def test_empirical_coefficients_support_spanning_synthesis_blocks(monkeypatch):
-    # synthesis blocks of 2^9 cells: the db10 support, 19 * 2^8 cells, spans ten
+    # db10: the support of phi_{J+1,l} spans 19 blocks of 2^7 cells, more than
+    # the 2^(J+1) positions for J <= 3, where its rows wrap the circle; the
+    # reference synthesizes in blocks of 2^9 cells, so its psi spans several
     monkeypatch.setattr(wavelet, "_BLOCK_SAMPLES", 1 << 9)
-    monkeypatch.setattr(models, "_PSI_CACHE", {})
     filt = get_filter("db10")
     points = np.random.default_rng(3).random(1000)
-    beta = empirical_coefficients(DensitySample(len(points), points), filt, 8)
-    assert_matches_references(beta, reference_coefficients(points, filt, 8),
-                              count_path_reference(points, filt, 8))
+    sample = DensitySample(len(points), points)
+    for j_max in range(9):
+        assert_matches_reference(empirical_coefficients(sample, filt, j_max),
+                                 reference_coefficients(points, filt, j_max))
 
 
-def test_empirical_coefficients_cache_keyed_by_taps():
+@pytest.mark.parametrize("name", ["db1", "db2", "db4", "db10"])
+def test_empirical_coefficients_finest_level_is_its_own_grid_quadrature(name):
+    # level J of a depth-J tree reads psi_{J,k} on its own 2^(J+8) grid, as a
+    # per-level quadrature does; a coarser level reads the finer 2^(J+8) grid,
+    # which only the Haar wavelet, constant on dyadic cells, does not see
+    filt = get_filter(name)
+    points = np.random.default_rng(7).random(2000)
+    sample = DensitySample(len(points), points)
+    for j_max in (0, 3, 6, 9):
+        beta = empirical_coefficients(sample, filt, j_max)
+        bound = 2 * rounding(len(points), filt, j_max)
+        for j in range(j_max + 1):
+            quadrature, absolute = level_quadrature(points, filt, j)
+            within = np.all(np.abs(beta.level(j) - quadrature) <= bound * absolute)
+            assert within == (j == j_max or name == "db1"), (j_max, j)
+
+
+def test_empirical_coefficients_read_the_filter_taps():
+    # a filter is its taps, whatever its name
     sample = DensitySampler.from_tree(uniform_density_tree(4), HAAR).sample(300, seed=8)
     db2 = empirical_coefficients(sample, get_filter("db2"), 4)
     impostor = WaveletFilter(name="db2", taps=np.array(DAUBECHIES_LOWPASS[3]), vanishing_moments=3)
     got = empirical_coefficients(sample, impostor, 4)
     db3 = get_filter("db3")
-    counted = count_path_reference(sample.points, db3, 4)
-    assert_matches_references(got, reference_coefficients(sample.points, db3, 4), counted)
-    _, bounds = counted[0]  # level 0 is summed over cell counts
-    assert np.all(np.abs(got.level(0) - db2.level(0)) > 1e6 * bounds)
-    assert not np.array_equal(got.level(4), db2.level(4))
+    assert got.coeffs.tobytes() == empirical_coefficients(sample, db3, 4).coeffs.tobytes()
+    assert_matches_reference(got, reference_coefficients(sample.points, db3, 4))
+    assert not np.array_equal(got.level(0), db2.level(0))
 
 
 @pytest.mark.parametrize("j", [0, 2])
-def test_empirical_coefficients_count_path_from_one_point_per_cell(j):
-    # n = 2^(j+8) copies of one point: level j has one cell per point, so it
-    # and every coarser level are summed over cell counts, where n psi / n is
-    # exactly the grid value psi; the per-point sum of n copies rounds.
+def test_empirical_coefficients_of_one_repeated_point(j):
+    # n = 2^(j+8) copies of one point have the one point's coefficients: the
+    # sum of n copies rounds, within the bound of n point sums
     filt = get_filter("db2")
     n, x = 1 << (j + DENSITY_GRID_PAD), 0.618
-    points = np.full(n, x)
-    beta = empirical_coefficients(DensitySample(n, points), filt, j + 2)
-    scaling, levels = reference_coefficients(points, filt, j + 2)
-    assert beta.scaling == scaling
-    for level in range(j + 1):
-        psi = psi_grid(level, filt)
-        cell = grid_cells(points[:1], level + DENSITY_GRID_PAD)[0]
-        exact = psi[(cell - (np.arange(1 << level) << DENSITY_GRID_PAD)) % len(psi)]
-        assert np.array_equal(beta.level(level), exact), level
-    assert not np.array_equal(levels[j], exact)  # so the per-point path would fail
-    for level in (j + 1, j + 2):
-        assert np.array_equal(beta.level(level), levels[level]), level
-    # one point fewer: level j has more cells than points and is summed per point
-    fewer = points[:-1]
-    beta = empirical_coefficients(DensitySample(n - 1, fewer), filt, j + 2)
-    assert_matches_references(beta, reference_coefficients(fewer, filt, j + 2),
-                              count_path_reference(fewer, filt, j + 2))
+    beta = empirical_coefficients(DensitySample(n, np.full(n, x)), filt, j + 2)
+    single = empirical_coefficients(DensitySample(1, np.array([x])), filt, j + 2)
+    reference = reference_coefficients(np.array([x]), filt, j + 2)
+    gamma = rounding(n, filt, j + 2) / rounding(1, filt, j + 2)
+    assert_matches_reference(beta, {index: (mean, gamma * bound)
+                                    for index, (mean, bound) in reference.items()})
+    assert_matches_reference(single, reference)
+    assert not np.array_equal(beta.coeffs, single.coeffs)  # so the sums did round

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from waverates import models, rates
+from waverates import rates
 from waverates.dyadic import MAX_DEPTH, CoefficientTree
 from waverates.estimators import (linear_estimate, linear_weights, noise_depth, threshold_estimate,
                                   universal_threshold)
@@ -122,14 +122,11 @@ def test_monte_carlo_deterministic_and_threaded():
 
 
 def test_monte_carlo_density_deterministic_and_threaded():
-    # the worker processes inherit one DensitySampler and fill their own
-    # wavelet-support caches: start the caches cold, so every worker builds its
-    # own, and the tables must equal the in-process run's
+    # the worker processes inherit one DensitySampler, and the tables must
+    # equal the in-process run's
     truths = (density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2)),)
     est, density = EstimatorSpec("density_threshold"), dict(filter_name="db3", model="density")
     (a,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, **density)
-    models._PSI_CACHE.clear()
-    models._PHI_CACHE.clear()
     (b,) = monte_carlo_risk(truths, est, [256, 1024], 8, 2.0, 4242, threads=3, **density)
     assert [r.empirical_risk for r in a.rows] == [r.empirical_risk for r in b.rows]
     assert [r.std_error for r in a.rows] == [r.std_error for r in b.rows]
@@ -569,6 +566,35 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
         assert short.levels.keys() == full.levels.keys()
         for j, level in full.levels.items():
             assert np.array_equal(short.levels[j], level)
+
+
+@pytest.mark.parametrize("kind", ["projection", "threshold_hard"])
+def test_density_observation_is_the_model_depth_tree_cut_to_the_read_depth(kind, monkeypatch):
+    # a density tree's coarse levels depend on its depth, so each replicate
+    # takes its empirical coefficients at the model depth (9) and cuts them to
+    # the read depth: the estimate reads the first levels of the deeper tree
+    truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
+    filt, j_max, n_grid, R = get_filter("db2"), 9, [64, 4096], 2
+    seen = []
+    monkeypatch.setattr(rates, "linear_estimate",
+                        lambda y, w: seen.append(y) or linear_estimate(y, w))
+    monkeypatch.setattr(rates, "threshold_estimate",
+                        lambda y, *args: seen.append(y) or threshold_estimate(y, *args))
+    monte_carlo_risk((truth,), EstimatorSpec(kind, smoothness=DENSE), n_grid, R, 2.0, 17,
+                     filter_name="db2", j_max=j_max, model="density")
+    sampler = DensitySampler.from_tree(truth, filt)
+    jobs = [(n, rep) for n in n_grid for rep in range(R)]
+    assert len(seen) == len(jobs)
+    for y, (n, rep) in zip(seen, jobs):
+        read, _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, smoothness=DENSE), n)
+        read = min(read, j_max)
+        assert y.j_max == read
+        sample = sampler.sample(n, np.random.SeedSequence((17, n, rep)))
+        deep = empirical_coefficients(sample, filt, j_max)
+        assert y.coeffs.tobytes() == deep.coeffs[: 2 << read].tobytes()
+        if read < j_max:  # the tree taken at the read depth reads coarser grids
+            assert not np.array_equal(empirical_coefficients(sample, filt, read).coeffs, y.coeffs)
+    assert seen[0].j_max < j_max  # n = 64 reads less deep than the model
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
