@@ -27,12 +27,13 @@ witness (t, bound, log2_bound).  Coefficient trees use the record stream of
 ``recordio`` ((j, k, value) rows under a d/j_max/scaling header, d = 1).
 
 Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
-``TRUTHS``.  ``run`` writes the tables, then derives the verdicts from the
-written files exactly as ``report`` does.  Unknown keys are rejected at every
-level: the top level holds the ``ExperimentConfig`` fields the kind reads, and
-a Monte Carlo kind builds its ``EstimatorSpec`` and its truth with the run's
-builders, and the other kinds compute their tables, so that ``validate``
-refuses what ``run`` would fail on.  Exit
+``TRUTHS``.  ``validate`` parses a config (keys, types, defaults and ranges;
+unknown keys are rejected at every level), then runs the kind's check, the
+one step that builds anything: it builds what ``run`` builds with the run's
+functions (a Monte Carlo kind its ``EstimatorSpec``, filter and truth, the
+other kinds their tables), so it refuses what ``run`` would fail on.
+``report`` parses the stored manifest and derives the verdicts from the
+stored tables exactly as ``run`` does from the files it writes.  Exit
 status: the count of failed verdicts, capped at 100; EXIT_CONFIG_ERROR (101)
 for an invalid or unreadable config, flag or run directory (one ``error:``
 line on stderr); EXIT_INTERNAL_ERROR (102) otherwise (traceback on stderr).
@@ -81,11 +82,16 @@ class ConfigError(ValueError):
     """A config failed validation; the message names the offending field."""
 
 
+_INVALID = (TypeError, ValueError, AttributeError, OverflowError)  # what an invalid config raises
+
+
 @contextmanager
 def _naming(key: str, errors=(ValueError,)):
-    """Turn the errors raised inside into a ConfigError naming key."""
+    """Turn the errors raised inside, but a ConfigError, into a ConfigError naming key."""
     try:
         yield
+    except ConfigError:
+        raise
     except errors as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -197,28 +203,25 @@ def _parse_object(text: str) -> dict:
 
 
 def validate_config(raw_text: str) -> ExperimentConfig:
-    """Parse and cross-check a JSON experiment config, applying defaults.
-
-    The top level holds the keys the kind's EXPERIMENTS entry reads; a Monte
-    Carlo kind's sections fill in the EstimatorSpec fields its estimator reads
-    (kind threshold_hard) and the keyword parameters of its TRUTHS builder
-    (kind generic_g), and every kind its tolerances.  Defaults fix each value's
-    type.  Rejects unknown keys at every level, values of the wrong type and
-    every value the run cannot use: s <= d/r, the kind's own fields
-    (EXPERIMENTS' check) and, for a Monte Carlo kind, among others an unfit
-    estimator or filter, replicates < 2 and a truth its builder refuses: the
-    truth is built, and a density truth's sampler too, as the run builds them.
-    """
+    """Parse a JSON experiment config (_parsed), then run its kind's check, the one
+    step that builds anything: it refuses what the run would fail on by building
+    what the run builds with the run's functions (EXPERIMENTS' check)."""
     raw = _parse_object(raw_text)
-    try:
-        return _validated(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from None
+    with _naming("invalid config", _INVALID):
+        config = _parsed(raw)
+        EXPERIMENTS[config.experiment_kind].check(config)
+    return config
 
 
-def _validated(raw: dict) -> ExperimentConfig:
+def _parsed(raw: dict) -> ExperimentConfig:
+    """The config of a JSON object, applying defaults and building nothing.  The
+    top level holds the keys the kind's EXPERIMENTS entry reads; a Monte Carlo
+    kind's sections fill in the EstimatorSpec fields its estimator reads (kind
+    threshold_hard) and the keyword parameters of its TRUTHS builder (kind
+    generic_g), and every kind its tolerances.  Defaults fix each value's type.
+    Rejects unknown keys at every level, values of the wrong type and values
+    out of range: s <= d/r, a negative tolerance and, for a Monte Carlo kind,
+    among others an n_grid too short to fit and replicates < 2."""
     kind = _parse("str", raw.get("experiment_kind"), "experiment_kind")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
@@ -231,7 +234,7 @@ def _validated(raw: dict) -> ExperimentConfig:
     if "j_max" in values and not 1 <= config.j_max <= MAX_DEPTH:
         raise ConfigError(f"j_max must lie in [1, {MAX_DEPTH}], got {config.j_max}")
     if experiment.model is not None:
-        config = _with_model(config, experiment.model)
+        config = _with_model(config)
     config = replace(config, tolerances=_parse_section(
         config.tolerances, experiment.tolerances, "tolerances", f"experiment {kind!r}"))
     for key, value in config.tolerances.items():
@@ -240,14 +243,11 @@ def _validated(raw: dict) -> ExperimentConfig:
         if isinstance(value, float) and not (0.0 < value <= 1.0 if floor else 0.0 <= value):
             raise ConfigError(f"tolerances.{key}: {value!r} lies outside "
                               + ("(0, 1]" if floor else "[0, inf]"))
-    experiment.check(config)
     return config
 
 
-def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
-    """A Monte Carlo kind's config, its fields checked, its two specs parsed and
-    its truth built as the run builds it, under the experiment's model."""
-    kind, sm = config.experiment_kind, config.smoothness
+def _with_model(config: ExperimentConfig) -> ExperimentConfig:
+    """A Monte Carlo kind's config, its fields checked and its two specs parsed."""
     spec = dict(config.estimator_spec)
     estimator_kind = _parse("str", spec.pop("kind", "threshold_hard"), "estimator_spec.kind")
     if estimator_kind not in ESTIMATOR_KINDS:
@@ -257,7 +257,6 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
             if f.name in ESTIMATOR_KINDS[estimator_kind].params}
     config = replace(config, estimator_spec={"kind": estimator_kind, **_parse_section(
         spec, read, "estimator_spec", f"estimator {estimator_kind!r}")})
-    EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
 
     ns = config.n_grid  # the run fits a slope to one risk per n
     if len(ns) < MIN_FIT_ROWS or ns[0] < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -268,17 +267,7 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     if config.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {config.master_seed}")
 
-    try:
-        filt = get_filter(config.filter)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
-    if filt.vanishing_moments < math.ceil(sm.s):
-        raise ConfigError(
-            f"filter {config.filter!r} has {filt.vanishing_moments} vanishing moments; "
-            f"the smoothness characterization needs at least ceil(s) = {math.ceil(sm.s)}"
-        )
-
-    spec = dict(config.truth_spec)
+    kind, spec = config.experiment_kind, dict(config.truth_spec)
     truth_kind = _parse("str", spec.pop("kind", "generic_g"), "truth_spec.kind")
     if truth_kind not in TRUTHS:
         raise ConfigError(f"truth_spec.kind must be one of {tuple(TRUTHS)}, got {truth_kind!r}")
@@ -287,12 +276,27 @@ def _with_model(config: ExperimentConfig, model: str) -> ExperimentConfig:
     if kind == "probe_sweep":  # the sweep sets the line's alpha from probe_alphas
         read.pop("probe_alpha", None)
     spec = _parse_section(spec, read, "truth_spec", f"truth {truth_kind!r} of {kind}")
-    config = replace(config, truth_spec={"kind": truth_kind, **spec})
+    return replace(config, truth_spec={"kind": truth_kind, **spec})
+
+
+def _monte_carlo_check(config: ExperimentConfig) -> None:
+    """Build what a Monte Carlo run builds before its first replicate: the
+    EstimatorSpec, the filter and the truth, and a density truth's law
+    (DensitySampler.cell_masses; the run builds the sampler)."""
+    sm = config.smoothness
+    EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
+    try:
+        filt = get_filter(config.filter)
+    except KeyError as exc:
+        raise ConfigError(str(exc)) from None
+    if filt.vanishing_moments < math.ceil(sm.s):
+        raise ConfigError(f"filter {config.filter!r} has {filt.vanishing_moments} vanishing "
+                          "moments; the smoothness characterization needs at least "
+                          f"ceil(s) = {math.ceil(sm.s)}")
     with _naming("truth_spec", (TypeError, ValueError, OSError)):
         tree = _truth(config)
-        if model == "density":  # the run samples the truth's law: build its sampler
-            DensitySampler.from_tree(tree, filt)
-    return config
+        if EXPERIMENTS[config.experiment_kind].model == "density":
+            DensitySampler.cell_masses(tree, filt)
 
 
 def _generic_g(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
@@ -305,9 +309,9 @@ class Truth(NamedTuple):
     """A truth kind.  build(config, **spec) -> tree, whose keyword parameters
     are the kind's truth_spec keys with defaults that fix their types (a key
     without one is required text), raises ValueError or OSError for a truth it
-    cannot build; validate builds every truth with it, as the run does.  Every
-    kind runs under either model; wavelet_part: a density experiment estimates
-    1 + tree."""
+    cannot build; validate's check builds every truth with it, as the run
+    does, and report never calls it.  Every kind runs under either model;
+    wavelet_part: a density experiment estimates 1 + tree."""
 
     build: Callable
     wavelet_part: bool = True
@@ -414,6 +418,7 @@ def _probe_sweep_check(config: ExperimentConfig) -> None:
     truth_kind = config.truth_spec["kind"]
     if truth_kind != "generic_g":
         raise ConfigError(f"probe_sweep needs a generic_g truth, got {truth_kind!r}")
+    _monte_carlo_check(config)
 
 
 def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -489,15 +494,15 @@ class Experiment(NamedTuple):
     (reads adds every kind's and its model's), its tolerance keys with their
     defaults, tables(config) -> [(file name, columns, rows)], verdicts(config,
     read), where read(file name) returns a stored table's rows as floats, and
-    check(config), which rejects its own unusable values: a kind without a
-    Monte Carlo model computes what its tables hold there, as the run does."""
+    check(config), which builds what the run builds (_monte_carlo_check), or
+    computes what its tables hold for a kind without a Monte Carlo model."""
 
     model: str | None
     keys: tuple[str, ...]
     tolerances: dict
     tables: Callable
     verdicts: Callable
-    check: Callable = lambda config: None
+    check: Callable
 
     @property
     def reads(self) -> tuple[str, ...]:
@@ -511,7 +516,7 @@ _RATE_TOLERANCES = {"alpha": 0.08, "one_sided": False, "r_squared": None}
 
 EXPERIMENTS = {
     "rate_fit": Experiment("sequence", (), _RATE_TOLERANCES, _rate_fit_tables,
-                           _rate_fit_verdicts),
+                           _rate_fit_verdicts, _monte_carlo_check),
     "scaling_function": Experiment(None, ("j_max", "scaling_p", "scaling_window"),
                                    {"scaling": 0.1}, _scaling_tables, _scaling_verdicts,
                                    _scaling_tables),
@@ -520,7 +525,7 @@ EXPERIMENTS = {
     "probe_sweep": Experiment("sequence", ("probe_alphas",), {"spread": 0.05},
                               _probe_sweep_tables, _probe_sweep_verdicts, _probe_sweep_check),
     "density_rate_fit": Experiment("density", (), _RATE_TOLERANCES, _rate_fit_tables,
-                                   _rate_fit_verdicts),
+                                   _rate_fit_verdicts, _monte_carlo_check),
 }
 
 _SEEDED_KINDS = ", ".join(kind for kind, experiment in EXPERIMENTS.items()
@@ -532,7 +537,7 @@ def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
         try:
             _, rows = recordio.read_table(out_dir / name)
             return [[float(v) for v in row] for row in rows]
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"damaged table {out_dir / name}: {exc}") from None
 
     return EXPERIMENTS[config.experiment_kind].verdicts(config, read)
@@ -564,22 +569,19 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def report_from_dir(out_dir) -> list[dict]:
-    """Re-render verdicts from the stored tables and manifest of a completed run;
-    any fault in those files is a ConfigError naming the directory."""
+    """Re-render verdicts from the stored tables and parsed manifest of a completed
+    run, building nothing; any fault in those files is a ConfigError naming the
+    directory."""
     out_dir = Path(out_dir)
     try:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         if not isinstance(manifest, dict) or not isinstance(manifest.get("manifest"), dict):
             raise ValueError("manifest.json holds no manifest object")
-        config = validate_config(json.dumps(manifest["manifest"]))
-    except (OSError, ValueError) as exc:  # ValueError includes ConfigError
+        config = _parsed(manifest["manifest"])
+    except (OSError, *_INVALID) as exc:  # ValueError includes ConfigError
         raise ConfigError(f"cannot read run directory {out_dir}: {exc}") from None
-    try:
+    with _naming(f"cannot read run directory {out_dir}"):  # a damaged table names its path
         return _verdicts(config, out_dir)
-    except ConfigError:  # a damaged table, named by its path
-        raise
-    except ValueError as exc:  # a table too short to fit
-        raise ConfigError(f"cannot read run directory {out_dir}: {exc}") from None
 
 
 def _print_verdicts(verdicts) -> int:

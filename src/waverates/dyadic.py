@@ -58,6 +58,12 @@ def _check_tree_shape(d: int, j_max: int) -> None:
         raise ValueError(f"j_max must lie in [0, {MAX_DEPTH}], got {j_max}")
 
 
+def _check_position(j: int, k: int) -> None:
+    """Refuse a position (j, k) off the dyadic grid: j < 0, or k outside [0, 2^j)."""
+    if not (0 <= j and 0 <= k < 1 << j):
+        raise ValueError(f"position ({j}, {k}) outside the grid: need j >= 0 and 0 <= k < 2^j")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -123,9 +129,11 @@ class CoefficientTree:
 
     @classmethod
     def from_items(cls, d, j_max, scaling, items) -> "CoefficientTree":
-        """Build from an iterable of ((j, k), value) pairs."""
+        """Build from an iterable of ((j, k), value) pairs, each at a position
+        0 <= k < 2^j."""
         levels: dict[int, np.ndarray] = {}
         for (j, k), value in items:
+            _check_position(j, k)
             if j not in levels:
                 levels[j] = np.zeros(1 << j)
             levels[j][k] = value
@@ -148,6 +156,8 @@ class CoefficientTree:
         return self.levels[j] if j in self.levels else np.zeros(1 << j)
 
     def get(self, j: int, k: int) -> float:
+        """c_{j,k} for a position 0 <= k < 2^j (0 past the array's end)."""
+        _check_position(j, k)
         return float(self.levels[j][k]) if j in self.levels else 0.0
 
     def items(self) -> Iterator[tuple[int, int, float]]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import MAX_DEPTH, CoefficientTree, _freeze
-from .wavelet import WaveletFilter, _cascade_table, _dwt_step, synthesize
+from .wavelet import WaveletFilter, _cascade_table, _pyramid, synthesize
 
 __all__ = [
     "SequenceObservation",
@@ -121,28 +121,14 @@ def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> C
     return CoefficientTree._of(j_max, y)
 
 
-# The last DensitySampler from_tree built, keyed by its filter taps, tree
-# depth and tree array; one entry at most.
-_LAST_SAMPLER: dict[tuple[bytes, int, bytes], DensitySampler] = {}
-
 @dataclass(frozen=True)
 class DensitySampler:
     """Inverse-CDF sampler of the density specified by a coefficient tree.
 
-    Built once per truth: the tree is synthesized on a fine grid (resolution
-    j_max + 8), negative values are clipped to zero and the result
-    renormalized to unit mass; the points are drawn exactly from that
-    piecewise-constant density.  Refuses a grid finer than 2^MAX_DEPTH cells,
-    a tree whose reconstruction is nonpositive everywhere, whose clipped
-    negative mass (the integral of the negative part, recorded as
-    clipped_mass) exceeds MAX_CLIPPED_MASS, or whose mass (the mean of the
-    grid before clipping) differs from 1 by more: risks are measured against
-    the unclipped, unnormalized tree, so the sampled law must be that tree.
-    The arrays are read-only, so one sampler serves every replicate, and the
-    risk engine's forked workers inherit it.  from_tree keeps the last
-    sampler it built and returns it again for a tree of the same depth and
-    array under the same filter, so the truth's sampler that validating a
-    config builds is the one its run samples from.
+    Built once per truth: cell_masses gives the law, from_tree its CDF and
+    guide table, and the points are drawn exactly from that piecewise-constant
+    density.  The arrays are read-only, so one sampler serves every replicate,
+    and the risk engine's forked workers inherit it.
     """
 
     res: int
@@ -151,11 +137,17 @@ class DensitySampler:
     guide: np.ndarray
     clipped_mass: float
 
-    @classmethod
-    def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
-        key = (filt.taps.tobytes(), f_tree.j_max, f_tree.coeffs.tobytes())
-        if key in _LAST_SAMPLER:
-            return _LAST_SAMPLER[key]
+    @staticmethod
+    def cell_masses(f_tree: CoefficientTree, filt: WaveletFilter) -> tuple[np.ndarray, float]:
+        """(cell masses, clipped negative mass): the tree synthesized on the grid
+        of 2^(j_max + 8) cells, negative values clipped to zero, renormalized.
+
+        Refuses a grid finer than 2^MAX_DEPTH cells, a tree whose
+        reconstruction is nonpositive everywhere, whose clipped negative mass
+        (the integral of the negative part) exceeds MAX_CLIPPED_MASS, or
+        whose mass (the mean of the grid before clipping) differs from 1 by
+        more: risks are measured against the unclipped, unnormalized tree, so
+        the sampled law must be that tree."""
         res = f_tree.j_max + DENSITY_GRID_PAD
         if res > MAX_DEPTH:
             raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
@@ -175,16 +167,19 @@ class DensitySampler:
         if abs(mass - 1.0) > MAX_CLIPPED_MASS:
             raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
                              "renormalizing it would sample a different law than the tree")
-        masses = values / total
+        return values / total, clipped_mass
+
+    @classmethod
+    def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
+        """The sampler of cell_masses' law, refusing what it refuses."""
+        masses, clipped_mass = cls.cell_masses(f_tree, filt)
         cum = np.cumsum(masses)
         cum[-1] = 1.0
         # guide[b]: first cell whose cumulative mass reaches b / 2^res
-        guide = np.searchsorted(cum, np.arange(1 << res) / (1 << res), side="left")
+        guide = np.searchsorted(cum, np.arange(len(masses)) / len(masses), side="left")
         for arr in (masses, cum, guide):
             arr.flags.writeable = False
-        _LAST_SAMPLER.clear()
-        _LAST_SAMPLER[key] = sampler = cls(res, masses, cum, guide, clipped_mass)
-        return sampler
+        return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, cum, guide, clipped_mass)
 
     def locate(self, u: np.ndarray) -> np.ndarray:
         """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
@@ -226,13 +221,13 @@ def empirical_coefficients(
     The sample enters once, through the empirical scaling coefficients of
     level J + 1 (J = j_max): alpha_l = (1/n) sum_i phi_{J+1,l}(X_i), phi read
     on the grid of resolution J + 8.  There phi_{J+1,l} is the table of the
-    7-step lowpass cascade (_cascade_table) times 2^((J+1)/2): a point in cell
-    2^7 q + r reads row s of the table at phase r for l = (q - s) mod
-    2^(J+1), rows that meet at one l (where the support wraps the circle)
-    added first.  Each row is one bincount of the points by q, and _fold adds
-    the rows at their shifts.  The periodized analysis steps
-    (wavelet._dwt_step) then take alpha down to level 0, giving every level
-    and the scaling coefficient.  By linearity of the cascade, level j reads
+    7-step lowpass cascade (_scaling_table, built once per filter) times
+    2^((J+1)/2): a point in cell 2^7 q + r reads row s of the table at phase
+    r for l = (q - s) mod 2^(J+1), rows that meet at one l (where the support
+    wraps the circle) added first.  Each row is one bincount of the points by
+    q, and _fold adds the rows at their shifts.  The periodized analysis
+    pyramid (wavelet._pyramid) then takes alpha down to level 0, giving every
+    level and the scaling coefficient.  By linearity of the cascade, level j reads
     psi_{j,k} synthesized on the 2^(J+8) grid: level J reads its own 2^(J+8)
     grid, a coarser level a grid finer than 2^(j+8), so a tree's levels
     depend on its depth.
@@ -242,7 +237,7 @@ def empirical_coefficients(
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     n_pos, pad = 2 << j_max, DENSITY_GRID_PAD - 1
-    table = _cascade_table(filt.taps, pad)[::-1]  # row s: phi_{J+1,l} for l = q - s
+    table = _scaling_table(filt.taps)
     if len(table) > n_pos:
         table = np.array([table[s::n_pos].sum(axis=0) for s in range(n_pos)])
     table = table * 2.0 ** ((j_max + 1) / 2.0)
@@ -250,12 +245,22 @@ def empirical_coefficients(
     q, r = cells >> pad, cells & ((1 << pad) - 1)
     per_row = (np.bincount(q, weights=row[r], minlength=n_pos) for row in table)
     a = _fold(per_row, n_pos) * (1.0 / sample.n)
-    coeffs = np.empty(n_pos)
-    lo, hi = filt.taps, filt.highpass
-    for j in range(j_max, -1, -1):
-        a, coeffs[1 << j : 2 << j] = _dwt_step(a, lo, hi)
-    coeffs[0] = a[0]
-    return CoefficientTree._of(j_max, coeffs)
+    return _pyramid(a, filt, j_max)
+
+
+# Per filter taps: the reversed DENSITY_GRID_PAD - 1 step _cascade_table of
+# empirical_coefficients.  Each worker process of the risk engine fills its own.
+_SCALING_TABLES: dict[bytes, np.ndarray] = {}
+
+
+def _scaling_table(taps: np.ndarray) -> np.ndarray:
+    """Row s: phi_{J+1,l} on the 2^(J+8) grid for l = q - s, unscaled; read-only."""
+    key = taps.tobytes()
+    if key not in _SCALING_TABLES:
+        table = _cascade_table(taps, DENSITY_GRID_PAD - 1)[::-1]
+        table.flags.writeable = False
+        _SCALING_TABLES[key] = table
+    return _SCALING_TABLES[key]
 
 
 def _fold(per_block, n_pos: int) -> np.ndarray:

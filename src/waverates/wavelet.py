@@ -239,15 +239,22 @@ def analyze(signal: GridSignal, filt: WaveletFilter, j_max: int) -> CoefficientT
         raise ValueError(f"j_max={j_max} must be below the signal resolution {res}")
     if len(filt.taps) > len(signal.samples):
         raise ValueError(f"filter {filt.name} is longer than the signal")
-    lo = filt.taps
-    hi = filt.highpass
-    a = signal.samples * 2.0 ** (-res / 2.0)
-    levels = {}
-    for j in range(res - 1, -1, -1):
+    return _pyramid(signal.samples * 2.0 ** (-res / 2.0), filt, j_max)
+
+
+def _pyramid(a: np.ndarray, filt: WaveletFilter, j_max: int) -> CoefficientTree:
+    """The tree of levels 0..j_max of approximations a of level J = log2 len(a):
+    analysis steps J - 1 down to 0, step j writing its details into level j
+    of the heap array when j <= j_max; the last approximation is the scaling
+    coefficient."""
+    coeffs = np.empty(2 << j_max)
+    lo, hi = filt.taps, filt.highpass
+    for j in range(len(a).bit_length() - 2, -1, -1):
         a, detail = _dwt_step(a, lo, hi)
         if j <= j_max:
-            levels[j] = detail
-    return CoefficientTree(d=1, j_max=j_max, scaling=float(a[0]), levels=levels)
+            coeffs[1 << j : 2 << j] = detail
+    coeffs[0] = a[0]
+    return CoefficientTree._of(j_max, coeffs)
 
 
 _BLOCK_SAMPLES = 1 << 15

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -680,14 +681,79 @@ def test_a_run_builds_one_g_and_one_shell(tmp_path):
 
 
 def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
-    # validate builds the truth's sampler to check it; the run samples from that one
-    built = []
+    # validate checks the truth's law without a sampler; the engine builds the one
+    callers = []
     build = DensitySampler.from_tree.__func__
-    monkeypatch.setattr(DensitySampler, "from_tree", classmethod(
-        lambda cls, tree, filt: built.append(build(cls, tree, filt)) or built[-1]))
-    cfg = dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512], replicates=2, j_max=4)
-    run_in(tmp_path / "out", json.dumps(cfg))
-    assert len(built) == 2 and built[0] is built[1]
+
+    def recorded(cls, tree, filt):
+        callers.append([frame.name for frame in traceback.extract_stack()])
+        return build(cls, tree, filt)
+
+    monkeypatch.setattr(DensitySampler, "from_tree", classmethod(recorded))
+    text = json.dumps(dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512], replicates=2, j_max=4))
+    config = validate_config(text)
+    assert callers == []
+    run(replace(config, output_dir=str(tmp_path / "out")))
+    assert len(callers) == 1 and "monte_carlo_risk" in callers[0]
+
+
+def test_report_reads_the_run_directory_alone(tmp_path, capsys, monkeypatch):
+    # report rebuilt the truth: a moved explicit_tree_file failed it with exit 101
+    monkeypatch.chdir(tmp_path)
+    recordio.write_tree(bump_tree(1, 4, 2, 1, 0.5), "t.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps(TRUTH_CONFIGS["explicit_tree_file"]))
+    status = main(["run", "--config", "cfg.json", "--out", "run"])
+    ran = capsys.readouterr().out
+    (tmp_path / "t.csv").rename(tmp_path / "moved.csv")
+    (tmp_path / "elsewhere").mkdir()
+    for cwd, run_dir in ((tmp_path, "run"), (tmp_path / "elsewhere", str(tmp_path / "run"))):
+        monkeypatch.chdir(cwd)
+        assert main(["report", "--dir", run_dir]) == status
+        reported = capsys.readouterr().out
+        assert reported.startswith(("PASS rate_fit.", "FAIL rate_fit.")) and ran.endswith(reported)
+
+
+def test_report_builds_nothing(tmp_path, monkeypatch):
+    # parse, then the verdicts of the stored tables: no truth, sampler or g is built
+    texts = {"rate": rate_config(replicates=2), "sweep": sweep_config(replicates=2),
+             "density": json.dumps(dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512],
+                                        replicates=2, j_max=4)),
+             "scaling": json.dumps(SCALING), "witness": json.dumps(WITNESS)}
+    reports = {name: run_in(tmp_path / name, text) for name, text in texts.items()}
+
+    def refused(*args, **kwargs):
+        raise ValueError("report built something")
+
+    for kind, truth in TRUTHS.items():  # a wrapper per kind keeps its signature: the schema
+        monkeypatch.setitem(TRUTHS, kind, truth._replace(build=functools.wraps(truth.build)(
+            lambda *args, **kwargs: refused())))
+    monkeypatch.setattr(DensitySampler, "from_tree", refused)
+    # the sampler's refusing first step; absent where from_tree is one step
+    monkeypatch.setattr(DensitySampler, "cell_masses", refused, raising=False)
+    monkeypatch.setattr("waverates.cli.build_g", refused)
+    for name, report in reports.items():
+        assert report_from_dir(tmp_path / name) == list(report.verdicts)
+
+
+def test_one_sided_alpha_bounds_the_implied_alpha_from_above(tmp_path, capsys):
+    # alpha_upper passes an implied alpha below expected - alpha, which implied_alpha fails
+    tolerances = {"alpha": 0.02, "one_sided": True}
+    steep = {"kind": "generic_g", "base_amplitude": 4096.0, "probe_alpha": 0.7, "dither": 2.0}
+    cases = {"below": (rate_config(tolerances=tolerances), True),  # implied alpha 0.372
+             "above": (rate_config(tolerances=tolerances, truth_spec=steep, replicates=4),
+                       False)}  # implied alpha 0.448
+    for name, (text, passed) in cases.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        out = tmp_path / name
+        assert main(["run", "--config", str(tmp_path / f"{name}.json"), "--out", str(out)]) == (
+            0 if passed else 1)
+        ran = capsys.readouterr().out
+        (verdict,) = json.loads((out / "report.json").read_text())["verdicts"]
+        assert verdict["criterion"] == "rate_fit.alpha_upper" and verdict["pass"] is passed
+        assert abs(verdict["measured"] - verdict["expected"]) > verdict["tolerance"]
+        assert main(["report", "--dir", str(out)]) == (0 if passed else 1)
+        assert ran.endswith(capsys.readouterr().out)
+        assert report_from_dir(out) == [verdict]
 
 
 def test_shell_tree_call_forms_share_one_cache_entry():
@@ -770,12 +836,16 @@ def test_tolerances_parse_by_the_type_of_their_default(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["", "p,estimate,theory,residual\n2.0,x,1.0,0.0\n",
-                                  "p,estimate,theory,residual\n2.0,1.0,1.0\n"],
-                         ids=["empty", "not_a_number", "short_row"])
+                                  "p,estimate,theory,residual\n2.0,1.0,1.0\n", None],
+                         ids=["empty", "not_a_number", "short_row", "missing"])
 def test_report_on_a_damaged_table_is_a_config_error(text, tmp_path, capsys):
+    # a missing table was an internal error, exit 102
     out = tmp_path / "scal"
     run_in(out, json.dumps(SCALING))
-    (out / "scaling.csv").write_text(text)
+    if text is None:
+        (out / "scaling.csv").unlink()
+    else:
+        (out / "scaling.csv").write_text(text)
     assert main(["report", "--dir", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: damaged table") and "scaling.csv" in err

@@ -64,6 +64,18 @@ def test_tree_implicit_zeros_and_access():
     assert tree.total_energy() == 0.25 + 1.25**2
 
 
+def test_positions_off_the_grid_are_refused():
+    # k = -1 at level 2 wrote position 3, k = 4 raised a bare IndexError
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=rf"position \(2, {k}\)"):
+            CoefficientTree.from_items(1, 3, 0.0, [((2, k), 5.0)])
+    tree = CoefficientTree.from_items(1, 3, 0.0, [((2, 3), 5.0)])
+    for j, k in ((2, -1), (2, 4), (3, 8), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"position \({j}, {k}\)"):
+            tree.get(j, k)
+    assert tree.get(2, 3) == 5.0 and tree.get(3, 7) == 0.0
+
+
 def test_tree_shape_validation():
     with pytest.raises(ValueError):
         CoefficientTree(1, 4, 0.0, {2: np.zeros(3)})
