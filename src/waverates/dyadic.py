@@ -59,9 +59,11 @@ def _check_tree_shape(d: int, j_max: int) -> None:
 
 
 def _check_position(j: int, k: int) -> None:
-    """Refuse a position (j, k) off the dyadic grid: j < 0, or k outside [0, 2^j)."""
-    if not (0 <= j and 0 <= k < 1 << j):
-        raise ValueError(f"position ({j}, {k}) outside the grid: need j >= 0 and 0 <= k < 2^j")
+    """Refuse a position (j, k) off the grid of every tree: j outside [0, MAX_DEPTH],
+    or k outside [0, 2^j)."""
+    if not (0 <= j <= MAX_DEPTH and 0 <= k < 1 << j):
+        raise ValueError(f"position ({j}, {k}) outside the grid: "
+                         f"need 0 <= j <= {MAX_DEPTH} and 0 <= k < 2^j")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -130,10 +132,12 @@ class CoefficientTree:
     @classmethod
     def from_items(cls, d, j_max, scaling, items) -> "CoefficientTree":
         """Build from an iterable of ((j, k), value) pairs, each at a position
-        0 <= k < 2^j."""
+        0 <= k < 2^j of a level 0 <= j <= j_max."""
         levels: dict[int, np.ndarray] = {}
         for (j, k), value in items:
             _check_position(j, k)
+            if j > j_max:  # refused before its level is allocated
+                raise ValueError(f"level {j} outside [0, {j_max}]")
             if j not in levels:
                 levels[j] = np.zeros(1 << j)
             levels[j][k] = value

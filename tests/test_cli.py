@@ -728,8 +728,7 @@ def test_report_builds_nothing(tmp_path, monkeypatch):
         monkeypatch.setitem(TRUTHS, kind, truth._replace(build=functools.wraps(truth.build)(
             lambda *args, **kwargs: refused())))
     monkeypatch.setattr(DensitySampler, "from_tree", refused)
-    # the sampler's refusing first step; absent where from_tree is one step
-    monkeypatch.setattr(DensitySampler, "cell_masses", refused, raising=False)
+    monkeypatch.setattr(DensitySampler, "cell_masses", refused)
     monkeypatch.setattr("waverates.cli.build_g", refused)
     for name, report in reports.items():
         assert report_from_dir(tmp_path / name) == list(report.verdicts)

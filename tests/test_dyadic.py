@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from waverates.dyadic import CoefficientTree, reduced_level_array
+from waverates.dyadic import MAX_DEPTH, CoefficientTree, reduced_level_array
 from waverates.truths import bump_tree
 
 
@@ -70,10 +70,15 @@ def test_positions_off_the_grid_are_refused():
         with pytest.raises(ValueError, match=rf"position \(2, {k}\)"):
             CoefficientTree.from_items(1, 3, 0.0, [((2, k), 5.0)])
     tree = CoefficientTree.from_items(1, 3, 0.0, [((2, 3), 5.0)])
-    for j, k in ((2, -1), (2, 4), (3, 8), (-1, 0)):
+    for j, k in ((2, -1), (2, 4), (3, 8), (-1, 0), (MAX_DEPTH + 1, 0)):
         with pytest.raises(ValueError, match=rf"position \({j}, {k}\)"):
             tree.get(j, k)
     assert tree.get(2, 3) == 5.0 and tree.get(3, 7) == 0.0
+    # a level past the grid, or past j_max, is refused before it is allocated
+    with pytest.raises(ValueError, match=r"position \(40, 0\)"):
+        CoefficientTree.from_items(1, 3, 0.0, [((40, 0), 1.0)])
+    with pytest.raises(ValueError, match=r"level 5 outside \[0, 3\]"):
+        CoefficientTree.from_items(1, 3, 0.0, [((5, 0), 1.0)])
 
 
 def test_tree_shape_validation():
