@@ -214,14 +214,16 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 
 
 def _parsed(raw: dict) -> ExperimentConfig:
-    """The config of a JSON object, applying defaults and building nothing.  The
-    top level holds the keys the kind's EXPERIMENTS entry reads; a Monte Carlo
-    kind's sections fill in the EstimatorSpec fields its estimator reads (kind
+    """The config of a JSON object, applying defaults and building nothing but
+    the filter whose name it stores (get_filter's spelling).  The top level
+    holds the keys the kind's EXPERIMENTS entry reads; a Monte Carlo kind's
+    sections fill in the EstimatorSpec fields its estimator reads (kind
     threshold_hard) and the keyword parameters of its TRUTHS builder (kind
     generic_g), and every kind its tolerances.  Defaults fix each value's type.
     Rejects unknown keys at every level, values of the wrong type and values
     out of range: s <= d/r, a negative tolerance and, for a Monte Carlo kind,
-    among others an n_grid too short to fit and replicates < 2."""
+    among others an unknown filter, an n_grid too short to fit and replicates
+    < 2."""
     kind = _parse("str", raw.get("experiment_kind"), "experiment_kind")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment_kind must be one of {tuple(EXPERIMENTS)}, got {kind!r}")
@@ -247,7 +249,8 @@ def _parsed(raw: dict) -> ExperimentConfig:
 
 
 def _with_model(config: ExperimentConfig) -> ExperimentConfig:
-    """A Monte Carlo kind's config, its fields checked and its two specs parsed."""
+    """A Monte Carlo kind's config, its fields checked, its filter named as
+    get_filter names it and its two specs parsed."""
     spec = dict(config.estimator_spec)
     estimator_kind = _parse("str", spec.pop("kind", "threshold_hard"), "estimator_spec.kind")
     if estimator_kind not in ESTIMATOR_KINDS:
@@ -266,6 +269,10 @@ def _with_model(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("replicates must be >= 2: the risk standard error needs two")
     if config.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {config.master_seed}")
+    try:  # the manifest holds the one spelling get_filter names a filter by
+        config = replace(config, filter=get_filter(config.filter).name)
+    except KeyError as exc:
+        raise ConfigError(f"filter: {exc.args[0]}") from None
 
     kind, spec = config.experiment_kind, dict(config.truth_spec)
     truth_kind = _parse("str", spec.pop("kind", "generic_g"), "truth_spec.kind")
@@ -285,10 +292,7 @@ def _monte_carlo_check(config: ExperimentConfig) -> None:
     (DensitySampler.cell_masses; the run builds the sampler)."""
     sm = config.smoothness
     EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
-    try:
-        filt = get_filter(config.filter)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+    filt = get_filter(config.filter)  # _with_model refused a name get_filter does not read
     if filt.vanishing_moments < math.ceil(sm.s):
         raise ConfigError(f"filter {config.filter!r} has {filt.vanishing_moments} vanishing "
                           "moments; the smoothness characterization needs at least "
@@ -374,9 +378,11 @@ def _risk_tables(config: ExperimentConfig, labels, truths):
 
 
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
-    rows = tuple(RiskRow(int(n), risk, se, int(reps))
-                 for n, risk, se, reps in read(_risk_name(config, label)))
-    return fit_slope(RiskTable(rows, config.smoothness.p), _regime(config).normalization)
+    name = _risk_name(config, label)
+    with _naming(f"damaged table {name}", (ValueError, OverflowError)):  # int(inf) overflows
+        table = RiskTable(tuple(RiskRow(int(n), risk, se, int(reps))
+                                for n, risk, se, reps in read(name)), config.smoothness.p)
+    return fit_slope(table, _regime(config).normalization)
 
 
 def _rate_fit_tables(config: ExperimentConfig):
@@ -536,7 +542,10 @@ def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     def read(name: str) -> list[list[float]]:
         try:
             _, rows = recordio.read_table(out_dir / name)
-            return [[float(v) for v in row] for row in rows]
+            values = [[float(v) for v in row] for row in rows]
+            if any(math.isnan(v) for row in values for v in row):  # a run writes +-inf, never nan
+                raise ValueError("a cell holds nan")
+            return values
         except (OSError, ValueError) as exc:
             raise ConfigError(f"damaged table {out_dir / name}: {exc}") from None
 

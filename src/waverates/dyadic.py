@@ -132,7 +132,8 @@ class CoefficientTree:
     @classmethod
     def from_items(cls, d, j_max, scaling, items) -> "CoefficientTree":
         """Build from an iterable of ((j, k), value) pairs, each at a position
-        0 <= k < 2^j of a level 0 <= j <= j_max."""
+        0 <= k < 2^j of a level 0 <= j <= j_max: the one grid check of a tree
+        file's rows (read_tree) and of a bump (bump_tree)."""
         levels: dict[int, np.ndarray] = {}
         for (j, k), value in items:
             _check_position(j, k)

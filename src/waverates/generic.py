@@ -62,13 +62,18 @@ def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
     and the scaling coefficient are zero (the damping is undefined at j = 0,
     and a single level never affects memberships or rates).
     """
-    s, r, d = spec.s, spec.r, spec.d
-    envelope = s - d / r + d / 2.0
     coeffs = np.zeros(2 << spec.j_max)
-    for j in range(1, spec.j_max + 1):
-        J = reduced_level_array(j)
-        coeffs[1 << j : 2 << j] = 2.0 ** (-envelope * j - (d / r) * J) / float(j) ** spec.exponent_a
+    for j, _, profile in _shell_levels(spec.s, spec.r, spec.d, 1, spec.j_max):
+        coeffs[1 << j : 2 << j] = profile / float(j) ** spec.exponent_a
     return CoefficientTree._of(spec.j_max, coeffs)
+
+
+def _shell_levels(s: float, r: float, d: int, j_min: int, j_max: int):
+    """Yield (j, J, 2^{-(s - d/r + d/2) j - (d/r) J}) for j_min <= j <= j_max, J
+    the reduced scales of level j: the shell that build_g damps and shell_tree scales."""
+    for j in range(j_min, j_max + 1):
+        J = reduced_level_array(j)
+        yield j, J, 2.0 ** (-(s - d / r + d / 2.0) * j - (d / r) * J)
 
 
 @np.errstate(over="ignore")

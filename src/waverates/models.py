@@ -23,6 +23,7 @@ hashing gives each (n, replicate) its own stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,12 +233,10 @@ def empirical_coefficients(
     grid, a coarser level a grid finer than 2^(j+8), so a tree's levels
     depend on its depth.
     """
-    if sample.n < 1 or sample.points.size == 0:
-        raise ValueError("empty sample")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     n_pos, pad = 2 << j_max, DENSITY_GRID_PAD - 1
-    table = _scaling_table(filt.taps)
+    table = _scaling_table(filt.taps.tobytes())
     if len(table) > n_pos:
         table = np.array([table[s::n_pos].sum(axis=0) for s in range(n_pos)])
     table = table * 2.0 ** ((j_max + 1) / 2.0)
@@ -248,19 +247,13 @@ def empirical_coefficients(
     return _pyramid(a, filt, j_max)
 
 
-# Per filter taps: the reversed DENSITY_GRID_PAD - 1 step _cascade_table of
-# empirical_coefficients.  Each worker process of the risk engine fills its own.
-_SCALING_TABLES: dict[bytes, np.ndarray] = {}
-
-
-def _scaling_table(taps: np.ndarray) -> np.ndarray:
-    """Row s: phi_{J+1,l} on the 2^(J+8) grid for l = q - s, unscaled; read-only."""
-    key = taps.tobytes()
-    if key not in _SCALING_TABLES:
-        table = _cascade_table(taps, DENSITY_GRID_PAD - 1)[::-1]
-        table.flags.writeable = False
-        _SCALING_TABLES[key] = table
-    return _SCALING_TABLES[key]
+@functools.cache  # keyed by the taps' bytes: one table per filter, in each process
+def _scaling_table(taps: bytes) -> np.ndarray:
+    """The reversed DENSITY_GRID_PAD - 1 step _cascade_table of taps (their
+    bytes), read-only: row s, phi_{J+1,l} on the 2^(J+8) grid for l = q - s."""
+    table = _cascade_table(np.frombuffer(taps), DENSITY_GRID_PAD - 1)[::-1]
+    table.flags.writeable = False
+    return table
 
 
 def _fold(per_block, n_pos: int) -> np.ndarray:

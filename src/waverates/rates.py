@@ -155,9 +155,9 @@ class RiskTable:
         ns = [row.n for row in self.rows]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n must be strictly increasing across rows")
-        for row in self.rows:
-            if row.empirical_risk < 0 or row.std_error < 0:
-                raise ValueError("risks and standard errors must be non-negative")
+        for row in self.rows:  # NaN fails both comparisons
+            if not (0 <= row.empirical_risk < math.inf and 0 <= row.std_error < math.inf):
+                raise ValueError("risks and standard errors must be finite and non-negative")
 
     @property
     def risks(self) -> np.ndarray:

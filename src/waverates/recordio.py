@@ -35,8 +35,9 @@ def write_tree(tree: CoefficientTree, path) -> None:
 def read_tree(path) -> CoefficientTree:
     """Read back a stream written by write_tree; raises ValueError naming the file
     for any other text: no coefficient-tree header, a header field missing, a
-    d other than 1, an infinite or NaN value, or a row that is not (j, k, value)
-    at a position 0 <= k < 2^j of a level 0 <= j <= j_max, or that repeats one."""
+    row that is not (j, k, value) or that repeats a position, an infinite or
+    NaN value, and what CoefficientTree.from_items refuses (a d other than 1,
+    a j_max outside [0, MAX_DEPTH], a position off the tree's grid)."""
     with open(path) as fh:
         header = fh.readline().strip()
         rows = list(csv.reader(fh))[1:]  # below the column header
@@ -45,14 +46,10 @@ def read_tree(path) -> CoefficientTree:
             raise ValueError("not a coefficient-tree stream")
         meta = dict(item.split("=", 1) for item in header[2:].split(",")[1:])
         d, j_max, scaling = int(meta["d"]), int(meta["j_max"]), float(meta["scaling"])
-        CoefficientTree(d, j_max)  # checks d and j_max before any row
+        CoefficientTree(d, j_max)  # d and j_max checked before any row: d sets its columns
         items = {}
         for j, k, value in rows:
             j, k, value = int(j), int(k), float(value)
-            if not 0 <= j <= j_max:
-                raise ValueError(f"level {j} outside [0, {j_max}]")
-            if not 0 <= k < 1 << j:
-                raise ValueError(f"position {k} outside [0, 2^{j})")
             if (j, k) in items:
                 raise ValueError(f"position ({j}, {k}) repeats")
             items[j, k] = value

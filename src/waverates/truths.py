@@ -18,8 +18,8 @@ import functools
 
 import numpy as np
 
-from .dyadic import CoefficientTree, _check_tree_shape, _refuse_bools, reduced_level_array
-from .generic import GenericFunctionSpec, build_g
+from .dyadic import CoefficientTree, _check_tree_shape, _refuse_bools
+from .generic import GenericFunctionSpec, _shell_levels, build_g
 
 __all__ = [
     "shell_tree",
@@ -65,11 +65,9 @@ def shell_tree(
         raise ValueError("dither must be non-negative")
     if not 0 <= j_min <= j_max:
         raise ValueError(f"j_min must lie in [0, {j_max}]")
-    envelope = s - d / r + d / 2.0
     coeffs = np.zeros(2 << j_max)
-    for j in range(j_min, j_max + 1):
-        J = reduced_level_array(j)
-        vals = amplitude * 2.0 ** (-envelope * j - (d / r) * J)
+    for j, J, profile in _shell_levels(s, r, d, j_min, j_max):
+        vals = amplitude * profile
         if dither > 0:
             k = np.arange(1 << j, dtype=np.float64)
             m = 2.0 ** (-dither * np.mod(k * _GOLDEN + j * _GOLDEN**2, 1.0))
@@ -82,11 +80,8 @@ def shell_tree(
 
 
 def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -> CoefficientTree:
-    """A single wavelet coefficient of the given amplitude."""
-    if not 0 <= level <= j_max:
-        raise ValueError(f"level {level} outside [0, {j_max}]")
-    if not 0 <= position < 1 << level:
-        raise ValueError(f"position {position} outside [0, 2^{level})")
+    """A single wavelet coefficient of the given amplitude; from_items refuses a
+    (level, position) off the tree's grid."""
     return CoefficientTree.from_items(d, j_max, 0.0, [((level, position), amplitude)])
 
 

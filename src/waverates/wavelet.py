@@ -44,6 +44,7 @@ periodized wavelets; for the Haar filter c_{j,k} equals the inner product
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,7 +159,9 @@ class WaveletFilter:
 
 
 def get_filter(name: str) -> WaveletFilter:
-    """Look up a filter by name: 'haar' or 'dbN' with N vanishing moments in 1..10."""
+    """Look up a filter by name: 'haar' or 'dbN' with N vanishing moments in 1..10,
+    in any letter case and with blanks around it.  The filter's name is the one
+    spelling 'dbN' ('haar' is 'db1'), which a config's manifest also holds."""
     key = name.strip().lower()
     if key == "haar":
         key = "db1"
@@ -169,7 +172,7 @@ def get_filter(name: str) -> WaveletFilter:
         taps = DAUBECHIES_LOWPASS[vm]
     except (ValueError, KeyError):
         raise KeyError(f"unknown wavelet filter {name!r}; available: haar, db1..db10") from None
-    return WaveletFilter(name=key, taps=np.array(taps), vanishing_moments=vm)
+    return WaveletFilter(name=f"db{vm}", taps=np.array(taps), vanishing_moments=vm)
 
 
 @dataclass(frozen=True)
@@ -402,15 +405,11 @@ def _quartic_gram(table: np.ndarray):
     return combos, gram
 
 
-# Per filter taps and K: the _quartic_gram of the K-step cascade, or None.
-# Each worker process of the risk engine fills its own copy; every copy
-# computes identical arrays.
-_QUARTIC_CACHE: dict[tuple[bytes, int], tuple | None] = {}
-
-
-def _quartic_form(taps: np.ndarray, K: int):
-    """The _quartic_gram of the K-step cascade, where that is the cheaper
-    path: the table has at most _FORM_MAX_SHIFTS rows, else None.
+@functools.cache  # keyed by the taps' bytes: one table per filter, in each process
+def _quartic_form(taps: bytes, K: int):
+    """The _quartic_gram of the K-step cascade of taps (their bytes), where
+    that is the cheaper path: the table has at most _FORM_MAX_SHIFTS rows,
+    else None.
 
     A window costs the form P = S(S+1)/2 products and a P x P product, and
     the block path S 2^K products and passes over 2^K samples.  Timed at
@@ -419,12 +418,8 @@ def _quartic_form(taps: np.ndarray, K: int):
     every other K, 2x for db2 and 8x for db1 at K = 5, the K of the Monte
     Carlo loss; with S >= 4 (db3 to db10) it was slower at every K up to 5.
     """
-    key = (taps.tobytes(), K)
-    if key not in _QUARTIC_CACHE:
-        table = _cascade_table(taps, K)
-        short = table.shape[0] <= _FORM_MAX_SHIFTS
-        _QUARTIC_CACHE[key] = _quartic_gram(table) if short else None
-    return _QUARTIC_CACHE[key]
+    table = _cascade_table(np.frombuffer(taps), K)
+    return _quartic_gram(table) if table.shape[0] <= _FORM_MAX_SHIFTS else None
 
 
 def _quartic_sum(coarse: np.ndarray, form) -> float:
@@ -464,7 +459,7 @@ def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: fl
     if K < 0:
         raise ValueError(f"resolution 2^{resolution_log2} is coarser than the signal's "
                          f"2^{signal.resolution_log2}")
-    form = _quartic_form(filt.taps, K) if p == 4 else None
+    form = _quartic_form(filt.taps.tobytes(), K) if p == 4 else None
     if form is not None:
         total = _quartic_sum(signal.samples, form)
     else:
@@ -474,38 +469,32 @@ def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: fl
     return total / (1 << resolution_log2)
 
 
-# Per filter taps, K and K_tail: the _cross_tensors of a split.  Filled, like
-# _QUARTIC_CACHE, in each process; the risk engine fills it before it forks.
-_CROSS_CACHE: dict[tuple[bytes, int, int], list] = {}
-
-
-def _cross_tensors(taps: np.ndarray, K: int, K_tail: int) -> list:
+@functools.cache  # keyed like _quartic_form; the risk engine fills it before it forks
+def _cross_tensors(taps: bytes, K: int, K_tail: int) -> list:
     """For k = 1, 2, 3: (combos, tail_combos, tensor) with tensor[b, o, a] =
     c_k sum_r weights[a, 2^K_tail o + r] tail_weights[b, r], where weights are
-    the degree-k _monomial_weights of the K-step table, tail_weights the
-    degree-(4 - k) ones of the K_tail-step table and c_k = -4, 6, -4 the
-    coefficient of L^k B^(4 - k) in (L - B)^4."""
-    key = (taps.tobytes(), K, K_tail)
-    if key not in _CROSS_CACHE:
-        table, tail_table = _cascade_table(taps, K), _cascade_table(taps, K_tail)
-        phases = tail_table.shape[1]
-        offsets = max(1, _FORM_WINDOWS // phases)  # per block of the K-step table's phases
-        tensors = []
-        for k, c_k in ((1, -4.0), (2, 6.0), (3, -4.0)):
-            tail_combos, tail_weights = _monomial_weights(tail_table, 4 - k)
-            combos, _ = _monomials(table.shape[0], k)
-            tensor = np.empty((len(tail_weights), table.shape[1] // phases, combos.shape[1]))
-            for o in range(0, tensor.shape[1], offsets):
-                _, weights = _monomial_weights(table[:, o * phases : (o + offsets) * phases], k)
-                block = weights.reshape(-1, phases) @ tail_weights.T
-                tensor[:, o : o + offsets] = c_k * block.reshape(len(weights), -1,
-                                                                 len(tail_weights)).T
-            tensors.append((combos, tail_combos, tensor))
-        _CROSS_CACHE[key] = tensors
-    return _CROSS_CACHE[key]
+    the degree-k _monomial_weights of the K-step table of taps (their bytes),
+    tail_weights the degree-(4 - k) ones of the K_tail-step table and c_k =
+    -4, 6, -4 the coefficient of L^k B^(4 - k) in (L - B)^4."""
+    taps = np.frombuffer(taps)
+    table, tail_table = _cascade_table(taps, K), _cascade_table(taps, K_tail)
+    phases = tail_table.shape[1]
+    offsets = max(1, _FORM_WINDOWS // phases)  # per block of the K-step table's phases
+    tensors = []
+    for k, c_k in ((1, -4.0), (2, 6.0), (3, -4.0)):
+        tail_combos, tail_weights = _monomial_weights(tail_table, 4 - k)
+        combos, _ = _monomials(table.shape[0], k)
+        tensor = np.empty((len(tail_weights), table.shape[1] // phases, combos.shape[1]))
+        for o in range(0, tensor.shape[1], offsets):
+            _, weights = _monomial_weights(table[:, o * phases : (o + offsets) * phases], k)
+            block = weights.reshape(-1, phases) @ tail_weights.T
+            tensor[:, o : o + offsets] = c_k * block.reshape(len(weights), -1,
+                                                             len(tail_weights)).T
+        tensors.append((combos, tail_combos, tensor))
+    return tensors
 
 
-def _cross_weights(tail: np.ndarray, taps: np.ndarray, K: int, K_tail: int, cells: int) -> list:
+def _cross_weights(tail: np.ndarray, taps: bytes, K: int, K_tail: int, cells: int) -> list:
     """For k = 1, 2, 3: (combos, C) with C[a, q] = c_k sum_r weights[a, r]
     B[2^K q + r]^(4 - k) (the terms of _cross_tensors), B being the samples
     the tail samples refine to in K_tail steps, for the `cells` cells q of a
@@ -587,7 +576,8 @@ def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coars
     K, K_tail = resolution_log2 - read - 1, resolution_log2 - coarse_log2
     if 1 << K > _BLOCK_SAMPLES:
         return None
-    form, tail_form = _quartic_form(filt.taps, K), _quartic_form(filt.taps, K_tail)
+    taps = filt.taps.tobytes()
+    form, tail_form = _quartic_form(taps, K), _quartic_form(taps, K_tail)
     if form is None or tail_form is None:
         return None
     cross, tail_sum = None, 0.0
@@ -596,7 +586,7 @@ def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coars
         tail[: 2 << read] = 0.0
         samples = synthesize(CoefficientTree._of(truth.j_max, tail), filt, coarse_log2).samples
         tail_sum = _quartic_sum(samples, tail_form)
-        cross = _cross_weights(samples, filt.taps, K, K_tail, 1 << (read + 1))
+        cross = _cross_weights(samples, taps, K, K_tail, 1 << (read + 1))
     head_samples = _coarse_samples(CoefficientTree._of(read, truth.coeffs[: 2 << read]), filt)
     return _QuarticSplit(filt, head_samples, form, cross, tail_sum, resolution_log2)
 

@@ -475,7 +475,7 @@ REJECTED = {
                                "level 9 outside [0, 6]"),
     "bump_position_outside_level": (_rate(truth_spec={"kind": "custom_bump", "level": 2,
                                                       "position": 4}),
-                                    "position 4 outside [0, 2^2)"),
+                                    "position (2, 4) outside the grid"),
     "text_amplitude": (_rate(truth_spec={"kind": "generic_g", "base_amplitude": "big"}),
                        "truth_spec"),
     "fractional_bump_level": (_rate(truth_spec={"kind": "custom_bump", "level": 1.5}), "level"),
@@ -540,7 +540,7 @@ REJECTED = {
                             "t.csv: the header has no field 'd'"),
     "tree_file_row_outside_level": (_rate(truth_spec={"kind": "explicit_tree_file",
                                                       "path": "t.csv"}),
-                                    "t.csv: position 5 outside [0, 2^1)"),
+                                    "t.csv: position (1, 5) outside the grid"),
     "tree_file_of_other_dimension": (_rate(truth_spec={"kind": "explicit_tree_file",
                                                        "path": "t.csv"}),
                                      "t.csv: dimension must be 1, got 2"),
@@ -609,6 +609,13 @@ REJECTED = {
                                    "tolerances.scaling: -0.1 lies outside"),
     "negative_spread": (_sweep(tolerances={"spread": -0.05}),
                         "tolerances.spread: -0.05 lies outside"),
+    # names no experiment, truth or filter
+    "config_not_an_object": ([DEMO["dense_threshold_rate"]], "config must be a JSON object"),
+    "unknown_experiment_kind": (_rate(experiment_kind="rate"),
+                                "experiment_kind must be one of ('rate_fit', "),
+    "unknown_truth_kind": (_rate(truth_spec={"kind": "bump"}),
+                           "truth_spec.kind must be one of ('generic_g', "),
+    "unknown_filter": (_rate(filter="sym4"), "filter: unknown wavelet filter 'sym4'"),
 }
 TREE_FILES = {
     "tree_file_not_a_tree": "j,k,value\n1,0,1.0\n",
@@ -732,6 +739,55 @@ def test_report_builds_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr("waverates.cli.build_g", refused)
     for name, report in reports.items():
         assert report_from_dir(tmp_path / name) == list(report.verdicts)
+
+
+# (config, table, data row, column, value): a cell no run writes.  Each read as a
+# FAIL verdict (exit 1 or 2), the infinite n as an internal error (exit 102)
+DAMAGED_CELLS = {
+    "nan_risk": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 1, "nan"),
+    "infinite_risk": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 1, "inf"),
+    "infinite_std_error": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 2, "inf"),
+    "infinite_n": (rate_config(replicates=2), "risk_threshold_hard.csv", 4, 0, "inf"),
+    "nan_witness_bound": (json.dumps(WITNESS), "witness.csv", 11, 1, "nan"),  # t = 12
+    "nan_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "nan"),
+}
+
+
+@pytest.mark.parametrize("name", DAMAGED_CELLS)
+def test_report_refuses_a_damaged_table(name, tmp_path, capsys):
+    text, table, row, column, value = DAMAGED_CELLS[name]
+    run_in(tmp_path, text)
+    lines = (tmp_path / table).read_text().splitlines()
+    cells = lines[2 + row].split(",")  # below the hash and column lines
+    cells[column] = value
+    lines[2 + row] = ",".join(cells)
+    (tmp_path / table).write_text("\n".join(lines) + "\n")
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: damaged table ") and table in err and err.count("\n") == 1
+
+
+def test_report_reads_infinite_cells_a_run_writes(tmp_path, capsys):
+    # the demo witness table holds log2 of a zero bound, -inf, outside witness_t_range
+    run_in(tmp_path, json.dumps(DEMO["weak_exclusion"]))
+    assert "-inf" in (tmp_path / "witness.csv").read_text()
+    assert main(["report", "--dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS weak_exclusion.log2_slope")
+
+
+def test_filter_spellings_give_one_manifest_hash(tmp_path, capsys):
+    # get_filter read each spelling as one filter, but the manifest held the text as given
+    shallow = {"s": 1, "r": 2, "p": 2, "d": 1}  # ceil(s) = 1: db1 has enough moments
+    for canonical, names in (("db2", ["db2", "DB2", " db2 ", "Db2", "db02"]),
+                             ("db1", ["db1", "haar", "HAAR"])):
+        hashes = set()
+        for i, name in enumerate(names):
+            out = tmp_path / f"{canonical}_{i}"
+            hashes.add(run_in(out, rate_config(filter=name, smoothness=shallow, replicates=2,
+                                               n_grid=[64, 128, 256, 512])).manifest_hash)
+            manifest = json.loads((out / "manifest.json").read_text())["manifest"]
+            assert manifest["filter"] == canonical
+        assert len(hashes) == 1, names
 
 
 def test_one_sided_alpha_bounds_the_implied_alpha_from_above(tmp_path, capsys):

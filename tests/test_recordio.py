@@ -30,9 +30,9 @@ def test_tree_round_trip_d2(tmp_path):
 def test_read_tree_refuses_positions_outside_their_level(tmp_path):
     path = tmp_path / "bad.csv"
     for row, message in [
-        ("2,4,1.0", r"position 4 outside \[0, 2\^2\)"),
-        ("2,-1,1.0", r"position -1 outside \[0, 2\^2\)"),
-        ("-1,0,1.0", r"level -1 outside \[0, 3\]"),
+        ("2,4,1.0", r"position \(2, 4\) outside the grid"),
+        ("2,-1,1.0", r"position \(2, -1\) outside the grid"),
+        ("-1,0,1.0", r"position \(-1, 0\) outside the grid"),
         ("4,0,1.0", r"level 4 outside \[0, 3\]"),
         ("2,1,3,1.0", "too many values to unpack"),  # one position per row
     ]:

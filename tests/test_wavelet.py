@@ -38,9 +38,9 @@ def test_filter_tables_orthonormal(vm):
 def test_filter_validation_rejects_bad_taps():
     with pytest.raises(ValueError):
         WaveletFilter("bad", np.array([1.0, 0.5]), 1)
-    with pytest.raises(KeyError):
-        get_filter("db11")
-
+    for name in ("db11", "db0", "sym4", ""):
+        with pytest.raises(KeyError, match="unknown wavelet filter"):
+            get_filter(name)
 
 def periodized_haar(j, k, x):
     """2^{j/2} psi(2^j x - k) on [0, 1), psi = +1 on [0, 1/2), -1 on [1/2, 1)."""
@@ -261,7 +261,7 @@ def test_quartic_form_matches_block_path(vm):
 
 def test_quartic_form_is_chosen_for_short_cascades_only():
     # the form for tables of at most three rows: db1, db2 from K = 2, db3 at K = 1
-    taps = {vm: get_filter(f"db{vm}").taps for vm in (1, 2, 3, 4, 10)}
+    taps = {vm: get_filter(f"db{vm}").taps.tobytes() for vm in (1, 2, 3, 4, 10)}
     assert [_quartic_form(taps[vm], 5) is not None for vm in taps] == [True, True, False,
                                                                        False, False]
     assert _quartic_form(taps[3], 1) is not None and _quartic_form(taps[3], 2) is None
