@@ -14,6 +14,7 @@ from waverates import (
     besov_norm,
     build_g,
     empirical_scaling,
+    g_term,
     theoretical_scaling,
     weak_exclusion_witness,
 )
@@ -21,7 +22,7 @@ from waverates import (
 spec = GenericFunctionSpec(s=2, r=2, d=1, j_max=14)
 g = build_g(spec)
 
-print("damping exponent a = 1 + 3/r =", spec.exponent_a)
+print("damping exponent a = 1 + 3/r =", g_term(spec.r).damping)
 print("coefficient at (j=1, k=1):", g.get(1, 1), "= 2^-2.5")
 print("coefficient at (j=4, k=0):", g.get(4, 0), "= 2^-13 (fully reducible position)")
 print("smoothness-ball norm:", besov_norm(g, 2, 2))

@@ -10,11 +10,13 @@ slopes show the gap at simulation scale.
 
 from waverates import (
     EstimatorSpec,
+    ShellTerm,
     SmoothnessParams,
     fit_slope,
+    g_term,
     generic_alpha,
     monte_carlo_risk,
-    probe_line_truth,
+    shell_sum,
 )
 
 N_GRID = [2**j for j in range(10, 17)]
@@ -34,7 +36,7 @@ def experiment(name, params, truth, estimator):
 
 print("dense regime: s=2, r=2, p=2")
 dense = SmoothnessParams(s=2, r=2, p=2, d=1)
-truth = probe_line_truth(2, 2, 1, 14, base_amplitude=1024.0, alpha=0.7, dither=2.0)
+truth = shell_sum(2, 2, 14, [g_term(2, 0.7), ShellTerm(1024.0, dither=2.0)])  # 0.7 g + shell
 table = experiment("  hard threshold", dense, truth, EstimatorSpec("threshold_hard", kappa=2.0))
 experiment("  projection     ", dense, truth, EstimatorSpec("projection", smoothness=dense))
 print("  (the projection run is bias-dominated at this amplitude and short grid, so its")
@@ -47,6 +49,6 @@ for row in table.rows:
 
 print("\nsparse regime: s=1.2, r=1, p=4 (thresholding beats linear)")
 sparse = SmoothnessParams(s=1.2, r=1, p=4, d=1)
-truth = probe_line_truth(1.2, 1, 1, 12, base_amplitude=2.0, alpha=0.7, dither=2.0)
+truth = shell_sum(1.2, 1, 12, [g_term(1, 0.7), ShellTerm(2.0, dither=2.0)])
 experiment("  hard threshold", sparse, truth, EstimatorSpec("threshold_hard", kappa=2.0))
 experiment("  projection     ", sparse, truth, EstimatorSpec("projection", smoothness=sparse))

@@ -20,7 +20,7 @@ from .estimators import (
     threshold_estimate,
     universal_threshold,
 )
-from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
+from .generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witness
 from .models import (
     DensitySample,
     DensitySampler,
@@ -47,9 +47,10 @@ from .spaces import (
     theoretical_scaling,
 )
 from .truths import (
+    ShellTerm,
     bump_tree,
     density_truth_tree,
-    probe_line_truth,
+    shell_sum,
     shell_tree,
     uniform_density_tree,
 )

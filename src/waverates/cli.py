@@ -57,7 +57,7 @@ import numpy as np
 
 from . import recordio
 from .dyadic import MAX_DEPTH, CoefficientTree
-from .generic import GenericFunctionSpec, build_g, weak_exclusion_witness
+from .generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witness
 from .models import DensitySampler
 from .rates import (
     ESTIMATOR_KINDS,
@@ -71,7 +71,7 @@ from .rates import (
     monte_carlo_risk,
 )
 from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
-from .truths import bump_tree, density_truth_tree, probe_line_truth, uniform_density_tree
+from .truths import ShellTerm, bump_tree, density_truth_tree, shell_sum, uniform_density_tree
 from .wavelet import get_filter
 
 EXIT_CONFIG_ERROR = 101
@@ -304,9 +304,9 @@ def _monte_carlo_check(config: ExperimentConfig) -> None:
 
 
 def _generic_g(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
-    sm = config.smoothness
-    return probe_line_truth(sm.s, sm.r, sm.d, config.j_max, base_amplitude, probe_alpha,
-                            dither, j_min)
+    sm = config.smoothness  # the probe line: alpha * g plus a shell
+    return shell_sum(sm.s, sm.r, config.j_max, [g_term(sm.r, probe_alpha),
+                                                ShellTerm(base_amplitude, 0.0, j_min, dither)])
 
 
 class Truth(NamedTuple):
@@ -449,11 +449,13 @@ def _scaling_tables(config: ExperimentConfig):
 
 
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
-    scale_tol = config.tolerances["scaling"]
+    scale_tol, rows = config.tolerances["scaling"], read("scaling.csv")
+    if not all(math.isfinite(est) for _, est, _, _ in rows):  # a run writes none
+        raise ConfigError("damaged table scaling.csv: an estimate is not finite")
     return [
         _verdict(f"scaling_function.p={p:g}", est, theory, scale_tol,
                  abs(est - theory) <= scale_tol)
-        for p, est, theory, _resid in read("scaling.csv")
+        for p, est, theory, _resid in rows
     ]
 
 
@@ -486,6 +488,9 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
     if len(kept) < 2:
         raise ValueError(f"witness.csv holds {len(kept)} rows in witness_t_range; "
                          "the slope needs 2")
+    if not all(0.0 < b < math.inf for _, b in kept):  # as _witness_check refuses them
+        raise ConfigError("damaged table witness.csv: a bound in witness_t_range is not "
+                          "positive and finite")
     ts = np.array([t for t, _ in kept], dtype=np.float64)
     slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
@@ -538,10 +543,10 @@ _SEEDED_KINDS = ", ".join(kind for kind, experiment in EXPERIMENTS.items()
                           if "master_seed" in experiment.reads)
 
 
-def _verdicts(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+def _verdicts(config: ExperimentConfig, out_dir: Path, mh: str) -> list[dict]:
     def read(name: str) -> list[list[float]]:
         try:
-            _, rows = recordio.read_table(out_dir / name)
+            _, rows = recordio.read_table(out_dir / name, mh)  # a table of this run
             values = [[float(v) for v in row] for row in rows]
             if any(math.isnan(v) for row in values for v in row):  # a run writes +-inf, never nan
                 raise ValueError("a cell holds nan")
@@ -567,7 +572,7 @@ def run(config: ExperimentConfig) -> RunReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, columns, rows in tables:
         recordio.write_table(out_dir / name, columns, rows, mh)
-    verdicts = _verdicts(config, out_dir)
+    verdicts = _verdicts(config, out_dir, mh)
     for name, payload in (("manifest.json", {"manifest": manifest, "hash": mh,
                                               "execution": execution}),
                           ("report.json", {"hash": mh, "verdicts": verdicts})):
@@ -584,13 +589,14 @@ def report_from_dir(out_dir) -> list[dict]:
     out_dir = Path(out_dir)
     try:
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("manifest"), dict):
-            raise ValueError("manifest.json holds no manifest object")
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("manifest"), dict)
+                and isinstance(manifest.get("hash"), str)):
+            raise ValueError("manifest.json holds no manifest object with a hash")
         config = _parsed(manifest["manifest"])
     except (OSError, *_INVALID) as exc:  # ValueError includes ConfigError
         raise ConfigError(f"cannot read run directory {out_dir}: {exc}") from None
     with _naming(f"cannot read run directory {out_dir}"):  # a damaged table names its path
-        return _verdicts(config, out_dir)
+        return _verdicts(config, out_dir, manifest["hash"])
 
 
 def _print_verdicts(verdicts) -> int:
@@ -657,13 +663,6 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def _from_flags(cls, **params):
-    try:
-        return cls(**params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _command(args) -> int:
     if args.command == "validate":
         config = validate_config(_read_config(args.config))
@@ -687,15 +686,17 @@ def _command(args) -> int:
         return _print_verdicts(report.verdicts)
 
     if args.command == "build-g":
-        spec = _from_flags(GenericFunctionSpec, s=args.s, r=args.r, d=1, j_max=args.j_max)
-        recordio.write_tree(build_g(spec), args.out)
+        with _naming("build-g"):
+            g = build_g(GenericFunctionSpec(s=args.s, r=args.r, d=1, j_max=args.j_max))
+        recordio.write_tree(g, args.out)
         print(f"wrote {args.out}")
         return 0
 
     if args.command == "rates":
         if args.n < 2:  # the n / log n normalization needs n >= 2
             raise ConfigError(f"--n must be >= 2, got {args.n}")
-        params = _from_flags(SmoothnessParams, s=args.s, r=args.r, p=args.p)
+        with _naming("rates"):
+            params = SmoothnessParams(s=args.s, r=args.r, p=args.p)
         print(f"parameters: s={args.s} r={args.r} p={args.p} d={params.d} (n={args.n})")
         mm, mm_value = minimax_rate(params, args.n)
         lin = generic_alpha("linear", params)  # normalized by n: no log factor

@@ -1,90 +1,62 @@
 """The explicit saturating function and its weak-exclusion witness.
 
-Builds the coefficient tree whose entries combine a smoothness envelope with
-an irreducible-dyadic-fraction weight and a polynomial-in-j damping; the
-genericity experiments probe the line f + alpha * g of
-truths.probe_line_truth.  The exclusion witness evaluates the closed-form
-lower bound on the weak functional whose growth in the threshold exponent
-certifies that the construction saturates the weak scaling function.
+The saturating function g is one shell term (truths.ShellTerm): a
+smoothness envelope times an irreducible-dyadic-fraction weight, damped by a
+power of j.  The genericity experiments probe the line f + alpha * g, the
+shell sum of g_term(r, alpha) and a shell term.  The exclusion witness
+evaluates the closed-form lower bound on the weak functional whose growth in
+the threshold exponent certifies that the construction saturates the weak
+scaling function.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_DEPTH, CoefficientTree, _refuse_bools, reduced_level_array
+from .dyadic import CoefficientTree, _check_tree_shape
 from .rates import generic_alpha
 from .spaces import SmoothnessParams
+from .truths import ShellTerm, shell_sum
 
 __all__ = [
     "GenericFunctionSpec",
     "build_g",
+    "g_term",
     "weak_exclusion_witness",
 ]
 
 
 @dataclass(frozen=True)
 class GenericFunctionSpec:
-    """Parameters of the saturating construction; the damping exponent is 1 + 3/r."""
+    """Parameters of the saturating construction, checked by build_g."""
 
     s: float
     r: float
     d: int
     j_max: int
 
-    def __post_init__(self):
-        _refuse_bools(s=self.s, r=self.r, d=self.d, j_max=self.j_max)
-        if self.d != 1:
-            raise ValueError(f"dimension must be 1, got {self.d}")
-        if self.s - self.d / self.r <= 0:
-            raise ValueError(f"need s > d/r, got s={self.s}, d/r={self.d / self.r}")
-        if not 1 <= self.j_max <= MAX_DEPTH:
-            raise ValueError(f"j_max must lie in [1, {MAX_DEPTH}], got {self.j_max}")
 
-    @property
-    def exponent_a(self) -> float:
-        return 1.0 + 3.0 / self.r
+def g_term(r: float, amplitude: float = 1.0) -> ShellTerm:
+    """The saturating function's shell term: damping exponent 1 + 3/r, from
+    level 1 on (the damping is undefined at j = 0, and a single level never
+    affects memberships or rates)."""
+    return ShellTerm(amplitude, 1.0 + 3.0 / r, 1)
 
 
-@functools.lru_cache(maxsize=1)  # trees are immutable: the truths of one config share one
 def build_g(spec: GenericFunctionSpec) -> CoefficientTree:
-    """Coefficient tree of the saturating function.
-
-    For 1 <= j <= j_max and every position k,
-
-        c_{j,k} = 2^{-(s - d/r + d/2) j} * 2^{-(d/r) J} / j^(1 + 3/r)
-
-    where J is the reduced scale of the irreducible form of k / 2^j.  Level 0
-    and the scaling coefficient are zero (the damping is undefined at j = 0,
-    and a single level never affects memberships or rates).
-    """
-    coeffs = np.zeros(2 << spec.j_max)
-    for j, _, profile in _shell_levels(spec.s, spec.r, spec.d, 1, spec.j_max):
-        coeffs[1 << j : 2 << j] = profile / float(j) ** spec.exponent_a
-    return CoefficientTree._of(spec.j_max, coeffs)
-
-
-def _shell_levels(s: float, r: float, d: int, j_min: int, j_max: int):
-    """Yield (j, J, 2^{-(s - d/r + d/2) j - (d/r) J}) for j_min <= j <= j_max, J
-    the reduced scales of level j: the shell that build_g damps and shell_tree scales."""
-    for j in range(j_min, j_max + 1):
-        J = reduced_level_array(j)
-        yield j, J, 2.0 ** (-(s - d / r + d / 2.0) * j - (d / r) * J)
+    """Coefficient tree of the saturating function: the shell sum of the one
+    term g_term(r), the shell profile over j^(1 + 3/r) on levels 1..j_max.
+    Level 0 and the scaling coefficient are zero; d must be 1."""
+    _check_tree_shape(spec.d, spec.j_max)
+    return shell_sum(spec.s, spec.r, spec.j_max, [g_term(spec.r)])
 
 
 @np.errstate(over="ignore")
-def weak_exclusion_witness(
-    s: float,
-    r: float,
-    p: float,
-    d: int,
-    eps: float,
-    t_max: int,
-) -> list[tuple[int, float]]:
+def weak_exclusion_witness(s: float, r: float, p: float, d: int, eps: float,
+                           t_max: int) -> list[tuple[int, float]]:
     """Closed-form lower bounds on the weak functional of the construction.
 
     For each threshold exponent t the bound is
@@ -116,16 +88,12 @@ def weak_exclusion_witness(
         t_sparse = t / (s - d / r + d / 2.0)
         js1 = np.arange(0, math.floor(t_dense) + 1)
         term1 = float(np.max(2.0 ** (d * p * js1 / 2.0) * (1.0 - 2.0 ** (-js1 * d))))
-        lo = math.floor(t_dense) + 1
-        hi = math.floor(t_sparse)
-        if lo <= hi:
-            js2 = np.arange(lo, hi + 1, dtype=np.float64)
-            vals = 2.0 ** (js2 * (d * p / 2.0 - d)) * (
-                2.0 ** (r * t - js2 * r * (s + d / 2.0 - d / r)) - 1.0
-            )
-            term2 = float(np.max(vals))
-        else:
-            term2 = 0.0
+        # term2 is 0 on an empty range; term1 >= 0 then sets the max alone
+        js2 = np.arange(math.floor(t_dense) + 1, math.floor(t_sparse) + 1, dtype=np.float64)
+        vals = 2.0 ** (js2 * (d * p / 2.0 - d)) * (
+            2.0 ** (r * t - js2 * r * (s + d / 2.0 - d / r)) - 1.0
+        )
+        term2 = float(np.max(vals, initial=0.0))
         bound = 2.0 ** (-(1.0 - alpha_tilde - eps) * p * t) * max(term1, term2) / denom
         out.append((t, bound))
     return out

@@ -75,12 +75,17 @@ def write_table(path, columns: list[str], rows, manifest_hash: str = "") -> None
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read back a table written by write_table (comment rows skipped); raises
-    ValueError for a missing column header or a row of another width."""
+def read_table(path, manifest_hash: str) -> tuple[list[str], list[list[str]]]:
+    """Read back a table write_table wrote under manifest_hash (comment rows
+    skipped); raises ValueError for a hash row that is missing or names
+    another, a missing column header or a row of another width."""
     path = Path(path)
     with path.open() as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        rows = [row for row in csv.reader(fh) if row]
+    hashes = [row[0] for row in rows if row[0].startswith("# manifest_hash=")]
+    if hashes != [f"# manifest_hash={manifest_hash}"]:
+        raise ValueError(f"its hash rows {hashes} are not the manifest's {manifest_hash}")
+    rows = [row for row in rows if not row[0].startswith("#")]
     if not rows:
         raise ValueError("no column header")
     ragged = [row for row in rows if len(row) != len(rows[0])]

@@ -6,25 +6,27 @@ exponent when the bias-variance transition sweeps through the observed
 scales; the builders therefore expose an amplitude so experiments can place
 that transition inside their n-grid.
 
-``shell_tree`` is the deterministic finite-scale representative of a
-smoothness shell: it carries the same irreducible-fraction weight profile as
-the saturating construction but no polynomial-in-j damping, so its level
-energies follow an exact power law and fitted slopes are clean at desk scale.
+A truth is a sum of shell terms (``ShellTerm``), which ``shell_sum`` builds
+into one heap array: the saturating function g (``generic.g_term``) is one
+damped term, ``shell_tree`` one undamped term, and a point f + alpha * g of
+the probe line the sum of both.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dyadic import CoefficientTree, _check_tree_shape, _refuse_bools
-from .generic import GenericFunctionSpec, _shell_levels, build_g
+from .dyadic import CoefficientTree, _check_tree_shape, _freeze, _refuse_bools, reduced_level_array
 
 __all__ = [
+    "ShellTerm",
+    "shell_sum",
     "shell_tree",
     "bump_tree",
-    "probe_line_truth",
     "uniform_density_tree",
     "density_truth_tree",
 ]
@@ -33,80 +35,79 @@ __all__ = [
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-# immutable trees: one config's truths share one; typed: True must not hit 1's entry
-@functools.lru_cache(maxsize=1, typed=True)
-def shell_tree(
-    s: float,
-    r: float,
-    d: int,
-    j_max: int,
-    amplitude: float = 1.0,
-    dither: float = 0.0,
-    j_min: int = 0,
-) -> CoefficientTree:
-    """Self-similar tree on the smoothness-s shell.
+class ShellTerm(NamedTuple):
+    """amplitude * shell / j^damping on levels j_min.., dithered (see shell_sum)."""
+    amplitude: float
+    damping: float = 0.0
+    j_min: int = 0
+    dither: float = 0.0
 
-    c_{j,k} = amplitude * 2^{-(s - d/r + d/2) j} * 2^{-(d/r) J} with J the
-    reduced scale of k / 2^j, for 0 <= j <= j_max.  Level energies decay
-    exactly like a power of 2^j, with the within-level spread across reduced
-    scales that lets thresholding experiments cross levels gradually.
+
+def shell_sum(s: float, r: float, j_max: int, terms: Iterable[ShellTerm]) -> CoefficientTree:
+    """The tree of depth j_max summing the terms; a term is, for j_min <= j <= j_max,
+
+        c_{j,k} = amplitude * 2^{-(s - 1/r + 1/2) j - J/r} / j^damping
+
+    with J the reduced scale of k / 2^j, and zero elsewhere.  An undamped
+    term's level energies decay exactly like a power of 2^j, with the
+    within-level spread across reduced scales that lets thresholding
+    experiments cross levels gradually.
 
     ``dither`` > 0 additionally spreads magnitudes log-uniformly over a factor
     2^dither inside every reduced-scale block, renormalized so each block's
     energy is exactly preserved.  This smooths the discrete magnitude ladder
     (slope fits stop seeing level-granularity staircases) without moving any
     level energy, so projection risks are unchanged.
+
+    A term of amplitude 0 is checked but not built; the others are built at
+    amplitude 1, cached (one config's truths share their terms) and scaled.
     """
-    _refuse_bools(s=s, r=r, amplitude=amplitude, dither=dither, j_min=j_min)
-    _check_tree_shape(d, j_max)
-    if s - d / r <= 0:
-        raise ValueError(f"need s > d/r, got s={s}, d/r={d / r}")
-    if dither < 0:
-        raise ValueError("dither must be non-negative")
-    if not 0 <= j_min <= j_max:
-        raise ValueError(f"j_min must lie in [0, {j_max}]")
+    _refuse_bools(s=s, r=r)
+    _check_tree_shape(1, j_max)
+    if s - 1 / r <= 0:
+        raise ValueError(f"need s > 1/r, got s={s}, 1/r={1 / r}")
     coeffs = np.zeros(2 << j_max)
-    for j, J, profile in _shell_levels(s, r, d, j_min, j_max):
-        vals = amplitude * profile
+    for term in terms:
+        _refuse_bools(**term._asdict())
+        if not (all(map(math.isfinite, term[:2])) and 0 <= term.dither < math.inf):
+            raise ValueError(f"need a finite amplitude and damping and dither >= 0, got {term}")
+        lowest = 0 if term.damping == 0 else 1  # no damping at j = 0
+        if not lowest <= term.j_min <= j_max:
+            raise ValueError(f"j_min must lie in [{lowest}, {j_max}], got {term.j_min}")
+        if term.amplitude != 0.0:
+            coeffs += term.amplitude * _unit_term(s, r, j_max, *term[1:])
+    return CoefficientTree._of(j_max, coeffs)
+
+
+@functools.lru_cache(maxsize=2)  # a probe line's two terms
+def _unit_term(s: float, r: float, j_max: int, damping: float, j_min: int,
+               dither: float) -> np.ndarray:
+    """The heap array of one shell_sum term at amplitude 1, read-only."""
+    coeffs = np.zeros(2 << j_max)
+    for j in range(j_min, j_max + 1):
+        J = reduced_level_array(j)
+        vals = 2.0 ** (-(s - 1 / r + 0.5) * j - (1 / r) * J) / float(j) ** damping
         if dither > 0:
             k = np.arange(1 << j, dtype=np.float64)
             m = 2.0 ** (-dither * np.mod(k * _GOLDEN + j * _GOLDEN**2, 1.0))
-            count = np.bincount(J, minlength=j + 1).astype(np.float64)
-            energy = np.bincount(J, weights=m * m, minlength=j + 1)
-            scale = np.sqrt(count / np.where(energy > 0.0, energy, 1.0))
-            vals = vals * m * scale[J]
+            count = np.bincount(J).astype(np.float64)  # every J in [0, j] occurs
+            vals = vals * m * np.sqrt(count / np.bincount(J, weights=m * m))[J]
         coeffs[1 << j : 2 << j] = vals
-    return CoefficientTree._of(j_max, coeffs)
+    return _freeze(coeffs)
+
+
+def shell_tree(s: float, r: float, d: int, j_max: int, amplitude: float = 1.0,
+               dither: float = 0.0, j_min: int = 0) -> CoefficientTree:
+    """Self-similar tree on the smoothness-s shell: the one undamped term
+    amplitude * shell on levels j_min..j_max (see shell_sum); d must be 1."""
+    _check_tree_shape(d, j_max)
+    return shell_sum(s, r, j_max, [ShellTerm(amplitude, 0.0, j_min, dither)])
 
 
 def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -> CoefficientTree:
     """A single wavelet coefficient of the given amplitude; from_items refuses a
     (level, position) off the tree's grid."""
     return CoefficientTree.from_items(d, j_max, 0.0, [((level, position), amplitude)])
-
-
-def probe_line_truth(
-    s: float,
-    r: float,
-    d: int,
-    j_max: int,
-    base_amplitude: float,
-    alpha: float,
-    dither: float = 0.0,
-    j_min: int = 0,
-) -> CoefficientTree:
-    """A point of the probe line: alpha times the saturating tree plus the base
-    shell on levels j_min..j_max.  The shell is built, and so its dither and
-    j_min checked, also when base_amplitude is 0; it is then not added."""
-    spec = GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max)  # refuses a j_max too deep to build
-    # by keyword, as perfbench/setup_child.py calls it: both calls share one cache entry
-    shell = shell_tree(s, r, d, j_max, base_amplitude, dither=dither, j_min=j_min)
-    if not np.isfinite(alpha):  # as tree * alpha refuses it
-        raise ValueError(f"a tree can only be scaled by a finite number, got {alpha}")
-    coeffs = alpha * build_g(spec).coeffs  # one new array, the shell added in place
-    if base_amplitude != 0.0:
-        coeffs += shell.coeffs
-    return CoefficientTree._of(j_max, coeffs)
 
 
 def uniform_density_tree(j_max: int) -> CoefficientTree:

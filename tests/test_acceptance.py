@@ -17,7 +17,7 @@ import pytest
 
 from waverates.cli import validate_config, run
 from waverates.dyadic import CoefficientTree
-from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witness
+from waverates.generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witness
 from waverates.models import DensitySampler, empirical_coefficients
 from waverates.rates import (
     ESTIMATOR_KINDS,
@@ -27,7 +27,7 @@ from waverates.rates import (
     monte_carlo_risk,
 )
 from waverates.spaces import SmoothnessParams, empirical_scaling
-from waverates.truths import density_truth_tree, probe_line_truth, shell_tree
+from waverates.truths import ShellTerm, density_truth_tree, shell_sum, shell_tree
 from waverates.wavelet import GridSignal, analyze, get_filter, lp_norm, synthesize
 
 N_GRID = [2**j for j in range(10, 19)]
@@ -51,7 +51,7 @@ def report(criterion, ok, measured, expected, tol):
 @pytest.fixture(scope="module")
 def dense_truth():
     # criterion 1 setup: probe line at alpha = 0.7 over a depth-16 shell
-    return probe_line_truth(2, 2, 1, 16, base_amplitude=1024.0, alpha=0.7, dither=2.0)
+    return shell_sum(2, 2, 16, [g_term(2, 0.7), ShellTerm(1024.0, dither=2.0)])
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def dense_threshold_fit(dense_truth):
 
 @pytest.fixture(scope="module")
 def sparse_truth():
-    return probe_line_truth(1.2, 1, 1, 14, base_amplitude=2.0, alpha=0.7, dither=2.0)
+    return shell_sum(1.2, 1, 14, [g_term(1, 0.7), ShellTerm(2.0, dither=2.0)])
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ from waverates.cli import (
 )
 from waverates.generic import GenericFunctionSpec, build_g
 from waverates.models import DensitySampler
-from waverates.truths import bump_tree, shell_tree
+from waverates.truths import _unit_term, bump_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSITY_WORKLOAD = json.loads((ROOT / "perfbench" / "workloads" / "density_threshold.json")
@@ -172,6 +172,13 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
         assert main(["rates", *flags, "--n", n]) == EXIT_CONFIG_ERROR
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: --n must be >= 2, got {n}\n"
+    # build_g refuses these, s <= 1/r and a depth outside [1, 24], before writing a file
+    for s, j_max, message in (("0.4", "6", "need s > 1/r"), ("2", "0", "j_min must lie in"),
+                              ("2", "25", "j_max must lie in [0, 24]")):
+        assert main(["build-g", "--s", s, "--r", "2", "--j-max", j_max,
+                     "--out", "g.csv"]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: build-g: {message}") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.json"]
 
     # a fault inside the run is an internal error, not a count of failed verdicts
@@ -679,12 +686,25 @@ def test_validate_builds_the_truth_with_the_runs_builder(kind, tmp_path, capsys,
 
 
 def test_a_run_builds_one_g_and_one_shell(tmp_path):
-    # validate's truth and the four alphas' truths of a probe sweep share them
-    build_g.cache_clear()
-    shell_tree.cache_clear()
+    # validate's truth and the four alphas' truths of a probe sweep share the unit
+    # terms of g and of the shell
+    _unit_term.cache_clear()
     run_in(tmp_path / "out", sweep_config())
-    assert build_g.cache_info().misses == shell_tree.cache_info().misses == 1
-    assert build_g.cache_info().hits == shell_tree.cache_info().hits == 4
+    assert _unit_term.cache_info().misses == 2
+
+
+def test_shell_tree_call_forms_share_one_cache_entry():
+    # the benchmark set-up calls build_g and shell_tree, the run's truth builder one
+    # shell_sum: validate and the set-up's truth build one g and one shell between them
+    spec = importlib.util.spec_from_file_location("setup_child",
+                                                  ROOT / "perfbench" / "setup_child.py")
+    setup_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_child)
+    _unit_term.cache_clear()
+    config = validate_config((ROOT / "perfbench" / "workloads" / "sparse_linear.json").read_text())
+    assert _unit_term.cache_info()[:2] == (0, 2)  # hits, misses: g and the shell
+    setup_child.build_truths(config)
+    assert _unit_term.cache_info()[:2] == (2, 2)
 
 
 def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
@@ -750,6 +770,9 @@ DAMAGED_CELLS = {
     "infinite_n": (rate_config(replicates=2), "risk_threshold_hard.csv", 4, 0, "inf"),
     "nan_witness_bound": (json.dumps(WITNESS), "witness.csv", 11, 1, "nan"),  # t = 12
     "nan_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "nan"),
+    "infinite_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "inf"),
+    "infinite_witness_bound": (json.dumps(WITNESS), "witness.csv", 11, 1, "inf"),
+    "zero_witness_bound": (json.dumps(WITNESS), "witness.csv", 11, 1, "0.0"),
 }
 
 
@@ -765,6 +788,22 @@ def test_report_refuses_a_damaged_table(name, tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: damaged table ") and table in err and err.count("\n") == 1
+
+
+def test_report_refuses_a_table_of_another_run(tmp_path, capsys):
+    # the tables were scored under this directory's manifest whatever their hash row read
+    run_in(tmp_path, json.dumps(SCALING))
+    hash_row, *rest = (tmp_path / "scaling.csv").read_text().splitlines(keepends=True)
+    for text in ("# manifest_hash=deadbeef\n" + "".join(rest), "".join(rest),
+                 hash_row + "".join(rest)):
+        (tmp_path / "scaling.csv").write_text(text)
+        status = main(["report", "--dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        if text.startswith(hash_row):  # the run's own table
+            assert status == 0 and err == ""
+        else:
+            assert status == EXIT_CONFIG_ERROR and err.count("\n") == 1
+            assert err.startswith(f"error: damaged table {tmp_path / 'scaling.csv'}: ")
 
 
 def test_report_reads_infinite_cells_a_run_writes(tmp_path, capsys):
@@ -809,19 +848,6 @@ def test_one_sided_alpha_bounds_the_implied_alpha_from_above(tmp_path, capsys):
         assert main(["report", "--dir", str(out)]) == (0 if passed else 1)
         assert ran.endswith(capsys.readouterr().out)
         assert report_from_dir(out) == [verdict]
-
-
-def test_shell_tree_call_forms_share_one_cache_entry():
-    # the benchmark set-up and probe_line_truth both name dither and j_min:
-    # validate and the set-up's truth build one shell between them
-    spec = importlib.util.spec_from_file_location("setup_child",
-                                                  ROOT / "perfbench" / "setup_child.py")
-    setup_child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(setup_child)
-    shell_tree.cache_clear()
-    config = validate_config((ROOT / "perfbench" / "workloads" / "sparse_linear.json").read_text())
-    setup_child.build_truths(config)
-    assert shell_tree.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 NAN = float("nan")
@@ -899,8 +925,9 @@ def test_report_on_a_damaged_table_is_a_config_error(text, tmp_path, capsys):
     run_in(out, json.dumps(SCALING))
     if text is None:
         (out / "scaling.csv").unlink()
-    else:
-        (out / "scaling.csv").write_text(text)
+    else:  # under the run's hash row, so each table fails on its own fault
+        hash_row = (out / "scaling.csv").read_text().splitlines(keepends=True)[0]
+        (out / "scaling.csv").write_text(hash_row + text if text else text)
     assert main(["report", "--dir", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: damaged table") and "scaling.csv" in err

@@ -1,19 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from waverates.dyadic import CoefficientTree, reduced_level_array
-from waverates.generic import GenericFunctionSpec, build_g, weak_exclusion_witness
+from waverates.generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witness
 from waverates.spaces import besov_norm
-from waverates.truths import probe_line_truth, shell_tree
+from waverates.truths import ShellTerm, _unit_term, shell_sum, shell_tree
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GenericFunctionSpec(s=0.4, r=2, d=1, j_max=8)  # s <= d/r
-    with pytest.raises(ValueError):
-        GenericFunctionSpec(s=2, r=2, d=1, j_max=0)
-    spec = GenericFunctionSpec(s=2, r=4, d=1, j_max=8)
-    assert spec.exponent_a == 1.0 + 3.0 / 4.0
+    # the spec only holds the parameters; build_g refuses what it cannot build
+    for spec, message in (((0.4, 2, 1, 8), "need s > 1/r"), ((2, 2, 1, 0), "j_min must lie in"),
+                          ((2, 2, 1, 25), "j_max must lie in")):
+        with pytest.raises(ValueError, match=message):
+            build_g(GenericFunctionSpec(*spec))
+    assert g_term(4) == ShellTerm(1.0, 1.0 + 3.0 / 4.0, 1, 0.0)
 
 
 def test_build_g_hand_values():
@@ -68,7 +70,18 @@ def test_build_g_d2():
     # the construction is one-dimensional: d = 2 is refused before anything is built
     for d in (0, 2):
         with pytest.raises(ValueError, match=f"dimension must be 1, got {d}"):
-            GenericFunctionSpec(s=2, r=2, d=d, j_max=4)
+            build_g(GenericFunctionSpec(s=2, r=2, d=d, j_max=4))
+
+
+@pytest.mark.parametrize("term,message", [
+    (ShellTerm(math.inf), "finite amplitude"), (ShellTerm(1.0, math.nan, 1), "damping"),
+    (ShellTerm(1.0, dither=-1.0), "dither"), (ShellTerm(1.0, dither=math.inf), "dither"),
+    (ShellTerm(1.0, 1.0, 0), r"j_min must lie in \[1, 6\]"),  # no damping at j = 0
+    (ShellTerm(1.0, 0.0, 7), r"j_min must lie in \[0, 6\]"),
+])
+def test_shell_sum_refuses_a_term_it_cannot_build(term, message):
+    with pytest.raises(ValueError, match=message):
+        shell_sum(2, 2, 6, [ShellTerm(1.0), term])
 
 
 def witness_dict(eps, t_max, s=2.0, r=2.0, p=2.0):
@@ -128,8 +141,9 @@ def _same_bits(a: CoefficientTree, b: CoefficientTree) -> bool:
     (0.7, 1024.0, 2.0, 0), (-1.0, 2.0, 0.0, 3), (-0.3, 64.0, 2.0, 2), (0.0, 1.0, 2.0, 2),
 ])
 def test_probe_line_truth_is_alpha_g_plus_shell(alpha, base, dither, j_min):
+    # a point of the probe line is the shell sum of alpha g and the base shell
     s, r, d, j_max = 2.0, 2.0, 1, 9
-    got = probe_line_truth(s, r, d, j_max, base, alpha, dither=dither, j_min=j_min)
+    got = shell_sum(s, r, j_max, [g_term(r, alpha), ShellTerm(base, 0.0, j_min, dither)])
     want = (alpha * build_g(GenericFunctionSpec(s=s, r=r, d=d, j_max=j_max))
             + shell_tree(s, r, d, j_max, base, dither=dither, j_min=j_min))
     assert _same_bits(got, want)
@@ -137,12 +151,14 @@ def test_probe_line_truth_is_alpha_g_plus_shell(alpha, base, dither, j_min):
 
 def test_probe_line_truth_without_base_builds_no_shell():
     g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=7))
+    _unit_term.cache_clear()
     for alpha in (-0.5, 0.7):
-        got = probe_line_truth(2, 2, 1, 7, base_amplitude=0.0, alpha=alpha, dither=2.0)
-        assert _same_bits(got, alpha * g) and got.coeffs.size == 2 << 7
-        # alpha g's zeros keep alpha's sign; adding a zero shell would make -0.0 + 0.0 = 0.0
-        assert np.signbit(got.coeffs[:2]).tolist() == [alpha < 0] * 2
-    # the zero shell is built all the same, so its dither and j_min stay checked
+        got = shell_sum(2, 2, 7, [g_term(2, alpha), ShellTerm(0.0, dither=2.0)])
+        assert np.array_equal(got.coeffs, (alpha * g).coeffs) and got.coeffs.size == 2 << 7
+        # the sum starts from +0.0, so the entries off every term are +0.0 at any alpha
+        assert not np.signbit(got.coeffs[:2]).any()
+    assert _unit_term.cache_info().misses == 1  # g alone
+    # a zero term is not built, but its dither and j_min stay checked
     for kwargs, message in ((dict(dither=-1.0), "dither"), (dict(j_min=8), "j_min")):
         with pytest.raises(ValueError, match=message):
-            probe_line_truth(2, 2, 1, 7, base_amplitude=0.0, alpha=0.7, **kwargs)
+            shell_sum(2, 2, 7, [g_term(2, 0.7), ShellTerm(0.0, **kwargs)])

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import waverates
-from waverates import CoefficientTree, GenericFunctionSpec, SmoothnessParams, shell_tree
+from waverates import (CoefficientTree, GenericFunctionSpec, ShellTerm, SmoothnessParams, build_g,
+                       shell_sum, shell_tree)
 from waverates.cli import main
 
 MODULES = sorted(p.stem for p in Path(waverates.__file__).parent.glob("*.py")
@@ -97,15 +98,26 @@ def test_benchmark_workload_runs_give_one_output_at_either_thread_count(workload
     assert "report.json" in outputs[0][1] and outputs[1] == outputs[0]
 
 
+def _g(*args):
+    return build_g(GenericFunctionSpec(*args))
+
+
+def _one_term(*args):
+    return shell_sum(2, 2, 4, [ShellTerm(*args)])
+
+
 @pytest.mark.parametrize("build,args", [
     (SmoothnessParams, (True, 2, 2, 1)), (SmoothnessParams, (2, 2, 2, True)),
-    (GenericFunctionSpec, (2, 2, 1, True)), (shell_tree, (2, 2, 1, True, 1.0)),
-    (CoefficientTree, (1, True)),
-], ids=["SmoothnessParams.s", "SmoothnessParams.d", "GenericFunctionSpec.j_max",
-        "shell_tree.j_max", "CoefficientTree.j_max"])
+    (_g, (2, 2, 1, True)), (shell_tree, (2, 2, 1, True, 1.0)),
+    (CoefficientTree, (1, True)), (_one_term, (True, 0.0, 0, 0.0)),
+    (_one_term, (1.0, True, 1, 0.0)), (_one_term, (1.0, 0.0, True, 0.0)),
+    (_one_term, (1.0, 0.0, 0, True)),
+], ids=["SmoothnessParams.s", "SmoothnessParams.d", "build_g.j_max", "shell_tree.j_max",
+        "CoefficientTree.j_max", "ShellTerm.amplitude", "ShellTerm.damping", "ShellTerm.j_min",
+        "ShellTerm.dither"])
 def test_library_constructors_refuse_bools(build, args):
     # True would pass as 1, as the config parser refuses it; the form with 1 builds
-    # first, so shell_tree is also called with True on what its cache holds for 1
+    # first, so True is also refused where the term cache holds the term of 1
     build(*(1 if arg is True else arg for arg in args))
     with pytest.raises(ValueError, match="must be a number, got True"):
         build(*args)

@@ -13,6 +13,7 @@ from waverates import rates
 from waverates.dyadic import MAX_DEPTH, CoefficientTree
 from waverates.estimators import (linear_estimate, linear_weights, noise_depth, threshold_estimate,
                                   universal_threshold)
+from waverates.generic import g_term
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
@@ -25,7 +26,7 @@ from waverates.rates import (
     monte_carlo_risk,
 )
 from waverates.spaces import SmoothnessParams
-from waverates.truths import bump_tree, density_truth_tree, probe_line_truth, shell_tree
+from waverates.truths import ShellTerm, bump_tree, density_truth_tree, shell_sum, shell_tree
 from waverates.wavelet import (
     SYNTHESIS_PAD,
     GridSignal,
@@ -357,11 +358,11 @@ def split_truths(model):
     observed depths (an empty tail); under the density model, densities with
     these wavelet parts at amplitudes that keep them positive for db1 and db2."""
     if model == "sequence":
-        return (probe_line_truth(1.2, 1, 1, 9, 2.0, 0.7, 2.0), bump_tree(1, 9, 6, 21, 0.5),
-                shell_tree(2, 2, 1, 2, 4.0))
+        return (shell_sum(1.2, 1, 9, [g_term(1, 0.7), ShellTerm(2.0, dither=2.0)]),
+                bump_tree(1, 9, 6, 21, 0.5), shell_tree(2, 2, 1, 2, 4.0))
     return tuple(density_truth_tree(t) for t in (
-        probe_line_truth(1.2, 1, 1, 9, 0.3, 0.1, 2.0, 2), bump_tree(1, 9, 6, 21, 0.05),
-        shell_tree(2, 2, 1, 2, 0.2)))
+        shell_sum(1.2, 1, 9, [g_term(1, 0.1), ShellTerm(0.3, 0.0, 2, 2.0)]),
+        bump_tree(1, 9, 6, 21, 0.05), shell_tree(2, 2, 1, 2, 0.2)))
 
 
 @pytest.mark.parametrize("kind", ["projection", "pinsker", "threshold_hard", "threshold_soft"])

@@ -56,6 +56,8 @@ def test_table_round_trip_with_hash(tmp_path):
     recordio.write_table(path, ["n", "risk", "std_error", "replicates"], rows, "abc123")
     text = path.read_text()
     assert text.startswith("# manifest_hash=abc123\n")
-    header, data = recordio.read_table(path)
+    header, data = recordio.read_table(path, "abc123")
     assert header == ["n", "risk", "std_error", "replicates"]
     assert float(data[1][1]) == 1.0 / 3.0
+    with pytest.raises(ValueError, match="abc123"):  # a table of another run
+        recordio.read_table(path, "def456")
