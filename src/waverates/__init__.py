@@ -52,7 +52,6 @@ from .truths import (
     density_truth_tree,
     shell_sum,
     shell_tree,
-    uniform_density_tree,
 )
 from .wavelet import (
     GridSignal,

@@ -71,7 +71,7 @@ from .rates import (
     monte_carlo_risk,
 )
 from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
-from .truths import ShellTerm, bump_tree, density_truth_tree, shell_sum, uniform_density_tree
+from .truths import ShellTerm, bump_tree, density_truth_tree, shell_sum
 from .wavelet import get_filter
 
 EXIT_CONFIG_ERROR = 101
@@ -309,6 +309,12 @@ def _generic_g(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0)
                                                 ShellTerm(base_amplitude, 0.0, j_min, dither)])
 
 
+def _tree_file(config, path):
+    """The file's tree as a truth of the config's j_max; a row past it is refused."""
+    tree = recordio.read_tree(path)
+    return CoefficientTree(tree.d, config.j_max, tree.scaling, tree.levels)
+
+
 class Truth(NamedTuple):
     """A truth kind.  build(config, **spec) -> tree, whose keyword parameters
     are the kind's truth_spec keys with defaults that fix their types (a key
@@ -323,8 +329,9 @@ class Truth(NamedTuple):
 
 TRUTHS = {
     "generic_g": Truth(_generic_g),
-    "explicit_tree_file": Truth(lambda config, path: recordio.read_tree(path), wavelet_part=False),
-    "uniform_density": Truth(lambda config: uniform_density_tree(config.j_max), wavelet_part=False),
+    "explicit_tree_file": Truth(_tree_file, wavelet_part=False),
+    "uniform_density": Truth(lambda config: CoefficientTree(1, config.j_max, 1.0),
+                             wavelet_part=False),
     "custom_bump": Truth(lambda config, level=1, position=0, amplitude=1.0: bump_tree(
         config.smoothness.d, config.j_max, level, position, amplitude)),
 }
@@ -362,7 +369,6 @@ def _risk_tables(config: ExperimentConfig, labels, truths):
     model = EXPERIMENTS[config.experiment_kind].model
     risks = monte_carlo_risk(tuple(truths), estimator, config.n_grid, config.replicates,
                              config.smoothness.p, config.master_seed, filter_name=config.filter,
-                             j_max=None if model == "density" else config.j_max,
                              threads=config.threads, model=model)
     fits = [fit_slope(table, _regime(config).normalization) for table in risks]
     tables = []
@@ -378,10 +384,8 @@ def _risk_tables(config: ExperimentConfig, labels, truths):
 
 
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
-    name = _risk_name(config, label)
-    with _naming(f"damaged table {name}", (ValueError, OverflowError)):  # int(inf) overflows
-        table = RiskTable(tuple(RiskRow(int(n), risk, se, int(reps))
-                                for n, risk, se, reps in read(name)), config.smoothness.p)
+    table = read(_risk_name(config, label), lambda rows: RiskTable(tuple(
+        RiskRow(int(n), risk, se, int(reps)) for n, risk, se, reps in rows), config.smoothness.p))
     return fit_slope(table, _regime(config).normalization)
 
 
@@ -449,9 +453,12 @@ def _scaling_tables(config: ExperimentConfig):
 
 
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
-    scale_tol, rows = config.tolerances["scaling"], read("scaling.csv")
-    if not all(math.isfinite(est) for _, est, _, _ in rows):  # a run writes none
-        raise ConfigError("damaged table scaling.csv: an estimate is not finite")
+    def finite(rows):
+        if not all(math.isfinite(est) for _, est, _, _ in rows):  # a run writes none
+            raise ValueError("an estimate is not finite")
+        return rows
+
+    scale_tol, rows = config.tolerances["scaling"], read("scaling.csv", finite)
     return [
         _verdict(f"scaling_function.p={p:g}", est, theory, scale_tol,
                  abs(est - theory) <= scale_tol)
@@ -483,14 +490,17 @@ def _witness_check(config: ExperimentConfig) -> None:
 
 
 def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
-    t_lo, t_hi = config.witness_t_range
-    kept = [(t, b) for t, b, _log2_b in read("witness.csv") if t_lo <= t <= t_hi]
+    def in_range(rows):
+        t_lo, t_hi = config.witness_t_range
+        kept = [(t, b) for t, b, _log2_b in rows if t_lo <= t <= t_hi]
+        if not all(0.0 < b < math.inf for _, b in kept):  # as _witness_check refuses them
+            raise ValueError("a bound in witness_t_range is not positive and finite")
+        return kept
+
+    kept = read("witness.csv", in_range)
     if len(kept) < 2:
         raise ValueError(f"witness.csv holds {len(kept)} rows in witness_t_range; "
                          "the slope needs 2")
-    if not all(0.0 < b < math.inf for _, b in kept):  # as _witness_check refuses them
-        raise ConfigError("damaged table witness.csv: a bound in witness_t_range is not "
-                          "positive and finite")
     ts = np.array([t for t, _ in kept], dtype=np.float64)
     slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
@@ -504,7 +514,7 @@ class Experiment(NamedTuple):
     under which every estimator and truth kind runs, its own top-level keys
     (reads adds every kind's and its model's), its tolerance keys with their
     defaults, tables(config) -> [(file name, columns, rows)], verdicts(config,
-    read), where read(file name) returns a stored table's rows as floats, and
+    read), where read(file name, parse) gives parse(the stored table's float rows), and
     check(config), which builds what the run builds (_monte_carlo_check), or
     computes what its tables hold for a kind without a Monte Carlo model."""
 
@@ -544,14 +554,14 @@ _SEEDED_KINDS = ", ".join(kind for kind, experiment in EXPERIMENTS.items()
 
 
 def _verdicts(config: ExperimentConfig, out_dir: Path, mh: str) -> list[dict]:
-    def read(name: str) -> list[list[float]]:
+    def read(name: str, parse=lambda rows: rows):
         try:
             _, rows = recordio.read_table(out_dir / name, mh)  # a table of this run
             values = [[float(v) for v in row] for row in rows]
             if any(math.isnan(v) for row in values for v in row):  # a run writes +-inf, never nan
                 raise ValueError("a cell holds nan")
-            return values
-        except (OSError, ValueError) as exc:
+            return parse(values)
+        except (OSError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"damaged table {out_dir / name}: {exc}") from None
 
     return EXPERIMENTS[config.experiment_kind].verdicts(config, read)

@@ -267,29 +267,17 @@ ESTIMATOR_KINDS = {
 }
 
 
-def _depths(truth, read, j_max, density) -> tuple[int, int]:
-    """(model depth, observed depth).  The model's depth is j_max when given,
-    else the estimator's read depth for density coefficients and the truth's
-    depth for sequence observations; a replicate is observed to the lesser of
-    it and the read depth (a density replicate at the model depth, then cut)."""
-    depth = j_max if j_max is not None else read if density else truth.j_max
-    return depth, min(read, depth)
-
-
 class _Replicates(NamedTuple):
     """What every replicate of one monte_carlo_risk call reads; called on a
     job (i, rep), it returns (i, rep, the loss of every truth's estimate) on
     the replicate drawn from the seed (master_seed, n, rep), plans[i] being
-    (n, the estimate, each truth's (model depth, observed depth), each
-    truth's loss side).
+    (n, the estimate, each truth's observed depth, each truth's loss side).
 
     Sequence truths share one noise draw, to the deepest depth any of them
     reads, and each adds its own levels to it; each density truth samples its
-    own law from the same seed, and its empirical coefficients, whose levels
-    depend on their depth (models.empirical_coefficients), are taken at the
-    model depth and cut to the observed one.  The truths are observed one at
-    a time, as their losses are taken, so one observed tree is alive at a
-    time.
+    own law from the same seed and takes its empirical coefficients at its
+    observed depth.  The truths are observed one at a time, as their losses
+    are taken, so one observed tree is alive at a time.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -303,18 +291,13 @@ class _Replicates(NamedTuple):
         n, estimate, depths, sides = self.plans[i]
         seed = np.random.SeedSequence((self.master_seed, n, rep))
         if self.samplers is not None:
-            observed = (_cut(empirical_coefficients(sampler.sample(n, seed), self.filt, depth), j)
-                        for sampler, (depth, j) in zip(self.samplers, depths))
+            observed = (empirical_coefficients(sampler.sample(n, seed), self.filt, j)
+                        for sampler, j in zip(self.samplers, depths))
         else:
-            top = max(j for _, j in depths)
+            top = max(depths)
             noise = simulate_sequence(CoefficientTree.zeros(1, top), n, top, seed)
-            observed = (observe(truth, noise, j) for truth, (_, j) in zip(self.truths, depths))
+            observed = (observe(truth, noise, j) for truth, j in zip(self.truths, depths))
         return i, rep, [side.mean(estimate(y)) for y, side in zip(observed, sides)]
-
-
-def _cut(tree: CoefficientTree, j_max: int) -> CoefficientTree:
-    """The tree's levels 0..j_max, a view of its array."""
-    return CoefficientTree._of(j_max, tree.coeffs[: 2 << j_max])
 
 
 _WORKER_REPLICATES: _Replicates | None = None  # a worker process's, set by _start_worker
@@ -355,7 +338,6 @@ def monte_carlo_risk(
     master_seed: int,
     *,
     filter_name: str = "db2",
-    j_max: int | None = None,
     threads: int = 1,
     model: str = "sequence",
 ) -> tuple[RiskTable, ...]:
@@ -366,14 +348,11 @@ def monte_carlo_risk(
     observations of the truth, or "density", empirical coefficients of a
     sample from the density the truth specifies; every estimator kind runs
     under either.  filter_name is the wavelet of the density model and of
-    the p != 2 loss quadrature.  j_max fixes the
-    model's depth; when omitted, sequence observations have the truth's depth
-    and density coefficients the estimator's read depth.  The kind's rule
-    gives the read depth and the estimate at each n, once per n; each
-    replicate is observed only up to that depth within the model's depth
-    (density coefficients are taken at the model depth and cut there): no
-    estimator reads a deeper level, and its estimate is that of the
-    model-depth observation.
+    the p != 2 loss quadrature.  A truth's j_max is its model's depth.  The
+    kind's rule gives, once per n, the estimate and the read depth, past
+    which no estimator reads: a sequence replicate is observed to the lesser
+    of it and the truth's depth (the estimate is that of the whole
+    observation), a density replicate's empirical coefficients at the read depth.
 
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
@@ -405,10 +384,10 @@ def monte_carlo_risk(
     density = model == "density"
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
     rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
-    # per n, each truth's (model depth, observed depth); per truth, its sides
-    depths = [[_depths(t, read, j_max, density) for t in truths] for read, _ in rules]
+    # per n, each truth's observed depth; per truth, its side at each depth
+    depths = [[read if density else min(read, t.j_max) for t in truths] for read, _ in rules]
     sides = [_loss_sides(t, filt, [row[k] for row in depths], p) for k, t in enumerate(truths)]
-    plans = [(n, estimate, row, [s[pair] for s, pair in zip(sides, row)])
+    plans = [(n, estimate, row, [s[j] for s, j in zip(sides, row)])
              for n, (_, estimate), row in zip(n_grid, rules, depths)]
     replicates = _Replicates(truths, plans, filt, master_seed, samplers)
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]

@@ -27,7 +27,6 @@ __all__ = [
     "shell_sum",
     "shell_tree",
     "bump_tree",
-    "uniform_density_tree",
     "density_truth_tree",
 ]
 
@@ -74,8 +73,10 @@ def shell_sum(s: float, r: float, j_max: int, terms: Iterable[ShellTerm]) -> Coe
         lowest = 0 if term.damping == 0 else 1  # no damping at j = 0
         if not lowest <= term.j_min <= j_max:
             raise ValueError(f"j_min must lie in [{lowest}, {j_max}], got {term.j_min}")
-        if term.amplitude != 0.0:
-            coeffs += term.amplitude * _unit_term(s, r, j_max, *term[1:])
+        if term.amplitude != 0.0:  # level by level: no temporary of the whole array
+            unit = _unit_term(s, r, j_max, *term[1:])
+            for j in range(term.j_min, j_max + 1):
+                coeffs[1 << j : 2 << j] += term.amplitude * unit[1 << j : 2 << j]
     return CoefficientTree._of(j_max, coeffs)
 
 
@@ -110,11 +111,8 @@ def bump_tree(d: int, j_max: int, level: int, position: int, amplitude: float) -
     return CoefficientTree.from_items(d, j_max, 0.0, [((level, position), amplitude)])
 
 
-def uniform_density_tree(j_max: int) -> CoefficientTree:
-    """The uniform density on [0, 1]: scaling coefficient 1, no wavelet part."""
-    return CoefficientTree(d=1, j_max=j_max, scaling=1.0)
-
-
 def density_truth_tree(wavelet_part: CoefficientTree) -> CoefficientTree:
     """Density tree 1 + (wavelet part): unit mass plus zero-mean detail."""
-    return uniform_density_tree(wavelet_part.j_max) + wavelet_part
+    coeffs = 0.0 + wavelet_part.coeffs  # one copy; as in the tree sum, a -0.0 becomes 0.0
+    coeffs[0] += 1.0
+    return CoefficientTree._of(wavelet_part.j_max, coeffs)

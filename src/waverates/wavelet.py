@@ -635,29 +635,29 @@ class _EnergyLoss(NamedTuple):
         return (estimate.scaling - self.truth.scaling) ** 2 + float(sum(parts))
 
 
-def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, pairs, p: float) -> dict:
+def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, depths, p: float) -> dict:
     """What the L^p loss mean |E - truth|^p needs of the truth, computed once,
-    for each (model depth, observed depth J) of pairs: an object whose .mean(E)
-    is that loss for any tree E of depth J, keyed by the pair.
+    for each depth J of depths: an object whose .mean(E) is that loss for any
+    tree E of depth J, keyed by J.
 
-    For p = 2 it is the _EnergyLoss, whatever the pair.  Else the mean runs
-    over the 2^F grid, F = C + SYNTHESIS_PAD - 1, that refines samples at
-    resolution C = max(model depth, truth depth) + 1: the _quartic_split at
-    (C, J) where there is one (p = 4 with db1 or db2), else a _GridLoss; the
+    For p = 2 it is the _EnergyLoss, whatever J.  Else the mean runs over
+    the 2^F grid, F = C + SYNTHESIS_PAD - 1, that refines samples at
+    resolution C = max(J, truth depth) + 1: the _quartic_split at (C, J)
+    where there is one (p = 4 with db1 or db2), else a _GridLoss; the
     _GridLoss of one C share one synthesis of the truth."""
     if p == 2:
         energies = {j: np.sum(a * a) for j, a in truth.levels.items()}
-        return dict.fromkeys(pairs, _EnergyLoss(truth, energies))
-    at = {pair: (max(pair[0], truth.j_max) + 1, pair[1]) for pair in pairs}
+        return dict.fromkeys(depths, _EnergyLoss(truth, energies))
     sides, grids = {}, {}
     # deepest first: the smaller splits reuse the memory the largest one's
     # temporaries free (0.5 MB less peak RSS on perfbench sparse_linear)
-    for coarse, read in sorted(set(at.values()), reverse=True):
+    for read in sorted(set(depths), reverse=True):
+        coarse = max(read, truth.j_max) + 1
         fine = coarse + SYNTHESIS_PAD - 1
         side = _quartic_split(truth, filt, read, coarse, fine) if p == 4 else None
         if side is None:
             if coarse not in grids:
                 grids[coarse] = synthesize(truth, filt, coarse)
             side = _GridLoss(filt, grids[coarse], fine, p)
-        sides[coarse, read] = side
-    return {pair: sides[at[pair]] for pair in pairs}
+        sides[read] = side
+    return sides

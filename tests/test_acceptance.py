@@ -146,7 +146,7 @@ def test_criterion_5_weak_exclusion_growth():
 def test_criterion_6_closed_form_gaussian_risk():
     truths = (CoefficientTree.zeros(1, 8),)
     (table,) = monte_carlo_risk(truths, EstimatorSpec("projection", fixed_m_n=32.0),
-                                [2**10, 2**14], R, 2.0, 123, j_max=8, threads=THREADS)
+                                [2**10, 2**14], R, 2.0, 123, threads=THREADS)
     ok = True
     for row in table.rows:
         good = abs(row.empirical_risk * row.n - 32.0) <= 3.0 * row.std_error * row.n
@@ -220,9 +220,7 @@ def test_criterion_10_density_model():
     filt = get_filter("db2")
 
     # uniform-density empirical coefficients are unbiased at zero
-    from waverates.truths import uniform_density_tree
-
-    uniform = uniform_density_tree(8)
+    uniform = CoefficientTree(1, 8, 1.0)
     runs = 50
     acc = np.empty((runs, 2))
     sampler = DensitySampler.from_tree(uniform, filt)

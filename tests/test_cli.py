@@ -26,6 +26,7 @@ from waverates.cli import (
     run,
     validate_config,
 )
+from waverates.dyadic import CoefficientTree
 from waverates.generic import GenericFunctionSpec, build_g
 from waverates.models import DensitySampler
 from waverates.truths import _unit_term, bump_tree
@@ -308,7 +309,7 @@ def test_run_density_rate_fit_and_report_round_trip(tmp_path):
     assert report_from_dir(out) == list(report.verdicts)
 
 
-def test_run_is_byte_identical_across_reruns(tmp_path):
+def test_run_is_byte_identical_across_reruns(tmp_path, monkeypatch):
     # the hash names the science: neither the output path nor the thread count enters it
     runs = [(tmp_path / "a", 1), (tmp_path / "b", 1), (tmp_path / "a", 3), (tmp_path / "c", 3)]
     outputs = []
@@ -322,6 +323,25 @@ def test_run_is_byte_identical_across_reruns(tmp_path):
     assert all(output == outputs[0] for output in outputs[1:])
     assert sorted(outputs[0][1]) == ["report.json", "risk_threshold_hard.csv",
                                      "slope_threshold_hard.csv"]
+    # a tree file is read at the config's j_max: written at a shallower depth, the
+    # tree runs as it does written at j_max, under either model and at p = 4
+    monkeypatch.chdir(tmp_path)
+    truth = CoefficientTree(1, 3, 1.0, {1: [0.05, 0.0], 3: [0.0] * 5 + [0.1, 0.0, 0.0]})
+    tree_file = {"kind": "explicit_tree_file", "path": "t.csv"}
+    configs = {"sequence": (rate_config(replicates=4, truth_spec=tree_file), 8),
+               "p4": (rate_config(replicates=4, truth_spec=tree_file,
+                                  smoothness={"s": 2, "r": 2, "p": 4, "d": 1}), 8),
+               "density": (json.dumps(dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512],
+                                           replicates=2, j_max=4, truth_spec=tree_file)), 4)}
+    for name, (text, j_max) in configs.items():
+        outputs = []
+        for depth in (3, j_max):
+            recordio.write_tree(CoefficientTree(1, depth, truth.scaling, truth.levels), "t.csv")
+            out = tmp_path / f"{name}_{depth}"
+            run_in(out, text)  # the manifest alone names the output directory
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()
+                            if path.name != "manifest.json"})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
 
 def test_run_probe_sweep_spread_verdict(tmp_path):
@@ -560,6 +580,11 @@ REJECTED = {
     "tree_file_repeated_position": (_rate(truth_spec={"kind": "explicit_tree_file",
                                                       "path": "t.csv"}),
                                     "t.csv: position (1, 0) repeats"),
+    # a truth is read at the config's j_max (8): a deeper row ran with the truth
+    # observed only to level 8
+    "tree_file_row_past_j_max": (_rate(truth_spec={"kind": "explicit_tree_file",
+                                                   "path": "t.csv"}),
+                                 "truth_spec: level 9 outside [0, 8]"),
     # "inf" is text only for smoothness.r: an infinite tolerance passed any slope, and an
     # infinite amplitude ran to FAIL ... measured=nan
     "infinite_alpha_tolerance": (_rate(tolerances={"alpha": "inf"}), "tolerances.alpha"),
@@ -636,6 +661,8 @@ TREE_FILES = {
                                   "j,k,value\n1,0,1.0\n",
     "tree_file_repeated_position": "# coefficient-tree,d=1,j_max=4,scaling=0.0\n"
                                    "j,k,value\n1,0,1.0\n1,0,2.0\n",
+    "tree_file_row_past_j_max": "# coefficient-tree,d=1,j_max=12,scaling=0.0\n"
+                                "j,k,value\n2,1,1.0\n9,300,0.5\n",
     "tree_file_too_deep": "# coefficient-tree,d=1,j_max=40,scaling=0.0\nj,k,value\n40,0,1.0\n",
     "density_mass_not_one": "# coefficient-tree,d=1,j_max=6,scaling=2.0\nj,k,value\n3,2,0.1\n",
 }
@@ -787,7 +814,7 @@ def test_report_refuses_a_damaged_table(name, tmp_path, capsys):
     (tmp_path / table).write_text("\n".join(lines) + "\n")
     assert main(["report", "--dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: damaged table ") and table in err and err.count("\n") == 1
+    assert err.startswith(f"error: damaged table {tmp_path / table}: ") and err.count("\n") == 1
 
 
 def test_report_refuses_a_table_of_another_run(tmp_path, capsys):

@@ -164,11 +164,10 @@ def test_density_linear_projection_truncation():
 def test_density_linear_truncation_reduces_risk_on_uniform():
     # uniform truth: every kept level only adds noise, so truncation helps
     from waverates.models import DensitySampler, empirical_coefficients
-    from waverates.truths import uniform_density_tree
     from waverates.wavelet import get_filter
 
     filt = get_filter("haar")
-    truth = uniform_density_tree(6)
+    truth = CoefficientTree(1, 6, 1.0)
     n, runs = 1000, 50
     risk_full = risk_cut = 0.0
     sampler = DensitySampler.from_tree(truth, filt)

@@ -15,7 +15,7 @@ from waverates.models import (
     observe,
     simulate_sequence,
 )
-from waverates.truths import bump_tree, density_truth_tree, shell_tree, uniform_density_tree
+from waverates.truths import bump_tree, density_truth_tree, shell_tree
 from waverates.wavelet import DAUBECHIES_LOWPASS, WaveletFilter, get_filter, synthesize
 
 HAAR = get_filter("haar")
@@ -123,7 +123,7 @@ def test_observed_and_empirical_trees_populate_every_level():
     for j_max in (0, 3, 6):
         assert observe(theta, noise, j_max).levels.keys() == set(range(j_max + 1))
         assert simulate_sequence(theta, 100, j_max, 4).y.levels.keys() == set(range(j_max + 1))
-    sample = DensitySampler.from_tree(uniform_density_tree(3), HAAR).sample(300, seed=1)
+    sample = DensitySampler.from_tree(CoefficientTree(1, 3, 1.0), HAAR).sample(300, seed=1)
     for j_max in (0, 2, 4):
         beta = empirical_coefficients(sample, HAAR, j_max)
         assert beta.levels.keys() == set(range(j_max + 1))
@@ -131,7 +131,7 @@ def test_observed_and_empirical_trees_populate_every_level():
 
 
 def test_sample_density_uniform():
-    sample = DensitySampler.from_tree(uniform_density_tree(6), HAAR).sample(10_000, seed=2)
+    sample = DensitySampler.from_tree(CoefficientTree(1, 6, 1.0), HAAR).sample(10_000, seed=2)
     pts = np.sort(sample.points)
     ks = np.max(np.abs(pts - np.arange(1, len(pts) + 1) / len(pts)))
     assert ks < 0.02
@@ -160,7 +160,7 @@ def test_density_sampler_refuses_mass_other_than_one():
 
 
 def test_sample_density_deterministic():
-    tree = uniform_density_tree(5)
+    tree = CoefficientTree(1, 5, 1.0)
     a = DensitySampler.from_tree(tree, HAAR).sample(64, seed=9)
     b = DensitySampler.from_tree(tree, HAAR).sample(64, seed=9)
     assert np.array_equal(a.points, b.points)
@@ -196,7 +196,7 @@ def test_empirical_coefficients_single_point_exact():
 def test_empirical_coefficients_uniform_unbiased_at_zero():
     runs = 50
     acc = []
-    sampler = DensitySampler.from_tree(uniform_density_tree(6), HAAR)
+    sampler = DensitySampler.from_tree(CoefficientTree(1, 6, 1.0), HAAR)
     for rep in range(runs):
         s = sampler.sample(500, seed=np.random.SeedSequence((5, rep)))
         beta = empirical_coefficients(s, HAAR, 3)
@@ -353,7 +353,7 @@ def upper_half_density():
 
 
 SAMPLER_CASES = [
-    (uniform_density_tree(6), HAAR),
+    (CoefficientTree(1, 6, 1.0), HAAR),
     (demo_density_truth(), get_filter("db2")),
     (density_truth_tree(bump_tree(1, 5, level=2, position=1, amplitude=0.3)), get_filter("db4")),
     (upper_half_density(), HAAR),
@@ -452,7 +452,7 @@ def test_empirical_coefficients_finest_level_is_its_own_grid_quadrature(name):
 
 def test_empirical_coefficients_read_the_filter_taps():
     # a filter is its taps, whatever its name
-    sample = DensitySampler.from_tree(uniform_density_tree(4), HAAR).sample(300, seed=8)
+    sample = DensitySampler.from_tree(CoefficientTree(1, 4, 1.0), HAAR).sample(300, seed=8)
     db2 = empirical_coefficients(sample, get_filter("db2"), 4)
     impostor = WaveletFilter(name="db2", taps=np.array(DAUBECHIES_LOWPASS[3]), vanishing_moments=3)
     got = empirical_coefficients(sample, impostor, 4)

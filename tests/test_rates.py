@@ -226,7 +226,7 @@ def test_monte_carlo_projection_closed_form_gaussian():
     # truth 0, keep 2^5 coefficients (31 wavelet + scaling): risk * n = 32
     truths = (CoefficientTree.zeros(1, 8),)
     est = EstimatorSpec("projection", fixed_m_n=32.0)
-    (table,) = monte_carlo_risk(truths, est, [2**10, 2**14], 32, 2.0, 123, j_max=8)
+    (table,) = monte_carlo_risk(truths, est, [2**10, 2**14], 32, 2.0, 123)
     for row in table.rows:
         assert abs(row.empirical_risk * row.n - 32.0) <= 3.0 * row.std_error * row.n
 
@@ -241,8 +241,10 @@ def test_monte_carlo_standard_error_scaling():
     assert abs(se[256] / se[64] - 0.5) < 0.2  # 1/sqrt(R) within 20% at these R
 
 
-def reference_risk(truth, est, model, filter_name, j_max, n_grid, R, p, master_seed):
-    """monte_carlo_risk written out for one estimator kind, replicate by replicate."""
+def reference_risk(truth, est, model, filter_name, n_grid, R, p, master_seed):
+    """monte_carlo_risk written out for one estimator kind, replicate by replicate:
+    a sequence replicate observed to the truth's depth, a density one at the read
+    depth."""
     filt = get_filter(filter_name)
     sampler = DensitySampler.from_tree(truth, filt) if model == "density" else None
     rows = []
@@ -258,11 +260,9 @@ def reference_risk(truth, est, model, filter_name, j_max, n_grid, R, p, master_s
         for rep in range(R):
             seed = np.random.SeedSequence((master_seed, n, rep))
             if sampler is None:
-                depth = j_max if j_max is not None else truth.j_max
-                y = simulate_sequence(truth, n, depth, seed).y
+                y = simulate_sequence(truth, n, truth.j_max, seed).y
             else:
-                depth = j_max if j_max is not None else read
-                y = empirical_coefficients(sampler.sample(n, seed), filt, depth)
+                y = empirical_coefficients(sampler.sample(n, seed), filt, read)
             if est.kind == "projection":
                 m_n = est.cutoff(n)
                 estimate = linear_estimate(y, {j: 1.0 for j in range(64) if 2.0**j < m_n})
@@ -285,36 +285,51 @@ def reference_risk(truth, est, model, filter_name, j_max, n_grid, R, p, master_s
     return rows
 
 
+def at_depth(tree, depth):
+    """The tree as a truth of depth `depth` (None: its own): its levels past
+    depth dropped, or its array ending before depth, the levels past it zero."""
+    if depth is None:
+        return tree
+    return CoefficientTree(1, depth, tree.scaling,
+                           {j: a for j, a in tree.levels.items() if j <= depth})
+
+
 def _model_case(kind, model, *rest):
     """A (kind, model, ...) test case; its id names the model when it is density."""
     suffix = ["density"] if model == "density" else []
     return pytest.param(kind, model, *rest, id="-".join(map(str, [kind, *rest, *suffix])))
 
 
-# every estimator kind under either model; the density cases at p = 4 and
-# j_max None synthesize each truth at one resolution per read depth of the n-grid
+# every estimator kind under either model, with the truth at its own depth (6)
+# and at depth 2; the density cases at p = 4 synthesize each truth at one
+# resolution per read depth of the n-grid deeper than the truth
 ENGINE_CASES = [
-    _model_case(kind, model, p, j_max)
+    _model_case(kind, model, p, depth)
     for kind in ESTIMATOR_KINDS
     for model in ("sequence", "density")
     for p in (2.0, 4.0)
-    for j_max in (None, 2)
+    for depth in (None, 2)
 ]
 
 
-@pytest.mark.parametrize("kind,model,p,j_max", ENGINE_CASES)
-def test_monte_carlo_risk_matches_reference_loop(kind, model, p, j_max):
+@pytest.mark.parametrize("kind,model,p,depth", ENGINE_CASES)
+def test_monte_carlo_risk_matches_reference_loop(kind, model, p, depth):
     # at the larger n the linear cutoff level (3) and the kept thresholds reach
-    # past j_max = 2, so the observed depth matters
+    # past depth 2, so a sequence replicate is observed less deep than it is
+    # read.  At depth 2 the amplitude is that of split_truths' depth-2 truth, whose
+    # levels cross the thresholds over the n-grid
     if model == "sequence":
-        truth, n_grid, filter_name = shell_tree(2, 2, 1, 6, 64.0, dither=2.0), [4096, 65536], "db2"
+        amplitude = 64.0 if depth is None else 4.0
+        truth, n_grid, filter_name = (shell_tree(2, 2, 1, 6, amplitude, dither=2.0),
+                                      [4096, 65536], "db2")
     else:
         truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
         n_grid, filter_name = [1024, 65536], "db3"
+    truth = at_depth(truth, depth)
     est = EstimatorSpec(kind, smoothness=DENSE)
     (table,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 31, filter_name=filter_name,
-                                j_max=j_max, threads=2, model=model)
-    want = reference_risk(truth, est, model, filter_name, j_max, n_grid, 3, p, 31)
+                                threads=2, model=model)
+    want = reference_risk(truth, est, model, filter_name, n_grid, 3, p, 31)
     got = [(row.empirical_risk, row.std_error) for row in table.rows]
     if p == 2.0:
         assert got == want
@@ -328,7 +343,7 @@ def test_monte_carlo_risk_matches_reference_loop(kind, model, p, j_max):
         assert abs(risk - want_risk) <= 1e-12 * want_risk
         assert abs(se - want_se) <= 1e-12 * math.hypot(want_se, want_risk / math.sqrt(2))
     (serial,) = monte_carlo_risk((truth,), est, n_grid, 3, p, 31, filter_name=filter_name,
-                                 j_max=j_max, threads=1, model=model)
+                                 threads=1, model=model)
     assert serial.rows == table.rows
 
 
@@ -342,39 +357,44 @@ def grid_loss(estimate, truth, p, filt, depth):
 
 def hook_loss(patch, hook):
     """Route every loss the engine computes through hook(side, estimate, truth,
-    p, filt, model depth), side being the engine's own at that depth pair."""
+    p, filt, depth), side being the engine's own at that observed depth."""
     def hooked(side, truth, filt, depth, p):
         return SimpleNamespace(mean=lambda estimate: hook(side, estimate, truth, p, filt, depth))
 
-    def sides(truth, filt, pairs, p):
-        return {pair: hooked(side, truth, filt, pair[0], p)
-                for pair, side in _loss_sides(truth, filt, pairs, p).items()}
+    def sides(truth, filt, depths, p):
+        return {depth: hooked(side, truth, filt, depth, p)
+                for depth, side in _loss_sides(truth, filt, depths, p).items()}
 
     patch.setattr(rates, "_loss_sides", sides)
 
 
-def split_truths(model):
+def split_truths(model, depth=None):
     """A generic_g truth, a bump at level 6 and a truth of depth 2, below most
     observed depths (an empty tail); under the density model, densities with
-    these wavelet parts at amplitudes that keep them positive for db1 and db2."""
+    these wavelet parts at amplitudes that keep them positive for db1 and db2.
+    Each at_depth(truth, depth)."""
     if model == "sequence":
-        return (shell_sum(1.2, 1, 9, [g_term(1, 0.7), ShellTerm(2.0, dither=2.0)]),
-                bump_tree(1, 9, 6, 21, 0.5), shell_tree(2, 2, 1, 2, 4.0))
-    return tuple(density_truth_tree(t) for t in (
-        shell_sum(1.2, 1, 9, [g_term(1, 0.1), ShellTerm(0.3, 0.0, 2, 2.0)]),
-        bump_tree(1, 9, 6, 21, 0.05), shell_tree(2, 2, 1, 2, 0.2)))
+        truths = (shell_sum(1.2, 1, 9, [g_term(1, 0.7), ShellTerm(2.0, dither=2.0)]),
+                  bump_tree(1, 9, 6, 21, 0.5), shell_tree(2, 2, 1, 2, 4.0))
+    else:
+        truths = tuple(density_truth_tree(t) for t in (
+            shell_sum(1.2, 1, 9, [g_term(1, 0.1), ShellTerm(0.3, 0.0, 2, 2.0)]),
+            bump_tree(1, 9, 6, 21, 0.05), shell_tree(2, 2, 1, 2, 0.2)))
+    return tuple(at_depth(truth, depth) for truth in truths)
 
 
 @pytest.mark.parametrize("kind", ["projection", "pinsker", "threshold_hard", "threshold_soft"])
 @pytest.mark.parametrize("filter_name", ["db1", "db2"])
 @pytest.mark.parametrize("model", ["sequence", "density"])
-@pytest.mark.parametrize("j_max", [None, 9])
-def test_p4_loss_on_the_estimate_grid_matches_the_full_grid(kind, filter_name, model, j_max,
+@pytest.mark.parametrize("depth", [None, 9])
+def test_p4_loss_on_the_estimate_grid_matches_the_full_grid(kind, filter_name, model, depth,
                                                              monkeypatch):
     # at n = 64 every kind reads less deep than the depth-9 truths (a nonempty
-    # tail), and at 4096 the thresholds read all of them (an empty one)
-    args = (split_truths(model), EstimatorSpec(kind, smoothness=DENSE), [64, 4096], 3, 4.0, 23)
-    options = dict(filter_name=filter_name, j_max=j_max, model=model)
+    # tail), and at 4096 the thresholds read all of them (an empty one); at
+    # depth 9 the third truth's array ends at level 2, below its depth
+    args = (split_truths(model, depth), EstimatorSpec(kind, smoothness=DENSE), [64, 4096], 3,
+            4.0, 23)
+    options = dict(filter_name=filter_name, model=model)
     threaded = monte_carlo_risk(*args, threads=2, **options)
     tails, errors = set(), []
 
@@ -508,6 +528,7 @@ def test_pinsker_below_one_level_keeps_no_wavelet_level():
     assert np.array_equal(risks[0], risks[1])
 
 
+# the truths at their own depths, or each at_depth 5 or 4
 MULTI_CASES = [_model_case(*case) for case in [
     ("threshold_hard", "sequence", 2.0, None), ("threshold_soft", "sequence", 2.0, 5),
     ("projection", "sequence", 4.0, None), ("pinsker", "sequence", 2.0, None),
@@ -516,9 +537,9 @@ MULTI_CASES = [_model_case(*case) for case in [
 ]]
 
 
-@pytest.mark.parametrize("kind,model,p,j_max", MULTI_CASES)
+@pytest.mark.parametrize("kind,model,p,depth", MULTI_CASES)
 @pytest.mark.parametrize("threads", [1, 2])
-def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, model, p, j_max, threads):
+def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, model, p, depth, threads):
     # the truths differ in depth and in missing levels but share one draw per (n, rep)
     if model == "sequence":
         truths = (shell_tree(2, 2, 1, 6, 64.0, dither=2.0), shell_tree(2, 2, 1, 8, 8.0, j_min=3),
@@ -528,8 +549,9 @@ def test_monte_carlo_risk_over_truths_matches_one_truth_calls(kind, model, p, j_
         truths = tuple(density_truth_tree(shell_tree(2, 2, 1, 6, a, dither=2.0, j_min=2))
                        for a in (1.0, 0.5))
         n_grid, filter_name = [1024, 16384], "db3"
+    truths = tuple(at_depth(truth, depth) for truth in truths)
     est = EstimatorSpec(kind, smoothness=DENSE)
-    options = dict(filter_name=filter_name, j_max=j_max, model=model)
+    options = dict(filter_name=filter_name, model=model)
     tables = monte_carlo_risk(truths, est, n_grid, 3, p, 17, threads=threads, **options)
     assert isinstance(tables, tuple) and len(tables) == len(truths)
     for truth, table in zip(truths, tables):
@@ -567,35 +589,6 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
         assert short.levels.keys() == full.levels.keys()
         for j, level in full.levels.items():
             assert np.array_equal(short.levels[j], level)
-
-
-@pytest.mark.parametrize("kind", ["projection", "threshold_hard"])
-def test_density_observation_is_the_model_depth_tree_cut_to_the_read_depth(kind, monkeypatch):
-    # a density tree's coarse levels depend on its depth, so each replicate
-    # takes its empirical coefficients at the model depth (9) and cuts them to
-    # the read depth: the estimate reads the first levels of the deeper tree
-    truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
-    filt, j_max, n_grid, R = get_filter("db2"), 9, [64, 4096], 2
-    seen = []
-    monkeypatch.setattr(rates, "linear_estimate",
-                        lambda y, w: seen.append(y) or linear_estimate(y, w))
-    monkeypatch.setattr(rates, "threshold_estimate",
-                        lambda y, *args: seen.append(y) or threshold_estimate(y, *args))
-    monte_carlo_risk((truth,), EstimatorSpec(kind, smoothness=DENSE), n_grid, R, 2.0, 17,
-                     filter_name="db2", j_max=j_max, model="density")
-    sampler = DensitySampler.from_tree(truth, filt)
-    jobs = [(n, rep) for n in n_grid for rep in range(R)]
-    assert len(seen) == len(jobs)
-    for y, (n, rep) in zip(seen, jobs):
-        read, _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, smoothness=DENSE), n)
-        read = min(read, j_max)
-        assert y.j_max == read
-        sample = sampler.sample(n, np.random.SeedSequence((17, n, rep)))
-        deep = empirical_coefficients(sample, filt, j_max)
-        assert y.coeffs.tobytes() == deep.coeffs[: 2 << read].tobytes()
-        if read < j_max:  # the tree taken at the read depth reads coarser grids
-            assert not np.array_equal(empirical_coefficients(sample, filt, read).coeffs, y.coeffs)
-    assert seen[0].j_max < j_max  # n = 64 reads less deep than the model
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
@@ -637,9 +630,9 @@ def test_energy_loss_is_the_difference_energy_bit_for_bit():
     ]
     filt = get_filter("db2")
     for truth in truths:
-        # every pair gets the truth's one side; at p = 2 the depths do not enter
-        sides = _loss_sides(truth, filt, [(3, 2), (5, 5), (12, 12)], 2.0)
+        # every depth gets the truth's one side; at p = 2 the depths do not enter
+        sides = _loss_sides(truth, filt, [2, 5, 12], 2.0)
         assert len({id(side) for side in sides.values()}) == 1
         for estimate in estimates:
             want = (estimate - truth).total_energy()
-            assert sides[5, 5].mean(estimate) == want
+            assert sides[5].mean(estimate) == want
