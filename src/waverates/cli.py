@@ -18,8 +18,9 @@ Subcommands:
 
 ``run`` flags: --config; --seed, which overrides master_seed (only the kinds
 that read it take the flag); --out, the output directory (default
-out/<config file stem>); --threads, the number of worker processes of the
-Monte Carlo replicates (default 1: none, they run in the runner's process).
+out/<config file stem>); --threads, the number of processes that run the
+Monte Carlo replicates: the runner's own and threads - 1 forked children
+(default 1: the runner's alone).
 
 CSV schemas: risk (n, risk, std_error, replicates), slope (normalization,
 slope, implied_alpha, r_squared), scaling (p, estimate, theory, residual),
@@ -384,9 +385,12 @@ def _risk_tables(config: ExperimentConfig, labels, truths):
 
 
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
-    table = read(_risk_name(config, label), lambda rows: RiskTable(tuple(
-        RiskRow(int(n), risk, se, int(reps)) for n, risk, se, reps in rows), config.smoothness.p))
-    return fit_slope(table, _regime(config).normalization)
+    def fit(rows):  # fit_slope refuses a table too short to fit
+        table = RiskTable(tuple(RiskRow(int(n), risk, se, int(reps)) for n, risk, se, reps in rows),
+                          config.smoothness.p)
+        return fit_slope(table, _regime(config).normalization)
+
+    return read(_risk_name(config, label), fit)
 
 
 def _rate_fit_tables(config: ExperimentConfig):
@@ -495,12 +499,11 @@ def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
         kept = [(t, b) for t, b, _log2_b in rows if t_lo <= t <= t_hi]
         if not all(0.0 < b < math.inf for _, b in kept):  # as _witness_check refuses them
             raise ValueError("a bound in witness_t_range is not positive and finite")
+        if len(kept) < 2:
+            raise ValueError(f"{len(kept)} rows lie in witness_t_range; the slope needs 2")
         return kept
 
     kept = read("witness.csv", in_range)
-    if len(kept) < 2:
-        raise ValueError(f"witness.csv holds {len(kept)} rows in witness_t_range; "
-                         "the slope needs 2")
     ts = np.array([t for t, _ in kept], dtype=np.float64)
     slope = float(np.polyfit(ts, np.log2([b for _, b in kept]), 1)[0])
     target = config.witness_eps * config.smoothness.p
@@ -569,8 +572,9 @@ def _verdicts(config: ExperimentConfig, out_dir: Path, mh: str) -> list[dict]:
 
 def run(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment, its Monte Carlo replicates on
-    config.threads worker processes (at most one per cpu; 1 runs them in this
-    process); write tables, manifest and verdicts into config.output_dir."""
+    config.threads worker processes (at most one per cpu): this one and
+    config.threads - 1 forked children; write tables, manifest and verdicts
+    into config.output_dir."""
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
     manifest = config.resolved()  # the science; how the run was executed is not hashed
@@ -630,9 +634,10 @@ def main(argv=None) -> int:
                             f"{_SEEDED_KINDS} read it")
     run_p.add_argument("--out", default=None)  # out/<config file stem>
     run_p.add_argument("--threads", type=int, default=1,
-                       help="number of worker processes for the Monte Carlo replicates, "
-                            "capped at the cpu count (default 1: none, the replicates run "
-                            "in this process); the tables do not depend on it")
+                       help="number of processes that run the Monte Carlo replicates, "
+                            "this one and THREADS - 1 forked children, capped at the cpu "
+                            "count (default 1: this one alone); the tables do not depend "
+                            "on it")
 
     val_p = sub.add_parser("validate", help="validate a config and print the resolved form")
     val_p.add_argument("--config", required=True)

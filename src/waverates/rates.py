@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import traceback
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Real
@@ -300,33 +303,93 @@ class _Replicates(NamedTuple):
         return i, rep, [side.mean(estimate(y)) for y, side in zip(observed, sides)]
 
 
-_WORKER_REPLICATES: _Replicates | None = None  # a worker process's, set by _start_worker
+class _Child:
+    """A forked child that runs replicates on its share of the jobs and sends
+    the runner, through its own pipe, one pickled pair: (None, results), or
+    (the exception, its traceback text) when a job raised.  The child shares
+    replicates by fork (its rules hold lambdas, which pickle cannot send)."""
+
+    def __init__(self, replicates: _Replicates, share):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:  # the child: it leaves only through os._exit
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pipe.write(_outcome(replicates, share))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)  # before the next fork, so that no later child holds it open
+        self.pipe = open(read, "rb")
+        self.status = None  # the exit code, once reaped
+
+    def results(self):
+        """The share's results; reaps the child, and raises its exception, or
+        ChildProcessError when it exited without sending one."""
+        with self.pipe:
+            sent = self.pipe.read()
+        self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if self.status != 0:
+            how = (f"was killed by signal {-self.status}" if self.status < 0
+                   else f"exited with status {self.status}")
+            raise ChildProcessError(f"replicate worker {self.pid} {how} before sending "
+                                    "its results")
+        failure, results = pickle.loads(sent)
+        if failure is not None:
+            error, text = failure
+            raise error from ChildProcessError(f"in replicate worker {self.pid}:\n{text}")
+        return results
+
+    def stop(self) -> None:
+        """Close the pipe, and kill and reap the child unless results did."""
+        self.pipe.close()  # a child blocked writing to it gets EPIPE
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _start_worker(replicates: _Replicates) -> None:
-    global _WORKER_REPLICATES
-    _WORKER_REPLICATES = replicates
-
-
-def _worker_job(job):
-    return _WORKER_REPLICATES(job)
+def _outcome(replicates: _Replicates, share) -> bytes:
+    """What a child sends: (None, replicates(job) for each job of its share),
+    pickled, or (the exception, its traceback text) when one raised; an
+    exception that does not survive pickling is sent as a RuntimeError naming it."""
+    try:
+        return pickle.dumps((None, [replicates(job) for job in share]))
+    except Exception as error:
+        text = traceback.format_exc()
+        try:
+            sent = pickle.dumps(((error, text), None))
+            pickle.loads(sent)  # an exception whose __init__ takes other arguments fails here
+            return sent
+        except Exception:
+            return pickle.dumps(((RuntimeError(f"{type(error).__name__}: {error}"), text), None))
 
 
 def _replicate_results(replicates: _Replicates, jobs, threads: int):
-    """replicates(job) for every job: in this process when one worker would
-    run them, else on min(threads, len(jobs), cpu count) forked worker
-    processes, which inherit replicates (its rules hold lambdas, which fork
-    need not pickle); only the jobs and their losses are pickled."""
+    """replicates(job) for every job, on workers = min(threads, len(jobs),
+    cpu count) processes: this one runs jobs[0::workers] while workers - 1
+    forked children run the other strides (_Child), whose results follow its
+    own.  Jobs ordered by n, then replicate, give each worker within one job
+    of an equal share of every n.  However the generator ends early (this
+    process's share raising, a child's error, or close), every child still
+    running is killed, and every child is reaped."""
     workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers == 1:
-        yield from map(replicates, jobs)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(replicates,)) as pool:
-        yield from pool.map(_worker_job, jobs, chunksize=4)
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_Child(replicates, jobs[w::workers]))
+        yield from map(replicates, jobs[::workers])
+        for child in children:
+            yield from child.results()
+    finally:
+        for child in children:
+            child.stop()
 
 
 def monte_carlo_risk(
@@ -357,13 +420,14 @@ def monte_carlo_risk(
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
     are bit-identical across reruns and independent of scheduling.  threads
-    is the number of worker processes, capped at the job count and the cpu
-    count: at 1 (or a cap of 1) the replicates run in this process, else on
-    worker processes forked from it, each with its own caches; the losses are
-    stored by (n, replicate), so the reduction order is fixed.  The density
-    model builds one DensitySampler per truth, shared by all replicates.  A
-    plan per n, built before any replicate, holds the estimate and each
-    truth's observed depth and side of the loss (wavelet._loss_sides).
+    is the number of workers, capped at the job count and the cpu count: this
+    process runs one share of the replicates, all of them at 1, and forks a
+    child for each other share (_replicate_results), each child with its own
+    caches; the losses are stored by (n, replicate), so the reduction order
+    is fixed.  The density model builds one DensitySampler per truth, shared
+    by all replicates.  A plan per n, built before any replicate, holds the
+    estimate and each truth's observed depth and side of the loss
+    (wavelet._loss_sides).
 
     The truths do not enter the seed, so every truth is observed under the
     same noise (common random numbers), which each replicate draws once, and

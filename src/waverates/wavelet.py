@@ -428,8 +428,9 @@ def _quartic_sum(coarse: np.ndarray, form) -> float:
 
     _FORM_WINDOWS windows at a time keep the gram product of a short table
     (P <= 6) on OpenBLAS's single-threaded path: a threaded BLAS call inside
-    each worker process of the risk engine would start a BLAS thread per core
-    in every worker, more threads than cores.
+    each worker process of the risk engine (the runner and its forked
+    children) would start a BLAS thread per core in every worker, more threads
+    than cores.
     """
     combos, gram = form
     shifts, n = combos[-1, -1] + 1, len(coarse)  # the last pair is (S - 1, S - 1)
@@ -469,7 +470,7 @@ def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: fl
     return total / (1 << resolution_log2)
 
 
-@functools.cache  # keyed like _quartic_form; the risk engine fills it before it forks
+@functools.cache  # keyed like _quartic_form; the forked replicate workers inherit it filled
 def _cross_tensors(taps: bytes, K: int, K_tail: int) -> list:
     """For k = 1, 2, 3: (combos, tail_combos, tensor) with tensor[b, o, a] =
     c_k sum_r weights[a, 2^K_tail o + r] tail_weights[b, r], where weights are

@@ -27,6 +27,7 @@ from waverates.cli import (
     validate_config,
 )
 from waverates.dyadic import CoefficientTree
+from waverates.estimators import threshold_estimate
 from waverates.generic import GenericFunctionSpec, build_g
 from waverates.models import DensitySampler
 from waverates.truths import _unit_term, bump_tree
@@ -200,14 +201,16 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
     assert main(["run", "--config", str(cfg_path), "--out", out]) == 1
     assert main(["report", "--dir", out]) == 1
 
-    # a damaged run directory is a config error naming it, on one line
-    def damaged(name, config_text, damage):
+    # a damaged run directory is a config error naming it, or the damaged table, on one line
+    def damaged(name, config_text, damage, table=None):
         run_dir = tmp_path / name
         run_in(run_dir, config_text)
         damage(run_dir)
         assert main(["report", "--dir", str(run_dir)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read run directory {run_dir}: ")
+        named = (f"damaged table {run_dir / table}" if table
+                 else f"cannot read run directory {run_dir}")
+        assert err.startswith(f"error: {named}: ")
         assert err.count("\n") == 1
         return err
 
@@ -221,10 +224,11 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
         err = damaged(f"manifest{len(payload)}", json.dumps(WITNESS),
                       lambda run_dir: (run_dir / "manifest.json").write_text(payload))
         assert "manifest.json holds no manifest object" in err
-    err = damaged("rate", rate_config(replicates=2), keep_rows("risk_threshold_hard.csv", 2))
+    err = damaged("rate", rate_config(replicates=2), keep_rows("risk_threshold_hard.csv", 2),
+                  "risk_threshold_hard.csv")
     assert "need at least 4 rows" in err
-    err = damaged("witness", json.dumps(WITNESS), keep_rows("witness.csv", 0))
-    assert "witness.csv holds 0 rows" in err
+    err = damaged("witness", json.dumps(WITNESS), keep_rows("witness.csv", 0), "witness.csv")
+    assert "0 rows lie in witness_t_range" in err
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
@@ -245,9 +249,14 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
 
 def test_worker_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # an exception raised in a forked worker reaches the runner: exit 102, traceback
-    def broken(*args, **kwargs):
-        raise ValueError("estimator broke in a worker")
+    runner = os.getpid()
 
+    def broken(*args, **kwargs):
+        if os.getpid() != runner:  # the runner's own share runs
+            raise ValueError("estimator broke in a worker")
+        return threshold_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr("waverates.rates.threshold_estimate", broken)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(rate_config(replicates=4))

@@ -1,8 +1,10 @@
-import concurrent.futures
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -140,45 +142,48 @@ def _small_risk(n_grid=(64, 256), R=4, threads=1):
                             n_grid, R, 2.0, 4242, threads=threads)
 
 
-def test_monte_carlo_one_thread_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a 1-thread run started a process pool")
+def _no_fork():
+    raise AssertionError("a process was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+def test_monte_carlo_one_thread_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
     (table,) = _small_risk(threads=1)
     assert [row.n for row in table.rows] == [64, 256]
 
 
 def test_import_cli_loads_no_pool_modules():
-    # the runner's start-up imports neither; only a run with workers does
-    code = ("import sys, waverates.cli; "
+    # neither the runner's start-up nor a run with two workers imports them
+    code = ("import os, sys, waverates.cli\n"
+            "from waverates.rates import EstimatorSpec, monte_carlo_risk\n"
+            "from waverates.truths import shell_tree\n"
+            "os.cpu_count = lambda: 2  # two workers on any machine\n"
+            "monte_carlo_risk((shell_tree(2, 2, 1, 6, 2.0),), EstimatorSpec('threshold_hard'), "
+            "[64, 256], 4, 2.0, 4242, threads=2)\n"
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, timeout=120)
     assert done.stdout == "[]\n"
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its worker counts and runs
-    map in this process, after the initializer a worker would run."""
+class _InProcessChild:
+    """Stands in for rates._Child: records its share and runs it in this
+    process."""
 
-    workers: list = []
+    shares: list = []
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.workers.append(max_workers)
-        initializer(*initargs)
+    def __init__(self, replicates, share):
+        self.shares.append(share)
+        self._results = [replicates(job) for job in share]
 
-    def __enter__(self):
-        return self
+    def results(self):
+        return self._results
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize):
-        return map(fn, jobs)
+    def stop(self):
+        pass
 
 
 @pytest.mark.parametrize("cpus, n_grid, R, expected", [
@@ -190,26 +195,119 @@ class _InProcessPool:
 ])
 def test_monte_carlo_caps_the_workers(cpus, n_grid, R, expected, monkeypatch):
     # no process starts: a huge threads value must not ask for that many
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "workers", [])
-    monkeypatch.setattr(rates, "_WORKER_REPLICATES", None)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(rates, "_Child", _InProcessChild)
+    monkeypatch.setattr(_InProcessChild, "shares", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     tables = _small_risk(n_grid, R, threads=10**6)
-    # one worker runs the jobs in this process, without a pool
-    assert _InProcessPool.workers == ([expected] if expected > 1 else [])
+    # the runner runs the first stride of the jobs, a child each other one
+    jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
+    assert _InProcessChild.shares == [jobs[w::expected] for w in range(1, expected)]
     monkeypatch.undo()
     assert tables == _small_risk(n_grid, R, threads=1)
 
 
+@contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block, rather than hang, once it has run seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_children(action):
+    """threshold_estimate, but action() first in every process but this one."""
+    runner = os.getpid()
+
+    def estimate(*args, **kwargs):
+        if os.getpid() != runner:
+            action()
+        return threshold_estimate(*args, **kwargs)
+    return estimate
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):  # pickles, but does not load: args holds one message
+        super().__init__(f"{a} and {b}")
+
+
 def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
-    def broken(*args, **kwargs):
+    def broken():
         raise ValueError("estimator broke in a worker")
 
-    monkeypatch.setattr(rates, "threshold_estimate", broken)  # the forked workers inherit it
-    with pytest.raises(ValueError, match="estimator broke in a worker"):
+    def unloadable():
+        raise _TwoArgError("left", "right")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rates, "threshold_estimate", _in_children(broken))
+    with pytest.raises(ValueError, match="estimator broke in a worker") as caught, _within(60):
+        _small_risk(threads=2)
+    cause = caught.value.__cause__  # the child's traceback
+    assert isinstance(cause, ChildProcessError) and "Traceback" in str(cause)
+    assert "estimator broke in a worker" in str(cause)
+    monkeypatch.setattr(rates, "threshold_estimate", _in_children(unloadable))
+    with pytest.raises(RuntimeError, match="_TwoArgError: left and right"), _within(60):
         _small_risk(threads=2)
     with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
         _small_risk(threads=0)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("action, how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL}"),
+])
+def test_monte_carlo_worker_exit_without_results_is_named(action, how, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rates, "threshold_estimate", _in_children(action))
+    with pytest.raises(ChildProcessError, match=f"{how} before sending its results"), \
+            _within(60):
+        _small_risk(threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_monte_carlo_runner_error_stops_the_workers(monkeypatch):
+    # the runner's share raises at its last job, when the child is likely
+    # blocked writing results longer than a pipe holds: it is killed and reaped
+    n_grid, R = (64, 256), 4000
+    jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
+    child_results = [(i, rep, [float(rep)]) for i, rep in jobs[1::2]]
+    assert len(pickle.dumps((None, child_results))) > 1 << 16
+    runner, calls = os.getpid(), []
+
+    def broken(*args, **kwargs):
+        if os.getpid() == runner:
+            calls.append(None)
+            if len(calls) == len(jobs[::2]):
+                raise ValueError("estimator broke in the runner")
+        return threshold_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rates, "threshold_estimate", broken)
+    with pytest.raises(ValueError, match="estimator broke in the runner"), _within(60):
+        _small_risk(n_grid, R, threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_replicate_results_closed_early_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    results = rates._replicate_results(lambda job: (*job, [0.0]), [(0, rep) for rep in range(9)],
+                                       threads=3)
+    with _within(60):
+        assert next(results) == (0, 0, [0.0])
+        results.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_monte_carlo_zero_weight_estimator_constant_risk():
