@@ -7,6 +7,10 @@ families: linear rules multiply each level by its linear_weights weight
 coefficients against a threshold up to a depth, which the risk engine plans
 once per n: kappa sqrt(log n / n) and the noise-matched depth j(n).
 
+Each rule is a stack kernel on the last axis of heap arrays
+(``_linear_stack``, ``_threshold_stack``), which the risk engine runs on a
+stack of replicates and the tree functions on one tree's array.
+
 Throughout, "log" is the natural logarithm and the scaling coefficient is
 passed through untouched: every procedure acts on wavelet coefficients only.
 """
@@ -65,11 +69,18 @@ def linear_estimate(y: CoefficientTree, weights: Mapping[int, float]) -> Coeffic
     """Each level of the observed tree times its weight, as one multiply by a
     weight per coefficient; the estimate's array ends at the deepest level of
     y with a nonzero weight.  Scaling passed through with weight 1."""
-    held = len(y.coeffs).bit_length() - 1
+    return CoefficientTree._of(y.j_max, _linear_stack(y.coeffs, weights))
+
+
+def _linear_stack(y: np.ndarray, weights: Mapping[int, float]) -> np.ndarray:
+    """linear_estimate on the last axis of y: the estimate's array of a heap
+    array, or of each row of a stack of them, as one multiply by a weight per
+    coefficient."""
+    held = y.shape[-1].bit_length() - 1
     top = max((j + 1 for j, w in weights.items() if w != 0.0 and j < held), default=0)
     per_level = [1.0] + [weights.get(j, 0.0) for j in range(top)]
     per_coeff = np.repeat(per_level, [1] + [1 << j for j in range(top)])
-    return CoefficientTree._of(y.j_max, per_coeff * y.coeffs[: len(per_coeff)])
+    return per_coeff * y[..., : len(per_coeff)]
 
 
 def threshold_estimate(y: CoefficientTree, lam: float, depth: int,
@@ -81,16 +92,25 @@ def threshold_estimate(y: CoefficientTree, lam: float, depth: int,
     coefficient passed through untouched; the array ends at the deepest
     level that keeps a coefficient.  lam must be finite and > 0.
     """
+    return CoefficientTree._of(y.j_max, _threshold_stack(y.coeffs, lam, depth, mode))
+
+
+def _threshold_stack(y: np.ndarray, lam: float, depth: int, mode: str = "hard") -> np.ndarray:
+    """threshold_estimate on the last axis of y: the estimate's array of a
+    heap array, or of each row of a stack of them, as one where (hard) or
+    one shrink (soft); a stack ends at the deepest level that any row keeps
+    a coefficient of, the rows that keep none there holding zeros."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-    a = y.coeffs[: 2 << depth]
+    a = y[..., : 2 << depth]
     if mode == "hard":
         est = np.where(np.abs(a) >= lam, a, 0.0)
     else:
         est = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    est[0] = a[0]
-    starts = 1 << np.arange(len(a).bit_length() - 1)  # level j starts at 2^j
-    kept = np.flatnonzero(np.logical_or.reduceat(est != 0.0, starts))
-    return CoefficientTree._of(y.j_max, est[: 2 << kept[-1] if kept.size else 1])
+    est[..., 0] = a[..., 0]
+    starts = 1 << np.arange(a.shape[-1].bit_length() - 1)  # level j starts at 2^j
+    levels = np.logical_or.reduceat(est != 0.0, starts, axis=-1).reshape(-1, len(starts))
+    kept = np.flatnonzero(levels.any(axis=0))
+    return est[..., : 2 << kept[-1] if kept.size else 1]

@@ -3,18 +3,21 @@
 Sequence observations add independent Gaussian noise of standard deviation
 n^{-1/2} to every coefficient up to the requested depth, zero coefficients
 included.  The noise is one draw in the trees' heap order (see dyadic), so
-observing a truth is one array add.  The risk engine requests the depth its
-estimator reads, and ``observe`` adds one noise draw to several truths,
-giving each its observed coefficient tree.  Density samples are drawn from
-the normalized, nonnegative part of a wavelet-specified density by inverse
-CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a guide
-table for one truth, so replicates share it; it refuses densities whose
-clipped negative mass, or whose mass's distance from 1, exceeds
+observing a truth is one array add, and ``observe`` adds one noise draw to
+several truths, giving each its observed coefficient tree.  The risk engine
+runs the same steps on a stack of replicates, one row per seed (``_noise``,
+``_observed``), to the depth its estimator reads.  Density samples are
+drawn from the normalized, nonnegative part of a wavelet-specified density
+by inverse CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a
+guide table for one truth, so replicates share it; it refuses densities
+whose clipped negative mass, or whose mass's distance from 1, exceeds
 MAX_CLIPPED_MASS.  Empirical coefficients of depth J average the periodized
 scaling functions of level J + 1 at the sample points, read from one cascade
 table on the 2^(J+8) grid, one bincount of the points per table row; the
 analysis pyramid takes them to every level, so each level reads its wavelet
-on that grid.  The observed trees of both models feed the same estimators.
+on that grid.  For a stack of replicates ``_empirical_stack`` bins each
+sample alone and runs one pyramid for the stack.  The observed trees of
+both models feed the same estimators.
 
 All generation is deterministic given the seed.  The risk engine seeds
 each replicate with SeedSequence((master_seed, n, replicate)), whose entropy
@@ -96,11 +99,30 @@ def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> Seque
         raise ValueError("n must be >= 1")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    rng = np.random.default_rng(seed)  # an int seed is read as SeedSequence(seed)
-    y = n**-0.5 * rng.standard_normal(2 << j_max)
-    base = theta.coeffs[: 2 << j_max]
-    y[: len(base)] += base
+    y = _observed(theta.coeffs, _noise(n, j_max, [seed])[0], j_max)
     return SequenceObservation(n=n, y=CoefficientTree._of(j_max, y))
+
+
+def _noise(n: int, j_max: int, seeds) -> np.ndarray:
+    """The noise of standard deviation n^{-1/2} to depth j_max as a stack,
+    row b drawn from seeds[b] alone: 2^(j_max + 1) standard normals in heap
+    order, scaled by n^{-1/2} in one multiply."""
+    noise = np.empty((len(seeds), 2 << j_max))
+    for row, seed in zip(noise, seeds):  # an int seed is read as SeedSequence(seed)
+        np.random.default_rng(seed).standard_normal(out=row)
+    noise *= n**-0.5
+    return noise
+
+
+def _observed(theta: np.ndarray, drawn: np.ndarray, j_max: int) -> np.ndarray:
+    """The heap array theta observed to depth j_max under each row of a noise
+    stack drawn to depth >= j_max, in one broadcast add: the rows of drawn's
+    levels 0..j_max, theta's coefficients added where it has them."""
+    base = theta[: 2 << j_max]
+    y = np.empty(drawn.shape[:-1] + (2 << j_max,))
+    np.add(drawn[..., : len(base)], base, out=y[..., : len(base)])
+    y[..., len(base):] = drawn[..., len(base) : y.shape[-1]]
+    return y
 
 
 def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> CoefficientTree:
@@ -112,14 +134,9 @@ def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> C
     draws of levels 0..j_max do not depend on J, the zero tree's observation
     is the draw itself, and each sum here is the one simulate_sequence forms.
     """
-    drawn = noise.y.coeffs
     if not 0 <= j_max <= noise.y.j_max:
         raise ValueError(f"noise of depth {noise.y.j_max} cannot observe to depth {j_max}")
-    base = theta.coeffs[: 2 << j_max]
-    y = np.empty(2 << j_max)
-    np.add(base, drawn[: len(base)], out=y[: len(base)])
-    y[len(base):] = drawn[len(base) : len(y)]
-    return CoefficientTree._of(j_max, y)
+    return CoefficientTree._of(j_max, _observed(theta.coeffs, noise.y.coeffs, j_max))
 
 
 @dataclass(frozen=True)
@@ -235,6 +252,21 @@ def empirical_coefficients(
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
+    return CoefficientTree._of(j_max, _empirical_stack([sample], filt, j_max)[0])
+
+
+def _empirical_stack(samples, filt: WaveletFilter, j_max: int) -> np.ndarray:
+    """The heap arrays of empirical_coefficients(sample, filt, j_max) of each
+    sample of an iterable as the rows of one stack: each sample is binned
+    alone into its row of scaling coefficients (a generator's samples are
+    freed one by one), and one analysis pyramid takes the stack."""
+    alpha = np.array([_scaling_coefficients(sample, filt, j_max) for sample in samples])
+    return _pyramid(alpha, filt, j_max)
+
+
+def _scaling_coefficients(sample: DensitySample, filt: WaveletFilter, j_max: int) -> np.ndarray:
+    """The empirical scaling coefficients of level j_max + 1 of a sample (see
+    empirical_coefficients)."""
     n_pos, pad = 2 << j_max, DENSITY_GRID_PAD - 1
     table = _scaling_table(filt.taps.tobytes())
     if len(table) > n_pos:
@@ -243,8 +275,7 @@ def empirical_coefficients(
     cells = _cells(sample.points, j_max + DENSITY_GRID_PAD)
     q, r = cells >> pad, cells & ((1 << pad) - 1)
     per_row = (np.bincount(q, weights=row[r], minlength=n_pos) for row in table)
-    a = _fold(per_row, n_pos) * (1.0 / sample.n)
-    return _pyramid(a, filt, j_max)
+    return _fold(per_row, n_pos) * (1.0 / sample.n)
 
 
 @functools.cache  # keyed by the taps' bytes: one table per filter, in each process

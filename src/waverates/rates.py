@@ -12,9 +12,11 @@ ordinary least-squares slope in log-log coordinates is its finite-sample
 proxy.
 
 The loss itself is wavelet's: wavelet._loss_sides gives, once per truth and
-depth before any replicate, an object whose .mean(estimate) is the loss.
-The engine plans each n once (the estimate, each truth's observed depth and
-its side of the loss), and a replicate observes, estimates and calls .mean.
+depth before any replicate, an object whose .mean(estimates) is the loss of
+each row of a stack of estimates.  The engine plans each n once (the
+estimate, each truth's observed depth and its side of the loss), and a block
+of replicates of one n, one stack row per replicate, is observed, estimated
+and scored by .mean in one call per step.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dyadic import MAX_DEPTH, CoefficientTree
-from .estimators import (linear_estimate, linear_weights, noise_depth, threshold_estimate,
+from .estimators import (_linear_stack, _threshold_stack, linear_weights, noise_depth,
                          universal_threshold)
-from .models import DensitySampler, empirical_coefficients, observe, simulate_sequence
+from .models import DensitySampler, _empirical_stack, _noise, _observed
 from .spaces import SmoothnessParams, theoretical_scaling
-from .wavelet import WaveletFilter, _loss_sides, get_filter
+from .wavelet import _BLOCK_SAMPLES, WaveletFilter, _loss_sides, get_filter
 
 __all__ = [
     "RateRegime",
@@ -232,20 +234,21 @@ class EstimatorSpec:
 
 def _linear(order, spec, n):
     weights = linear_weights(spec.cutoff(n), order)
-    return max(weights, default=0), lambda y: linear_estimate(y, weights)
+    return max(weights, default=0), lambda y: _linear_stack(y, weights)
 
 
 def _threshold(mode, kappa, n):
     depth, lam = noise_depth(n), kappa * universal_threshold(n)
-    return depth, lambda y: threshold_estimate(y, lam, depth, mode)
+    return depth, lambda y: _threshold_stack(y, lam, depth, mode)
 
 
 class EstimatorKind(NamedTuple):
     """An estimator kind: its rate family, rule(spec, n) -> (read_depth,
-    estimate), where estimate maps an observed coefficient tree to the
-    estimate tree and read_depth >= 0 is the deepest level it reads (the
-    estimate holds no deeper level), and params, the EstimatorSpec parameters
-    besides kind and smoothness that it reads.  Each family has one rule:
+    estimate), where estimate maps the heap arrays of observed coefficient
+    trees, one per row of a stack (or a single one), to the estimates'
+    arrays (an estimators stack kernel) and read_depth >= 0 is the deepest
+    level it reads (no estimate holds a deeper level), and params, the
+    EstimatorSpec parameters besides kind and smoothness that it reads.  Each family has one rule:
     _linear(order, ...) (order math.inf is projection) and _threshold(mode,
     kappa, ...); an entry passes the values its kind fixes and those it reads
     from the spec.  The rules look the estimators up when called, so a
@@ -272,15 +275,20 @@ ESTIMATOR_KINDS = {
 
 class _Replicates(NamedTuple):
     """What every replicate of one monte_carlo_risk call reads; called on a
-    job (i, rep), it returns (i, rep, the loss of every truth's estimate) on
-    the replicate drawn from the seed (master_seed, n, rep), plans[i] being
+    job (i, reps), a block of replicates of n = plans[i][0], it returns (i,
+    reps, losses), losses[k, b] being the loss of truth k's estimate on the
+    replicate drawn from the seed (master_seed, n, reps[b]), plans[i] being
     (n, the estimate, each truth's observed depth, each truth's loss side).
 
-    Sequence truths share one noise draw, to the deepest depth any of them
-    reads, and each adds its own levels to it; each density truth samples its
-    own law from the same seed and takes its empirical coefficients at its
-    observed depth.  The truths are observed one at a time, as their losses
-    are taken, so one observed tree is alive at a time.
+    The block runs as one stack of len(reps) rows, row b that of replicate
+    reps[b]: each step is one call for every row, and each row's losses are
+    those of the replicate run alone, bit for bit.  Sequence truths share
+    one noise stack, each row drawn from its own seed to the deepest depth
+    any truth reads, and each truth adds its own levels to it; each density
+    truth samples its own law from the same seeds, bins each sample alone
+    and runs one analysis pyramid for the stack at its observed depth.  The
+    truths are observed one at a time, as their losses are taken, so one
+    observed stack is alive at a time.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -290,17 +298,16 @@ class _Replicates(NamedTuple):
     samplers: list[DensitySampler] | None
 
     def __call__(self, job):
-        i, rep = job
+        i, reps = job
         n, estimate, depths, sides = self.plans[i]
-        seed = np.random.SeedSequence((self.master_seed, n, rep))
+        seeds = [np.random.SeedSequence((self.master_seed, n, rep)) for rep in reps]
         if self.samplers is not None:
-            observed = (empirical_coefficients(sampler.sample(n, seed), self.filt, j)
+            observed = (_empirical_stack((sampler.sample(n, seed) for seed in seeds), self.filt, j)
                         for sampler, j in zip(self.samplers, depths))
         else:
-            top = max(depths)
-            noise = simulate_sequence(CoefficientTree.zeros(1, top), n, top, seed)
-            observed = (observe(truth, noise, j) for truth, j in zip(self.truths, depths))
-        return i, rep, [side.mean(estimate(y)) for y, side in zip(observed, sides)]
+            noise = _noise(n, max(depths), seeds)
+            observed = (_observed(truth.coeffs, noise, j) for truth, j in zip(self.truths, depths))
+        return i, reps, np.array([side.mean(estimate(y)) for y, side in zip(observed, sides)])
 
 
 class _Child:
@@ -371,20 +378,32 @@ def _outcome(replicates: _Replicates, share) -> bytes:
             return pickle.dumps(((RuntimeError(f"{type(error).__name__}: {error}"), text), None))
 
 
-def _replicate_results(replicates: _Replicates, jobs, threads: int):
-    """replicates(job) for every job, on workers = min(threads, len(jobs),
-    cpu count) processes: this one runs jobs[0::workers] while workers - 1
-    forked children run the other strides (_Child), whose results follow its
-    own.  Jobs ordered by n, then replicate, give each worker within one job
-    of an equal share of every n.  However the generator ends early (this
-    process's share raising, a child's error, or close), every child still
-    running is killed, and every child is reaped."""
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+def _shares(sizes, R: int, workers: int) -> list[list]:
+    """Each worker's jobs: worker w takes the stride jobs[w::workers] of the
+    (i, rep) jobs ordered by n, then replicate, which gives it within one
+    replicate of an equal share of every n, in blocks (i, reps) of at most
+    sizes[i] consecutive replicates of its share of n_grid[i]."""
+    shares = []
+    for w in range(workers):
+        share = []
+        for i, size in enumerate(sizes):
+            reps = range((w - i * R) % workers, R, workers)  # job i R + rep is w mod workers
+            share += [(i, reps[k : k + size]) for k in range(0, len(reps), size)]
+        shares.append(share)
+    return shares
+
+
+def _replicate_results(replicates: _Replicates, shares):
+    """replicates(job) for every job of shares, one share per worker process:
+    this one runs shares[0] while a forked child runs each other share
+    (_Child), whose results follow its own.  However the generator ends
+    early (this process's share raising, a child's error, or close), every
+    child still running is killed, and every child is reaped."""
     children = []
     try:
-        for w in range(1, workers):
-            children.append(_Child(replicates, jobs[w::workers]))
-        yield from map(replicates, jobs[::workers])
+        for share in shares[1:]:
+            children.append(_Child(replicates, share))
+        yield from map(replicates, shares[0])
         for child in children:
             yield from child.results()
     finally:
@@ -420,14 +439,17 @@ def monte_carlo_risk(
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
     are bit-identical across reruns and independent of scheduling.  threads
-    is the number of workers, capped at the job count and the cpu count: this
-    process runs one share of the replicates, all of them at 1, and forks a
-    child for each other share (_replicate_results), each child with its own
-    caches; the losses are stored by (n, replicate), so the reduction order
-    is fixed.  The density model builds one DensitySampler per truth, shared
-    by all replicates.  A plan per n, built before any replicate, holds the
-    estimate and each truth's observed depth and side of the loss
-    (wavelet._loss_sides).
+    is the number of workers, capped at the (n, replicate) job count and the
+    cpu count: this process runs one share of the replicates, all of them at
+    1, and forks a child for each other share (_replicate_results), each
+    child with its own caches.  A worker runs its replicates of one n in
+    blocks (_shares), each one stack of at most _BLOCK_SAMPLES / 2^(J + 1)
+    rows (at least one), J the deepest depth any truth is observed to at
+    that n (_Replicates); the losses are stored by (n, replicate), so the
+    reduction order is fixed.  The density model builds one DensitySampler
+    per truth, shared by all replicates.  A plan per n, built before any
+    replicate, holds the estimate and each truth's observed depth and side
+    of the loss (wavelet._loss_sides).
 
     The truths do not enter the seed, so every truth is observed under the
     same noise (common random numbers), which each replicate draws once, and
@@ -454,10 +476,11 @@ def monte_carlo_risk(
     plans = [(n, estimate, row, [s[j] for s, j in zip(sides, row)])
              for n, (_, estimate), row in zip(n_grid, rules, depths)]
     replicates = _Replicates(truths, plans, filt, master_seed, samplers)
-    jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
+    workers = min(threads, len(n_grid) * R, os.cpu_count() or 1)
+    sizes = [max(1, _BLOCK_SAMPLES >> (max(row) + 1)) for row in depths]  # rows per block
     losses = np.empty((len(truths), len(n_grid), R))
-    for i, rep, values in _replicate_results(replicates, jobs, threads):
-        losses[:, i, rep] = values
+    for i, reps, values in _replicate_results(replicates, _shares(sizes, R, workers)):
+        losses[:, i, reps] = values
 
     return tuple(
         RiskTable(rows=tuple(

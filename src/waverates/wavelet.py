@@ -6,6 +6,9 @@ two-channel filter-bank cascade with circular convolution.  With orthonormal
 taps the cascade is an exact orthogonal map at every depth, so analyze and
 synthesize are exact inverses up to floating-point roundoff and the discrete
 coefficients obey Parseval against the midpoint quadrature of the signal.
+The analysis and synthesis steps act on the last axis, so a stack of signals
+or trees, one per row, runs as one call per step, each row's result equal bit
+for bit to its own.
 
 Synthesis to a grid finer than the tree runs the two-channel inverse step
 only for the levels the tree holds, which gives its samples at resolution
@@ -25,13 +28,16 @@ refined samples block by block.
 
 The risk engine's loss mean |E - T|^p of an estimate E against a truth T is
 this module's: ``_loss_sides`` chooses how to compute it and what of T to
-compute once.  At p = 2 it is the coefficient energy.  At p = 4 with db1 or
-db2, ``_quartic_split`` splits T at E's depth J into a head (levels <= J)
-and a tail B, expands (L - B)^4 with L = E - head, and computes once what
-the tail contributes: the sum of B^4, and for each of L's 2^(J + 1) coarse
-windows the weights of its monomials of degree 1 to 3 against B^3, B^2 and
-B; the fine grid is never built.  Other p and longer filters synthesize E,
-subtract T's samples and refine the difference by ``lp_mean``.
+compute once, and each side takes a stack of estimates, one per row.  At
+p = 2 it is the coefficient energy, summed level by level for every row at
+once.  At p = 4 with db1 or db2, ``_quartic_split`` splits T at E's depth J
+into a head (levels <= J) and a tail B, expands (L - B)^4 with L = E - head,
+and computes once what the tail contributes: the sum of B^4, and for each
+of L's 2^(J + 1) coarse windows the weights of its monomials of degree 1 to
+3 against B^3, B^2 and B; the fine grid is never built.  Other p and longer
+filters synthesize E, subtract T's samples and refine the difference by
+``lp_mean``.  Either way the estimates' coarse samples are one stack, and
+the sums over their windows run row by row.
 
 Coefficient convention: a signal is
 
@@ -198,33 +204,35 @@ class GridSignal:
 
 
 def _dwt_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """One periodized analysis step: approx[m] = sum_t lo[t] a[(2m+t) mod n],
-    detail likewise with hi; L slice multiply-adds, the adjoint of _idwt_step."""
-    n = len(a)
+    """One periodized analysis step on the last axis, each row alone:
+    approx[m] = sum_t lo[t] a[(2m+t) mod n], detail likewise with hi; one
+    gather of the cyclic extension (it wraps as often as a row shorter than
+    the filter needs), then L slice multiply-adds; the adjoint of _idwt_step."""
+    n = a.shape[-1]
     L = len(lo)
-    # cyclic extension; tiles when L - 1 > n
-    ext = np.concatenate((a, a[: L - 1] if L - 1 <= n else np.resize(a, L - 1)))
-    approx = lo[0] * ext[0:n:2]
-    detail = hi[0] * ext[0:n:2]
+    ext = a.take(np.arange(n + L - 1) % n, axis=-1)
+    approx = lo[0] * ext[..., 0:n:2]
+    detail = hi[0] * ext[..., 0:n:2]
     for t in range(1, L):
-        approx += lo[t] * ext[t : t + n : 2]
-        detail += hi[t] * ext[t : t + n : 2]
+        approx += lo[t] * ext[..., t : t + n : 2]
+        detail += hi[t] * ext[..., t : t + n : 2]
     return approx, detail
 
 
 def _idwt_step(approx: np.ndarray, detail: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Adjoint of _dwt_step (equals the inverse, the step being orthogonal)."""
-    n = 2 * len(approx)
+    """Adjoint of _dwt_step (equals the inverse, the step being orthogonal),
+    on the last axis, each row alone."""
+    n = 2 * approx.shape[-1]
     L = len(lo)
-    ext = np.zeros(n + L - 1)
+    ext = np.zeros(approx.shape[:-1] + (n + L - 1,))
     for t in range(L):
-        ext[t : t + n : 2] += lo[t] * approx
-        ext[t : t + n : 2] += hi[t] * detail
-    out = ext[:n].copy()
-    tail = ext[n:]
+        ext[..., t : t + n : 2] += lo[t] * approx
+        ext[..., t : t + n : 2] += hi[t] * detail
+    out = ext[..., :n].copy()
+    tail = ext[..., n:]
     for start in range(0, L - 1, n):  # fold the cyclic overhang back, tile-wise
-        seg = tail[start : start + n]
-        out[: len(seg)] += seg
+        seg = tail[..., start : start + n]
+        out[..., : seg.shape[-1]] += seg
     return out
 
 
@@ -242,22 +250,23 @@ def analyze(signal: GridSignal, filt: WaveletFilter, j_max: int) -> CoefficientT
         raise ValueError(f"j_max={j_max} must be below the signal resolution {res}")
     if len(filt.taps) > len(signal.samples):
         raise ValueError(f"filter {filt.name} is longer than the signal")
-    return _pyramid(signal.samples * 2.0 ** (-res / 2.0), filt, j_max)
+    coeffs = _pyramid(signal.samples * 2.0 ** (-res / 2.0), filt, j_max)
+    return CoefficientTree._of(j_max, coeffs)
 
 
-def _pyramid(a: np.ndarray, filt: WaveletFilter, j_max: int) -> CoefficientTree:
-    """The tree of levels 0..j_max of approximations a of level J = log2 len(a):
-    analysis steps J - 1 down to 0, step j writing its details into level j
-    of the heap array when j <= j_max; the last approximation is the scaling
-    coefficient."""
-    coeffs = np.empty(2 << j_max)
+def _pyramid(a: np.ndarray, filt: WaveletFilter, j_max: int) -> np.ndarray:
+    """The heap arrays of levels 0..j_max of approximations a of level J =
+    log2 of a's last axis, one per row: analysis steps J - 1 down to 0, step
+    j writing its details into level j when j <= j_max; the last
+    approximation is the scaling coefficient."""
+    coeffs = np.empty(a.shape[:-1] + (2 << j_max,))
     lo, hi = filt.taps, filt.highpass
-    for j in range(len(a).bit_length() - 2, -1, -1):
+    for j in range(a.shape[-1].bit_length() - 2, -1, -1):
         a, detail = _dwt_step(a, lo, hi)
         if j <= j_max:
-            coeffs[1 << j : 2 << j] = detail
-    coeffs[0] = a[0]
-    return CoefficientTree._of(j_max, coeffs)
+            coeffs[..., 1 << j : 2 << j] = detail
+    coeffs[..., 0] = a[..., 0]
+    return coeffs
 
 
 _BLOCK_SAMPLES = 1 << 15
@@ -288,15 +297,19 @@ def _cascade_table(taps: np.ndarray, K: int) -> np.ndarray:
     return np.ascontiguousarray(padded.reshape(shifts, phases)[::-1])
 
 
-def _coarse_samples(tree: CoefficientTree, filt: WaveletFilter) -> np.ndarray:
-    """Grid samples of a tree at resolution j_max + 1: the two-channel
-    inverse step of each level 0..j_max."""
+def _coarse_samples(coeffs: np.ndarray, depth: int, filt: WaveletFilter) -> np.ndarray:
+    """Grid samples at resolution depth + 1 of the trees of depth `depth`
+    whose heap arrays are the rows of coeffs, the levels past their end being
+    zero: the two-channel inverse step of each level 0..depth, one call per
+    level for every row."""
     lo = filt.taps
     hi = filt.highpass
-    a = np.array([tree.scaling])
-    for j in range(tree.j_max + 1):
-        a = _idwt_step(a, tree.level(j), lo, hi)
-    return a * 2.0 ** ((tree.j_max + 1) / 2.0)
+    a, width = coeffs[..., :1], coeffs.shape[-1]
+    for j in range(depth + 1):
+        detail = (coeffs[..., 1 << j : 2 << j] if 2 << j <= width
+                  else np.zeros(coeffs.shape[:-1] + (1 << j,)))
+        a = _idwt_step(a, detail, lo, hi)
+    return a * 2.0 ** ((depth + 1) / 2.0)
 
 
 def _wrapped(coarse: np.ndarray, shifts: int) -> np.ndarray:
@@ -320,23 +333,30 @@ def _refined_blocks(coarse: np.ndarray, table: np.ndarray):
         yield q * phases, block.ravel()
 
 
+def _refine(coarse: np.ndarray, filt: WaveletFilter, resolution_log2: int) -> np.ndarray:
+    """One row of coarse samples refined to the 2^resolution_log2 grid: the
+    zero-detail steps are one product with the phase table of
+    _cascade_table, written into the grid block by block."""
+    table = _cascade_table(filt.taps, resolution_log2 - (len(coarse).bit_length() - 1))
+    samples = np.empty(1 << resolution_log2)
+    for offset, block in _refined_blocks(coarse, table):
+        samples[offset : offset + len(block)] = block
+    return samples
+
+
 def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int) -> GridSignal:
     """Reconstruct the grid signal of a coefficient tree at the given resolution.
 
     Levels 0..j_max run the two-channel inverse step (_coarse_samples); the
-    remaining resolution_log2 - j_max - 1 zero-detail steps are one product
-    with the phase table of _cascade_table, written into the grid block by
-    block.
+    remaining resolution_log2 - j_max - 1 zero-detail steps refine those
+    samples (_refine).
     """
     if resolution_log2 <= tree.j_max:
         raise ValueError(
             f"resolution 2^{resolution_log2} too coarse for a tree of depth {tree.j_max}"
         )
-    table = _cascade_table(filt.taps, resolution_log2 - tree.j_max - 1)
-    samples = np.empty(1 << resolution_log2)
-    for offset, block in _refined_blocks(_coarse_samples(tree, filt), table):
-        samples[offset : offset + len(block)] = block
-    return GridSignal(resolution_log2, samples)
+    coarse = _coarse_samples(tree.coeffs, tree.j_max, filt)
+    return GridSignal(resolution_log2, _refine(coarse, filt, resolution_log2))
 
 
 def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
@@ -541,13 +561,18 @@ class _QuarticSplit(NamedTuple):
     tail_sum: float  # the sum of B^4 over the fine grid
     resolution_log2: int  # F
 
-    def mean(self, estimate: CoefficientTree) -> float:
-        """Mean of (estimate - truth)^4 over the 2^F grid, for an estimate of depth J."""
-        coarse = _coarse_samples(estimate, self.filt) - self.head
-        total = _quartic_sum(coarse, self.form) + self.tail_sum
-        if self.cross is not None:
-            total += _cross_sum(coarse, self.cross)
-        return total / (1 << self.resolution_log2)
+    def mean(self, estimates: np.ndarray) -> np.ndarray:
+        """Mean of (E - truth)^4 over the 2^F grid for each row E of a stack
+        of heap arrays of estimates of depth J: their coarse samples in one
+        stack, then the sums row by row."""
+        depth = len(self.head).bit_length() - 2  # the head holds 2^(J + 1) samples
+        totals = []
+        for coarse in _coarse_samples(estimates, depth, self.filt) - self.head:
+            total = _quartic_sum(coarse, self.form) + self.tail_sum
+            if self.cross is not None:
+                total += _cross_sum(coarse, self.cross)
+            totals.append(total)
+        return np.array(totals) / (1 << self.resolution_log2)
 
 
 def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_log2: int,
@@ -588,26 +613,31 @@ def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coars
         samples = synthesize(CoefficientTree._of(truth.j_max, tail), filt, coarse_log2).samples
         tail_sum = _quartic_sum(samples, tail_form)
         cross = _cross_weights(samples, taps, K, K_tail, 1 << (read + 1))
-    head_samples = _coarse_samples(CoefficientTree._of(read, truth.coeffs[: 2 << read]), filt)
+    head_samples = _coarse_samples(truth.coeffs[: 2 << read], read, filt)
     return _QuarticSplit(filt, head_samples, form, cross, tail_sum, resolution_log2)
 
 
 class _GridLoss(NamedTuple):
-    """The truth's side of the full-grid L^p loss: its samples at the coarse
-    resolution C."""
+    """The truth's side of the full-grid L^p loss at one read depth J: its
+    samples at the coarse resolution C."""
 
     filt: WaveletFilter
     truth: GridSignal  # the truth's samples at resolution C
+    depth: int  # J
     resolution_log2: int  # F
     p: float
 
-    def mean(self, estimate: CoefficientTree) -> float:
-        """Mean of |estimate - truth|^p over the 2^F grid: the estimate is
-        synthesized at C, the truth's samples subtracted and lp_mean refines
-        the difference."""
+    def mean(self, estimates: np.ndarray) -> np.ndarray:
+        """Mean of |E - truth|^p over the 2^F grid for each row E of a stack
+        of heap arrays of estimates of depth J: their coarse samples in one
+        stack; each row is refined to C as synthesize does, the truth's
+        samples subtracted and lp_mean refines the difference."""
         res = self.truth.resolution_log2
-        diff = synthesize(estimate, self.filt, res).samples - self.truth.samples
-        return lp_mean(GridSignal(res, diff), self.filt, self.resolution_log2, self.p)
+        losses = []
+        for coarse in _coarse_samples(estimates, self.depth, self.filt):
+            diff = _refine(coarse, self.filt, res) - self.truth.samples
+            losses.append(lp_mean(GridSignal(res, diff), self.filt, self.resolution_log2, self.p))
+        return np.array(losses)
 
 
 class _EnergyLoss(NamedTuple):
@@ -616,30 +646,35 @@ class _EnergyLoss(NamedTuple):
     truth: CoefficientTree
     energies: dict  # level j -> the energy of the truth's level j
 
-    def mean(self, estimate: CoefficientTree) -> float:
-        """(estimate - truth).total_energy() bit for bit.  The difference is
-        squared once over the estimate's array; each level of the longer
-        array is summed from it in increasing j, as total_energy sums them,
-        and a truth level past the estimate's array adds its energy (0 - t
-        is -t exactly, so the two sums agree)."""
-        e, t = estimate.coeffs, self.truth.coeffs
-        if len(e) <= len(t):
-            sq = e - t[: len(e)]
+    def mean(self, estimates: np.ndarray) -> np.ndarray:
+        """(E - truth).total_energy() bit for bit for each row E of a stack of
+        heap arrays of estimates.  The difference is squared once over the
+        stack; each level of the longer array is summed from it in
+        increasing j, row by row, as total_energy sums them, and a truth
+        level past the stack adds its energy.  A row's zeros past its own
+        array's end change nothing: 0 - t is -t exactly, so its level sums
+        to the truth's energy, and a zero level past the truth adds 0."""
+        t = self.truth.coeffs
+        width = estimates.shape[-1]
+        if width <= len(t):
+            sq = estimates - t[:width]
         else:
-            sq = e.copy()
-            sq[: len(t)] -= t
+            sq = estimates.copy()
+            sq[:, : len(t)] -= t
         sq *= sq
-        held = len(e).bit_length() - 1  # levels below held lie in e's array
+        held = width.bit_length() - 1  # levels below held lie in the stack
         # np.add.reduce is np.sum's reduction, without its argument handling
-        parts = [np.add.reduce(sq[1 << j : 2 << j]) if j < held else self.energies[j]
-                 for j in range(max(len(e), len(t)).bit_length() - 1)]
-        return (estimate.scaling - self.truth.scaling) ** 2 + float(sum(parts))
+        parts = [np.add.reduce(sq[:, 1 << j : 2 << j], axis=-1) if j < held else self.energies[j]
+                 for j in range(max(width, len(t)).bit_length() - 1)]
+        # the scaling term in Python floats, as CoefficientTree.total_energy squares it
+        scaling = [(float(e) - self.truth.scaling) ** 2 for e in estimates[:, 0]]
+        return np.array(scaling) + sum(parts)
 
 
 def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, depths, p: float) -> dict:
     """What the L^p loss mean |E - truth|^p needs of the truth, computed once,
-    for each depth J of depths: an object whose .mean(E) is that loss for any
-    tree E of depth J, keyed by J.
+    for each depth J of depths: an object whose .mean(E) is that loss for each
+    row of any stack E of heap arrays of trees of depth J, keyed by J.
 
     For p = 2 it is the _EnergyLoss, whatever J.  Else the mean runs over
     the 2^F grid, F = C + SYNTHESIS_PAD - 1, that refines samples at
@@ -659,6 +694,6 @@ def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, depths, p: float) -
         if side is None:
             if coarse not in grids:
                 grids[coarse] = synthesize(truth, filt, coarse)
-            side = _GridLoss(filt, grids[coarse], fine, p)
+            side = _GridLoss(filt, grids[coarse], read, fine, p)
         sides[read] = side
     return sides

@@ -27,7 +27,7 @@ from waverates.cli import (
     validate_config,
 )
 from waverates.dyadic import CoefficientTree
-from waverates.estimators import threshold_estimate
+from waverates.estimators import _threshold_stack
 from waverates.generic import GenericFunctionSpec, build_g
 from waverates.models import DensitySampler
 from waverates.truths import _unit_term, bump_tree
@@ -254,10 +254,10 @@ def test_worker_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         if os.getpid() != runner:  # the runner's own share runs
             raise ValueError("estimator broke in a worker")
-        return threshold_estimate(*args, **kwargs)
+        return _threshold_stack(*args, **kwargs)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr("waverates.rates.threshold_estimate", broken)
+    monkeypatch.setattr("waverates.rates._threshold_stack", broken)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(rate_config(replicates=4))
     out = tmp_path / "out"

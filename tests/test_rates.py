@@ -1,6 +1,5 @@
 import math
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -13,8 +12,8 @@ import pytest
 
 from waverates import rates
 from waverates.dyadic import MAX_DEPTH, CoefficientTree
-from waverates.estimators import (linear_estimate, linear_weights, noise_depth, threshold_estimate,
-                                  universal_threshold)
+from waverates.estimators import (_threshold_stack, linear_estimate, linear_weights, noise_depth,
+                                  threshold_estimate, universal_threshold)
 from waverates.generic import g_term
 from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
 from waverates.rates import (
@@ -199,10 +198,19 @@ def test_monte_carlo_caps_the_workers(cpus, n_grid, R, expected, monkeypatch):
     monkeypatch.setattr(rates, "_Child", _InProcessChild)
     monkeypatch.setattr(_InProcessChild, "shares", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    blocks, call = [], rates._Replicates.__call__  # every block, in the order it runs
+    monkeypatch.setattr(rates._Replicates, "__call__",
+                        lambda self, job: blocks.append(job) or call(self, job))
     tables = _small_risk(n_grid, R, threads=10**6)
-    # the runner runs the first stride of the jobs, a child each other one
+    # worker w runs the stride jobs[w::expected], the runner the first one and
+    # a child each other one; each n's replicates of a stride form one block,
+    # its stack being far below the block bound at these n
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
-    assert _InProcessChild.shares == [jobs[w::expected] for w in range(1, expected)]
+    shares = [[(i, [rep for k, rep in jobs[w::expected] if k == i]) for i in range(len(n_grid))]
+              for w in range(expected)]
+    assert [[(i, list(reps)) for i, reps in share] for share in _InProcessChild.shares] \
+        == shares[1:]
+    assert [(i, list(reps)) for i, reps in blocks] == sum(shares[1:] + shares[:1], [])
     monkeypatch.undo()
     assert tables == _small_risk(n_grid, R, threads=1)
 
@@ -223,13 +231,13 @@ def _within(seconds):
 
 
 def _in_children(action):
-    """threshold_estimate, but action() first in every process but this one."""
+    """_threshold_stack, but action() first in every process but this one."""
     runner = os.getpid()
 
     def estimate(*args, **kwargs):
         if os.getpid() != runner:
             action()
-        return threshold_estimate(*args, **kwargs)
+        return _threshold_stack(*args, **kwargs)
     return estimate
 
 
@@ -246,13 +254,13 @@ def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
         raise _TwoArgError("left", "right")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(rates, "threshold_estimate", _in_children(broken))
+    monkeypatch.setattr(rates, "_threshold_stack", _in_children(broken))
     with pytest.raises(ValueError, match="estimator broke in a worker") as caught, _within(60):
         _small_risk(threads=2)
     cause = caught.value.__cause__  # the child's traceback
     assert isinstance(cause, ChildProcessError) and "Traceback" in str(cause)
     assert "estimator broke in a worker" in str(cause)
-    monkeypatch.setattr(rates, "threshold_estimate", _in_children(unloadable))
+    monkeypatch.setattr(rates, "_threshold_stack", _in_children(unloadable))
     with pytest.raises(RuntimeError, match="_TwoArgError: left and right"), _within(60):
         _small_risk(threads=2)
     with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
@@ -267,7 +275,7 @@ def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
 ])
 def test_monte_carlo_worker_exit_without_results_is_named(action, how, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(rates, "threshold_estimate", _in_children(action))
+    monkeypatch.setattr(rates, "_threshold_stack", _in_children(action))
     with pytest.raises(ChildProcessError, match=f"{how} before sending its results"), \
             _within(60):
         _small_risk(threads=2)
@@ -276,23 +284,22 @@ def test_monte_carlo_worker_exit_without_results_is_named(action, how, monkeypat
 
 
 def test_monte_carlo_runner_error_stops_the_workers(monkeypatch):
-    # the runner's share raises at its last job, when the child is likely
+    # the runner's share raises at its last block, when the child is likely
     # blocked writing results longer than a pipe holds: it is killed and reaped
-    n_grid, R = (64, 256), 4000
+    n_grid, R = (64, 256), 9000
     jobs = [(i, rep) for i in range(len(n_grid)) for rep in range(R)]
-    child_results = [(i, rep, [float(rep)]) for i, rep in jobs[1::2]]
-    assert len(pickle.dumps((None, child_results))) > 1 << 16
-    runner, calls = os.getpid(), []
+    assert np.zeros(len(jobs[1::2])).nbytes > 1 << 16  # the child's losses alone
+    runner, rows = os.getpid(), []
 
-    def broken(*args, **kwargs):
+    def broken(y, *args, **kwargs):
         if os.getpid() == runner:
-            calls.append(None)
-            if len(calls) == len(jobs[::2]):
+            rows.append(len(y))
+            if sum(rows) == len(jobs[::2]):
                 raise ValueError("estimator broke in the runner")
-        return threshold_estimate(*args, **kwargs)
+        return _threshold_stack(y, *args, **kwargs)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(rates, "threshold_estimate", broken)
+    monkeypatch.setattr(rates, "_threshold_stack", broken)
     with pytest.raises(ValueError, match="estimator broke in the runner"), _within(60):
         _small_risk(n_grid, R, threads=2)
     with pytest.raises(ChildProcessError):
@@ -301,10 +308,10 @@ def test_monte_carlo_runner_error_stops_the_workers(monkeypatch):
 
 def test_replicate_results_closed_early_leaves_no_child(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    results = rates._replicate_results(lambda job: (*job, [0.0]), [(0, rep) for rep in range(9)],
-                                       threads=3)
+    results = rates._replicate_results(lambda job: (*job, [0.0]),
+                                       [[(0, range(w, 9, 3))] for w in range(3)])
     with _within(60):
-        assert next(results) == (0, 0, [0.0])
+        assert next(results) == (0, range(0, 9, 3), [0.0])
         results.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -445,6 +452,46 @@ def test_monte_carlo_risk_matches_reference_loop(kind, model, p, depth):
     assert serial.rows == table.rows
 
 
+# every estimator kind under either model, at p = 2 and 4
+BLOCK_CASES = [_model_case(kind, model, p) for kind in ESTIMATOR_KINDS
+               for model in ("sequence", "density") for p in (2.0, 4.0)]
+
+
+@pytest.mark.parametrize("kind,model,p", BLOCK_CASES)
+def test_blocks_of_replicates_change_no_loss(kind, model, p, monkeypatch):
+    # a block bound of four stacks of the first n's width gives that n blocks
+    # of four replicates and a partial last block (R = 5), and the last n,
+    # whose stack is at least four times wider, one-row blocks: every table
+    # equals the run at the default bound, at 1, 2 and 3 workers
+    if model == "sequence":
+        truth, n_grid, filter_name = (shell_tree(2, 2, 1, 6, 64.0, dither=2.0),
+                                      [64, 4096, 65536], "db2")
+    else:
+        truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
+        n_grid, filter_name = [1024, 8192, 65536], "db3"
+    est = EstimatorSpec(kind, smoothness=DENSE)
+    first, _ = ESTIMATOR_KINDS[kind].rule(est, n_grid[0])
+    if model == "sequence":
+        first = min(first, truth.j_max)
+    args, options = ((truth,), est, n_grid, 5, p, 31), dict(filter_name=filter_name, model=model)
+    (default,) = monte_carlo_risk(*args, **options)
+    monkeypatch.setattr(rates, "_BLOCK_SAMPLES", 4 * (2 << first))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    blocks, call = [], rates._Replicates.__call__
+    monkeypatch.setattr(rates._Replicates, "__call__",
+                        lambda self, job: blocks.append(job) or call(self, job))
+    for threads in (1, 2, 3):
+        (table,) = monte_carlo_risk(*args, threads=threads, **options)
+        assert table.rows == default.rows, threads
+        if threads == 1:  # the children's blocks are not seen here
+            ran = blocks.copy()
+    assert [list(reps) for i, reps in ran if i == 0] == [[0, 1, 2, 3], [4]]
+    assert [list(reps) for i, reps in ran if i == 2] == [[rep] for rep in range(5)]
+    if p == 2.0:
+        want = reference_risk(truth, est, model, filter_name, n_grid, 5, p, 31)
+        assert [(row.empirical_risk, row.std_error) for row in table.rows] == want
+
+
 def grid_loss(estimate, truth, p, filt, depth):
     """The p != 2 loss on the full grid: the estimate's samples at the coarse
     resolution max(depth, truth depth) + 1 less the truth's, refined by lp_mean."""
@@ -455,9 +502,12 @@ def grid_loss(estimate, truth, p, filt, depth):
 
 def hook_loss(patch, hook):
     """Route every loss the engine computes through hook(side, estimate, truth,
-    p, filt, depth), side being the engine's own at that observed depth."""
+    p, filt, depth), side being the engine's own at that observed depth and
+    estimate the tree of depth `depth` of one row of the engine's estimate stack."""
     def hooked(side, truth, filt, depth, p):
-        return SimpleNamespace(mean=lambda estimate: hook(side, estimate, truth, p, filt, depth))
+        return SimpleNamespace(mean=lambda estimates: np.array([
+            hook(side, CoefficientTree._of(depth, row), truth, p, filt, depth)
+            for row in estimates]))
 
     def sides(truth, filt, depths, p):
         return {depth: hooked(side, truth, filt, depth, p)
@@ -499,7 +549,7 @@ def test_p4_loss_on_the_estimate_grid_matches_the_full_grid(kind, filter_name, m
     def checked(split, estimate, truth, p, filt, depth):
         assert isinstance(split, _QuarticSplit)
         tails.add(split.cross is not None)
-        loss = split.mean(estimate)
+        loss = split.mean(estimate.coeffs[None])[0]
         want = grid_loss(estimate, truth, p, filt, depth)
         errors.append(abs(loss - want) / want)
         return loss
@@ -680,20 +730,18 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
         seed = np.random.SeedSequence((3, n))
         read, estimate = ESTIMATOR_KINDS[kind].rule(est, n)
         assert read >= 0
-        full = estimate(simulate_sequence(truth, n, top, seed).y)
-        short = estimate(simulate_sequence(truth, n, min(read, top), seed).y)
-        assert max(full.levels, default=-1) <= read and max(short.levels, default=-1) <= read
-        assert short.scaling == full.scaling
-        assert short.levels.keys() == full.levels.keys()
-        for j, level in full.levels.items():
-            assert np.array_equal(short.levels[j], level)
+        full = estimate(simulate_sequence(truth, n, top, seed).y.coeffs)
+        short = estimate(simulate_sequence(truth, n, min(read, top), seed).y.coeffs)
+        assert len(full) <= 2 << read  # no level past the read depth
+        assert np.array_equal(short, full)  # the scaling and every level
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 @pytest.mark.parametrize("model", ["sequence", "density"])
 def test_each_estimate_has_the_depth_of_its_observed_tree(kind, model):
     # the engine picks each truth's loss side by the observed depth, before
-    # any replicate, so the estimate must have that depth whatever it reads
+    # any replicate, so the estimate must be the array of a tree of that
+    # depth whatever it reads
     truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
     filt = get_filter("db2")
     sampler = DensitySampler.from_tree(truth, filt)
@@ -707,7 +755,7 @@ def test_each_estimate_has_the_depth_of_its_observed_tree(kind, model):
                 y = simulate_sequence(truth, n, depth, seed).y
             else:
                 y = empirical_coefficients(sampler.sample(n, seed), filt, depth)
-            assert y.j_max == depth and estimate(y).j_max == depth
+            assert y.j_max == depth and len(estimate(y.coeffs)) <= 2 << depth
 
 
 def test_energy_loss_is_the_difference_energy_bit_for_bit():
@@ -726,11 +774,16 @@ def test_energy_loss_is_the_difference_energy_bit_for_bit():
         CoefficientTree.zeros(1, 2),  # no level
         CoefficientTree(1, 12, 1e-3, {11: noisy(11, 1e-4)}),  # a level the truths lack
     ]
+    # the estimates as one stack, each row zero past its own array's end
+    stack = np.zeros((len(estimates), max(len(e.coeffs) for e in estimates)))
+    for row, estimate in zip(stack, estimates):
+        row[: len(estimate.coeffs)] = estimate.coeffs
     filt = get_filter("db2")
     for truth in truths:
         # every depth gets the truth's one side; at p = 2 the depths do not enter
         sides = _loss_sides(truth, filt, [2, 5, 12], 2.0)
         assert len({id(side) for side in sides.values()}) == 1
-        for estimate in estimates:
-            want = (estimate - truth).total_energy()
-            assert sides[5].mean(estimate) == want
+        want = [(estimate - truth).total_energy() for estimate in estimates]
+        assert sides[5].mean(stack).tolist() == want
+        for estimate, energy in zip(estimates, want):
+            assert sides[5].mean(estimate.coeffs[None]).tolist() == [energy]

@@ -7,6 +7,8 @@ from waverates.wavelet import (
     GridSignal,
     WaveletFilter,
     _cascade_table,
+    _dwt_step,
+    _idwt_step,
     _quartic_form,
     _quartic_gram,
     _quartic_split,
@@ -41,6 +43,31 @@ def test_filter_validation_rejects_bad_taps():
     for name in ("db11", "db0", "sym4", ""):
         with pytest.raises(KeyError, match="unknown wavelet filter"):
             get_filter(name)
+
+@pytest.mark.parametrize("vm", [1, 2, 3, 4])
+def test_filter_bank_steps_act_on_each_row_of_a_stack(vm):
+    # a (B, m) stack gives each row's one-row result bit for bit, with rows
+    # shorter than the filter (m < L - 1: the cyclic extension wraps more than
+    # once, and the inverse step folds several tiles back) among them
+    filt, rng = get_filter(f"db{vm}"), np.random.default_rng(vm)
+    lo, hi = filt.taps, filt.highpass
+    for m in (2, 4, 8, 64):
+        stack = rng.standard_normal((5, m))
+        approx, detail = _dwt_step(stack, lo, hi)
+        for row, a, d in zip(stack, approx, detail):
+            want_a, want_d = _dwt_step(row, lo, hi)
+            assert a.tobytes() == want_a.tobytes() and d.tobytes() == want_d.tobytes()
+            # the cyclic extension, summed over t in the step's order
+            ext = [row[np.arange(t, t + m, 2) % m] for t in range(len(lo))]
+            assert a.tobytes() == sum(lo[t] * ext[t] for t in range(len(lo))).tobytes()
+            assert d.tobytes() == sum(hi[t] * ext[t] for t in range(len(hi))).tobytes()
+        u, v = rng.standard_normal((2, 5, m // 2))
+        out = _idwt_step(u, v, lo, hi)
+        for b in range(5):
+            assert out[b].tobytes() == _idwt_step(u[b], v[b], lo, hi).tobytes()
+            # the adjoint of the analysis step
+            assert abs(out[b] @ stack[b] - (u[b] @ approx[b] + v[b] @ detail[b])) < 1e-12 * m
+
 
 def periodized_haar(j, k, x):
     """2^{j/2} psi(2^j x - k) on [0, 1), psi = +1 on [0, 1/2), -1 on [1/2, 1)."""
@@ -325,7 +352,8 @@ def test_quartic_split_mean_is_the_full_grid_lp_mean(name):
             diff = (synthesize(estimate, filt, coarse_log2).samples
                     - synthesize(truth, filt, coarse_log2).samples)
             want = lp_mean(GridSignal(coarse_log2, diff), filt, fine, 4.0)
-            assert abs(split.mean(estimate) - want) <= 1e-12 * want, (coarse_log2, read)
+            assert abs(split.mean(estimate.coeffs[None])[0] - want) <= 1e-12 * want, \
+                (coarse_log2, read)
     assert tails == {True, False}
 
 
