@@ -13,11 +13,13 @@ guide table for one truth, so replicates share it; it refuses densities
 whose clipped negative mass, or whose mass's distance from 1, exceeds
 MAX_CLIPPED_MASS.  Empirical coefficients of depth J average the periodized
 scaling functions of level J + 1 at the sample points, read from one cascade
-table on the 2^(J+8) grid, one bincount of the points per table row; the
-analysis pyramid takes them to every level, so each level reads its wavelet
-on that grid.  For a stack of replicates ``_empirical_stack`` bins each
-sample alone and runs one pyramid for the stack.  The observed trees of
-both models feed the same estimators.
+table on the 2^(J+8) grid, one bincount per table row of the cells the
+points fall in; the analysis pyramid takes them to every level, so each
+level reads its wavelet on that grid.  The risk engine forms no points: for
+a stack of replicates ``_sampled_stack`` bins each replicate's draws on the
+2^(J+8) grid straight from the sampler's kernel (DensitySampler.cells, the
+kernel sample() runs too), each sample alone, and runs one pyramid for the
+stack.  The observed trees of both models feed the same estimators.
 
 All generation is deterministic given the seed.  The risk engine seeds
 each replicate with SeedSequence((master_seed, n, replicate)), whose entropy
@@ -79,7 +81,7 @@ class DensitySample:
         points = _freeze(self.points)
         if self.n < 1 or points.shape != (self.n,):
             raise ValueError(f"expected {self.n} points, got shape {points.shape}")
-        if points.size and (points.min() < 0.0 or points.max() > 1.0):
+        if points.size and not (points.min() >= 0.0 and points.max() <= 1.0):  # NaN fails too
             raise ValueError("sample points must lie in [0, 1]")
         object.__setattr__(self, "points", points)
 
@@ -145,15 +147,22 @@ class DensitySampler:
 
     Built once per truth: cell_masses gives the law, from_tree its CDF and
     guide table, and the points are drawn exactly from that piecewise-constant
-    density.  The arrays are read-only, so one sampler serves every replicate,
-    and the risk engine's forked workers inherit it.
+    density.  edges is the CDF at the cells' edges, 0 first and 1 last, and
+    cum = edges[1:] its values at their right edges.  The arrays are
+    read-only, so one sampler serves every replicate, and the risk engine's
+    forked workers inherit it.
     """
 
     res: int
     masses: np.ndarray
-    cum: np.ndarray
+    edges: np.ndarray
     guide: np.ndarray
     clipped_mass: float
+
+    @property
+    def cum(self) -> np.ndarray:
+        """The CDF at each cell's right edge: a read-only view of edges."""
+        return self.edges[1:]
 
     @staticmethod
     def cell_masses(f_tree: CoefficientTree, filt: WaveletFilter) -> tuple[np.ndarray, float]:
@@ -189,46 +198,84 @@ class DensitySampler:
 
     @classmethod
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
-        """The sampler of cell_masses' law, refusing what it refuses."""
+        """The sampler of cell_masses' law, refusing what it refuses.
+
+        cum is the cumulative sum of the masses, its last entry set to 1,
+        stored after a leading 0 in edges, so a cell's left edge is one
+        gather; the guide table is _guide(cum), built in O(2^res) without a
+        search.
+        """
         masses, clipped_mass = cls.cell_masses(f_tree, filt)
-        cum = np.cumsum(masses)
-        cum[-1] = 1.0
-        # guide[b]: first cell whose cumulative mass reaches b / 2^res
-        guide = np.searchsorted(cum, np.arange(len(masses)) / len(masses), side="left")
-        for arr in (masses, cum, guide):
+        edges = np.zeros(len(masses) + 1)
+        np.cumsum(masses, out=edges[1:])
+        edges[-1] = 1.0
+        guide = _guide(edges[1:])
+        for arr in (masses, edges, guide):
             arr.flags.writeable = False
-        return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, cum, guide, clipped_mass)
+        return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, edges, guide, clipped_mass)
 
     def locate(self, u: np.ndarray) -> np.ndarray:
         """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
 
         The guide table gives a cell at or below the answer, from which
-        draws step forward.  About half the draws step once, so the first
-        step is one pass over all of them; the few still short then step
-        over a shrinking index set, and any still short after _GUIDE_STEPS
-        steps (a run of near-empty cells) fall back to a binary search.
+        draws step forward.  About half the draws step once: the first step
+        is one pass over all of them, after which only the draws that
+        stepped are checked again.  The few still short step over a
+        shrinking index set, and any still short after _GUIDE_STEPS steps
+        (a run of near-empty cells) fall back to a binary search.
         """
+        cum = self.cum
         cells = self.guide.take((u * len(self.guide)).astype(np.intp))
-        cells += self.cum.take(cells) < u
-        short = np.flatnonzero(self.cum.take(cells) < u)
+        stepped = cum.take(cells) < u
+        cells += stepped
+        short = np.flatnonzero(stepped)
+        short = short[cum.take(cells.take(short)) < u.take(short)]
         for _ in range(_GUIDE_STEPS - 1):
             if not short.size:
                 return cells
             cells[short] += 1
-            short = short[self.cum.take(cells.take(short)) < u.take(short)]
-        cells[short] = np.searchsorted(self.cum, u.take(short), side="left")
+            short = short[cum.take(cells.take(short)) < u.take(short)]
+        cells[short] = np.searchsorted(cum, u.take(short), side="left")
         return cells
 
+    def cells(self, n: int, seed, res: int) -> np.ndarray:
+        """The cell of the 2^res grid that each point of sample(n, seed) falls
+        in, _cells(sample(n, seed).points, res) bit for bit, without forming
+        the points: both are one power-of-two scaling of the draws' position
+        on the sampler's grid."""
+        return _cells(self._positions(n, seed), res, self.res)
+
     def sample(self, n: int, seed) -> DensitySample:
-        """Draw n i.i.d. points; bit-identical for identical (n, seed)."""
+        """Draw n i.i.d. points; bit-identical for identical (n, seed).  The
+        points are the kernel's positions on the 2^res grid over 2^res, the
+        positions whose cells the risk engine reads through cells()."""
+        return DensitySample(n=n, points=self._positions(n, seed) / (1 << self.res))
+
+    def _positions(self, n: int, seed) -> np.ndarray:
+        """2^res times n i.i.d. points drawn from seed: the cell c of each
+        uniform u (locate) plus the fraction of that cell's mass below u,
+        clipped to [0, 1]."""
         if n < 1:
             raise ValueError("n must be >= 1")
         u = np.random.default_rng(seed).random(n)
         cells = self.locate(u)
-        left = np.where(cells > 0, self.cum[cells - 1], 0.0)
-        frac = (u - left) / self.masses[cells]
-        points = (cells + np.clip(frac, 0.0, 1.0)) / (1 << self.res)
-        return DensitySample(n=n, points=points)
+        t = u - self.edges.take(cells)
+        t /= self.masses.take(cells)
+        np.clip(t, 0.0, 1.0, out=t)
+        t += cells
+        return t
+
+
+def _guide(cum: np.ndarray) -> np.ndarray:
+    """guide[b] for b < N = len(cum): the first cell whose cumulative mass
+    reaches b / N, searchsorted(cum, arange(N) / N, side="left") for a
+    nondecreasing cum.  N is a power of two, so cum[c] < b / N exactly when
+    floor(N cum[c]) < b: guide[b] counts the cells of each floor below b,
+    one bincount and one cumulative sum."""
+    counts = np.bincount((cum * len(cum)).astype(np.intp), minlength=len(cum))
+    guide = np.zeros(len(cum), dtype=np.intp)
+    np.cumsum(counts[: len(cum) - 1], out=guide[1:])
+    return guide
 
 
 def empirical_coefficients(
@@ -252,30 +299,40 @@ def empirical_coefficients(
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    return CoefficientTree._of(j_max, _empirical_stack([sample], filt, j_max)[0])
+    cells = _cells(sample.points, j_max + DENSITY_GRID_PAD)
+    return CoefficientTree._of(j_max, _empirical_stack([cells], filt, j_max)[0])
 
 
-def _empirical_stack(samples, filt: WaveletFilter, j_max: int) -> np.ndarray:
-    """The heap arrays of empirical_coefficients(sample, filt, j_max) of each
-    sample of an iterable as the rows of one stack: each sample is binned
-    alone into its row of scaling coefficients (a generator's samples are
-    freed one by one), and one analysis pyramid takes the stack."""
-    alpha = np.array([_scaling_coefficients(sample, filt, j_max) for sample in samples])
+def _sampled_stack(sampler: DensitySampler, n: int, seeds, filt: WaveletFilter,
+                   j_max: int) -> np.ndarray:
+    """The heap arrays of empirical_coefficients(sampler.sample(n, seed), filt,
+    j_max) of each seed as the rows of one stack, bit for bit: each sample is
+    binned on the 2^(j_max + 8) grid straight from its draws."""
+    res = j_max + DENSITY_GRID_PAD
+    return _empirical_stack((sampler.cells(n, seed, res) for seed in seeds), filt, j_max)
+
+
+def _empirical_stack(binned, filt: WaveletFilter, j_max: int) -> np.ndarray:
+    """The heap arrays of the empirical coefficients of depth j_max of each
+    sample of an iterable, given as the cells of the 2^(j_max + 8) grid its
+    points fall in, as the rows of one stack: each sample is binned alone
+    into its row of scaling coefficients (a generator's samples are freed one
+    by one), and one analysis pyramid takes the stack."""
+    alpha = np.array([_scaling_coefficients(cells, filt, j_max) for cells in binned])
     return _pyramid(alpha, filt, j_max)
 
 
-def _scaling_coefficients(sample: DensitySample, filt: WaveletFilter, j_max: int) -> np.ndarray:
-    """The empirical scaling coefficients of level j_max + 1 of a sample (see
-    empirical_coefficients)."""
+def _scaling_coefficients(cells: np.ndarray, filt: WaveletFilter, j_max: int) -> np.ndarray:
+    """The empirical scaling coefficients of level j_max + 1 of a sample given
+    as its cells of the 2^(j_max + 8) grid (see empirical_coefficients)."""
     n_pos, pad = 2 << j_max, DENSITY_GRID_PAD - 1
     table = _scaling_table(filt.taps.tobytes())
     if len(table) > n_pos:
         table = np.array([table[s::n_pos].sum(axis=0) for s in range(n_pos)])
     table = table * 2.0 ** ((j_max + 1) / 2.0)
-    cells = _cells(sample.points, j_max + DENSITY_GRID_PAD)
     q, r = cells >> pad, cells & ((1 << pad) - 1)
     per_row = (np.bincount(q, weights=row[r], minlength=n_pos) for row in table)
-    return _fold(per_row, n_pos) * (1.0 / sample.n)
+    return _fold(per_row, n_pos) * (1.0 / len(cells))
 
 
 @functools.cache  # keyed by the taps' bytes: one table per filter, in each process
@@ -296,6 +353,10 @@ def _fold(per_block, n_pos: int) -> np.ndarray:
     return beta
 
 
-def _cells(points: np.ndarray, res: int) -> np.ndarray:
+def _cells(x: np.ndarray, res: int, x_res: int = 0) -> np.ndarray:
+    """The cell of the 2^res grid that each point x / 2^x_res of [0, 1] falls
+    in, 1 in the last: min(floor(x 2^(res - x_res)), 2^res - 1).  Scaling by a
+    power of two is exact, so x and x / 2^x_res give the same cells."""
     n_cells = 1 << res
-    return np.minimum((points * n_cells).astype(np.int64), n_cells - 1)
+    cells = (x * 2.0 ** (res - x_res)).astype(np.int64)
+    return np.minimum(cells, n_cells - 1, out=cells)

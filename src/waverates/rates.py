@@ -36,7 +36,7 @@ import numpy as np
 from .dyadic import MAX_DEPTH, CoefficientTree
 from .estimators import (_linear_stack, _threshold_stack, linear_weights, noise_depth,
                          universal_threshold)
-from .models import DensitySampler, _empirical_stack, _noise, _observed
+from .models import DensitySampler, _noise, _observed, _sampled_stack
 from .spaces import SmoothnessParams, theoretical_scaling
 from .wavelet import _BLOCK_SAMPLES, WaveletFilter, _loss_sides, get_filter
 
@@ -302,7 +302,7 @@ class _Replicates(NamedTuple):
         n, estimate, depths, sides = self.plans[i]
         seeds = [np.random.SeedSequence((self.master_seed, n, rep)) for rep in reps]
         if self.samplers is not None:
-            observed = (_empirical_stack((sampler.sample(n, seed) for seed in seeds), self.filt, j)
+            observed = (_sampled_stack(sampler, n, seeds, self.filt, j)
                         for sampler, j in zip(self.samplers, depths))
         else:
             noise = _noise(n, max(depths), seeds)

@@ -171,6 +171,9 @@ def test_density_sample_validation():
         DensitySample(3, np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         DensitySample(2, np.array([0.1, 1.2]))
+    for bad in (np.nan, np.inf, -np.inf):  # NaN compares false both ways
+        with pytest.raises(ValueError, match=r"sample points must lie in \[0, 1\]"):
+            DensitySample(3, np.array([0.1, bad, 0.2]))
     points = np.array([0.0, 0.5, 1.0])  # the ends of [0, 1] are inside it
     sample = DensitySample(3, points)
     assert sample.points is points and not points.flags.writeable  # frozen, not copied
@@ -364,7 +367,8 @@ SAMPLER_CASES = [
 def test_density_sampler_matches_searchsorted_reference(case):
     tree, filt = SAMPLER_CASES[case]
     sampler = DensitySampler.from_tree(tree, filt)
-    for arr in (sampler.masses, sampler.cum, sampler.guide):
+    assert sampler.cum.base is sampler.edges and sampler.edges[0] == 0.0
+    for arr in (sampler.masses, sampler.edges, sampler.cum, sampler.cum.base, sampler.guide):
         assert not arr.flags.writeable
     for n, seed in ((1, 4), (5000, 17), (65536, 90210)):
         want = reference_sample_points(tree, filt, n, seed)
@@ -390,6 +394,49 @@ def test_density_sampler_locate_flat_runs_and_bucket_edges():
     # guide bucket: draws there exceed the forward steps and take the fallback
     start = sampler.guide[(u * buckets).astype(np.intp)]
     assert np.max(want - start) > _GUIDE_STEPS
+
+
+@pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))
+def test_density_sampler_cells_are_the_sample_binned(case):
+    # the engine bins each replicate's draws at its read depth J + 8 without
+    # forming points; below, at and above the sampler's own grid, the stack
+    # equals the empirical coefficients of sample() bit for bit
+    tree, filt = SAMPLER_CASES[case]
+    sampler = DensitySampler.from_tree(tree, filt)
+    seeds = [np.random.SeedSequence((7, case, rep)) for rep in range(2)]
+    # positions on and next to cell edges of the sampler's grid, which few draws hit
+    edges = np.arange(0.0, (1 << sampler.res) + 1, max(1, (1 << sampler.res) >> 10))
+    t = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], np.inf)])
+    for res in range(1, sampler.res + 4):
+        assert np.array_equal(models._cells(t, res, sampler.res),
+                              grid_cells(t / (1 << sampler.res), res))
+    for n in (1, 5000, 65536):
+        samples = [sampler.sample(n, seed) for seed in seeds]
+        for J in (max(tree.j_max - 2, 0), tree.j_max, tree.j_max + 2):
+            res = J + DENSITY_GRID_PAD
+            for sample, seed in zip(samples, seeds):
+                cells = sampler.cells(n, seed, res)
+                assert np.array_equal(cells, grid_cells(sample.points, res))
+            stack = models._sampled_stack(sampler, n, seeds, filt, J)
+            for row, sample in zip(stack, samples):
+                want = empirical_coefficients(sample, filt, J).coeffs
+                assert row.tobytes() == want.tobytes(), (n, J)
+
+
+def test_density_sampler_guide_counts_cells_below_each_bucket():
+    # guide[b] is the first cell whose cumulative mass reaches b / N
+    searched = lambda cum: np.searchsorted(cum, np.arange(len(cum)) / len(cum), side="left")
+    for tree, filt in SAMPLER_CASES:
+        sampler = DensitySampler.from_tree(tree, filt)
+        assert np.array_equal(sampler.guide, searched(sampler.cum))
+        assert sampler.guide.dtype == searched(sampler.cum).dtype
+    # N cum integral at bucket edges, runs of empty cells, cum[-1] = 1
+    cum = np.cumsum(np.array([0, 0, 2, 0, 0, 0, 5, 2, 0, 1, 1, 0, 0, 0, 5, 0]) / 16)
+    assert cum[-1] == 1.0 and np.all(cum * 16 == np.round(cum * 16))
+    below = np.nextafter(cum, 0.0)  # each value just under its bucket edge
+    below[-1] = 1.0
+    for hand in (cum, below, np.concatenate([np.zeros(8), np.full(8, 1.0)])):
+        assert np.array_equal(models._guide(hand), searched(hand))
 
 
 def test_density_sampler_refuses_clipped_mass():

@@ -136,6 +136,20 @@ def test_monte_carlo_density_deterministic_and_threaded():
     assert a.rows[0].empirical_risk != c.rows[0].empirical_risk
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_density_forms_no_sample_points(monkeypatch, threads):
+    # a replicate bins its draws straight from the sampler's kernel
+    # (DensitySampler.cells); sample() and its points are for callers
+    def refuse(*args):
+        raise AssertionError("a replicate formed its sample points")
+
+    monkeypatch.setattr(DensitySampler, "sample", refuse)
+    truths = (density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2)),)
+    (table,) = monte_carlo_risk(truths, EstimatorSpec("density_threshold"), [256, 1024], 4, 2.0,
+                                4242, filter_name="db3", threads=threads, model="density")
+    assert all(np.isfinite(row.empirical_risk) for row in table.rows)
+
+
 def _small_risk(n_grid=(64, 256), R=4, threads=1):
     return monte_carlo_risk((shell_tree(2, 2, 1, 6, 2.0),), EstimatorSpec("threshold_hard"),
                             n_grid, R, 2.0, 4242, threads=threads)
