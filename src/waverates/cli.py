@@ -4,9 +4,10 @@ A JSON config describes the science of one experiment: smoothness/loss
 parameters, truth, estimator, n-grid, replicates, seed and tolerances.
 ``run`` executes it on the caller's count of worker processes, writes
 plot-ready CSV tables and a manifest (the resolved config, its content hash
-and an unhashed ``execution`` entry: threads and output directory) into the
-caller's output directory and reports pass/fail verdicts; identical config
-and seed give byte-identical tables at any worker count and output path.
+and an unhashed ``execution`` entry: threads, output directory and the
+python, numpy and waverates versions) into the caller's output directory
+and reports pass/fail verdicts; identical config and seed give
+byte-identical tables at any worker count and output path.
 ``report`` re-renders the verdicts from the stored tables without re-simulating.
 
 Subcommands:
@@ -43,6 +44,8 @@ line on stderr); EXIT_INTERNAL_ERROR (102) otherwise (traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -56,7 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import recordio
+from . import __version__, recordio
 from .dyadic import MAX_DEPTH, CoefficientTree
 from .generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witness
 from .models import DensitySampler
@@ -77,6 +80,8 @@ from .wavelet import get_filter
 
 EXIT_CONFIG_ERROR = 101
 EXIT_INTERNAL_ERROR = 102
+
+atexit.register(gc.freeze)  # exit's final collections then skip the imports' long-lived heap
 
 
 class ConfigError(ValueError):
@@ -578,7 +583,9 @@ def run(config: ExperimentConfig) -> RunReport:
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
     manifest = config.resolved()  # the science; how the run was executed is not hashed
-    execution = {"threads": config.threads, "output_dir": config.output_dir}
+    execution = {"threads": config.threads, "output_dir": config.output_dir,
+                 "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                 "waverates": __version__}
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     mh = hashlib.sha256(canonical.encode()).hexdigest()
     tables = EXPERIMENTS[config.experiment_kind].tables(config)

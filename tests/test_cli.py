@@ -11,9 +11,10 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from waverates import recordio
+from waverates import __version__, recordio
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -33,6 +34,9 @@ from waverates.models import DensitySampler
 from waverates.truths import _unit_term, bump_tree
 
 ROOT = Path(__file__).resolve().parent.parent
+# what every manifest's execution entry records of the software that ran it
+SOFTWARE = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "waverates": __version__}
 DENSITY_WORKLOAD = json.loads((ROOT / "perfbench" / "workloads" / "density_threshold.json")
                               .read_text())
 
@@ -325,7 +329,7 @@ def test_run_is_byte_identical_across_reruns(tmp_path, monkeypatch):
     for out, threads in runs:
         report = run_in(out, rate_config(replicates=4), threads=threads)
         stored = json.loads((out / "manifest.json").read_text())
-        assert stored["execution"] == {"threads": threads, "output_dir": str(out)}
+        assert stored["execution"] == {"threads": threads, "output_dir": str(out), **SOFTWARE}
         assert stored["hash"] == report.manifest_hash and "threads" not in stored["manifest"]
         names = sorted(Path(table).name for table in report.tables) + ["report.json"]
         outputs.append((report.manifest_hash, {name: (out / name).read_bytes() for name in names}))
@@ -435,7 +439,7 @@ def test_main_subcommands(tmp_path, capsys, monkeypatch):
                  "--threads", "2"])
     assert code == 0
     stored = json.loads((out / "manifest.json").read_text())
-    assert stored["execution"] == {"threads": 2, "output_dir": str(out)}
+    assert stored["execution"] == {"threads": 2, "output_dir": str(out), **SOFTWARE}
     assert stored["manifest"]["master_seed"] == 3
 
     # report: re-render from the stored directory
@@ -445,7 +449,7 @@ def test_main_subcommands(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(cfg_path)]) == 0
     stored = json.loads((tmp_path / "out" / "cfg" / "manifest.json").read_text())
-    assert stored["execution"] == {"threads": 1, "output_dir": "out/cfg"}
+    assert stored["execution"] == {"threads": 1, "output_dir": "out/cfg", **SOFTWARE}
     assert stored["manifest"]["master_seed"] == 11
 
 
@@ -983,18 +987,53 @@ def test_demo_imports_exist(path):
             assert not missing, f"{path.name}: {node.module} has no {missing}"
 
 
+def _python(args, cwd, **env):
+    """A fresh interpreter run on args with this checkout's package, to its exit."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demos_run(path, tmp_path):
     # each demo runs to exit 0, writes only under its working directory and TMPDIR,
     # and removes what it wrote under TMPDIR
-    src, tmp = str(Path(__file__).parent.parent / "src"), tmp_path / "tmp"
+    tmp = tmp_path / "tmp"
     tmp.mkdir()
-    env = dict(os.environ, TMPDIR=str(tmp),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+    done = _python([str(path)], tmp_path, TMPDIR=str(tmp))
     assert done.returncode == 0, done.stderr
     assert not any(tmp.iterdir())
+
+
+@pytest.mark.parametrize("module,frozen", [("waverates.cli", True), ("waverates", False)])
+def test_importing_the_cli_freezes_the_heap_at_exit(module, frozen, tmp_path):
+    # atexit runs its handlers last in, first out, so this one, registered before the
+    # import, runs after the import's: it reads the freeze count that exit's collections see
+    probe = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count()))"
+    done = _python(["-c", f"{probe}; import {module}"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    count = int(done.stdout)
+    assert count > 0 if frozen else count == 0
+
+
+def test_the_command_line_writes_what_main_writes(tmp_path, capsys):
+    # the one test that runs the CLI to interpreter exit: python -m waverates.cli into
+    # its default out/<config file stem>, against main in-process into another directory
+    config = ROOT / "demos" / "configs" / "sparse_linear_rate.json"
+    args = ["run", "--config", str(config), "--threads", "2", "--seed", "7"]
+    (tmp_path / "cli").mkdir()
+    done = _python(["-m", "waverates.cli", *args], tmp_path / "cli")
+    status = main([*args, "--out", str(tmp_path / "main")])
+    assert done.returncode == status, done.stderr + capsys.readouterr().err
+    dirs = tmp_path / "cli" / "out" / config.stem, tmp_path / "main"
+    files = [{path.name: path.read_bytes() for path in out.iterdir()} for out in dirs]
+    manifests = [json.loads(f.pop("manifest.json")) for f in files]
+    assert files[0] == files[1] and "report.json" in files[0]
+    for manifest, out in zip(manifests, ("out/" + config.stem, str(dirs[1]))):
+        assert manifest["execution"].pop("output_dir") == out
+    assert manifests[0] == manifests[1]
 
 
 def test_validate_fills_nested_defaults_and_keeps_given_values(tmp_path):

@@ -8,6 +8,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import waverates
@@ -84,7 +85,8 @@ def test_benchmark_setup_builds_every_workload(workload, tmp_path):
 def test_benchmark_workload_runs_give_one_output_at_either_thread_count(workload, tmp_path,
                                                                          capsys):
     # the benchmark's output check: each run exits 0 and writes report.json, and the
-    # --threads 2 run writes the tables, report and manifest hash of the --threads 1 run
+    # --threads 2 run writes the tables, report and manifest hash of the --threads 1 run;
+    # execution records how it ran and the software that ran it
     out, outputs = tmp_path / "out", []
     for threads in ("1", "2"):
         status = main(["run", "--config", str(workload), "--out", str(out), "--seed", "7",
@@ -92,7 +94,9 @@ def test_benchmark_workload_runs_give_one_output_at_either_thread_count(workload
         assert status == 0, capsys.readouterr()
         files = {path.name: path.read_bytes() for path in out.iterdir()}
         manifest = json.loads(files.pop("manifest.json"))
-        assert manifest["execution"]["threads"] == int(threads)
+        assert manifest["execution"] == {
+            "threads": int(threads), "output_dir": str(out), "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3], "waverates": waverates.__version__}
         outputs.append((manifest["hash"], files))
         shutil.rmtree(out)  # as the benchmark takes a run's outputs
     assert "report.json" in outputs[0][1] and outputs[1] == outputs[0]
