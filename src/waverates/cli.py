@@ -295,7 +295,8 @@ def _with_model(config: ExperimentConfig) -> ExperimentConfig:
 def _monte_carlo_check(config: ExperimentConfig) -> None:
     """Build what a Monte Carlo run builds before its first replicate: the
     EstimatorSpec, the filter and the truth, and a density truth's law
-    (DensitySampler.cell_masses; the run builds the sampler)."""
+    (DensitySampler.cell_masses, which the run's sampler reads again from its
+    cache)."""
     sm = config.smoothness
     EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
     filt = get_filter(config.filter)  # _with_model refused a name get_filter does not read

@@ -32,14 +32,18 @@ def reduced_level_array(j: int) -> np.ndarray:
     """Reduced scale J of every position k of level j, as one array of shape (2^j,).
 
     J is the scale of the irreducible form K / 2^J of k / 2^j: j less the
-    trailing zero bits of k, and 0 for k = 0.
+    trailing zero bits of k, and 0 for k = 0.  It is built level by level: an
+    odd k / 2^i is irreducible (J = i), and an even k = 2k' has the reduced
+    scale of k' / 2^(i - 1).  As k / 2^i = k 2^(j - i) / 2^j, every
+    2^(j - i)-th entry of level j's array is level i's.
     """
-    k = np.arange(1 << j, dtype=np.int64)
-    # trailing zero count; k = 0 gets a sentinel larger than j
-    tz = np.full(1 << j, j + 1, dtype=np.int64)
-    nz = k > 0
-    tz[nz] = np.log2(k[nz] & -k[nz]).astype(np.int64)
-    return np.maximum(j - tz, 0)
+    J = np.zeros(1, dtype=np.int64)
+    for i in range(1, j + 1):
+        finer = np.empty(2 * len(J), dtype=np.int64)
+        finer[0::2] = J
+        finer[1::2] = i
+        J = finer
+    return J
 
 
 def _refuse_bools(**values) -> None:

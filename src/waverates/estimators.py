@@ -97,20 +97,27 @@ def threshold_estimate(y: CoefficientTree, lam: float, depth: int,
 
 def _threshold_stack(y: np.ndarray, lam: float, depth: int, mode: str = "hard") -> np.ndarray:
     """threshold_estimate on the last axis of y: the estimate's array of a
-    heap array, or of each row of a stack of them, as one where (hard) or
-    one shrink (soft); a stack ends at the deepest level that any row keeps
-    a coefficient of, the rows that keep none there holding zeros."""
+    heap array, or of each row of a stack of them.  One comparison over the
+    levels <= depth decides what is kept (|y| >= lam hard, |y| > lam soft:
+    the coefficients whose estimate is nonzero, as lam > 0); a stack ends at
+    the deepest level that any row keeps a coefficient of, the rows that
+    keep none there holding zeros, and only that width is then formed, as
+    one where (hard) or one shrink (soft)."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
     a = y[..., : 2 << depth]
-    if mode == "hard":
-        est = np.where(np.abs(a) >= lam, a, 0.0)
-    else:
-        est = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    est[..., 0] = a[..., 0]
+    mag = np.abs(a)
+    keep = mag >= lam if mode == "hard" else mag > lam
     starts = 1 << np.arange(a.shape[-1].bit_length() - 1)  # level j starts at 2^j
-    levels = np.logical_or.reduceat(est != 0.0, starts, axis=-1).reshape(-1, len(starts))
+    levels = np.logical_or.reduceat(keep, starts, axis=-1).reshape(-1, len(starts))
     kept = np.flatnonzero(levels.any(axis=0))
-    return est[..., : 2 << kept[-1] if kept.size else 1]
+    width = 2 << kept[-1] if kept.size else 1
+    a = a[..., :width]
+    if mode == "hard":
+        est = np.where(keep[..., :width], a, 0.0)
+    else:
+        est = np.sign(a) * np.maximum(mag[..., :width] - lam, 0.0)
+    est[..., 0] = a[..., 0]
+    return est

@@ -174,27 +174,17 @@ class DensitySampler:
         (the integral of the negative part) exceeds MAX_CLIPPED_MASS, or
         whose mass (the mean of the grid before clipping) differs from 1 by
         more: risks are measured against the unclipped, unnormalized tree, so
-        the sampled law must be that tree."""
+        the sampled law must be that tree.
+
+        The last law is kept, keyed by the bytes of the tree and the filter,
+        so validate's check and the run's sampler synthesize it once; its
+        masses are read-only."""
         res = f_tree.j_max + DENSITY_GRID_PAD
         if res > MAX_DEPTH:
             raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
                              f"j_max must be <= {MAX_DEPTH - DENSITY_GRID_PAD}")
-        values = synthesize(f_tree, filt, res).samples
-        mass = float(np.mean(values))
-        clipped_mass = float(np.maximum(-values, 0.0).sum()) / (1 << res)
-        values = np.clip(values, 0.0, None)
-        total = values.sum()
-        if total <= 0.0:
-            raise ValueError("density is identically zero after clipping")
-        if clipped_mass > MAX_CLIPPED_MASS:
-            raise ValueError(
-                f"density has negative mass {clipped_mass:.3g} > {MAX_CLIPPED_MASS:g}; "
-                "clipping it would sample a different law than the tree"
-            )
-        if abs(mass - 1.0) > MAX_CLIPPED_MASS:
-            raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
-                             "renormalizing it would sample a different law than the tree")
-        return values / total, clipped_mass
+        return _cell_masses(f_tree.j_max, f_tree.coeffs.tobytes(), filt.name,
+                            filt.taps.tobytes(), filt.vanishing_moments)
 
     @classmethod
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
@@ -210,7 +200,7 @@ class DensitySampler:
         np.cumsum(masses, out=edges[1:])
         edges[-1] = 1.0
         guide = _guide(edges[1:])
-        for arr in (masses, edges, guide):
+        for arr in (edges, guide):  # the masses are read-only already
             arr.flags.writeable = False
         return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, edges, guide, clipped_mass)
 
@@ -264,6 +254,34 @@ class DensitySampler:
         np.clip(t, 0.0, 1.0, out=t)
         t += cells
         return t
+
+
+@functools.lru_cache(maxsize=1)  # validate's check and the run's sampler: one synthesis
+def _cell_masses(j_max: int, coeffs: bytes, name: str, taps: bytes,
+                 vanishing_moments: int) -> tuple[np.ndarray, float]:
+    """DensitySampler.cell_masses of the tree and the filter given by their
+    fields, the arrays as bytes, past its grid check."""
+    f_tree = CoefficientTree._of(j_max, np.frombuffer(coeffs))
+    filt = WaveletFilter(name, np.frombuffer(taps), vanishing_moments)
+    res = j_max + DENSITY_GRID_PAD
+    values = synthesize(f_tree, filt, res).samples
+    mass = float(np.mean(values))
+    clipped_mass = float(np.maximum(-values, 0.0).sum()) / (1 << res)
+    values = np.clip(values, 0.0, None)
+    total = values.sum()
+    if total <= 0.0:
+        raise ValueError("density is identically zero after clipping")
+    if clipped_mass > MAX_CLIPPED_MASS:
+        raise ValueError(
+            f"density has negative mass {clipped_mass:.3g} > {MAX_CLIPPED_MASS:g}; "
+            "clipping it would sample a different law than the tree"
+        )
+    if abs(mass - 1.0) > MAX_CLIPPED_MASS:
+        raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
+                         "renormalizing it would sample a different law than the tree")
+    masses = values / total
+    masses.flags.writeable = False
+    return masses, clipped_mass
 
 
 def _guide(cum: np.ndarray) -> np.ndarray:

@@ -83,14 +83,18 @@ def shell_sum(s: float, r: float, j_max: int, terms: Iterable[ShellTerm]) -> Coe
 @functools.lru_cache(maxsize=2)  # a probe line's two terms
 def _unit_term(s: float, r: float, j_max: int, damping: float, j_min: int,
                dither: float) -> np.ndarray:
-    """The heap array of one shell_sum term at amplitude 1, read-only."""
+    """The heap array of one shell_sum term at amplitude 1, read-only.  Each
+    level gathers its magnitudes from one value per reduced scale 0..j, at
+    the reduced scales of its positions on level j_max."""
     coeffs = np.zeros(2 << j_max)
+    finest = reduced_level_array(j_max)
     for j in range(j_min, j_max + 1):
-        J = reduced_level_array(j)
-        vals = 2.0 ** (-(s - 1 / r + 0.5) * j - (1 / r) * J) / float(j) ** damping
+        J = finest[:: 1 << (j_max - j)]
+        profile = 2.0 ** (-(s - 1 / r + 0.5) * j - (1 / r) * np.arange(j + 1)) / float(j) ** damping
+        vals = profile[J]
         if dither > 0:
-            k = np.arange(1 << j, dtype=np.float64)
-            m = 2.0 ** (-dither * np.mod(k * _GOLDEN + j * _GOLDEN**2, 1.0))
+            x = np.arange(1 << j, dtype=np.float64) * _GOLDEN + j * _GOLDEN**2
+            m = 2.0 ** (-dither * (x - np.floor(x)))  # x >= 0: x mod 1, exactly
             count = np.bincount(J).astype(np.float64)  # every J in [0, j] occurs
             vals = vals * m * np.sqrt(count / np.bincount(J, weights=m * m))[J]
         coeffs[1 << j : 2 << j] = vals

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waverates import __version__, recordio
+from waverates import __version__, models, recordio
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -748,20 +748,28 @@ def test_shell_tree_call_forms_share_one_cache_entry():
 
 
 def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
-    # validate checks the truth's law without a sampler; the engine builds the one
-    callers = []
-    build = DensitySampler.from_tree.__func__
+    # validate checks the truth's law without a sampler; the engine builds the one,
+    # from the law validate synthesized
+    callers, syntheses = [], []
+    build, synthesize = DensitySampler.from_tree.__func__, models.synthesize
 
     def recorded(cls, tree, filt):
         callers.append([frame.name for frame in traceback.extract_stack()])
         return build(cls, tree, filt)
 
+    def counted(*args):
+        syntheses.append(args)
+        return synthesize(*args)
+
     monkeypatch.setattr(DensitySampler, "from_tree", classmethod(recorded))
+    monkeypatch.setattr(models, "synthesize", counted)
+    models._cell_masses.cache_clear()
     text = json.dumps(dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512], replicates=2, j_max=4))
     config = validate_config(text)
-    assert callers == []
+    assert callers == [] and len(syntheses) == 1
     run(replace(config, output_dir=str(tmp_path / "out")))
     assert len(callers) == 1 and "monte_carlo_risk" in callers[0]
+    assert len(syntheses) == 1 and models._cell_masses.cache_info()[:2] == (1, 1)
 
 
 def test_report_reads_the_run_directory_alone(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from waverates.dyadic import CoefficientTree
 from waverates.estimators import (
+    _threshold_stack,
     linear_estimate,
     linear_weights,
     noise_depth,
@@ -76,6 +77,46 @@ def test_estimates_end_at_the_deepest_level_their_rule_keeps():
     est = threshold_estimate(y, lam, noise_depth(1024))
     assert est.coeffs.tolist() == [0.1, 0.0, 2 * lam, 0.0] and est.j_max == 9
     assert threshold_estimate(y, 4 * lam, noise_depth(1024)).coeffs.tolist() == [0.1]
+
+
+def _trimmed_reference(y, lam, depth, mode):
+    """_threshold_stack formed over every level <= depth, then cut after the
+    deepest level that any row keeps a coefficient of."""
+    a = y[..., : 2 << depth]
+    if mode == "hard":
+        est = np.where(np.abs(a) >= lam, a, 0.0)
+    else:
+        est = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
+    est[..., 0] = a[..., 0]
+    kept = [j for j in range(a.shape[-1].bit_length() - 1) if est[..., 1 << j : 2 << j].any()]
+    return est[..., : 2 << kept[-1] if kept else 1]
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_threshold_stack_forms_only_the_kept_width(mode):
+    lam, depth = 0.5, 6
+    y = np.random.default_rng(9).uniform(-lam / 2, lam / 2, (4, 2 << 8))  # nothing kept
+    y[:, 0] = [0.3, -0.0, 7.0, 0.0]  # the scaling coefficients pass through
+    y[0, 3] = 2.0  # row 0 keeps level 1
+    y[1, 40] = -1.0  # row 1 keeps level 5
+    y[2, 1 << 6] = -lam  # |y| = lam on level 6: kept by hard, dropped by soft
+    y[3, 2 << 6] = 9.0  # level 7 lies past the depth
+    for rows, width in ((y, 128 if mode == "hard" else 64), (y[:1], 4), (y[3:], 1),
+                        (y[0], 4), (y[3], 1)):  # y[3:] and y[3] keep no level
+        got = _threshold_stack(rows, lam, depth, mode)
+        want = _trimmed_reference(rows, lam, depth, mode)
+        assert got.shape == want.shape == rows.shape[:-1] + (width,)
+        assert got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(10)
+    for _ in range(300):  # random stacks, some entries at exactly +-lam
+        rows, levels = int(rng.integers(1, 5)), int(rng.integers(0, 12))
+        y = rng.normal(0.0, rng.choice([0.1, 1.0, 3.0]), (rows, 2 << levels))
+        lam = float(rng.uniform(0.5, 3.0))
+        y.reshape(-1)[rng.integers(0, y.size, 3)] = lam * rng.choice([-1.0, 1.0], 3)
+        depth = int(rng.integers(0, levels + 2))
+        got = _threshold_stack(y, lam, depth, mode)
+        want = _trimmed_reference(y, lam, depth, mode)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_universal_threshold_and_depth():

@@ -149,6 +149,31 @@ def test_probe_line_truth_is_alpha_g_plus_shell(alpha, base, dither, j_min):
     assert _same_bits(got, want)
 
 
+def _unit_term_reference(s, r, j_max, damping, j_min, dither):
+    """_unit_term with a power and a mod per coefficient."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    coeffs = np.zeros(2 << j_max)
+    for j in range(j_min, j_max + 1):
+        J = reduced_level_array(j)
+        vals = 2.0 ** (-(s - 1 / r + 0.5) * j - (1 / r) * J) / float(j) ** damping
+        if dither > 0:
+            k = np.arange(1 << j, dtype=np.float64)
+            m = 2.0 ** (-dither * np.mod(k * golden + j * golden**2, 1.0))
+            count = np.bincount(J).astype(np.float64)
+            vals = vals * m * np.sqrt(count / np.bincount(J, weights=m * m))[J]
+        coeffs[1 << j : 2 << j] = vals
+    return coeffs
+
+
+# (s, r, j_max, damping, j_min, dither): shells dithered or not, g terms, j_min > 0
+@pytest.mark.parametrize("term", [(2.0, 2.0, 9, 0.0, 0, 2.0), (1.5, 2.0, 16, 2.5, 1, 0.0),
+                                  (1.2, 1.0, 20, 0.0, 0, 2.0), (2.0, 2.0, 12, 0.0, 3, 1.0),
+                                  (0.9, 4.0, 20, 1.75, 1, 0.0), (1.2, 1.0, 14, 4.0, 5, 3.0)])
+def test_unit_term_matches_per_coefficient_formula(term):
+    # one power per reduced scale, gathered, and x - floor(x) for x mod 1, bit for bit
+    assert _unit_term.__wrapped__(*term).tobytes() == _unit_term_reference(*term).tobytes()
+
+
 def test_probe_line_truth_without_base_builds_no_shell():
     g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=7))
     _unit_term.cache_clear()
