@@ -207,15 +207,16 @@ class DensitySampler:
     def locate(self, u: np.ndarray) -> np.ndarray:
         """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
 
-        The guide table gives a cell at or below the answer, from which
-        draws step forward.  About half the draws step once: the first step
+        The guide table, read at each draw's bucket floor(N u) (its cell of
+        the 2^res grid, _cells), gives a cell at or below the answer, from
+        which draws step forward.  About half the draws step once: the first step
         is one pass over all of them, after which only the draws that
         stepped are checked again.  The few still short step over a
         shrinking index set, and any still short after _GUIDE_STEPS steps
         (a run of near-empty cells) fall back to a binary search.
         """
         cum = self.cum
-        cells = self.guide.take((u * len(self.guide)).astype(np.intp))
+        cells = self.guide.take(_cells(u, self.res))
         stepped = cum.take(cells) < u
         cells += stepped
         short = np.flatnonzero(stepped)
@@ -232,7 +233,8 @@ class DensitySampler:
         """The cell of the 2^res grid that each point of sample(n, seed) falls
         in, _cells(sample(n, seed).points, res) bit for bit, without forming
         the points: both are one power-of-two scaling of the draws' position
-        on the sampler's grid."""
+        on the sampler's grid.  The positions are formed in the uniforms'
+        array and truncated into a fresh one, so no caller array is written."""
         return _cells(self._positions(n, seed), res, self.res)
 
     def sample(self, n: int, seed) -> DensitySample:
@@ -244,14 +246,16 @@ class DensitySampler:
     def _positions(self, n: int, seed) -> np.ndarray:
         """2^res times n i.i.d. points drawn from seed: the cell c of each
         uniform u (locate) plus the fraction of that cell's mass below u,
-        clipped to [0, 1]."""
+        clipped to [0, 1].  Once located, the uniforms' own array becomes
+        the fraction and then the position, in place."""
         if n < 1:
             raise ValueError("n must be >= 1")
         u = np.random.default_rng(seed).random(n)
         cells = self.locate(u)
-        t = u - self.edges.take(cells)
+        t = np.subtract(u, self.edges.take(cells), out=u)
         t /= self.masses.take(cells)
-        np.clip(t, 0.0, 1.0, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
         t += cells
         return t
 
@@ -260,15 +264,17 @@ class DensitySampler:
 def _cell_masses(j_max: int, coeffs: bytes, name: str, taps: bytes,
                  vanishing_moments: int) -> tuple[np.ndarray, float]:
     """DensitySampler.cell_masses of the tree and the filter given by their
-    fields, the arrays as bytes, past its grid check."""
+    fields, the arrays as bytes, past its grid check.  Beside the synthesized
+    grid it holds one writable grid-sized array: the negative part, whose
+    integral is the clipped mass, and then the clipped, normalized law."""
     f_tree = CoefficientTree._of(j_max, np.frombuffer(coeffs))
     filt = WaveletFilter(name, np.frombuffer(taps), vanishing_moments)
     res = j_max + DENSITY_GRID_PAD
     values = synthesize(f_tree, filt, res).samples
     mass = float(np.mean(values))
-    clipped_mass = float(np.maximum(-values, 0.0).sum()) / (1 << res)
-    values = np.clip(values, 0.0, None)
-    total = values.sum()
+    masses = np.negative(values)
+    clipped_mass = float(np.maximum(masses, 0.0, out=masses).sum()) / (1 << res)
+    total = np.maximum(values, 0.0, out=masses).sum()  # np.clip(values, 0.0, None)
     if total <= 0.0:
         raise ValueError("density is identically zero after clipping")
     if clipped_mass > MAX_CLIPPED_MASS:
@@ -279,7 +285,7 @@ def _cell_masses(j_max: int, coeffs: bytes, name: str, taps: bytes,
     if abs(mass - 1.0) > MAX_CLIPPED_MASS:
         raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
                          "renormalizing it would sample a different law than the tree")
-    masses = values / total
+    masses /= total
     masses.flags.writeable = False
     return masses, clipped_mass
 
@@ -342,14 +348,17 @@ def _empirical_stack(binned, filt: WaveletFilter, j_max: int) -> np.ndarray:
 
 def _scaling_coefficients(cells: np.ndarray, filt: WaveletFilter, j_max: int) -> np.ndarray:
     """The empirical scaling coefficients of level j_max + 1 of a sample given
-    as its cells of the 2^(j_max + 8) grid (see empirical_coefficients)."""
+    as its cells of the 2^(j_max + 8) grid (see empirical_coefficients).  It
+    takes the cells over: they are overwritten with their phases in the
+    table, so callers pass an array of their own (_cells makes one)."""
     n_pos, pad = 2 << j_max, DENSITY_GRID_PAD - 1
     table = _scaling_table(filt.taps.tobytes())
     if len(table) > n_pos:
         table = np.array([table[s::n_pos].sum(axis=0) for s in range(n_pos)])
     table = table * 2.0 ** ((j_max + 1) / 2.0)
-    q, r = cells >> pad, cells & ((1 << pad) - 1)
-    per_row = (np.bincount(q, weights=row[r], minlength=n_pos) for row in table)
+    q = cells >> pad
+    r = np.bitwise_and(cells, (1 << pad) - 1, out=cells)
+    per_row = (np.bincount(q, weights=row.take(r), minlength=n_pos) for row in table)
     return _fold(per_row, n_pos) * (1.0 / len(cells))
 
 
@@ -373,8 +382,10 @@ def _fold(per_block, n_pos: int) -> np.ndarray:
 
 def _cells(x: np.ndarray, res: int, x_res: int = 0) -> np.ndarray:
     """The cell of the 2^res grid that each point x / 2^x_res of [0, 1] falls
-    in, 1 in the last: min(floor(x 2^(res - x_res)), 2^res - 1).  Scaling by a
-    power of two is exact, so x and x / 2^x_res give the same cells."""
+    in, 1 in the last: min(floor(x 2^(res - x_res)), 2^res - 1), a fresh array;
+    x is read, not written.  Scaling by a power of two is exact, so x and
+    x / 2^x_res give the same cells."""
     n_cells = 1 << res
-    cells = (x * 2.0 ** (res - x_res)).astype(np.int64)
+    cells = np.multiply(x, 2.0 ** (res - x_res), out=np.empty(x.shape, np.int64),
+                        casting="unsafe")  # truncated as astype does, x left unwritten
     return np.minimum(cells, n_cells - 1, out=cells)

@@ -205,17 +205,24 @@ class GridSignal:
 
 def _dwt_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """One periodized analysis step on the last axis, each row alone:
-    approx[m] = sum_t lo[t] a[(2m+t) mod n], detail likewise with hi; one
-    gather of the cyclic extension (it wraps as often as a row shorter than
-    the filter needs), then L slice multiply-adds; the adjoint of _idwt_step."""
+    approx[m] = sum_t lo[t] a[(2m+t) mod n], detail likewise with hi; the
+    cyclic extension is a row and its first L - 1 entries (a gather for a
+    row shorter than that, which wraps more than once), then L slice
+    multiply-adds, each tap's product formed in one scratch array; the
+    adjoint of _idwt_step."""
     n = a.shape[-1]
     L = len(lo)
-    ext = a.take(np.arange(n + L - 1) % n, axis=-1)
+    if n >= L - 1:
+        ext = np.concatenate((a, a[..., : L - 1]), axis=-1)
+    else:
+        ext = a.take(np.arange(n + L - 1) % n, axis=-1)
     approx = lo[0] * ext[..., 0:n:2]
     detail = hi[0] * ext[..., 0:n:2]
+    tmp = np.empty_like(approx)
     for t in range(1, L):
-        approx += lo[t] * ext[..., t : t + n : 2]
-        detail += hi[t] * ext[..., t : t + n : 2]
+        window = ext[..., t : t + n : 2]
+        approx += np.multiply(lo[t], window, out=tmp)
+        detail += np.multiply(hi[t], window, out=tmp)
     return approx, detail
 
 

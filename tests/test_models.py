@@ -370,6 +370,7 @@ def test_density_sampler_matches_searchsorted_reference(case):
     assert sampler.cum.base is sampler.edges and sampler.edges[0] == 0.0
     for arr in (sampler.masses, sampler.edges, sampler.cum, sampler.cum.base, sampler.guide):
         assert not arr.flags.writeable
+    assert sampler.masses.tobytes() == reference_cdf(tree, filt)[1].tobytes()
     for n, seed in ((1, 4), (5000, 17), (65536, 90210)):
         want = reference_sample_points(tree, filt, n, seed)
         assert np.array_equal(sampler.sample(n, seed).points, want)
@@ -421,6 +422,45 @@ def test_density_sampler_cells_are_the_sample_binned(case):
             for row, sample in zip(stack, samples):
                 want = empirical_coefficients(sample, filt, J).coeffs
                 assert row.tobytes() == want.tobytes(), (n, J)
+    # the largest draw random() returns lies in the last cell; where the
+    # masses sum below 1, the CDF's last edge (set to 1) leaves it past the
+    # cell's mass, so its fraction clips to exactly 1 and its point is 1,
+    # which the cell rule puts in the last cell at every resolution
+    u = np.array([np.nextafter(1.0, 0.0), 0.5])
+    top = sampler.sample(2, Drawn(u)).points
+    assert (top[0] == 1.0) == (np.cumsum(sampler.masses)[-1] < 1.0)
+    for res in range(1, sampler.res + 4):
+        cells = sampler.cells(2, Drawn(u), res)
+        assert cells[0] == (1 << res) - 1 and np.array_equal(cells, grid_cells(top, res))
+
+
+class Drawn(np.random.Generator):
+    """A generator whose random(n) returns the given uniforms, a fresh copy
+    per call: default_rng passes a Generator through unchanged."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = np.array(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def test_density_cells_write_no_caller_array():
+    # the draws become positions and the cells their phases in arrays the
+    # kernel made itself: the sampler's tables and a frozen sample's points
+    # are read-only, so a write to them would raise here
+    tree, filt = SAMPLER_CASES[1]
+    sampler = DensitySampler.from_tree(tree, filt)
+    sample = sampler.sample(4096, 3)
+    for arr in (sample.points, sampler.masses, sampler.edges, sampler.guide):
+        assert not arr.flags.writeable
+    for J in (tree.j_max - 2, tree.j_max + 2):
+        res = J + DENSITY_GRID_PAD
+        assert np.array_equal(models._cells(sample.points, res), sampler.cells(4096, 3, res))
+        stack = models._sampled_stack(sampler, 4096, [3], filt, J)
+        assert stack[0].tobytes() == empirical_coefficients(sample, filt, J).coeffs.tobytes()
 
 
 def test_density_sampler_guide_counts_cells_below_each_bucket():
@@ -448,6 +488,13 @@ def test_density_sampler_refuses_clipped_mass():
     assert 0.0 < small.clipped_mass < MAX_CLIPPED_MASS
     assert abs(small.clipped_mass - 5e-6) < 1e-12
     assert DensitySampler.from_tree(demo_density_truth(), get_filter("db2")).clipped_mass == 0.0
+    # the integral of the negative part, bit for bit, the sign of a zero too
+    for tree, filt in [(lobe(1.0 + 1e-5), HAAR)] + SAMPLER_CASES:
+        res = tree.j_max + DENSITY_GRID_PAD
+        values = synthesize(tree, filt, res).samples
+        want = float(np.maximum(-values, 0.0).sum()) / (1 << res)
+        got = DensitySampler.from_tree(tree, filt).clipped_mass
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("name", ["db1", "db2", "db4", "db10"])

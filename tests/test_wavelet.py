@@ -69,6 +69,24 @@ def test_filter_bank_steps_act_on_each_row_of_a_stack(vm):
             assert abs(out[b] @ stack[b] - (u[b] @ approx[b] + v[b] @ detail[b])) < 1e-12 * m
 
 
+@pytest.mark.parametrize("name", ["db1", "db2", "db10"])
+def test_dwt_step_matches_gathered_cyclic_extension(name):
+    # rows shorter than, equal to and longer than L - 1: the step equals the
+    # gather of arange(n + L - 1) % n and the same multiply-adds bit for bit
+    filt, rng = get_filter(name), np.random.default_rng(len(name))
+    lo, hi = filt.taps, filt.highpass
+    L = len(lo)
+    for m in sorted({1, 2, max(L - 2, 1), L - 1, L, 64}):
+        stack = rng.standard_normal((3, m))
+        ext = stack.take(np.arange(m + L - 1) % m, axis=-1)
+        want_a, want_d = lo[0] * ext[..., 0:m:2], hi[0] * ext[..., 0:m:2]
+        for t in range(1, L):
+            want_a += lo[t] * ext[..., t : t + m : 2]
+            want_d += hi[t] * ext[..., t : t + m : 2]
+        approx, detail = _dwt_step(stack, lo, hi)
+        assert approx.tobytes() == want_a.tobytes() and detail.tobytes() == want_d.tobytes(), m
+
+
 def periodized_haar(j, k, x):
     """2^{j/2} psi(2^j x - k) on [0, 1), psi = +1 on [0, 1/2), -1 on [1/2, 1)."""
     u = np.mod(2.0**j * x - k, 2.0**j)
