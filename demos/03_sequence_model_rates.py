@@ -9,7 +9,6 @@ slopes show the gap at simulation scale.
 """
 
 from waverates import (
-    CoefficientTree,
     EstimatorSpec,
     ShellTerm,
     SmoothnessParams,
@@ -23,7 +22,6 @@ from waverates import (
     threshold_estimate,
     universal_threshold,
 )
-from waverates.models import observe
 
 N_GRID = [2**j for j in range(10, 17)]
 
@@ -54,13 +52,13 @@ for row in table.rows:
     print(f"  {row.n:<8d} {row.empirical_risk:<13.6g} {row.std_error:.2g}")
 
 print("\none replicate by hand: two truths observed under one noise draw (common")
-print("random numbers); monte_carlo_risk runs these steps on a stack of replicates")
+print("random numbers: the same seed gives the same noise); monte_carlo_risk runs")
+print("these steps on a stack of replicates")
 n, depth = 4096, noise_depth(4096)
-noise = simulate_sequence(CoefficientTree.zeros(1, depth), n, depth, seed=7)  # the draw itself
 shell = shell_sum(2, 2, 14, [ShellTerm(1024.0, dither=2.0)])
 for name, theta in (("0.7 g + shell", truth), ("shell alone  ", shell)):
     lam = 2.0 * universal_threshold(n)  # kappa = 2
-    estimate = threshold_estimate(observe(theta, noise, depth), lam, depth)
+    estimate = threshold_estimate(simulate_sequence(theta, n, depth, seed=7), lam, depth)
     print(f"  {name}: squared error {(estimate - theta).total_energy():.6g}")
 
 print("\nsparse regime: s=1.2, r=1, p=4 (thresholding beats linear)")

@@ -24,7 +24,6 @@ from .generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witnes
 from .models import (
     DensitySample,
     DensitySampler,
-    SequenceObservation,
     empirical_coefficients,
     simulate_sequence,
 )

@@ -135,8 +135,7 @@ class ExperimentConfig:
         return out
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     manifest: dict
     manifest_hash: str
     tables: tuple[str, ...]

@@ -12,7 +12,7 @@ scaling function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenericFunctionSpec:
+class GenericFunctionSpec(NamedTuple):
     """Parameters of the saturating construction, checked by build_g."""
 
     s: float

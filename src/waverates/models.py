@@ -2,24 +2,25 @@
 
 Sequence observations add independent Gaussian noise of standard deviation
 n^{-1/2} to every coefficient up to the requested depth, zero coefficients
-included.  The noise is one draw in the trees' heap order (see dyadic), so
-observing a truth is one array add, and ``observe`` adds one noise draw to
-several truths, giving each its observed coefficient tree.  The risk engine
-runs the same steps on a stack of replicates, one row per seed (``_noise``,
-``_observed``), to the depth its estimator reads.  Density samples are
-drawn from the normalized, nonnegative part of a wavelet-specified density
-by inverse CDF on a fine dyadic grid.  A DensitySampler holds that CDF and a
-guide table for one truth, so replicates share it; it refuses densities
-whose clipped negative mass, or whose mass's distance from 1, exceeds
-MAX_CLIPPED_MASS.  Empirical coefficients of depth J average the periodized
-scaling functions of level J + 1 at the sample points, read from one cascade
-table on the 2^(J+8) grid, one bincount per table row of the cells the
-points fall in; the analysis pyramid takes them to every level, so each
-level reads its wavelet on that grid.  The risk engine forms no points: for
-a stack of replicates ``_sampled_stack`` bins each replicate's draws on the
-2^(J+8) grid straight from the sampler's kernel (DensitySampler.cells, the
-kernel sample() runs too), each sample alone, and runs one pyramid for the
-stack.  The observed trees of both models feed the same estimators.
+included, and ``simulate_sequence`` returns the observed coefficient tree.
+The noise is one draw in the trees' heap order (see dyadic), so observing a
+truth is one array add.  The risk engine runs the same steps on a stack of
+replicates, one row per seed (``_noise``, ``_observed``), and adds one noise
+stack to each of several truths, to the depth its estimator reads.  Density
+samples are drawn from the normalized, nonnegative part of a
+wavelet-specified density by inverse CDF on a fine dyadic grid.  A
+DensitySampler holds that CDF and a guide table for one truth, so replicates
+share it; it refuses densities whose clipped negative mass, or whose mass's
+distance from 1, exceeds MAX_CLIPPED_MASS.  Empirical coefficients of depth
+J average the periodized scaling functions of level J + 1 at the sample
+points, read from one cascade table on the 2^(J+8) grid, one bincount per
+table row of the cells the points fall in; the analysis pyramid takes them
+to every level, so each level reads its wavelet on that grid.  The risk
+engine forms no points: for a stack of replicates ``_sampled_stack`` bins
+each replicate's draws on the 2^(J+8) grid straight from the sampler's
+kernel (DensitySampler.cells, the kernel sample() runs too), each sample
+alone, and runs one pyramid for the stack.  The observed trees of both
+models feed the same estimators.
 
 All generation is deterministic given the seed.  The risk engine seeds
 each replicate with SeedSequence((master_seed, n, replicate)), whose entropy
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +39,9 @@ from .dyadic import MAX_DEPTH, CoefficientTree, _freeze
 from .wavelet import WaveletFilter, _cascade_table, _pyramid, synthesize
 
 __all__ = [
-    "SequenceObservation",
     "DensitySample",
     "DensitySampler",
     "simulate_sequence",
-    "observe",
     "empirical_coefficients",
 ]
 
@@ -56,18 +56,6 @@ MAX_CLIPPED_MASS = 1e-4
 # which there are fewer than 1 + mean / local density, so the steps suffice
 # wherever the density is at least a quarter of its mean.
 _GUIDE_STEPS = 4
-
-
-@dataclass(frozen=True)
-class SequenceObservation:
-    """Observed coefficients y = theta + n^{-1/2} v, all indices up to depth j_max."""
-
-    n: int
-    y: CoefficientTree
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,8 +74,8 @@ class DensitySample:
         object.__setattr__(self, "points", points)
 
 
-def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> SequenceObservation:
-    """Observe theta under Gaussian noise of standard deviation n^{-1/2}.
+def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> CoefficientTree:
+    """The observed coefficients y = theta + n^{-1/2} v to depth j_max.
 
     Every index up to j_max receives noise, including indices where theta is
     zero; the scaling coefficient is observed under the same noise law, and
@@ -101,8 +89,7 @@ def simulate_sequence(theta: CoefficientTree, n: int, j_max: int, seed) -> Seque
         raise ValueError("n must be >= 1")
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    y = _observed(theta.coeffs, _noise(n, j_max, [seed])[0], j_max)
-    return SequenceObservation(n=n, y=CoefficientTree._of(j_max, y))
+    return CoefficientTree._of(j_max, _observed(theta.coeffs, _noise(n, j_max, [seed])[0], j_max))
 
 
 def _noise(n: int, j_max: int, seeds) -> np.ndarray:
@@ -127,30 +114,15 @@ def _observed(theta: np.ndarray, drawn: np.ndarray, j_max: int) -> np.ndarray:
     return y
 
 
-def observe(theta: CoefficientTree, noise: SequenceObservation, j_max: int) -> CoefficientTree:
-    """The tree of theta observed to depth j_max under the noise of an
-    observation of zero; its array holds every level 0..j_max.
-
-    noise is simulate_sequence(zero tree, n, J, seed) with J >= j_max.  The
-    result equals simulate_sequence(theta, n, j_max, seed).y bit for bit: the
-    draws of levels 0..j_max do not depend on J, the zero tree's observation
-    is the draw itself, and each sum here is the one simulate_sequence forms.
-    """
-    if not 0 <= j_max <= noise.y.j_max:
-        raise ValueError(f"noise of depth {noise.y.j_max} cannot observe to depth {j_max}")
-    return CoefficientTree._of(j_max, _observed(theta.coeffs, noise.y.coeffs, j_max))
-
-
-@dataclass(frozen=True)
-class DensitySampler:
+class DensitySampler(NamedTuple):
     """Inverse-CDF sampler of the density specified by a coefficient tree.
 
     Built once per truth: cell_masses gives the law, from_tree its CDF and
     guide table, and the points are drawn exactly from that piecewise-constant
-    density.  edges is the CDF at the cells' edges, 0 first and 1 last, and
-    cum = edges[1:] its values at their right edges.  The arrays are
-    read-only, so one sampler serves every replicate, and the risk engine's
-    forked workers inherit it.
+    density.  edges is the CDF at the cells' edges, 0 first and 1 from the
+    last cell of positive mass on, and cum = edges[1:] its values at their
+    right edges.  The arrays are read-only, so one sampler serves every
+    replicate, and the risk engine's forked workers inherit it.
     """
 
     res: int
@@ -190,22 +162,23 @@ class DensitySampler:
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
         """The sampler of cell_masses' law, refusing what it refuses.
 
-        cum is the cumulative sum of the masses, its last entry set to 1,
-        stored after a leading 0 in edges, so a cell's left edge is one
-        gather; the guide table is _guide(cum), built in O(2^res) without a
-        search.
+        cum is the cumulative sum of the masses, set to 1 from the last cell
+        of positive mass on, so no draw u < 1 passes that cell; it is stored
+        after a leading 0 in edges, so a cell's left edge is one gather.  The
+        guide table is _guide(cum), built in O(2^res) without a search.
         """
         masses, clipped_mass = cls.cell_masses(f_tree, filt)
         edges = np.zeros(len(masses) + 1)
         np.cumsum(masses, out=edges[1:])
-        edges[-1] = 1.0
+        edges[np.flatnonzero(masses)[-1] + 1:] = 1.0
         guide = _guide(edges[1:])
         for arr in (edges, guide):  # the masses are read-only already
             arr.flags.writeable = False
         return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, edges, guide, clipped_mass)
 
     def locate(self, u: np.ndarray) -> np.ndarray:
-        """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="left").
+        """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="right"),
+        the first cell whose CDF exceeds u, so never a cell of zero mass.
 
         The guide table, read at each draw's bucket floor(N u) (its cell of
         the 2^res grid, _cells), gives a cell at or below the answer, from
@@ -217,16 +190,16 @@ class DensitySampler:
         """
         cum = self.cum
         cells = self.guide.take(_cells(u, self.res))
-        stepped = cum.take(cells) < u
+        stepped = cum.take(cells) <= u
         cells += stepped
         short = np.flatnonzero(stepped)
-        short = short[cum.take(cells.take(short)) < u.take(short)]
+        short = short[cum.take(cells.take(short)) <= u.take(short)]
         for _ in range(_GUIDE_STEPS - 1):
             if not short.size:
                 return cells
             cells[short] += 1
-            short = short[cum.take(cells.take(short)) < u.take(short)]
-        cells[short] = np.searchsorted(cum, u.take(short), side="left")
+            short = short[cum.take(cells.take(short)) <= u.take(short)]
+        cells[short] = np.searchsorted(cum, u.take(short), side="right")
         return cells
 
     def cells(self, n: int, seed, res: int) -> np.ndarray:
@@ -245,9 +218,9 @@ class DensitySampler:
 
     def _positions(self, n: int, seed) -> np.ndarray:
         """2^res times n i.i.d. points drawn from seed: the cell c of each
-        uniform u (locate) plus the fraction of that cell's mass below u,
-        clipped to [0, 1].  Once located, the uniforms' own array becomes
-        the fraction and then the position, in place."""
+        uniform u (locate, a cell of positive mass) plus the fraction of that
+        cell's mass below u, clipped to [0, 1].  Once located, the uniforms'
+        own array becomes the fraction and then the position, in place."""
         if n < 1:
             raise ValueError("n must be >= 1")
         u = np.random.default_rng(seed).random(n)

@@ -9,7 +9,9 @@ observed coefficient tree to a tree), and the slope fitter regresses
 log risk on the log of the normalization to recover the empirical exponent;
 the asymptotic "same rate" relation only constrains the ratio of logs, so an
 ordinary least-squares slope in log-log coordinates is its finite-sample
-proxy.
+proxy.  The records the library computes (RateRegime, RiskRow, SlopeFit)
+are NamedTuples; RiskTable checks its rows, which report also reads back
+from disk, and EstimatorSpec its parameters, which configs set.
 
 The loss itself is wavelet's: wavelet._loss_sides gives, once per truth and
 depth before any replicate, an object whose .mean(estimates) is the loss of
@@ -27,7 +29,7 @@ import pickle
 import signal
 import traceback
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -59,22 +61,14 @@ RISK_FLOOR = 1e-300
 MIN_FIT_ROWS = 4  # the fewest risks fit_slope fits a slope to
 
 
-@dataclass(frozen=True)
-class RateRegime:
-    """A classified rate: family, branch, exponent and normalization."""
+class RateRegime(NamedTuple):
+    """A classified rate: family, branch ("dense" or "sparse"), exponent
+    alpha in (0, 1/2] and normalization ("n" or "n_over_log_n")."""
 
     family: str
     branch: str
     alpha: float
     normalization: str
-
-    def __post_init__(self):
-        if self.branch not in ("dense", "sparse"):
-            raise ValueError(f"branch must be 'dense' or 'sparse', got {self.branch!r}")
-        if self.normalization not in ("n", "n_over_log_n"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2], got {self.alpha}")
 
     @property
     def alpha_tilde(self) -> float:
@@ -97,8 +91,8 @@ def minimax_rate(params: SmoothnessParams, n: int) -> tuple[RateRegime, float]:
     n^{-p alpha} on the dense branch, (n / log n)^{-p alpha} on the sparse one.
     """
     regime = generic_alpha("threshold", params)
-    regime = replace(regime, family="minimax",
-                     normalization="n" if regime.branch == "dense" else "n_over_log_n")
+    regime = regime._replace(family="minimax",
+                             normalization="n" if regime.branch == "dense" else "n_over_log_n")
     return regime, _norm_value(regime.normalization, n) ** (-params.p * regime.alpha)
 
 
@@ -140,8 +134,7 @@ def _linear_smoothness(params: SmoothnessParams) -> tuple[str, float]:
 # -- Monte Carlo risk ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RiskRow:
+class RiskRow(NamedTuple):
     n: int
     empirical_risk: float
     std_error: float
@@ -169,17 +162,14 @@ class RiskTable:
         return np.array([row.empirical_risk for row in self.rows])
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
+    """fit_slope's result; r_squared lies in [0, 1]."""
+
     slope: float
     intercept: float
     r_squared: float
     normalization: str
     implied_alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r_squared <= 1.0 + 1e-12:
-            raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
 
 def _number(value) -> bool:

@@ -46,16 +46,16 @@ def test_pinsker_weights_hand_value():
 
 
 def test_linear_estimate_identity_and_zero():
-    obs = observation()
-    est = linear_estimate(obs.y, dict.fromkeys(range(7), 1.0))
+    y = observation()
+    est = linear_estimate(y, dict.fromkeys(range(7), 1.0))
     for j in range(7):
-        assert np.array_equal(est.level(j), obs.y.level(j))
-    half = linear_estimate(obs.y, {2: 0.5, 5: 0.0})  # ends at level 2, the last weighed
-    assert half.coeffs.size == 8 and np.array_equal(half.level(2), 0.5 * obs.y.level(2))
-    assert half.coeffs[:4].tolist() == [obs.y.scaling, 0.0, 0.0, 0.0]
-    killed = linear_estimate(obs.y, linear_weights(0.0))
+        assert np.array_equal(est.level(j), y.level(j))
+    half = linear_estimate(y, {2: 0.5, 5: 0.0})  # ends at level 2, the last weighed
+    assert half.coeffs.size == 8 and np.array_equal(half.level(2), 0.5 * y.level(2))
+    assert half.coeffs[:4].tolist() == [y.scaling, 0.0, 0.0, 0.0]
+    killed = linear_estimate(y, linear_weights(0.0))
     assert killed.wavelet_energy() == 0.0
-    assert killed.scaling == obs.y.scaling  # scaling passes through
+    assert killed.scaling == y.scaling  # scaling passes through
 
 
 def test_estimates_end_at_the_deepest_level_their_rule_keeps():
@@ -148,32 +148,32 @@ def test_threshold_hard_boundary_kept():
 
 
 def test_threshold_level_cutoff():
-    obs = observation(n=2**10, j_max=9)
-    est = threshold_estimate(obs.y, 1e-300, 8)  # keep everything up to level 8
+    y = observation(n=2**10, j_max=9)
+    est = threshold_estimate(y, 1e-300, 8)  # keep everything up to level 8
     for j in range(9):
-        assert np.array_equal(est.level(j), obs.y.level(j))
+        assert np.array_equal(est.level(j), y.level(j))
     assert np.all(est.level(9) == 0.0)
 
 
 def test_threshold_zero_kappa_is_projection():
     # kappa t_n -> 0 keeps every observed coefficient up to j(n)
-    obs = observation(n=64, j_max=8)
+    y = observation(n=64, j_max=8)
     jn = noise_depth(64)
-    est = threshold_estimate(obs.y, 1e-12 * universal_threshold(64), jn, mode="hard")
-    for j in range(obs.y.j_max + 1):
+    est = threshold_estimate(y, 1e-12 * universal_threshold(64), jn, mode="hard")
+    for j in range(y.j_max + 1):
         if j <= jn:
-            assert np.array_equal(est.level(j), obs.y.level(j))
+            assert np.array_equal(est.level(j), y.level(j))
         else:
             assert np.all(est.level(j) == 0.0)
 
 
 def test_shrinkage_property_and_soft_lipschitz():
-    obs = observation(seed=3)
+    y = observation(seed=3)
     for mode in ("hard", "soft"):
-        est = threshold_estimate(obs.y, 2.0 * universal_threshold(obs.n), noise_depth(obs.n),
+        est = threshold_estimate(y, 2.0 * universal_threshold(1024), noise_depth(1024),
                                  mode=mode)
-        for j in range(obs.y.j_max + 1):
-            assert np.all(np.abs(est.level(j)) <= np.abs(obs.y.level(j)) + 1e-15)
+        for j in range(y.j_max + 1):
+            assert np.all(np.abs(est.level(j)) <= np.abs(y.level(j)) + 1e-15)
     # soft thresholding is 1-Lipschitz in the observation
     lam = 0.3
     ys = np.linspace(-1, 1, 2001)
@@ -182,7 +182,7 @@ def test_shrinkage_property_and_soft_lipschitz():
 
 
 def test_threshold_config_validation():
-    y = observation(n=16, j_max=3).y
+    y = observation(n=16, j_max=3)
     for lam in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             threshold_estimate(y, lam, 3)
@@ -264,30 +264,30 @@ def _is_elitist(y, kept, lam):
 
 def test_classify_projection_is_limited():
     params = SmoothnessParams(s=2, r=2, p=2, d=1)
-    obs = observation(n=1024)
-    m_n = EstimatorSpec("projection", smoothness=params).cutoff(obs.n)
-    kept = _kept(obs.y, linear_estimate(obs.y, linear_weights(m_n)))
+    y = observation(n=1024)
+    m_n = EstimatorSpec("projection", smoothness=params).cutoff(1024)
+    kept = _kept(y, linear_estimate(y, linear_weights(m_n)))
     assert _is_limited(kept, 2.0 ** (-math.ceil(math.log2(m_n))))
     # not elitist once the magnitude bound exceeds every kept observation
-    lam_big = max(np.max(np.abs(obs.y.level(j))) for j in range(2)) + 1.0
-    assert not _is_elitist(obs.y, kept, lam_big)
+    lam_big = max(np.max(np.abs(y.level(j))) for j in range(2)) + 1.0
+    assert not _is_elitist(y, kept, lam_big)
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_classify_hard_threshold_is_elitist(seed):
-    obs = observation(seed=seed, n=256, j_max=5)
+    y = observation(seed=seed, n=256, j_max=5)
     lam = 2.0 * universal_threshold(256)
-    kept = _kept(obs.y, threshold_estimate(obs.y, lam, noise_depth(256), mode="hard"))
-    assert _is_elitist(obs.y, kept, 2.0 * universal_threshold(256) * 0.999)
+    kept = _kept(y, threshold_estimate(y, lam, noise_depth(256), mode="hard"))
+    assert _is_elitist(y, kept, 2.0 * universal_threshold(256) * 0.999)
 
 
 def test_classify_adversarial_trace():
     # an estimate that keeps one tiny coefficient is not elitist
-    obs = observation(n=256, j_max=3)
-    small = int(np.argmin(np.abs(obs.y.level(3))))
-    est = CoefficientTree.from_items(1, 3, obs.y.scaling, [((3, small), obs.y.level(3)[small])])
-    lam = abs(obs.y.level(3)[small]) + 0.1
-    assert not _is_elitist(obs.y, _kept(obs.y, est), lam)
+    y = observation(n=256, j_max=3)
+    small = int(np.argmin(np.abs(y.level(3))))
+    est = CoefficientTree.from_items(1, 3, y.scaling, [((3, small), y.level(3)[small])])
+    lam = abs(y.level(3)[small]) + 0.1
+    assert not _is_elitist(y, _kept(y, est), lam)
 
 
 def _reference_threshold(tree, j_cut, rule):

@@ -11,8 +11,9 @@ from waverates.models import (
     _GUIDE_STEPS,
     DensitySample,
     DensitySampler,
+    _noise,
+    _observed,
     empirical_coefficients,
-    observe,
     simulate_sequence,
 )
 from waverates.truths import bump_tree, density_truth_tree, shell_tree
@@ -29,17 +30,17 @@ def test_simulate_sequence_deterministic():
     theta = small_truth()
     a = simulate_sequence(theta, 100, 4, seed=77)
     b = simulate_sequence(theta, 100, 4, seed=77)
-    assert a.y.scaling == b.y.scaling
+    assert a.scaling == b.scaling
     for j in range(5):
-        assert np.array_equal(a.y.level(j), b.y.level(j))
+        assert np.array_equal(a.level(j), b.level(j))
     c = simulate_sequence(theta, 100, 4, seed=78)
-    assert not np.array_equal(a.y.level(4), c.y.level(4))
+    assert not np.array_equal(a.level(4), c.level(4))
 
 
 def test_simulate_sequence_replicate_streams_differ():
     theta = small_truth()
     streams = [
-        simulate_sequence(theta, 100, 4, seed=np.random.SeedSequence((7, rep))).y.level(4)
+        simulate_sequence(theta, 100, 4, seed=np.random.SeedSequence((7, rep))).level(4)
         for rep in range(4)
     ]
     for i in range(4):
@@ -51,8 +52,8 @@ def test_simulate_sequence_vanishing_noise():
     theta = small_truth()
     obs = simulate_sequence(theta, 10**12, 3, seed=5)
     dev = max(
-        abs(obs.y.scaling - theta.scaling),
-        max(np.max(np.abs(obs.y.level(j) - theta.level(j))) for j in range(4)),
+        abs(obs.scaling - theta.scaling),
+        max(np.max(np.abs(obs.level(j) - theta.level(j))) for j in range(4)),
     )
     assert dev < 1e-3
 
@@ -63,7 +64,7 @@ def test_simulate_sequence_moments():
     vals = np.empty(R)
     others = np.empty(R)
     for rep in range(R):
-        y = simulate_sequence(theta, n, 2, seed=np.random.SeedSequence((123, rep))).y
+        y = simulate_sequence(theta, n, 2, seed=np.random.SeedSequence((123, rep)))
         vals[rep] = y.get(1, 0)
         others[rep] = y.get(2, 1)
     # unbiased: mean within 4 / sqrt(R n)
@@ -80,25 +81,20 @@ def test_simulate_sequence_fills_all_indices():
     theta = CoefficientTree.zeros(1, 1)
     obs = simulate_sequence(theta, 4, 5, seed=1)
     for j in range(6):
-        assert np.all(obs.y.level(j) != 0.0)
+        assert np.all(obs.level(j) != 0.0)
 
 
 def test_observe_equals_simulating_the_truth():
-    # one noise draw to depth 6 observes trees of other depths and missing levels
+    # common random numbers: one noise draw to depth 6 observes trees of other
+    # depths and missing levels as simulate_sequence does with the same seed
     trees = [small_truth(), shell_tree(2, 2, 1, 6, 3.0, dither=2.0, j_min=2),
              CoefficientTree.zeros(1, 3)]
     for n, seed in ((100, 4), (4096, np.random.SeedSequence((9, 4096, 3)))):
-        noise = simulate_sequence(CoefficientTree.zeros(1, 6), n, 6, seed)
+        noise = _noise(n, 6, [seed])
         for theta in trees:
             for j_max in range(min(theta.j_max, 6) + 1):
-                got = observe(theta, noise, j_max)
-                want = simulate_sequence(theta, n, j_max, seed).y
-                assert got.j_max == j_max and got.scaling == want.scaling
-                assert got.levels.keys() == want.levels.keys()
-                for j, level in want.levels.items():
-                    assert np.array_equal(got.levels[j], level)
-    with pytest.raises(ValueError):
-        observe(small_truth(), simulate_sequence(CoefficientTree.zeros(1, 1), 100, 1, 4), 2)
+                got = _observed(theta.coeffs, noise, j_max)[0]
+                assert got.tobytes() == simulate_sequence(theta, n, j_max, seed).coeffs.tobytes()
 
 
 @pytest.mark.parametrize("J", [0, 1, 5, 16])
@@ -112,17 +108,15 @@ def test_noise_is_one_draw_in_heap_order(J):
     want = [sigma * rng.standard_normal()]
     for j in range(J + 1):
         want.extend(sigma * rng.standard_normal(1 << j))
-    y = simulate_sequence(CoefficientTree.zeros(1, J), n, J, seed).y
+    y = simulate_sequence(CoefficientTree.zeros(1, J), n, J, seed)
     assert y.coeffs.tobytes() == np.array(want).tobytes()
     assert list(y.levels) == list(range(J + 1))
 
 
 def test_observed_and_empirical_trees_populate_every_level():
     theta = CoefficientTree(1, 8, 0.3, {2: np.ones(4), 5: np.zeros(32)})
-    noise = simulate_sequence(CoefficientTree.zeros(1, 6), 100, 6, seed=4)
     for j_max in (0, 3, 6):
-        assert observe(theta, noise, j_max).levels.keys() == set(range(j_max + 1))
-        assert simulate_sequence(theta, 100, j_max, 4).y.levels.keys() == set(range(j_max + 1))
+        assert simulate_sequence(theta, 100, j_max, 4).levels.keys() == set(range(j_max + 1))
     sample = DensitySampler.from_tree(CoefficientTree(1, 3, 1.0), HAAR).sample(300, seed=1)
     for j_max in (0, 2, 4):
         beta = empirical_coefficients(sample, HAAR, j_max)
@@ -251,14 +245,14 @@ def reference_cdf(f_tree, filt):
     values = np.clip(synthesize(f_tree, filt, res).samples, 0.0, None)
     masses = values / values.sum()
     cum = np.cumsum(masses)
-    cum[-1] = 1.0
+    cum[np.flatnonzero(masses)[-1]:] = 1.0
     return res, masses, cum
 
 
 def reference_sample_points(f_tree, filt, n, seed):
     res, masses, cum = reference_cdf(f_tree, filt)
     u = np.random.default_rng(np.random.SeedSequence(seed)).random(n)
-    cells = np.searchsorted(cum, u, side="left")
+    cells = np.searchsorted(cum, u, side="right")
     left = np.where(cells > 0, cum[cells - 1], 0.0)
     frac = (u - left) / masses[cells]
     return (cells + np.clip(frac, 0.0, 1.0)) / (1 << res)
@@ -389,7 +383,7 @@ def test_density_sampler_locate_flat_runs_and_bucket_edges():
             cum[:-1],  # draws exactly on a cell's cumulative mass
             np.random.default_rng(5).random(10_000),
         ])
-        want = np.searchsorted(cum, u, side="left")
+        want = np.searchsorted(cum, u, side="right")
         assert np.array_equal(sampler.locate(u), want)
     # the flat lower half of the CDF puts thousands of cells in the first
     # guide bucket: draws there exceed the forward steps and take the fallback
@@ -432,6 +426,36 @@ def test_density_sampler_cells_are_the_sample_binned(case):
     for res in range(1, sampler.res + 4):
         cells = sampler.cells(2, Drawn(u), res)
         assert cells[0] == (1 << res) - 1 and np.array_equal(cells, grid_cells(top, res))
+
+
+def test_density_sampler_draws_no_cell_of_zero_mass():
+    # random() returns exactly 0.0 with probability 2^-53: on a CDF flat from 0
+    # that draw takes the first cell of positive mass, not cell 0
+    sampler = DensitySampler.from_tree(upper_half_density(), HAAR)
+    u = [0.0, 0.7]
+    points = sampler.sample(2, Drawn(u)).points
+    assert 0.5 <= points[0] <= 1.0
+    for res in range(1, sampler.res + 4):
+        assert np.array_equal(sampler.cells(2, Drawn(u), res), grid_cells(points, res))
+
+
+def test_density_sampler_cdf_is_one_from_the_last_cell_of_mass(monkeypatch):
+    # masses zero at both ends whose sum rounds below 1: were only the last
+    # cell's CDF set to 1, the largest draw would pass the last cell of mass
+    masses = np.zeros(256)
+    masses[16:240] = np.random.default_rng(0).random(224)
+    masses /= masses.sum()
+    assert np.cumsum(masses)[-1] < 1.0
+    monkeypatch.setattr(models, "_cell_masses", lambda *args: (masses, 0.0))
+    sampler = DensitySampler.from_tree(CoefficientTree(1, 0, 1.0), HAAR)
+    assert sampler.res == 8
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], sampler.cum[sampler.cum < 1.0],
+                        np.random.default_rng(5).random(10_000)])
+    cells = sampler.locate(u)
+    assert np.all(masses[cells] > 0.0)
+    assert np.array_equal(cells, np.searchsorted(sampler.cum, u, side="right"))
+    points = sampler.sample(len(u), Drawn(u)).points
+    assert 16 / 256 <= points.min() and points.max() <= 240 / 256
 
 
 class Drawn(np.random.Generator):

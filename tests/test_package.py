@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import waverates
-from waverates import (CoefficientTree, GenericFunctionSpec, ShellTerm, SmoothnessParams, build_g,
-                       shell_sum, shell_tree)
-from waverates.cli import main
+from waverates import (CoefficientTree, DensitySampler, GenericFunctionSpec, RateRegime, RiskRow,
+                       ShellTerm, SlopeFit, SmoothnessParams, build_g, shell_sum, shell_tree,
+                       simulate_sequence)
+from waverates.cli import RunReport, main
 
 MODULES = sorted(p.stem for p in Path(waverates.__file__).parent.glob("*.py")
                  if not p.stem.startswith("_"))
@@ -35,6 +37,19 @@ def test_every_listed_name_exists():
         module = importlib.import_module(f"waverates.{stem}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (stem, name)
+
+
+def test_records_are_named_tuples_unless_checked_or_parsed():
+    # a record stays a dataclass only where its constructor checks values from
+    # outside the program or the config parser reads its fields()
+    found = {name for stem in MODULES
+             for name, value in vars(importlib.import_module(f"waverates.{stem}")).items()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert found == {"ExperimentConfig", "SmoothnessParams", "EstimatorSpec", "WaveletFilter",
+                     "GridSignal", "DensitySample", "RiskTable", "ScalingFunctionEstimate"}
+    for record in (RiskRow, RunReport, SlopeFit, RateRegime, GenericFunctionSpec, DensitySampler):
+        assert issubclass(record, tuple) and record._fields
+    assert type(simulate_sequence(CoefficientTree.zeros(1, 2), 4, 2, seed=0)) is CoefficientTree
 
 
 def _definition_lines(path):

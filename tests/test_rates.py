@@ -379,7 +379,7 @@ def reference_risk(truth, est, model, filter_name, n_grid, R, p, master_seed):
         for rep in range(R):
             seed = np.random.SeedSequence((master_seed, n, rep))
             if sampler is None:
-                y = simulate_sequence(truth, n, truth.j_max, seed).y
+                y = simulate_sequence(truth, n, truth.j_max, seed)
             else:
                 y = empirical_coefficients(sampler.sample(n, seed), filt, read)
             if est.kind == "projection":
@@ -744,8 +744,8 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
         seed = np.random.SeedSequence((3, n))
         read, estimate = ESTIMATOR_KINDS[kind].rule(est, n)
         assert read >= 0
-        full = estimate(simulate_sequence(truth, n, top, seed).y.coeffs)
-        short = estimate(simulate_sequence(truth, n, min(read, top), seed).y.coeffs)
+        full = estimate(simulate_sequence(truth, n, top, seed).coeffs)
+        short = estimate(simulate_sequence(truth, n, min(read, top), seed).coeffs)
         assert len(full) <= 2 << read  # no level past the read depth
         assert np.array_equal(short, full)  # the scaling and every level
 
@@ -766,7 +766,7 @@ def test_each_estimate_has_the_depth_of_its_observed_tree(kind, model):
         for depth in (read - 1, read, read + 3):  # shallower and deeper than the read depth
             seed = np.random.SeedSequence((5, n))
             if model == "sequence":
-                y = simulate_sequence(truth, n, depth, seed).y
+                y = simulate_sequence(truth, n, depth, seed)
             else:
                 y = empirical_coefficients(sampler.sample(n, seed), filt, depth)
             assert y.j_max == depth and len(estimate(y.coeffs)) <= 2 << depth
