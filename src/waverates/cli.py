@@ -4,8 +4,9 @@ A JSON config describes the science of one experiment: smoothness/loss
 parameters, truth, estimator, n-grid, replicates, seed and tolerances.
 ``run`` executes it on the caller's count of worker processes, writes
 plot-ready CSV tables and a manifest (the resolved config, its content hash
-and an unhashed ``execution`` entry: threads, output directory and the
-python, numpy and waverates versions) into the caller's output directory
+and an unhashed ``execution`` entry: threads, output directory, the
+python, numpy and waverates versions, and the operating system, machine and
+kernel release) into the caller's output directory
 and reports pass/fail verdicts; identical config and seed give
 byte-identical tables at any worker count and output path.
 ``report`` re-renders the verdicts from the stored tables without re-simulating.
@@ -49,6 +50,7 @@ import gc
 import hashlib
 import json
 import math
+import platform  # loaded already by numpy, which the package imports first
 import sys
 import traceback
 from contextlib import contextmanager
@@ -364,8 +366,8 @@ def _regime(config: ExperimentConfig):
     return generic_alpha(ESTIMATOR_KINDS[config.estimator_spec["kind"]].family, config.smoothness)
 
 
-def _risk_name(config: ExperimentConfig, label: str) -> str:
-    return f"risk_{config.estimator_spec['kind']}{label}.csv"
+def _risk_name(config: ExperimentConfig, label: str, table: str = "risk") -> str:
+    return f"{table}_{config.estimator_spec['kind']}{label}.csv"
 
 
 def _risk_tables(config: ExperimentConfig, labels, truths):
@@ -382,7 +384,7 @@ def _risk_tables(config: ExperimentConfig, labels, truths):
         tables += [
             (_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
              [(row.n, row.empirical_risk, row.std_error, row.replicates) for row in table.rows]),
-            (f"slope_{config.estimator_spec['kind']}{label}.csv",
+            (_risk_name(config, label, "slope"),
              ["normalization", "slope", "implied_alpha", "r_squared"],
              [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)]),
         ]
@@ -434,6 +436,10 @@ def _probe_sweep_check(config: ExperimentConfig) -> None:
             raise ConfigError(f"probe_alphas: {labels[label]!r} and {alpha!r} share the table "
                               f"label {label!r}; alphas must differ at two decimals")
         labels[label] = alpha
+        size = len(_risk_name(config, "_" + label, "slope").encode())  # its longer table name
+        if size > 255:  # the longest file name most file systems take
+            raise ConfigError(f"probe_alphas: {alpha!r} names a table of {size} bytes; "
+                              "a file name holds at most 255")
     truth_kind = config.truth_spec["kind"]
     if truth_kind != "generic_g":
         raise ConfigError(f"probe_sweep needs a generic_g truth, got {truth_kind!r}")
@@ -585,7 +591,8 @@ def run(config: ExperimentConfig) -> RunReport:
     manifest = config.resolved()  # the science; how the run was executed is not hashed
     execution = {"threads": config.threads, "output_dir": config.output_dir,
                  "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-                 "waverates": __version__}
+                 "waverates": __version__, "system": platform.system(),
+                 "machine": platform.machine(), "release": platform.release()}
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     mh = hashlib.sha256(canonical.encode()).hexdigest()
     tables = EXPERIMENTS[config.experiment_kind].tables(config)

@@ -6,7 +6,9 @@ included, and ``simulate_sequence`` returns the observed coefficient tree.
 The noise is one draw in the trees' heap order (see dyadic), so observing a
 truth is one array add.  The risk engine runs the same steps on a stack of
 replicates, one row per seed (``_noise``, ``_observed``), and adds one noise
-stack to each of several truths, to the depth its estimator reads.  Density
+stack to each of several truths, to the depth its estimator reads or, under
+a threshold, only to the deepest level where a coefficient can reach it
+(``rates._cuts``).  Density
 samples are drawn from the normalized, nonnegative part of a
 wavelet-specified density by inverse CDF on a fine dyadic grid.  A
 DensitySampler holds that CDF and a guide table for one truth, so replicates

@@ -224,26 +224,31 @@ class EstimatorSpec:
 
 def _linear(order, spec, n):
     weights = linear_weights(spec.cutoff(n), order)
-    return max(weights, default=0), lambda y: _linear_stack(y, weights)
+    return max(weights, default=0), lambda y: _linear_stack(y, weights), None
 
 
 def _threshold(mode, kappa, n):
     depth, lam = noise_depth(n), kappa * universal_threshold(n)
-    return depth, lambda y: _threshold_stack(y, lam, depth, mode)
+    return depth, lambda y: _threshold_stack(y, lam, depth, mode), lam
 
 
 class EstimatorKind(NamedTuple):
     """An estimator kind: its rate family, rule(spec, n) -> (read_depth,
-    estimate), where estimate maps the heap arrays of observed coefficient
+    estimate, lam), where estimate maps the heap arrays of observed coefficient
     trees, one per row of a stack (or a single one), to the estimates'
-    arrays (an estimators stack kernel) and read_depth >= 0 is the deepest
-    level it reads (no estimate holds a deeper level), and params, the
-    EstimatorSpec parameters besides kind and smoothness that it reads.  Each family has one rule:
+    arrays (an estimators stack kernel), read_depth >= 0 is the deepest
+    level it reads (no estimate holds a deeper level) and lam is a threshold
+    rule's threshold, None for a linear rule: a threshold estimate keeps no
+    coefficient of magnitude below lam, hard keeping |y| >= lam and soft
+    |y| > lam, which lets the sequence engine cut the levels no noise can
+    lift to lam (_Replicates); and params, the EstimatorSpec parameters
+    besides kind and smoothness that it reads.  Each family has one rule:
     _linear(order, ...) (order math.inf is projection) and _threshold(mode,
-    kappa, ...); an entry passes the values its kind fixes and those it reads
-    from the spec.  The rules look the estimators up when called, so a
-    wrapped estimator is the one that runs.  A rule maps noisy and empirical
-    coefficients alike, so every kind runs under either observation model."""
+    kappa, ...), the one place lam is computed; an entry passes the values
+    its kind fixes and those it reads from the spec.  The rules look the
+    estimators up when called, so a wrapped estimator is the one that runs.
+    A rule maps noisy and empirical coefficients alike, so every kind runs
+    under either observation model."""
 
     family: str
     rule: Callable
@@ -268,7 +273,8 @@ class _Replicates(NamedTuple):
     job (i, reps), a block of replicates of n = plans[i][0], it returns (i,
     reps, losses), losses[k, b] being the loss of truth k's estimate on the
     replicate drawn from the seed (master_seed, n, reps[b]), plans[i] being
-    (n, the estimate, each truth's observed depth, each truth's loss side).
+    (n, the estimate, the rule's lam, each truth's observed depth, each
+    truth's loss side).
 
     The block runs as one stack of len(reps) rows, row b that of replicate
     reps[b]: each step is one call for every row, and each row's losses are
@@ -279,6 +285,16 @@ class _Replicates(NamedTuple):
     and runs one analysis pyramid for the stack at its observed depth.  The
     truths are observed one at a time, as their losses are taken, so one
     observed stack is alive at a time.
+
+    A threshold rule's sequence truths are observed only to their cut
+    (_cuts, which argues the bound and its rounding margin): past it no row
+    keeps a coefficient, so the estimate, which ends at the deepest level a
+    row keeps, is the full observation's bit for bit, and the loss side
+    stays the one planned for the full observed depth.
+    peaks holds each truth's largest |theta| per level (_level_peaks), once
+    per run; it is None where no rule thresholds a noisy observation: the
+    linear rules, and the density model, whose empirical coefficients have
+    no theta + noise split.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -286,18 +302,51 @@ class _Replicates(NamedTuple):
     filt: WaveletFilter
     master_seed: int
     samplers: list[DensitySampler] | None
+    peaks: list | None
 
     def __call__(self, job):
         i, reps = job
-        n, estimate, depths, sides = self.plans[i]
+        n, estimate, lam, depths, sides = self.plans[i]
         seeds = [np.random.SeedSequence((self.master_seed, n, rep)) for rep in reps]
         if self.samplers is not None:
             observed = (_sampled_stack(sampler, n, seeds, self.filt, j)
                         for sampler, j in zip(self.samplers, depths))
         else:
             noise = _noise(n, max(depths), seeds)
-            observed = (_observed(truth.coeffs, noise, j) for truth, j in zip(self.truths, depths))
+            cuts = depths if self.peaks is None else _cuts(noise, self.peaks, depths, lam)
+            observed = (_observed(truth.coeffs, noise, j) for truth, j in zip(self.truths, cuts))
         return i, reps, np.array([side.mean(estimate(y)) for y, side in zip(observed, sides)])
+
+
+def _level_peaks(theta: np.ndarray, depth: int) -> list:
+    """max |theta| on each level 0..depth of a heap array, 0 past its end."""
+    return [np.abs(theta[1 << j : 2 << j]).max(initial=0.0) for j in range(depth + 1)]
+
+
+def _cuts(noise: np.ndarray, peaks, depths, lam: float) -> list:
+    """Each truth's cut: the deepest level j <= its observed depth on which
+    some row of the noise stack could keep a coefficient, 0 if none can.
+
+    Row b observes y = fl(theta + noise[b]) (_observed).  Rounding to nearest
+    is monotone and odd, so on level j |y| <= fl(P + E), P = peaks[k][j] and
+    E the level's largest |noise| over the stack: where fl(P + E) < lam no
+    row keeps y, hard (|y| >= lam) or soft (|y| > lam).  The screen is
+    stricter still: it compares with lam (1 - 2^-50), which rounds to at
+    most lam, a margin of a few units in the last place, so the cut would
+    hold under any rounding of the add within one unit.  The levels are
+    walked from the deepest down, each level's E reduced once for all
+    truths, until every truth has its cut: a run where no level can be cut
+    reduces one level per block.
+    """
+    floor, cuts = lam * (1.0 - 2.0**-50), [None] * len(depths)
+    for j in range(max(depths), 0, -1):
+        level = noise[:, 1 << j : 2 << j]
+        top = max(level.max(), -level.min())
+        cuts = [j if cut is None and j <= depth and peak[j] + top >= floor else cut
+                for cut, depth, peak in zip(cuts, depths, peaks)]
+        if None not in cuts:
+            return cuts
+    return [cut or 0 for cut in cuts]
 
 
 class _Child:
@@ -424,7 +473,9 @@ def monte_carlo_risk(
     kind's rule gives, once per n, the estimate and the read depth, past
     which no estimator reads: a sequence replicate is observed to the lesser
     of it and the truth's depth (the estimate is that of the whole
-    observation), a density replicate's empirical coefficients at the read depth.
+    observation), and under a threshold rule only to the deepest of those
+    levels that can keep a coefficient (_cuts); a density replicate's
+    empirical coefficients at the read depth.
 
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
@@ -438,8 +489,8 @@ def monte_carlo_risk(
     that n (_Replicates); the losses are stored by (n, replicate), so the
     reduction order is fixed.  The density model builds one DensitySampler
     per truth, shared by all replicates.  A plan per n, built before any
-    replicate, holds the estimate and each truth's observed depth and side
-    of the loss (wavelet._loss_sides).
+    replicate, holds the estimate, the threshold, and each truth's observed
+    depth and side of the loss (wavelet._loss_sides).
 
     The truths do not enter the seed, so every truth is observed under the
     same noise (common random numbers), which each replicate draws once, and
@@ -461,11 +512,13 @@ def monte_carlo_risk(
     samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
     rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
     # per n, each truth's observed depth; per truth, its side at each depth
-    depths = [[read if density else min(read, t.j_max) for t in truths] for read, _ in rules]
+    depths = [[read if density else min(read, t.j_max) for t in truths] for read, _, _ in rules]
     sides = [_loss_sides(t, filt, [row[k] for row in depths], p) for k, t in enumerate(truths)]
-    plans = [(n, estimate, row, [s[j] for s, j in zip(sides, row)])
-             for n, (_, estimate), row in zip(n_grid, rules, depths)]
-    replicates = _Replicates(truths, plans, filt, master_seed, samplers)
+    plans = [(n, estimate, lam, row, [s[j] for s, j in zip(sides, row)])
+             for n, (_, estimate, lam), row in zip(n_grid, rules, depths)]
+    peaks = (None if density or rules[0][2] is None  # no screen: no theta + noise, or no lam
+             else [_level_peaks(t.coeffs, t.j_max) for t in truths])
+    replicates = _Replicates(truths, plans, filt, master_seed, samplers, peaks)
     workers = min(threads, len(n_grid) * R, os.cpu_count() or 1)
     sizes = [max(1, _BLOCK_SAMPLES >> (max(row) + 1)) for row in depths]  # rows per block
     losses = np.empty((len(truths), len(n_grid), R))

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import traceback
@@ -34,9 +35,11 @@ from waverates.models import DensitySampler
 from waverates.truths import _unit_term, bump_tree
 
 ROOT = Path(__file__).resolve().parent.parent
-# what every manifest's execution entry records of the software that ran it
+# what every manifest's execution entry records of the software and platform that ran it
+PLATFORM = {"system": platform.system(), "machine": platform.machine(),
+            "release": platform.release()}
 SOFTWARE = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-            "waverates": __version__}
+            "waverates": __version__, **PLATFORM}
 DENSITY_WORKLOAD = json.loads((ROOT / "perfbench" / "workloads" / "density_threshold.json")
                               .read_text())
 
@@ -322,6 +325,20 @@ def test_run_density_rate_fit_and_report_round_trip(tmp_path):
     assert report_from_dir(out) == list(report.verdicts)
 
 
+def test_execution_records_the_platform_outside_the_hash(tmp_path):
+    # how a run was executed enters neither the manifest hash, pinned here for
+    # one config as it stood before the platform was recorded, nor the verdicts
+    out = tmp_path / "run"
+    report = run_in(out, rate_config(replicates=4))
+    stored = json.loads((out / "manifest.json").read_text())
+    assert {key: stored["execution"][key] for key in PLATFORM} == PLATFORM
+    assert report.manifest_hash == stored["hash"] == (
+        "2704cf288fe20da74a8cb15194a08a8c8cce0d95d5c03390e19906049a88f55e")
+    del stored["execution"]  # report reads none of it
+    (out / "manifest.json").write_text(json.dumps(stored))
+    assert report_from_dir(out) == list(report.verdicts)
+
+
 def test_run_is_byte_identical_across_reruns(tmp_path, monkeypatch):
     # the hash names the science: neither the output path nor the thread count enters it
     runs = [(tmp_path / "a", 1), (tmp_path / "b", 1), (tmp_path / "a", 3), (tmp_path / "c", 3)]
@@ -526,6 +543,10 @@ REJECTED = {
     # one risk table per two-decimal label: 0.3 and 0.301 would share one file
     "colliding_probe_alphas": (_sweep(probe_alphas=[0.3, 0.301, -1.0]), "probe_alphas"),
     "duplicate_probe_alphas": (_sweep(probe_alphas=[0.5, 0.5]), "probe_alphas"),
+    # a label holds every digit of its alpha: run exited 102 writing a table whose
+    # name was longer than a file name may be
+    "probe_alpha_names_too_long": (_sweep(probe_alphas=[-1e300, 1e300, 0.3, 1.0]),
+                                   "probe_alphas: -1e+300 names a table of 3"),
     "probe_without_line": (_sweep(truth_spec={"kind": "custom_bump"}), "generic_g"),
     "zero_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": 0}), "kappa"),
     "negative_pinsker_order": (_rate(estimator_spec={"kind": "pinsker", "pinsker_order": -2}),

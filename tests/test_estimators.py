@@ -226,7 +226,7 @@ KIND = "density_threshold"
 def test_density_threshold_estimate():
     # the density_threshold kind hard-thresholds at t_n (kappa 1) on levels j <= j(n)
     t = universal_threshold(2**10)
-    read, estimate = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), 2**10)
+    read, estimate, _ = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), 2**10)
     assert read == noise_depth(2**10) == 8
     beta = CoefficientTree.from_items(
         1, 9, 1.0, [((1, 0), 2 * t), ((2, 1), 0.5 * t), ((9, 0), 5 * t)]
@@ -310,7 +310,7 @@ def test_threshold_rules_match_reference_loops(mode):
     levels[2] = np.array([lam * 0.5, -lam * 0.25, 0.0, np.nextafter(lam, 0.0)])  # all dropped
     tree = CoefficientTree(d=1, j_max=j_cut + 2, scaling=0.3, levels=levels)
     if mode == "density":  # the density_threshold kind: hard at kappa = 1
-        _, estimate = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), n)
+        _, estimate, _ = ESTIMATOR_KINDS[KIND].rule(EstimatorSpec(KIND), n)
         est = CoefficientTree._of(tree.j_max, estimate(tree.coeffs))
     else:
         est = threshold_estimate(tree, lam, j_cut, mode=mode)

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -101,7 +102,7 @@ def test_benchmark_workload_runs_give_one_output_at_either_thread_count(workload
                                                                          capsys):
     # the benchmark's output check: each run exits 0 and writes report.json, and the
     # --threads 2 run writes the tables, report and manifest hash of the --threads 1 run;
-    # execution records how it ran and the software that ran it
+    # execution records how it ran and the software and platform that ran it
     out, outputs = tmp_path / "out", []
     for threads in ("1", "2"):
         status = main(["run", "--config", str(workload), "--out", str(out), "--seed", "7",
@@ -111,7 +112,9 @@ def test_benchmark_workload_runs_give_one_output_at_either_thread_count(workload
         manifest = json.loads(files.pop("manifest.json"))
         assert manifest["execution"] == {
             "threads": int(threads), "output_dir": str(out), "numpy": np.__version__,
-            "python": "%d.%d.%d" % sys.version_info[:3], "waverates": waverates.__version__}
+            "python": "%d.%d.%d" % sys.version_info[:3], "waverates": waverates.__version__,
+            "system": platform.system(), "machine": platform.machine(),
+            "release": platform.release()}
         outputs.append((manifest["hash"], files))
         shutil.rmtree(out)  # as the benchmark takes a run's outputs
     assert "report.json" in outputs[0][1] and outputs[1] == outputs[0]

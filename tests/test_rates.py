@@ -15,7 +15,7 @@ from waverates.dyadic import MAX_DEPTH, CoefficientTree
 from waverates.estimators import (_threshold_stack, linear_estimate, linear_weights, noise_depth,
                                   threshold_estimate, universal_threshold)
 from waverates.generic import g_term
-from waverates.models import DensitySampler, empirical_coefficients, simulate_sequence
+from waverates.models import DensitySampler, _noise, empirical_coefficients, simulate_sequence
 from waverates.rates import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
@@ -484,7 +484,7 @@ def test_blocks_of_replicates_change_no_loss(kind, model, p, monkeypatch):
         truth = density_truth_tree(shell_tree(2, 2, 1, 6, 1.0, dither=2.0, j_min=2))
         n_grid, filter_name = [1024, 8192, 65536], "db3"
     est = EstimatorSpec(kind, smoothness=DENSE)
-    first, _ = ESTIMATOR_KINDS[kind].rule(est, n_grid[0])
+    first, _, _ = ESTIMATOR_KINDS[kind].rule(est, n_grid[0])
     if model == "sequence":
         first = min(first, truth.j_max)
     args, options = ((truth,), est, n_grid, 5, p, 31), dict(filter_name=filter_name, model=model)
@@ -641,7 +641,7 @@ def test_projection_read_depth_is_its_last_kept_level():
                 EstimatorSpec("projection", fixed_m_n=m)
             continue
         for kind in ("projection", "pinsker"):
-            depth[m], _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, fixed_m_n=m), 1024)
+            depth[m], _, _ = ESTIMATOR_KINDS[kind].rule(EstimatorSpec(kind, fixed_m_n=m), 1024)
             assert depth[m] == max(kept, default=0)
     assert depth[1.0] == depth[np.nextafter(1.0, 2.0)] == 0
     assert depth[8.0] == 2 and depth[np.nextafter(8.0, 9.0)] == 3
@@ -742,7 +742,7 @@ def test_read_depth_observation_gives_the_full_depth_estimate(kind, fixed_m_n):
     est = EstimatorSpec(kind, smoothness=DENSE, fixed_m_n=fixed_m_n)
     for n in (4, 64, 1000, 4096, 65536, 2**20):
         seed = np.random.SeedSequence((3, n))
-        read, estimate = ESTIMATOR_KINDS[kind].rule(est, n)
+        read, estimate, _ = ESTIMATOR_KINDS[kind].rule(est, n)
         assert read >= 0
         full = estimate(simulate_sequence(truth, n, top, seed).coeffs)
         short = estimate(simulate_sequence(truth, n, min(read, top), seed).coeffs)
@@ -761,7 +761,7 @@ def test_each_estimate_has_the_depth_of_its_observed_tree(kind, model):
     sampler = DensitySampler.from_tree(truth, filt)
     est = EstimatorSpec(kind, smoothness=DENSE)
     for n in (64, 4096):
-        read, estimate = ESTIMATOR_KINDS[kind].rule(est, n)
+        read, estimate, _ = ESTIMATOR_KINDS[kind].rule(est, n)
         assert read >= 1
         for depth in (read - 1, read, read + 3):  # shallower and deeper than the read depth
             seed = np.random.SeedSequence((5, n))
@@ -801,3 +801,116 @@ def test_energy_loss_is_the_difference_energy_bit_for_bit():
         assert sides[5].mean(stack).tolist() == want
         for estimate, energy in zip(estimates, want):
             assert sides[5].mean(estimate.coeffs[None]).tolist() == [energy]
+
+
+def probe_line(j_max, alpha=0.7, amplitude=1024.0):
+    """The probe line of the probe_sweep demo: alpha g plus a dithered shell."""
+    return shell_sum(2, 2, j_max, [g_term(2, alpha), ShellTerm(amplitude, 0.0, 0, 2.0)])
+
+
+def full_width_losses(truths, est, n_grid, R, p, master_seed):
+    """The sequence engine's losses written out without its level screen:
+    losses[k, i, rep], truth k observed to its whole depth min(read depth,
+    j_max) at n_grid[i] under the replicate's seed, estimated and scored by
+    the engine's own loss side at that depth."""
+    filt = get_filter("db2")
+    losses = np.empty((len(truths), len(n_grid), R))
+    for i, n in enumerate(n_grid):
+        read, estimate, _ = ESTIMATOR_KINDS[est.kind].rule(est, n)
+        for k, truth in enumerate(truths):
+            depth = min(read, truth.j_max)
+            side = _loss_sides(truth, filt, [depth], p)[depth]
+            for rep in range(R):
+                seed = np.random.SeedSequence((master_seed, n, rep))
+                y = simulate_sequence(truth, n, depth, seed)
+                losses[k, i, rep] = side.mean(estimate(y.coeffs[None]))[0]
+    return losses
+
+
+def edge_truths(lam, n, master_seed, R):
+    """Truths of depth 10 whose deep coefficients sit on the screen's edge at
+    n under the first R replicates' noise: one that exactly one replicate
+    keeps at level 10, and one observed at |y| = lam exactly where level 9's
+    noise is largest, so that |y| is the screen's bound there where that
+    noise lies below lam."""
+    seeds = [np.random.SeedSequence((master_seed, n, rep)) for rep in range(R)]
+    noise = _noise(n, 10, seeds)
+    deep = noise[:, (1 << 10) + 5]
+    first, second = np.sort(deep)[::-1][:2]
+    one_row = np.zeros(1 << 10)
+    one_row[5] = lam - (first + second) / 2  # reaches lam under the largest noise only
+    assert np.sum(np.abs(one_row[5] + deep) >= lam) == 1
+    level = noise[:, 1 << 9 : 1 << 10]
+    row, k = np.unravel_index(np.argmax(np.abs(level)), level.shape)
+    edge = level[row, k]
+    target = math.copysign(lam, edge)  # so |y| = |theta| + |edge|
+    exact = np.zeros(1 << 9)
+    exact[k] = target - edge
+    for _ in range(3):  # step to a value whose observation rounds to +-lam
+        if exact[k] + edge == target:
+            break
+        exact[k] = np.nextafter(exact[k], np.inf if exact[k] + edge < target else -np.inf)
+    assert exact[k] + edge == target
+    assert abs(edge) > lam or abs(exact[k]) + abs(edge) == lam  # the bound, where it can be
+    return CoefficientTree(1, 10, 0.0, {10: one_row}), CoefficientTree(1, 10, 0.0, {9: exact})
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("kappa", [2.0, 0.5])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_level_screen_keeps_every_loss_of_the_full_width(mode, kappa, p, threads, monkeypatch):
+    # at kappa 2 the noise (kappa sqrt(log n) standard deviations away) reaches
+    # the threshold on no level, and the screen cuts; at kappa 0.5 it reaches
+    # it on every level, and nothing is cut
+    n_grid, R, seed = [1024, 4096, 16384], 5, 29
+    est = EstimatorSpec(f"threshold_{mode}", kappa=kappa)
+    lam = kappa * universal_threshold(n_grid[-1])
+    truths = (probe_line(10), CoefficientTree.zeros(1, 8),  # an array of the scaling only
+              bump_tree(1, 10, 3, 2, 0.5),  # an array ending at level 3, j_max 10
+              *edge_truths(lam, n_grid[-1], seed, R))
+    want = full_width_losses(truths, est, n_grid, R, p, seed)
+    ran, call, screened, cuts = [], rates._Replicates.__call__, [], rates._cuts
+
+    def screen(noise, peaks, depths, lam):
+        screened.append((depths, cuts(noise, peaks, depths, lam)))
+        return screened[-1][1]
+
+    monkeypatch.setattr(rates._Replicates, "__call__",
+                        lambda self, job: ran.append(call(self, job)) or ran[-1])
+    monkeypatch.setattr(rates, "_cuts", screen)
+    tables = monte_carlo_risk(truths, est, n_grid, R, p, seed, threads=threads)
+    if threads == 1:  # the children's blocks are not seen here
+        got = np.full_like(want, np.nan)
+        for i, reps, losses in ran:
+            got[:, i, reps] = losses
+        assert got.tobytes() == want.tobytes()
+        assert len(screened) == len(n_grid)  # one block per n
+        below = [cut < depth for depths, cut_of in screened for cut, depth in zip(cut_of, depths)]
+        assert any(below) if kappa == 2.0 else not any(below)
+    for table, per_truth in zip(tables, want):
+        assert [(row.empirical_risk, row.std_error) for row in table.rows] == [
+            (float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(R)))
+            for losses in per_truth]
+
+
+def test_level_screen_observes_the_probe_line_short_of_its_depth(monkeypatch):
+    # at kappa 2 neither the noise (kappa sqrt(log n) standard deviations
+    # away) nor the truth reaches the threshold on the deep levels, so each
+    # block observes the probe line short of its observed depth J
+    truth, n_grid = probe_line(16), [2**10, 2**14, 2**18]
+    widths, observed = [], rates._observed
+
+    def recorded(*args):
+        y = observed(*args)
+        widths.append(y.shape[-1])
+        return y
+
+    monkeypatch.setattr(rates, "_observed", recorded)
+    monte_carlo_risk((truth,), EstimatorSpec("threshold_hard", kappa=2.0), n_grid, 2, 2.0, 5)
+    depths = [min(noise_depth(n), truth.j_max) for n in n_grid]
+    assert depths == [8, 11, 15]
+    # one block at each of the first two n, one per replicate at the last (2^16
+    # doubles fill a block), each observed short of 2^(J + 1)
+    assert len(widths) == 4
+    assert all(width < 2 << depth for width, depth in zip(widths, depths + depths[-1:])), widths
