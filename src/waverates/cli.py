@@ -31,10 +31,10 @@ witness (t, bound, log2_bound).  Coefficient trees use the record stream of
 
 Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
 ``TRUTHS``.  ``validate`` parses a config (keys, types, defaults and ranges;
-unknown keys are rejected at every level), then runs the kind's check, the
-one step that builds anything: it builds what ``run`` builds with the run's
-functions (a Monte Carlo kind its ``EstimatorSpec``, filter and truth, the
-other kinds their tables), so it refuses what ``run`` would fail on.
+unknown keys are rejected at every level), then calls the kind's build, the
+one builder of its run, and discards the run: a Monte Carlo kind builds its
+``EstimatorSpec``, filter and every truth the run estimates, the other kinds
+compute their tables, so ``validate`` refuses what ``run`` would fail on.
 ``report`` parses the stored manifest and derives the verdicts from the
 stored tables exactly as ``run`` does from the files it writes.  Exit
 status: the count of failed verdicts, capped at 100; EXIT_CONFIG_ERROR (101)
@@ -210,13 +210,12 @@ def _parse_object(text: str) -> dict:
 
 
 def validate_config(raw_text: str) -> ExperimentConfig:
-    """Parse a JSON experiment config (_parsed), then run its kind's check, the one
-    step that builds anything: it refuses what the run would fail on by building
-    what the run builds with the run's functions (EXPERIMENTS' check)."""
+    """Parse a JSON experiment config (_parsed) and build its run as run does
+    (EXPERIMENTS' build), discarding it: so it refuses what run would fail on."""
     raw = _parse_object(raw_text)
     with _naming("invalid config", _INVALID):
         config = _parsed(raw)
-        EXPERIMENTS[config.experiment_kind].check(config)
+        EXPERIMENTS[config.experiment_kind].build(config)
     return config
 
 
@@ -293,24 +292,6 @@ def _with_model(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, truth_spec={"kind": truth_kind, **spec})
 
 
-def _monte_carlo_check(config: ExperimentConfig) -> None:
-    """Build what a Monte Carlo run builds before its first replicate: the
-    EstimatorSpec, the filter and the truth, and a density truth's law
-    (DensitySampler.cell_masses, which the run's sampler reads again from its
-    cache)."""
-    sm = config.smoothness
-    EstimatorSpec(smoothness=sm, **config.estimator_spec)  # the run's spec checks its numbers
-    filt = get_filter(config.filter)  # _with_model refused a name get_filter does not read
-    if filt.vanishing_moments < math.ceil(sm.s):
-        raise ConfigError(f"filter {config.filter!r} has {filt.vanishing_moments} vanishing "
-                          "moments; the smoothness characterization needs at least "
-                          f"ceil(s) = {math.ceil(sm.s)}")
-    with _naming("truth_spec", (TypeError, ValueError, OSError)):
-        tree = _truth(config)
-        if EXPERIMENTS[config.experiment_kind].model == "density":
-            DensitySampler.cell_masses(tree, filt)
-
-
 def _generic_g(config, probe_alpha=0.7, base_amplitude=0.0, dither=0.0, j_min=0):
     sm = config.smoothness  # the probe line: alpha * g plus a shell
     return shell_sum(sm.s, sm.r, config.j_max, [g_term(sm.r, probe_alpha),
@@ -327,9 +308,9 @@ class Truth(NamedTuple):
     """A truth kind.  build(config, **spec) -> tree, whose keyword parameters
     are the kind's truth_spec keys with defaults that fix their types (a key
     without one is required text), raises ValueError or OSError for a truth it
-    cannot build; validate's check builds every truth with it, as the run
-    does, and report never calls it.  Every kind runs under either model;
-    wavelet_part: a density experiment estimates 1 + tree."""
+    cannot build; the run's build calls it for every truth the run estimates,
+    at validate too, and report never calls it.  Every kind runs under either
+    model; wavelet_part: a density experiment estimates 1 + tree."""
 
     build: Callable
     wavelet_part: bool = True
@@ -370,25 +351,55 @@ def _risk_name(config: ExperimentConfig, label: str, table: str = "risk") -> str
     return f"{table}_{config.estimator_spec['kind']}{label}.csv"
 
 
-def _risk_tables(config: ExperimentConfig, labels, truths):
-    """Risk and slope tables of each truth, named by its label, and their slope
-    fits; the truths are observed under one noise draw per (n, replicate)."""
-    estimator = EstimatorSpec(smoothness=config.smoothness, **config.estimator_spec)
-    model = EXPERIMENTS[config.experiment_kind].model
-    risks = monte_carlo_risk(tuple(truths), estimator, config.n_grid, config.replicates,
-                             config.smoothness.p, config.master_seed, filter_name=config.filter,
-                             threads=config.threads, model=model)
-    fits = [fit_slope(table, _regime(config).normalization) for table in risks]
-    tables = []
-    for label, table, fit in zip(labels, risks, fits):
-        tables += [
-            (_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
-             [(row.n, row.empirical_risk, row.std_error, row.replicates) for row in table.rows]),
-            (_risk_name(config, label, "slope"),
-             ["normalization", "slope", "implied_alpha", "r_squared"],
-             [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)]),
-        ]
-    return tables, fits
+def _loss_bound(tree: CoefficientTree, filt, p: float) -> float:
+    """A bound of the truth's part of the loss, inf where it overflows, with no
+    synthesis: at p = 2 its energy sum theta^2; else M^p, M = |c_0| + sum_j 2^(j/2)
+    sup|psi| (L - 1) max_k |theta_jk| >= |f|, as at most L - 1 wavelets of a level
+    (L taps) overlap at a point and sup|psi| < 2 (db2's 1.73 is get_filter's largest)."""
+    with np.errstate(over="ignore"):
+        if p == 2:
+            return np.square(tree.scaling) + tree.wavelet_energy()
+        peaks = sum(2.0 ** (j / 2) * np.abs(a).max() for j, a in tree.levels.items())
+        return np.power(abs(tree.scaling) + 2.0 * (len(filt.taps) - 1) * peaks, p)
+
+
+def _monte_carlo_build(config: ExperimentConfig, truths=(("", "truth_spec", {}),)):
+    """Build what a Monte Carlo run builds before its first replicate: the
+    EstimatorSpec, the filter, each truth (label, the key naming it if its
+    _loss_bound overflows, its _truth overrides; a rate fit's one truth by
+    default) and a density truth's law (DensitySampler.cell_masses; the run's
+    sampler reads it again from its cache).  Return the run: () -> each truth's
+    risk and slope tables, named by its label, under one noise draw per (n, replicate)."""
+    sm, model = config.smoothness, EXPERIMENTS[config.experiment_kind].model
+    estimator = EstimatorSpec(smoothness=sm, **config.estimator_spec)  # it checks its numbers
+    filt = get_filter(config.filter)  # _with_model refused a name get_filter does not read
+    if filt.vanishing_moments < math.ceil(sm.s):
+        raise ConfigError(f"filter {config.filter!r} has {filt.vanishing_moments} vanishing "
+                          "moments; the smoothness characterization needs at least "
+                          f"ceil(s) = {math.ceil(sm.s)}")
+    trees = []
+    for _, key, overrides in truths:
+        with _naming("truth_spec", (TypeError, ValueError, OSError)):
+            trees.append(_truth(config, **overrides))
+            if model == "density":
+                DensitySampler.cell_masses(trees[-1], filt)
+        if not math.isfinite(_loss_bound(trees[-1], filt, sm.p)):
+            raise ConfigError(f"{key}: the truth's loss bound at p = {sm.p:g} overflows")
+
+    def risk_tables():
+        risks = monte_carlo_risk(tuple(trees), estimator, config.n_grid, config.replicates, sm.p,
+                                 config.master_seed, filter_name=config.filter,
+                                 threads=config.threads, model=model)
+        tables = []
+        for (label, _, _), table in zip(truths, risks):
+            fit = fit_slope(table, _regime(config).normalization)
+            tables += [(_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
+                        table.rows),
+                       (_risk_name(config, label, "slope"),
+                        ["normalization", "slope", "implied_alpha", "r_squared"],
+                        [(fit.normalization, fit.slope, fit.implied_alpha, fit.r_squared)])]
+        return tables
+    return risk_tables
 
 
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
@@ -398,10 +409,6 @@ def _stored_fit(config: ExperimentConfig, read, label: str = ""):
         return fit_slope(table, _regime(config).normalization)
 
     return read(_risk_name(config, label), fit)
-
-
-def _rate_fit_tables(config: ExperimentConfig):
-    return _risk_tables(config, [""], [_truth(config)])[0]
 
 
 def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -420,16 +427,8 @@ def _rate_fit_verdicts(config: ExperimentConfig, read) -> list[dict]:
     return verdicts
 
 
-def _probe_sweep_tables(config: ExperimentConfig):
-    alphas = config.probe_alphas
-    tables, fits = _risk_tables(config, ["_" + _alpha_label(alpha) for alpha in alphas],
-                                [_truth(config, probe_alpha=alpha) for alpha in alphas])
-    implied = dict(zip(alphas, (fit.implied_alpha for fit in fits)))
-    return tables + [("probe_sweep.csv", ["alpha", "implied_alpha"], sorted(implied.items()))]
-
-
-def _probe_sweep_check(config: ExperimentConfig) -> None:
-    labels = {}
+def _probe_sweep_build(config: ExperimentConfig):
+    labels, truths = {}, []
     for alpha in config.probe_alphas:  # each alpha's risk table is named by its label
         label = _alpha_label(alpha)
         if label in labels:
@@ -440,10 +439,17 @@ def _probe_sweep_check(config: ExperimentConfig) -> None:
         if size > 255:  # the longest file name most file systems take
             raise ConfigError(f"probe_alphas: {alpha!r} names a table of {size} bytes; "
                               "a file name holds at most 255")
-    truth_kind = config.truth_spec["kind"]
-    if truth_kind != "generic_g":
-        raise ConfigError(f"probe_sweep needs a generic_g truth, got {truth_kind!r}")
-    _monte_carlo_check(config)
+        truths.append(("_" + label, f"probe_alphas: {alpha!r}", {"probe_alpha": alpha}))
+    if config.truth_spec["kind"] != "generic_g":
+        raise ConfigError("probe_sweep needs a generic_g truth, got "
+                          f"{config.truth_spec['kind']!r}")
+    risk_tables = _monte_carlo_build(config, truths)
+
+    def tables():
+        tables = risk_tables()  # per alpha a risk table, a slope table (implied_alpha third)
+        implied = [(alpha, rows[0][2]) for alpha, (*_, rows) in zip(labels.values(), tables[1::2])]
+        return tables + [("probe_sweep.csv", ["alpha", "implied_alpha"], sorted(implied))]
+    return tables
 
 
 def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -454,7 +460,7 @@ def _probe_sweep_verdicts(config: ExperimentConfig, read) -> list[dict]:
     return [_verdict("probe_sweep.spread", spread, 0.0, spread_tol, spread <= spread_tol)]
 
 
-def _scaling_tables(config: ExperimentConfig):
+def _scaling_build(config: ExperimentConfig):
     sm = config.smoothness
     g = build_g(GenericFunctionSpec(s=sm.s, r=sm.r, d=sm.d, j_max=config.j_max))
     rows = []
@@ -464,7 +470,7 @@ def _scaling_tables(config: ExperimentConfig):
         with _naming("scaling_window"):
             estimate = empirical_scaling(g, p, config.scaling_window)
         rows.append((p, estimate.estimate, theory, estimate.residual))
-    return [("scaling.csv", ["p", "estimate", "theory", "residual"], rows)]
+    return lambda: [("scaling.csv", ["p", "estimate", "theory", "residual"], rows)]
 
 
 def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
@@ -481,34 +487,25 @@ def _scaling_verdicts(config: ExperimentConfig, read) -> list[dict]:
     ]
 
 
-def _witness(config: ExperimentConfig):
-    sm = config.smoothness
-    return weak_exclusion_witness(sm.s, sm.r, sm.p, sm.d, config.witness_eps,
-                                  config.witness_t_range[1])
-
-
-def _witness_tables(config: ExperimentConfig):
-    rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in _witness(config)]
-    return [("witness.csv", ["t", "bound", "log2_bound"], rows)]
-
-
-def _witness_check(config: ExperimentConfig) -> None:
-    t_lo, t_hi = config.witness_t_range
+def _witness_build(config: ExperimentConfig):
+    sm, (t_lo, t_hi) = config.smoothness, config.witness_t_range
     if not 1 <= t_lo < t_hi:
         raise ConfigError(f"witness_t_range must satisfy 1 <= lo < hi, got {[t_lo, t_hi]}")
     with _naming("witness_eps"):
-        witness = _witness(config)
+        witness = weak_exclusion_witness(sm.s, sm.r, sm.p, sm.d, config.witness_eps, t_hi)
     bad = [(t, bound) for t, bound in witness if t >= t_lo and not 0.0 < bound < math.inf]
     if bad:  # the verdict fits log2 of the bound
         raise ConfigError(f"witness_t_range: the witness bound is {bad[0][1]} at t = "
                           f"{bad[0][0]}; the range must hold positive finite bounds only")
+    rows = [(t, b, math.log2(b) if b > 0 else float("-inf")) for t, b in witness]
+    return lambda: [("witness.csv", ["t", "bound", "log2_bound"], rows)]
 
 
 def _witness_verdicts(config: ExperimentConfig, read) -> list[dict]:
     def in_range(rows):
         t_lo, t_hi = config.witness_t_range
         kept = [(t, b) for t, b, _log2_b in rows if t_lo <= t <= t_hi]
-        if not all(0.0 < b < math.inf for _, b in kept):  # as _witness_check refuses them
+        if not all(0.0 < b < math.inf for _, b in kept):  # as _witness_build refuses them
             raise ValueError("a bound in witness_t_range is not positive and finite")
         if len(kept) < 2:
             raise ValueError(f"{len(kept)} rows lie in witness_t_range; the slope needs 2")
@@ -527,17 +524,17 @@ class Experiment(NamedTuple):
     """An experiment kind: its Monte Carlo model ("sequence", "density" or None),
     under which every estimator and truth kind runs, its own top-level keys
     (reads adds every kind's and its model's), its tolerance keys with their
-    defaults, tables(config) -> [(file name, columns, rows)], verdicts(config,
-    read), where read(file name, parse) gives parse(the stored table's float rows), and
-    check(config), which builds what the run builds (_monte_carlo_check), or
-    computes what its tables hold for a kind without a Monte Carlo model."""
+    defaults, build(config), the one builder of its run: it builds and checks
+    all the run builds before its first replicate (_monte_carlo_build), or
+    computes the tables of a kind without a model, and returns the run, () ->
+    [(file name, columns, rows)], which validate discards; and verdicts(config,
+    read), read(file name, parse) giving parse(the stored table's float rows)."""
 
     model: str | None
     keys: tuple[str, ...]
     tolerances: dict
-    tables: Callable
+    build: Callable
     verdicts: Callable
-    check: Callable
 
     @property
     def reads(self) -> tuple[str, ...]:
@@ -550,17 +547,16 @@ class Experiment(NamedTuple):
 _RATE_TOLERANCES = {"alpha": 0.08, "one_sided": False, "r_squared": None}
 
 EXPERIMENTS = {
-    "rate_fit": Experiment("sequence", (), _RATE_TOLERANCES, _rate_fit_tables,
-                           _rate_fit_verdicts, _monte_carlo_check),
+    "rate_fit": Experiment("sequence", (), _RATE_TOLERANCES, _monte_carlo_build,
+                           _rate_fit_verdicts),
     "scaling_function": Experiment(None, ("j_max", "scaling_p", "scaling_window"),
-                                   {"scaling": 0.1}, _scaling_tables, _scaling_verdicts,
-                                   _scaling_tables),
+                                   {"scaling": 0.1}, _scaling_build, _scaling_verdicts),
     "weak_exclusion": Experiment(None, ("witness_eps", "witness_t_range"), {"witness_rel": 0.2},
-                                 _witness_tables, _witness_verdicts, _witness_check),
+                                 _witness_build, _witness_verdicts),
     "probe_sweep": Experiment("sequence", ("probe_alphas",), {"spread": 0.05},
-                              _probe_sweep_tables, _probe_sweep_verdicts, _probe_sweep_check),
-    "density_rate_fit": Experiment("density", (), _RATE_TOLERANCES, _rate_fit_tables,
-                                   _rate_fit_verdicts, _monte_carlo_check),
+                              _probe_sweep_build, _probe_sweep_verdicts),
+    "density_rate_fit": Experiment("density", (), _RATE_TOLERANCES, _monte_carlo_build,
+                                   _rate_fit_verdicts),
 }
 
 _SEEDED_KINDS = ", ".join(kind for kind, experiment in EXPERIMENTS.items()
@@ -582,12 +578,15 @@ def _verdicts(config: ExperimentConfig, out_dir: Path, mh: str) -> list[dict]:
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Execute the configured experiment, its Monte Carlo replicates on
+    """Build the configured experiment's run with its kind's build, whose
+    errors are config errors, then execute it, its Monte Carlo replicates on
     config.threads worker processes (at most one per cpu): this one and
     config.threads - 1 forked children; write tables, manifest and verdicts
     into config.output_dir."""
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
+    with _naming("invalid config", _INVALID):
+        execute = EXPERIMENTS[config.experiment_kind].build(config)
     manifest = config.resolved()  # the science; how the run was executed is not hashed
     execution = {"threads": config.threads, "output_dir": config.output_dir,
                  "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
@@ -595,7 +594,7 @@ def run(config: ExperimentConfig) -> RunReport:
                  "machine": platform.machine(), "release": platform.release()}
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     mh = hashlib.sha256(canonical.encode()).hexdigest()
-    tables = EXPERIMENTS[config.experiment_kind].tables(config)
+    tables = execute()
     out_dir = Path(config.output_dir)  # made only now: a run that fails leaves none behind
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, columns, rows in tables:
@@ -707,7 +706,8 @@ def _command(args) -> int:
                                   f"{_SEEDED_KINDS} do")
             raw["master_seed"] = args.seed
         out = args.out if args.out is not None else f"out/{Path(args.config).stem}"
-        config = validate_config(json.dumps(raw))
+        with _naming("invalid config", _INVALID):
+            config = _parsed(raw)
         report = run(replace(config, output_dir=out, threads=args.threads))
         print(f"manifest hash: {report.manifest_hash}")
         for path in report.tables:

@@ -151,8 +151,8 @@ class DensitySampler(NamedTuple):
         the sampled law must be that tree.
 
         The last law is kept, keyed by the bytes of the tree and the filter,
-        so validate's check and the run's sampler synthesize it once; its
-        masses are read-only."""
+        so the run's build (validate runs it too) and the run's sampler
+        synthesize it once; its masses are read-only."""
         res = f_tree.j_max + DENSITY_GRID_PAD
         if res > MAX_DEPTH:
             raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
@@ -235,7 +235,7 @@ class DensitySampler(NamedTuple):
         return t
 
 
-@functools.lru_cache(maxsize=1)  # validate's check and the run's sampler: one synthesis
+@functools.lru_cache(maxsize=1)  # the run's build and its sampler: one synthesis
 def _cell_masses(j_max: int, coeffs: bytes, name: str, taps: bytes,
                  vanishing_moments: int) -> tuple[np.ndarray, float]:
     """DensitySampler.cell_masses of the tree and the filter given by their

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +50,13 @@ class SmoothnessParams:
             raise ValueError(f"need s > d/r, got s={self.s}, d/r={self.d / self.r}")
 
 
-@dataclass(frozen=True)
-class ScalingFunctionEstimate:
+class ScalingFunctionEstimate(NamedTuple):
+    """empirical_scaling's result; residual is the regression's largest |misfit|."""
+
     p: float
     estimate: float
     regression_window: tuple[int, int]
     residual: float
-
-    def __post_init__(self):
-        if self.regression_window[0] >= self.regression_window[1]:
-            raise ValueError("regression window must satisfy j_lo < j_hi")
-        if self.residual < 0:
-            raise ValueError("residual must be non-negative")
 
 
 def besov_norm(tree: CoefficientTree, s: float, r: float, q: float = math.inf) -> float:

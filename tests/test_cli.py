@@ -33,6 +33,7 @@ from waverates.estimators import _threshold_stack
 from waverates.generic import GenericFunctionSpec, build_g
 from waverates.models import DensitySampler
 from waverates.truths import _unit_term, bump_tree
+from waverates.wavelet import get_filter, synthesize
 
 ROOT = Path(__file__).resolve().parent.parent
 # what every manifest's execution entry records of the software and platform that ran it
@@ -508,6 +509,11 @@ def _sweep(**overrides):
     return json.loads(sweep_config(**overrides))
 
 
+def _p4_rate(probe_alpha):
+    demo = DEMO["sparse_linear_rate"]  # p = 4
+    return dict(demo, truth_spec=dict(demo["truth_spec"], probe_alpha=probe_alpha))
+
+
 # (config, the key its error line must name[, run flags]); each passed validate
 # but broke or vacuously passed run, or entered the manifest hash while nothing
 # read it, before these keys were checked
@@ -547,6 +553,13 @@ REJECTED = {
     # name was longer than a file name may be
     "probe_alpha_names_too_long": (_sweep(probe_alphas=[-1e300, 1e300, 0.3, 1.0]),
                                    "probe_alphas: -1e+300 names a table of 3"),
+    # the energy of alpha * g overflows: run exited 102 in RiskTable, a risk being inf
+    "probe_line_energy_overflows": (_sweep(probe_alphas=[-1e200, 1e200, 0.3, 1.0]),
+                                    "probe_alphas: -1e+200: the truth's loss bound at p = 2 "
+                                    "overflows"),
+    # so does the p = 4 loss of 1e80 * g, its bound M^4 overflowing first
+    "p4_loss_bound_overflows": (_p4_rate(1e80),
+                                "truth_spec: the truth's loss bound at p = 4 overflows"),
     "probe_without_line": (_sweep(truth_spec={"kind": "custom_bump"}), "generic_g"),
     "zero_kappa": (_rate(estimator_spec={"kind": "threshold_hard", "kappa": 0}), "kappa"),
     "negative_pinsker_order": (_rate(estimator_spec={"kind": "pinsker", "pinsker_order": -2}),
@@ -746,9 +759,44 @@ def test_validate_builds_the_truth_with_the_runs_builder(kind, tmp_path, capsys,
     assert capsys.readouterr().err == "error: truth_spec: the builder refused\n"
 
 
+def test_validate_builds_every_truth_the_run_builds(tmp_path, capsys, monkeypatch):
+    # validate built one truth at the default probe_alpha 0.7, which no sweep runs
+    alphas, build = [], TRUTHS["generic_g"].build
+
+    @functools.wraps(build)  # the wrapped signature still gives the schema
+    def recorded(config, probe_alpha=0.7, **spec):
+        alphas.append(probe_alpha)
+        return build(config, probe_alpha=probe_alpha, **spec)
+
+    monkeypatch.setitem(TRUTHS, "generic_g", TRUTHS["generic_g"]._replace(build=recorded))
+    path = ROOT / "demos" / "configs" / "probe_sweep.json"
+    validate_config(path.read_text())
+    assert alphas == [-1.0, -0.3, 0.3, 1.0]
+    alphas.clear()  # run parses and builds once
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert alphas == [-1.0, -0.3, 0.3, 1.0]
+
+
+def test_a_p4_truth_within_the_loss_bound_runs(tmp_path, capsys):
+    # below the bound p4_loss_bound_overflows refuses, the truth runs to its verdict
+    (tmp_path / "cfg.json").write_text(json.dumps(_p4_rate(1e60)))
+    assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL rate_fit.implied_alpha: ")
+
+
+def test_the_loss_bound_holds_sup_psi_below_two():
+    # the p != 2 loss bound takes sup |psi| < 2 for every filter get_filter names: the
+    # samples of one level-5 wavelet, psi scaled by 2^(5/2), on a grid of 2^-17
+    for name in [f"db{n}" for n in range(1, 11)]:
+        samples = synthesize(bump_tree(1, 5, 5, 0, 1.0), get_filter(name), 17).samples
+        assert np.abs(samples).max() / 2 ** 2.5 < 2.0, name
+
+
 def test_a_run_builds_one_g_and_one_shell(tmp_path):
-    # validate's truth and the four alphas' truths of a probe sweep share the unit
-    # terms of g and of the shell
+    # the four alphas' truths of a probe sweep, built by validate and again by run,
+    # share the unit terms of g and of the shell
     _unit_term.cache_clear()
     run_in(tmp_path / "out", sweep_config())
     assert _unit_term.cache_info().misses == 2
@@ -770,7 +818,7 @@ def test_shell_tree_call_forms_share_one_cache_entry():
 
 def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
     # validate checks the truth's law without a sampler; the engine builds the one,
-    # from the law validate synthesized
+    # from the law validate synthesized, which run's own build reads from the cache too
     callers, syntheses = [], []
     build, synthesize = DensitySampler.from_tree.__func__, models.synthesize
 
@@ -790,7 +838,7 @@ def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
     assert callers == [] and len(syntheses) == 1
     run(replace(config, output_dir=str(tmp_path / "out")))
     assert len(callers) == 1 and "monte_carlo_risk" in callers[0]
-    assert len(syntheses) == 1 and models._cell_masses.cache_info()[:2] == (1, 1)
+    assert len(syntheses) == 1 and models._cell_masses.cache_info()[:2] == (2, 1)
 
 
 def test_report_reads_the_run_directory_alone(tmp_path, capsys, monkeypatch):

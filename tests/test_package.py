@@ -15,8 +15,8 @@ import pytest
 
 import waverates
 from waverates import (CoefficientTree, DensitySampler, GenericFunctionSpec, RateRegime, RiskRow,
-                       ShellTerm, SlopeFit, SmoothnessParams, build_g, shell_sum, shell_tree,
-                       simulate_sequence)
+                       ScalingFunctionEstimate, ShellTerm, SlopeFit, SmoothnessParams, build_g,
+                       shell_sum, shell_tree, simulate_sequence)
 from waverates.cli import RunReport, main
 
 MODULES = sorted(p.stem for p in Path(waverates.__file__).parent.glob("*.py")
@@ -47,8 +47,9 @@ def test_records_are_named_tuples_unless_checked_or_parsed():
              for name, value in vars(importlib.import_module(f"waverates.{stem}")).items()
              if isinstance(value, type) and dataclasses.is_dataclass(value)}
     assert found == {"ExperimentConfig", "SmoothnessParams", "EstimatorSpec", "WaveletFilter",
-                     "GridSignal", "DensitySample", "RiskTable", "ScalingFunctionEstimate"}
-    for record in (RiskRow, RunReport, SlopeFit, RateRegime, GenericFunctionSpec, DensitySampler):
+                     "GridSignal", "DensitySample", "RiskTable"}
+    for record in (RiskRow, RunReport, SlopeFit, RateRegime, GenericFunctionSpec, DensitySampler,
+                   ScalingFunctionEstimate):
         assert issubclass(record, tuple) and record._fields
     assert type(simulate_sequence(CoefficientTree.zeros(1, 2), 4, 2, seed=0)) is CoefficientTree
 

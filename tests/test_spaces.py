@@ -7,7 +7,6 @@ from waverates.dyadic import CoefficientTree
 from waverates.generic import GenericFunctionSpec, build_g
 from waverates.rates import generic_alpha
 from waverates.spaces import (
-    ScalingFunctionEstimate,
     SmoothnessParams,
     besov_norm,
     empirical_scaling,
@@ -98,13 +97,6 @@ def test_empirical_scaling_errors():
         empirical_scaling(tree, 2.0, (5, 8))  # all-zero level 7 in window
     with pytest.raises(ValueError):
         empirical_scaling(tree, 2.0, (0, 5))  # log2 regressor needs j >= 1
-
-
-def test_scaling_estimate_invariants():
-    with pytest.raises(ValueError):
-        ScalingFunctionEstimate(2.0, 1.0, (5, 5), 0.0)
-    with pytest.raises(ValueError):
-        ScalingFunctionEstimate(2.0, 1.0, (1, 5), -0.1)
 
 
 def test_theoretical_scaling_branches():
