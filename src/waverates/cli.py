@@ -402,10 +402,17 @@ def _monte_carlo_build(config: ExperimentConfig, truths=(("", "truth_spec", {}),
     return risk_tables
 
 
+def _whole(value: float) -> int:
+    """A count read from a table; int() would truncate 1024.5 to a sound-looking 1024."""
+    if value != int(value):  # int(inf) overflows
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
     def fit(rows):  # fit_slope refuses a table too short to fit
-        table = RiskTable(tuple(RiskRow(int(n), risk, se, int(reps)) for n, risk, se, reps in rows),
-                          config.smoothness.p)
+        table = RiskTable(tuple(RiskRow(_whole(n), risk, se, _whole(reps))
+                                for n, risk, se, reps in rows), config.smoothness.p)
         return fit_slope(table, _regime(config).normalization)
 
     return read(_risk_name(config, label), fit)
@@ -717,7 +724,8 @@ def _command(args) -> int:
     if args.command == "build-g":
         with _naming("build-g"):
             g = build_g(GenericFunctionSpec(s=args.s, r=args.r, d=1, j_max=args.j_max))
-        recordio.write_tree(g, args.out)
+        with _naming("--out", (OSError,)):
+            recordio.write_tree(g, args.out)
         print(f"wrote {args.out}")
         return 0
 

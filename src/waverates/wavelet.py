@@ -27,17 +27,20 @@ table has at most three rows (db1, db2).  Other p and longer filters sum the
 refined samples block by block.
 
 The risk engine's loss mean |E - T|^p of an estimate E against a truth T is
-this module's: ``_loss_sides`` chooses how to compute it and what of T to
-compute once, and each side takes a stack of estimates, one per row.  At
-p = 2 it is the coefficient energy, summed level by level for every row at
-once.  At p = 4 with db1 or db2, ``_quartic_split`` splits T at E's depth J
-into a head (levels <= J) and a tail B, expands (L - B)^4 with L = E - head,
-and computes once what the tail contributes: the sum of B^4, and for each
-of L's 2^(J + 1) coarse windows the weights of its monomials of degree 1 to
-3 against B^3, B^2 and B; the fine grid is never built.  Other p and longer
-filters synthesize E, subtract T's samples and refine the difference by
-``lp_mean``.  Either way the estimates' coarse samples are one stack, and
-the sums over their windows run row by row.
+this module's: ``_loss_sides`` computes once what of T each depth needs, and
+each side takes a stack of estimates, one per row.  At p = 2 it is the
+coefficient energy, summed level by level for every row at once.  Other p
+split T once per read depth J (``_split_loss``) into a head (the scaling
+coefficient and levels <= J) and a tail B (levels > J).  The head is
+subtracted from the estimates as coefficients, L = E - head, and L's
+2^(J + 1) coarse samples are one stack, so the roundoff scales with the
+loss, not with T.  At p = 4 with db1 or db2 the sum of (L - B)^4 expands
+binomially, and what the tail contributes is computed once: the sum of B^4,
+and for each of L's coarse windows the weights of its monomials of degree 1
+to 3 against B^3, B^2 and B; the fine grid is never built.  Other p and
+longer filters refine each row of L to B's resolution, subtract B's samples
+and refine the difference by ``lp_mean``.  Either way the sums over the
+windows run row by row.
 
 Coefficient convention: a signal is
 
@@ -557,43 +560,58 @@ def _cross_sum(coarse: np.ndarray, cross: list) -> float:
     return total
 
 
-class _QuarticSplit(NamedTuple):
-    """The truth's side of the p = 4 loss at one read depth J; see
-    _quartic_split."""
+def _difference(estimates: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row of a stack of heap arrays less the heap array t, both zero
+    past their ends, as tree - takes them: as wide as the longer of the two."""
+    out = np.zeros((len(estimates), max(estimates.shape[-1], len(t))))
+    out[:, : estimates.shape[-1]] = estimates
+    out[:, : len(t)] -= t
+    return out
+
+
+class _SplitLoss(NamedTuple):
+    """The truth's side of the p != 2 loss at one read depth J; see
+    _split_loss."""
 
     filt: WaveletFilter
-    head: np.ndarray  # the head's samples at resolution J + 1
-    form: tuple  # the _quartic_form of the K = F - J - 1 step table
-    cross: list | None  # the tail's _cross_weights; None for an empty tail
-    tail_sum: float  # the sum of B^4 over the fine grid
+    head: np.ndarray  # the truth's heap array through level J
+    depth: int  # J
+    tail: GridSignal | None  # the tail's samples at resolution C; None on the quartic sums
+    quartic: tuple | None  # (form, cross, sum of B^4) of the quartic sums; None off them
     resolution_log2: int  # F
+    p: float
 
     def mean(self, estimates: np.ndarray) -> np.ndarray:
-        """Mean of (E - truth)^4 over the 2^F grid for each row E of a stack
-        of heap arrays of estimates of depth J: their coarse samples in one
-        stack, then the sums row by row."""
-        depth = len(self.head).bit_length() - 2  # the head holds 2^(J + 1) samples
-        totals = []
-        for coarse in _coarse_samples(estimates, depth, self.filt) - self.head:
-            total = _quartic_sum(coarse, self.form) + self.tail_sum
-            if self.cross is not None:
-                total += _cross_sum(coarse, self.cross)
-            totals.append(total)
-        return np.array(totals) / (1 << self.resolution_log2)
+        """Mean of |E - truth|^p over the 2^F grid for each row E of a stack
+        of heap arrays of estimates of depth J: L = E - head as coefficients
+        and L's coarse samples in one stack, then the sums row by row."""
+        coarse = _coarse_samples(_difference(estimates, self.head), self.depth, self.filt)
+        if self.quartic is not None:
+            form, cross, tail_sum = self.quartic
+            totals = [_quartic_sum(row, form) + tail_sum
+                      + (0.0 if cross is None else _cross_sum(row, cross)) for row in coarse]
+            return np.array(totals) / (1 << self.resolution_log2)
+        res = self.tail.resolution_log2
+        return np.array([lp_mean(GridSignal(res, _refine(row, self.filt, res) - self.tail.samples),
+                                 self.filt, self.resolution_log2, self.p) for row in coarse])
 
 
-def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_log2: int,
-                   resolution_log2: int) -> _QuarticSplit | None:
-    """What the mean of (E - truth)^4 over the 2^F grid (F = resolution_log2)
+def _split_loss(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_log2: int,
+                resolution_log2: int, p: float) -> _SplitLoss:
+    """What the mean of |E - truth|^p over the 2^F grid (F = resolution_log2)
     needs of the truth, for any tree E of depth J = read, computed once; the
     grid refines samples at resolution coarse_log2 (C), with J < C, truth.j_max
-    < C and C <= F.  None where a table is longer than _FORM_MAX_SHIFTS rows
-    (db3 to db10) and where the K-step one has more than _BLOCK_SAMPLES
-    phases.
+    < C and C <= F.
 
     The truth splits into its head (scaling and levels <= J) and its tail B
-    (levels > J); E - truth = L - B with L = E - head of depth J.  A fine
-    sample of L is the window l[q - S + 1 .. q] of L's 2^(J + 1) coarse
+    (levels > J); E - truth = L - B with L = E - head of depth J, whose
+    2^(J + 1) coarse samples .mean forms.  B's samples at resolution C are
+    synthesized once.  Off the quartic sums, .mean refines each row of L to C,
+    subtracts B's samples there and refines the difference by lp_mean.
+
+    The quartic sums apply at p = 4 where both tables below have at most
+    _FORM_MAX_SHIFTS rows (db1, db2) and the K-step one at most _BLOCK_SAMPLES
+    phases.  A fine sample of L is the window l[q - S + 1 .. q] of its coarse
     samples times a column of the K = F - J - 1 step table, so with (L - B)^4
     expanded binomially
 
@@ -607,44 +625,18 @@ def _quartic_split(truth: CoefficientTree, filt: WaveletFilter, read: int, coars
     windows; the fine grid is never built.
     """
     K, K_tail = resolution_log2 - read - 1, resolution_log2 - coarse_log2
-    if 1 << K > _BLOCK_SAMPLES:
-        return None
-    taps = filt.taps.tobytes()
-    form, tail_form = _quartic_form(taps, K), _quartic_form(taps, K_tail)
-    if form is None or tail_form is None:
-        return None
-    cross, tail_sum = None, 0.0
-    if len(truth.coeffs) > 2 << read:
-        tail = truth.coeffs.copy()
-        tail[: 2 << read] = 0.0
-        samples = synthesize(CoefficientTree._of(truth.j_max, tail), filt, coarse_log2).samples
-        tail_sum = _quartic_sum(samples, tail_form)
-        cross = _cross_weights(samples, taps, K, K_tail, 1 << (read + 1))
-    head_samples = _coarse_samples(truth.coeffs[: 2 << read], read, filt)
-    return _QuarticSplit(filt, head_samples, form, cross, tail_sum, resolution_log2)
-
-
-class _GridLoss(NamedTuple):
-    """The truth's side of the full-grid L^p loss at one read depth J: its
-    samples at the coarse resolution C."""
-
-    filt: WaveletFilter
-    truth: GridSignal  # the truth's samples at resolution C
-    depth: int  # J
-    resolution_log2: int  # F
-    p: float
-
-    def mean(self, estimates: np.ndarray) -> np.ndarray:
-        """Mean of |E - truth|^p over the 2^F grid for each row E of a stack
-        of heap arrays of estimates of depth J: their coarse samples in one
-        stack; each row is refined to C as synthesize does, the truth's
-        samples subtracted and lp_mean refines the difference."""
-        res = self.truth.resolution_log2
-        losses = []
-        for coarse in _coarse_samples(estimates, self.depth, self.filt):
-            diff = _refine(coarse, self.filt, res) - self.truth.samples
-            losses.append(lp_mean(GridSignal(res, diff), self.filt, self.resolution_log2, self.p))
-        return np.array(losses)
+    coeffs = truth.coeffs.copy()
+    coeffs[: 2 << read] = 0.0  # the tail: the truth's levels past J
+    tail = synthesize(CoefficientTree._of(truth.j_max, coeffs), filt, coarse_log2)
+    head, taps = truth.coeffs[: 2 << read], filt.taps.tobytes()
+    forms = ((_quartic_form(taps, K), _quartic_form(taps, K_tail))
+             if p == 4 and 1 << K <= _BLOCK_SAMPLES else (None,))
+    if None in forms:
+        return _SplitLoss(filt, head, read, tail, None, resolution_log2, p)
+    cross = (_cross_weights(tail.samples, taps, K, K_tail, 1 << (read + 1))
+             if len(truth.coeffs) > 2 << read else None)
+    quartic = (forms[0], cross, _quartic_sum(tail.samples, forms[1]))
+    return _SplitLoss(filt, head, read, None, quartic, resolution_log2, p)
 
 
 class _EnergyLoss(NamedTuple):
@@ -661,13 +653,8 @@ class _EnergyLoss(NamedTuple):
         level past the stack adds its energy.  A row's zeros past its own
         array's end change nothing: 0 - t is -t exactly, so its level sums
         to the truth's energy, and a zero level past the truth adds 0."""
-        t = self.truth.coeffs
-        width = estimates.shape[-1]
-        if width <= len(t):
-            sq = estimates - t[:width]
-        else:
-            sq = estimates.copy()
-            sq[:, : len(t)] -= t
+        t, width = self.truth.coeffs, estimates.shape[-1]
+        sq = _difference(estimates, t[:width])
         sq *= sq
         held = width.bit_length() - 1  # levels below held lie in the stack
         # np.add.reduce is np.sum's reduction, without its argument handling
@@ -683,24 +670,18 @@ def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, depths, p: float) -
     for each depth J of depths: an object whose .mean(E) is that loss for each
     row of any stack E of heap arrays of trees of depth J, keyed by J.
 
-    For p = 2 it is the _EnergyLoss, whatever J.  Else the mean runs over
-    the 2^F grid, F = C + SYNTHESIS_PAD - 1, that refines samples at
-    resolution C = max(J, truth depth) + 1: the _quartic_split at (C, J)
-    where there is one (p = 4 with db1 or db2), else a _GridLoss; the
-    _GridLoss of one C share one synthesis of the truth."""
+    For p = 2 it is the _EnergyLoss, whatever J.  Else it is the _split_loss
+    at J: the truth split once into its head, which .mean subtracts from the
+    estimates as coefficients, and its tail; the mean runs over the 2^F grid,
+    F = C + SYNTHESIS_PAD - 1, that refines samples at resolution
+    C = max(J, truth depth) + 1."""
     if p == 2:
         energies = {j: np.sum(a * a) for j, a in truth.levels.items()}
         return dict.fromkeys(depths, _EnergyLoss(truth, energies))
-    sides, grids = {}, {}
+    sides = {}
     # deepest first: the smaller splits reuse the memory the largest one's
     # temporaries free (0.5 MB less peak RSS on perfbench sparse_linear)
     for read in sorted(set(depths), reverse=True):
         coarse = max(read, truth.j_max) + 1
-        fine = coarse + SYNTHESIS_PAD - 1
-        side = _quartic_split(truth, filt, read, coarse, fine) if p == 4 else None
-        if side is None:
-            if coarse not in grids:
-                grids[coarse] = synthesize(truth, filt, coarse)
-            side = _GridLoss(filt, grids[coarse], read, fine, p)
-        sides[read] = side
+        sides[read] = _split_loss(truth, filt, read, coarse, coarse + SYNTHESIS_PAD - 1, p)
     return sides

@@ -437,6 +437,17 @@ def test_rates_prints_the_closed_form_table(srp, capsys):
     assert capsys.readouterr().out == RATES_OUTPUT[srp]
 
 
+def test_build_g_to_a_path_it_cannot_write_is_a_flag_error(tmp_path, capsys):
+    # was an internal error, exit 102 with a traceback
+    for out in (tmp_path / "missing" / "g.csv", tmp_path):  # no such directory; a directory
+        assert main(["build-g", "--s", "2", "--r", "2", "--j-max", "4",
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: --out: ") and err.count("\n") == 1
+        assert str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_subcommands(tmp_path, capsys, monkeypatch):
     # build-g: writes a loadable record stream
     g_path = tmp_path / "g.csv"
@@ -878,13 +889,16 @@ def test_report_builds_nothing(tmp_path, monkeypatch):
         assert report_from_dir(tmp_path / name) == list(report.verdicts)
 
 
-# (config, table, data row, column, value): a cell no run writes.  Each read as a
-# FAIL verdict (exit 1 or 2), the infinite n as an internal error (exit 102)
+# (config, table, data row, column, value): a cell no run writes.  Each was read
+# as a FAIL verdict (exit 1 or 2), the infinite n as an internal error (exit 102)
+# and a fractional n or replicate count, which int() truncated, as sound (exit 0)
 DAMAGED_CELLS = {
     "nan_risk": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 1, "nan"),
     "infinite_risk": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 1, "inf"),
     "infinite_std_error": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 2, "inf"),
     "infinite_n": (rate_config(replicates=2), "risk_threshold_hard.csv", 4, 0, "inf"),
+    "fractional_n": (rate_config(replicates=2), "risk_threshold_hard.csv", 2, 0, "1024.5"),
+    "fractional_replicates": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 3, "3.7"),
     "nan_witness_bound": (json.dumps(WITNESS), "witness.csv", 11, 1, "nan"),  # t = 12
     "nan_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "nan"),
     "infinite_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "inf"),

@@ -11,9 +11,9 @@ from waverates.wavelet import (
     _idwt_step,
     _quartic_form,
     _quartic_gram,
-    _quartic_split,
     _quartic_sum,
     _refined_blocks,
+    _split_loss,
     _wrapped,
     analyze,
     get_filter,
@@ -349,9 +349,10 @@ def test_grid_signal_freezes_without_copying_float_arrays():
 
 
 @pytest.mark.parametrize("name", ["haar", "db2"])
-def test_quartic_split_mean_is_the_full_grid_lp_mean(name):
+def test_split_loss_mean_is_the_coefficient_loss(name):
     # read depths 0 and 1 give coarse grids shorter than a window, those >= 6 an
-    # empty tail; at C = 13 a cell holds up to 1024 tail windows
+    # empty tail; at C = 13 a cell holds up to 1024 tail windows.  The reference
+    # synthesizes the difference tree
     filt, rng = get_filter(name), np.random.default_rng(4)
     truth = CoefficientTree(1, 6, 0.5, {j: rng.standard_normal(1 << j) * 2.0**-j
                                         for j in (0, 2, 3, 5, 6)})
@@ -359,24 +360,22 @@ def test_quartic_split_mean_is_the_full_grid_lp_mean(name):
     for coarse_log2 in (7, 9, 13):
         fine = coarse_log2 + 5
         for read in range(coarse_log2):
-            split = _quartic_split(truth, filt, read, coarse_log2, fine)
-            # a K-step table of more than 2^15 phases
-            if fine - read - 1 > 15:
-                assert split is None, (coarse_log2, read)
-                continue
-            tails.add(split.cross is not None)
+            split = _split_loss(truth, filt, read, coarse_log2, fine, 4.0)
+            # a K-step table of more than 2^15 phases refines the grid instead
+            assert (split.quartic is None) == (fine - read - 1 > 15), (coarse_log2, read)
+            if split.quartic is not None:
+                tails.add(split.quartic[1] is not None)  # the tail's cross weights
             estimate = CoefficientTree(1, read, -0.2, {j: rng.standard_normal(1 << j)
                                                        for j in range(read + 1)})
-            diff = (synthesize(estimate, filt, coarse_log2).samples
-                    - synthesize(truth, filt, coarse_log2).samples)
-            want = lp_mean(GridSignal(coarse_log2, diff), filt, fine, 4.0)
+            want = lp_mean(synthesize(estimate - truth, filt, coarse_log2), filt, fine, 4.0)
             assert abs(split.mean(estimate.coeffs[None])[0] - want) <= 1e-12 * want, \
                 (coarse_log2, read)
     assert tails == {True, False}
 
 
-def test_quartic_split_is_built_for_short_cascades_only():
+def test_split_loss_takes_the_quartic_sums_for_short_cascades_only():
     truth = CoefficientTree(1, 4, 0.0, {3: np.ones(8)})
-    assert all(_quartic_split(truth, get_filter(f"db{vm}"), 2, 8, 13) is None
+    assert all(_split_loss(truth, get_filter(f"db{vm}"), 2, 8, 13, 4.0).quartic is None
                for vm in (3, 4, 10))
-    assert _quartic_split(truth, get_filter("db2"), 2, 8, 13) is not None
+    assert _split_loss(truth, get_filter("db2"), 2, 8, 13, 4.0).quartic is not None
+    assert _split_loss(truth, get_filter("db2"), 2, 8, 13, 3.0).quartic is None
