@@ -78,7 +78,7 @@ from .rates import (
 )
 from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
 from .truths import ShellTerm, bump_tree, density_truth_tree, shell_sum
-from .wavelet import get_filter
+from .wavelet import _loss_bound, get_filter
 
 EXIT_CONFIG_ERROR = 101
 EXIT_INTERNAL_ERROR = 102
@@ -351,18 +351,6 @@ def _risk_name(config: ExperimentConfig, label: str, table: str = "risk") -> str
     return f"{table}_{config.estimator_spec['kind']}{label}.csv"
 
 
-def _loss_bound(tree: CoefficientTree, filt, p: float) -> float:
-    """A bound of the truth's part of the loss, inf where it overflows, with no
-    synthesis: at p = 2 its energy sum theta^2; else M^p, M = |c_0| + sum_j 2^(j/2)
-    sup|psi| (L - 1) max_k |theta_jk| >= |f|, as at most L - 1 wavelets of a level
-    (L taps) overlap at a point and sup|psi| < 2 (db2's 1.73 is get_filter's largest)."""
-    with np.errstate(over="ignore"):
-        if p == 2:
-            return np.square(tree.scaling) + tree.wavelet_energy()
-        peaks = sum(2.0 ** (j / 2) * np.abs(a).max() for j, a in tree.levels.items())
-        return np.power(abs(tree.scaling) + 2.0 * (len(filt.taps) - 1) * peaks, p)
-
-
 def _monte_carlo_build(config: ExperimentConfig, truths=(("", "truth_spec", {}),)):
     """Build what a Monte Carlo run builds before its first replicate: the
     EstimatorSpec, the filter, each truth (label, the key naming it if its
@@ -402,17 +390,15 @@ def _monte_carlo_build(config: ExperimentConfig, truths=(("", "truth_spec", {}),
     return risk_tables
 
 
-def _whole(value: float) -> int:
-    """A count read from a table; int() would truncate 1024.5 to a sound-looking 1024."""
-    if value != int(value):  # int(inf) overflows
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
 def _stored_fit(config: ExperimentConfig, read, label: str = ""):
-    def fit(rows):  # fit_slope refuses a table too short to fit
-        table = RiskTable(tuple(RiskRow(_whole(n), risk, se, _whole(reps))
-                                for n, risk, se, reps in rows), config.smoothness.p)
+    def fit(rows):  # only a table of the manifest's n_grid and replicates: 1024.5 is neither
+        if [row[0] for row in rows] != list(config.n_grid):
+            raise ValueError(f"its n column is not the manifest's n_grid {list(config.n_grid)}")
+        if any(row[3] != config.replicates for row in rows):
+            raise ValueError(f"a replicates cell is not the manifest's {config.replicates}")
+        table = RiskTable(tuple(RiskRow(n, risk, se, config.replicates)
+                                for n, (_, risk, se, _) in zip(config.n_grid, rows)),
+                          config.smoothness.p)
         return fit_slope(table, _regime(config).normalization)
 
     return read(_risk_name(config, label), fit)

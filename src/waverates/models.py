@@ -53,11 +53,6 @@ DENSITY_GRID_PAD = 8
 # renormalizing moves the sampled density 2m in L^1 from the tree, against
 # which the risk is measured; renormalizing a mass 1 + m moves it |m|.
 MAX_CLIPPED_MASS = 1e-4
-# Forward steps from the guide-table cell before falling back to a binary
-# search.  A draw steps once per cell boundary inside its guide bucket, of
-# which there are fewer than 1 + mean / local density, so the steps suffice
-# wherever the density is at least a quarter of its mean.
-_GUIDE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -184,11 +179,11 @@ class DensitySampler(NamedTuple):
 
         The guide table, read at each draw's bucket floor(N u) (its cell of
         the 2^res grid, _cells), gives a cell at or below the answer, from
-        which draws step forward.  About half the draws step once: the first step
-        is one pass over all of them, after which only the draws that
-        stepped are checked again.  The few still short step over a
-        shrinking index set, and any still short after _GUIDE_STEPS steps
-        (a run of near-empty cells) fall back to a binary search.
+        which draws step forward.  About half the draws step once: that step
+        is one pass over all of them, after which only the draws that stepped
+        are checked again.  The few still short (a run of near-empty cells in
+        their bucket) take a binary search, which gives the cell stepping on
+        would reach.
         """
         cum = self.cum
         cells = self.guide.take(_cells(u, self.res))
@@ -196,11 +191,6 @@ class DensitySampler(NamedTuple):
         cells += stepped
         short = np.flatnonzero(stepped)
         short = short[cum.take(cells.take(short)) <= u.take(short)]
-        for _ in range(_GUIDE_STEPS - 1):
-            if not short.size:
-                return cells
-            cells[short] += 1
-            short = short[cum.take(cells.take(short)) <= u.take(short)]
         cells[short] = np.searchsorted(cum, u.take(short), side="right")
         return cells
 

@@ -34,13 +34,14 @@ split T once per read depth J (``_split_loss``) into a head (the scaling
 coefficient and levels <= J) and a tail B (levels > J).  The head is
 subtracted from the estimates as coefficients, L = E - head, and L's
 2^(J + 1) coarse samples are one stack, so the roundoff scales with the
-loss, not with T.  At p = 4 with db1 or db2 the sum of (L - B)^4 expands
-binomially, and what the tail contributes is computed once: the sum of B^4,
-and for each of L's coarse windows the weights of its monomials of degree 1
-to 3 against B^3, B^2 and B; the fine grid is never built.  Other p and
-longer filters refine each row of L to B's resolution, subtract B's samples
-and refine the difference by ``lp_mean``.  Either way the sums over the
-windows run row by row.
+loss, not with T.  A T whose array ends at or above J has no tail, and
+nothing of it is synthesized.  At p = 4 with db1 or db2 the sum of (L - B)^4
+expands binomially, and what the tail contributes is computed once: the sum
+of B^4, and for each of L's coarse windows the weights of its monomials of
+degree 1 to 3 against B^3, B^2 and B; the fine grid is never built.  Other p
+and longer filters refine each row of L to B's resolution, subtract B's
+samples and refine the difference by ``lp_mean``.  Either way each row takes
+one pass over its windows.
 
 Coefficient convention: a signal is
 
@@ -452,24 +453,30 @@ def _quartic_form(taps: bytes, K: int):
     return _quartic_gram(table) if table.shape[0] <= _FORM_MAX_SHIFTS else None
 
 
-def _quartic_sum(coarse: np.ndarray, form) -> float:
-    """sum over the cyclic windows w_q of u_q^T gram u_q: the sum of |f|^4
-    over the grid the coarse samples refine to.
+def _quartic_sum(coarse: np.ndarray, form, cross=None, tail_sum: float = 0.0) -> float:
+    """sum over the cyclic windows w_q of u_q^T gram u_q, the sum of |f|^4 over
+    the grid the coarse samples refine to, plus tail_sum, plus with cross
+    weights (_cross_weights) sum_k sum_q m_k(w_q) . C_k[:, q], in that order.
 
-    _FORM_WINDOWS windows at a time keep the gram product of a short table
-    (P <= 6) on OpenBLAS's single-threaded path: a threaded BLAS call inside
-    each worker process of the risk engine (the runner and its forked
-    children) would start a BLAS thread per core in every worker, more threads
-    than cores.
+    One pass: per block of windows the pair products u serve the gram term
+    and the degree-2 cross term.  _FORM_WINDOWS windows at a time keep the
+    gram product of a short table (P <= 6) on OpenBLAS's single-threaded
+    path: a threaded BLAS call in each worker process of the risk engine
+    would start a BLAS thread per core in every worker, more threads than
+    cores.
     """
     combos, gram = form
     shifts, n = combos[-1, -1] + 1, len(coarse)  # the last pair is (S - 1, S - 1)
     wrapped = _wrapped(coarse, shifts)
-    total = 0.0
+    total = cross_total = 0.0
     for q in range(0, n, _FORM_WINDOWS):
-        u = _window_monomials(wrapped, combos, q, min(_FORM_WINDOWS, n - q))
+        rows = min(_FORM_WINDOWS, n - q)
+        u = _window_monomials(wrapped, combos, q, rows)
         total += float(np.einsum("ij,ij->", gram @ u, u))
-    return total
+        for k_combos, weights in cross or ():
+            m = u if len(k_combos) == 2 else _window_monomials(wrapped, k_combos, q, rows)
+            cross_total += float(np.einsum("ij,ij->", m, weights[:, q : q + rows]))
+    return total + tail_sum + cross_total
 
 
 def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: float) -> float:
@@ -547,19 +554,6 @@ def _cross_weights(tail: np.ndarray, taps: bytes, K: int, K_tail: int, cells: in
     return out
 
 
-def _cross_sum(coarse: np.ndarray, cross: list) -> float:
-    """sum_k sum_q m_k(w_q) . C_k[:, q] over the cyclic windows w_q of the
-    coarse samples, m_k the window's degree-k monomials (_cross_weights)."""
-    n, total = len(coarse), 0.0
-    wrapped = _wrapped(coarse, cross[0][0][-1, -1] + 1)
-    for q in range(0, n, _FORM_WINDOWS):
-        rows = min(_FORM_WINDOWS, n - q)
-        for combos, weights in cross:
-            total += float(np.einsum("ij,ij->", _window_monomials(wrapped, combos, q, rows),
-                                     weights[:, q : q + rows]))
-    return total
-
-
 def _difference(estimates: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Each row of a stack of heap arrays less the heap array t, both zero
     past their ends, as tree - takes them: as wide as the longer of the two."""
@@ -576,7 +570,8 @@ class _SplitLoss(NamedTuple):
     filt: WaveletFilter
     head: np.ndarray  # the truth's heap array through level J
     depth: int  # J
-    tail: GridSignal | None  # the tail's samples at resolution C; None on the quartic sums
+    coarse_log2: int  # C
+    tail: np.ndarray | None  # the tail's samples at resolution C off the quartic sums, if any
     quartic: tuple | None  # (form, cross, sum of B^4) of the quartic sums; None off them
     resolution_log2: int  # F
     p: float
@@ -584,16 +579,18 @@ class _SplitLoss(NamedTuple):
     def mean(self, estimates: np.ndarray) -> np.ndarray:
         """Mean of |E - truth|^p over the 2^F grid for each row E of a stack
         of heap arrays of estimates of depth J: L = E - head as coefficients
-        and L's coarse samples in one stack, then the sums row by row."""
+        and L's coarse samples in one stack, then one pass over each row."""
         coarse = _coarse_samples(_difference(estimates, self.head), self.depth, self.filt)
         if self.quartic is not None:
-            form, cross, tail_sum = self.quartic
-            totals = [_quartic_sum(row, form) + tail_sum
-                      + (0.0 if cross is None else _cross_sum(row, cross)) for row in coarse]
+            totals = [_quartic_sum(row, *self.quartic) for row in coarse]
             return np.array(totals) / (1 << self.resolution_log2)
-        res = self.tail.resolution_log2
-        return np.array([lp_mean(GridSignal(res, _refine(row, self.filt, res) - self.tail.samples),
-                                 self.filt, self.resolution_log2, self.p) for row in coarse])
+        res, means = self.coarse_log2, []
+        for row in coarse:
+            fine = _refine(row, self.filt, res)
+            if self.tail is not None:
+                fine -= self.tail
+            means.append(lp_mean(GridSignal(res, fine), self.filt, self.resolution_log2, self.p))
+        return np.array(means)
 
 
 def _split_loss(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_log2: int,
@@ -605,9 +602,11 @@ def _split_loss(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_l
 
     The truth splits into its head (scaling and levels <= J) and its tail B
     (levels > J); E - truth = L - B with L = E - head of depth J, whose
-    2^(J + 1) coarse samples .mean forms.  B's samples at resolution C are
-    synthesized once.  Off the quartic sums, .mean refines each row of L to C,
-    subtracts B's samples there and refines the difference by lp_mean.
+    2^(J + 1) coarse samples .mean forms.  A truth whose array ends at or
+    above J has no tail: B = 0, nothing is synthesized, and the loss is that
+    of L alone.  Else B's samples at resolution C are synthesized once.  Off
+    the quartic sums, .mean refines each row of L to C, subtracts B's samples
+    there, if any, and refines the difference by lp_mean.
 
     The quartic sums apply at p = 4 where both tables below have at most
     _FORM_MAX_SHIFTS rows (db1, db2) and the K-step one at most _BLOCK_SAMPLES
@@ -615,28 +614,28 @@ def _split_loss(truth: CoefficientTree, filt: WaveletFilter, read: int, coarse_l
     samples times a column of the K = F - J - 1 step table, so with (L - B)^4
     expanded binomially
 
-        sum (L - B)^4 = sum_q u_q^T gram u_q + sum_k sum_q m_k(l_q) . C_k[:, q]
-                        + sum B^4,
+        sum (L - B)^4 = sum_q u_q^T gram u_q + sum B^4 + sum_k sum_q m_k(l_q) . C_k[:, q],
 
-    the first term being _quartic_sum at K, m_k the degree-k window monomials
-    and C_k their weights against B^(4 - k) over the fine samples of cell q
-    (_cross_weights).  B's fine samples are its samples at resolution C
-    refined by F - C steps, so the C_k and sum B^4 come from B's coarse
-    windows; the fine grid is never built.
+    one _quartic_sum at K per row, m_k the degree-k window monomials and C_k
+    their weights against B^(4 - k) over the fine samples of cell q
+    (_cross_weights; none without a tail, where sum B^4 is 0).  B's fine
+    samples are its samples at resolution C refined by F - C steps, so the C_k
+    and sum B^4 come from B's coarse windows; the fine grid is never built.
     """
     K, K_tail = resolution_log2 - read - 1, resolution_log2 - coarse_log2
-    coeffs = truth.coeffs.copy()
-    coeffs[: 2 << read] = 0.0  # the tail: the truth's levels past J
-    tail = synthesize(CoefficientTree._of(truth.j_max, coeffs), filt, coarse_log2)
-    head, taps = truth.coeffs[: 2 << read], filt.taps.tobytes()
+    head, taps, tail = truth.coeffs[: 2 << read], filt.taps.tobytes(), None
+    if len(truth.coeffs) > 2 << read:
+        coeffs = truth.coeffs.copy()
+        coeffs[: 2 << read] = 0.0  # the tail: the truth's levels past J
+        tail = synthesize(CoefficientTree._of(truth.j_max, coeffs), filt, coarse_log2).samples
     forms = ((_quartic_form(taps, K), _quartic_form(taps, K_tail))
              if p == 4 and 1 << K <= _BLOCK_SAMPLES else (None,))
     if None in forms:
-        return _SplitLoss(filt, head, read, tail, None, resolution_log2, p)
-    cross = (_cross_weights(tail.samples, taps, K, K_tail, 1 << (read + 1))
-             if len(truth.coeffs) > 2 << read else None)
-    quartic = (forms[0], cross, _quartic_sum(tail.samples, forms[1]))
-    return _SplitLoss(filt, head, read, None, quartic, resolution_log2, p)
+        return _SplitLoss(filt, head, read, coarse_log2, tail, None, resolution_log2, p)
+    quartic = (forms[0], None, 0.0) if tail is None else (
+        forms[0], _cross_weights(tail, taps, K, K_tail, 1 << (read + 1)),
+        _quartic_sum(tail, forms[1]))
+    return _SplitLoss(filt, head, read, coarse_log2, None, quartic, resolution_log2, p)
 
 
 class _EnergyLoss(NamedTuple):
@@ -685,3 +684,15 @@ def _loss_sides(truth: CoefficientTree, filt: WaveletFilter, depths, p: float) -
         coarse = max(read, truth.j_max) + 1
         sides[read] = _split_loss(truth, filt, read, coarse, coarse + SYNTHESIS_PAD - 1, p)
     return sides
+
+
+def _loss_bound(tree: CoefficientTree, filt: WaveletFilter, p: float) -> float:
+    """A bound of the truth's part of the loss, inf where it overflows, with no
+    synthesis: at p = 2 its energy sum theta^2; else M^p, M = |c_0| + sum_j 2^(j/2)
+    sup|psi| (L - 1) max_k |theta_jk| >= |f|, as at most L - 1 wavelets of a level
+    (L taps) overlap at a point and sup|psi| < 2 (db2's 1.73 is get_filter's largest)."""
+    with np.errstate(over="ignore"):
+        if p == 2:
+            return np.square(tree.scaling) + tree.wavelet_energy()
+        peaks = sum(2.0 ** (j / 2) * np.abs(a).max() for j, a in tree.levels.items())
+        return np.power(abs(tree.scaling) + 2.0 * (len(filt.taps) - 1) * peaks, p)

@@ -234,7 +234,11 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
         assert "manifest.json holds no manifest object" in err
     err = damaged("rate", rate_config(replicates=2), keep_rows("risk_threshold_hard.csv", 2),
                   "risk_threshold_hard.csv")
-    assert "need at least 4 rows" in err
+    assert "its n column is not the manifest's n_grid" in err
+    # 4 of the 5 rows still fit a slope, and report read the cut table as sound
+    err = damaged("rate_cut", rate_config(replicates=2), keep_rows("risk_threshold_hard.csv", 4),
+                  "risk_threshold_hard.csv")
+    assert "its n column is not the manifest's n_grid" in err
     err = damaged("witness", json.dumps(WITNESS), keep_rows("witness.csv", 0), "witness.csv")
     assert "0 rows lie in witness_t_range" in err
 
@@ -891,7 +895,8 @@ def test_report_builds_nothing(tmp_path, monkeypatch):
 
 # (config, table, data row, column, value): a cell no run writes.  Each was read
 # as a FAIL verdict (exit 1 or 2), the infinite n as an internal error (exit 102)
-# and a fractional n or replicate count, which int() truncated, as sound (exit 0)
+# and a fractional n or replicate count, which int() truncated, a replicate count
+# other than the manifest's or an n off its n_grid as sound (exit 0)
 DAMAGED_CELLS = {
     "nan_risk": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 1, "nan"),
     "infinite_risk": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 1, "inf"),
@@ -899,6 +904,9 @@ DAMAGED_CELLS = {
     "infinite_n": (rate_config(replicates=2), "risk_threshold_hard.csv", 4, 0, "inf"),
     "fractional_n": (rate_config(replicates=2), "risk_threshold_hard.csv", 2, 0, "1024.5"),
     "fractional_replicates": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 3, "3.7"),
+    "negative_replicates": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 3, "-3"),
+    "zero_replicates": (rate_config(replicates=2), "risk_threshold_hard.csv", 1, 3, "0"),
+    "n_off_the_grid": (rate_config(replicates=2), "risk_threshold_hard.csv", 2, 0, "1000"),
     "nan_witness_bound": (json.dumps(WITNESS), "witness.csv", 11, 1, "nan"),  # t = 12
     "nan_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "nan"),
     "infinite_scaling_estimate": (json.dumps(SCALING), "scaling.csv", 0, 1, "inf"),

@@ -8,7 +8,6 @@ from waverates.dyadic import CoefficientTree
 from waverates.models import (
     DENSITY_GRID_PAD,
     MAX_CLIPPED_MASS,
-    _GUIDE_STEPS,
     DensitySample,
     DensitySampler,
     _noise,
@@ -386,9 +385,10 @@ def test_density_sampler_locate_flat_runs_and_bucket_edges():
         want = np.searchsorted(cum, u, side="right")
         assert np.array_equal(sampler.locate(u), want)
     # the flat lower half of the CDF puts thousands of cells in the first
-    # guide bucket: draws there exceed the forward steps and take the fallback
+    # guide bucket: draws there lie more than the one step past their guide
+    # cell and take the binary search
     start = sampler.guide[(u * buckets).astype(np.intp)]
-    assert np.max(want - start) > _GUIDE_STEPS
+    assert np.max(want - start) > 1
 
 
 @pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))

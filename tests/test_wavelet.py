@@ -379,3 +379,33 @@ def test_split_loss_takes_the_quartic_sums_for_short_cascades_only():
                for vm in (3, 4, 10))
     assert _split_loss(truth, get_filter("db2"), 2, 8, 13, 4.0).quartic is not None
     assert _split_loss(truth, get_filter("db2"), 2, 8, 13, 3.0).quartic is None
+
+
+@pytest.mark.parametrize("name, p", [("db2", 4.0), ("db2", 3.0), ("db3", 4.0)])
+def test_split_loss_builds_no_tail_where_the_truth_ends(name, p, monkeypatch):
+    # the truth's array ends at level 3: read depths 3 and 4 have no tail, and
+    # synthesizing one gave an all-zero grid; depth 2 synthesizes its tail once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return synthesize(*args)
+
+    monkeypatch.setattr("waverates.wavelet.synthesize", counted)
+    filt, rng = get_filter(name), np.random.default_rng(3)
+    truth = CoefficientTree(1, 4, 0.5, {2: rng.standard_normal(4), 3: rng.standard_normal(8)})
+    assert len(truth.coeffs) == 16
+    for read, synthesized in ((2, 1), (3, 0), (4, 0)):
+        calls.clear()
+        split = _split_loss(truth, filt, read, 5, 10, p)
+        assert len(calls) == synthesized, read
+        if split.quartic is None:
+            assert (split.tail is None) == (synthesized == 0)
+        else:
+            assert split.tail is None
+            assert (split.quartic[1] is None) == (synthesized == 0)  # the cross weights
+            assert split.quartic[2] != 0.0 if synthesized else split.quartic[2] == 0.0
+        estimate = CoefficientTree(1, read, -0.2, {j: rng.standard_normal(1 << j)
+                                                   for j in range(read + 1)})
+        want = lp_mean(synthesize(estimate - truth, filt, 5), filt, 10, p)
+        assert abs(split.mean(estimate.coeffs[None])[0] - want) <= 1e-12 * want, read
