@@ -33,7 +33,8 @@ Experiment kinds are the keys of ``EXPERIMENTS``, truth kinds those of
 ``TRUTHS``.  ``validate`` parses a config (keys, types, defaults and ranges;
 unknown keys are rejected at every level), then calls the kind's build, the
 one builder of its run, and discards the run: a Monte Carlo kind builds its
-``EstimatorSpec``, filter and every truth the run estimates, the other kinds
+``EstimatorSpec``, filter, every truth the run estimates and the plan of its
+replicates (``rates._plan``), which the run then executes, the other kinds
 compute their tables, so ``validate`` refuses what ``run`` would fail on.
 ``report`` parses the stored manifest and derives the verdicts from the
 stored tables exactly as ``run`` does from the files it writes.  Exit
@@ -64,17 +65,16 @@ import numpy as np
 from . import __version__, recordio
 from .dyadic import MAX_DEPTH, CoefficientTree
 from .generic import GenericFunctionSpec, build_g, g_term, weak_exclusion_witness
-from .models import DensitySampler
 from .rates import (
     ESTIMATOR_KINDS,
     MIN_FIT_ROWS,
     EstimatorSpec,
     RiskRow,
     RiskTable,
+    _plan,
     fit_slope,
     generic_alpha,
     minimax_rate,
-    monte_carlo_risk,
 )
 from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
 from .truths import ShellTerm, bump_tree, density_truth_tree, shell_sum
@@ -355,10 +355,12 @@ def _monte_carlo_build(config: ExperimentConfig, truths=(("", "truth_spec", {}),
     """Build what a Monte Carlo run builds before its first replicate: the
     EstimatorSpec, the filter, each truth (label, the key naming it if its
     _loss_bound overflows, its _truth overrides; a rate fit's one truth by
-    default) and a density truth's law (DensitySampler.cell_masses; the run's
-    sampler reads it again from its cache).  Return the run: () -> each truth's
-    risk and slope tables, named by its label, under one noise draw per (n, replicate)."""
-    sm, model = config.smoothness, EXPERIMENTS[config.experiment_kind].model
+    default) and the plan of the replicates (rates._plan, whose refusals name
+    their keys: a density truth's law, a threshold that underflows, a run too
+    large, a loss that could overflow).  Return the run: () -> each truth's
+    risk and slope tables, named by its label, under one noise draw per (n,
+    replicate)."""
+    sm = config.smoothness
     estimator = EstimatorSpec(smoothness=sm, **config.estimator_spec)  # it checks its numbers
     filt = get_filter(config.filter)  # _with_model refused a name get_filter does not read
     if filt.vanishing_moments < math.ceil(sm.s):
@@ -369,17 +371,14 @@ def _monte_carlo_build(config: ExperimentConfig, truths=(("", "truth_spec", {}),
     for _, key, overrides in truths:
         with _naming("truth_spec", (TypeError, ValueError, OSError)):
             trees.append(_truth(config, **overrides))
-            if model == "density":
-                DensitySampler.cell_masses(trees[-1], filt)
         if not math.isfinite(_loss_bound(trees[-1], filt, sm.p)):
             raise ConfigError(f"{key}: the truth's loss bound at p = {sm.p:g} overflows")
+    execute = _plan(tuple(trees), estimator, config.n_grid, config.replicates, sm.p,
+                    config.filter, EXPERIMENTS[config.experiment_kind].model, naming=_naming)
 
     def risk_tables():
-        risks = monte_carlo_risk(tuple(trees), estimator, config.n_grid, config.replicates, sm.p,
-                                 config.master_seed, filter_name=config.filter,
-                                 threads=config.threads, model=model)
         tables = []
-        for (label, _, _), table in zip(truths, risks):
+        for (label, _, _), table in zip(truths, execute(config.master_seed, config.threads)):
             fit = fit_slope(table, _regime(config).normalization)
             tables += [(_risk_name(config, label), ["n", "risk", "std_error", "replicates"],
                         table.rows),

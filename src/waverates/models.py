@@ -143,17 +143,30 @@ class DensitySampler(NamedTuple):
         (the integral of the negative part) exceeds MAX_CLIPPED_MASS, or
         whose mass (the mean of the grid before clipping) differs from 1 by
         more: risks are measured against the unclipped, unnormalized tree, so
-        the sampled law must be that tree.
-
-        The last law is kept, keyed by the bytes of the tree and the filter,
-        so the run's build (validate runs it too) and the run's sampler
-        synthesize it once; its masses are read-only."""
+        the sampled law must be that tree.  Beside the synthesized grid it
+        holds one writable grid-sized array: the negative part, whose
+        integral is the clipped mass, and then the clipped, normalized law."""
         res = f_tree.j_max + DENSITY_GRID_PAD
         if res > MAX_DEPTH:
             raise ValueError(f"density grid of 2^{res} cells is finer than 2^{MAX_DEPTH}: "
                              f"j_max must be <= {MAX_DEPTH - DENSITY_GRID_PAD}")
-        return _cell_masses(f_tree.j_max, f_tree.coeffs.tobytes(), filt.name,
-                            filt.taps.tobytes(), filt.vanishing_moments)
+        values = synthesize(f_tree, filt, res).samples
+        mass = float(np.mean(values))
+        masses = np.negative(values)
+        clipped_mass = float(np.maximum(masses, 0.0, out=masses).sum()) / (1 << res)
+        total = np.maximum(values, 0.0, out=masses).sum()  # np.clip(values, 0.0, None)
+        if total <= 0.0:
+            raise ValueError("density is identically zero after clipping")
+        if clipped_mass > MAX_CLIPPED_MASS:
+            raise ValueError(
+                f"density has negative mass {clipped_mass:.3g} > {MAX_CLIPPED_MASS:g}; "
+                "clipping it would sample a different law than the tree"
+            )
+        if abs(mass - 1.0) > MAX_CLIPPED_MASS:
+            raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
+                             "renormalizing it would sample a different law than the tree")
+        masses /= total
+        return masses, clipped_mass
 
     @classmethod
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
@@ -169,7 +182,7 @@ class DensitySampler(NamedTuple):
         np.cumsum(masses, out=edges[1:])
         edges[np.flatnonzero(masses)[-1] + 1:] = 1.0
         guide = _guide(edges[1:])
-        for arr in (edges, guide):  # the masses are read-only already
+        for arr in (masses, edges, guide):
             arr.flags.writeable = False
         return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, edges, guide, clipped_mass)
 
@@ -223,36 +236,6 @@ class DensitySampler(NamedTuple):
         np.minimum(t, 1.0, out=t)
         t += cells
         return t
-
-
-@functools.lru_cache(maxsize=1)  # the run's build and its sampler: one synthesis
-def _cell_masses(j_max: int, coeffs: bytes, name: str, taps: bytes,
-                 vanishing_moments: int) -> tuple[np.ndarray, float]:
-    """DensitySampler.cell_masses of the tree and the filter given by their
-    fields, the arrays as bytes, past its grid check.  Beside the synthesized
-    grid it holds one writable grid-sized array: the negative part, whose
-    integral is the clipped mass, and then the clipped, normalized law."""
-    f_tree = CoefficientTree._of(j_max, np.frombuffer(coeffs))
-    filt = WaveletFilter(name, np.frombuffer(taps), vanishing_moments)
-    res = j_max + DENSITY_GRID_PAD
-    values = synthesize(f_tree, filt, res).samples
-    mass = float(np.mean(values))
-    masses = np.negative(values)
-    clipped_mass = float(np.maximum(masses, 0.0, out=masses).sum()) / (1 << res)
-    total = np.maximum(values, 0.0, out=masses).sum()  # np.clip(values, 0.0, None)
-    if total <= 0.0:
-        raise ValueError("density is identically zero after clipping")
-    if clipped_mass > MAX_CLIPPED_MASS:
-        raise ValueError(
-            f"density has negative mass {clipped_mass:.3g} > {MAX_CLIPPED_MASS:g}; "
-            "clipping it would sample a different law than the tree"
-        )
-    if abs(mass - 1.0) > MAX_CLIPPED_MASS:
-        raise ValueError(f"density has mass {mass:.6g}, not 1 within {MAX_CLIPPED_MASS:g}; "
-                         "renormalizing it would sample a different law than the tree")
-    masses /= total
-    masses.flags.writeable = False
-    return masses, clipped_mass
 
 
 def _guide(cum: np.ndarray) -> np.ndarray:

@@ -15,14 +15,16 @@ from disk, and EstimatorSpec its parameters, which configs set.
 
 The loss itself is wavelet's: wavelet._loss_sides gives, once per truth and
 depth before any replicate, an object whose .mean(estimates) is the loss of
-each row of a stack of estimates.  The engine plans each n once (the
-estimate, each truth's observed depth and its side of the loss), and a block
+each row of a stack of estimates.  _plan builds, once per n, the estimate
+and each truth's observed depth (the CLI's build, which validate runs too,
+builds it); its execution takes each truth's side of the loss, and a block
 of replicates of one n, one stack row per replicate, is observed, estimated
 and scored by .mean in one call per step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -40,7 +42,7 @@ from .estimators import (_linear_stack, _threshold_stack, linear_weights, noise_
                          universal_threshold)
 from .models import DensitySampler, _noise, _observed, _sampled_stack
 from .spaces import SmoothnessParams, theoretical_scaling
-from .wavelet import _BLOCK_SAMPLES, WaveletFilter, _loss_sides, get_filter
+from .wavelet import _BLOCK_SAMPLES, WaveletFilter, _loss_bound, _loss_sides, get_filter
 
 __all__ = [
     "RateRegime",
@@ -349,6 +351,20 @@ def _cuts(noise: np.ndarray, peaks, depths, lam: float) -> list:
     return [cut or 0 for cut in cuts]
 
 
+def _estimate_sup(top: float, filt: WaveletFilter, depth: int, n: int, density: bool) -> float:
+    """A bound of sup |estimate| at n, read to depth, of a truth of sup at most
+    top, as wavelet._loss_bound bounds a tree's: |c_0| + sum_j 2^(j/2) 2 (L - 1)
+    max_k |c_jk|.  Every rule shrinks its observation.  A sequence observation
+    lies within 40 sd n^(-1/2) of theta (a normal draw passes 40 sd with
+    probability below 1e-340); an empirical coefficient is a mean of psi_jk,
+    at most 2^(j/2) 2, and its scaling coefficient 1."""
+    width = 2.0 * (len(filt.taps) - 1)
+    if density:
+        return 1.0 + 2.0 * width * ((2 << depth) - 1)  # sum_j 2^(j/2) width 2^(j/2) 2
+    levels = sum(2.0 ** (j / 2) for j in range(depth + 1))
+    return top + 40.0 / math.sqrt(n) * (1.0 + width * levels)
+
+
 class _Child:
     """A forked child that runs replicates on its share of the jobs and sends
     the runner, through its own pipe, one pickled pair: (None, results), or
@@ -450,6 +466,95 @@ def _replicate_results(replicates: _Replicates, shares):
             child.stop()
 
 
+MAX_ENTRIES = 1 << 27  # the most float64 entries (1 GiB) a run's losses or one draw may hold
+
+
+def _plan(truths: tuple[CoefficientTree, ...], estimator: EstimatorSpec, n_grid, R: int,
+          p: float, filter_name: str, model: str, *,
+          naming: Callable = lambda key: contextlib.nullcontext()) -> Callable:
+    """monte_carlo_risk's plan: each n's rule, each truth's observed depth at
+    each n, the density model's one DensitySampler per truth and a threshold
+    rule's level peaks (_cuts); returns its execution, (master_seed,
+    threads=1) -> the RiskTables, which takes the loss sides and runs.
+
+    Refuses, inside naming(key), which names the config key (cli's _naming;
+    by default none): a losses array of (truths, n, R) or a density sample
+    larger than MAX_ENTRIES (replicates, n_grid), a lam that is not positive
+    and finite (estimator_spec.kappa: kappa sqrt(log n / n) underflows for a
+    kappa near the least double), a p != 2 loss whose bound overflows
+    (smoothness.p, _estimate_sup) and what DensitySampler.from_tree refuses
+    (truth_spec)."""
+    n_grid = [int(n) for n in n_grid]
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
+        raise ValueError("n_grid must be nonempty and strictly increasing")
+    if R < 2:
+        raise ValueError("need at least 2 replicates for a standard error")
+    if not truths:
+        raise ValueError("need at least one truth")
+    if model not in ("sequence", "density"):
+        raise ValueError(f"model must be 'sequence' or 'density', got {model!r}")
+    if len(truths) * len(n_grid) * R > MAX_ENTRIES:
+        with naming("replicates"):
+            raise ValueError(f"{len(truths)} x {len(n_grid)} x {R} losses (truths x n x "
+                             f"replicates) exceed the {MAX_ENTRIES} a run may hold")
+    filt = get_filter(filter_name)
+    density = model == "density"
+    rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
+    for n, (_, _, lam) in zip(n_grid, rules):
+        if lam is not None and not 0.0 < lam < math.inf:
+            with naming("estimator_spec.kappa"):
+                raise ValueError(f"the threshold at n = {n} is {lam!r}, not positive and finite")
+    samplers = None
+    if density:
+        if n_grid[-1] > MAX_ENTRIES:
+            with naming("n_grid"):
+                raise ValueError(f"a density sample of n = {n_grid[-1]} draws exceeds the "
+                                 f"{MAX_ENTRIES} a replicate may draw")
+        with naming("truth_spec"):
+            samplers = [DensitySampler.from_tree(t, filt) for t in truths]
+    # per n, each truth's observed depth
+    depths = [[read if density else min(read, t.j_max) for t in truths] for read, _, _ in rules]
+    if p != 2:  # the loss is at most sup |estimate - truth|^p (p = 2's energy: cli bounds it)
+        tops = [_loss_bound(t, filt, 1.0) for t in truths]  # sup |truth|
+        for n, row in zip(n_grid, depths):
+            for top, j in zip(tops, row):
+                with np.errstate(over="ignore"):
+                    bound = np.power(top + _estimate_sup(top, filt, j, n, density), p)
+                if not np.isfinite(bound):
+                    with naming("smoothness.p"):
+                        raise ValueError(f"the loss bound of an estimate read to level {j} at "
+                                         f"n = {n} overflows at p = {p:g}")
+    peaks = (None if density or rules[0][2] is None  # no screen: no theta + noise, or no lam
+             else [_level_peaks(t.coeffs, t.j_max) for t in truths])
+
+    def execute(master_seed: int, threads: int = 1) -> tuple[RiskTable, ...]:
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        sides = [_loss_sides(t, filt, [row[k] for row in depths], p)  # per truth, per depth
+                 for k, t in enumerate(truths)]
+        plans = [(n, estimate, lam, row, [s[j] for s, j in zip(sides, row)])
+                 for n, (_, estimate, lam), row in zip(n_grid, rules, depths)]
+        replicates = _Replicates(truths, plans, filt, master_seed, samplers, peaks)
+        workers = min(threads, len(n_grid) * R, os.cpu_count() or 1)
+        sizes = [max(1, _BLOCK_SAMPLES >> (max(row) + 1)) for row in depths]  # rows per block
+        losses = np.empty((len(truths), len(n_grid), R))
+        for i, reps, values in _replicate_results(replicates, _shares(sizes, R, workers)):
+            losses[:, i, reps] = values
+        return tuple(
+            RiskTable(rows=tuple(
+                RiskRow(
+                    n=n,
+                    empirical_risk=float(np.mean(per_truth[i])),
+                    std_error=float(np.std(per_truth[i], ddof=1) / math.sqrt(R)),
+                    replicates=R,
+                )
+                for i, n in enumerate(n_grid)
+            ), loss_p=p)
+            for per_truth in losses
+        )
+    return execute
+
+
 def monte_carlo_risk(
     truths: tuple[CoefficientTree, ...],
     estimator: EstimatorSpec,
@@ -463,7 +568,7 @@ def monte_carlo_risk(
     model: str = "sequence",
 ) -> tuple[RiskTable, ...]:
     """Empirical risk E ||estimate - truth||_p^p of each truth over an
-    increasing n-grid, one RiskTable per truth.
+    increasing n-grid, one RiskTable per truth: the plan _plan returns, executed.
 
     model names the observation model: "sequence", Gaussian sequence
     observations of the truth, or "density", empirical coefficients of a
@@ -487,56 +592,13 @@ def monte_carlo_risk(
     blocks (_shares), each one stack of at most _BLOCK_SAMPLES / 2^(J + 1)
     rows (at least one), J the deepest depth any truth is observed to at
     that n (_Replicates); the losses are stored by (n, replicate), so the
-    reduction order is fixed.  The density model builds one DensitySampler
-    per truth, shared by all replicates.  A plan per n, built before any
-    replicate, holds the estimate, the threshold, and each truth's observed
-    depth and side of the loss (wavelet._loss_sides).
+    reduction order is fixed.
 
     The truths do not enter the seed, so every truth is observed under the
     same noise (common random numbers), which each replicate draws once, and
     each table equals that of the truth alone.
     """
-    n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
-        raise ValueError("n_grid must be nonempty and strictly increasing")
-    if R < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if not truths:
-        raise ValueError("need at least one truth")
-    if model not in ("sequence", "density"):
-        raise ValueError(f"model must be 'sequence' or 'density', got {model!r}")
-    filt = get_filter(filter_name)
-    density = model == "density"
-    samplers = [DensitySampler.from_tree(t, filt) for t in truths] if density else None
-    rules = [ESTIMATOR_KINDS[estimator.kind].rule(estimator, n) for n in n_grid]
-    # per n, each truth's observed depth; per truth, its side at each depth
-    depths = [[read if density else min(read, t.j_max) for t in truths] for read, _, _ in rules]
-    sides = [_loss_sides(t, filt, [row[k] for row in depths], p) for k, t in enumerate(truths)]
-    plans = [(n, estimate, lam, row, [s[j] for s, j in zip(sides, row)])
-             for n, (_, estimate, lam), row in zip(n_grid, rules, depths)]
-    peaks = (None if density or rules[0][2] is None  # no screen: no theta + noise, or no lam
-             else [_level_peaks(t.coeffs, t.j_max) for t in truths])
-    replicates = _Replicates(truths, plans, filt, master_seed, samplers, peaks)
-    workers = min(threads, len(n_grid) * R, os.cpu_count() or 1)
-    sizes = [max(1, _BLOCK_SAMPLES >> (max(row) + 1)) for row in depths]  # rows per block
-    losses = np.empty((len(truths), len(n_grid), R))
-    for i, reps, values in _replicate_results(replicates, _shares(sizes, R, workers)):
-        losses[:, i, reps] = values
-
-    return tuple(
-        RiskTable(rows=tuple(
-            RiskRow(
-                n=n,
-                empirical_risk=float(np.mean(per_truth[i])),
-                std_error=float(np.std(per_truth[i], ddof=1) / math.sqrt(R)),
-                replicates=R,
-            )
-            for i, n in enumerate(n_grid)
-        ), loss_p=p)
-        for per_truth in losses
-    )
+    return _plan(truths, estimator, n_grid, R, p, filter_name, model)(master_seed, threads)
 
 
 def fit_slope(table: RiskTable, normalization: str) -> SlopeFit:

@@ -32,6 +32,7 @@ __all__ = [
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+MAX_DITHER = 512  # a block's least squared magnitude, above 2^(-2 dither), is a positive double
 
 
 class ShellTerm(NamedTuple):
@@ -52,11 +53,11 @@ def shell_sum(s: float, r: float, j_max: int, terms: Iterable[ShellTerm]) -> Coe
     within-level spread across reduced scales that lets thresholding
     experiments cross levels gradually.
 
-    ``dither`` > 0 additionally spreads magnitudes log-uniformly over a factor
-    2^dither inside every reduced-scale block, renormalized so each block's
-    energy is exactly preserved.  This smooths the discrete magnitude ladder
-    (slope fits stop seeing level-granularity staircases) without moving any
-    level energy, so projection risks are unchanged.
+    ``dither`` in (0, MAX_DITHER] additionally spreads magnitudes log-uniformly
+    over a factor 2^dither inside every reduced-scale block, renormalized so
+    each block's energy is exactly preserved.  This smooths the discrete
+    magnitude ladder (slope fits stop seeing level-granularity staircases)
+    without moving any level energy, so projection risks are unchanged.
 
     A term of amplitude 0 is checked but not built; the others are built at
     amplitude 1, cached (one config's truths share their terms) and scaled.
@@ -68,8 +69,9 @@ def shell_sum(s: float, r: float, j_max: int, terms: Iterable[ShellTerm]) -> Coe
     coeffs = np.zeros(2 << j_max)
     for term in terms:
         _refuse_bools(**term._asdict())
-        if not (all(map(math.isfinite, term[:2])) and 0 <= term.dither < math.inf):
-            raise ValueError(f"need a finite amplitude and damping and dither >= 0, got {term}")
+        if not (all(map(math.isfinite, term[:2])) and 0 <= term.dither <= MAX_DITHER):
+            raise ValueError("need a finite amplitude and damping and dither in "
+                             f"[0, {MAX_DITHER}], got {term}")
         lowest = 0 if term.damping == 0 else 1  # no damping at j = 0
         if not lowest <= term.j_min <= j_max:
             raise ValueError(f"j_min must lie in [{lowest}, {j_max}], got {term.j_min}")

@@ -2,10 +2,12 @@ import ast
 import functools
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import traceback
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waverates import __version__, models, recordio
+from waverates import __version__, models, rates, recordio
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -244,19 +246,56 @@ def test_main_exit_codes_tell_errors_from_failed_verdicts(tmp_path, capsys, monk
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
-    # validates, then the run's sampler build fails before any table
+    # the build plans the run, so a refused sampler is a config error; a failure
+    # after the build, in the run's loss sides, is internal: neither leaves a table
     class Refused:
         @staticmethod
         def from_tree(tree, filt):
             raise ValueError("sampler refused")
 
-    monkeypatch.setattr("waverates.rates.DensitySampler", Refused)  # validate's is untouched
+    def broken(*args):
+        raise ValueError("loss sides broke")
+
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(DENSITY_WORKLOAD))
     out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr("waverates.rates.DensitySampler", Refused)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: truth_spec: sampler refused\n"
+    monkeypatch.setattr("waverates.rates._loss_sides", broken)
+    assert validate_config(cfg_path.read_text()).replicates == 32  # the sides are not built
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL_ERROR
-    assert "ValueError: sampler refused" in capsys.readouterr().err
+    assert "ValueError: loss sides broke" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_plans_the_run_and_run_executes_that_plan(tmp_path, capsys, monkeypatch):
+    # validate builds the plan and never executes it; run builds it once and executes it
+    calls, plan = [], rates._plan
+
+    def counted(*args, **kwargs):
+        calls.append("plan")
+        execute = plan(*args, **kwargs)
+
+        def counted_execute(*args):
+            calls.append("execute")
+            return execute(*args)
+        return counted_execute
+
+    monkeypatch.setattr("waverates.cli._plan", counted)
+    density = json.dumps(dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512], replicates=2,
+                              j_max=4))
+    for name, text in (("rate", rate_config(replicates=2)),
+                       ("sweep", sweep_config(replicates=2)), ("density", density)):
+        (tmp_path / "cfg.json").write_text(text)
+        assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == 0
+        assert calls == ["plan"]
+        calls.clear()
+        code = main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / name)])
+        assert code < EXIT_CONFIG_ERROR and calls == ["plan", "execute"], name
+        calls.clear()
+    capsys.readouterr()
 
 
 def test_worker_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -666,6 +705,21 @@ REJECTED = {
     "j_max_too_deep": (_rate(j_max=40, truth_spec={"kind": "custom_bump"}),
                        "j_max must lie in [1, 24], got 40"),
     "scaling_j_max_too_deep": (dict(SCALING, j_max=40), "j_max must lie in [1, 24], got 40"),
+    # the run's plan, built at validate: kappa sqrt(log n / n) underflowed to 0 and run
+    # exited 102 in the estimator; 72 TiB of losses and 8 TiB of uniforms were allocated
+    "kappa_underflows": (dict(DEMO["dense_threshold_rate"], estimator_spec={
+        "kind": "threshold_hard", "kappa": 5e-324}),
+        "estimator_spec.kappa: the threshold at n = 1024 is 0.0, not positive and finite"),
+    "replicates_beyond_the_cap": (dict(DEMO["sparse_linear_rate"], replicates=2**40),
+                                  "replicates: 1 x 9 x 1099511627776 losses (truths x n x "
+                                  "replicates) exceed the 134217728"),
+    "density_n_beyond_the_cap": (dict(DEMO["density_threshold_rate"],
+                                      n_grid=[1024, 2048, 4096, 2**40]),
+                                 "n_grid: a density sample of n = 1099511627776 draws exceeds"),
+    # the truth's loss bound, 1^p, held, but the estimates' losses overflowed in run
+    "density_loss_bound_overflows": (dict(DEMO["density_threshold_rate"], smoothness={
+        "s": 2, "r": 2, "p": 2**31}, truth_spec={"kind": "uniform_density"}),
+        "smoothness.p: the loss bound of an estimate read to level 8 at n = 1024 overflows"),
     "density_grid_too_fine": (dict(DENSITY_WORKLOAD, j_max=17),
                               "truth_spec: density grid of 2^25 cells is finer than 2^24: "
                               "j_max must be <= 16"),
@@ -746,6 +800,69 @@ def test_run_rejects_configs_it_cannot_use(name, tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+# The config fuzzer: the Monte Carlo demo configs, each shrunk to its first 4 n,
+# 2 replicates and j_max at most 10, with one or two keys (a path of dict keys and
+# list indices) set to a value of FUZZ_VALUES
+FUZZ_BASES = {name: dict(raw, n_grid=raw["n_grid"][:4], replicates=2, j_max=min(raw["j_max"], 10))
+              for name, raw in DEMO.items() if "n_grid" in raw}
+FUZZ_VALUES = (0, 5e-324, 1e200, -1e200, 2**31, 1e100)
+FUZZ_KEYS = ("replicates", "master_seed", "j_max", "n_grid.0", "n_grid.3", "estimator_spec.kappa",
+             "truth_spec.base_amplitude", "truth_spec.probe_alpha", "truth_spec.dither",
+             "truth_spec.j_min", "smoothness.s", "smoothness.r", "smoothness.p",
+             "tolerances.alpha", "tolerances.r_squared", "tolerances.spread", "probe_alphas.1")
+
+
+def _fuzz_node(raw, parents):
+    for key in parents:
+        raw = raw[int(key)] if isinstance(raw, list) else raw.get(key, {})
+    return raw
+
+
+def _fuzz_cases():
+    """Every base with each key it holds set to each value, then 300 of the pairs
+    of those, drawn with a fixed seed, and a pair that crashed run by itself."""
+    singles = []
+    for name, raw in FUZZ_BASES.items():
+        for path in FUZZ_KEYS:
+            *parents, last = path.split(".")
+            node = _fuzz_node(raw, parents)
+            if last in node or isinstance(node, list) and int(last) < len(node):
+                singles += [(name, ((path, value),)) for value in FUZZ_VALUES]
+    pairs = [(name, a + b) for (name, a), (other, b) in itertools.combinations(singles, 2)
+             if name == other and a[0][0] != b[0][0]]
+    # the density of 1 at p = 2^31: its estimates' losses overflowed in run (exit 102)
+    crashed = ("density_threshold_rate", (("truth_spec.base_amplitude", 0),
+                                          ("smoothness.p", 2**31)))
+    return singles + random.Random(25).sample(pairs, 300) + [crashed]
+
+
+@pytest.mark.filterwarnings("ignore:non-positive risks clipped")
+def test_fuzzed_configs_are_refused_at_validate_or_run_to_a_verdict(tmp_path, capsys):
+    """No config that passes validate crashes run: each fuzz case exits 101 at
+    validate, or runs to exit below 101, which report repeats.  Among the singles,
+    kappa 5e-324 (its threshold underflows to 0), replicates 2^31, 1e100 or 1e200
+    (the losses array) and a density n of those (its draw) each exited 102 in
+    run, and dither 2^31 made the truth nan.  A risk that underflows to 0 (n 1e200
+    at p = 4) is clipped before the fit with a warning, as by design; any other
+    warning is an error.  The shrunk bases and the values keep every legal run
+    small: j_max stays at most 10 and no value lies between the demo sizes and the
+    caps, so no case runs j_max 24 at large n, a density n near 2^27 or 2^25
+    replicates, each of which is legal and takes minutes and gigabytes."""
+    for i, (name, changes) in enumerate(_fuzz_cases()):
+        raw = json.loads(json.dumps(FUZZ_BASES[name]))
+        for path, value in changes:
+            *parents, last = path.split(".")
+            node = _fuzz_node(raw, parents)
+            node[int(last) if isinstance(node, list) else last] = value
+        cfg, out = tmp_path / "cfg.json", tmp_path / str(i)
+        cfg.write_text(json.dumps(raw))
+        if main(["validate", "--config", str(cfg)]) != EXIT_CONFIG_ERROR:
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+            assert code < EXIT_CONFIG_ERROR, (name, changes, capsys.readouterr().err)
+            assert main(["report", "--dir", str(out)]) == code, (name, changes)
+        capsys.readouterr()
 
 
 # a config of each truth kind that validates
@@ -832,8 +949,8 @@ def test_shell_tree_call_forms_share_one_cache_entry():
 
 
 def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
-    # validate checks the truth's law without a sampler; the engine builds the one,
-    # from the law validate synthesized, which run's own build reads from the cache too
+    # the plan holds the truth's one sampler: validate's build plans it and so does
+    # run's, each from one synthesis of the law, and the run's execution builds none
     callers, syntheses = [], []
     build, synthesize = DensitySampler.from_tree.__func__, models.synthesize
 
@@ -847,13 +964,12 @@ def test_a_density_run_builds_one_sampler(tmp_path, monkeypatch):
 
     monkeypatch.setattr(DensitySampler, "from_tree", classmethod(recorded))
     monkeypatch.setattr(models, "synthesize", counted)
-    models._cell_masses.cache_clear()
     text = json.dumps(dict(DENSITY_WORKLOAD, n_grid=[64, 128, 256, 512], replicates=2, j_max=4))
     config = validate_config(text)
-    assert callers == [] and len(syntheses) == 1
+    assert len(callers) == 1 and "_plan" in callers[0] and len(syntheses) == 1
     run(replace(config, output_dir=str(tmp_path / "out")))
-    assert len(callers) == 1 and "monte_carlo_risk" in callers[0]
-    assert len(syntheses) == 1 and models._cell_masses.cache_info()[:2] == (2, 1)
+    assert len(callers) == 2 and "_plan" in callers[1] and "execute" not in callers[1]
+    assert len(syntheses) == 2
 
 
 def test_report_reads_the_run_directory_alone(tmp_path, capsys, monkeypatch):

@@ -78,6 +78,8 @@ def test_build_g_d2():
     (ShellTerm(1.0, dither=-1.0), "dither"), (ShellTerm(1.0, dither=math.inf), "dither"),
     (ShellTerm(1.0, 1.0, 0), r"j_min must lie in \[1, 6\]"),  # no damping at j = 0
     (ShellTerm(1.0, 0.0, 7), r"j_min must lie in \[0, 6\]"),
+    # a block's squared magnitudes all underflowed: 0 / 0 made the truth nan
+    (ShellTerm(1.0, dither=1e100), r"dither in \[0, 512\]"),
 ])
 def test_shell_sum_refuses_a_term_it_cannot_build(term, message):
     with pytest.raises(ValueError, match=message):

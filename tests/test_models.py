@@ -446,7 +446,7 @@ def test_density_sampler_cdf_is_one_from_the_last_cell_of_mass(monkeypatch):
     masses[16:240] = np.random.default_rng(0).random(224)
     masses /= masses.sum()
     assert np.cumsum(masses)[-1] < 1.0
-    monkeypatch.setattr(models, "_cell_masses", lambda *args: (masses, 0.0))
+    monkeypatch.setattr(DensitySampler, "cell_masses", lambda *args: (masses, 0.0))
     sampler = DensitySampler.from_tree(CoefficientTree(1, 0, 1.0), HAAR)
     assert sampler.res == 8
     u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], sampler.cum[sampler.cum < 1.0],
