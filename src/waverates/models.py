@@ -10,8 +10,9 @@ stack to each of several truths, to the depth its estimator reads or, under
 a threshold, only to the deepest level where a coefficient can reach it
 (``rates._cuts``).  Density
 samples are drawn from the normalized, nonnegative part of a
-wavelet-specified density by inverse CDF on a fine dyadic grid.  A
-DensitySampler holds that CDF and a guide table for one truth, so replicates
+wavelet-specified density on a fine dyadic grid, each point from one 64-bit
+word: an alias table picks its cell, and the word's last bits place it in
+the cell.  A DensitySampler holds that table for one truth, so replicates
 share it; it refuses densities whose clipped negative mass, or whose mass's
 distance from 1, exceeds MAX_CLIPPED_MASS.  Empirical coefficients of depth
 J average the periodized scaling functions of level J + 1 at the sample
@@ -112,26 +113,24 @@ def _observed(theta: np.ndarray, drawn: np.ndarray, j_max: int) -> np.ndarray:
 
 
 class DensitySampler(NamedTuple):
-    """Inverse-CDF sampler of the density specified by a coefficient tree.
+    """Alias-table sampler of the density specified by a coefficient tree.
 
-    Built once per truth: cell_masses gives the law, from_tree its CDF and
-    guide table, and the points are drawn exactly from that piecewise-constant
-    density.  edges is the CDF at the cells' edges, 0 first and 1 from the
-    last cell of positive mass on, and cum = edges[1:] its values at their
-    right edges.  The arrays are read-only, so one sampler serves every
-    replicate, and the risk engine's forked workers inherit it.
+    Built once per truth: cell_masses gives the law on the 2^res cells and
+    from_tree its alias table (_alias_table): table[b] holds bucket b's
+    threshold in its high 32 bits and its alias in its low 32.  A point is
+    one 64-bit word of the seed's PCG64 stream, read as three bit fields: the
+    top res bits pick bucket b, the next 32 are a coin, which puts the point
+    in cell b if it is below b's threshold and in b's alias otherwise, and
+    the last 32 - res place the point inside its cell.  So every point lies
+    on the grid of 2^32 cells, and each cell's probability is a multiple of
+    2^-(res + 32), the law within 2^-31 of cell_masses' in L1.  The table is
+    read-only, so one sampler serves every replicate, and the risk engine's
+    forked workers inherit it.
     """
 
     res: int
-    masses: np.ndarray
-    edges: np.ndarray
-    guide: np.ndarray
+    table: np.ndarray
     clipped_mass: float
-
-    @property
-    def cum(self) -> np.ndarray:
-        """The CDF at each cell's right edge: a read-only view of edges."""
-        return self.edges[1:]
 
     @staticmethod
     def cell_masses(f_tree: CoefficientTree, filt: WaveletFilter) -> tuple[np.ndarray, float]:
@@ -170,84 +169,97 @@ class DensitySampler(NamedTuple):
 
     @classmethod
     def from_tree(cls, f_tree: CoefficientTree, filt: WaveletFilter) -> "DensitySampler":
-        """The sampler of cell_masses' law, refusing what it refuses.
-
-        cum is the cumulative sum of the masses, set to 1 from the last cell
-        of positive mass on, so no draw u < 1 passes that cell; it is stored
-        after a leading 0 in edges, so a cell's left edge is one gather.  The
-        guide table is _guide(cum), built in O(2^res) without a search.
-        """
+        """The sampler of cell_masses' law, refusing what it refuses."""
         masses, clipped_mass = cls.cell_masses(f_tree, filt)
-        edges = np.zeros(len(masses) + 1)
-        np.cumsum(masses, out=edges[1:])
-        edges[np.flatnonzero(masses)[-1] + 1:] = 1.0
-        guide = _guide(edges[1:])
-        for arr in (masses, edges, guide):
-            arr.flags.writeable = False
-        return cls(f_tree.j_max + DENSITY_GRID_PAD, masses, edges, guide, clipped_mass)
-
-    def locate(self, u: np.ndarray) -> np.ndarray:
-        """Cell index of uniforms u in [0, 1): searchsorted(cum, u, side="right"),
-        the first cell whose CDF exceeds u, so never a cell of zero mass.
-
-        The guide table, read at each draw's bucket floor(N u) (its cell of
-        the 2^res grid, _cells), gives a cell at or below the answer, from
-        which draws step forward.  About half the draws step once: that step
-        is one pass over all of them, after which only the draws that stepped
-        are checked again.  The few still short (a run of near-empty cells in
-        their bucket) take a binary search, which gives the cell stepping on
-        would reach.
-        """
-        cum = self.cum
-        cells = self.guide.take(_cells(u, self.res))
-        stepped = cum.take(cells) <= u
-        cells += stepped
-        short = np.flatnonzero(stepped)
-        short = short[cum.take(cells.take(short)) <= u.take(short)]
-        cells[short] = np.searchsorted(cum, u.take(short), side="right")
-        return cells
+        table = _alias_table(masses)
+        table.flags.writeable = False
+        return cls(f_tree.j_max + DENSITY_GRID_PAD, table, clipped_mass)
 
     def cells(self, n: int, seed, res: int) -> np.ndarray:
-        """The cell of the 2^res grid that each point of sample(n, seed) falls
-        in, _cells(sample(n, seed).points, res) bit for bit, without forming
-        the points: both are one power-of-two scaling of the draws' position
-        on the sampler's grid.  The positions are formed in the uniforms'
-        array and truncated into a fresh one, so no caller array is written."""
-        return _cells(self._positions(n, seed), res, self.res)
+        """The cell of the 2^res grid (res <= self.res + 32) that each point of
+        sample(n, seed) falls in, _cells(sample(n, seed).points, res) bit for
+        bit: its cell of the sampler's grid, shifted right onto a coarser
+        grid or followed by the top res - self.res bits of its place on a
+        finer one.  Shifted left by self.res in their own array, the words
+        hold the coin in their high halves and the place atop their low ones.
+        The seed is anything default_rng takes; its PCG64 words are those
+        Generator.random cuts its uniforms from."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        words = np.random.default_rng(seed).bit_generator.random_raw(n)
+        cells = np.right_shift(words, 64 - self.res).view(np.int64)  # the buckets
+        entry = self.table.take(cells).view(np.uint32)
+        words <<= self.res
+        halves = words.view(np.uint32)
+        np.copyto(cells, entry[_LOW::2], where=halves[_HIGH::2] >= entry[_HIGH::2])
+        shift = res - self.res
+        if shift <= 0:
+            cells >>= -shift
+        else:
+            cells <<= shift
+            cells |= halves[_LOW::2] >> (32 - shift)
+        return cells
 
     def sample(self, n: int, seed) -> DensitySample:
         """Draw n i.i.d. points; bit-identical for identical (n, seed).  The
-        points are the kernel's positions on the 2^res grid over 2^res, the
-        positions whose cells the risk engine reads through cells()."""
-        return DensitySample(n=n, points=self._positions(n, seed) / (1 << self.res))
-
-    def _positions(self, n: int, seed) -> np.ndarray:
-        """2^res times n i.i.d. points drawn from seed: the cell c of each
-        uniform u (locate, a cell of positive mass) plus the fraction of that
-        cell's mass below u, clipped to [0, 1].  Once located, the uniforms'
-        own array becomes the fraction and then the position, in place."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        u = np.random.default_rng(seed).random(n)
-        cells = self.locate(u)
-        t = np.subtract(u, self.edges.take(cells), out=u)
-        t /= self.masses.take(cells)
-        np.maximum(t, 0.0, out=t)
-        np.minimum(t, 1.0, out=t)
-        t += cells
-        return t
+        points are their cells of the 2^32 grid over 2^32, the cells the risk
+        engine reads through cells(), so each lies in [0, 1)."""
+        return DensitySample(n=n, points=self.cells(n, seed, 32) * 2.0**-32)
 
 
-def _guide(cum: np.ndarray) -> np.ndarray:
-    """guide[b] for b < N = len(cum): the first cell whose cumulative mass
-    reaches b / N, searchsorted(cum, arange(N) / N, side="left") for a
-    nondecreasing cum.  N is a power of two, so cum[c] < b / N exactly when
-    floor(N cum[c]) < b: guide[b] counts the cells of each floor below b,
-    one bincount and one cumulative sum."""
-    counts = np.bincount((cum * len(cum)).astype(np.intp), minlength=len(cum))
-    guide = np.zeros(len(cum), dtype=np.intp)
-    np.cumsum(counts[: len(cum) - 1], out=guide[1:])
-    return guide
+# The uint32 half of a uint64 that holds its high 32 bits, and the other half.
+_HIGH = int(np.little_endian)
+_LOW = 1 - _HIGH
+
+
+def _alias_table(masses: np.ndarray) -> np.ndarray:
+    """Walker's alias table of N = 2^res cell masses, from prefix sums and one
+    search, with no loop over cells (Hübschle-Schneider & Sanders 2022).
+
+    A bucket holds U = 2^32 units.  Cell c gets W_c = floor(N U masses[c]),
+    the largest cell also what the floors left, so the law is within 2^-31 of
+    the masses in L1.  A small cell (W_c < U) keeps W_c of its bucket, its
+    threshold, and takes its deficit U - W_c from its alias; a large one has
+    W_c - U to give.  Laid end to end in cell order, the deficits and the
+    excesses span the same interval.  A small cell's alias is the large cell
+    whose excess holds the start of its deficit.  The deficits that start in
+    a large cell's span end past it by its overshoot: it keeps U - overshoot
+    of its bucket and takes the rest from the next large cell, whose span
+    starts where its own ends; with no overshoot it is its own alias, at
+    threshold 0.  A cell of zero mass has threshold 0 and is no alias.  The
+    table is written over the masses' array, and each index array goes once
+    read, so the build holds about 30 bytes per cell at most."""
+    n_cells, unit = len(masses), 1 << 32
+    weights = np.multiply(masses, float(n_cells * unit), out=masses.view(np.int64),
+                          casting="unsafe")  # truncated
+    weights[np.argmax(weights)] += n_cells * unit - int(weights.sum())
+    small = weights < unit
+    large = np.flatnonzero(~small)
+    starts = np.zeros(np.count_nonzero(small) + 1, np.int64)  # of each deficit, then their end
+    np.subtract(unit, weights[small], out=starts[1:])
+    np.cumsum(starts, out=starts)
+    ends = weights.take(large) - unit  # of each excess
+    np.cumsum(ends, out=ends)
+    weights <<= 32  # read: the table overwrites them, a small cell's W_c as its threshold
+    halves = weights.view(np.uint32)
+    threshold, alias = halves[_HIGH::2], halves[_LOW::2]
+    owner = np.searchsorted(ends, starts[:-1], side="right")  # the large cell of each deficit
+    alias[small] = large.take(owner)
+    # per large cell, the deficits that start before its span ends; the last of them ends at
+    # starts[that count], past the span's end by the overshoot
+    last = np.bincount(owner, minlength=len(large))
+    del owner
+    np.cumsum(last, out=last)
+    keep = np.subtract(ends, starts.take(last), out=ends)
+    del last
+    keep += unit
+    full = keep == unit
+    keep[full] = 0
+    threshold[large] = keep
+    after = np.roll(large, -1)
+    np.copyto(after, large, where=full)
+    alias[large] = after
+    return weights.view(np.uint64)
 
 
 def empirical_coefficients(
@@ -328,12 +340,11 @@ def _fold(per_block, n_pos: int) -> np.ndarray:
     return beta
 
 
-def _cells(x: np.ndarray, res: int, x_res: int = 0) -> np.ndarray:
-    """The cell of the 2^res grid that each point x / 2^x_res of [0, 1] falls
-    in, 1 in the last: min(floor(x 2^(res - x_res)), 2^res - 1), a fresh array;
-    x is read, not written.  Scaling by a power of two is exact, so x and
-    x / 2^x_res give the same cells."""
+def _cells(x: np.ndarray, res: int) -> np.ndarray:
+    """The cell of the 2^res grid that each point x of [0, 1] falls in, 1 in
+    the last: min(floor(x 2^res), 2^res - 1), a fresh array; x is read, not
+    written."""
     n_cells = 1 << res
-    cells = np.multiply(x, 2.0 ** (res - x_res), out=np.empty(x.shape, np.int64),
+    cells = np.multiply(x, float(n_cells), out=np.empty(x.shape, np.int64),
                         casting="unsafe")  # truncated as astype does, x left unwritten
     return np.minimum(cells, n_cells - 1, out=cells)

@@ -482,8 +482,8 @@ def _plan(truths: tuple[CoefficientTree, ...], estimator: EstimatorSpec, n_grid,
     larger than MAX_ENTRIES (replicates, n_grid), a lam that is not positive
     and finite (estimator_spec.kappa: kappa sqrt(log n / n) underflows for a
     kappa near the least double), a p != 2 loss whose bound overflows
-    (smoothness.p, _estimate_sup) and what DensitySampler.from_tree refuses
-    (truth_spec)."""
+    (smoothness.p, _estimate_sup), an n whose noise scale n^(-p/2) underflows
+    (n_grid) and what DensitySampler.from_tree refuses (truth_spec)."""
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("n_grid must be nonempty and strictly increasing")
@@ -524,6 +524,10 @@ def _plan(truths: tuple[CoefficientTree, ...], estimator: EstimatorSpec, n_grid,
                     with naming("smoothness.p"):
                         raise ValueError(f"the loss bound of an estimate read to level {j} at "
                                          f"n = {n} overflows at p = {p:g}")
+    if -p / 2 * math.log(n_grid[-1]) < math.log(np.finfo(float).tiny):  # a risk read as 0
+        with naming("n_grid"):
+            raise ValueError(f"n^(-p/2) at n = {n_grid[-1]:g}, p = {p:g} underflows below the "
+                             "least normal double: its risk would read 0")
     peaks = (None if density or rules[0][2] is None  # no screen: no theta + noise, or no lam
              else [_level_peaks(t.coeffs, t.j_max) for t in truths])
 

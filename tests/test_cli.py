@@ -713,6 +713,11 @@ REJECTED = {
     "replicates_beyond_the_cap": (dict(DEMO["sparse_linear_rate"], replicates=2**40),
                                   "replicates: 1 x 9 x 1099511627776 losses (truths x n x "
                                   "replicates) exceed the 134217728"),
+    # a risk of order n^(-p/2) underflowed to 0 and was clipped to 1e-300 before the fit,
+    # which read FAIL ... measured=0.379218 (exit 1)
+    "noise_underflows": (dict(DEMO["sparse_linear_rate"], n_grid=[1024, 2048, 4096, 1e200],
+                              replicates=2, j_max=10),
+                         "n_grid: n^(-p/2) at n = 1e+200, p = 4 underflows"),
     "density_n_beyond_the_cap": (dict(DEMO["density_threshold_rate"],
                                       n_grid=[1024, 2048, 4096, 2**40]),
                                  "n_grid: a density sample of n = 1099511627776 draws exceeds"),
@@ -838,15 +843,14 @@ def _fuzz_cases():
     return singles + random.Random(25).sample(pairs, 300) + [crashed]
 
 
-@pytest.mark.filterwarnings("ignore:non-positive risks clipped")
 def test_fuzzed_configs_are_refused_at_validate_or_run_to_a_verdict(tmp_path, capsys):
     """No config that passes validate crashes run: each fuzz case exits 101 at
     validate, or runs to exit below 101, which report repeats.  Among the singles,
     kappa 5e-324 (its threshold underflows to 0), replicates 2^31, 1e100 or 1e200
     (the losses array) and a density n of those (its draw) each exited 102 in
-    run, and dither 2^31 made the truth nan.  A risk that underflows to 0 (n 1e200
-    at p = 4) is clipped before the fit with a warning, as by design; any other
-    warning is an error.  The shrunk bases and the values keep every legal run
+    run, dither 2^31 made the truth nan, and n 1e200 at p = 4 ran a risk that
+    underflowed to 0 to a fitted verdict: its noise scale n^(-p/2) underflows,
+    and validate refuses it.  Any warning is an error.  The shrunk bases and the values keep every legal run
     small: j_max stays at most 10 and no value lies between the demo sizes and the
     caps, so no case runs j_max 24 at large n, a density n near 2^27 or 2^25
     replicates, each of which is legal and takes minutes and gigabytes."""

@@ -233,28 +233,54 @@ def test_empirical_coefficients_empty_sample():
         empirical_coefficients(DensitySample(1, np.array([0.5])), HAAR, -1)
 
 
-# -- reference implementations: the searchsorted sampler that DensitySampler
-# must reproduce bit for bit, and empirical coefficients read point by point
-# from each level's wavelet synthesized at the tree's resolution j_max + 8,
-# summed by fsum, with a bound on the rounding of both computations.
+# -- reference implementations: the law and the alias table's reading that
+# DensitySampler must reproduce bit for bit, and empirical coefficients read
+# point by point from each level's wavelet synthesized at the tree's
+# resolution j_max + 8, summed by fsum, with a bound on the rounding of both
+# computations.
 
 
-def reference_cdf(f_tree, filt):
-    res = f_tree.j_max + DENSITY_GRID_PAD
-    values = np.clip(synthesize(f_tree, filt, res).samples, 0.0, None)
-    masses = values / values.sum()
-    cum = np.cumsum(masses)
-    cum[np.flatnonzero(masses)[-1]:] = 1.0
-    return res, masses, cum
+def reference_masses(f_tree, filt):
+    values = np.clip(synthesize(f_tree, filt, f_tree.j_max + DENSITY_GRID_PAD).samples, 0.0, None)
+    return values / values.sum()
 
 
-def reference_sample_points(f_tree, filt, n, seed):
-    res, masses, cum = reference_cdf(f_tree, filt)
-    u = np.random.default_rng(np.random.SeedSequence(seed)).random(n)
-    cells = np.searchsorted(cum, u, side="right")
-    left = np.where(cells > 0, cum[cells - 1], 0.0)
-    frac = (u - left) / masses[cells]
-    return (cells + np.clip(frac, 0.0, 1.0)) / (1 << res)
+def alias_fields(table):
+    """(threshold, alias) of each bucket: the table's high and low 32 bits."""
+    return (table >> 32).astype(np.int64), (table & 0xFFFFFFFF).astype(np.int64)
+
+
+def assert_table_holds(table, masses):
+    """Each cell's units, its own bucket's threshold and the rest of every
+    bucket that aliases it (a full bucket is its own alias), in exact
+    integers: floor(2^(res + 32) masses), the largest cell also the remainder
+    of N 2^32, within 2^-31 of masses in L1, none in a cell of zero mass,
+    whose threshold is 0 and which no bucket aliases."""
+    threshold, alias = alias_fields(table)
+    assert table.dtype == np.uint64 and table.shape == masses.shape
+    assert threshold.max() < UNIT and alias.max() < len(masses)
+    units = threshold.copy()
+    np.add.at(units, alias, UNIT - threshold)
+    total = len(masses) * UNIT
+    want = np.array([math.floor(m * total) for m in masses], dtype=np.int64)
+    want[np.argmax(want)] += total - sum(want.tolist())
+    assert np.array_equal(units, want)
+    assert np.abs(units / total - masses).sum() <= 2.0**-31
+    assert np.all(threshold[masses == 0.0] == 0) and np.all(masses[alias] > 0.0)
+
+
+def reference_sample_points(sampler, words):
+    """Each word read field by field: the top res bits a bucket, the next 32 a
+    coin that keeps the bucket's cell below its threshold and takes its alias
+    otherwise, the last 32 - res a place in the cell; the point is the cell
+    plus the place, in units of 2^-32."""
+    res = sampler.res
+    threshold, alias = alias_fields(sampler.table)
+    bucket = (words >> np.uint64(64 - res)).astype(np.int64)
+    coin = ((words >> np.uint64(32 - res)) & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    place = (words & np.uint64((1 << (32 - res)) - 1)).astype(np.int64)
+    cells = np.where(coin < threshold[bucket], bucket, alias[bucket])
+    return ((cells << (32 - res)) + place) / 2.0**32
 
 
 def grid_cells(points, res):
@@ -356,39 +382,50 @@ SAMPLER_CASES = [
 ]
 
 
+UNIT = 1 << 32  # a bucket's share of the law, in units of its coin
+
+
 @pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))
-def test_density_sampler_matches_searchsorted_reference(case):
+def test_density_sampler_table_holds_the_cell_masses(case):
     tree, filt = SAMPLER_CASES[case]
+    masses = reference_masses(tree, filt)
+    assert DensitySampler.cell_masses(tree, filt)[0].tobytes() == masses.tobytes()
     sampler = DensitySampler.from_tree(tree, filt)
-    assert sampler.cum.base is sampler.edges and sampler.edges[0] == 0.0
-    for arr in (sampler.masses, sampler.edges, sampler.cum, sampler.cum.base, sampler.guide):
-        assert not arr.flags.writeable
-    assert sampler.masses.tobytes() == reference_cdf(tree, filt)[1].tobytes()
-    for n, seed in ((1, 4), (5000, 17), (65536, 90210)):
-        want = reference_sample_points(tree, filt, n, seed)
+    assert not sampler.table.flags.writeable
+    assert_table_holds(sampler.table, masses)
+    # sample() reads the seed's PCG64 words field by field
+    for n, seed in ((1, 4), (5000, 17), (65536, np.random.SeedSequence(90210))):
+        words = np.random.PCG64(seed).random_raw(n)
+        want = reference_sample_points(sampler, words)
         assert np.array_equal(sampler.sample(n, seed).points, want)
 
 
-def test_density_sampler_locate_flat_runs_and_bucket_edges():
-    for tree, filt in (SAMPLER_CASES[1], SAMPLER_CASES[3]):
-        sampler = DensitySampler.from_tree(tree, filt)
-        _, _, cum = reference_cdf(tree, filt)
-        buckets = len(sampler.guide)
-        edges = np.arange(buckets) / buckets
-        u = np.concatenate([
-            edges,  # draws exactly on a guide bucket edge
-            np.nextafter(edges[1:], 0.0),
-            np.nextafter(edges, 1.0),
-            cum[:-1],  # draws exactly on a cell's cumulative mass
-            np.random.default_rng(5).random(10_000),
-        ])
-        want = np.searchsorted(cum, u, side="right")
-        assert np.array_equal(sampler.locate(u), want)
-    # the flat lower half of the CDF puts thousands of cells in the first
-    # guide bucket: draws there lie more than the one step past their guide
-    # cell and take the binary search
-    start = sampler.guide[(u * buckets).astype(np.intp)]
-    assert np.max(want - start) > 1
+def test_alias_table_of_hand_laws():
+    # one cell; full buckets (exactly 1/N) between large cells; runs of zero
+    # mass; all the mass in the last cell; uniform; random laws with zeros
+    rng = np.random.default_rng(108)
+    laws = [np.ones(1), np.array([0, 1, 3, 1, 0, 1, 2, 0]) / 8, np.eye(1, 64, 63)[0],
+            np.full(16, 1 / 16)]
+    for size in (2, 256, 4096):
+        law = rng.random(size) ** 4 * (rng.random(size) < 0.7)
+        laws.append(law / law.sum())
+    for law in laws:
+        assert_table_holds(models._alias_table(law.copy()), law)
+
+
+@pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))
+def test_density_sampler_draws_fit_the_law(case):
+    # 2e5 draws binned on 32 coarse cells at the seed fixed below: a bin of
+    # probability p holds no draw if p = 0, else within 5 binomial sd of n p
+    # (over the 128 bins a false failure has probability under 1e-4)
+    tree, filt = SAMPLER_CASES[case]
+    sampler = DensitySampler.from_tree(tree, filt)
+    n = 200_000
+    counts = np.bincount(sampler.cells(n, 47, 5), minlength=32)
+    p = reference_masses(tree, filt).reshape(32, -1).sum(axis=1)
+    assert np.all(counts[p == 0.0] == 0)
+    z = (counts - n * p)[p > 0] / np.sqrt(n * p * (1 - p))[p > 0]
+    assert np.max(np.abs(z)) < 5.0
 
 
 @pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))
@@ -399,14 +436,10 @@ def test_density_sampler_cells_are_the_sample_binned(case):
     tree, filt = SAMPLER_CASES[case]
     sampler = DensitySampler.from_tree(tree, filt)
     seeds = [np.random.SeedSequence((7, case, rep)) for rep in range(2)]
-    # positions on and next to cell edges of the sampler's grid, which few draws hit
-    edges = np.arange(0.0, (1 << sampler.res) + 1, max(1, (1 << sampler.res) >> 10))
-    t = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], np.inf)])
-    for res in range(1, sampler.res + 4):
-        assert np.array_equal(models._cells(t, res, sampler.res),
-                              grid_cells(t / (1 << sampler.res), res))
     for n in (1, 5000, 65536):
         samples = [sampler.sample(n, seed) for seed in seeds]
+        for sample in samples:  # on the grid of 2^32 cells
+            assert np.array_equal(sample.points, np.floor(sample.points * 2.0**32) / 2.0**32)
         for J in (max(tree.j_max - 2, 0), tree.j_max, tree.j_max + 2):
             res = J + DENSITY_GRID_PAD
             for sample, seed in zip(samples, seeds):
@@ -416,91 +449,67 @@ def test_density_sampler_cells_are_the_sample_binned(case):
             for row, sample in zip(stack, samples):
                 want = empirical_coefficients(sample, filt, J).coeffs
                 assert row.tobytes() == want.tobytes(), (n, J)
-    # the largest draw random() returns lies in the last cell; where the
-    # masses sum below 1, the CDF's last edge (set to 1) leaves it past the
-    # cell's mass, so its fraction clips to exactly 1 and its point is 1,
-    # which the cell rule puts in the last cell at every resolution
-    u = np.array([np.nextafter(1.0, 0.0), 0.5])
-    top = sampler.sample(2, Drawn(u)).points
-    assert (top[0] == 1.0) == (np.cumsum(sampler.masses)[-1] < 1.0)
-    for res in range(1, sampler.res + 4):
-        cells = sampler.cells(2, Drawn(u), res)
-        assert cells[0] == (1 << res) - 1 and np.array_equal(cells, grid_cells(top, res))
+    # the least and the greatest word, and each bucket's word just below and at
+    # its threshold: the point and its cells follow the fields at every resolution
+    threshold, _ = alias_fields(sampler.table)
+    buckets = np.arange(0, 1 << sampler.res, max(1, (1 << sampler.res) >> 6))
+    coins = np.maximum(threshold[buckets], 1)[:, None] - np.array([1, 0])
+    fields = (buckets[:, None] << 32 | coins).astype(np.uint64) << np.uint64(32 - sampler.res)
+    words = np.append(fields.ravel(), np.array([0, 2**64 - 1], dtype=np.uint64))
+    points = sampler.sample(len(words), Words(words)).points
+    assert np.array_equal(points, reference_sample_points(sampler, words))
+    assert points.max() < 1.0
+    for res in range(1, 33):
+        assert np.array_equal(sampler.cells(len(words), Words(words), res), grid_cells(points, res))
 
 
 def test_density_sampler_draws_no_cell_of_zero_mass():
-    # random() returns exactly 0.0 with probability 2^-53: on a CDF flat from 0
-    # that draw takes the first cell of positive mass, not cell 0
+    # a cell of zero mass keeps no units of its bucket and is no bucket's alias,
+    # so the coin takes every draw of its bucket elsewhere, the all-zero word's too
     sampler = DensitySampler.from_tree(upper_half_density(), HAAR)
-    u = [0.0, 0.7]
-    points = sampler.sample(2, Drawn(u)).points
-    assert 0.5 <= points[0] <= 1.0
+    masses = reference_masses(upper_half_density(), HAAR)
+    assert np.count_nonzero(masses) == len(masses) // 2
+    assert_table_holds(sampler.table, masses)
+    assert sampler.sample(200_000, 95).points.min() >= 0.5
+    words = np.array([0, 1 << 62], dtype=np.uint64)
+    points = sampler.sample(2, Words(words)).points
+    assert 0.5 <= points.min()
     for res in range(1, sampler.res + 4):
-        assert np.array_equal(sampler.cells(2, Drawn(u), res), grid_cells(points, res))
+        assert np.array_equal(sampler.cells(2, Words(words), res), grid_cells(points, res))
 
 
-def test_density_sampler_cdf_is_one_from_the_last_cell_of_mass(monkeypatch):
-    # masses zero at both ends whose sum rounds below 1: were only the last
-    # cell's CDF set to 1, the largest draw would pass the last cell of mass
-    masses = np.zeros(256)
-    masses[16:240] = np.random.default_rng(0).random(224)
-    masses /= masses.sum()
-    assert np.cumsum(masses)[-1] < 1.0
-    monkeypatch.setattr(DensitySampler, "cell_masses", lambda *args: (masses, 0.0))
-    sampler = DensitySampler.from_tree(CoefficientTree(1, 0, 1.0), HAAR)
-    assert sampler.res == 8
-    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], sampler.cum[sampler.cum < 1.0],
-                        np.random.default_rng(5).random(10_000)])
-    cells = sampler.locate(u)
-    assert np.all(masses[cells] > 0.0)
-    assert np.array_equal(cells, np.searchsorted(sampler.cum, u, side="right"))
-    points = sampler.sample(len(u), Drawn(u)).points
-    assert 16 / 256 <= points.min() and points.max() <= 240 / 256
+class Words(np.random.Generator):
+    """A generator whose bit generator's random_raw(n) returns the given
+    64-bit words, a fresh copy per call: default_rng passes a Generator
+    through unchanged."""
 
-
-class Drawn(np.random.Generator):
-    """A generator whose random(n) returns the given uniforms, a fresh copy
-    per call: default_rng passes a Generator through unchanged."""
-
-    def __init__(self, u):
+    def __init__(self, words):
         super().__init__(np.random.PCG64(0))
-        self.u = np.array(u, dtype=float)
+        self.words = np.array(words, dtype=np.uint64)
 
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u.copy()
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, n):
+        assert n == len(self.words)
+        return self.words.copy()
 
 
 def test_density_cells_write_no_caller_array():
-    # the draws become positions and the cells their phases in arrays the
-    # kernel made itself: the sampler's tables and a frozen sample's points
-    # are read-only, so a write to them would raise here
+    # the words become the cells, and the cells their phases, in arrays the
+    # kernel made itself: the sampler's table and a frozen sample's points are
+    # read-only, so a write to them would raise here
     tree, filt = SAMPLER_CASES[1]
     sampler = DensitySampler.from_tree(tree, filt)
     sample = sampler.sample(4096, 3)
-    for arr in (sample.points, sampler.masses, sampler.edges, sampler.guide):
+    for arr in (sample.points, sampler.table):
         assert not arr.flags.writeable
     for J in (tree.j_max - 2, tree.j_max + 2):
         res = J + DENSITY_GRID_PAD
         assert np.array_equal(models._cells(sample.points, res), sampler.cells(4096, 3, res))
         stack = models._sampled_stack(sampler, 4096, [3], filt, J)
         assert stack[0].tobytes() == empirical_coefficients(sample, filt, J).coeffs.tobytes()
-
-
-def test_density_sampler_guide_counts_cells_below_each_bucket():
-    # guide[b] is the first cell whose cumulative mass reaches b / N
-    searched = lambda cum: np.searchsorted(cum, np.arange(len(cum)) / len(cum), side="left")
-    for tree, filt in SAMPLER_CASES:
-        sampler = DensitySampler.from_tree(tree, filt)
-        assert np.array_equal(sampler.guide, searched(sampler.cum))
-        assert sampler.guide.dtype == searched(sampler.cum).dtype
-    # N cum integral at bucket edges, runs of empty cells, cum[-1] = 1
-    cum = np.cumsum(np.array([0, 0, 2, 0, 0, 0, 5, 2, 0, 1, 1, 0, 0, 0, 5, 0]) / 16)
-    assert cum[-1] == 1.0 and np.all(cum * 16 == np.round(cum * 16))
-    below = np.nextafter(cum, 0.0)  # each value just under its bucket edge
-    below[-1] = 1.0
-    for hand in (cum, below, np.concatenate([np.zeros(8), np.full(8, 1.0)])):
-        assert np.array_equal(models._guide(hand), searched(hand))
 
 
 def test_density_sampler_refuses_clipped_mass():
