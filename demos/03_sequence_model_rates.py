@@ -53,7 +53,9 @@ for row in table.rows:
 
 print("\none replicate by hand: two truths observed under one noise draw (common")
 print("random numbers: the same seed gives the same noise); monte_carlo_risk runs")
-print("these steps on a stack of replicates")
+print("these steps on a stack of replicates, but under a threshold it draws noise of")
+print("the same law in another order, and only where a coefficient can be kept, so")
+print("its replicates are not simulate_sequence's")
 n, depth = 4096, noise_depth(4096)
 shell = shell_sum(2, 2, 14, [ShellTerm(1024.0, dither=2.0)])
 for name, theta in (("0.7 g + shell", truth), ("shell alone  ", shell)):

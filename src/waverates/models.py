@@ -6,10 +6,13 @@ included, and ``simulate_sequence`` returns the observed coefficient tree.
 The noise is one draw in the trees' heap order (see dyadic), so observing a
 truth is one array add.  The risk engine runs the same steps on a stack of
 replicates, one row per seed (``_noise``, ``_observed``), and adds one noise
-stack to each of several truths, to the depth its estimator reads or, under
-a threshold, only to the deepest level where a coefficient can reach it
-(``rates._cuts``).  Density
-samples are drawn from the normalized, nonnegative part of a
+stack to each of several truths, to the depth its estimator reads.  Under a
+threshold lam it draws the same law in another order, and only where a
+coefficient can be kept (``_ThresholdNoise``): the normals of |Z| >= t,
+t = lam / (2 sigma), are drawn first, wherever they fall, and the others
+only through the deepest level on which some truth's largest |theta| reaches
+lam - sigma t; a coefficient left undrawn is one that no threshold keeps.
+Density samples are drawn from the normalized, nonnegative part of a
 wavelet-specified density on a fine dyadic grid, each point from one 64-bit
 word: an alias table picks its cell, and the word's last bits place it in
 the cell.  A DensitySampler holds that table for one truth, so replicates
@@ -33,6 +36,7 @@ hashing gives each (n, replicate) its own stream.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,6 +103,143 @@ def _noise(n: int, j_max: int, seeds) -> np.ndarray:
         np.random.default_rng(seed).standard_normal(out=row)
     noise *= n**-0.5
     return noise
+
+
+# A threshold replicate's normals split at t standard deviations where t is at
+# least this, so that about 1.2% of them or fewer lie past it.
+_MIN_SPLIT = 2.5
+
+
+def _split_point(n: int, lam: float) -> float:
+    """The split point t = lam / (2 sigma), sigma = n^{-1/2}, of a threshold
+    replicate's normals where it is at least _MIN_SPLIT, else inf (no split)."""
+    t = lam / (2.0 * n**-0.5)
+    return t if t >= _MIN_SPLIT else math.inf
+
+
+def _split_normals(rng: np.random.Generator, t: float, size: int, width: int):
+    """size standard normals in heap order, drawn split at t > 0 from rng: the
+    count of those with |Z| >= t (Binomial(size, q), q = erfc(t / sqrt 2)),
+    their positions (a uniform subset of the size indices, in the order
+    Generator.choice gives them), their signed values (_normal_tail), then
+    the others in heap order (_normals_below), only for the indices below
+    width.  Given the count, the positions are uniform and the values
+    independent, so the normals are i.i.d. N(0, 1).  Returns the normals of
+    the indices below width, every one drawn; the positions of the
+    exceedances at or past width; and their values.  A wider draw draws the
+    same normals and more: the draw to size (the full realization) holds
+    this one's."""
+    count = rng.binomial(size, math.erfc(t / math.sqrt(2.0)))
+    where = rng.choice(size, count, replace=False, shuffle=False)
+    values = _normal_tail(rng, t, count)
+    inside = where.astype(np.float64) < width  # exact: see _ThresholdNoise.stack
+    placed = where[inside]
+    z = np.empty(width)
+    free = np.ones(width, bool)
+    free[placed] = False
+    z[free] = _normals_below(rng, t, width - len(placed))
+    z[placed] = values[inside]
+    return z, where[~inside], values[~inside]
+
+
+def _normal_tail(rng: np.random.Generator, t: float, count: int) -> np.ndarray:
+    """count draws of Z given |Z| >= t, t > 0, by Marsaglia's (1964) tail
+    method: |Z| = x = sqrt(t^2 - 2 log U) for U uniform, kept where V x < t
+    for V uniform, and a third uniform gives its sign.  The uniforms come
+    from Generator.random, so U = 1 - random() >= 2^-53 and
+    |Z| <= sqrt(t^2 + 106 log 2).  Each round draws a quarter more candidates
+    than are missing, as about a tenth are rejected at t >= 2.5."""
+    kept = np.empty(0)
+    while len(kept) < count:
+        short = count - len(kept)
+        u = rng.random((3, short + short // 4 + 2))
+        x = np.sqrt(t * t - 2.0 * np.log(1.0 - u[0]))  # 1 - u[0] is exact
+        kept = np.concatenate((kept, np.where(u[2] < 0.5, -x, x)[u[1] * x < t]))
+    return kept[:count]
+
+
+def _normals_below(rng: np.random.Generator, t: float, count: int) -> np.ndarray:
+    """The first count standard normals of rng's stream with |z| < t, in order.
+    Each round draws a 32nd more than are missing, as at most 1.25% pass t >= 2.5."""
+    kept = np.empty(0)
+    while len(kept) < count:
+        short = count - len(kept)
+        z = rng.standard_normal(short + short // 32 + 2)
+        kept = np.concatenate((kept, z[np.abs(z) < t]))
+    return kept[:count]
+
+
+class _ThresholdNoise(NamedTuple):
+    """The noise of a threshold replicate at one (n, lam), drawn only where a
+    coefficient can be kept.
+
+    Each row is a function of (seed, n, lam) alone: _split_normals' draw of
+    the 2^(R + 1) heap indices to the rule's read depth R (at most
+    MAX_DEPTH), split at t = _split_point(n, lam), times sigma = n^{-1/2}.
+    It holds every noise through level N, the deepest level on which the
+    largest |theta| of any truth (peaks, per level through the deepest
+    observed depth D) reaches lam - sigma t, at least level 0, and past it
+    only the exceedances that can reach lam; elsewhere the noise is 0 and
+    the truth is observed as theta.
+
+    No threshold keeps a coefficient left undrawn.  The row observes y =
+    fl(theta + fl(sigma z)), and rounding to nearest is monotone and odd, so
+    |y| <= fl(P + E) for |theta| <= P and |fl(sigma z)| <= E.  Past N, a
+    normal with |z| < t has E <= fl(sigma t), and P the level's peak gives
+    fl(P + E) below floor = lam (1 - 2^-50), which rounds to at most lam, a
+    margin of a few units in the last place, so no row keeps it, hard
+    (|y| >= lam) or soft (|y| > lam).  An exceedance past N is placed only
+    where fl(P + |fl(sigma z)|) is at least floor, which widens its row to
+    its level: such a row is rare, as |z| must pass (lam - P) / sigma > t.
+    So the estimate and its loss are those of the full realization (every
+    level drawn) bit for bit.
+    """
+
+    scale: float  # sigma
+    t: float
+    size: int  # 2^(R + 1)
+    width: int  # 2^(N + 1), the heap indices every row draws
+    peaks: np.ndarray
+    floor: float
+
+    @classmethod
+    def plan(cls, n: int, lam: float, depth: int, peaks: np.ndarray) -> "_ThresholdNoise | None":
+        """The draw at n under lam for a rule of read depth depth and truths of
+        the given level peaks (levels 0..D), or None where t is inf: there
+        the rows are _noise's."""
+        t = _split_point(n, lam)
+        if t == math.inf:
+            return None
+        scale = n**-0.5
+        floor, bound = lam * (1.0 - 2.0**-50), t * scale
+        level = next((j for j in range(len(peaks) - 1, 0, -1) if peaks[j] + bound >= floor), 0)
+        return cls(scale, t, 2 << min(depth, MAX_DEPTH), 2 << level, peaks, floor)
+
+    def stack(self, seeds) -> tuple[np.ndarray, dict]:
+        """Each seed's noise row as one stack 2^(N + 1) wide, and by row index
+        the rows that an exceedance able to reach lam widens: as wide as the
+        deepest such one's level, the noise past N being 0 but at those
+        exceedances."""
+        stack, wide = np.empty((len(seeds), self.width)), {}
+        for b, seed in enumerate(seeds):
+            z, where, values = _split_normals(np.random.default_rng(seed), self.t, self.size,
+                                              self.width)
+            np.multiply(z, self.scale, out=stack[b])
+            # the positions as doubles, exact below 2^53, are compared in the float
+            # kernels the run loads anyway (an int64 comparison adds 128 KB of numpy
+            # code to a probe_sweep run's peak RSS), and heap index k lies on level
+            # floor(log2 k), the exponent of float(k)
+            at = where.astype(np.float64)
+            within = at < 1 << len(self.peaks)  # levels past D are observed by no truth
+            where, values = where[within], values[within] * self.scale
+            levels = (at[within].view(np.int64) >> 52) - 1023
+            reached = self.peaks[levels] + np.abs(values) >= self.floor
+            if reached.any():
+                where = where[reached]
+                wide[b] = np.zeros(1 << int(where.max()).bit_length())
+                wide[b][: self.width] = stack[b]
+                wide[b][where] = values[reached]
+        return stack, wide
 
 
 def _observed(theta: np.ndarray, drawn: np.ndarray, j_max: int) -> np.ndarray:

@@ -40,7 +40,7 @@ import numpy as np
 from .dyadic import MAX_DEPTH, CoefficientTree
 from .estimators import (_linear_stack, _threshold_stack, linear_weights, noise_depth,
                          universal_threshold)
-from .models import DensitySampler, _noise, _observed, _sampled_stack
+from .models import DensitySampler, _noise, _observed, _sampled_stack, _ThresholdNoise
 from .spaces import SmoothnessParams, theoretical_scaling
 from .wavelet import _BLOCK_SAMPLES, WaveletFilter, _loss_bound, _loss_sides, get_filter
 
@@ -242,9 +242,10 @@ class EstimatorKind(NamedTuple):
     level it reads (no estimate holds a deeper level) and lam is a threshold
     rule's threshold, None for a linear rule: a threshold estimate keeps no
     coefficient of magnitude below lam, hard keeping |y| >= lam and soft
-    |y| > lam, which lets the sequence engine cut the levels no noise can
-    lift to lam (_Replicates); and params, the EstimatorSpec parameters
-    besides kind and smoothness that it reads.  Each family has one rule:
+    |y| > lam, which lets the sequence engine leave undrawn the noise with
+    which no observation can reach lam (_Replicates); and params, the
+    EstimatorSpec parameters besides kind and smoothness that it reads.
+    Each family has one rule:
     _linear(order, ...) (order math.inf is projection) and _threshold(mode,
     kappa, ...), the one place lam is computed; an entry passes the values
     its kind fixes and those it reads from the spec.  The rules look the
@@ -275,28 +276,28 @@ class _Replicates(NamedTuple):
     job (i, reps), a block of replicates of n = plans[i][0], it returns (i,
     reps, losses), losses[k, b] being the loss of truth k's estimate on the
     replicate drawn from the seed (master_seed, n, reps[b]), plans[i] being
-    (n, the estimate, the rule's lam, each truth's observed depth, each
+    (n, the estimate, the threshold draw, each truth's observed depth, each
     truth's loss side).
 
     The block runs as one stack of len(reps) rows, row b that of replicate
     reps[b]: each step is one call for every row, and each row's losses are
     those of the replicate run alone, bit for bit.  Sequence truths share
-    one noise stack, each row drawn from its own seed to the deepest depth
-    any truth reads, and each truth adds its own levels to it; each density
-    truth samples its own law from the same seeds, bins each sample alone
-    and runs one analysis pyramid for the stack at its observed depth.  The
-    truths are observed one at a time, as their losses are taken, so one
-    observed stack is alive at a time.
+    one noise stack, each row drawn from its own seed, and each truth adds
+    its own levels to it; each density truth samples its own law from the
+    same seeds, bins each sample alone and runs one analysis pyramid for the
+    stack at its observed depth.  The truths are observed one at a time, as
+    their losses are taken, so one observed stack is alive at a time.
 
-    A threshold rule's sequence truths are observed only to their cut
-    (_cuts, which argues the bound and its rounding margin): past it no row
-    keeps a coefficient, so the estimate, which ends at the deepest level a
-    row keeps, is the full observation's bit for bit, and the loss side
-    stays the one planned for the full observed depth.
-    peaks holds each truth's largest |theta| per level (_level_peaks), once
-    per run; it is None where no rule thresholds a noisy observation: the
-    linear rules, and the density model, whose empirical coefficients have
-    no theta + noise split.
+    The noise is _noise's, to the deepest depth any truth reads, unless a
+    threshold rule splits it (the threshold draw, a models._ThresholdNoise,
+    None where it does not): then each row is as wide as it must be for no
+    coefficient it leaves undrawn to be kept, and each truth is observed to
+    the lesser of its depth and the stack's.  The estimate, which ends at
+    the deepest level a row keeps, is the full observation's bit for bit,
+    and the loss side stays the one planned for the full observed depth.  A
+    block is sized for the rows' common width; one that a row reaching
+    deeper widens runs in chunks of rows, so no stack passes _BLOCK_SAMPLES
+    entries.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -304,60 +305,64 @@ class _Replicates(NamedTuple):
     filt: WaveletFilter
     master_seed: int
     samplers: list[DensitySampler] | None
-    peaks: list | None
 
     def __call__(self, job):
         i, reps = job
-        n, estimate, lam, depths, sides = self.plans[i]
+        n, estimate, split, depths, sides = self.plans[i]
         seeds = [np.random.SeedSequence((self.master_seed, n, rep)) for rep in reps]
         if self.samplers is not None:
             observed = (_sampled_stack(sampler, n, seeds, self.filt, j)
                         for sampler, j in zip(self.samplers, depths))
-        else:
-            noise = _noise(n, max(depths), seeds)
-            cuts = depths if self.peaks is None else _cuts(noise, self.peaks, depths, lam)
-            observed = (_observed(truth.coeffs, noise, j) for truth, j in zip(self.truths, cuts))
-        return i, reps, np.array([side.mean(estimate(y)) for y, side in zip(observed, sides)])
+            return i, reps, np.array([side.mean(estimate(y)) for y, side in zip(observed, sides)])
+        if split is None:
+            return i, reps, self._losses(_noise(n, max(depths), seeds), estimate, depths, sides)
+        noise, wide = split.stack(seeds)
+        if not wide:
+            return i, reps, self._losses(noise, estimate, depths, sides)
+        rows = [wide.get(b, row) for b, row in enumerate(noise)]
+        size = max(1, _BLOCK_SAMPLES // max(map(len, rows)))
+        return i, reps, np.concatenate([self._losses(_stacked(rows[c : c + size]), estimate,
+                                                     depths, sides)
+                                        for c in range(0, len(rows), size)], axis=1)
+
+    def _losses(self, noise: np.ndarray, estimate, depths, sides) -> np.ndarray:
+        """Each truth's losses on a noise stack, observed to the lesser of its
+        depth and the stack's."""
+        top = noise.shape[-1].bit_length() - 2
+        return np.array([side.mean(estimate(_observed(truth.coeffs, noise, min(j, top))))
+                         for truth, j, side in zip(self.truths, depths, sides)])
 
 
-def _level_peaks(theta: np.ndarray, depth: int) -> list:
-    """max |theta| on each level 0..depth of a heap array, 0 past its end."""
-    return [np.abs(theta[1 << j : 2 << j]).max(initial=0.0) for j in range(depth + 1)]
+def _stacked(rows) -> np.ndarray:
+    """The rows as one stack, each zero past its own end."""
+    stack = np.zeros((len(rows), max(map(len, rows))))
+    for out, row in zip(stack, rows):
+        out[: len(row)] = row
+    return stack
 
 
-def _cuts(noise: np.ndarray, peaks, depths, lam: float) -> list:
-    """Each truth's cut: the deepest level j <= its observed depth on which
-    some row of the noise stack could keep a coefficient, 0 if none can.
-
-    Row b observes y = fl(theta + noise[b]) (_observed).  Rounding to nearest
-    is monotone and odd, so on level j |y| <= fl(P + E), P = peaks[k][j] and
-    E the level's largest |noise| over the stack: where fl(P + E) < lam no
-    row keeps y, hard (|y| >= lam) or soft (|y| > lam).  The screen is
-    stricter still: it compares with lam (1 - 2^-50), which rounds to at
-    most lam, a margin of a few units in the last place, so the cut would
-    hold under any rounding of the add within one unit.  The levels are
-    walked from the deepest down, each level's E reduced once for all
-    truths, until every truth has its cut: a run where no level can be cut
-    reduces one level per block.
-    """
-    floor, cuts = lam * (1.0 - 2.0**-50), [None] * len(depths)
-    for j in range(max(depths), 0, -1):
-        level = noise[:, 1 << j : 2 << j]
-        top = max(level.max(), -level.min())
-        cuts = [j if cut is None and j <= depth and peak[j] + top >= floor else cut
-                for cut, depth, peak in zip(cuts, depths, peaks)]
-        if None not in cuts:
-            return cuts
-    return [cut or 0 for cut in cuts]
+def _level_peaks(truths, depth: int) -> np.ndarray:
+    """The largest |theta| of any truth on each level 0..depth, 0 past their
+    arrays' ends."""
+    peaks = np.zeros(depth + 1)
+    for truth in truths:
+        for j, a in truth.levels.items():
+            if j <= depth and a.size:
+                peaks[j] = max(peaks[j], a.max(), -a.min())
+    return peaks
 
 
 def _estimate_sup(top: float, filt: WaveletFilter, depth: int, n: int, density: bool) -> float:
     """A bound of sup |estimate| at n, read to depth, of a truth of sup at most
     top, as wavelet._loss_bound bounds a tree's: |c_0| + sum_j 2^(j/2) 2 (L - 1)
     max_k |c_jk|.  Every rule shrinks its observation.  A sequence observation
-    lies within 40 sd n^(-1/2) of theta (a normal draw passes 40 sd with
-    probability below 1e-340); an empirical coefficient is a mean of psi_jk,
-    at most 2^(j/2) 2, and its scaling coefficient 1."""
+    lies within 40 sd n^(-1/2) of theta: a standard normal passes 40 with
+    probability below 1e-340; the threshold draw's normals below its split
+    point t are standard normals with those past t rejected, and one past t
+    (models._normal_tail) is at most sqrt(t^2 + 106 log 2) < 39.5, as one is
+    drawn only where q = erfc(t / sqrt 2) > 0, which needs t < 38.51.  An
+    empirical coefficient is a mean of psi_jk, at most 2^(j/2) 2, and its
+    scaling coefficient 1."""
     width = 2.0 * (len(filt.taps) - 1)
     if density:
         return 1.0 + 2.0 * width * ((2 << depth) - 1)  # sum_j 2^(j/2) width 2^(j/2) 2
@@ -474,8 +479,9 @@ def _plan(truths: tuple[CoefficientTree, ...], estimator: EstimatorSpec, n_grid,
           naming: Callable = lambda key: contextlib.nullcontext()) -> Callable:
     """monte_carlo_risk's plan: each n's rule, each truth's observed depth at
     each n, the density model's one DensitySampler per truth and a threshold
-    rule's level peaks (_cuts); returns its execution, (master_seed,
-    threads=1) -> the RiskTables, which takes the loss sides and runs.
+    rule's draw at each n (models._ThresholdNoise); returns its execution,
+    (master_seed, threads=1) -> the RiskTables, which takes the loss sides
+    and runs.
 
     Refuses, inside naming(key), which names the config key (cli's _naming;
     by default none): a losses array of (truths, n, R) or a density sample
@@ -528,19 +534,26 @@ def _plan(truths: tuple[CoefficientTree, ...], estimator: EstimatorSpec, n_grid,
         with naming("n_grid"):
             raise ValueError(f"n^(-p/2) at n = {n_grid[-1]:g}, p = {p:g} underflows below the "
                              "least normal double: its risk would read 0")
-    peaks = (None if density or rules[0][2] is None  # no screen: no theta + noise, or no lam
-             else [_level_peaks(t.coeffs, t.j_max) for t in truths])
+    # per n, the threshold draw: none for the density model, whose empirical coefficients
+    # have no theta + noise split, nor for a linear rule, which has no lam
+    peaks = (None if density or rules[0][2] is None
+             else _level_peaks(truths, max(map(max, depths))))
+    splits = [None if peaks is None else
+              _ThresholdNoise.plan(n, lam, min(read, MAX_DEPTH), peaks[: max(row) + 1])
+              for n, (read, _, lam), row in zip(n_grid, rules, depths)]
 
     def execute(master_seed: int, threads: int = 1) -> tuple[RiskTable, ...]:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         sides = [_loss_sides(t, filt, [row[k] for row in depths], p)  # per truth, per depth
                  for k, t in enumerate(truths)]
-        plans = [(n, estimate, lam, row, [s[j] for s, j in zip(sides, row)])
-                 for n, (_, estimate, lam), row in zip(n_grid, rules, depths)]
-        replicates = _Replicates(truths, plans, filt, master_seed, samplers, peaks)
+        plans = [(n, estimate, split, row, [s[j] for s, j in zip(sides, row)])
+                 for n, (_, estimate, _), split, row in zip(n_grid, rules, splits, depths)]
+        replicates = _Replicates(truths, plans, filt, master_seed, samplers)
         workers = min(threads, len(n_grid) * R, os.cpu_count() or 1)
-        sizes = [max(1, _BLOCK_SAMPLES >> (max(row) + 1)) for row in depths]  # rows per block
+        # rows per block, by the width a row observes
+        sizes = [max(1, _BLOCK_SAMPLES // (2 << max(row) if split is None else split.width))
+                 for split, row in zip(splits, depths)]
         losses = np.empty((len(truths), len(n_grid), R))
         for i, reps, values in _replicate_results(replicates, _shares(sizes, R, workers)):
             losses[:, i, reps] = values
@@ -582,9 +595,14 @@ def monte_carlo_risk(
     kind's rule gives, once per n, the estimate and the read depth, past
     which no estimator reads: a sequence replicate is observed to the lesser
     of it and the truth's depth (the estimate is that of the whole
-    observation), and under a threshold rule only to the deepest of those
-    levels that can keep a coefficient (_cuts); a density replicate's
-    empirical coefficients at the read depth.
+    observation); a density replicate's empirical coefficients at the read
+    depth.  Under a threshold rule lam, a sequence replicate draws its
+    normals split at t = lam / (2 n^{-1/2}) where that is at least 2.5
+    (models._ThresholdNoise): those with |Z| >= t first, wherever they fall,
+    then the others only through the deepest level on which some truth's
+    largest |theta| reaches lam - t n^{-1/2}.  The noise has the law of
+    simulate_sequence's but another stream, and the estimate, its loss and
+    every table are those of every level drawn, bit for bit.
 
     Each of the R replicates at each n simulates, estimates and evaluates the
     loss with a seed derived from (master_seed, n, replicate), so the tables
@@ -595,12 +613,14 @@ def monte_carlo_risk(
     child with its own caches.  A worker runs its replicates of one n in
     blocks (_shares), each one stack of at most _BLOCK_SAMPLES / 2^(J + 1)
     rows (at least one), J the deepest depth any truth is observed to at
-    that n (_Replicates); the losses are stored by (n, replicate), so the
-    reduction order is fixed.
+    that n, or under a split the deepest level every row draws; a block
+    that a row drawn deeper widens runs in chunks of rows (_Replicates).
+    The losses are stored by (n, replicate), so the reduction order is fixed.
 
     The truths do not enter the seed, so every truth is observed under the
     same noise (common random numbers), which each replicate draws once, and
-    each table equals that of the truth alone.
+    each table equals that of the truth alone: under a split, the truths
+    set only how much of the noise is drawn, never its values.
     """
     return _plan(truths, estimator, n_grid, R, p, filter_name, model)(master_seed, threads)
 

@@ -1089,12 +1089,15 @@ def test_filter_spellings_give_one_manifest_hash(tmp_path, capsys):
 
 
 def test_one_sided_alpha_bounds_the_implied_alpha_from_above(tmp_path, capsys):
-    # alpha_upper passes an implied alpha below expected - alpha, which implied_alpha fails
+    # alpha_upper passes an implied alpha below expected - alpha, which implied_alpha
+    # fails: a projection whose fixed cutoff leaves the bias of levels 2 and up at
+    # every n has a risk that barely falls with n, whatever the noise draws
     tolerances = {"alpha": 0.02, "one_sided": True}
     steep = {"kind": "generic_g", "base_amplitude": 4096.0, "probe_alpha": 0.7, "dither": 2.0}
-    cases = {"below": (rate_config(tolerances=tolerances), True),  # implied alpha 0.372
+    biased = {"kind": "projection", "fixed_m_n": 4.0}
+    cases = {"below": (rate_config(tolerances=tolerances, estimator_spec=biased), True),
              "above": (rate_config(tolerances=tolerances, truth_spec=steep, replicates=4),
-                       False)}  # implied alpha 0.448
+                       False)}  # implied alpha 0.443
     for name, (text, passed) in cases.items():
         (tmp_path / f"{name}.json").write_text(text)
         out = tmp_path / name

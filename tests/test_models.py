@@ -5,13 +5,19 @@ import pytest
 
 from waverates import models, wavelet
 from waverates.dyadic import CoefficientTree
+from waverates.estimators import noise_depth, threshold_estimate, universal_threshold
+from waverates.rates import EstimatorSpec, monte_carlo_risk
 from waverates.models import (
     DENSITY_GRID_PAD,
     MAX_CLIPPED_MASS,
     DensitySample,
     DensitySampler,
     _noise,
+    _normal_tail,
     _observed,
+    _split_normals,
+    _split_point,
+    _ThresholdNoise,
     empirical_coefficients,
     simulate_sequence,
 )
@@ -110,6 +116,92 @@ def test_noise_is_one_draw_in_heap_order(J):
     y = simulate_sequence(CoefficientTree.zeros(1, J), n, J, seed)
     assert y.coeffs.tobytes() == np.array(want).tobytes()
     assert list(y.levels) == list(range(J + 1))
+
+
+@pytest.mark.parametrize("t", [2.5, 3.5])
+def test_split_draw_is_normal(t):
+    # the full realization of 32 draws of 2^16 normals split at t: per level
+    # (the scaling coefficient as its own), the counts of |Z| >= t and of
+    # |Z| >= t + 1 lie within 5 sd of their binomial means, and the mean and
+    # variance of all the normals within 5 sd of 0 and 1
+    size, reps = 1 << 16, 32
+    draws = np.array([_split_normals(np.random.default_rng(np.random.SeedSequence((48, rep))),
+                                     t, size, size)[0] for rep in range(reps)])
+    groups = [draws[:, :1]] + [draws[:, 1 << j : 2 << j] for j in range(15)]
+    for edge in (t, t + 1.0):
+        q = math.erfc(edge / math.sqrt(2.0))
+        for group in groups:
+            count, mean = np.count_nonzero(np.abs(group) >= edge), group.size * q
+            assert abs(count - mean) < 5.0 * math.sqrt(mean * (1.0 - q)), (edge, group.size)
+    total = draws.size
+    assert abs(draws.mean()) < 5.0 / math.sqrt(total)
+    assert abs(draws.var() - 1.0) < 5.0 * math.sqrt(2.0 / total)
+
+
+def test_split_draw_to_a_width_is_the_full_realizations():
+    # a narrower draw is the full one's first normals, with the exceedances past
+    # it at their places: each normal is a function of the seed alone
+    size, t = 1 << 12, 2.5
+    seed = np.random.SeedSequence((48, 1))
+    full, _, _ = _split_normals(np.random.default_rng(seed), t, size, size)
+    for width in (2, 64, 1 << 11):
+        z, where, values = _split_normals(np.random.default_rng(seed), t, size, width)
+        assert z.tobytes() == full[:width].tobytes()
+        assert np.array_equal(np.sort(where), np.flatnonzero(np.abs(full[width:]) >= t) + width)
+        assert values.tobytes() == full[where].tobytes()
+
+
+def test_normal_tail_stays_within_40_sd():
+    # rates._estimate_sup takes a sequence observation within 40 sd of theta:
+    # the tail sampler's largest value, at the least U = 1 - random() = 2^-53,
+    # is sqrt(t^2 + 106 log 2), and it draws one only where q > 0, so t < 38.51
+    class Extreme:
+        def random(self, shape):
+            u = np.zeros(shape)
+            u[0], u[2] = 1.0 - 2.0**-53, 0.75  # the least U; accepted, positive
+            return u
+
+    assert math.erfc(38.51 / math.sqrt(2.0)) == 0.0 < math.erfc(38.5 / math.sqrt(2.0))
+    for t in (2.5, 10.0, 38.51):
+        (z,) = _normal_tail(Extreme(), t, 1)
+        assert z == pytest.approx(math.sqrt(t * t + 106.0 * math.log(2.0)), rel=1e-15)
+        assert t <= z < 39.5
+
+
+def test_threshold_draw_without_a_split_is_the_noise_stream():
+    # kappa 0.5 puts t below 2.5 at every n here: no split, and the engine's
+    # replicates are _noise's rows, so each loss is that of a _noise row
+    truth, n_grid, R, seed = CoefficientTree.zeros(1, 6), [1024, 65536], 3, 17
+    (table,) = monte_carlo_risk((truth,), EstimatorSpec("threshold_hard", kappa=0.5), n_grid,
+                                R, 2.0, seed)
+    for n, row in zip(n_grid, table.rows):
+        lam, read = 0.5 * universal_threshold(n), noise_depth(n)
+        assert _split_point(n, lam) == math.inf
+        assert _ThresholdNoise.plan(n, lam, read, np.zeros(2 << 6)) is None
+        noise = _noise(n, 6, [np.random.SeedSequence((seed, n, rep)) for rep in range(R)])
+        losses = [threshold_estimate(CoefficientTree._of(6, y), lam, read).total_energy()
+                  for y in noise]
+        assert row.empirical_risk == float(np.mean(losses))
+
+
+def test_threshold_draw_at_extreme_kappa():
+    # kappa 1e-300: t is inf, every coefficient drawn and kept; kappa 1e300:
+    # q = 0, no exceedance, and no level drawn but the scaling coefficient's
+    # (and level 0's), which the estimate passes through: the loss is its noise
+    truth, n_grid, R, seed = CoefficientTree.zeros(1, 6), [1024, 4096], 2, 3
+    (small,) = monte_carlo_risk((truth,), EstimatorSpec("threshold_hard", kappa=1e-300),
+                                n_grid, R, 2.0, seed)
+    assert all(0.0 < row.empirical_risk < math.inf for row in small.rows)
+    (large,) = monte_carlo_risk((truth,), EstimatorSpec("threshold_hard", kappa=1e300),
+                                n_grid, R, 2.0, seed)
+    for n, row in zip(n_grid, large.rows):
+        lam = 1e300 * universal_threshold(n)
+        t = _split_point(n, lam)
+        assert math.erfc(t / math.sqrt(2.0)) == 0.0
+        assert _ThresholdNoise.plan(n, lam, noise_depth(n), np.zeros(2 << 6)).width == 2
+        scaling = [_split_normals(np.random.default_rng(np.random.SeedSequence((seed, n, rep))),
+                                  t, 2 << noise_depth(n), 2)[0][0] * n**-0.5 for rep in range(R)]
+        assert row.empirical_risk == float(np.mean([float(y) ** 2 for y in scaling])) > 0.0
 
 
 def test_observed_and_empirical_trees_populate_every_level():

@@ -15,7 +15,8 @@ from waverates.dyadic import MAX_DEPTH, CoefficientTree
 from waverates.estimators import (_threshold_stack, linear_estimate, linear_weights, noise_depth,
                                   threshold_estimate, universal_threshold)
 from waverates.generic import g_term
-from waverates.models import DensitySampler, _noise, empirical_coefficients, simulate_sequence
+from waverates.models import (DensitySampler, _observed, _split_normals, _split_point,
+                              _ThresholdNoise, empirical_coefficients, simulate_sequence)
 from waverates.rates import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
@@ -387,7 +388,7 @@ def reference_risk(truth, est, model, filter_name, n_grid, R, p, master_seed):
         for rep in range(R):
             seed = np.random.SeedSequence((master_seed, n, rep))
             if sampler is None:
-                y = simulate_sequence(truth, n, truth.j_max, seed)
+                y = observe(truth, n, rule_threshold(est, n), truth.j_max, seed)
             else:
                 y = empirical_coefficients(sampler.sample(n, seed), filt, read)
             if est.kind == "projection":
@@ -408,6 +409,30 @@ def reference_risk(truth, est, model, filter_name, n_grid, R, p, master_seed):
                 losses.append(coefficient_loss(estimate, truth, p, filt))
         rows.append((float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(R))))
     return rows
+
+
+def rule_threshold(est, n):
+    """The threshold of the kind's rule at n, None for a linear rule."""
+    if est.family == "linear":
+        return None
+    return (1.0 if est.kind == "density_threshold" else est.kappa) * universal_threshold(n)
+
+
+def observe(truth, n, lam, depth, seed):
+    """A sequence replicate of the truth observed to depth under the engine's
+    law, as the full realization of its draw: simulate_sequence's, where lam is
+    None (a linear rule) or the split point t is inf; else every normal of the
+    threshold draw (_split_normals) to the read depth j(n), none screened,
+    times n^(-1/2), and no noise past j(n), where no threshold estimate reads."""
+    t = math.inf if lam is None else _split_point(n, lam)
+    if t == math.inf:
+        return simulate_sequence(truth, n, depth, seed)
+    size = 2 << min(noise_depth(n), MAX_DEPTH)
+    z, _, _ = _split_normals(np.random.default_rng(seed), t, size, size)
+    noise = np.zeros((1, 2 << depth))
+    width = min(size, noise.shape[-1])
+    noise[0, :width] = (z * n**-0.5)[:width]
+    return CoefficientTree._of(depth, _observed(truth.coeffs, noise, depth)[0])
 
 
 def at_depth(tree, depth):
@@ -834,32 +859,34 @@ def probe_line(j_max, alpha=0.7, amplitude=1024.0):
 
 
 def full_width_losses(truths, est, n_grid, R, p, master_seed):
-    """The sequence engine's losses written out without its level screen:
+    """The sequence engine's losses written out without its screen:
     losses[k, i, rep], truth k observed to its whole depth min(read depth,
-    j_max) at n_grid[i] under the replicate's seed, estimated and scored by
-    the engine's own loss side at that depth."""
-    filt = get_filter("db2")
+    j_max) at n_grid[i] under the full realization of the replicate's draw
+    (observe), estimated by threshold_estimate and scored by the engine's own
+    loss side at that depth."""
+    filt, mode = get_filter("db2"), est.kind.split("_")[1]
     losses = np.empty((len(truths), len(n_grid), R))
     for i, n in enumerate(n_grid):
-        read, estimate, _ = ESTIMATOR_KINDS[est.kind].rule(est, n)
+        read, lam = noise_depth(n), rule_threshold(est, n)
         for k, truth in enumerate(truths):
             depth = min(read, truth.j_max)
             side = _loss_sides(truth, filt, [depth], p)[depth]
             for rep in range(R):
                 seed = np.random.SeedSequence((master_seed, n, rep))
-                y = simulate_sequence(truth, n, depth, seed)
-                losses[k, i, rep] = side.mean(estimate(y.coeffs[None]))[0]
+                estimate = threshold_estimate(observe(truth, n, lam, depth, seed), lam, read, mode)
+                losses[k, i, rep] = side.mean(estimate.coeffs[None])[0]
     return losses
 
 
 def edge_truths(lam, n, master_seed, R):
-    """Truths of depth 10 whose deep coefficients sit on the screen's edge at
-    n under the first R replicates' noise: one that exactly one replicate
-    keeps at level 10, and one observed at |y| = lam exactly where level 9's
-    noise is largest, so that |y| is the screen's bound there where that
-    noise lies below lam."""
+    """Truths of depth 10 whose deep coefficients sit on the edge of what
+    the engine draws at n under the first R replicates: one that exactly one
+    replicate keeps at level 10, and one observed at |y| = lam exactly where
+    level 9's noise is largest (past the split point t, so that this noise
+    is a drawn exceedance that reaches lam, where t is finite)."""
     seeds = [np.random.SeedSequence((master_seed, n, rep)) for rep in range(R)]
-    noise = _noise(n, 10, seeds)
+    noise = np.array([observe(CoefficientTree.zeros(1, 10), n, lam, 10, seed).coeffs
+                      for seed in seeds])
     deep = noise[:, (1 << 10) + 5]
     first, second = np.sort(deep)[::-1][:2]
     one_row = np.zeros(1 << 10)
@@ -885,9 +912,10 @@ def edge_truths(lam, n, master_seed, R):
 @pytest.mark.parametrize("p", [2.0, 4.0])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_level_screen_keeps_every_loss_of_the_full_width(mode, kappa, p, threads, monkeypatch):
-    # at kappa 2 the noise (kappa sqrt(log n) standard deviations away) reaches
-    # the threshold on no level, and the screen cuts; at kappa 0.5 it reaches
-    # it on every level, and nothing is cut
+    # at kappa 2 the draw splits at t = sqrt(log n) (finite at these n): rows
+    # hold no noise past the deepest level some truth can lift to lam, but at
+    # exceedances that reach lam, which widen their rows (the truth at level 9
+    # alone); at kappa 0.5 t is inf and every row is _noise's, to the full depth
     n_grid, R, seed = [1024, 4096, 16384], 5, 29
     est = EstimatorSpec(f"threshold_{mode}", kappa=kappa)
     lam = kappa * universal_threshold(n_grid[-1])
@@ -895,24 +923,32 @@ def test_level_screen_keeps_every_loss_of_the_full_width(mode, kappa, p, threads
               bump_tree(1, 10, 3, 2, 0.5),  # an array ending at level 3, j_max 10
               *edge_truths(lam, n_grid[-1], seed, R))
     want = full_width_losses(truths, est, n_grid, R, p, seed)
-    ran, call, screened, cuts = [], rates._Replicates.__call__, [], rates._cuts
+    ran, call, drawn, stack = [], rates._Replicates.__call__, [], _ThresholdNoise.stack
 
-    def screen(noise, peaks, depths, lam):
-        screened.append((depths, cuts(noise, peaks, depths, lam)))
-        return screened[-1][1]
+    def recorded(split, seeds):
+        noise, wide = stack(split, seeds)
+        drawn.append((split.width, [len(wide.get(b, row)) for b, row in enumerate(noise)]))
+        return noise, wide
 
     monkeypatch.setattr(rates._Replicates, "__call__",
                         lambda self, job: ran.append(call(self, job)) or ran[-1])
-    monkeypatch.setattr(rates, "_cuts", screen)
+    monkeypatch.setattr(_ThresholdNoise, "stack", recorded)
     tables = monte_carlo_risk(truths, est, n_grid, R, p, seed, threads=threads)
+    blocks = ran.copy()
+    for truth, table in zip(truths, tables):  # each truth alone draws its own width
+        assert monte_carlo_risk((truth,), est, n_grid, R, p, seed, threads=threads) == (table,)
     if threads == 1:  # the children's blocks are not seen here
+        assert len(blocks) == len(n_grid)  # one block per n
         got = np.full_like(want, np.nan)
-        for i, reps, losses in ran:
+        for i, reps, losses in blocks:
             got[:, i, reps] = losses
         assert got.tobytes() == want.tobytes()
-        assert len(screened) == len(n_grid)  # one block per n
-        below = [cut < depth for depths, cut_of in screened for cut, depth in zip(cut_of, depths)]
-        assert any(below) if kappa == 2.0 else not any(below)
+        if kappa == 2.0:
+            full = [2 << min(noise_depth(n), 10) for n in n_grid]
+            assert any(width < depth for (width, _), depth in zip(drawn, full))
+            assert any(length > width for width, lengths in drawn for length in lengths)
+        else:
+            assert not drawn
     for table, per_truth in zip(tables, want):
         assert [(row.empirical_risk, row.std_error) for row in table.rows] == [
             (float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(R)))
@@ -935,7 +971,7 @@ def test_level_screen_observes_the_probe_line_short_of_its_depth(monkeypatch):
     monte_carlo_risk((truth,), EstimatorSpec("threshold_hard", kappa=2.0), n_grid, 2, 2.0, 5)
     depths = [min(noise_depth(n), truth.j_max) for n in n_grid]
     assert depths == [8, 11, 15]
-    # one block at each of the first two n, one per replicate at the last (2^16
-    # doubles fill a block), each observed short of 2^(J + 1)
-    assert len(widths) == 4
-    assert all(width < 2 << depth for width, depth in zip(widths, depths + depths[-1:])), widths
+    # one block at each n, its rows drawn through levels 6, 7 and 8: a block is
+    # sized by that width, not by 2^(J + 1), which at the last n would run each
+    # replicate alone (2^16 doubles fill a block)
+    assert widths == [2 << 6, 2 << 7, 2 << 8]
