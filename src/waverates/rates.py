@@ -539,7 +539,7 @@ def _plan(truths: tuple[CoefficientTree, ...], estimator: EstimatorSpec, n_grid,
     peaks = (None if density or rules[0][2] is None
              else _level_peaks(truths, max(map(max, depths))))
     splits = [None if peaks is None else
-              _ThresholdNoise.plan(n, lam, min(read, MAX_DEPTH), peaks[: max(row) + 1])
+              _ThresholdNoise.plan(n, lam, read, peaks[: max(row) + 1])
               for n, (read, _, lam), row in zip(n_grid, rules, depths)]
 
     def execute(master_seed: int, threads: int = 1) -> tuple[RiskTable, ...]:

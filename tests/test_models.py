@@ -6,7 +6,6 @@ import pytest
 from waverates import models, wavelet
 from waverates.dyadic import CoefficientTree
 from waverates.estimators import noise_depth, threshold_estimate, universal_threshold
-from waverates.rates import EstimatorSpec, monte_carlo_risk
 from waverates.models import (
     DENSITY_GRID_PAD,
     MAX_CLIPPED_MASS,
@@ -21,6 +20,7 @@ from waverates.models import (
     empirical_coefficients,
     simulate_sequence,
 )
+from waverates.rates import EstimatorSpec, monte_carlo_risk
 from waverates.truths import bump_tree, density_truth_tree, shell_tree
 from waverates.wavelet import DAUBECHIES_LOWPASS, WaveletFilter, get_filter, synthesize
 
