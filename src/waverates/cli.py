@@ -77,7 +77,7 @@ from .rates import (
     minimax_rate,
 )
 from .spaces import SmoothnessParams, empirical_scaling, theoretical_scaling
-from .truths import ShellTerm, bump_tree, density_truth_tree, shell_sum
+from .truths import ShellTerm, _unit_term, bump_tree, density_truth_tree, shell_sum
 from .wavelet import _loss_bound, get_filter
 
 EXIT_CONFIG_ERROR = 101
@@ -571,7 +571,9 @@ def _verdicts(config: ExperimentConfig, out_dir: Path, mh: str) -> list[dict]:
 
 def run(config: ExperimentConfig) -> RunReport:
     """Build the configured experiment's run with its kind's build, whose
-    errors are config errors, then execute it, its Monte Carlo replicates on
+    errors are config errors, and empty the shell-term cache its truths
+    filled (truths._unit_term: validate's build and run's share it, no
+    replicate reads it); then execute the run, its Monte Carlo replicates on
     config.threads worker processes (at most one per cpu): this one and
     config.threads - 1 forked children; write tables, manifest and verdicts
     into config.output_dir."""
@@ -579,6 +581,7 @@ def run(config: ExperimentConfig) -> RunReport:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
     with _naming("invalid config", _INVALID):
         execute = EXPERIMENTS[config.experiment_kind].build(config)
+    _unit_term.cache_clear()  # the truths are built: no replicate, nor forked worker, holds terms
     manifest = config.resolved()  # the science; how the run was executed is not hashed
     execution = {"threads": config.threads, "output_dir": config.output_dir,
                  "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,

@@ -353,9 +353,12 @@ _HIGH = int(np.little_endian)
 _LOW = 1 - _HIGH
 
 
+_SWEEP = 1 << 12  # cells per chunk of _alias_table's sweeps
+
+
 def _alias_table(masses: np.ndarray) -> np.ndarray:
-    """Walker's alias table of N = 2^res cell masses, from prefix sums and one
-    search, with no loop over cells (Hübschle-Schneider & Sanders 2022).
+    """Walker's alias table of N = 2^res cell masses, from prefix sums and
+    searches, swept over chunks of cells (Hübschle-Schneider & Sanders 2022).
 
     A bucket holds U = 2^32 units.  Cell c gets W_c = floor(N U masses[c]),
     the largest cell also what the floors left, so the law is within 2^-31 of
@@ -368,38 +371,54 @@ def _alias_table(masses: np.ndarray) -> np.ndarray:
     of its bucket and takes the rest from the next large cell, whose span
     starts where its own ends; with no overshoot it is its own alias, at
     threshold 0.  A cell of zero mass has threshold 0 and is no alias.  The
-    table is written over the masses' array, and each index array goes once
-    read, so the build holds about 30 bytes per cell at most."""
+    table is written over the masses' array by two sweeps in chunks of
+    _SWEEP cells.  The first writes the small cells, their deficits laid
+    end to end across chunks, and each large cell's keep over its excess
+    sum once the deficits pass its span's end; the second writes the large
+    cells.  Beside the table the build holds 16 bytes per large cell."""
     n_cells, unit = len(masses), 1 << 32
     weights = np.multiply(masses, float(n_cells * unit), out=masses.view(np.int64),
                           casting="unsafe")  # truncated
     weights[np.argmax(weights)] += n_cells * unit - int(weights.sum())
-    small = weights < unit
-    large = np.flatnonzero(~small)
-    starts = np.zeros(np.count_nonzero(small) + 1, np.int64)  # of each deficit, then their end
-    np.subtract(unit, weights[small], out=starts[1:])
-    np.cumsum(starts, out=starts)
-    ends = weights.take(large) - unit  # of each excess
+    large = np.flatnonzero(weights >= unit)
+    ends = weights.take(large) - unit  # of each excess, then each large cell's keep
     np.cumsum(ends, out=ends)
-    weights <<= 32  # read: the table overwrites them, a small cell's W_c as its threshold
-    halves = weights.view(np.uint32)
-    threshold, alias = halves[_HIGH::2], halves[_LOW::2]
-    owner = np.searchsorted(ends, starts[:-1], side="right")  # the large cell of each deficit
-    alias[small] = large.take(owner)
-    # per large cell, the deficits that start before its span ends; the last of them ends at
-    # starts[that count], past the span's end by the overshoot
-    last = np.bincount(owner, minlength=len(large))
-    del owner
-    np.cumsum(last, out=last)
-    keep = np.subtract(ends, starts.take(last), out=ends)
-    del last
-    keep += unit
-    full = keep == unit
-    keep[full] = 0
-    threshold[large] = keep
-    after = np.roll(large, -1)
-    np.copyto(after, large, where=full)
-    alias[large] = after
+    done = int(np.searchsorted(ends, 0, side="right"))  # keeps written: these spans are empty
+    ends[:done] = unit
+    carry = 0  # the end of the deficits swept so far, past the spans before done
+    for c in range(0, n_cells, _SWEEP):
+        chunk = weights[c : c + _SWEEP]
+        small = np.flatnonzero(chunk < unit)
+        if not len(small):
+            continue
+        kept = chunk.take(small)
+        bounds = np.empty(len(small) + 1, np.int64)  # where the deficits start, then each end
+        bounds[0] = carry
+        np.subtract(unit, kept, out=bounds[1:])
+        np.cumsum(bounds, out=bounds)
+        carry = int(bounds[-1])
+        # the spans that end by carry; a deficit starting past them is in span hi
+        hi = done + int(np.searchsorted(ends[done:], carry, side="right"))
+        spans = ends[done:hi]
+        owner = np.searchsorted(spans, bounds[:-1], side="right")  # counted from done
+        kept <<= 32
+        kept |= large[done:].take(owner)
+        chunk[small] = kept  # W_c, the threshold, read: the chunk's cells are swept
+        # per span, the deficits that start before its end: the last ends past it by the
+        # overshoot
+        held = np.bincount(owner, minlength=len(spans))[: len(spans)]
+        spans -= bounds.take(np.cumsum(held, out=held))
+        spans += unit
+        done = hi
+    for c in range(0, len(large), _SWEEP):
+        cells, keep = large[c : c + _SWEEP], ends[c : c + _SWEEP]
+        full = keep == unit
+        alias = large.take(np.arange(c + 1, c + 1 + len(cells)), mode="clip")  # the last is full
+        np.copyto(alias, cells, where=full)
+        keep[full] = 0
+        keep <<= 32
+        keep |= alias
+        weights[cells] = keep
     return weights.view(np.uint64)
 
 

@@ -34,21 +34,24 @@ def write_tree(tree: CoefficientTree, path) -> None:
 
 def read_tree(path) -> CoefficientTree:
     """Read back a stream written by write_tree; raises ValueError naming the file
-    for any other text: no coefficient-tree header, a header field missing, a
-    row that is not (j, k, value) or that repeats a position, an infinite or
-    NaN value, and what CoefficientTree.from_items refuses (a d other than 1,
-    a j_max outside [0, MAX_DEPTH], a position off the tree's grid)."""
+    for any other text: no coefficient-tree header, a header field missing, no
+    j,k,value column header below it, a row that is not (j, k, value) or that
+    repeats a position, an infinite or NaN value, and what
+    CoefficientTree.from_items refuses (a d other than 1, a j_max outside
+    [0, MAX_DEPTH], a position off the tree's grid)."""
     with open(path) as fh:
         header = fh.readline().strip()
-        rows = list(csv.reader(fh))[1:]  # below the column header
+        rows = list(csv.reader(fh))
     try:
         if not header.startswith("# coefficient-tree,"):
             raise ValueError("not a coefficient-tree stream")
         meta = dict(item.split("=", 1) for item in header[2:].split(",")[1:])
         d, j_max, scaling = int(meta["d"]), int(meta["j_max"]), float(meta["scaling"])
         CoefficientTree(d, j_max)  # d and j_max checked before any row: d sets its columns
+        if rows[:1] != [["j", "k", "value"]]:  # else its first row would go unread
+            raise ValueError("no j,k,value column header below the coefficient-tree header")
         items = {}
-        for j, k, value in rows:
+        for j, k, value in rows[1:]:
             j, k, value = int(j), int(k), float(value)
             if (j, k) in items:
                 raise ValueError(f"position ({j}, {k}) repeats")

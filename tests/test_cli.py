@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waverates import __version__, models, rates, recordio
+from waverates import __version__, models, rates, recordio, truths
 from waverates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -930,12 +930,29 @@ def test_the_loss_bound_holds_sup_psi_below_two():
         assert np.abs(samples).max() / 2 ** 2.5 < 2.0, name
 
 
-def test_a_run_builds_one_g_and_one_shell(tmp_path):
+def test_a_run_builds_one_g_and_one_shell(tmp_path, monkeypatch):
     # the four alphas' truths of a probe sweep, built by validate and again by run,
-    # share the unit terms of g and of the shell
+    # share the unit terms of g and of the shell; run empties the cache, and its
+    # counters with it, so the builds are counted by the one freeze that ends each
+    built = []
+    monkeypatch.setattr(truths, "_freeze", lambda coeffs: built.append(coeffs) or coeffs)
     _unit_term.cache_clear()
     run_in(tmp_path / "out", sweep_config())
-    assert _unit_term.cache_info().misses == 2
+    assert len(built) == 2
+
+
+def test_a_run_frees_the_terms_before_its_first_replicate(tmp_path, monkeypatch):
+    # the truths are built when the replicates start: run holds no shell term
+    # through them, and a forked worker inherits none
+    cached, replicate = [], rates._Replicates.__call__
+    def call(self, job):
+        cached.append(_unit_term.cache_info().currsize)
+        return replicate(self, job)
+    monkeypatch.setattr(rates._Replicates, "__call__", call)
+    config = validate_config(sweep_config())
+    assert _unit_term.cache_info().currsize == 2  # validate's terms: g and the shell
+    run(replace(config, output_dir=str(tmp_path / "out")))
+    assert cached and set(cached) == {0}
 
 
 def test_shell_tree_call_forms_share_one_cache_entry():

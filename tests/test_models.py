@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,6 +504,70 @@ def test_alias_table_of_hand_laws():
         laws.append(law / law.sum())
     for law in laws:
         assert_table_holds(models._alias_table(law.copy()), law)
+
+
+def alias_table_by_whole_arrays(masses):
+    """_alias_table as one pass of whole-array steps: an index, a start and an
+    owner per small cell, and each large cell's count of the deficits it holds."""
+    n_cells, unit = len(masses), 1 << 32
+    weights = np.multiply(masses, float(n_cells * unit), out=masses.view(np.int64),
+                          casting="unsafe")
+    weights[np.argmax(weights)] += n_cells * unit - int(weights.sum())
+    small = weights < unit
+    large = np.flatnonzero(~small)
+    starts = np.zeros(np.count_nonzero(small) + 1, np.int64)
+    np.subtract(unit, weights[small], out=starts[1:])
+    np.cumsum(starts, out=starts)
+    ends = np.cumsum(weights.take(large) - unit)
+    weights <<= 32
+    halves = weights.view(np.uint32)
+    threshold, alias = halves[models._HIGH::2], halves[models._LOW::2]
+    owner = np.searchsorted(ends, starts[:-1], side="right")
+    alias[small] = large.take(owner)
+    last = np.cumsum(np.bincount(owner, minlength=len(large)))
+    keep = ends - starts.take(last) + unit
+    full = keep == unit
+    keep[full] = 0
+    threshold[large] = keep
+    after = np.roll(large, -1)
+    np.copyto(after, large, where=full)
+    alias[large] = after
+    return weights.view(np.uint64)
+
+
+def test_alias_table_is_the_whole_array_build():
+    # the chunked sweeps write the table of the whole-array build bit for bit: random
+    # laws with zeros of 2^0..2^16 cells (past 2^12 a sweep carries across chunks), one
+    # cell, one-hot, uniform and two-point laws, and dyadic laws, whose deficits start
+    # where spans end
+    rng = np.random.default_rng(4049)
+    laws = [np.ones(1), np.eye(1, 1 << 14, 5000)[0], np.full(1 << 13, 2.0**-13),
+            np.eye(1, 1 << 15, 3)[0] / 4 + np.eye(1, 1 << 15, 30000)[0] * 3 / 4,
+            np.array([0, 1, 3, 1, 0, 1, 2, 0]) / 8]
+    for res in range(17):
+        for zeros in (0.0, 0.3, 0.97):
+            law = rng.random(1 << res) ** 3 * (rng.random(1 << res) >= zeros)
+            if law.sum() > 0:
+                laws.append(law / law.sum())
+        laws.append(rng.multinomial(1 << res, rng.dirichlet(np.ones(1 << res))) / (1 << res))
+    for law in laws:
+        table = models._alias_table(law.copy())
+        assert table.tobytes() == alias_table_by_whole_arrays(law.copy()).tobytes(), len(law)
+
+
+def test_density_sampler_build_holds_at_most_24_bytes_per_cell():
+    # the density workload's truth (db2, j_max 10, 2^18 cells): beside the synthesized
+    # grid and the law, the alias build holds arrays of the large cells alone
+    tree = density_truth_tree(shell_tree(2, 2, 1, 10, amplitude=1.0, dither=2.0, j_min=2))
+    filt = get_filter("db2")
+    DensitySampler.from_tree(tree, filt)  # any cache the build fills, filled
+    tracemalloc.start()
+    try:
+        sampler = DensitySampler.from_tree(tree, filt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(sampler.table) <= 24.0
 
 
 @pytest.mark.parametrize("case", range(len(SAMPLER_CASES)))

@@ -41,6 +41,15 @@ def test_read_tree_refuses_positions_outside_their_level(tmp_path):
             recordio.read_tree(path)
 
 
+def test_read_tree_refuses_a_stream_without_its_column_header(tmp_path):
+    # the row below the header is the column header, not a coefficient to skip
+    path = tmp_path / "headless.csv"
+    for body in ("1,0,0.5\n3,4,0.25\n", "", "j,k,v\n1,0,0.5\n"):
+        path.write_text("# coefficient-tree,d=1,j_max=3,scaling=0.0\n" + body)
+        with pytest.raises(ValueError, match="headless.csv: no j,k,value column header"):
+            recordio.read_tree(path)
+
+
 def test_saturating_tree_round_trip_lossless(tmp_path):
     g = build_g(GenericFunctionSpec(s=2, r=2, d=1, j_max=8))
     path = tmp_path / "g.csv"
