@@ -188,12 +188,9 @@ class CoefficientTree:
     def _combine(self, other: "CoefficientTree", op) -> "CoefficientTree":
         """op(self, other) entrywise, the shorter array padded with zeros."""
         a, b = self.coeffs, other.coeffs
-        if len(a) == len(b):
-            out = op(a, b)
-        else:
-            out = np.zeros(max(len(a), len(b)))
-            out[: len(a)] = a
-            op(out[: len(b)], b, out=out[: len(b)])
+        out = np.zeros(max(len(a), len(b)))
+        out[: len(a)] = a
+        op(out[: len(b)], b, out=out[: len(b)])
         return CoefficientTree._of(max(self.j_max, other.j_max), out)
 
     def __add__(self, other):

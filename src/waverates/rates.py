@@ -295,9 +295,9 @@ class _Replicates(NamedTuple):
     the lesser of its depth and the stack's.  The estimate, which ends at
     the deepest level a row keeps, is the full observation's bit for bit,
     and the loss side stays the one planned for the full observed depth.  A
-    block is sized for the rows' common width; one that a row reaching
-    deeper widens runs in chunks of rows, so no stack passes _BLOCK_SAMPLES
-    entries.
+    block is sized for the rows' common width, so its stack holds at most
+    _BLOCK_SAMPLES entries; each row that an exceedance widens runs alone, at
+    its own width, and the block's other rows run as one stack.
     """
 
     truths: tuple[CoefficientTree, ...]
@@ -319,11 +319,12 @@ class _Replicates(NamedTuple):
         noise, wide = split.stack(seeds)
         if not wide:
             return i, reps, self._losses(noise, estimate, depths, sides)
-        rows = [wide.get(b, row) for b, row in enumerate(noise)]
-        size = max(1, _BLOCK_SAMPLES // max(map(len, rows)))
-        return i, reps, np.concatenate([self._losses(_stacked(rows[c : c + size]), estimate,
-                                                     depths, sides)
-                                        for c in range(0, len(rows), size)], axis=1)
+        losses = np.empty((len(self.truths), len(noise)))
+        narrow = [b for b in range(len(noise)) if b not in wide]  # a stack of no rows runs too
+        losses[:, narrow] = self._losses(noise[narrow], estimate, depths, sides)
+        for b, row in wide.items():
+            losses[:, b] = self._losses(row[None], estimate, depths, sides)[:, 0]
+        return i, reps, losses
 
     def _losses(self, noise: np.ndarray, estimate, depths, sides) -> np.ndarray:
         """Each truth's losses on a noise stack, observed to the lesser of its
@@ -331,14 +332,6 @@ class _Replicates(NamedTuple):
         top = noise.shape[-1].bit_length() - 2
         return np.array([side.mean(estimate(_observed(truth.coeffs, noise, min(j, top))))
                          for truth, j, side in zip(self.truths, depths, sides)])
-
-
-def _stacked(rows) -> np.ndarray:
-    """The rows as one stack, each zero past its own end."""
-    stack = np.zeros((len(rows), max(map(len, rows))))
-    for out, row in zip(stack, rows):
-        out[: len(row)] = row
-    return stack
 
 
 def _level_peaks(truths, depth: int) -> np.ndarray:
@@ -613,8 +606,8 @@ def monte_carlo_risk(
     child with its own caches.  A worker runs its replicates of one n in
     blocks (_shares), each one stack of at most _BLOCK_SAMPLES / 2^(J + 1)
     rows (at least one), J the deepest depth any truth is observed to at
-    that n, or under a split the deepest level every row draws; a block
-    that a row drawn deeper widens runs in chunks of rows (_Replicates).
+    that n, or under a split the deepest level every row draws; a row drawn
+    deeper runs alone, and the block's other rows as one stack (_Replicates).
     The losses are stored by (n, replicate), so the reduction order is fixed.
 
     The truths do not enter the seed, so every truth is observed under the

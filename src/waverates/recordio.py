@@ -66,12 +66,11 @@ def read_tree(path) -> CoefficientTree:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_table(path, columns: list[str], rows, manifest_hash: str = "") -> None:
+def write_table(path, columns: list[str], rows, manifest_hash: str) -> None:
     """Generic experiment table: hash comment row, column header, data rows."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest_hash={manifest_hash}\n")
+        fh.write(f"# manifest_hash={manifest_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

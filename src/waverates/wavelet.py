@@ -19,12 +19,12 @@ phase table, built per call in microseconds, applied as one matrix product in
 blocks of about 2^15 samples.
 
 ``lp_mean`` takes coarse samples and gives the mean of |f|^p over their
-refinement without allocating the fine grid.  Each refined sample is a window
-of S coarse samples times a table column, so for p = 4 the sum over a
-window's 2^K phases is a quadratic form in the S(S+1)/2 pairwise products of
-the window, with a matrix built once per (taps, K); it is used where the
-table has at most three rows (db1, db2).  Other p and longer filters sum the
-refined samples block by block.
+refinement without allocating the fine grid, summing the refined samples
+block by block.  Each refined sample is a window of S coarse samples times a
+table column, so for p = 4 the sum over a window's 2^K phases is a quadratic
+form in the S(S+1)/2 pairwise products of the window, with a matrix built
+once per (taps, K); the p = 4 loss below sums it where the table has at most
+three rows (db1, db2).
 
 The risk engine's loss mean |E - T|^p of an estimate E against a truth T is
 this module's: ``_loss_sides`` computes once what of T each depth needs, and
@@ -370,14 +370,6 @@ def synthesize(tree: CoefficientTree, filt: WaveletFilter, resolution_log2: int)
     return GridSignal(resolution_log2, _refine(coarse, filt, resolution_log2))
 
 
-def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p; the p = 4 loss of the sparse regime squares twice, far cheaper than pow."""
-    if p == 4:
-        sq = x * x
-        return np.multiply(sq, sq, out=sq)
-    return np.abs(x) ** p
-
-
 def _check_p(p: float) -> None:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -386,7 +378,7 @@ def _check_p(p: float) -> None:
 def lp_norm(signal: GridSignal, p: float) -> float:
     """L^p norm over [0, 1] by composite midpoint quadrature of the samples."""
     _check_p(p)
-    return float(np.mean(_abs_pow(signal.samples, p)) ** (1.0 / p))
+    return float(np.mean(np.abs(signal.samples) ** p) ** (1.0 / p))
 
 
 def _monomials(shifts: int, degree: int):
@@ -486,24 +478,17 @@ def lp_mean(signal: GridSignal, filt: WaveletFilter, resolution_log2: int, p: fl
     synthesize(tree, filt, tree.j_max + 1)); the K = resolution_log2 -
     signal.resolution_log2 zero-detail steps refine it, as synthesize does.
     Equals lp_norm(synthesize(tree, filt, resolution_log2), p) ** p up to
-    roundoff and never allocates the fine grid.  For p = 4 and a table of at
-    most three rows (db1 at any K, db2 at K >= 2; _quartic_form) it sums a
-    quadratic form in the pairwise products of each window of coarse
-    samples; for other p or longer filters it sums the refined samples
-    block by block.
+    roundoff: it sums the refined samples block by block and never allocates
+    the fine grid.
     """
     _check_p(p)
     K = resolution_log2 - signal.resolution_log2
     if K < 0:
         raise ValueError(f"resolution 2^{resolution_log2} is coarser than the signal's "
                          f"2^{signal.resolution_log2}")
-    form = _quartic_form(filt.taps.tobytes(), K) if p == 4 else None
-    if form is not None:
-        total = _quartic_sum(signal.samples, form)
-    else:
-        total = 0.0
-        for _, block in _refined_blocks(signal.samples, _cascade_table(filt.taps, K)):
-            total += float(np.sum(_abs_pow(block, p)))
+    total = 0.0
+    for _, block in _refined_blocks(signal.samples, _cascade_table(filt.taps, K)):
+        total += float(np.sum(np.abs(block) ** p))
     return total / (1 << resolution_log2)
 
 

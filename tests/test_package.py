@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import waverates
-from waverates import (CoefficientTree, DensitySampler, GenericFunctionSpec, RateRegime, RiskRow,
-                       ScalingFunctionEstimate, ShellTerm, SlopeFit, SmoothnessParams, build_g,
-                       shell_sum, shell_tree, simulate_sequence)
+from waverates import (CoefficientTree, DensitySampler, EstimatorSpec, GenericFunctionSpec,
+                       GridSignal, RateRegime, RiskRow, ScalingFunctionEstimate, ShellTerm,
+                       SlopeFit, SmoothnessParams, WaveletFilter, analyze, build_g, get_filter,
+                       monte_carlo_risk, recordio, shell_sum, shell_tree, simulate_sequence)
 from waverates.cli import RunReport, main
 
 MODULES = sorted(p.stem for p in Path(waverates.__file__).parent.glob("*.py")
@@ -144,3 +145,43 @@ def test_library_constructors_refuse_bools(build, args):
     build(*(1 if arg is True else arg for arg in args))
     with pytest.raises(ValueError, match="must be a number, got True"):
         build(*args)
+
+
+def _headless_table(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# manifest_hash=abc\n")
+    recordio.read_table(path, "abc")
+
+
+_UNIFORM = CoefficientTree(1, 2, 1.0)
+
+
+@pytest.mark.parametrize("refused,match", [
+    (lambda _: monte_carlo_risk((_UNIFORM,), EstimatorSpec("threshold_hard"), [], 2, 2.0, 1),
+     "n_grid must be nonempty and strictly increasing"),
+    (lambda _: monte_carlo_risk((_UNIFORM,), EstimatorSpec("threshold_hard"), [64, 64], 2,
+                                2.0, 1), "n_grid must be nonempty and strictly increasing"),
+    (lambda _: monte_carlo_risk((_UNIFORM,), EstimatorSpec("threshold_hard"), [64, 128], 1,
+                                2.0, 1), "need at least 2 replicates"),
+    (lambda _: EstimatorSpec("lasso"), "unknown estimator kind 'lasso'"),
+    (lambda _: EstimatorSpec("pinsker"), "needs smoothness parameters or fixed_m_n"),
+    (lambda _: simulate_sequence(_UNIFORM, 0, 2, 1), "n must be >= 1"),
+    (lambda _: simulate_sequence(_UNIFORM, 64, -1, 1), "j_max must be >= 0"),
+    (lambda _: DensitySampler.from_tree(_UNIFORM, get_filter("haar")).cells(0, 1, 4),
+     "n must be >= 1"),
+    (_headless_table, "no column header"),
+    (lambda _: WaveletFilter("db0", np.array([0.5**0.5, 0.5**0.5]), 0),
+     "vanishing_moments must be >= 1"),
+    (lambda _: WaveletFilter("flat", np.full(4, 2**0.5 / 4), 2),
+     "taps fail orthonormality at shift 2"),
+    (lambda _: WaveletFilter("spike", np.array([2**0.5, 0.0]), 1), "taps are not unit norm"),
+    (lambda _: analyze(GridSignal(3, np.ones(8)), get_filter("haar"), -1),
+     "j_max must be non-negative"),
+], ids=["monte_carlo_risk.empty_n_grid", "monte_carlo_risk.repeated_n", "monte_carlo_risk.R",
+        "EstimatorSpec.kind", "EstimatorSpec.linear_cutoff", "simulate_sequence.n",
+        "simulate_sequence.j_max", "DensitySampler.cells.n", "read_table.column_header",
+        "WaveletFilter.vanishing_moments", "WaveletFilter.orthonormality",
+        "WaveletFilter.unit_norm", "analyze.j_max"])
+def test_library_refuses_invalid_arguments(refused, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        refused(tmp_path)

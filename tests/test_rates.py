@@ -975,3 +975,47 @@ def test_level_screen_observes_the_probe_line_short_of_its_depth(monkeypatch):
     # sized by that width, not by 2^(J + 1), which at the last n would run each
     # replicate alone (2^16 doubles fill a block)
     assert widths == [2 << 6, 2 << 7, 2 << 8]
+
+
+def flat_truth(levels, peak):
+    """A truth of depth 10 whose every coefficient on the given levels is peak."""
+    return CoefficientTree(1, 10, 0.0, {j: np.full(1 << j, peak) for j in levels})
+
+
+@pytest.mark.parametrize("widened", ["every", "some"])
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_widened_rows_keep_every_loss_of_the_full_width(widened, mode, p, threads, monkeypatch):
+    # at n = 4096 and kappa 2 the draw splits at t = 2.88 and reads to level 9.
+    # A truth whose peaks all lie below lam - sigma t draws the noise of level 0
+    # only, and past it the exceedances that reach lam, each widening its row.
+    # Peaks just below that bound on levels 1..9 let any exceedance reach lam,
+    # so every row of the block is widened and the stack of the others is
+    # empty; a lower peak on level 9 alone widens some rows only
+    n, R, seed, est = 4096, 6, 0, EstimatorSpec(f"threshold_{mode}", kappa=2.0)
+    lam = 2.0 * universal_threshold(n)
+    bound = lam * (1.0 - 2.0**-50) - _split_point(n, lam) * n**-0.5
+    truth = (flat_truth(range(1, 10), bound * (1.0 - 1e-9)) if widened == "every"
+             else flat_truth([9], 0.9 * bound))
+    want = full_width_losses((truth,), est, [n], R, p, seed)
+    ran, call, drawn, stack = [], rates._Replicates.__call__, [], _ThresholdNoise.stack
+
+    def recorded(split, seeds):
+        noise, wide = stack(split, seeds)
+        drawn.append((split.width, len(noise), len(wide)))
+        return noise, wide
+
+    monkeypatch.setattr(rates._Replicates, "__call__",
+                        lambda self, job: ran.append(call(self, job)) or ran[-1])
+    monkeypatch.setattr(_ThresholdNoise, "stack", recorded)
+    (table,) = monte_carlo_risk((truth,), est, [n], R, p, seed, threads=threads)
+    if threads == 1:  # the children's blocks are not seen here
+        assert [width for width, _, _ in drawn] == [2]  # one block, drawn through level 0
+        _, rows, wide = drawn[0]
+        assert wide == rows if widened == "every" else 0 < wide < rows
+        ((_, reps, losses),) = ran
+        assert list(reps) == list(range(R))
+        assert losses.tobytes() == want[:, 0].tobytes()
+    assert [(row.empirical_risk, row.std_error) for row in table.rows] == [
+        (float(np.mean(want[0, 0])), float(np.std(want[0, 0], ddof=1) / math.sqrt(R)))]
